@@ -20,7 +20,7 @@ from .closure import (
     weyl_closure_member,
 )
 from .errors import WeylClosureError
-from .formatting import format_operator, format_polynomial
+from .formatting import format_derivative, format_operator, format_polynomial
 from .jets import (
     basis_denominators,
     constraint_matrix,
@@ -33,7 +33,6 @@ from .parsing import parse_operator, parse_rational
 from .riquier import complete_to_riquier_basis
 from .systemio import (
     SystemFile,
-    format_derivative,
     jet_to_json,
     load_system,
     parse_initial_conditions,

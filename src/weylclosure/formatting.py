@@ -12,25 +12,7 @@ from typing import List
 
 from .operators import Derivative, OperatorVector
 from .polynomials import Polynomial, RationalFunction, _grlex_key
-from .scalars import GaussianRational, Scalar
-
-
-def format_scalar(value: Scalar) -> str:
-    """Plain rendering: '5', '-3/2', 'i', '2*i', '1 + 2*i'."""
-    if isinstance(value, GaussianRational):
-        if value.im == 0:
-            return str(value.re)
-        if value.re == 0:
-            if value.im == 1:
-                return "i"
-            if value.im == -1:
-                return "-i"
-            return f"{value.im}*i"
-        im = format_scalar(GaussianRational(0, value.im))
-        if im.startswith("-"):
-            return f"{value.re} - {im[1:]}"
-        return f"{value.re} + {im}"
-    return str(value)
+from .scalars import GaussianRational, Scalar, format_scalar
 
 
 def _scalar_is_simple(value: Scalar) -> bool:
@@ -56,6 +38,15 @@ def _monomial_factors(mono, m: int, name) -> List[str]:
         base = name(j, m)
         parts.append(base if e == 1 else f"{base}^{e}")
     return parts
+
+
+def format_derivative(d: Derivative, m: int, n: int) -> str:
+    """Derivative text like 'D^2', 'D1*D2' or '1 [u2]', as the parser reads it."""
+    parts = _monomial_factors(d.alpha, m, _derivation_name)
+    body = "*".join(parts) if parts else "1"
+    if n > 1:
+        body += f" [u{d.component}]"
+    return body
 
 
 def format_polynomial(p: Polynomial) -> str:

@@ -5,6 +5,14 @@ derivative values at a point extends to a formal solution iff it is
 annihilated by every row ``cf(D^beta p)|_{x0}`` with ``|beta| <= s - deg p``.
 The formal solver fills in principal-derivative values in ranking order from
 the substitution rules, which is the constructive half of that equivalence.
+
+Both evaluate first and differentiate second.  Each coefficient c of a basis
+element is Taylor-expanded at x0 once, as a truncated power series over Q or
+Q(i), and the evaluated row of ``D^beta p`` is read off the numeric Leibniz
+rule: column ``delta + gamma`` gets ``sum C(beta, gamma) d^(beta-gamma) c(x0)``
+over the terms ``c D^delta`` of p and ``gamma <= beta``.  No rational-function
+arithmetic happens here; ``operators.apply_to_jet`` keeps the symbolic shifts
+as an independent check.
 """
 
 from __future__ import annotations
@@ -12,24 +20,24 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from math import comb, factorial
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .errors import EvaluationAtPole, InvalidInput, SBelowS0
+from .formatting import format_derivative
 from .linalg import nullity, nullspace_basis
 from .operators import (
     Derivative,
     Jet,
     MultiIndex,
     OperatorVector,
-    cf_slice,
     derivatives_up_to,
-    left_multiply_by_d,
     multi_indices,
 )
-from .polynomials import Polynomial
-from .ranking import compare_derivatives
+from .polynomials import Polynomial, RationalFunction
+from .ranking import _pick_rule
 from .riquier import DerivativeClass, RiquierBasis
-from .scalars import Scalar
+from .scalars import Scalar, format_point
 
 
 @dataclass
@@ -49,23 +57,19 @@ def constraint_matrix(basis: RiquierBasis, s: int,
     """All rows cf(D^beta p)|_point over Delta_s, for p in the basis, |beta| <= s - deg p."""
     if s < basis.s0:
         raise SBelowS0(f"requested order {s} is below the basis degree {basis.s0}")
+    point = tuple(point)
     columns = derivatives_up_to(basis.m, basis.n, s)
+    zero = Fraction(0)
     rows: List[List[Scalar]] = []
     labels: List[Tuple[int, MultiIndex]] = []
     for index, p in enumerate(basis.elements):
-        # build each D^beta p from a one-step-smaller shift instead of from p
-        shifted: Dict[MultiIndex, OperatorVector] = {(0,) * basis.m: p}
-        for beta in sorted(multi_indices(basis.m, s - p.degree()),
-                           key=lambda b: (sum(b), b)):
-            if beta not in shifted:
-                j = next(k for k, e in enumerate(beta) if e)
-                smaller = beta[:j] + (beta[j] - 1,) + beta[j + 1:]
-                shifted[beta] = left_multiply_by_d(
-                    tuple(1 if k == j else 0 for k in range(basis.m)),
-                    shifted[smaller])
-            rows.append(cf_slice(shifted[beta], s, point))
+        reach = s - p.degree()
+        table = _derivative_table(p, point, reach)
+        for beta in sorted(multi_indices(basis.m, reach), key=lambda b: (sum(b), b)):
+            row = _leibniz_row(table, beta)
+            rows.append([row.get(d, zero) for d in columns])
             labels.append((index, beta))
-    return ConstraintSystem(rows, labels, columns, s, tuple(point), basis)
+    return ConstraintSystem(rows, labels, columns, s, point, basis)
 
 
 def check_jet_constraints(jet: Jet, system: ConstraintSystem) -> bool:
@@ -90,16 +94,36 @@ def formal_solve(basis: RiquierBasis, point: Sequence[Scalar],
 
     Principal-derivative values are computed in increasing ranking order from
     the substitution rule of the basis element whose head divides them.
-    Unspecified parametric values default to zero.
+    Unspecified parametric values default to zero; a value given for a
+    principal derivative raises InvalidInput.  The evaluated rule rows are
+    kept in ``basis.rule_rows``, so later solves at the same point reuse them.
     """
     if order < basis.s0:
         raise SBelowS0(f"truncation order {order} is below the basis degree {basis.s0}")
+    for d in init:
+        if basis.classify(d) is DerivativeClass.PRINCIPAL:
+            raise InvalidInput(
+                f"initial value given for the principal derivative "
+                f"{format_derivative(d, basis.m, basis.n)}; only parametric "
+                f"derivatives take initial values")
+    point = tuple(point)
+    tables: Dict[int, Dict[Derivative, Dict[MultiIndex, Scalar]]] = {}
     values: Dict[Derivative, Scalar] = {}
     for d in derivatives_up_to(basis.m, basis.n, order):
-        if basis.classify(d) is DerivativeClass.PARAMETRIC:
+        rule = _pick_rule(d, basis.heads)
+        if rule is None:
             values[d] = init.get(d, Fraction(0))
             continue
-        row = _evaluated_rule_row(basis, d, tuple(point))
+        row = basis.rule_rows.get((point, d))
+        if row is None:
+            if rule not in tables:
+                p = basis.elements[rule]
+                tables[rule] = _derivative_table(p, point, order - p.degree())
+            beta = tuple(a - b for a, b in zip(d.alpha, basis.heads[rule].alpha))
+            row = [(delta, value)
+                   for delta, value in _leibniz_row(tables[rule], beta).items()
+                   if delta != d]
+            basis.rule_rows[(point, d)] = row
         total: Scalar = Fraction(0)
         for delta, value in row:
             total = total + value * values[delta]
@@ -107,35 +131,83 @@ def formal_solve(basis: RiquierBasis, point: Sequence[Scalar],
     return Jet(point, order, basis.m, basis.n, values)
 
 
-def _evaluated_rule_row(basis: RiquierBasis, d: Derivative,
-                        point: Tuple[Scalar, ...]):
-    """Evaluated lower terms of the substitution rule for the principal d.
+# -- evaluate-first Leibniz rows --------------------------------------------
 
-    Cached on the basis because repeated formal solves at the same point
-    (one per nullspace jet, say) would otherwise redo identical rational
-    arithmetic.
+
+def _shifted_series(f: Polynomial, point: Tuple[Scalar, ...],
+                    order: int) -> Dict[MultiIndex, Scalar]:
+    """Coefficients of f(point + y) as a polynomial in y, truncated at total degree order."""
+    series: Dict[MultiIndex, Scalar] = {}
+    for mono, c in f.terms.items():
+        # expand prod_j (x0_j + y_j)^e_j binomially, one variable at a time
+        partial: Dict[MultiIndex, Scalar] = {(): c}
+        for x, e in zip(point, mono):
+            powers = [Fraction(1)]
+            for _ in range(e):  # GaussianRational has no __pow__
+                powers.append(powers[-1] * x)
+            grown: Dict[MultiIndex, Scalar] = {}
+            for mu, value in partial.items():
+                for k in range(min(e, order - sum(mu)) + 1):
+                    grown[mu + (k,)] = value * comb(e, k) * powers[e - k]
+            partial = grown
+        for mu, value in partial.items():
+            series[mu] = series.get(mu, 0) + value
+    return series
+
+
+def _coefficient_derivatives(c: RationalFunction, point: Tuple[Scalar, ...],
+                             order: int) -> Dict[MultiIndex, Scalar]:
+    """The nonzero values d^mu c(point) for |mu| <= order, from the Taylor series of c."""
+    if len(point) != c.nvars:
+        raise ValueError("point dimension mismatch")
+    series = _shifted_series(c.num, point, order)
+    if not c.den.is_constant():  # a constant denominator is 1: it is monic
+        num, den = series, _shifted_series(c.den, point, order)
+        lead = den.pop((0,) * len(point), 0)
+        if not lead:
+            raise EvaluationAtPole(f"denominator vanishes at {format_point(point)}")
+        # power-series division num/den, in increasing total degree
+        series = {}
+        for mu in multi_indices(len(point), order):
+            total = num.get(mu, 0)
+            for nu, value in den.items():
+                rest = tuple(a - b for a, b in zip(mu, nu))
+                if min(rest) >= 0:
+                    total = total - value * series[rest]
+            series[mu] = total / lead
+    derivatives: Dict[MultiIndex, Scalar] = {}
+    for mu, value in series.items():
+        if value:
+            for a in mu:
+                value = value * factorial(a)
+            derivatives[mu] = value
+    return derivatives
+
+
+def _derivative_table(p: OperatorVector, point: Tuple[Scalar, ...],
+                      order: int) -> Dict[Derivative, Dict[MultiIndex, Scalar]]:
+    """For each term c*D^delta of p, the values d^mu c(point) with |mu| <= order."""
+    return {delta: _coefficient_derivatives(c, point, order)
+            for delta, c in p.terms.items()}
+
+
+def _leibniz_row(table: Dict[Derivative, Dict[MultiIndex, Scalar]],
+                 beta: MultiIndex) -> Dict[Derivative, Scalar]:
+    """The coefficients of D^beta p at the point, from p's derivative table.
+
+    D^beta (c D^delta) = sum over gamma <= beta of
+    C(beta, gamma) (d^(beta-gamma) c) D^(delta+gamma).
     """
-    cache = getattr(basis, "_rule_row_cache", None)
-    if cache is None:
-        cache = basis._rule_row_cache = {}
-    key = (d, point)
-    row = cache.get(key)
-    if row is None:
-        rule_index = None
-        for j, head in enumerate(basis.heads):
-            if not head.divides(d):
+    row: Dict[Derivative, Scalar] = {}
+    for delta, derivatives in table.items():
+        for mu, value in derivatives.items():
+            gamma = tuple(b - a for a, b in zip(mu, beta))
+            if min(gamma) < 0:
                 continue
-            if rule_index is None or compare_derivatives(basis.heads[rule_index], head) < 0:
-                rule_index = j
-        head = basis.heads[rule_index]
-        beta = tuple(a - b for a, b in zip(d.alpha, head.alpha))
-        shifted = left_multiply_by_d(beta, basis.elements[rule_index])
-        row = [
-            (delta, coeff.evaluate(point))
-            for delta, coeff in shifted.terms.items()
-            if delta != d
-        ]
-        cache[key] = row
+            for b, g in zip(beta, gamma):
+                value = value * comb(b, g)
+            column = delta.differentiate(gamma)
+            row[column] = row.get(column, 0) + value
     return row
 
 

@@ -259,7 +259,12 @@ class Jet:
 
 
 def apply_to_jet(p: OperatorVector, u: Jet) -> Jet:
-    """The jet of p[u] at the same base point, exact through order T - deg p."""
+    """The jet of p[u] at the same base point, exact through order T - deg p.
+
+    Each D^beta p is shifted symbolically over F(x) and only then evaluated.
+    This stays apart from the Taylor-coefficient rows of ``jets`` on purpose:
+    it is the independent check that formal solutions are annihilated.
+    """
     if p.m != u.m or p.n != u.n:
         raise InvalidInput("operator and jet dimensions differ")
     if p.is_zero():

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Tuple
 
 from .errors import EvaluationAtPole
-from .scalars import GaussianRational, Scalar, scalar_inverse
+from .scalars import GaussianRational, Scalar, format_point, scalar_inverse
 
 Monomial = Tuple[int, ...]
 
@@ -381,6 +381,14 @@ class RationalFunction:
         self.den = den
 
     @classmethod
+    def _normalized(cls, num: Polynomial, den: Polynomial) -> "RationalFunction":
+        """Wrap a pair that is already reduced with a monic denominator, skipping the gcd."""
+        f = object.__new__(cls)
+        f.num = num
+        f.den = den
+        return f
+
+    @classmethod
     def zero(cls, nvars: int) -> "RationalFunction":
         return cls(Polynomial.zero(nvars))
 
@@ -435,7 +443,8 @@ class RationalFunction:
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den)
+        # negation keeps the pair reduced and the denominator monic
+        return RationalFunction._normalized(-self.num, self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -482,7 +491,7 @@ class RationalFunction:
     def evaluate(self, point: Sequence[Scalar]) -> Scalar:
         den_value = self.den.evaluate(point)
         if not den_value:
-            raise EvaluationAtPole(f"denominator vanishes at {tuple(point)}")
+            raise EvaluationAtPole(f"denominator vanishes at {format_point(point)}")
         return self.num.evaluate(point) / den_value
 
 

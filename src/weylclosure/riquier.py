@@ -22,6 +22,7 @@ from .operators import (
 )
 from .ranking import head_of, reduce_full
 from .polynomials import RationalFunction
+from .scalars import Scalar
 
 Cofactors = Dict[int, OperatorVector]
 
@@ -90,6 +91,9 @@ class RiquierBasis:
         self.m = m
         self.n = n
         self.heads = [head_of(p).head for p in self.elements]
+        # evaluated substitution rules, keyed by (point, principal derivative);
+        # filled by jets.formal_solve so that repeated solves reuse the rows
+        self.rule_rows: Dict[Tuple[tuple, Derivative], List[Tuple[Derivative, Scalar]]] = {}
 
     @property
     def s0(self) -> int:

@@ -2,13 +2,14 @@
 
 Real-mode scalars are plain ``fractions.Fraction``; complex mode uses
 :class:`GaussianRational`, a pair of rationals with exact arithmetic.  Mixed
-expressions coerce upward to Gaussian rationals automatically.
+expressions coerce upward to Gaussian rationals automatically.  Scalars and
+points render as exact text ('-3/2', '1 + 2*i').
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
+from typing import Sequence, Union
 
 Scalar = Union[Fraction, "GaussianRational"]
 
@@ -106,3 +107,27 @@ def scalar_inverse(a: Scalar) -> Scalar:
     if isinstance(a, GaussianRational):
         return GaussianRational(1) / a
     return Fraction(1) / a
+
+
+def format_scalar(value: Scalar) -> str:
+    """Plain rendering: '5', '-3/2', 'i', '2*i', '1 + 2*i'."""
+    if isinstance(value, GaussianRational):
+        if value.im == 0:
+            return str(value.re)
+        if value.re == 0:
+            if value.im == 1:
+                return "i"
+            if value.im == -1:
+                return "-i"
+            return f"{value.im}*i"
+        im = format_scalar(GaussianRational(0, value.im))
+        if im.startswith("-"):
+            return f"{value.re} - {im[1:]}"
+        return f"{value.re} + {im}"
+    return str(value)
+
+
+def format_point(point: Sequence[Scalar]) -> str:
+    """A point as exact text: '1/2' for one coordinate, '(0, 1 + i)' for several."""
+    coords = [format_scalar(x) for x in point]
+    return coords[0] if len(coords) == 1 else f"({', '.join(coords)})"

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .errors import InvalidInput, ParseError
-from .formatting import format_operator, format_scalar
+from .formatting import format_scalar
 from .operators import Derivative, Jet, OperatorVector
 from .parsing import parse_operator, parse_rational
 from .scalars import Scalar
@@ -113,16 +113,6 @@ def load_system(path: str, default_field: str = "real") -> SystemFile:
 
 
 # -- serialization helpers -------------------------------------------------
-
-
-def format_derivative(d: Derivative, m: int, n: int) -> str:
-    from .formatting import _monomial_factors, _derivation_name
-
-    parts = _monomial_factors(d.alpha, m, _derivation_name)
-    body = "*".join(parts) if parts else "1"
-    if n > 1:
-        body += f" [u{d.component}]"
-    return body
 
 
 def multi_index_key(alpha) -> str:

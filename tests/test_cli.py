@@ -118,6 +118,24 @@ def test_solve_uses_file_defaults(tmp_path, capsys):
     assert doc["derivative_values"]["u1"]["3"] == "2"
 
 
+def test_solve_rejects_principal_initial_value(tmp_path, capsys):
+    path = tmp_path / "d2.sys"
+    path.write_text("vars: 1\nrow: D^2\n")
+    code = main(["solve", str(path), "--point", "0",
+                 "--init", "1=1, D^2=5", "--order", "3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "principal derivative D^2" in captured.err
+
+
+def test_solve_at_singular_point_is_an_input_error(euler_file, capsys):
+    code = main(["solve", euler_file, "--point", "0",
+                 "--init", "1=1, D=1", "--order", "4"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: denominator vanishes at 0\n"
+
+
 def test_solve_picks_regular_point_automatically(euler_file, capsys):
     # the monic basis has denominators vanishing at 0, so 0 must be avoided
     code, doc = run(capsys, ["solve", euler_file, "--init", "1=1, D=1",
@@ -140,6 +158,16 @@ def test_prop1_counts(euler_file, capsys):
 def test_prop1_singular_point_is_an_input_error(euler_file, capsys):
     code = main(["prop1", euler_file, "--point", "0", "--s", "2"])
     assert code == 2
+    assert capsys.readouterr().err == "error: denominator vanishes at 0\n"
+
+
+def test_prop1_pole_message_names_a_gaussian_point(tmp_path, capsys):
+    # (1 + i)^2 = 2*i, so the monic coefficient 1/(x^2 - 2*i) has a pole there
+    path = tmp_path / "cplx.sys"
+    path.write_text("field: complex\nvars: 1\nrow: (x^2 - 2*i)*D + 1\n")
+    code = main(["prop1", str(path), "--point", "1 + i", "--s", "2"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: denominator vanishes at 1 + i\n"
 
 
 # -- verify-witness --------------------------------------------------------

@@ -1,5 +1,6 @@
 """Jet-constraint matrices, formal solutions and solution-space dimensions."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,8 @@ import pytest
 from weylclosure import (
     Derivative,
     EvaluationAtPole,
+    GaussianRational,
+    InvalidInput,
     SBelowS0,
     basis_denominators,
     check_jet_constraints,
@@ -18,7 +21,14 @@ from weylclosure import (
     pick_regular_point,
     solution_space_dim,
 )
-from weylclosure.operators import Jet, apply_to_jet
+from weylclosure.operators import (
+    Jet,
+    apply_to_jet,
+    cf_slice,
+    derivatives_up_to,
+    left_multiply_by_d,
+    multi_indices,
+)
 from conftest import random_generators
 
 ZERO = (Fraction(0),)
@@ -36,6 +46,98 @@ def basis_of(*texts, m=1, n=1):
 def jet_1d(point, values):
     return Jet((Fraction(point),), len(values) - 1, 1, 1,
                {Derivative(1, (k,)): Fraction(v) for k, v in enumerate(values)})
+
+
+# -- symbolic oracle -------------------------------------------------------
+#
+# The library evaluates Leibniz rows from Taylor coefficients at the point.
+# These helpers build D^beta p over F(x) first and evaluate afterwards, which
+# is an independent way to the same exact numbers.
+
+def symbolic_constraint_rows(basis, s, point):
+    """(rows, labels) of cf(D^beta p)|_point, each D^beta p shifted symbolically."""
+    rows, labels = [], []
+    for index, p in enumerate(basis.elements):
+        shifted = {(0,) * basis.m: p}
+        for beta in sorted(multi_indices(basis.m, s - p.degree()),
+                           key=lambda b: (sum(b), b)):
+            if beta not in shifted:
+                j = next(k for k, e in enumerate(beta) if e)
+                smaller = beta[:j] + (beta[j] - 1,) + beta[j + 1:]
+                shifted[beta] = left_multiply_by_d(
+                    tuple(1 if k == j else 0 for k in range(basis.m)),
+                    shifted[smaller])
+            rows.append(cf_slice(shifted[beta], s, point))
+            labels.append((index, beta))
+    return rows, labels
+
+
+def symbolic_formal_solve(basis, point, init, order):
+    """Principal values from symbolically shifted rules, evaluated at the point.
+
+    It takes the lowest-index rule whose head divides the derivative, not the
+    library's ranking-highest one: on a Riquier basis every choice gives the
+    same formal solution.
+    """
+    values = {}
+    for d in derivatives_up_to(basis.m, basis.n, order):
+        rule = next((j for j, head in enumerate(basis.heads) if head.divides(d)), None)
+        if rule is None:
+            values[d] = init.get(d, Fraction(0))
+            continue
+        beta = tuple(a - b for a, b in zip(d.alpha, basis.heads[rule].alpha))
+        total = Fraction(0)
+        for delta, c in left_multiply_by_d(beta, basis.elements[rule]).terms.items():
+            if delta != d:
+                total = total + c.evaluate(point) * values[delta]
+        values[d] = -total
+    return Jet(point, order, basis.m, basis.n, values)
+
+
+def assert_matches_oracle(basis, point, rng, extra=2):
+    s = basis.s0 + extra
+    system = constraint_matrix(basis, s, point)
+    rows, labels = symbolic_constraint_rows(basis, s, point)
+    assert system.row_labels == labels
+    assert system.rows == rows
+    for _ in range(2):
+        init = {d: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                for d in basis.parametric_up_to(s)}
+        u = formal_solve(basis, point, init, s)
+        assert u.values == symbolic_formal_solve(basis, point, init, s).values
+
+
+def test_oracle_random_acceptance_6_systems(rng):
+    checked = 0
+    while checked < 12:
+        m = rng.randint(1, 2)
+        n = rng.randint(1, 2)
+        gens = random_generators(rng, m, n, rng.randint(1, 2),
+                                 order=2, degree=1, terms=2,
+                                 polynomial_coeffs=checked % 3 != 0)
+        basis = complete_to_riquier_basis(gens, m, n)
+        point = pick_regular_point(basis_denominators(basis), m)
+        assert_matches_oracle(basis, point, rng, extra=rng.randint(1, 2))
+        checked += 1
+
+
+@pytest.mark.parametrize("x0", [Fraction(1), Fraction(-1, 2)])
+def test_oracle_euler_operator(x0):
+    basis = basis_of("x^2*D^2 - 2*x*D + 2")
+    assert_matches_oracle(basis, (x0,), random.Random(7), extra=3)
+
+
+def test_oracle_two_variables_two_unknowns():
+    basis = basis_of("D1 [u1] - x2 [u2]", "D2 [u1] + x1*D1 [u2]", m=2, n=2)
+    assert len(basis.elements) > 1
+    assert_matches_oracle(basis, (Fraction(1), Fraction(-2)), random.Random(8))
+
+
+def test_oracle_complex_system_at_gaussian_point():
+    basis = complete_to_riquier_basis(
+        [parse_operator("(x^2 + i)*D^2 - i*x*D + 3", 1, 1, "complex")])
+    point = (GaussianRational(1, 1),)
+    assert_matches_oracle(basis, point, random.Random(9), extra=3)
 
 
 # -- constraint matrices ---------------------------------------------------
@@ -58,6 +160,15 @@ def test_constraint_matrix_rejects_s_below_s0():
 def test_constraint_matrix_pole_at_singular_point():
     with pytest.raises(EvaluationAtPole):
         constraint_matrix(basis_of("x^2*D^2 - 2*x*D + 2"), 2, ZERO)
+
+
+def test_pole_message_gives_the_exact_point():
+    basis = basis_of("(2*x - 1)*D + 1")
+    with pytest.raises(EvaluationAtPole, match="^denominator vanishes at 1/2$"):
+        constraint_matrix(basis, 2, (Fraction(1, 2),))
+    basis = basis_of("D1 + 1/(x1 + x2)", m=2)
+    with pytest.raises(EvaluationAtPole, match=r"at \(1, -1\)$"):
+        formal_solve(basis, (Fraction(1), Fraction(-1)), {}, 2)
 
 
 def test_check_jet_constraints_examples():
@@ -95,6 +206,27 @@ def test_formal_solve_defaults_parametric_to_zero():
 def test_formal_solve_rejects_order_below_s0():
     with pytest.raises(SBelowS0):
         formal_solve(basis_of("D^2"), ZERO, {}, 1)
+
+
+def test_formal_solve_pole_at_singular_point():
+    with pytest.raises(EvaluationAtPole):
+        formal_solve(basis_of("x^2*D^2 - 2*x*D + 2"), ZERO,
+                     {Derivative(1, (0,)): Fraction(1)}, 4)
+
+
+def test_formal_solve_rejects_principal_initial_value():
+    init = {Derivative(1, (0,)): Fraction(1), Derivative(1, (2,)): Fraction(5)}
+    with pytest.raises(InvalidInput, match="principal derivative D\\^2"):
+        formal_solve(basis_of("D^2"), ZERO, init, 3)
+
+
+def test_formal_solve_reuses_rule_rows():
+    basis = basis_of("x^2*D^2 - 2*x*D + 2")
+    first = formal_solve(basis, ONE, {Derivative(1, (0,)): Fraction(1)}, 5)
+    rows = dict(basis.rule_rows)
+    assert sorted(d.alpha for _, d in rows) == [(2,), (3,), (4,), (5,)]
+    assert formal_solve(basis, ONE, {Derivative(1, (0,)): Fraction(1)}, 5) == first
+    assert all(basis.rule_rows[key] is row for key, row in rows.items())
 
 
 def test_formal_solve_satisfies_constraints():

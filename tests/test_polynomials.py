@@ -168,6 +168,14 @@ def test_rational_ring_axioms(a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
+@settings(deadline=None, max_examples=60)
+@given(small_rationals)
+def test_negation_keeps_the_normal_form(f):
+    assert -f == RationalFunction(-f.num, f.den)
+    assert (-f).den == f.den
+    assert (f + (-f)).is_zero()
+
+
 @settings(deadline=None, max_examples=40)
 @given(small_rationals, small_rationals)
 def test_leibniz_product_rule(f, g):
