@@ -1,17 +1,19 @@
 """Weyl-closure membership with verifiable witnesses, plus two independent cross-checks.
 
 The primary decision reduces the candidate against a Riquier basis of the
-generated F(x)-submodule; a reduction to zero is turned into an exact identity
-``w * q = sum_j h_j * p_j`` with polynomial w and cofactors by composing the
-reduction trace with the completion cofactors and clearing denominators.  The
-cross-checks are F(x)-linear solving on coefficient slices and, for a single
-operator in one variable, Euclidean left division.
+generated F(x)-submodule.  A reduction to zero is turned into an exact
+identity ``w * q = sum_j h_j * p_j`` with polynomial w and cofactors: the
+basis lifts the reduction trace to the generators, replaying its derivation
+log only for the basis elements the trace touches, and the denominators are
+cleared by exact division by the lcm w.  A non-member answer replays nothing.
+The cross-checks are F(x)-linear solving on coefficient slices and, for a
+single operator in one variable, Euclidean left division.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from .errors import InvalidInput
 from .linalg import solve_linear_combination
@@ -80,23 +82,17 @@ def weyl_closure_member(q: OperatorVector,
         return MembershipResult(False, None, trace.normal_form, basis)
 
     # q = sum_k trace.cofactors[k] * basis_k and each basis element is an exact
-    # combination of the generators, so compose and clear denominators.
-    rational_cofactors: Dict[int, OperatorVector] = {}
-    for k, step in trace.cofactors.items():
-        for g, c in basis.generator_cofactors[k].items():
-            contribution = scalar_operator_product(step, c)
-            cur = rational_cofactors.get(g)
-            total = contribution if cur is None else cur + contribution
-            rational_cofactors[g] = total
-
-    all_coeffs = [
-        coeff for h in rational_cofactors.values() for coeff in h.terms.values()
-    ]
-    w = common_denominator(all_coeffs, m)
-    cofactors = [
-        rational_cofactors.get(g, OperatorVector.zero(m, 1)).left_scale(w)
-        for g in range(len(generators))
-    ]
+    # combination of the generators, so lift the trace and clear denominators.
+    rational_cofactors = basis.lift(trace.cofactors)
+    w = common_denominator(
+        (coeff for h in rational_cofactors.values() for coeff in h.terms.values()), m)
+    cofactors = []
+    for g in range(len(generators)):
+        h = rational_cofactors.get(g, OperatorVector.zero(m, 1))
+        # w * num/den with den | w: an exact division, no gcd
+        cofactors.append(OperatorVector(
+            {d: RationalFunction(w.exact_div(c.den) * c.num) for d, c in h.terms.items()},
+            m, 1))
     witness = Witness(w, cofactors)
     if not verify_witness(witness, q, generators):
         raise RuntimeError("internal error: extracted witness failed verification")
@@ -120,9 +116,17 @@ def membership_via_lemma1(q: OperatorVector,
                           generators: Sequence[OperatorVector]) -> bool:
     """Independent decision path: F(x)-linear solving on coefficient slices."""
     _validate_polynomial_rows(q, generators)
+    return _lemma1_decide(q, complete_to_riquier_basis(generators, q.m, q.n))
+
+
+def _lemma1_decide(q: OperatorVector, basis: RiquierBasis) -> bool:
+    """The lemma1 decision for a validated candidate against a completed basis.
+
+    Solving on coefficient slices is independent of the reduction, so a
+    caller that already completed the generators passes that basis.
+    """
     if q.is_zero():
         return True
-    basis = complete_to_riquier_basis(generators, q.m, q.n)
     if not basis.elements:
         return False  # N = 0 and q is nonzero
     s = max([q.degree()] + [p.degree() for p in basis.elements])

@@ -94,18 +94,29 @@ def formal_solve(basis: RiquierBasis, point: Sequence[Scalar],
 
     Principal-derivative values are computed in increasing ranking order from
     the substitution rule of the basis element whose head divides them.
-    Unspecified parametric values default to zero; a value given for a
-    principal derivative raises InvalidInput.  The evaluated rule rows are
-    kept in ``basis.rule_rows``, so later solves at the same point reuse them.
+    Unspecified parametric values default to zero.  A value given for a
+    derivative that does not fit the system's (m, n), lies above the
+    truncation order or is principal raises InvalidInput.  The evaluated rule
+    rows are kept in ``basis.rule_rows``, so later solves at the same point
+    reuse them.
     """
     if order < basis.s0:
         raise SBelowS0(f"truncation order {order} is below the basis degree {basis.s0}")
     for d in init:
+        if (len(d.alpha) != basis.m or any(a < 0 for a in d.alpha)
+                or not 1 <= d.component <= basis.n):
+            raise InvalidInput(
+                f"initial value given for unknown {d.component} with multi-index "
+                f"{d.alpha}, which does not fit {basis.m} variable(s) and "
+                f"{basis.n} unknown(s)")
+        name = format_derivative(d, basis.m, basis.n)
+        if d.order > order:
+            raise InvalidInput(
+                f"initial value given for {name} above the truncation order {order}")
         if basis.classify(d) is DerivativeClass.PRINCIPAL:
             raise InvalidInput(
-                f"initial value given for the principal derivative "
-                f"{format_derivative(d, basis.m, basis.n)}; only parametric "
-                f"derivatives take initial values")
+                f"initial value given for the principal derivative {name}; "
+                f"only parametric derivatives take initial values")
     point = tuple(point)
     tables: Dict[int, Dict[Derivative, Dict[MultiIndex, Scalar]]] = {}
     values: Dict[Derivative, Scalar] = {}

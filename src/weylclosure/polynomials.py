@@ -498,6 +498,11 @@ class RationalFunction:
 def common_denominator(rs: Iterable[RationalFunction], nvars: int) -> Polynomial:
     """A monic polynomial w with w*r polynomial for every r: the lcm of denominators."""
     w = Polynomial.constant(1, nvars)
+    seen = set()
     for r in rs:
+        # a constant denominator is 1, and a repeated one already divides w
+        if r.den.is_constant() or r.den in seen:
+            continue
+        seen.add(r.den)
         w = poly_lcm(w, r.den)
     return w

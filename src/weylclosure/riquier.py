@@ -2,16 +2,18 @@
 
 The completion is Buchberger-style over the rational-function coefficient
 field: make generators monic, adjoin reduced S-pairs to a fixpoint, then
-autoreduce.  Every basis element carries exact scalar-operator cofactors that
-express it in terms of the original generators, which is what later turns a
-reduction to zero into a checkable witness identity.
+autoreduce.  It computes with operators only.  Each element it adjoins or
+autoreduces appends one node to a derivation log, which records how the
+element was made from earlier nodes and the generators; a reduction to zero
+records nothing.  The exact scalar-operator cofactors that express a basis
+element in the generators are replayed from the log on demand, forward and
+only over the element's ancestors, when a membership witness needs them.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .operators import (
     Derivative,
@@ -20,11 +22,13 @@ from .operators import (
     left_multiply_by_d,
     scalar_operator_product,
 )
-from .ranking import head_of, reduce_full
+from .ranking import ReductionTrace, head_of, reduce_full
 from .polynomials import RationalFunction
 from .scalars import Scalar
 
 Cofactors = Dict[int, OperatorVector]
+# (scalar multiplier, source id): the source contributes multiplier * source
+Term = Tuple[OperatorVector, int]
 
 
 class DerivativeClass(enum.Enum):
@@ -32,68 +36,96 @@ class DerivativeClass(enum.Enum):
     PARAMETRIC = "parametric"
 
 
-@dataclass
-class _Entry:
-    """A basis element under construction plus its expression in the generators."""
+class _Node(NamedTuple):
+    """An element made as scale * sum(multiplier * source) over its terms."""
 
-    op: OperatorVector
-    cofactors: Cofactors
-
-    def left_scale(self, f: RationalFunction) -> "_Entry":
-        return _Entry(
-            self.op.left_scale(f),
-            {g: c.left_scale(f) for g, c in self.cofactors.items()},
-        )
-
-    def shift(self, gamma) -> "_Entry":
-        d_op = OperatorVector.from_derivative(
-            Derivative(1, tuple(gamma)), self.op.m, 1
-        )
-        return _Entry(
-            left_multiply_by_d(tuple(gamma), self.op),
-            {g: scalar_operator_product(d_op, c) for g, c in self.cofactors.items()},
-        )
-
-    def __sub__(self, other: "_Entry") -> "_Entry":
-        cof = dict(self.cofactors)
-        for g, c in other.cofactors.items():
-            cur = cof.get(g)
-            cof[g] = -c if cur is None else cur - c
-        return _Entry(self.op - other.op, {g: c for g, c in cof.items() if not c.is_zero()})
+    terms: Tuple[Term, ...]
+    scale: RationalFunction
 
 
-def _reduce_entry(entry: _Entry, basis: List[_Entry]) -> _Entry:
-    trace = reduce_full(entry.op, [b.op for b in basis])
-    cof = dict(entry.cofactors)
-    for j, step in trace.cofactors.items():
-        for g, c in basis[j].cofactors.items():
-            contribution = scalar_operator_product(step, c)
-            cur = cof.get(g)
-            total = -contribution if cur is None else cur - contribution
-            if total.is_zero():
-                cof.pop(g, None)
-            else:
-                cof[g] = total
-    return _Entry(trace.normal_form, cof)
+class DerivationLog:
+    """How each element of a completion was made, for lifting to the generators.
 
+    Ids ``0 .. generators - 1`` are the generator leaves; id
+    ``generators + k`` is ``nodes[k]``.  A node's sources always have smaller
+    ids, so replaying in id order meets every source before its users.
+    """
 
-def _make_monic(entry: _Entry) -> _Entry:
-    return entry.left_scale(head_of(entry.op).coefficient.inverse())
+    def __init__(self, generators: int, m: int):
+        # the multiplier 1, which also is each leaf's cofactor
+        self.one = OperatorVector.scalar_function(RationalFunction.constant(1, m), m)
+        self.generators = generators
+        self.nodes: List[_Node] = []
+        self._replayed: Dict[int, Cofactors] = {j: {j: self.one} for j in range(generators)}
+
+    def append(self, terms: Iterable[Term], scale: RationalFunction) -> int:
+        self.nodes.append(_Node(tuple(terms), scale))
+        return self.generators + len(self.nodes) - 1
+
+    def replay(self, ids: Iterable[int]) -> List[Cofactors]:
+        """The generator cofactors of each id, replaying the ancestors not yet replayed."""
+        ids = list(ids)
+        todo = set()
+        stack = [i for i in ids if i not in self._replayed]
+        while stack:
+            i = stack.pop()
+            if i in todo or i in self._replayed:
+                continue
+            todo.add(i)
+            stack.extend(source for _, source in self.nodes[i - self.generators].terms)
+        for i in sorted(todo):
+            node = self.nodes[i - self.generators]
+            self._replayed[i] = {
+                g: c.left_scale(node.scale) for g, c in self._combine(node.terms).items()
+            }
+        return [self._replayed[i] for i in ids]
+
+    def lift(self, terms: Iterable[Term]) -> Cofactors:
+        """The generator cofactors of sum(multiplier * source) over the terms."""
+        terms = list(terms)
+        self.replay(source for _, source in terms)
+        return self._combine(terms)
+
+    def _combine(self, terms: Iterable[Term]) -> Cofactors:
+        # every source is replayed already
+        total: Cofactors = {}
+        for multiplier, source in terms:
+            for g, c in self._replayed[source].items():
+                contribution = scalar_operator_product(multiplier, c)
+                cur = total.get(g)
+                total[g] = contribution if cur is None else cur + contribution
+        return {g: c for g, c in total.items() if not c.is_zero()}
 
 
 class RiquierBasis:
-    """A monic, autoreduced, confluent generating set with generator cofactors."""
+    """A monic, autoreduced, confluent generating set with its derivation log."""
 
-    def __init__(self, elements: Sequence[OperatorVector],
-                 generator_cofactors: Sequence[Cofactors], m: int, n: int):
+    def __init__(self, elements: Sequence[OperatorVector], m: int, n: int,
+                 derivation: DerivationLog, made_by: Sequence[int]):
         self.elements = list(elements)
-        self.generator_cofactors = [dict(c) for c in generator_cofactors]
         self.m = m
         self.n = n
         self.heads = [head_of(p).head for p in self.elements]
+        # the log and, per element, the log id that made it
+        self.derivation = derivation
+        self.made_by = list(made_by)
         # evaluated substitution rules, keyed by (point, principal derivative);
         # filled by jets.formal_solve so that repeated solves reuse the rows
         self.rule_rows: Dict[Tuple[tuple, Derivative], List[Tuple[Derivative, Scalar]]] = {}
+
+    @property
+    def generator_cofactors(self) -> List[Cofactors]:
+        """Per element, exact cofactors over the generators (replayed on first use)."""
+        return [dict(c) for c in self.derivation.replay(self.made_by)]
+
+    def lift(self, multipliers: Mapping[int, OperatorVector]) -> Cofactors:
+        """Generator cofactors of sum_k multipliers[k] * elements[k].
+
+        Only the elements named in ``multipliers`` and their ancestors in the
+        log are replayed.
+        """
+        return self.derivation.lift(
+            (multiplier, self.made_by[k]) for k, multiplier in multipliers.items())
 
     @property
     def s0(self) -> int:
@@ -115,13 +147,16 @@ class RiquierBasis:
         ]
 
 
-def _s_pair(f: _Entry, g: _Entry) -> Tuple[Derivative, _Entry]:
-    hf, hg = head_of(f.op).head, head_of(g.op).head
-    gamma = tuple(max(a, b) for a, b in zip(hf.alpha, hg.alpha))
-    common = Derivative(hf.component, gamma)
-    shifted_f = f.shift(tuple(c - a for c, a in zip(gamma, hf.alpha)))
-    shifted_g = g.shift(tuple(c - b for c, b in zip(gamma, hg.alpha)))
-    return common, shifted_f - shifted_g
+def _monic_and_logged(trace: ReductionTrace, terms: List[Term], rule_ids: Sequence[int],
+                      log: DerivationLog) -> Tuple[OperatorVector, int]:
+    """The monic normal form of a nonzero trace, and the log id that records it.
+
+    ``terms`` make the reduced operator; each reduction step by rule k adds
+    the term ``(-step, rule_ids[k])``.
+    """
+    scale = head_of(trace.normal_form).coefficient.inverse()
+    terms = terms + [(-step, rule_ids[k]) for k, step in trace.cofactors.items()]
+    return trace.normal_form.left_scale(scale), log.append(terms, scale)
 
 
 def complete_to_riquier_basis(generators: Sequence[OperatorVector],
@@ -134,43 +169,44 @@ def complete_to_riquier_basis(generators: Sequence[OperatorVector],
             raise ValueError("dimensions required for an empty generator list")
         m, n = gens[0].m, gens[0].n
 
-    one = RationalFunction.constant(1, m)
-    agenda: List[_Entry] = [
-        _Entry(g, {j: OperatorVector.scalar_function(one, m)})
-        for j, g in enumerate(gens) if not g.is_zero()
-    ]
-
-    basis: List[_Entry] = []
+    log = DerivationLog(len(gens), m)
+    basis: List[OperatorVector] = []
+    made_by: List[int] = []  # log id of each basis element
     pairs: List[Tuple[int, int]] = []
 
-    def adjoin(entry: _Entry) -> None:
-        reduced = _reduce_entry(entry, basis)
-        if reduced.op.is_zero():
+    def adjoin(op: OperatorVector, terms: List[Term]) -> None:
+        trace = reduce_full(op, basis)
+        if trace.normal_form.is_zero():
             return
-        reduced = _make_monic(reduced)
+        element, node = _monic_and_logged(trace, terms, made_by, log)
         new_index = len(basis)
-        new_comp = head_of(reduced.op).head.component
+        new_comp = head_of(element).head.component
         for j, existing in enumerate(basis):
-            if head_of(existing.op).head.component == new_comp:
+            if head_of(existing).head.component == new_comp:
                 pairs.append((j, new_index))
-        basis.append(reduced)
+        basis.append(element)
+        made_by.append(node)
 
-    for entry in agenda:
-        adjoin(entry)
+    for j, g in enumerate(gens):
+        if not g.is_zero():
+            adjoin(g, [(log.one, j)])
 
-    def pair_rank(idx_pair):
-        j, k = idx_pair
-        hj = head_of(basis[j].op).head
-        hk = head_of(basis[k].op).head
+    def common_head(idx_pair) -> Tuple[Derivative, Derivative, Derivative]:
+        hj, hk = (head_of(basis[i]).head for i in idx_pair)
         gamma = tuple(max(a, b) for a, b in zip(hj.alpha, hk.alpha))
-        return Derivative(hj.component, gamma).rank_key()
+        return Derivative(hj.component, gamma), hj, hk
 
     while pairs:
         # Normal strategy: lowest-ranking common head multiple first.
-        pairs.sort(key=pair_rank)
+        pairs.sort(key=lambda pair: common_head(pair)[0].rank_key())
         j, k = pairs.pop(0)
-        _, spair = _s_pair(basis[j], basis[k])
-        adjoin(spair)
+        common, hj, hk = common_head((j, k))
+        shift_j = tuple(c - a for c, a in zip(common.alpha, hj.alpha))
+        shift_k = tuple(c - b for c, b in zip(common.alpha, hk.alpha))
+        d_j = OperatorVector.from_derivative(Derivative(1, shift_j), m, 1)
+        d_k = OperatorVector.from_derivative(Derivative(1, shift_k), m, 1)
+        spair = left_multiply_by_d(shift_j, basis[j]) - left_multiply_by_d(shift_k, basis[k])
+        adjoin(spair, [(d_j, made_by[j]), (-d_k, made_by[k])])
 
     # Autoreduce to a fixpoint; heads can only disappear, never change.
     changed = True
@@ -180,18 +216,17 @@ def complete_to_riquier_basis(generators: Sequence[OperatorVector],
             others = basis[:idx] + basis[idx + 1:]
             if not others:
                 continue
-            reduced = _reduce_entry(_Entry(basis[idx].op, dict(basis[idx].cofactors)),
-                                    others)
-            if reduced.op == basis[idx].op:
+            trace = reduce_full(basis[idx], others)
+            if trace.normal_form == basis[idx]:
                 continue
             changed = True
-            if reduced.op.is_zero():
+            if trace.normal_form.is_zero():
                 del basis[idx]
+                del made_by[idx]
             else:
-                basis[idx] = _make_monic(reduced)
+                basis[idx], made_by[idx] = _monic_and_logged(
+                    trace, [(log.one, made_by[idx])], made_by[:idx] + made_by[idx + 1:], log)
             break
 
-    basis.sort(key=lambda e: head_of(e.op).head.rank_key())
-    return RiquierBasis(
-        [e.op for e in basis], [e.cofactors for e in basis], m, n
-    )
+    order = sorted(range(len(basis)), key=lambda i: head_of(basis[i]).head.rank_key())
+    return RiquierBasis([basis[i] for i in order], m, n, log, [made_by[i] for i in order])

@@ -85,6 +85,27 @@ def test_member_cross_check_agrees(euler_file, capsys):
     assert doc["euclidean_member"] is True
 
 
+def test_member_cross_check_completes_once(euler_file, capsys, monkeypatch):
+    import weylclosure.cli
+    import weylclosure.closure
+
+    calls = []
+    original = weylclosure.closure.complete_to_riquier_basis
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(weylclosure.closure, "complete_to_riquier_basis", counting)
+    monkeypatch.setattr(weylclosure.cli, "complete_to_riquier_basis", counting)
+    for q, member in (("D^3", True), ("D^2", False)):
+        calls.clear()
+        code, doc = run(capsys, ["member", euler_file, "--q", q, "--cross-check"])
+        assert code == (0 if member else 1)
+        assert doc["lemma1_member"] is member
+        assert len(calls) == 1
+
+
 def test_member_vector_system(tmp_path, capsys):
     path = tmp_path / "vec.sys"
     path.write_text(VECTOR)
@@ -127,6 +148,17 @@ def test_solve_rejects_principal_initial_value(tmp_path, capsys):
     assert code == 2
     assert captured.out == ""
     assert "principal derivative D^2" in captured.err
+
+
+def test_solve_rejects_initial_value_above_the_order(tmp_path, capsys):
+    path = tmp_path / "d1.sys"
+    path.write_text("vars: 2\nrow: D1\n")
+    code = main(["solve", str(path), "--point", "0,0",
+                 "--init", "1=1, D2^5=7", "--order", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: initial value given for D2^5 above the truncation order 2\n"
 
 
 def test_solve_at_singular_point_is_an_input_error(euler_file, capsys):

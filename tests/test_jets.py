@@ -220,6 +220,23 @@ def test_formal_solve_rejects_principal_initial_value():
         formal_solve(basis_of("D^2"), ZERO, init, 3)
 
 
+def test_formal_solve_rejects_initial_value_above_the_order():
+    basis = basis_of("D1", m=2)
+    init = {Derivative(1, (0, 0)): Fraction(1), Derivative(1, (0, 5)): Fraction(7)}
+    with pytest.raises(InvalidInput) as info:
+        formal_solve(basis, (Fraction(0), Fraction(0)), init, 2)
+    assert str(info.value) == "initial value given for D2^5 above the truncation order 2"
+
+
+@pytest.mark.parametrize("d", [Derivative(2, (0, 1)), Derivative(1, (1,)),
+                               Derivative(1, (0, 1, 0)), Derivative(1, (-1, 1)),
+                               Derivative(0, (0, 0))])
+def test_formal_solve_rejects_initial_value_outside_the_system(d):
+    basis = basis_of("D1", m=2)
+    with pytest.raises(InvalidInput, match="does not fit 2 variable\\(s\\) and 1 unknown"):
+        formal_solve(basis, (Fraction(0), Fraction(0)), {d: Fraction(1)}, 2)
+
+
 def test_formal_solve_reuses_rule_rows():
     basis = basis_of("x^2*D^2 - 2*x*D + 2")
     first = formal_solve(basis, ONE, {Derivative(1, (0,)): Fraction(1)}, 5)

@@ -1,19 +1,29 @@
 """Completion to Riquier bases: confluence, autoreduction, cofactors, classification."""
 
 import random
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
+
+import pytest
 
 from weylclosure import (
     Derivative,
     DerivativeClass,
     OperatorVector,
+    Polynomial,
+    RationalFunction,
     complete_to_riquier_basis,
     head_of,
     left_multiply_by_d,
     parse_operator,
+    poly_lcm,
     reduce_full,
     scalar_operator_product,
+    weyl_closure_member,
 )
-from conftest import random_generators
+from weylclosure.cli import main
+from weylclosure.riquier import DerivationLog
+from conftest import random_generators, random_operator
 
 
 def op(text, m=1, n=1):
@@ -135,3 +145,198 @@ def test_completion_is_idempotent(rng):
             sorted(h.rank_key() for h in again.heads)
         assert sorted(basis.elements, key=lambda p: head_of(p).head.rank_key()) == \
             sorted(again.elements, key=lambda p: head_of(p).head.rank_key())
+
+
+# -- eager oracle ----------------------------------------------------------
+#
+# The library completes operators only and replays cofactors from a
+# derivation log on demand.  This oracle is the earlier eager completion:
+# every S-pair, reduction step, monic scaling and autoreduction also carries
+# the cofactors along.  Exact F(x) arithmetic is canonical, so bases,
+# cofactors and witnesses must come out identical.
+
+@dataclass
+class EagerEntry:
+    op: OperatorVector
+    cofactors: Dict[int, OperatorVector]
+
+    def left_scale(self, f):
+        return EagerEntry(self.op.left_scale(f),
+                          {g: c.left_scale(f) for g, c in self.cofactors.items()})
+
+    def shift(self, gamma):
+        d_op = OperatorVector.from_derivative(Derivative(1, tuple(gamma)), self.op.m, 1)
+        return EagerEntry(
+            left_multiply_by_d(tuple(gamma), self.op),
+            {g: scalar_operator_product(d_op, c) for g, c in self.cofactors.items()},
+        )
+
+    def __sub__(self, other):
+        cof = dict(self.cofactors)
+        for g, c in other.cofactors.items():
+            cur = cof.get(g)
+            cof[g] = -c if cur is None else cur - c
+        return EagerEntry(self.op - other.op,
+                          {g: c for g, c in cof.items() if not c.is_zero()})
+
+
+def eager_reduce(entry, basis):
+    trace = reduce_full(entry.op, [b.op for b in basis])
+    cof = dict(entry.cofactors)
+    for j, step in trace.cofactors.items():
+        for g, c in basis[j].cofactors.items():
+            total = cof.get(g, OperatorVector.zero(c.m, 1)) - scalar_operator_product(step, c)
+            if total.is_zero():
+                cof.pop(g, None)
+            else:
+                cof[g] = total
+    return EagerEntry(trace.normal_form, cof)
+
+
+def eager_monic(entry):
+    return entry.left_scale(head_of(entry.op).coefficient.inverse())
+
+
+def eager_completion(generators, m, n) -> Tuple[List[OperatorVector], List[dict]]:
+    """(elements, generator cofactors) of the eager completion, sorted by head."""
+    one = RationalFunction.constant(1, m)
+    basis: List[EagerEntry] = []
+    pairs = []
+
+    def adjoin(entry):
+        reduced = eager_reduce(entry, basis)
+        if reduced.op.is_zero():
+            return
+        reduced = eager_monic(reduced)
+        comp = head_of(reduced.op).head.component
+        pairs.extend((j, len(basis)) for j, e in enumerate(basis)
+                     if head_of(e.op).head.component == comp)
+        basis.append(reduced)
+
+    for j, g in enumerate(generators):
+        if not g.is_zero():
+            adjoin(EagerEntry(g, {j: OperatorVector.scalar_function(one, m)}))
+
+    def common(pair):
+        hf, hg = (head_of(basis[i].op).head for i in pair)
+        return tuple(max(a, b) for a, b in zip(hf.alpha, hg.alpha)), hf, hg
+
+    while pairs:
+        pairs.sort(key=lambda pair: Derivative(
+            head_of(basis[pair[0]].op).head.component, common(pair)[0]).rank_key())
+        j, k = pairs.pop(0)
+        gamma, hf, hg = common((j, k))
+        adjoin(basis[j].shift(tuple(c - a for c, a in zip(gamma, hf.alpha)))
+               - basis[k].shift(tuple(c - b for c, b in zip(gamma, hg.alpha))))
+
+    changed = True
+    while changed:
+        changed = False
+        for idx in range(len(basis)):
+            others = basis[:idx] + basis[idx + 1:]
+            if not others:
+                continue
+            reduced = eager_reduce(basis[idx], others)
+            if reduced.op == basis[idx].op:
+                continue
+            changed = True
+            if reduced.op.is_zero():
+                del basis[idx]
+            else:
+                basis[idx] = eager_monic(reduced)
+            break
+
+    basis.sort(key=lambda e: head_of(e.op).head.rank_key())
+    return [e.op for e in basis], [e.cofactors for e in basis]
+
+
+def eager_witness(q, generators, m, n):
+    """(w, cofactors) composed from the eager cofactors, or None for a non-member."""
+    elements, element_cofactors = eager_completion(generators, m, n)
+    trace = reduce_full(q, elements)
+    if not trace.normal_form.is_zero():
+        return None
+    rational = {}
+    for k, step in trace.cofactors.items():
+        for g, c in element_cofactors[k].items():
+            contribution = scalar_operator_product(step, c)
+            rational[g] = contribution if g not in rational else rational[g] + contribution
+    w = Polynomial.constant(1, m)
+    for h in rational.values():
+        for coeff in h.terms.values():
+            w = poly_lcm(w, coeff.den)
+    return w, [rational.get(g, OperatorVector.zero(m, 1)).left_scale(w)
+               for g in range(len(generators))]
+
+
+def oracle_cases():
+    """Acceptance-3-shaped random systems with a member and a random candidate each,
+    then the euler, gradient, collapsing and vector examples."""
+    rng = random.Random(3303)
+    cases = []
+    for _ in range(12):
+        m, n = rng.randint(1, 2), rng.randint(1, 2)
+        gens = random_generators(rng, m, n, rng.randint(1, 3), order=2, degree=2, terms=2)
+        member = OperatorVector.zero(m, n)
+        for g in gens:
+            member = member + scalar_operator_product(
+                random_operator(rng, m, 1, order=1, degree=1, terms=1), g)
+        other = random_operator(rng, m, n, order=2, degree=2, terms=2)
+        cases.append((gens, [member, other], m, n))
+    cases.append(([op("x^2*D^2 - 2*x*D + 2")], [op("D^3"), op("D^2")], 1, 1))
+    cases.append(([op("D1", 2), op("D2", 2)], [op("x1*D1*D2 + D2", 2), op("1", 2)], 2, 1))
+    cases.append(([op("D1 - x2", 2), op("D2", 2)], [op("D1", 2), op("x1", 2)], 2, 1))
+    cases.append(([op("D [u1]", 1, 2), op("1 [u2]", 1, 2)],
+                  [op("D^2 [u1] + x [u2]", 1, 2), op("1 [u1]", 1, 2)], 1, 2))
+    return cases
+
+
+def test_lazy_completion_matches_the_eager_oracle():
+    members = 0
+    for gens, candidates, m, n in oracle_cases():
+        basis = complete_to_riquier_basis(gens, m, n)
+        elements, cofactors = eager_completion(gens, m, n)
+        assert basis.elements == elements
+        assert basis.generator_cofactors == cofactors
+        assert reconstructs_from_generators(basis, gens)
+        for q in candidates:
+            result = weyl_closure_member(q, gens)
+            expected = eager_witness(q, gens, m, n)
+            assert result.member == (expected is not None)
+            if expected is not None:
+                members += 1
+                assert result.witness.w == expected[0]
+                assert result.witness.cofactors == expected[1]
+    assert members >= 16
+
+
+def test_replay_runs_only_for_member_witnesses(tmp_path, capsys, monkeypatch):
+    replays = []
+    original = DerivationLog.replay
+
+    def counting(self, ids):
+        replays.append(ids)
+        return original(self, ids)
+
+    monkeypatch.setattr(DerivationLog, "replay", counting)
+    path = tmp_path / "euler.sys"
+    path.write_text("vars: 1\nrow: x^2*D^2 - 2*x*D + 2\n")
+    assert main(["riquier", str(path)]) == 0
+    assert main(["solve", str(path), "--point", "1", "--init", "1=1", "--order", "4"]) == 0
+    assert main(["prop1", str(path), "--point", "1", "--s", "3"]) == 0
+    capsys.readouterr()
+    gens = [op("x^2*D^2 - 2*x*D + 2")]
+    assert not weyl_closure_member(op("D^2"), gens).member
+    assert replays == []
+    assert weyl_closure_member(op("D^3"), gens).member
+    assert len(replays) == 1
+
+
+def test_replay_touches_only_the_ancestors_of_the_trace():
+    basis = complete_to_riquier_basis([op("D1^2", 2), op("D2 - x1", 2)])
+    log = basis.derivation
+    assert log._replayed.keys() == {0, 1}
+    touched = {k for k, p in enumerate(basis.elements) if head_of(p).head.alpha == (0, 1)}
+    basis.lift({k: op("1", 2) for k in touched})
+    replayed = set(log._replayed) - {0, 1}
+    assert replayed == {basis.made_by[k] for k in touched}
