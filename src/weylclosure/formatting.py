@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import List
 
 from .operators import Derivative, OperatorVector
-from .polynomials import Polynomial, RationalFunction, _grlex_key
+from .polynomials import Polynomial, RationalFunction
 from .scalars import GaussianRational, Scalar, format_scalar
 
 
@@ -54,8 +54,9 @@ def format_polynomial(p: Polynomial) -> str:
     if p.is_zero():
         return "0"
     pieces = []
-    for mono in sorted(p.terms, key=_grlex_key, reverse=True):
-        coeff = p.terms[mono]
+    terms = p.terms
+    for mono in sorted(terms, key=lambda mono: (sum(mono), mono), reverse=True):
+        coeff = terms[mono]
         factors = _monomial_factors(mono, p.nvars, _variable_name)
         cstr = format_scalar(coeff)
         if not factors:

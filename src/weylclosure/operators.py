@@ -136,11 +136,7 @@ class OperatorVector:
             return NotImplemented
         terms = dict(self.terms)
         for d, c in other.terms.items():
-            s = terms.get(d, RationalFunction.zero(self.m)) + c
-            if s:
-                terms[d] = s
-            else:
-                terms.pop(d, None)
+            _add_term(terms, d, c)
         return OperatorVector(terms, self.m, self.n)
 
     def __neg__(self) -> "OperatorVector":
@@ -160,6 +156,17 @@ class OperatorVector:
         return OperatorVector({d: f * c for d, c in self.terms.items()}, self.m, self.n)
 
 
+def _add_term(terms: Dict[Derivative, RationalFunction], d: Derivative,
+              c: RationalFunction) -> None:
+    """terms[d] += c for a nonzero c, dropping the entry when it cancels."""
+    old = terms.get(d)
+    s = c if old is None else old + c
+    if s:
+        terms[d] = s
+    else:
+        del terms[d]
+
+
 def apply_single_d(j: int, p: OperatorVector) -> OperatorVector:
     """Standard form of D_j * p via the Leibniz rule D_j (f d) = (df/dx_j) d + f (D_j d)."""
     if not 1 <= j <= p.m:
@@ -169,17 +176,8 @@ def apply_single_d(j: int, p: OperatorVector) -> OperatorVector:
     for d, f in p.terms.items():
         df = f.derivative(j)
         if df:
-            s = terms.get(d, RationalFunction.zero(p.m)) + df
-            if s:
-                terms[d] = s
-            else:
-                terms.pop(d, None)
-        dd = d.differentiate(shift)
-        s = terms.get(dd, RationalFunction.zero(p.m)) + f
-        if s:
-            terms[dd] = s
-        else:
-            terms.pop(dd, None)
+            _add_term(terms, d, df)
+        _add_term(terms, d.differentiate(shift), f)
     return OperatorVector(terms, p.m, p.n)
 
 

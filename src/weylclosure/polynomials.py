@@ -1,7 +1,11 @@
 """Sparse multivariate polynomials and normalized rational functions over Q or Q(i).
 
-Polynomials are stored as maps from exponent tuples to nonzero scalars, so
-structurally equal values are mathematically equal.  Rational functions keep a
+A polynomial holds one element of a sympy sparse polynomial ring in
+graded-lex order, over ``QQ`` when every coefficient is rational and over
+``QQ_I`` when some coefficient has a nonzero imaginary part.  Every result is
+moved back to the rational ring when its imaginary parts cancel, so equal
+values are equal elements of the same ring.  Coefficients cross the module's
+edge as ``Fraction`` or ``GaussianRational``.  Rational functions keep a
 gcd-reduced numerator/denominator pair with a monic denominator (graded-lex
 leading coefficient 1), which makes equality testing and witness extraction
 canonical.
@@ -10,92 +14,159 @@ canonical.
 from __future__ import annotations
 
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Tuple
 
+from sympy.polys.domains import QQ, QQ_I
+from sympy.polys.orderings import grlex
+from sympy.polys.rings import PolyRing
+
 from .errors import EvaluationAtPole
-from .scalars import GaussianRational, Scalar, format_point, scalar_inverse
+from .scalars import GaussianRational, Scalar, format_point
 
 Monomial = Tuple[int, ...]
 
+_RINGS: dict = {}
 
-def _grlex_key(mono: Monomial):
-    return (sum(mono), mono)
+
+def _ring(nvars: int, complex_mode: bool = False) -> PolyRing:
+    """The ring for (nvars, field), built once: sympy only combines elements of one ring object."""
+    key = (nvars, complex_mode)
+    ring = _RINGS.get(key)
+    if ring is None:
+        ring = _RINGS[key] = PolyRing([f"v{i}" for i in range(nvars)],
+                                      QQ_I if complex_mode else QQ, grlex)
+    return ring
+
+
+def _is_complex(c) -> bool:
+    return isinstance(c, GaussianRational) and bool(c.im)
+
+
+def _to_ground(c, domain):
+    """An int, Fraction or GaussianRational as an element of QQ or QQ_I."""
+    if isinstance(c, GaussianRational):
+        re = QQ(c.re.numerator, c.re.denominator)
+        if domain is QQ:
+            return re
+        return QQ_I(re, QQ(c.im.numerator, c.im.denominator))
+    value = QQ(c.numerator, c.denominator)
+    return value if domain is QQ else QQ_I(value)
+
+
+def _fraction(c) -> Fraction:
+    return Fraction(int(c.numerator), int(c.denominator))
+
+
+def _from_ground(c, domain) -> Scalar:
+    if domain is QQ:
+        return _fraction(c)
+    return GaussianRational(_fraction(c.x), _fraction(c.y))
+
+
+def _pair(f: "Polynomial", g: "Polynomial"):
+    """The elements of f and g in one ring: the complex one if either is complex."""
+    a, b = f._element, g._element
+    if a.ring is not b.ring:
+        ring = _ring(f.nvars, True)
+        a, b = a.set_ring(ring), b.set_ring(ring)
+    return a, b
 
 
 class Polynomial:
     """A sparse polynomial in ``nvars`` variables with exact field coefficients."""
 
-    __slots__ = ("terms", "nvars")
+    __slots__ = ("_element", "nvars")
 
     def __init__(self, terms: Mapping[Monomial, Scalar], nvars: int):
-        self.terms = {m: c for m, c in terms.items() if c}
+        complex_mode = any(_is_complex(c) for c in terms.values())
+        ring = _ring(nvars, complex_mode)
+        self._element = ring.from_dict(
+            {tuple(m): _to_ground(c, ring.domain) for m, c in terms.items() if c})
         self.nvars = nvars
+
+    @classmethod
+    def _wrap(cls, element) -> "Polynomial":
+        """A polynomial around a ring element, moved to QQ if no coefficient is complex."""
+        ring = element.ring
+        if ring.domain is QQ_I and not any(c.y for c in element.values()):
+            element = element.set_ring(_ring(ring.ngens))
+        p = object.__new__(cls)
+        p._element = element
+        p.nvars = ring.ngens
+        return p
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, nvars: int) -> "Polynomial":
-        return cls({}, nvars)
+        return cls._wrap(_ring(nvars).zero)
 
     @classmethod
     def constant(cls, value, nvars: int) -> "Polynomial":
-        if isinstance(value, int):
-            value = Fraction(value)
-        return cls({(0,) * nvars: value}, nvars)
+        if value == 1:
+            return cls._wrap(_ring(nvars).one)
+        ring = _ring(nvars, _is_complex(value))
+        return cls._wrap(ring.ground_new(_to_ground(value, ring.domain)))
 
     @classmethod
     def variable(cls, index: int, nvars: int) -> "Polynomial":
         """The polynomial x_index, with index in 1..nvars."""
         if not 1 <= index <= nvars:
             raise IndexError(f"variable index {index} out of range 1..{nvars}")
-        mono = tuple(1 if j == index - 1 else 0 for j in range(nvars))
-        return cls({mono: Fraction(1)}, nvars)
+        return cls._wrap(_ring(nvars).gens[index - 1])
 
     @classmethod
     def monomial(cls, mono: Monomial, coeff, nvars: int) -> "Polynomial":
-        if isinstance(coeff, int):
-            coeff = Fraction(coeff)
         return cls({tuple(mono): coeff}, nvars)
 
     # -- basic queries -----------------------------------------------------
 
+    @property
+    def terms(self) -> Mapping[Monomial, Scalar]:
+        """The nonzero coefficients by exponent tuple, read-only."""
+        domain = self._element.ring.domain
+        return MappingProxyType(
+            {m: _from_ground(c, domain) for m, c in self._element.items()})
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._element
 
     def is_constant(self) -> bool:
-        return all(sum(m) == 0 for m in self.terms)
+        return self._element.is_ground
 
     def constant_value(self) -> Scalar:
-        if self.is_zero():
-            return Fraction(0)
-        return self.terms[(0,) * self.nvars]
+        element = self._element
+        return _from_ground(element.get(element.ring.zero_monom, element.ring.domain.zero),
+                            element.ring.domain)
 
     def total_degree(self) -> int:
-        if not self.terms:
+        if not self._element:
             return -1
-        return max(sum(m) for m in self.terms)
+        return sum(self._element.LM)  # the graded-lex leader has the largest degree
 
     def leading_monomial(self) -> Monomial:
-        return max(self.terms, key=_grlex_key)
+        return self._element.LM
 
     def leading_coefficient(self) -> Scalar:
-        return self.terms[self.leading_monomial()]
+        return _from_ground(self._element.LC, self._element.ring.domain)
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._element)
 
     def __eq__(self, other):
         if isinstance(other, Polynomial):
-            return self.nvars == other.nvars and self.terms == other.terms
+            # canonical rings: equal values never sit in different rings
+            return self._element.ring is other._element.ring and self._element == other._element
         if isinstance(other, (int, Fraction, GaussianRational)):
             return self == Polynomial.constant(other, self.nvars)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        return hash(self._element)
 
     def __repr__(self):
-        return f"Polynomial({self.terms!r}, nvars={self.nvars})"
+        return f"Polynomial({dict(self.terms)!r}, nvars={self.nvars})"
 
     # -- arithmetic --------------------------------------------------------
 
@@ -110,25 +181,20 @@ class Polynomial:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        terms = dict(self.terms)
-        for m, c in o.terms.items():
-            s = terms.get(m, 0) + c
-            if s:
-                terms[m] = s
-            else:
-                terms.pop(m, None)
-        return Polynomial(terms, self.nvars)
+        a, b = _pair(self, o)
+        return Polynomial._wrap(a + b)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial({m: -c for m, c in self.terms.items()}, self.nvars)
+        return Polynomial._wrap(-self._element)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        a, b = _pair(self, o)
+        return Polynomial._wrap(a - b)
 
     def __rsub__(self, other):
         return -(self - other)
@@ -137,42 +203,25 @@ class Polynomial:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.nvars and len(self.terms) * len(o.terms) >= 100:
-            complex_mode = _has_complex_coeff(self) or _has_complex_coeff(o)
-            R = _ring(self.nvars, complex_mode)
-            product = _to_ring(self, R, complex_mode) * _to_ring(o, R, complex_mode)
-            return _from_ring(product, self.nvars, complex_mode)
-        terms: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in o.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                s = terms.get(m, 0) + c1 * c2
-                if s:
-                    terms[m] = s
-                else:
-                    terms.pop(m, None)
-        return Polynomial(terms, self.nvars)
+        a, b = _pair(self, o)
+        return Polynomial._wrap(a * b)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
         if exponent < 0:
             raise ValueError("negative polynomial power")
-        result = Polynomial.constant(1, self.nvars)
-        for _ in range(exponent):
-            result = result * self
-        return result
+        return Polynomial._wrap(self._element ** exponent)
 
     def scale(self, scalar) -> "Polynomial":
-        if not scalar:
-            return Polynomial.zero(self.nvars)
-        return Polynomial({m: c * scalar for m, c in self.terms.items()}, self.nvars)
+        element = self._element
+        if _is_complex(scalar):
+            element = element.set_ring(_ring(self.nvars, True))
+        return Polynomial._wrap(element.mul_ground(_to_ground(scalar, element.ring.domain)))
 
     def monic(self) -> "Polynomial":
         """Divide by the graded-lex leading coefficient."""
-        if self.is_zero():
-            return self
-        return self.scale(scalar_inverse(self.leading_coefficient()))
+        return Polynomial._wrap(self._element.monic())
 
     # -- calculus ----------------------------------------------------------
 
@@ -180,14 +229,8 @@ class Polynomial:
         """Partial derivative with respect to x_index (1-based)."""
         if not 1 <= index <= self.nvars:
             raise IndexError(f"variable index {index} out of range 1..{self.nvars}")
-        j = index - 1
-        terms = {}
-        for m, c in self.terms.items():
-            if m[j] == 0:
-                continue
-            dm = m[:j] + (m[j] - 1,) + m[j + 1:]
-            terms[dm] = terms.get(dm, 0) + c * m[j]
-        return Polynomial(terms, self.nvars)
+        element = self._element
+        return Polynomial._wrap(element.diff(element.ring.gens[index - 1]))
 
     def evaluate(self, point: Sequence[Scalar]) -> Scalar:
         if len(point) != self.nvars:
@@ -207,152 +250,37 @@ class Polynomial:
         """Exact quotient self / divisor; raises ValueError if not divisible."""
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        if self.nvars and len(self.terms) + len(divisor.terms) >= 30:
-            complex_mode = _has_complex_coeff(self) or _has_complex_coeff(divisor)
-            R = _ring(self.nvars, complex_mode)
-            q, r = _to_ring(self, R, complex_mode).div(
-                _to_ring(divisor, R, complex_mode))
-            if r:
-                raise ValueError("inexact polynomial division")
-            return _from_ring(q, self.nvars, complex_mode)
-        remainder = self
-        quotient = Polynomial.zero(self.nvars)
-        dm = divisor.leading_monomial()
-        dc = divisor.leading_coefficient()
-        while remainder:
-            rm = remainder.leading_monomial()
-            if any(a < b for a, b in zip(rm, dm)):
-                raise ValueError("inexact polynomial division")
-            qm = tuple(a - b for a, b in zip(rm, dm))
-            qc = remainder.terms[rm] / dc
-            term = Polynomial.monomial(qm, qc, self.nvars)
-            quotient = quotient + term
-            remainder = remainder - term * divisor
-        return quotient
-
-
-# -- gcd machinery ---------------------------------------------------------
-#
-# The gcd is the one operation where naive school-book algorithms blow up
-# (pseudo-remainder coefficient growth), so after cheap structural fast paths
-# the general case is handed to sympy's sparse polynomial rings.
-
-_RING_CACHE: dict = {}
-
-
-def _ring(nvars: int, complex_mode: bool):
-    from sympy.polys import ring
-    from sympy.polys.domains import QQ, QQ_I
-
-    key = (nvars, complex_mode)
-    if key not in _RING_CACHE:
-        names = ",".join(f"v{i}" for i in range(nvars))
-        _RING_CACHE[key] = ring(names, QQ_I if complex_mode else QQ)[0]
-    return _RING_CACHE[key]
-
-
-def _has_complex_coeff(p: Polynomial) -> bool:
-    return any(isinstance(c, GaussianRational) for c in p.terms.values())
-
-
-def _to_ring(p: Polynomial, R, complex_mode: bool):
-    coeffs = {}
-    for mono, c in p.terms.items():
-        if complex_mode:
-            if not isinstance(c, GaussianRational):
-                c = GaussianRational(c)
-            from sympy.polys.domains import QQ
-
-            coeffs[mono] = R.domain(
-                QQ(c.re.numerator, c.re.denominator),
-                QQ(c.im.numerator, c.im.denominator),
-            )
-        else:
-            coeffs[mono] = R.domain(c.numerator, c.denominator)
-    return R.from_dict(coeffs)
-
-
-def _from_ring(element, nvars: int, complex_mode: bool) -> Polynomial:
-    terms = {}
-    for mono, c in element.to_dict().items():
-        if complex_mode:
-            terms[tuple(mono)] = GaussianRational(
-                Fraction(int(c.x.numerator), int(c.x.denominator)),
-                Fraction(int(c.y.numerator), int(c.y.denominator)),
-            )
-        else:
-            terms[tuple(mono)] = Fraction(int(c.numerator), int(c.denominator))
-    return Polynomial(terms, nvars)
-
-
-def _monomial_content(p: Polynomial) -> Monomial:
-    it = iter(p.terms)
-    content = list(next(it))
-    for mono in it:
-        for j, e in enumerate(mono):
-            if e < content[j]:
-                content[j] = e
-    return tuple(content)
-
-
-def _shift_down(p: Polynomial, mono: Monomial) -> Polynomial:
-    if not any(mono):
-        return p
-    return Polynomial(
-        {tuple(a - b for a, b in zip(m, mono)): c for m, c in p.terms.items()},
-        p.nvars,
-    )
+        a, b = _pair(self, divisor)
+        quotient, remainder = a.div(b)
+        if remainder:
+            raise ValueError("inexact polynomial division")
+        return Polynomial._wrap(quotient)
 
 
 def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     """Monic gcd over the coefficient field (graded-lex leading coefficient 1)."""
-    if f.is_zero():
-        return g.monic()
-    if g.is_zero():
-        return f.monic()
-    one = Polynomial.constant(1, f.nvars)
-    if f.is_constant() or g.is_constant():
-        return one
-    mf, mg = _monomial_content(f), _monomial_content(g)
-    shared = tuple(min(a, b) for a, b in zip(mf, mg))
-    core_f, core_g = _shift_down(f, mf), _shift_down(g, mg)
-    if len(core_f.terms) == 1 or len(core_g.terms) == 1:
-        return Polynomial.monomial(shared, 1, f.nvars)
-    complex_mode = _has_complex_coeff(core_f) or _has_complex_coeff(core_g)
-    R = _ring(f.nvars, complex_mode)
-    core = _from_ring(
-        _to_ring(core_f, R, complex_mode).gcd(_to_ring(core_g, R, complex_mode)),
-        f.nvars, complex_mode,
-    )
-    return (core * Polynomial.monomial(shared, 1, f.nvars)).monic()
+    a, b = _pair(f, g)
+    return Polynomial._wrap(a.gcd(b).monic())
 
 
 def poly_lcm(f: Polynomial, g: Polynomial) -> Polynomial:
-    if f.is_zero() or g.is_zero():
+    a, b = _pair(f, g)
+    if not a or not b:
         return Polynomial.zero(f.nvars)
-    return (f * g).exact_div(poly_gcd(f, g)).monic()
+    return Polynomial._wrap(a.lcm(b))  # over a field, sympy's lcm is monic
 
 
 def _reduce_fraction(num: Polynomial, den: Polynomial):
-    """The pair (num, den) with their gcd divided out; one conversion round-trip."""
-    if num.is_zero() or num.is_constant() or den.is_constant():
-        return num, den
-    mn, md = _monomial_content(num), _monomial_content(den)
-    shared = tuple(min(a, b) for a, b in zip(mn, md))
-    if any(shared):
-        num, den = _shift_down(num, shared), _shift_down(den, shared)
-    if len(num.terms) == 1 or len(den.terms) == 1:
-        # monomial contents are now disjoint, so nothing further divides both
-        return num, den
-    complex_mode = _has_complex_coeff(num) or _has_complex_coeff(den)
-    R = _ring(num.nvars, complex_mode)
-    nr = _to_ring(num, R, complex_mode)
-    dr = _to_ring(den, R, complex_mode)
-    g = nr.gcd(dr)
-    if g != R.one:
-        num = _from_ring(nr.quo(g), num.nvars, complex_mode)
-        den = _from_ring(dr.quo(g), den.nvars, complex_mode)
-    return num, den
+    """num/den in lowest terms, with a monic denominator."""
+    if num.is_zero():
+        return num, Polynomial.constant(1, num.nvars)
+    a, b = _pair(num, den)
+    if not (a.is_ground or b.is_ground):  # a constant shares no factor
+        _, a, b = a.cofactors(b)
+    lc = b.LC
+    if lc != b.ring.domain.one:
+        a, b = a.quo_ground(lc), b.quo_ground(lc)
+    return Polynomial._wrap(a), Polynomial._wrap(b)
 
 
 # -- rational functions ----------------------------------------------------
@@ -366,17 +294,10 @@ class RationalFunction:
     def __init__(self, num: Polynomial, den: Polynomial | None = None):
         if den is None:
             den = Polynomial.constant(1, num.nvars)
-        if den.is_zero():
+        elif den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero():
-            den = Polynomial.constant(1, num.nvars)
         else:
             num, den = _reduce_fraction(num, den)
-            lc = den.leading_coefficient()
-            if lc != 1:
-                inv = scalar_inverse(lc)
-                num = num.scale(inv)
-                den = den.scale(inv)
         self.num = num
         self.den = den
 
@@ -390,11 +311,11 @@ class RationalFunction:
 
     @classmethod
     def zero(cls, nvars: int) -> "RationalFunction":
-        return cls(Polynomial.zero(nvars))
+        return cls._normalized(Polynomial.zero(nvars), Polynomial.constant(1, nvars))
 
     @classmethod
     def constant(cls, value, nvars: int) -> "RationalFunction":
-        return cls(Polynomial.constant(value, nvars))
+        return cls._normalized(Polynomial.constant(value, nvars), Polynomial.constant(1, nvars))
 
     @classmethod
     def from_polynomial(cls, p: Polynomial) -> "RationalFunction":
@@ -408,7 +329,7 @@ class RationalFunction:
         return self.num.is_zero()
 
     def is_polynomial(self) -> bool:
-        return self.den == 1
+        return self.den.is_constant()  # a monic constant is 1
 
     def __bool__(self):
         return not self.num.is_zero()

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .errors import InvalidInput, ParseError
-from .formatting import format_scalar
+from .formatting import format_derivative, format_scalar
 from .operators import Derivative, Jet, OperatorVector
 from .parsing import parse_operator, parse_rational
 from .scalars import Scalar
@@ -40,7 +40,9 @@ def parse_scalar_value(text: str, m: int, field_mode: str) -> Scalar:
 
 
 def parse_point(text: str, m: int, field_mode: str) -> Tuple[Scalar, ...]:
-    parts = [part for part in text.split(",") if part.strip()]
+    parts = text.split(",")
+    if not all(part.strip() for part in parts):
+        raise InvalidInput(f"empty coordinate in point {text!r}")
     if len(parts) != m:
         raise InvalidInput(f"expected {m} coordinate(s), got {len(parts)}")
     return tuple(parse_scalar_value(part, m, field_mode) for part in parts)
@@ -63,6 +65,9 @@ def parse_initial_conditions(text: str, m: int, n: int,
         (derivative, coeff), = op.terms.items()
         if coeff != 1:
             raise InvalidInput(f"left side of {chunk!r} must have coefficient 1")
+        if derivative in init:
+            raise InvalidInput(
+                f"initial value given twice for {format_derivative(derivative, m, n)}")
         init[derivative] = parse_scalar_value(rhs, m, field_mode)
     return init
 

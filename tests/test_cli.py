@@ -161,6 +161,17 @@ def test_solve_rejects_initial_value_above_the_order(tmp_path, capsys):
     assert captured.err == "error: initial value given for D2^5 above the truncation order 2\n"
 
 
+@pytest.mark.parametrize("init", ["1=1, 1=5", "1=1, D=2, 1*1=7"])
+def test_solve_rejects_a_repeated_initial_value(tmp_path, capsys, init):
+    path = tmp_path / "osc.sys"
+    path.write_text("vars: 1\nrow: D^2 + 1\n")
+    code = main(["solve", str(path), "--point", "0", "--init", init, "--order", "3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: initial value given twice for 1\n"
+
+
 def test_solve_at_singular_point_is_an_input_error(euler_file, capsys):
     code = main(["solve", euler_file, "--point", "0",
                  "--init", "1=1, D=1", "--order", "4"])
@@ -185,6 +196,25 @@ def test_prop1_counts(euler_file, capsys):
     assert doc["rows"] == 3
     assert doc["nullity"] == 2
     assert doc["parametric_count"] == 2
+
+
+def test_prop1_rejects_an_empty_coordinate(tmp_path, capsys):
+    path = tmp_path / "g.sys"
+    path.write_text("vars: 2\nrow: D1\n")
+    code = main(["prop1", str(path), "--point", "1,,2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: empty coordinate in point '1,,2'\n"
+
+
+def test_point_line_with_an_empty_coordinate_exits_2(tmp_path, capsys):
+    path = tmp_path / "g.sys"
+    path.write_text("vars: 2\nrow: D1\npoint: 1,,2\n")
+    code = main(["prop1", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: empty coordinate in point '1,,2'\n"
 
 
 def test_prop1_singular_point_is_an_input_error(euler_file, capsys):

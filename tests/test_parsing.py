@@ -9,12 +9,14 @@ from hypothesis import given, settings, strategies as st
 from weylclosure import (
     Derivative,
     GaussianRational,
+    InvalidInput,
     ParseError,
     format_operator,
     format_rational,
     parse_operator,
     parse_rational,
 )
+from weylclosure.systemio import load_system, parse_initial_conditions, parse_point
 from conftest import random_operator
 
 
@@ -177,3 +179,38 @@ def test_fuzzed_inputs_never_crash(text, m, n):
         parse_operator(text, m, n)
     except ParseError:
         pass
+
+
+# -- system-file values ----------------------------------------------------
+
+def test_initial_conditions_parse_each_derivative_once():
+    init = parse_initial_conditions("1=1, D=2", 1, 1, "real")
+    assert init == {Derivative(1, (0,)): 1, Derivative(1, (1,)): 2}
+
+
+@pytest.mark.parametrize("text", ["1=1, 1=5", "1=1, D=2, 1*1=7"])
+def test_repeated_initial_value_is_rejected(text):
+    with pytest.raises(InvalidInput, match=r"^initial value given twice for 1$"):
+        parse_initial_conditions(text, 1, 1, "real")
+
+
+def test_repeated_initial_value_names_the_derivative():
+    with pytest.raises(InvalidInput, match=r"^initial value given twice for D1\*D2 \[u2\]$"):
+        parse_initial_conditions("D1*D2 [u2]=1, D2*D1 [u2]=3", 2, 2, "real")
+
+
+@pytest.mark.parametrize("text", ["1,,2", ",1", "1,", " , 2"])
+def test_point_with_an_empty_coordinate_is_rejected(text):
+    with pytest.raises(InvalidInput, match="empty coordinate"):
+        parse_point(text, 2, "real")
+
+
+def test_point_parses_exact_coordinates():
+    assert parse_point("1/2, 1 + i", 2, "complex") == (Fraction(1, 2), GaussianRational(1, 1))
+
+
+def test_point_line_with_an_empty_coordinate_is_rejected(tmp_path):
+    path = tmp_path / "g.sys"
+    path.write_text("vars: 2\nrow: D1\npoint: 1,,2\n")
+    with pytest.raises(InvalidInput, match=r"^empty coordinate in point '1,,2'$"):
+        load_system(str(path))

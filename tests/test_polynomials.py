@@ -152,17 +152,47 @@ small_rationals = st.builds(
 )
 
 
+def _integer_polys(nvars, degree, coefficient, max_size):
+    monomials = st.tuples(*[st.integers(0, degree)] * nvars)
+    return st.builds(lambda terms: Polynomial(terms, nvars),
+                     st.dictionaries(monomials, coefficient.map(Fraction), max_size=max_size))
+
+
+@st.composite
+def poly_triples(draw):
+    """Three polynomials in the same 1 or 2 variables."""
+    nvars = draw(st.integers(1, 2))
+    polys = _integer_polys(nvars, 4 if nvars == 1 else 2, st.integers(-5, 5), 4)
+    return draw(polys), draw(polys), draw(polys)
+
+
+@st.composite
+def rational_triples(draw):
+    """Three rational functions in the same 1 or 2 variables."""
+    nvars = draw(st.integers(1, 2))
+    nums = _integer_polys(nvars, 4 if nvars == 1 else 2, st.integers(-5, 5), 3)
+    dens = _integer_polys(nvars, 2 if nvars == 1 else 1, st.integers(-3, 3), 2)
+
+    def rational():
+        den = draw(dens)
+        return RationalFunction(draw(nums), den if den else Polynomial.constant(1, nvars))
+
+    return rational(), rational(), rational()
+
+
 @settings(deadline=None, max_examples=60)
-@given(small_polys, small_polys, small_polys)
-def test_polynomial_ring_axioms(a, b, c):
+@given(poly_triples())
+def test_polynomial_ring_axioms(triple):
+    a, b, c = triple
     assert (a + b) + c == a + (b + c)
     assert a * b == b * a
     assert a * (b + c) == a * b + a * c
 
 
 @settings(deadline=None, max_examples=40)
-@given(small_rationals, small_rationals, small_rationals)
-def test_rational_ring_axioms(a, b, c):
+@given(rational_triples())
+def test_rational_ring_axioms(triple):
+    a, b, c = triple
     assert (a + b) + c == a + (b + c)
     assert a * b == b * a
     assert a * (b + c) == a * b + a * c
@@ -205,3 +235,150 @@ def test_common_denominator_clears_every_entry(rs):
     assert not w.is_zero()
     for r in rs:
         assert (RationalFunction(w) * r).is_polynomial()
+
+
+# -- the dict arithmetic the ring element replaced, kept as an oracle --------
+
+def oracle_add(f, g):
+    terms = dict(f)
+    for m, c in g.items():
+        s = terms.get(m, 0) + c
+        if s:
+            terms[m] = s
+        else:
+            terms.pop(m, None)
+    return terms
+
+
+def oracle_mul(f, g):
+    terms = {}
+    for m1, c1 in f.items():
+        for m2, c2 in g.items():
+            m = tuple(a + b for a, b in zip(m1, m2))
+            s = terms.get(m, 0) + c1 * c2
+            if s:
+                terms[m] = s
+            else:
+                terms.pop(m, None)
+    return terms
+
+
+def oracle_derivative(f, index):
+    j = index - 1
+    terms = {}
+    for m, c in f.items():
+        if m[j]:
+            dm = m[:j] + (m[j] - 1,) + m[j + 1:]
+            terms[dm] = terms.get(dm, 0) + c * m[j]
+    return terms
+
+
+def oracle_exact_div(f, g):
+    """School-book division by graded-lex leading terms; None if it leaves a remainder."""
+    def leader(terms):
+        return max(terms, key=lambda m: (sum(m), m))
+
+    remainder, quotient = dict(f), {}
+    dm = leader(g)
+    while remainder:
+        rm = leader(remainder)
+        if any(a < b for a, b in zip(rm, dm)):
+            return None
+        qm = tuple(a - b for a, b in zip(rm, dm))
+        term = {qm: remainder[rm] / g[dm]}
+        quotient = oracle_add(quotient, term)
+        remainder = oracle_add(remainder, {m: -c for m, c in oracle_mul(term, g).items()})
+    return quotient
+
+
+_rational_coefficients = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+_gaussian_coefficients = st.builds(GaussianRational, _rational_coefficients,
+                                   _rational_coefficients)
+
+
+@st.composite
+def term_pairs(draw):
+    """Two term maps in the same 1 or 2 variables; each is real or Gaussian."""
+    nvars = draw(st.integers(1, 2))
+    monomials = st.tuples(*[st.integers(0, 3)] * nvars)
+
+    def terms():
+        coefficients = draw(st.sampled_from([_rational_coefficients, _gaussian_coefficients]))
+        drawn = draw(st.dictionaries(monomials, coefficients, max_size=4))
+        return {m: c for m, c in drawn.items() if c}
+
+    return nvars, terms(), terms()
+
+
+@settings(deadline=None, max_examples=80)
+@given(term_pairs())
+def test_arithmetic_matches_the_dict_oracle(pair):
+    nvars, f, g = pair
+    pf, pg = Polynomial(f, nvars), Polynomial(g, nvars)
+    assert dict(pf.terms) == f
+    assert dict((pf + pg).terms) == oracle_add(f, g)
+    assert dict((pf - pg).terms) == oracle_add(f, {m: -c for m, c in g.items()})
+    assert dict((pf * pg).terms) == oracle_mul(f, g)
+    for index in range(1, nvars + 1):
+        assert dict(pf.derivative(index).terms) == oracle_derivative(f, index)
+    if g:
+        product = oracle_mul(f, g)
+        assert oracle_exact_div(product, g) == f
+        assert dict(Polynomial(product, nvars).exact_div(pg).terms) == f
+        if oracle_exact_div(f, g) is None:
+            with pytest.raises(ValueError):
+                pf.exact_div(pg)
+        else:
+            assert dict(pf.exact_div(pg).terms) == oracle_exact_div(f, g)
+
+
+@settings(deadline=None, max_examples=60)
+@given(term_pairs())
+def test_mixed_real_and_gaussian_operands_never_raise(pair):
+    nvars, f, g = pair
+    pf, pg = Polynomial(f, nvars), Polynomial(g, nvars)
+    for result in (pf + pg, pf - pg, pf * pg, pg * pf, poly_gcd(pf, pg), poly_lcm(pf, pg)):
+        assert isinstance(result, Polynomial)
+    if g:
+        r = RationalFunction(pf, pg)
+        assert r * RationalFunction(pg) == RationalFunction(pf)
+        assert (r + r - r) == r
+
+
+# -- canonical form ----------------------------------------------------------
+
+I = GaussianRational(0, 1)
+X2 = Polynomial.variable(1, 2)
+Y2 = Polynomial.variable(2, 2)
+
+
+def test_gaussian_coefficients_with_zero_imaginary_part_are_rational():
+    as_gaussian = Polynomial({(1, 0): GaussianRational(3), (0, 2): GaussianRational(Fraction(-1, 2))}, 2)
+    as_fraction = Polynomial({(1, 0): Fraction(3), (0, 2): Fraction(-1, 2)}, 2)
+    assert as_gaussian == as_fraction
+    assert hash(as_gaussian) == hash(as_fraction)
+    assert all(type(c) is Fraction for c in as_gaussian.terms.values())
+
+
+def test_cancelled_imaginary_parts_give_the_rational_polynomial():
+    x = Polynomial.variable(1, 1)
+    product = (x + I) * (x - I)
+    assert product == x * x + 1
+    assert hash(product) == hash(x * x + 1)
+    assert ((X2 + Y2.scale(I)) - Y2.scale(I)) == X2
+    assert (X2.scale(I) * I) == -X2
+    assert RationalFunction(x.scale(I) + I, x + 1) == RationalFunction.constant(I, 1)
+
+
+def test_monic_and_gcd_are_graded_lex_normalized_over_gaussians():
+    f = (X2.scale(I) + Y2 * Y2) * (X2 + Y2)
+    g = (X2.scale(I) + Y2 * Y2) * (X2 - Y2)
+    # the graded-lex leader of y^2 + i*x is y^2
+    assert poly_gcd(f, g) == Y2 * Y2 + X2.scale(I)
+    assert (Y2 * Y2.scale(2 * I) - X2).monic() == Y2 * Y2 + X2.scale(Fraction(1, 2) * I)
+    assert poly_lcm(f, g) == (f * (X2 - Y2)).monic()
+
+
+def test_terms_is_a_read_only_view():
+    with pytest.raises(TypeError):
+        X2.terms[(0, 0)] = Fraction(1)
