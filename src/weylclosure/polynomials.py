@@ -64,12 +64,18 @@ def _from_ground(c, domain) -> Scalar:
     return GaussianRational(_fraction(c.x), _fraction(c.y))
 
 
+def _complex(element):
+    """The element with its coefficients in QQ_I."""
+    if element.ring.domain is QQ_I:
+        return element
+    return _ring(element.ring.ngens, True).from_dict({m: QQ_I(c) for m, c in element.items()})
+
+
 def _pair(f: "Polynomial", g: "Polynomial"):
     """The elements of f and g in one ring: the complex one if either is complex."""
     a, b = f._element, g._element
     if a.ring is not b.ring:
-        ring = _ring(f.nvars, True)
-        a, b = a.set_ring(ring), b.set_ring(ring)
+        a, b = _complex(a), _complex(b)
     return a, b
 
 
@@ -90,7 +96,7 @@ class Polynomial:
         """A polynomial around a ring element, moved to QQ if no coefficient is complex."""
         ring = element.ring
         if ring.domain is QQ_I and not any(c.y for c in element.values()):
-            element = element.set_ring(_ring(ring.ngens))
+            element = _ring(ring.ngens).from_dict({m: c.x for m, c in element.items()})
         p = object.__new__(cls)
         p._element = element
         p.nvars = ring.ngens
@@ -214,9 +220,7 @@ class Polynomial:
         return Polynomial._wrap(self._element ** exponent)
 
     def scale(self, scalar) -> "Polynomial":
-        element = self._element
-        if _is_complex(scalar):
-            element = element.set_ring(_ring(self.nvars, True))
+        element = _complex(self._element) if _is_complex(scalar) else self._element
         return Polynomial._wrap(element.mul_ground(_to_ground(scalar, element.ring.domain)))
 
     def monic(self) -> "Polynomial":
