@@ -5,6 +5,11 @@ derivative values at a point extends to a formal solution iff it is
 annihilated by every row ``cf(D^beta p)|_{x0}`` with ``|beta| <= s - deg p``.
 The formal solver fills in principal-derivative values in ranking order from
 the substitution rules, which is the constructive half of that equivalence.
+It compiles those rules at a point into a solve plan, kept on the basis: over
+Delta_T in ranking order, each entry is either parametric or a row of
+(earlier position, value) pairs.  Delta_s is a prefix of Delta_(s+1), so one
+plan per point serves every order, and a solve is one pass of exact
+multiply-adds over a prefix of it.
 
 Both evaluate first and differentiate second.  Each coefficient c of a basis
 element is Taylor-expanded at x0 once, as a truncated power series over Q or
@@ -21,7 +26,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import EvaluationAtPole, InvalidInput, SBelowS0
 from .formatting import format_derivative
@@ -36,7 +41,7 @@ from .operators import (
 )
 from .polynomials import Polynomial, RationalFunction
 from .ranking import _pick_rule
-from .riquier import DerivativeClass, RiquierBasis
+from .riquier import RiquierBasis
 from .scalars import Scalar, format_point
 
 
@@ -88,58 +93,100 @@ def check_jet_constraints(jet: Jet, system: ConstraintSystem) -> bool:
     return True
 
 
+class SolvePlan:
+    """The substitution rules of a basis compiled at one point.
+
+    ``derivatives`` is Delta_order in ranking order and ``index`` maps each
+    derivative to its position.  ``rows[i]`` is None when ``derivatives[i]``
+    is parametric; otherwise the value there is ``sum(c * value[j])`` over
+    the ``(j, c)`` pairs of the row, every j < i: the shifted rule's other
+    terms, negated, with zero coefficients dropped.  Under the standard
+    ranking Delta_s is a prefix of Delta_(s+1), so one plan serves every
+    order: a solve at a higher order extends it, a lower order reads a prefix.
+    """
+
+    def __init__(self) -> None:
+        self.order = -1
+        self.derivatives: List[Derivative] = []
+        self.index: Dict[Derivative, int] = {}
+        self.rows: List[Optional[Tuple[Tuple[int, Scalar], ...]]] = []
+
+    def extend(self, basis: RiquierBasis, point: Tuple[Scalar, ...], order: int) -> None:
+        """Compile the rows up to ``order``; no row is added if this raises."""
+        if order <= self.order:
+            return
+        start = len(self.rows)
+        self.derivatives = derivatives_up_to(basis.m, basis.n, order)
+        new = self.derivatives[start:]
+        self.index.update((d, i) for i, d in enumerate(new, start))
+        tables: Dict[int, Dict[Derivative, Dict[MultiIndex, Scalar]]] = {}
+        rows = []
+        for d in new:
+            rule = _pick_rule(d, basis.heads)
+            if rule is None:
+                rows.append(None)
+                continue
+            if rule not in tables:
+                p = basis.elements[rule]
+                tables[rule] = _derivative_table(p, point, order - p.degree())
+            beta = tuple(a - b for a, b in zip(d.alpha, basis.heads[rule].alpha))
+            # the head coefficient of the shifted rule is 1
+            rows.append(tuple((self.index[delta], -value)
+                              for delta, value in _leibniz_row(tables[rule], beta).items()
+                              if delta != d and value))
+        self.rows.extend(rows)
+        self.order = order
+
+
 def formal_solve(basis: RiquierBasis, point: Sequence[Scalar],
                  init: Mapping[Derivative, Scalar], order: int) -> Jet:
     """The unique order-T jet with the given parametric values solving the system.
 
     Principal-derivative values are computed in increasing ranking order from
-    the substitution rule of the basis element whose head divides them.
-    Unspecified parametric values default to zero.  A value given for a
-    derivative that does not fit the system's (m, n), lies above the
-    truncation order or is principal raises InvalidInput.  The evaluated rule
-    rows are kept in ``basis.rule_rows``, so later solves at the same point
-    reuse them.
+    the substitution rule of the basis element whose head divides them, as
+    one pass of exact multiply-adds over the basis's solve plan at the point
+    (``basis.solve_plans``), which is compiled on the first solve there and
+    extended when a later solve asks for a higher order.  Unspecified
+    parametric values default to zero.  A value given for a derivative that
+    does not fit the system's (m, n), lies above the truncation order or is
+    principal raises InvalidInput.
     """
     if order < basis.s0:
         raise SBelowS0(f"truncation order {order} is below the basis degree {basis.s0}")
-    for d in init:
-        if (len(d.alpha) != basis.m or any(a < 0 for a in d.alpha)
-                or not 1 <= d.component <= basis.n):
-            raise InvalidInput(
-                f"initial value given for unknown {d.component} with multi-index "
-                f"{d.alpha}, which does not fit {basis.m} variable(s) and "
-                f"{basis.n} unknown(s)")
-        name = format_derivative(d, basis.m, basis.n)
-        if d.order > order:
-            raise InvalidInput(
-                f"initial value given for {name} above the truncation order {order}")
-        if basis.classify(d) is DerivativeClass.PRINCIPAL:
-            raise InvalidInput(
-                f"initial value given for the principal derivative {name}; "
-                f"only parametric derivatives take initial values")
     point = tuple(point)
-    tables: Dict[int, Dict[Derivative, Dict[MultiIndex, Scalar]]] = {}
-    values: Dict[Derivative, Scalar] = {}
-    for d in derivatives_up_to(basis.m, basis.n, order):
-        rule = _pick_rule(d, basis.heads)
-        if rule is None:
-            values[d] = init.get(d, Fraction(0))
-            continue
-        row = basis.rule_rows.get((point, d))
-        if row is None:
-            if rule not in tables:
-                p = basis.elements[rule]
-                tables[rule] = _derivative_table(p, point, order - p.degree())
-            beta = tuple(a - b for a, b in zip(d.alpha, basis.heads[rule].alpha))
-            row = [(delta, value)
-                   for delta, value in _leibniz_row(tables[rule], beta).items()
-                   if delta != d]
-            basis.rule_rows[(point, d)] = row
-        total: Scalar = Fraction(0)
-        for delta, value in row:
-            total = total + value * values[delta]
-        values[d] = -total  # head coefficient of the shifted rule is 1
-    return Jet(point, order, basis.m, basis.n, values)
+    plan = basis.solve_plans.get(point)
+    if plan is None:
+        plan = basis.solve_plans[point] = SolvePlan()
+    plan.extend(basis, point, order)
+    size = basis.n * comb(order + basis.m, basis.m)  # |Delta_order|
+    values: List[Scalar] = [Fraction(0)] * size
+    for d, value in init.items():
+        i = plan.index.get(d, size)
+        if i >= size:
+            if (len(d.alpha) != basis.m or any(a < 0 for a in d.alpha)
+                    or not 1 <= d.component <= basis.n):
+                raise InvalidInput(
+                    f"initial value given for unknown {d.component} with multi-index "
+                    f"{d.alpha}, which does not fit {basis.m} variable(s) and "
+                    f"{basis.n} unknown(s)")
+            raise InvalidInput(
+                f"initial value given for {format_derivative(d, basis.m, basis.n)} "
+                f"above the truncation order {order}")
+        if plan.rows[i] is not None:
+            raise InvalidInput(
+                f"initial value given for the principal derivative "
+                f"{format_derivative(d, basis.m, basis.n)}; "
+                f"only parametric derivatives take initial values")
+        values[i] = value
+    for i, row in enumerate(plan.rows[:size]):
+        if row is not None:
+            total: Scalar = Fraction(0)
+            for j, c in row:
+                v = values[j]
+                if v:
+                    total = total + c * v
+            values[i] = total
+    return Jet(point, order, basis.m, basis.n, dict(zip(plan.derivatives, values)))
 
 
 # -- evaluate-first Leibniz rows --------------------------------------------
@@ -241,15 +288,50 @@ def constraint_nullspace(system: ConstraintSystem) -> List[Jet]:
 
 def pick_regular_point(avoid: Sequence[Polynomial], m: int,
                        search_radius: int = 25) -> Tuple[Fraction, ...]:
-    """First small rational point where none of the given polynomials vanishes."""
+    """First small rational point where none of the given polynomials vanishes.
+
+    "First" is in the lexicographic order of the grid whose coordinates run
+    through 0, 1, -1, ..., r, -r for r = search_radius.  When, in every
+    variable, the polynomials' degrees sum to less than that candidate count,
+    a product of them that is not identically zero is nonzero somewhere on
+    the grid (the combinatorial Nullstellensatz), so the coordinates are
+    fixed one at a time: each takes the first candidate after which no
+    polynomial is identically zero.  Otherwise the grid is scanned.
+    """
     candidates: List[Fraction] = [Fraction(0)]
     for k in range(1, search_radius + 1):
         candidates.append(Fraction(k))
         candidates.append(Fraction(-k))
+    polys = [p for p in avoid if not p.is_zero()]
+    if any(p.nvars != m for p in polys):
+        raise ValueError("point dimension mismatch")
+    terms = [p.terms for p in polys]
+    if all(sum(max(mono[j] for mono in t) for t in terms) < len(candidates)
+           for j in range(m)):
+        point = []
+        for _ in range(m):
+            for c in candidates:
+                fixed = [_fix_first_variable(t, c) for t in terms]
+                if all(fixed):
+                    break
+            else:
+                raise EvaluationAtPole("no regular point found in the search range")
+            point.append(c)
+            terms = fixed
+        return tuple(point)
     for point in itertools.product(candidates, repeat=m):
-        if all(p.evaluate(point) for p in avoid if not p.is_zero()):
+        if all(p.evaluate(point) for p in polys):
             return point
     raise EvaluationAtPole("no regular point found in the search range")
+
+
+def _fix_first_variable(terms: Mapping[MultiIndex, Scalar],
+                        c: Fraction) -> Dict[MultiIndex, Scalar]:
+    """The nonzero terms of p(c, x_2, ...) as a polynomial in the remaining variables."""
+    fixed: Dict[MultiIndex, Scalar] = {}
+    for mono, coeff in terms.items():
+        fixed[mono[1:]] = fixed.get(mono[1:], 0) + coeff * c ** mono[0]
+    return {mono: value for mono, value in fixed.items() if value}
 
 
 def basis_denominators(basis: RiquierBasis) -> List[Polynomial]:

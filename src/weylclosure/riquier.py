@@ -13,8 +13,10 @@ only over the element's ancestors, when a membership witness needs them.
 from __future__ import annotations
 
 import enum
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Dict, Iterable, List, Mapping, NamedTuple, Optional,
+                    Sequence, Tuple)
 
+from .errors import InvalidInput
 from .operators import (
     Derivative,
     OperatorVector,
@@ -24,7 +26,9 @@ from .operators import (
 )
 from .ranking import ReductionTrace, head_of, reduce_full
 from .polynomials import RationalFunction
-from .scalars import Scalar
+
+if TYPE_CHECKING:
+    from .jets import SolvePlan
 
 Cofactors = Dict[int, OperatorVector]
 # (scalar multiplier, source id): the source contributes multiplier * source
@@ -109,9 +113,10 @@ class RiquierBasis:
         # the log and, per element, the log id that made it
         self.derivation = derivation
         self.made_by = list(made_by)
-        # evaluated substitution rules, keyed by (point, principal derivative);
-        # filled by jets.formal_solve so that repeated solves reuse the rows
-        self.rule_rows: Dict[Tuple[tuple, Derivative], List[Tuple[Derivative, Scalar]]] = {}
+        # the substitution rules compiled at each point, one plan per point
+        # for every truncation order; built and extended by jets.formal_solve
+        self.solve_plans: Dict[tuple, "SolvePlan"] = {}
+        self._parametric: Dict[int, List[Derivative]] = {}
 
     @property
     def generator_cofactors(self) -> List[Cofactors]:
@@ -140,11 +145,19 @@ class RiquierBasis:
         return DerivativeClass.PARAMETRIC
 
     def parametric_up_to(self, s: int) -> List[Derivative]:
-        """All parametric derivatives in Delta_s, in ranking order."""
-        return [
-            d for d in derivatives_up_to(self.m, self.n, s)
-            if self.classify(d) is DerivativeClass.PARAMETRIC
-        ]
+        """All parametric derivatives in Delta_s, in ranking order, as a fresh list.
+
+        The classification is computed once per s; a negative s raises InvalidInput.
+        """
+        if s < 0:
+            raise InvalidInput(f"order s must be nonnegative, got {s}")
+        parametric = self._parametric.get(s)
+        if parametric is None:
+            parametric = self._parametric[s] = [
+                d for d in derivatives_up_to(self.m, self.n, s)
+                if self.classify(d) is DerivativeClass.PARAMETRIC
+            ]
+        return list(parametric)
 
 
 def _monic_and_logged(trace: ReductionTrace, terms: List[Term], rule_ids: Sequence[int],

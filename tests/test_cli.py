@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from weylclosure import cli
 from weylclosure.cli import main
+from weylclosure.formatting import format_operator
 
 EULER = """\
 # second-order equation with polynomial solutions x and x^2
@@ -58,6 +60,14 @@ def test_riquier_gradient(tmp_path, capsys):
     assert code == 0
     assert sorted(doc["basis"]) == ["D1", "D2"]
     assert doc["parametric"] == ["1"]
+
+
+def test_riquier_rejects_a_negative_s(euler_file, capsys):
+    code = main(["riquier", euler_file, "--s", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: order s must be nonnegative, got -1\n"
 
 
 # -- member ----------------------------------------------------------------
@@ -250,6 +260,32 @@ def test_verify_witness_rejects_rational_w(euler_file, capsys):
     code = main(["verify-witness", euler_file, "--q", "D^3",
                  "--w", "1/x", "--h", "D"])
     assert code == 2
+
+
+def test_repeated_calls_share_one_parser_but_no_values(euler_file, capsys, monkeypatch):
+    built = []
+    build_parser = cli.build_parser
+
+    def counting():
+        built.append(True)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    seen = []
+
+    def record(witness, q, generators):
+        seen.append([format_operator(h) for h in witness.cofactors])
+        return True
+
+    monkeypatch.setattr(cli, "verify_witness", record)
+    base = ["verify-witness", euler_file, "--q", "D^3", "--w", "x^2"]
+    assert main(base + ["--h", "D"]) == 0
+    assert main(base + ["--h", "x", "--h", "1"]) == 0
+    assert main(base) == 0
+    capsys.readouterr()
+    assert seen == [["D"], ["x", "1"], []]
+    assert built == [True]
 
 
 # -- input errors ----------------------------------------------------------

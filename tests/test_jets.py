@@ -1,6 +1,8 @@
 """Jet-constraint matrices, formal solutions and solution-space dimensions."""
 
+import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,7 @@ from weylclosure import (
     EvaluationAtPole,
     GaussianRational,
     InvalidInput,
+    Polynomial,
     SBelowS0,
     basis_denominators,
     check_jet_constraints,
@@ -21,6 +24,7 @@ from weylclosure import (
     pick_regular_point,
     solution_space_dim,
 )
+from weylclosure import jets
 from weylclosure.operators import (
     Jet,
     apply_to_jet,
@@ -140,6 +144,30 @@ def test_oracle_complex_system_at_gaussian_point():
     assert_matches_oracle(basis, point, random.Random(9), extra=3)
 
 
+def plan_cases():
+    return {
+        "euler": (basis_of("x^2*D^2 - 2*x*D + 2"), (Fraction(-1, 2),)),
+        "two unknowns": (basis_of("D1 [u1] - x2 [u2]", "D2 [u1] + x1*D1 [u2]", m=2, n=2),
+                         (Fraction(1), Fraction(-2))),
+        "gaussian": (complete_to_riquier_basis(
+            [parse_operator("(x^2 + i)*D^2 - i*x*D + 3", 1, 1, "complex")]),
+            (GaussianRational(1, 1),)),
+    }
+
+
+@pytest.mark.parametrize("orders", [(6, 3), (3, 6)])
+@pytest.mark.parametrize("case", ["euler", "two unknowns", "gaussian"])
+def test_plan_prefix_and_extension_match_the_oracle(case, orders):
+    basis, point = plan_cases()[case]
+    rng = random.Random(10)
+    for order in orders:
+        init = {d: GaussianRational(rng.randint(-3, 3), rng.randint(-1, 1))
+                for d in basis.parametric_up_to(order)}
+        u = formal_solve(basis, point, init, order)
+        assert u.values == symbolic_formal_solve(basis, point, init, order).values
+    assert basis.solve_plans[point].order == 6
+
+
 # -- constraint matrices ---------------------------------------------------
 
 def test_constraint_matrix_for_d_squared():
@@ -237,13 +265,34 @@ def test_formal_solve_rejects_initial_value_outside_the_system(d):
         formal_solve(basis, (Fraction(0), Fraction(0)), {d: Fraction(1)}, 2)
 
 
-def test_formal_solve_reuses_rule_rows():
+def test_formal_solve_builds_each_row_once_per_point(monkeypatch):
+    betas = []
+    leibniz_row = jets._leibniz_row
+
+    def counting(table, beta):
+        betas.append(beta)
+        return leibniz_row(table, beta)
+
+    monkeypatch.setattr(jets, "_leibniz_row", counting)
     basis = basis_of("x^2*D^2 - 2*x*D + 2")
-    first = formal_solve(basis, ONE, {Derivative(1, (0,)): Fraction(1)}, 5)
-    rows = dict(basis.rule_rows)
-    assert sorted(d.alpha for _, d in rows) == [(2,), (3,), (4,), (5,)]
-    assert formal_solve(basis, ONE, {Derivative(1, (0,)): Fraction(1)}, 5) == first
-    assert all(basis.rule_rows[key] is row for key, row in rows.items())
+    init = {Derivative(1, (0,)): Fraction(1)}
+    first = formal_solve(basis, ONE, init, 5)
+    # one row for each principal derivative D^2 .. D^5
+    assert betas == [(0,), (1,), (2,), (3,)]
+    plan = basis.solve_plans[ONE]
+    rows = list(plan.rows)
+    assert formal_solve(basis, ONE, init, 5) == first
+    assert formal_solve(basis, ONE, init, 3) == first.truncate(3)
+    assert len(betas) == 4
+    # a higher order builds only the rows of D^6 and D^7
+    assert formal_solve(basis, ONE, init, 7).truncate(5) == first
+    assert betas[4:] == [(4,), (5,)]
+    assert basis.solve_plans[ONE] is plan
+    assert all(a is b for a, b in zip(rows, plan.rows))
+    # another point gets its own plan
+    formal_solve(basis, (Fraction(2),), init, 3)
+    assert len(betas) == 8
+    assert basis.solve_plans[ONE] is plan and len(basis.solve_plans) == 2
 
 
 def test_formal_solve_satisfies_constraints():
@@ -355,3 +404,54 @@ def test_pick_regular_point_avoids_zeros():
 
 def test_pick_regular_point_no_constraints():
     assert pick_regular_point([], 2) == (Fraction(0), Fraction(0))
+
+
+def scan_regular_point(avoid, m, search_radius=25):
+    """The lexicographic scan over the whole candidate grid, as the oracle."""
+    candidates = [Fraction(0)]
+    for k in range(1, search_radius + 1):
+        candidates += [Fraction(k), Fraction(-k)]
+    for point in itertools.product(candidates, repeat=m):
+        if all(p.evaluate(point) for p in avoid if not p.is_zero()):
+            return point
+    return None
+
+
+def test_pick_regular_point_matches_the_scan(rng):
+    for trial in range(60):
+        m = rng.randint(1, 3)
+        radius = rng.randint(1, 3)
+        avoid = []
+        for _ in range(rng.randint(1, 3)):
+            # products of linear factors with small integer roots, so that the
+            # origin and other early grid points are often zeros
+            p = Polynomial.constant(rng.choice([1, -2, 3]), m)
+            for _ in range(rng.randint(1, 3)):
+                factor = Polynomial.constant(rng.choice([0, rng.randint(-radius, radius)]), m)
+                for j in rng.sample(range(1, m + 1), rng.randint(1, m)):
+                    factor = factor + Polynomial.variable(j, m).scale(Fraction(rng.choice([1, -1])))
+                p = p * factor
+            avoid.append(p)
+        expected = scan_regular_point(avoid, m, radius)
+        if expected is None:
+            with pytest.raises(EvaluationAtPole):
+                pick_regular_point(avoid, m, radius)
+        else:
+            assert pick_regular_point(avoid, m, radius) == expected, (trial, avoid)
+
+
+def test_pick_regular_point_scans_when_degrees_are_too_high():
+    x, y = Polynomial.variable(1, 2), Polynomial.variable(2, 2)
+    # at x = 0 the polynomial is y^3 - y, not identically zero but zero on the
+    # whole grid {0, 1, -1}; its y-degree 3 is not below the 3 candidates
+    p = x + y * y * y - y
+    assert scan_regular_point([p], 2, 1) == (Fraction(1), Fraction(0))
+    assert pick_regular_point([p], 2, search_radius=1) == (Fraction(1), Fraction(0))
+
+
+def test_pick_regular_point_in_six_variables_is_fast():
+    start = time.perf_counter()
+    point = pick_regular_point([Polynomial.variable(j, 6) for j in range(1, 7)], 6)
+    assert point == (Fraction(1),) * 6
+    # the grid scan would visit more than 51^5 points before this one
+    assert time.perf_counter() - start < 1.0

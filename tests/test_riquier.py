@@ -9,6 +9,7 @@ import pytest
 from weylclosure import (
     Derivative,
     DerivativeClass,
+    InvalidInput,
     OperatorVector,
     Polynomial,
     RationalFunction,
@@ -103,6 +104,20 @@ def test_parametric_up_to_example_51():
 def test_parametric_up_to_gradient_system():
     basis = complete_to_riquier_basis([op("D1", 2), op("D2", 2)])
     assert basis.parametric_up_to(1) == [Derivative(1, (0, 0))]
+
+
+def test_parametric_up_to_returns_a_fresh_list():
+    basis = complete_to_riquier_basis([op("x^2*D^2 - 2*x*D + 2")])
+    basis.parametric_up_to(3).clear()
+    assert basis.parametric_up_to(3) == [Derivative(1, (0,)), Derivative(1, (1,))]
+
+
+@pytest.mark.parametrize("s", [-1, -2])
+def test_parametric_up_to_rejects_a_negative_order(s):
+    basis = complete_to_riquier_basis([op("D1", 2), op("D2", 2)])
+    with pytest.raises(InvalidInput) as info:
+        basis.parametric_up_to(s)
+    assert str(info.value) == f"order s must be nonnegative, got {s}"
 
 
 def test_classification_is_monotone(rng):
