@@ -22,7 +22,6 @@ as an independent check.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
@@ -153,6 +152,17 @@ def formal_solve(basis: RiquierBasis, point: Sequence[Scalar],
     """
     if order < basis.s0:
         raise SBelowS0(f"truncation order {order} is below the basis degree {basis.s0}")
+    for d in init:
+        if (len(d.alpha) != basis.m or any(a < 0 for a in d.alpha)
+                or not 1 <= d.component <= basis.n):
+            raise InvalidInput(
+                f"initial value given for unknown {d.component} with multi-index "
+                f"{d.alpha}, which does not fit {basis.m} variable(s) and "
+                f"{basis.n} unknown(s)")
+        if d.order > order:
+            raise InvalidInput(
+                f"initial value given for {format_derivative(d, basis.m, basis.n)} "
+                f"above the truncation order {order}")
     point = tuple(point)
     plan = basis.solve_plans.get(point)
     if plan is None:
@@ -161,17 +171,7 @@ def formal_solve(basis: RiquierBasis, point: Sequence[Scalar],
     size = basis.n * comb(order + basis.m, basis.m)  # |Delta_order|
     values: List[Scalar] = [Fraction(0)] * size
     for d, value in init.items():
-        i = plan.index.get(d, size)
-        if i >= size:
-            if (len(d.alpha) != basis.m or any(a < 0 for a in d.alpha)
-                    or not 1 <= d.component <= basis.n):
-                raise InvalidInput(
-                    f"initial value given for unknown {d.component} with multi-index "
-                    f"{d.alpha}, which does not fit {basis.m} variable(s) and "
-                    f"{basis.n} unknown(s)")
-            raise InvalidInput(
-                f"initial value given for {format_derivative(d, basis.m, basis.n)} "
-                f"above the truncation order {order}")
+        i = plan.index[d]
         if plan.rows[i] is not None:
             raise InvalidInput(
                 f"initial value given for the principal derivative "
@@ -291,12 +291,10 @@ def pick_regular_point(avoid: Sequence[Polynomial], m: int,
     """First small rational point where none of the given polynomials vanishes.
 
     "First" is in the lexicographic order of the grid whose coordinates run
-    through 0, 1, -1, ..., r, -r for r = search_radius.  When, in every
-    variable, the polynomials' degrees sum to less than that candidate count,
-    a product of them that is not identically zero is nonzero somewhere on
-    the grid (the combinatorial Nullstellensatz), so the coordinates are
-    fixed one at a time: each takes the first candidate after which no
-    polynomial is identically zero.  Otherwise the grid is scanned.
+    through 0, 1, -1, ..., r, -r for r = search_radius.  The grid is searched
+    depth-first, one coordinate at a time, and a candidate is skipped as soon
+    as fixing it leaves some polynomial identically zero, since no point that
+    extends it can then be regular.
     """
     candidates: List[Fraction] = [Fraction(0)]
     for k in range(1, search_radius + 1):
@@ -305,24 +303,24 @@ def pick_regular_point(avoid: Sequence[Polynomial], m: int,
     polys = [p for p in avoid if not p.is_zero()]
     if any(p.nvars != m for p in polys):
         raise ValueError("point dimension mismatch")
-    terms = [p.terms for p in polys]
-    if all(sum(max(mono[j] for mono in t) for t in terms) < len(candidates)
-           for j in range(m)):
-        point = []
-        for _ in range(m):
-            for c in candidates:
-                fixed = [_fix_first_variable(t, c) for t in terms]
-                if all(fixed):
-                    break
-            else:
-                raise EvaluationAtPole("no regular point found in the search range")
-            point.append(c)
-            terms = fixed
-        return tuple(point)
-    for point in itertools.product(candidates, repeat=m):
-        if all(p.evaluate(point) for p in polys):
-            return point
-    raise EvaluationAtPole("no regular point found in the search range")
+
+    def search(terms: List[Mapping[MultiIndex, Scalar]],
+               left: int) -> Optional[Tuple[Fraction, ...]]:
+        # every polynomial in terms is nonzero in the ``left`` free variables
+        if left == 0:
+            return ()
+        for c in candidates:
+            fixed = [_fix_first_variable(t, c) for t in terms]
+            if all(fixed):
+                rest = search(fixed, left - 1)
+                if rest is not None:
+                    return (c,) + rest
+        return None
+
+    point = search([p.terms for p in polys], m)
+    if point is None:
+        raise EvaluationAtPole("no regular point found in the search range")
+    return point
 
 
 def _fix_first_variable(terms: Mapping[MultiIndex, Scalar],

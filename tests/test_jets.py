@@ -265,6 +265,19 @@ def test_formal_solve_rejects_initial_value_outside_the_system(d):
         formal_solve(basis, (Fraction(0), Fraction(0)), {d: Fraction(1)}, 2)
 
 
+@pytest.mark.parametrize("d, message", [
+    (Derivative(1, (5,)), "initial value given for D^5 above the truncation order 4"),
+    (Derivative(2, (0,)), "initial value given for unknown 2 with multi-index (0,), "
+                          "which does not fit 1 variable(s) and 1 unknown(s)"),
+])
+def test_formal_solve_reports_a_bad_initial_value_before_a_pole(d, message):
+    basis = basis_of("x^2*D^2 - 2*x*D + 2")
+    with pytest.raises(InvalidInput) as info:
+        formal_solve(basis, ZERO, {d: Fraction(1)}, 4)
+    assert str(info.value) == message
+    assert basis.solve_plans.get(ZERO) is None
+
+
 def test_formal_solve_builds_each_row_once_per_point(monkeypatch):
     betas = []
     leibniz_row = jets._leibniz_row
@@ -440,10 +453,10 @@ def test_pick_regular_point_matches_the_scan(rng):
             assert pick_regular_point(avoid, m, radius) == expected, (trial, avoid)
 
 
-def test_pick_regular_point_scans_when_degrees_are_too_high():
+def test_pick_regular_point_backs_up_past_a_dead_prefix():
     x, y = Polynomial.variable(1, 2), Polynomial.variable(2, 2)
     # at x = 0 the polynomial is y^3 - y, not identically zero but zero on the
-    # whole grid {0, 1, -1}; its y-degree 3 is not below the 3 candidates
+    # whole grid {0, 1, -1}, so the search must leave x = 0 again
     p = x + y * y * y - y
     assert scan_regular_point([p], 2, 1) == (Fraction(1), Fraction(0))
     assert pick_regular_point([p], 2, search_radius=1) == (Fraction(1), Fraction(0))
