@@ -54,10 +54,26 @@ def _resolve_point(args, system: SystemFile, basis):
     return pick_regular_point(basis_denominators(basis), system.m)
 
 
+def _resolve_q(args, system: SystemFile):
+    """The candidate q: --q, else the system file's 'q:' line."""
+    if args.q is not None:
+        return parse_operator(args.q, system.m, system.n, system.field_mode)
+    if system.q is not None:
+        return system.q
+    raise WeylClosureError("no candidate q given (use --q or a 'q:' line)")
+
+
+def _resolve_s(args, system: SystemFile, basis) -> int:
+    """The order s: --s, else the system file's 's:' line, else the basis degree s0."""
+    if args.s is not None:
+        return args.s
+    return system.s if system.s is not None else basis.s0
+
+
 def _cmd_riquier(args) -> int:
     system = load_system(args.system, args.field)
     basis = complete_to_riquier_basis(system.generators, system.m, system.n)
-    s = args.s if args.s is not None else (system.s if system.s is not None else basis.s0)
+    s = _resolve_s(args, system, basis)
     _emit({
         "basis": [format_operator(p) for p in basis.elements],
         "s0": basis.s0,
@@ -72,12 +88,7 @@ def _cmd_riquier(args) -> int:
 
 def _cmd_member(args) -> int:
     system = load_system(args.system, args.field)
-    if args.q is not None:
-        q = parse_operator(args.q, system.m, system.n, system.field_mode)
-    elif system.q is not None:
-        q = system.q
-    else:
-        raise WeylClosureError("no candidate q given (use --q or a 'q:' line)")
+    q = _resolve_q(args, system)
     result = weyl_closure_member(q, system.generators)
     document = {
         "member": result.member,
@@ -129,7 +140,7 @@ def _cmd_prop1(args) -> int:
     system = load_system(args.system, args.field)
     basis = complete_to_riquier_basis(system.generators, system.m, system.n)
     point = _resolve_point(args, system, basis)
-    s = args.s if args.s is not None else (system.s if system.s is not None else basis.s0)
+    s = _resolve_s(args, system, basis)
     matrix = constraint_matrix(basis, s, point)
     _emit({
         "rows": len(matrix.rows),
@@ -143,12 +154,7 @@ def _cmd_prop1(args) -> int:
 
 def _cmd_verify_witness(args) -> int:
     system = load_system(args.system, args.field)
-    if args.q is not None:
-        q = parse_operator(args.q, system.m, system.n, system.field_mode)
-    elif system.q is not None:
-        q = system.q
-    else:
-        raise WeylClosureError("no candidate q given (use --q or a 'q:' line)")
+    q = _resolve_q(args, system)
     w = parse_rational(args.w, system.m, system.field_mode)
     if not w.is_polynomial():
         raise WeylClosureError("witness w must be a polynomial")

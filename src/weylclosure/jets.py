@@ -39,7 +39,7 @@ from .operators import (
     multi_indices,
 )
 from .polynomials import Polynomial, RationalFunction
-from .ranking import _pick_rule
+from .ranking import pick_rule
 from .riquier import RiquierBasis
 from .scalars import Scalar, format_point
 
@@ -61,7 +61,7 @@ def constraint_matrix(basis: RiquierBasis, s: int,
     """All rows cf(D^beta p)|_point over Delta_s, for p in the basis, |beta| <= s - deg p."""
     if s < basis.s0:
         raise SBelowS0(f"requested order {s} is below the basis degree {basis.s0}")
-    point = tuple(point)
+    point = _check_point(basis, point)
     columns = derivatives_up_to(basis.m, basis.n, s)
     zero = Fraction(0)
     rows: List[List[Scalar]] = []
@@ -74,6 +74,14 @@ def constraint_matrix(basis: RiquierBasis, s: int,
             rows.append([row.get(d, zero) for d in columns])
             labels.append((index, beta))
     return ConstraintSystem(rows, labels, columns, s, point, basis)
+
+
+def _check_point(basis: RiquierBasis, point: Sequence[Scalar]) -> Tuple[Scalar, ...]:
+    """The point as a tuple; InvalidInput unless it has one coordinate per variable."""
+    point = tuple(point)
+    if len(point) != basis.m:
+        raise InvalidInput(f"expected {basis.m} coordinate(s), got {len(point)}")
+    return point
 
 
 def check_jet_constraints(jet: Jet, system: ConstraintSystem) -> bool:
@@ -121,7 +129,7 @@ class SolvePlan:
         tables: Dict[int, Dict[Derivative, Dict[MultiIndex, Scalar]]] = {}
         rows = []
         for d in new:
-            rule = _pick_rule(d, basis.heads)
+            rule = pick_rule(d, basis.heads)
             if rule is None:
                 rows.append(None)
                 continue
@@ -148,7 +156,7 @@ def formal_solve(basis: RiquierBasis, point: Sequence[Scalar],
     extended when a later solve asks for a higher order.  Unspecified
     parametric values default to zero.  A value given for a derivative that
     does not fit the system's (m, n), lies above the truncation order or is
-    principal raises InvalidInput.
+    principal raises InvalidInput, and so does a point without m coordinates.
     """
     if order < basis.s0:
         raise SBelowS0(f"truncation order {order} is below the basis degree {basis.s0}")
@@ -163,7 +171,7 @@ def formal_solve(basis: RiquierBasis, point: Sequence[Scalar],
             raise InvalidInput(
                 f"initial value given for {format_derivative(d, basis.m, basis.n)} "
                 f"above the truncation order {order}")
-    point = tuple(point)
+    point = _check_point(basis, point)
     plan = basis.solve_plans.get(point)
     if plan is None:
         plan = basis.solve_plans[point] = SolvePlan()

@@ -126,9 +126,6 @@ class OperatorVector:
         """True iff every coefficient is a polynomial (element of A_m(F)^n)."""
         return all(c.is_polynomial() for c in self.terms.values())
 
-    def is_scalar(self) -> bool:
-        return self.n == 1
-
     # -- linear structure --------------------------------------------------
 
     def __add__(self, other: "OperatorVector") -> "OperatorVector":

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .errors import ParseError
-from .operators import Derivative, OperatorVector
+from .operators import Derivative, OperatorVector, scalar_operator_product
 from .polynomials import Polynomial, RationalFunction
 from .scalars import GaussianRational
 
@@ -112,8 +112,6 @@ class _Parser:
         return _Value(OperatorVector.scalar_function(f, self.m), True)
 
     def _scalar_product(self, left: _Value, right: _Value) -> _Value:
-        from .operators import scalar_operator_product
-
         return _Value(
             scalar_operator_product(left.op, right.op),
             left.is_function and right.is_function,

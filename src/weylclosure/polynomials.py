@@ -146,14 +146,6 @@ class Polynomial:
         return _from_ground(element.get(element.ring.zero_monom, element.ring.domain.zero),
                             element.ring.domain)
 
-    def total_degree(self) -> int:
-        if not self._element:
-            return -1
-        return sum(self._element.LM)  # the graded-lex leader has the largest degree
-
-    def leading_monomial(self) -> Monomial:
-        return self._element.LM
-
     def leading_coefficient(self) -> Scalar:
         return _from_ground(self._element.LC, self._element.ring.domain)
 
@@ -320,10 +312,6 @@ class RationalFunction:
     @classmethod
     def constant(cls, value, nvars: int) -> "RationalFunction":
         return cls._normalized(Polynomial.constant(value, nvars), Polynomial.constant(1, nvars))
-
-    @classmethod
-    def from_polynomial(cls, p: Polynomial) -> "RationalFunction":
-        return cls(p)
 
     @property
     def nvars(self) -> int:

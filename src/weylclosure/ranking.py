@@ -66,21 +66,25 @@ class ReductionTrace:
         return total
 
 
-def _pick_rule(delta: Derivative, heads: List[Derivative | None]) -> int | None:
-    """Rule index whose head divides delta: ranking-highest head, then lowest index."""
+def pick_rule(delta: Derivative, heads: Sequence[Derivative]) -> int | None:
+    """Index of the rule whose head divides delta: ranking-highest head, then lowest index.
+
+    This is the one rule selector: reduction, ``is_reduced``, the principal/
+    parametric classification and the solve plans all choose through it.
+    """
     best = None
     for j, head in enumerate(heads):
-        if head is None or not head.divides(delta):
-            continue
-        if best is None or compare_derivatives(heads[best], head) < 0:
+        if head.divides(delta) and (best is None or compare_derivatives(heads[best], head) < 0):
             best = j
     return best
 
 
 def reduce_full(p: OperatorVector, rules: Sequence[OperatorVector]) -> ReductionTrace:
     """Fully reduce p by a list of monic rules, eliminating every reducible derivative."""
-    heads: List[Derivative | None] = []
-    for rule in rules:
+    heads: List[Derivative] = []
+    for j, rule in enumerate(rules):
+        if (rule.m, rule.n) != (p.m, p.n):
+            raise InvalidInput(f"rule {j} has mismatched dimensions")
         if rule.is_zero():
             raise InvalidInput("reduction rules must be nonzero")
         data = head_of(rule)
@@ -94,7 +98,7 @@ def reduce_full(p: OperatorVector, rules: Sequence[OperatorVector]) -> Reduction
         target = None
         rule_index = None
         for delta in sorted(work.terms, key=Derivative.rank_key, reverse=True):
-            j = _pick_rule(delta, heads)
+            j = pick_rule(delta, heads)
             if j is not None:
                 target, rule_index = delta, j
                 break
@@ -114,6 +118,4 @@ def reduce_full(p: OperatorVector, rules: Sequence[OperatorVector]) -> Reduction
 def is_reduced(p: OperatorVector, rules: Sequence[OperatorVector]) -> bool:
     """True iff no derivative of p is divisible by any rule head."""
     heads = [head_of(rule).head for rule in rules if not rule.is_zero()]
-    return all(
-        not head.divides(delta) for delta in p.terms for head in heads
-    )
+    return all(pick_rule(delta, heads) is None for delta in p.terms)

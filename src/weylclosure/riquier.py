@@ -2,7 +2,14 @@
 
 The completion is Buchberger-style over the rational-function coefficient
 field: make generators monic, adjoin reduced S-pairs to a fixpoint, then
-autoreduce.  It computes with operators only.  Each element it adjoins or
+autoreduce.  Each element's head is computed once, when it is adjoined.
+Pending pairs wait in a heap keyed by the lcm of their heads, lowest first
+(the normal strategy), ties in the order the pairs were formed.  The final
+autoreduction is one forward pass: the basis is confluent by then, so an
+element either reduces to zero or keeps its head, and no change makes an
+earlier element reducible again.
+
+The completion computes with operators only.  Each element it adjoins or
 autoreduces appends one node to a derivation log, which records how the
 element was made from earlier nodes and the generators; a reduction to zero
 records nothing.  The exact scalar-operator cofactors that express a basis
@@ -13,6 +20,8 @@ only over the element's ancestors, when a membership witness needs them.
 from __future__ import annotations
 
 import enum
+import heapq
+import itertools
 from typing import (TYPE_CHECKING, Dict, Iterable, List, Mapping, NamedTuple, Optional,
                     Sequence, Tuple)
 
@@ -24,7 +33,7 @@ from .operators import (
     left_multiply_by_d,
     scalar_operator_product,
 )
-from .ranking import ReductionTrace, head_of, reduce_full
+from .ranking import ReductionTrace, head_of, pick_rule, reduce_full
 from .polynomials import RationalFunction
 
 if TYPE_CHECKING:
@@ -140,7 +149,7 @@ class RiquierBasis:
         return max(h.order for h in self.heads)
 
     def classify(self, d: Derivative) -> DerivativeClass:
-        if any(head.divides(d) for head in self.heads):
+        if pick_rule(d, self.heads) is not None:
             return DerivativeClass.PRINCIPAL
         return DerivativeClass.PARAMETRIC
 
@@ -181,65 +190,63 @@ def complete_to_riquier_basis(generators: Sequence[OperatorVector],
         if not gens:
             raise ValueError("dimensions required for an empty generator list")
         m, n = gens[0].m, gens[0].n
+    for j, g in enumerate(gens):
+        if (g.m, g.n) != (m, n):
+            raise InvalidInput(f"generator {j} has mismatched dimensions")
 
     log = DerivationLog(len(gens), m)
+    # in step: each element, its head and the log id that made it
     basis: List[OperatorVector] = []
-    made_by: List[int] = []  # log id of each basis element
-    pairs: List[Tuple[int, int]] = []
+    heads: List[Derivative] = []
+    made_by: List[int] = []
+    # pending pairs (lcm rank key, formation count, j, k, lcm of the heads)
+    pairs: List[Tuple[tuple, int, int, int, Derivative]] = []
+    formed = itertools.count()
 
     def adjoin(op: OperatorVector, terms: List[Term]) -> None:
         trace = reduce_full(op, basis)
         if trace.normal_form.is_zero():
             return
         element, node = _monic_and_logged(trace, terms, made_by, log)
-        new_index = len(basis)
-        new_comp = head_of(element).head.component
-        for j, existing in enumerate(basis):
-            if head_of(existing).head.component == new_comp:
-                pairs.append((j, new_index))
+        head = head_of(element).head
+        for j, other in enumerate(heads):
+            if other.component == head.component:
+                lcm = Derivative(head.component, tuple(map(max, other.alpha, head.alpha)))
+                heapq.heappush(pairs, (lcm.rank_key(), next(formed), j, len(basis), lcm))
         basis.append(element)
+        heads.append(head)
         made_by.append(node)
 
     for j, g in enumerate(gens):
         if not g.is_zero():
             adjoin(g, [(log.one, j)])
 
-    def common_head(idx_pair) -> Tuple[Derivative, Derivative, Derivative]:
-        hj, hk = (head_of(basis[i]).head for i in idx_pair)
-        gamma = tuple(max(a, b) for a, b in zip(hj.alpha, hk.alpha))
-        return Derivative(hj.component, gamma), hj, hk
-
+    # Normal strategy: lowest-ranking lcm first, ties in formation order.  The
+    # basis only grows here, so a pending pair's key never changes.
     while pairs:
-        # Normal strategy: lowest-ranking common head multiple first.
-        pairs.sort(key=lambda pair: common_head(pair)[0].rank_key())
-        j, k = pairs.pop(0)
-        common, hj, hk = common_head((j, k))
-        shift_j = tuple(c - a for c, a in zip(common.alpha, hj.alpha))
-        shift_k = tuple(c - b for c, b in zip(common.alpha, hk.alpha))
+        _, _, j, k, lcm = heapq.heappop(pairs)
+        shift_j = tuple(c - a for c, a in zip(lcm.alpha, heads[j].alpha))
+        shift_k = tuple(c - b for c, b in zip(lcm.alpha, heads[k].alpha))
         d_j = OperatorVector.from_derivative(Derivative(1, shift_j), m, 1)
         d_k = OperatorVector.from_derivative(Derivative(1, shift_k), m, 1)
         spair = left_multiply_by_d(shift_j, basis[j]) - left_multiply_by_d(shift_k, basis[k])
         adjoin(spair, [(d_j, made_by[j]), (-d_k, made_by[k])])
 
-    # Autoreduce to a fixpoint; heads can only disappear, never change.
-    changed = True
-    while changed:
-        changed = False
-        for idx in range(len(basis)):
-            others = basis[:idx] + basis[idx + 1:]
-            if not others:
-                continue
-            trace = reduce_full(basis[idx], others)
-            if trace.normal_form == basis[idx]:
-                continue
-            changed = True
-            if trace.normal_form.is_zero():
-                del basis[idx]
-                del made_by[idx]
-            else:
-                basis[idx], made_by[idx] = _monic_and_logged(
-                    trace, [(log.one, made_by[idx])], made_by[:idx] + made_by[idx + 1:], log)
-            break
+    # Autoreduce in one forward pass.  The basis is confluent now, so an
+    # element whose head another head divides reduces to zero, and any other
+    # element keeps its head: the heads only disappear, so an element found
+    # reduced stays reduced, and no later change needs an earlier re-check.
+    idx = 0
+    while idx < len(basis) and len(basis) > 1:
+        others = basis[:idx] + basis[idx + 1:]
+        trace = reduce_full(basis[idx], others)
+        if trace.normal_form.is_zero():
+            del basis[idx], heads[idx], made_by[idx]
+            continue
+        if trace.normal_form != basis[idx]:
+            basis[idx], made_by[idx] = _monic_and_logged(
+                trace, [(log.one, made_by[idx])], made_by[:idx] + made_by[idx + 1:], log)
+        idx += 1
 
-    order = sorted(range(len(basis)), key=lambda i: head_of(basis[i]).head.rank_key())
+    order = sorted(range(len(basis)), key=lambda i: heads[i].rank_key())
     return RiquierBasis([basis[i] for i in order], m, n, log, [made_by[i] for i in order])

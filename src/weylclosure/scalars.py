@@ -100,15 +100,6 @@ class GaussianRational:
         return o / self
 
 
-IMAGINARY_UNIT = GaussianRational(0, 1)
-
-
-def scalar_inverse(a: Scalar) -> Scalar:
-    if isinstance(a, GaussianRational):
-        return GaussianRational(1) / a
-    return Fraction(1) / a
-
-
 def format_scalar(value: Scalar) -> str:
     """Plain rendering: '5', '-3/2', 'i', '2*i', '1 + 2*i'."""
     if isinstance(value, GaussianRational):

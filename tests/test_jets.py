@@ -278,6 +278,29 @@ def test_formal_solve_reports_a_bad_initial_value_before_a_pole(d, message):
     assert basis.solve_plans.get(ZERO) is None
 
 
+def test_point_of_the_wrong_length_is_rejected_before_a_plan():
+    basis = basis_of("D1", "D2^2", m=2)
+    with pytest.raises(InvalidInput) as info:
+        formal_solve(basis, ONE, {}, 2)
+    assert str(info.value) == "expected 2 coordinate(s), got 1"
+    with pytest.raises(InvalidInput) as info:
+        constraint_matrix(basis, 2, ONE)
+    assert str(info.value) == "expected 2 coordinate(s), got 1"
+    assert basis.solve_plans == {}
+
+
+def test_empty_basis_rejects_a_point_of_the_wrong_length():
+    empty = complete_to_riquier_basis([], 2, 1)
+    point = (Fraction(1), Fraction(2), Fraction(3))
+    with pytest.raises(InvalidInput) as info:
+        formal_solve(empty, point, {}, 1)
+    assert str(info.value) == "expected 2 coordinate(s), got 3"
+    with pytest.raises(InvalidInput) as info:
+        solution_space_dim(empty, 1, point)
+    assert str(info.value) == "expected 2 coordinate(s), got 3"
+    assert empty.solve_plans == {}
+
+
 def test_formal_solve_builds_each_row_once_per_point(monkeypatch):
     betas = []
     leibniz_row = jets._leibniz_row

@@ -17,7 +17,8 @@ from weylclosure import (
     reduce_full,
     scalar_operator_product,
 )
-from weylclosure.ranking import is_reduced
+from weylclosure.errors import InvalidInput
+from weylclosure.ranking import is_reduced, pick_rule
 from conftest import random_nonzero_operator, random_operator
 
 
@@ -142,3 +143,23 @@ def test_normal_form_unique_for_confluent_rules(rng):
         shuffled = rules[:]
         rng.shuffle(shuffled)
         assert reduce_full(p, rules).normal_form == reduce_full(p, shuffled).normal_form
+
+
+@pytest.mark.parametrize("p, rules, message", [
+    (op("D1", 2), [op("D")], "rule 0 has mismatched dimensions"),
+    (op("D"), [op("D^2"), op("D [u2]", 1, 2)], "rule 1 has mismatched dimensions"),
+])
+def test_reduce_full_rejects_mismatched_rule_dimensions(p, rules, message):
+    with pytest.raises(InvalidInput) as info:
+        reduce_full(p, rules)
+    assert str(info.value) == message
+
+
+def test_pick_rule_prefers_the_highest_head_then_the_lowest_index():
+    heads = [Derivative(1, (1, 0)), Derivative(1, (0, 1)), Derivative(1, (1, 1)),
+             Derivative(1, (1, 1)), Derivative(2, (0, 0))]
+    assert pick_rule(Derivative(1, (2, 1)), heads) == 2
+    assert pick_rule(Derivative(1, (0, 3)), heads) == 1
+    assert pick_rule(Derivative(2, (4, 4)), heads) == 4
+    assert pick_rule(Derivative(1, (0, 0)), heads) is None
+    assert pick_rule(Derivative(1, (0, 0)), []) is None

@@ -22,6 +22,7 @@ from weylclosure import (
     scalar_operator_product,
     weyl_closure_member,
 )
+from weylclosure import riquier
 from weylclosure.cli import main
 from weylclosure.riquier import DerivationLog
 from conftest import random_generators, random_operator
@@ -80,6 +81,35 @@ def test_single_generator_just_goes_monic():
 def test_empty_input_yields_empty_basis():
     basis = complete_to_riquier_basis([op("0")], 1, 1)
     assert basis.elements == [] and basis.s0 == 0
+
+
+@pytest.mark.parametrize("generators, dims, message", [
+    ([op("D1 [u1] + D2 [u2]", 2, 2)], (2, 1), "generator 0 has mismatched dimensions"),
+    ([op("D1", 2)], (1, 1), "generator 0 has mismatched dimensions"),
+    ([op("D1", 2), op("D")], (None, None), "generator 1 has mismatched dimensions"),
+    ([op("D1", 2), op("D2", 2), op("D [u2]", 1, 2)], (None, None),
+     "generator 2 has mismatched dimensions"),
+])
+def test_completion_rejects_mismatched_generator_dimensions(generators, dims, message):
+    with pytest.raises(InvalidInput) as info:
+        complete_to_riquier_basis(generators, *dims)
+    assert str(info.value) == message
+
+
+def test_autoreduction_takes_one_pass(monkeypatch):
+    # 3 reductions to adjoin, 3 S-pairs, then D1 unchanged, D2^2 deleted and
+    # D2 unchanged; a restart after the deletion would check D1 again (10)
+    calls = []
+    reduce = riquier.reduce_full
+
+    def counting(p, rules):
+        calls.append(p)
+        return reduce(p, rules)
+
+    monkeypatch.setattr(riquier, "reduce_full", counting)
+    basis = complete_to_riquier_basis([op("D1", 2), op("D2^2", 2), op("D2", 2)], 2, 1)
+    assert len(calls) == 9
+    assert basis.elements == [op("D2", 2), op("D1", 2)]
 
 
 # -- classification --------------------------------------------------------
