@@ -9,7 +9,7 @@ always have equal term maps.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
 
@@ -20,12 +20,20 @@ from .scalars import Scalar
 MultiIndex = Tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Derivative:
     """The derivative monomial D^alpha applied to unknown number ``component``."""
 
     component: int
     alpha: MultiIndex
+    # derivatives key most dicts of the library, so the hash is computed once
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.component, self.alpha)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def order(self) -> int:
@@ -217,7 +225,11 @@ def cf_slice(p: OperatorVector, s: int, point: Sequence[Scalar]) -> List[Scalar]
 
 
 class Jet:
-    """Derivative values of an n-tuple of formal series at a point, through order T."""
+    """Derivative values of an n-tuple of formal series at a point, through order T.
+
+    ``values`` is taken as given: it should hold derivatives of order at most
+    T, and ``truncate`` is what drops the higher ones.
+    """
 
     __slots__ = ("base_point", "order", "m", "n", "values")
 
@@ -227,13 +239,14 @@ class Jet:
         self.order = order
         self.m = m
         self.n = n
-        self.values = {d: v for d, v in values.items() if d.order <= order}
+        self.values = dict(values)
 
     def value(self, d: Derivative) -> Scalar:
         return self.values.get(d, Fraction(0))
 
     def truncate(self, order: int) -> "Jet":
-        return Jet(self.base_point, order, self.m, self.n, self.values)
+        return Jet(self.base_point, order, self.m, self.n,
+                   {d: v for d, v in self.values.items() if d.order <= order})
 
     def is_zero(self) -> bool:
         return not any(self.values.values())

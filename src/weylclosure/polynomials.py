@@ -8,7 +8,9 @@ values are equal elements of the same ring.  Coefficients cross the module's
 edge as ``Fraction`` or ``GaussianRational``.  Rational functions keep a
 gcd-reduced numerator/denominator pair with a monic denominator (graded-lex
 leading coefficient 1), which makes equality testing and witness extraction
-canonical.
+canonical.  The constructor reduces any pair it is given; the arithmetic
+keeps its operands reduced and, after Henrici, takes gcds only of the small
+factors where a common factor can remain, never of the full cross products.
 """
 
 from __future__ import annotations
@@ -71,12 +73,15 @@ def _complex(element):
     return _ring(element.ring.ngens, True).from_dict({m: QQ_I(c) for m, c in element.items()})
 
 
-def _pair(f: "Polynomial", g: "Polynomial"):
-    """The elements of f and g in one ring: the complex one if either is complex."""
-    a, b = f._element, g._element
-    if a.ring is not b.ring:
-        a, b = _complex(a), _complex(b)
-    return a, b
+def _in_one_ring(first: "Polynomial", *rest: "Polynomial"):
+    """The elements of the polynomials in one ring: the complex one if any is complex."""
+    ring = first._element.ring
+    elements = [first._element]
+    for p in rest:
+        if p._element.ring is not ring:
+            return [_complex(q._element) for q in (first, *rest)]
+        elements.append(p._element)
+    return elements
 
 
 class Polynomial:
@@ -179,7 +184,7 @@ class Polynomial:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = _pair(self, o)
+        a, b = _in_one_ring(self, o)
         return Polynomial._wrap(a + b)
 
     __radd__ = __add__
@@ -191,7 +196,7 @@ class Polynomial:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = _pair(self, o)
+        a, b = _in_one_ring(self, o)
         return Polynomial._wrap(a - b)
 
     def __rsub__(self, other):
@@ -201,7 +206,7 @@ class Polynomial:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = _pair(self, o)
+        a, b = _in_one_ring(self, o)
         return Polynomial._wrap(a * b)
 
     __rmul__ = __mul__
@@ -246,7 +251,7 @@ class Polynomial:
         """Exact quotient self / divisor; raises ValueError if not divisible."""
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        a, b = _pair(self, divisor)
+        a, b = _in_one_ring(self, divisor)
         quotient, remainder = a.div(b)
         if remainder:
             raise ValueError("inexact polynomial division")
@@ -255,28 +260,38 @@ class Polynomial:
 
 def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     """Monic gcd over the coefficient field (graded-lex leading coefficient 1)."""
-    a, b = _pair(f, g)
+    a, b = _in_one_ring(f, g)
     return Polynomial._wrap(a.gcd(b).monic())
 
 
 def poly_lcm(f: Polynomial, g: Polynomial) -> Polynomial:
-    a, b = _pair(f, g)
+    a, b = _in_one_ring(f, g)
     if not a or not b:
         return Polynomial.zero(f.nvars)
     return Polynomial._wrap(a.lcm(b))  # over a field, sympy's lcm is monic
+
+
+def _cofactors(a, b):
+    """(gcd, a/gcd, b/gcd) from one sympy call; a nonzero constant on either side shares no factor."""
+    if (a.is_ground and a) or (b.is_ground and b):
+        return a.ring.one, a, b
+    return a.cofactors(b)
+
+
+def _monic_pair(a, b):
+    """A coprime pair of ring elements as polynomials, scaled so that b is monic."""
+    lc = b.LC
+    if lc != b.ring.domain.one:
+        a, b = a.quo_ground(lc), b.quo_ground(lc)
+    return Polynomial._wrap(a), Polynomial._wrap(b)
 
 
 def _reduce_fraction(num: Polynomial, den: Polynomial):
     """num/den in lowest terms, with a monic denominator."""
     if num.is_zero():
         return num, Polynomial.constant(1, num.nvars)
-    a, b = _pair(num, den)
-    if not (a.is_ground or b.is_ground):  # a constant shares no factor
-        _, a, b = a.cofactors(b)
-    lc = b.LC
-    if lc != b.ring.domain.one:
-        a, b = a.quo_ground(lc), b.quo_ground(lc)
-    return Polynomial._wrap(a), Polynomial._wrap(b)
+    _, a, b = _cofactors(*_in_one_ring(num, den))
+    return _monic_pair(a, b)
 
 
 # -- rational functions ----------------------------------------------------
@@ -304,6 +319,13 @@ class RationalFunction:
         f.num = num
         f.den = den
         return f
+
+    @classmethod
+    def _coprime(cls, a, b) -> "RationalFunction":
+        """a/b for coprime ring elements a and b != 0: only the leading coefficient is divided out."""
+        if not a:
+            return cls.zero(a.ring.ngens)
+        return cls._normalized(*_monic_pair(a, b))
 
     @classmethod
     def zero(cls, nvars: int) -> "RationalFunction":
@@ -347,11 +369,28 @@ class RationalFunction:
             return RationalFunction.constant(other, self.nvars)
         return None
 
+    # The arithmetic below is Henrici's (JACM 3, 1956; Knuth, TAOCP 2, 4.5.1):
+    # both operands are already reduced, so each result is built from their
+    # factors and a gcd is taken only where a common factor can remain.  The
+    # result is the same reduced pair with a monic denominator that the
+    # constructor would give, without a gcd of the full cross products.
+
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RationalFunction(self.num * o.den + o.num * self.den, self.den * o.den)
+        a, b, c, d = _in_one_ring(self.num, self.den, o.num, o.den)
+        if b == d:  # both 1 when both are constant: then no gcd is taken
+            _, t, b = _cofactors(a + c, b)
+            return RationalFunction._coprime(t, b)
+        g, b_g, d_g = _cofactors(b, d)
+        t = a * d_g + c * b_g
+        if g.is_ground:  # coprime denominators; g may be a constant other than 1
+            return RationalFunction._coprime(t, b * d_g)
+        # t is coprime to b/g and to d/g, so a common factor of t and the
+        # denominator b*d/g can only lie in g
+        _, t, g = _cofactors(t, g)
+        return RationalFunction._coprime(t, b_g * g * d_g)
 
     __radd__ = __add__
 
@@ -372,7 +411,11 @@ class RationalFunction:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RationalFunction(self.num * o.num, self.den * o.den)
+        a, b, c, d = _in_one_ring(self.num, self.den, o.num, o.den)
+        # a/b and c/d are reduced, so only a with d and c with b can share factors
+        _, a, d = _cofactors(a, d)
+        _, c, b = _cofactors(c, b)
+        return RationalFunction._coprime(a * c, b * d)
 
     __rmul__ = __mul__
 
@@ -382,7 +425,7 @@ class RationalFunction:
             return NotImplemented
         if o.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction(self.num * o.den, self.den * o.num)
+        return self * o.inverse()
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -393,13 +436,26 @@ class RationalFunction:
     def inverse(self) -> "RationalFunction":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero rational function")
-        return RationalFunction(self.den, self.num)
+        a, b = _in_one_ring(self.num, self.den)
+        return RationalFunction._coprime(b, a)
 
     def derivative(self, index: int) -> "RationalFunction":
-        """Partial derivative via the quotient rule, renormalized."""
-        dn = self.num.derivative(index)
-        dd = self.den.derivative(index)
-        return RationalFunction(dn * self.den - self.num * dd, self.den * self.den)
+        """Partial derivative by the quotient rule, reduced by a gcd with a factor of den only."""
+        da = self.num.derivative(index)
+        if self.den.is_constant():
+            return RationalFunction._normalized(da, self.den)
+        a, b, da, db = _in_one_ring(self.num, self.den, da, self.den.derivative(index))
+        # With g = gcd(b, db), d(a/b) = t / (b * (b/g)) for t = da*(b/g) - a*(db/g).
+        # A prime factor of b that involves x_index, of multiplicity e, has
+        # multiplicity e - 1 in db and in g (characteristic 0), so it divides
+        # b/g once and db/g not at all; since it does not divide a either, it
+        # does not divide t.  A prime factor free of x_index keeps its full
+        # multiplicity in g, so it does not divide b/g.  Hence gcd(t, g) is
+        # the whole common factor.  When db = 0, g = b up to a unit and this
+        # is gcd(da, b): d/dx((x*y + 1)/y) = y/y = 1.
+        g, b_g, db_g = _cofactors(b, db)
+        _, t, g = _cofactors(da * b_g - a * db_g, g)
+        return RationalFunction._coprime(t, g * b_g * b_g)
 
     def evaluate(self, point: Sequence[Scalar]) -> Scalar:
         den_value = self.den.evaluate(point)

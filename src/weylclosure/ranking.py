@@ -117,5 +117,8 @@ def reduce_full(p: OperatorVector, rules: Sequence[OperatorVector]) -> Reduction
 
 def is_reduced(p: OperatorVector, rules: Sequence[OperatorVector]) -> bool:
     """True iff no derivative of p is divisible by any rule head."""
+    for j, rule in enumerate(rules):
+        if (rule.m, rule.n) != (p.m, p.n):
+            raise InvalidInput(f"rule {j} has mismatched dimensions")
     heads = [head_of(rule).head for rule in rules if not rule.is_zero()]
     return all(pick_rule(delta, heads) is None for delta in p.terms)

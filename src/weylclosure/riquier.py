@@ -149,6 +149,13 @@ class RiquierBasis:
         return max(h.order for h in self.heads)
 
     def classify(self, d: Derivative) -> DerivativeClass:
+        """Principal or parametric; InvalidInput unless d is a derivative of the system's (m, n)."""
+        if (len(d.alpha) != self.m or any(a < 0 for a in d.alpha)
+                or not 1 <= d.component <= self.n):
+            raise InvalidInput(
+                f"derivative given for unknown {d.component} with multi-index "
+                f"{d.alpha}, which does not fit {self.m} variable(s) and "
+                f"{self.n} unknown(s)")
         if pick_rule(d, self.heads) is not None:
             return DerivativeClass.PRINCIPAL
         return DerivativeClass.PARAMETRIC

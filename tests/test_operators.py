@@ -1,5 +1,6 @@
 """Normal-ordered operator arithmetic, coefficient slices and jet action."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -146,6 +147,21 @@ def test_identity_operator_truncates():
     out = apply_to_jet(op("1"), u)
     assert out.order == 2
     assert [out.value(Derivative(1, (k,))) for k in range(3)] == [2, 5, 7]
+
+
+def test_truncate_drops_the_values_above_the_order():
+    low = jet_1d(0, [2, 5, 7]).truncate(1)
+    assert low.order == 1
+    assert low.values == {Derivative(1, (0,)): 2, Derivative(1, (1,)): 5}
+
+
+def test_derivative_keeps_the_equality_hash_and_repr_of_its_fields():
+    d = Derivative(2, (1, 0))
+    assert d == Derivative(2, (1, 0)) and d != Derivative(1, (1, 0))
+    assert hash(d) == hash((2, (1, 0)))
+    assert repr(d) == "Derivative(component=2, alpha=(1, 0))"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        d.component = 1
 
 
 def test_apply_to_jet_truncation_underflow():

@@ -350,6 +350,7 @@ def test_mixed_real_and_gaussian_operands_never_raise(pair):
 I = GaussianRational(0, 1)
 X2 = Polynomial.variable(1, 2)
 Y2 = Polynomial.variable(2, 2)
+ONE2 = Polynomial.constant(1, 2)
 
 
 def test_gaussian_coefficients_with_zero_imaginary_part_are_rational():
@@ -382,3 +383,136 @@ def test_monic_and_gcd_are_graded_lex_normalized_over_gaussians():
 def test_terms_is_a_read_only_view():
     with pytest.raises(TypeError):
         X2.terms[(0, 0)] = Fraction(1)
+
+
+# -- the constructor formulas Henrici's arithmetic replaced, kept as an oracle --
+
+def assert_identical(got, want):
+    for a, b in ((got.num, want.num), (got.den, want.den)):
+        assert a._element.ring is b._element.ring
+        assert a._element == b._element
+
+
+_small_gaussians = st.builds(GaussianRational, st.integers(-2, 2),
+                             st.integers(-2, 2)).filter(bool)
+
+
+@st.composite
+def factored_pairs(draw, gaussian=False):
+    """Two rational functions in 1 or 2 variables, made of a few shared factors.
+
+    Each numerator and denominator is a product of the drawn factors with
+    exponents up to 2, the first factor at least once in a denominator, so
+    repeated factors (den = p^2) occur, and in two variables so do factors
+    free of one variable.  The second function is drawn freely, or over the
+    first one's denominator, or so that their sum cancels.  With
+    ``gaussian`` each factor may have Gaussian coefficients.
+    """
+    nvars = draw(st.integers(1, 2))
+    monomials = st.tuples(*[st.integers(0, 1)] * nvars)
+    rational_coefficients = st.integers(-3, 3).filter(bool).map(Fraction)
+
+    def factor():
+        coefficients = rational_coefficients
+        if gaussian and draw(st.booleans()):
+            coefficients = _small_gaussians
+        # two terms or more, so never a constant
+        return Polynomial(draw(st.dictionaries(monomials, coefficients, min_size=2, max_size=3)),
+                          nvars)
+
+    # Gaussian gcds are slow in sympy, so Gaussian inputs get fewer factors
+    factors = [factor() for _ in range(draw(st.integers(1, 2 if gaussian else 3)))]
+
+    def product(lowest=0):
+        p = Polynomial.constant(draw(st.integers(1, 3)), nvars)
+        for k, f in enumerate(factors):
+            p = p * f ** draw(st.integers(lowest if k == 0 else 0, 2))
+        return p
+
+    def numerator():
+        return product() * draw(st.sampled_from([Polynomial.constant(1, nvars), factor()]))
+
+    f = RationalFunction(numerator(), product(lowest=1))
+    shape = draw(st.sampled_from(["drawn", "same denominator", "cancelling"]))
+    if shape == "cancelling":
+        # g = u - f, so that f + g = u cancels factors of both denominators
+        u = RationalFunction(numerator(), product(lowest=1))
+        return f, RationalFunction(u.num * f.den - f.num * u.den, u.den * f.den)
+    return f, RationalFunction(numerator(),
+                               f.den if shape == "same denominator" else product(lowest=1))
+
+
+def _check_against_the_oracle(f, g):
+    """Each result is what the constructor makes of the full cross products."""
+    a, b, c, d = f.num, f.den, g.num, g.den
+    assert_identical(f + g, RationalFunction(a * d + c * b, b * d))
+    assert_identical(f - g, RationalFunction(a * d - c * b, b * d))
+    assert_identical(f * g, RationalFunction(a * c, b * d))
+    if g:
+        assert_identical(f / g, RationalFunction(a * d, b * c))
+        assert_identical(g.inverse(), RationalFunction(d, c))
+    for index in range(1, f.nvars + 1):
+        # the quotient rule over den^2
+        assert_identical(f.derivative(index),
+                         RationalFunction(a.derivative(index) * b - a * b.derivative(index), b * b))
+
+
+@settings(deadline=None, max_examples=60)
+@given(factored_pairs())
+def test_rational_arithmetic_matches_the_constructor_oracle(pair):
+    _check_against_the_oracle(*pair)
+
+
+@settings(deadline=None, max_examples=20)
+@given(factored_pairs(gaussian=True))
+def test_gaussian_rational_arithmetic_matches_the_constructor_oracle(pair):
+    _check_against_the_oracle(*pair)
+
+
+def test_rational_arithmetic_oracle_frozen_cases():
+    x, y = X2, Y2
+    p = x * y + 1
+    cases = [
+        # equal denominators whose sum cancels part of them
+        (RationalFunction(x, p * p), RationalFunction(-x + p, p * p)),
+        # denominators sharing x, whose sum cancels it: 2/(x^2 - 1)
+        (RationalFunction(ONE2, x * (x + 1)), RationalFunction(ONE2, x * (x - 1))),
+        # a repeated factor against its square root
+        (RationalFunction(y, p * p), RationalFunction(x + 1, p)),
+        # a denominator free of x_1, and one with factors free of x_1 and of x_2
+        (RationalFunction(x * y + 1, y), RationalFunction(x, (y + 1) * (y + 1) * (x - 2))),
+        # Gaussian coefficients against rational ones
+        (RationalFunction(x.scale(I) + 1, y - I), RationalFunction(y + I, (y - I) * x)),
+    ]
+    for f, g in cases:
+        _check_against_the_oracle(f, g)
+        _check_against_the_oracle(g, f)
+
+
+def test_arithmetic_never_calls_the_normalizing_constructor(monkeypatch):
+    from weylclosure import polynomials
+
+    x, y = X2, Y2
+    f = RationalFunction(x + 1, y * y - x)
+    g = RationalFunction(x + 1, y)
+    h = RationalFunction(x * y, y * y - x)
+    xy1_over_y = RationalFunction(x * y + 1, y)
+    expected = {
+        "inverse": RationalFunction(y * y - x, x + 1),
+        "truediv": RationalFunction(y, y * y - x),
+        "add": RationalFunction(x * y + x + 1, y * y - x),
+        "scale": RationalFunction((x + 1).scale(Fraction(3, 2)), y * y - x),
+        "derivative": RationalFunction(y * y + 1, (y * y - x) * (y * y - x)),
+    }
+
+    def refuse(num, den):
+        raise AssertionError("arithmetic called the normalizing constructor")
+
+    monkeypatch.setattr(polynomials, "_reduce_fraction", refuse)
+    assert f.inverse() == expected["inverse"]
+    assert f / g == expected["truediv"]
+    assert f + h == expected["add"]
+    assert Fraction(3, 2) * f == expected["scale"]
+    assert RationalFunction(x + 1) * RationalFunction(y) == RationalFunction(x * y + y)
+    assert f.derivative(1) == expected["derivative"]
+    assert xy1_over_y.derivative(1) == 1

@@ -155,6 +155,12 @@ def test_reduce_full_rejects_mismatched_rule_dimensions(p, rules, message):
     assert str(info.value) == message
 
 
+def test_is_reduced_rejects_mismatched_rule_dimensions():
+    with pytest.raises(InvalidInput) as info:
+        is_reduced(op("D"), [op("D^2"), op("D1", 2)])
+    assert str(info.value) == "rule 1 has mismatched dimensions"
+
+
 def test_pick_rule_prefers_the_highest_head_then_the_lowest_index():
     heads = [Derivative(1, (1, 0)), Derivative(1, (0, 1)), Derivative(1, (1, 1)),
              Derivative(1, (1, 1)), Derivative(2, (0, 0))]

@@ -120,6 +120,23 @@ def test_classify_principal_and_parametric():
     assert basis.classify(Derivative(1, (0,))) is DerivativeClass.PARAMETRIC
 
 
+@pytest.mark.parametrize("d, message", [
+    (Derivative(1, (1,)), "derivative given for unknown 1 with multi-index (1,), "
+                          "which does not fit 2 variable(s) and 1 unknown(s)"),
+    (Derivative(1, (1, 0, 0)), "derivative given for unknown 1 with multi-index (1, 0, 0), "
+                               "which does not fit 2 variable(s) and 1 unknown(s)"),
+    (Derivative(3, (0, 0)), "derivative given for unknown 3 with multi-index (0, 0), "
+                            "which does not fit 2 variable(s) and 1 unknown(s)"),
+])
+def test_classify_rejects_a_derivative_of_the_wrong_shape(d, message):
+    # divides() compares multi-indices entry by entry, so these would pass as
+    # principal or parametric on a prefix of the variables
+    basis = complete_to_riquier_basis([op("D1", 2)], 2, 1)
+    with pytest.raises(InvalidInput) as info:
+        basis.classify(d)
+    assert str(info.value) == message
+
+
 def test_unit_basis_makes_everything_principal():
     basis = complete_to_riquier_basis([op("D1 - x2", 2), op("D2", 2)])
     for k in range(3):
