@@ -24,7 +24,7 @@ from .operators import (
     multi_indices,
     scalar_operator_product,
 )
-from .polynomials import Polynomial, RationalFunction, common_denominator
+from .polynomials import Polynomial, RationalFunction, clear_denominators
 from .ranking import head_of, reduce_full
 from .riquier import RiquierBasis, complete_to_riquier_basis
 
@@ -58,12 +58,18 @@ def _validate_polynomial_rows(q: OperatorVector,
 
 def verify_witness(witness: Witness, q: OperatorVector,
                    generators: Sequence[OperatorVector]) -> bool:
-    """Check the identity w*q - sum_j h_j * p_j = 0 by direct multiplication."""
-    if witness.w.is_zero():
+    """Check the identity w*q - sum_j h_j * p_j = 0 by direct multiplication.
+
+    A certificate of the wrong shape is rejected: a zero w, a w in another
+    number of variables, a wrong number of cofactors, or a cofactor that is
+    not a scalar operator (n = 1) with polynomial coefficients in q's
+    variables.
+    """
+    if witness.w.is_zero() or witness.w.nvars != q.m:
         return False
     if len(witness.cofactors) != len(generators):
         return False
-    if not all(h.is_polynomial_row() for h in witness.cofactors):
+    if not all(h.m == q.m and h.n == 1 and h.is_polynomial_row() for h in witness.cofactors):
         return False
     residue = q.left_scale(witness.w)
     for h, g in zip(witness.cofactors, generators):
@@ -84,16 +90,11 @@ def weyl_closure_member(q: OperatorVector,
     # q = sum_k trace.cofactors[k] * basis_k and each basis element is an exact
     # combination of the generators, so lift the trace and clear denominators.
     rational_cofactors = basis.lift(trace.cofactors)
-    w = common_denominator(
-        (coeff for h in rational_cofactors.values() for coeff in h.terms.values()), m)
-    cofactors = []
-    for g in range(len(generators)):
-        h = rational_cofactors.get(g, OperatorVector.zero(m, 1))
-        # w * num/den with den | w: an exact division, no gcd
-        cofactors.append(OperatorVector(
-            {d: RationalFunction(w.exact_div(c.den) * c.num) for d, c in h.terms.items()},
-            m, 1))
-    witness = Witness(w, cofactors)
+    hs = [rational_cofactors.get(g, OperatorVector.zero(m, 1)) for g in range(len(generators))]
+    w, cleared = clear_denominators([c for h in hs for c in h.terms.values()], m)
+    polynomial = iter(cleared)
+    witness = Witness(w, [OperatorVector({d: next(polynomial) for d in h.terms}, m, 1)
+                          for h in hs])
     if not verify_witness(witness, q, generators):
         raise RuntimeError("internal error: extracted witness failed verification")
     return MembershipResult(True, witness, trace.normal_form, basis)

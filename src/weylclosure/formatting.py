@@ -88,14 +88,17 @@ def _poly_is_single_term(p: Polynomial) -> bool:
 
 
 def format_rational(r: RationalFunction) -> str:
+    # num and den are built on each access: read them once
+    num_poly = r.num
     if r.is_polynomial():
-        return format_polynomial(r.num)
-    num = format_polynomial(r.num)
-    den = format_polynomial(r.den)
-    if not _poly_is_single_term(r.num) or num.startswith("-"):
+        return format_polynomial(num_poly)
+    den_poly = r.den
+    num = format_polynomial(num_poly)
+    den = format_polynomial(den_poly)
+    if not _poly_is_single_term(num_poly) or num.startswith("-"):
         num = f"({num})"
     # A product in the denominator would rebind as ((num/den1)*den2): parenthesize.
-    if not _poly_is_single_term(r.den) or "*" in den:
+    if not _poly_is_single_term(den_poly) or "*" in den:
         den = f"({den})"
     return f"{num}/{den}"
 
@@ -113,12 +116,13 @@ def _format_coefficient(coeff: RationalFunction, has_derivative: bool) -> str:
             return ""
         if coeff == -1:
             return "-"
-    num_single = _poly_is_single_term(coeff.num)
-    if num_single and _scalar_is_negative(next(iter(coeff.num.terms.values()))):
+    num = coeff.num
+    num_single = _poly_is_single_term(num)
+    if num_single and _scalar_is_negative(next(iter(num.terms.values()))):
         return "-" + _format_coefficient(-coeff, has_derivative)
     if coeff.is_polynomial():
-        text = format_polynomial(coeff.num)
-        if len(coeff.num.terms) > 1:
+        text = format_polynomial(num)
+        if len(num.terms) > 1:
             text = f"({text})"
         return text + ("*" if has_derivative else "")
     text = format_rational(coeff)

@@ -7,6 +7,7 @@ import pytest
 from weylclosure import (
     InvalidInput,
     OperatorVector,
+    Polynomial,
     RationalFunction,
     Witness,
     lemma1_solve,
@@ -113,6 +114,21 @@ def test_verify_witness_rejects_wrong_cofactor_count():
 def test_verify_witness_rejects_wrong_identity():
     gens = [op("D")]
     assert not verify_witness(Witness(rat("1").num, [op("x")]), op("D"), gens)
+
+
+@pytest.mark.parametrize("case", ["w in two variables", "cofactor in two variables",
+                                  "cofactor with two unknowns"])
+def test_verify_witness_rejects_a_certificate_of_the_wrong_shape(case):
+    gens, q = [op("D")], op("D^2")
+    w, h = rat("1").num, op("D")
+    assert verify_witness(Witness(w, [h]), q, gens)  # the right shape passes
+    if case == "w in two variables":
+        w = Polynomial.constant(1, 2)
+    elif case == "cofactor in two variables":
+        h = op("D1", m=2)
+    else:
+        h = op("D [u1]", n=2)
+    assert verify_witness(Witness(w, [h]), q, gens) is False
 
 
 def test_verify_witness_accepts_hand_built_identity():

@@ -1,9 +1,14 @@
 """Exact scalar, polynomial and rational-function arithmetic."""
 
+import functools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from sympy.polys.domains import QQ, QQ_I
+from sympy.polys.orderings import grlex
+from sympy.polys.rings import PolyRing
 
 from weylclosure import (
     EvaluationAtPole,
@@ -385,12 +390,59 @@ def test_terms_is_a_read_only_view():
         X2.terms[(0, 0)] = Fraction(1)
 
 
-# -- the constructor formulas Henrici's arithmetic replaced, kept as an oracle --
+# -- a reference reduction over the field, kept as an oracle ------------------
+#
+# The library reduces on primitive integer polynomials; the reference below
+# takes one sympy gcd over QQ or QQ_I of the full numerator and denominator
+# and divides by the denominator's leading coefficient, in a ring of its own.
 
-def assert_identical(got, want):
-    for a, b in ((got.num, want.num), (got.den, want.den)):
-        assert a._element.ring is b._element.ring
-        assert a._element == b._element
+def _ground(c, domain):
+    if isinstance(c, GaussianRational):
+        return QQ_I(QQ(c.re.numerator, c.re.denominator), QQ(c.im.numerator, c.im.denominator))
+    value = QQ(c.numerator, c.denominator)
+    return value if domain is QQ else QQ_I(value)
+
+
+def _scalar_terms(element):
+    """The terms as Fraction, or as GaussianRational when some part is imaginary."""
+    if element.ring.domain is QQ:
+        return {m: Fraction(int(c.numerator), int(c.denominator)) for m, c in element.items()}
+    parts = {m: (Fraction(int(c.x.numerator), int(c.x.denominator)),
+                 Fraction(int(c.y.numerator), int(c.y.denominator)))
+             for m, c in element.items()}
+    if not any(im for _, im in parts.values()):
+        return {m: re for m, (re, _) in parts.items()}
+    return {m: GaussianRational(re, im) for m, (re, im) in parts.items()}
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_ring(nvars, domain):
+    return PolyRing([f"t{i}" for i in range(nvars)], domain, grlex)
+
+
+def reference_lowest_terms(num, den):
+    """num/den as (numerator terms, denominator terms): one gcd over the field, then monic."""
+    polys = (num, den)
+    complex_mode = any(isinstance(c, GaussianRational) for p in polys for c in p.terms.values())
+    domain = QQ_I if complex_mode else QQ
+    ring = _reference_ring(num.nvars, domain)
+    a, b = (ring.from_dict({m: _ground(c, domain) for m, c in p.terms.items()}) for p in polys)
+    if not a:
+        return {}, {(0,) * num.nvars: Fraction(1)}
+    _, a, b = a.cofactors(b)
+    lc = b.LC
+    return _scalar_terms(a.quo_ground(lc)), _scalar_terms(b.quo_ground(lc))
+
+
+def _typed(terms):
+    return {m: (type(c), c) for m, c in terms.items()}
+
+
+def assert_reduces_to(got, num, den):
+    """got is num/den in lowest terms with a monic denominator, coefficient types included."""
+    want_num, want_den = reference_lowest_terms(num, den)
+    assert _typed(got.num.terms) == _typed(want_num)
+    assert _typed(got.den.terms) == _typed(want_den)
 
 
 _small_gaussians = st.builds(GaussianRational, st.integers(-2, 2),
@@ -443,18 +495,19 @@ def factored_pairs(draw, gaussian=False):
 
 
 def _check_against_the_oracle(f, g):
-    """Each result is what the constructor makes of the full cross products."""
+    """Each result is what the reference makes of the full cross products."""
     a, b, c, d = f.num, f.den, g.num, g.den
-    assert_identical(f + g, RationalFunction(a * d + c * b, b * d))
-    assert_identical(f - g, RationalFunction(a * d - c * b, b * d))
-    assert_identical(f * g, RationalFunction(a * c, b * d))
+    assert_reduces_to(f, a, b)
+    assert_reduces_to(f + g, a * d + c * b, b * d)
+    assert_reduces_to(f - g, a * d - c * b, b * d)
+    assert_reduces_to(f * g, a * c, b * d)
     if g:
-        assert_identical(f / g, RationalFunction(a * d, b * c))
-        assert_identical(g.inverse(), RationalFunction(d, c))
+        assert_reduces_to(f / g, a * d, b * c)
+        assert_reduces_to(g.inverse(), d, c)
     for index in range(1, f.nvars + 1):
         # the quotient rule over den^2
-        assert_identical(f.derivative(index),
-                         RationalFunction(a.derivative(index) * b - a * b.derivative(index), b * b))
+        assert_reduces_to(f.derivative(index),
+                          a.derivative(index) * b - a * b.derivative(index), b * b)
 
 
 @settings(deadline=None, max_examples=60)
@@ -508,7 +561,7 @@ def test_arithmetic_never_calls_the_normalizing_constructor(monkeypatch):
     def refuse(num, den):
         raise AssertionError("arithmetic called the normalizing constructor")
 
-    monkeypatch.setattr(polynomials, "_reduce_fraction", refuse)
+    monkeypatch.setattr(polynomials, "_lowest_terms", refuse)
     assert f.inverse() == expected["inverse"]
     assert f / g == expected["truediv"]
     assert f + h == expected["add"]
@@ -516,3 +569,62 @@ def test_arithmetic_never_calls_the_normalizing_constructor(monkeypatch):
     assert RationalFunction(x + 1) * RationalFunction(y) == RationalFunction(x * y + y)
     assert f.derivative(1) == expected["derivative"]
     assert xy1_over_y.derivative(1) == 1
+
+
+# -- the canonical triple: equality, hashing and the edge --------------------
+
+def test_equal_values_compare_and_hash_equal_however_they_are_made():
+    x, y = X2, Y2
+    third = Fraction(1, 3)
+    minus_i_third = GaussianRational(0, -third)
+    polynomials = [
+        # the constructor, cancelling x + y
+        RationalFunction(x * x - y * y, (x + y).scale(3)),
+        # arithmetic on real operands
+        RationalFunction(x) / 3 - RationalFunction(y) * third,
+        # Gaussian operands whose product is real
+        RationalFunction((x - y).scale(I)) * RationalFunction.constant(minus_i_third, 2),
+        # Gaussian operands whose imaginary parts cancel in a sum
+        RationalFunction((x - y).scale(third) + y.scale(I)) + RationalFunction(y.scale(-I)),
+    ]
+    fractions = [
+        RationalFunction((x - y).scale(2), (x + 1).scale(6)),
+        RationalFunction(x - y, x + 1) * RationalFunction.constant(third, 2),
+        RationalFunction(x, x + 1) / 3 - RationalFunction(y, (x + 1).scale(3)),
+        RationalFunction((x + 1).scale(3), x - y).inverse(),
+        RationalFunction((x - y).scale(I), (x + 1).scale(3 * I)),
+        RationalFunction(x - y + y.scale(I), (x + 1).scale(3))
+        - RationalFunction(y.scale(I), (x + 1).scale(3)),
+    ]
+    for same in (polynomials, fractions):
+        first = same[0]
+        counts = {}
+        for f in same:
+            assert f == first
+            assert hash(f) == hash(first)
+            assert all(type(c) is Fraction for c in f.num.terms.values())
+            counts[f] = counts.get(f, 0) + 1
+        # equal values key one dict entry
+        assert counts == {first: len(same)}
+    assert polynomials[0] != fractions[0]
+
+
+def test_rational_functions_equal_plain_scalars():
+    x = X2
+    assert RationalFunction.constant(Fraction(3, 2), 2) == Fraction(3, 2)
+    assert RationalFunction(ONE2.scale(2)) == 2
+    assert RationalFunction(x.scale(5), x) == 5
+    assert RationalFunction(x.scale(I), x) == I
+    assert RationalFunction(x + 1, x) != 1
+    assert RationalFunction.zero(2) == 0 and not RationalFunction.zero(2)
+
+
+def test_the_denominator_is_monic():
+    x, y = X2, Y2
+    for f in (RationalFunction(x, (x + 1).scale(-3)),
+              RationalFunction(ONE2, (x * y + y.scale(2)).scale(Fraction(-5, 7))),
+              RationalFunction(y, (x + y).scale(2 * I)),
+              RationalFunction(x.scale(I), y.scale(GaussianRational(1, 1)) - 1)):
+        assert f.den.leading_coefficient() == 1
+        assert (f * f.den).is_polynomial()
+        assert RationalFunction(f.num, f.den) == f

@@ -25,7 +25,7 @@ from weylclosure import (
 from weylclosure import riquier
 from weylclosure.cli import main
 from weylclosure.riquier import DerivationLog
-from conftest import random_generators, random_operator
+from conftest import random_generators, random_operator, random_polynomial
 
 
 def op(text, m=1, n=1):
@@ -402,3 +402,49 @@ def test_replay_touches_only_the_ancestors_of_the_trace():
     basis.lift({k: op("1", 2) for k in touched})
     replayed = set(log._replayed) - {0, 1}
     assert replayed == {basis.made_by[k] for k in touched}
+
+
+# -- metamorphic checks: the reduced monic basis depends only on the module --
+
+# (m, n, number of generators), as in the benchmark's systems
+METAMORPHIC_CLASSES = [(1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2), (2, 1, 1), (2, 2, 1)]
+
+
+def _nonzero_polynomial(rng, m):
+    return random_polynomial(rng, m, degree=1, allow_zero=False)
+
+
+def _same_module(seed, change):
+    """The basis of a random system and of the system that ``change`` makes of it."""
+    rng = random.Random(seed)
+    m, n, count = METAMORPHIC_CLASSES[seed % len(METAMORPHIC_CLASSES)]
+    gens = random_generators(rng, m, n, count, order=2, degree=1)
+    changed = change(rng, list(gens), m)
+    return (complete_to_riquier_basis(gens, m, n).elements,
+            complete_to_riquier_basis(changed, m, n).elements)
+
+
+def _permute(rng, gens, m):
+    rng.shuffle(gens)
+    return gens
+
+
+def _add_redundant(rng, gens, m):
+    # p_0 + f*p_k lies in the module already
+    k = rng.randrange(len(gens))
+    return gens + [gens[0] + gens[k].left_scale(_nonzero_polynomial(rng, m))]
+
+
+def _rescale_one(rng, gens, m):
+    # f is a unit of F(x), so f*p_j generates what p_j does
+    j = rng.randrange(len(gens))
+    gens[j] = gens[j].left_scale(_nonzero_polynomial(rng, m))
+    return gens
+
+
+@pytest.mark.parametrize("change", [_permute, _add_redundant, _rescale_one],
+                         ids=["permuted", "redundant generator", "left multiple"])
+def test_the_reduced_basis_depends_only_on_the_module(change):
+    for seed in range(60):
+        before, after = _same_module(seed, change)
+        assert after == before, f"seed {seed}"
