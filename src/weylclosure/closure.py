@@ -4,8 +4,10 @@ The primary decision reduces the candidate against a Riquier basis of the
 generated F(x)-submodule.  A reduction to zero is turned into an exact
 identity ``w * q = sum_j h_j * p_j`` with polynomial w and cofactors: the
 basis lifts the reduction trace to the generators, replaying its derivation
-log only for the basis elements the trace touches, and the denominators are
-cleared by exact division by the lcm w.  A non-member answer replays nothing.
+log fraction-free and only for the basis elements the trace touches, and
+hands back w, the monic lcm of the cofactors' denominators, with the cleared
+h_j.  The identity is then checked by multiplying it out over F(x), which
+shares no code with the lift.  A non-member answer replays nothing.
 The cross-checks are F(x)-linear solving on coefficient slices and, for a
 single operator in one variable, Euclidean left division.
 """
@@ -24,7 +26,7 @@ from .operators import (
     multi_indices,
     scalar_operator_product,
 )
-from .polynomials import Polynomial, RationalFunction, clear_denominators
+from .polynomials import Polynomial, RationalFunction
 from .ranking import head_of, reduce_full
 from .riquier import RiquierBasis, complete_to_riquier_basis
 
@@ -88,13 +90,10 @@ def weyl_closure_member(q: OperatorVector,
         return MembershipResult(False, None, trace.normal_form, basis)
 
     # q = sum_k trace.cofactors[k] * basis_k and each basis element is an exact
-    # combination of the generators, so lift the trace and clear denominators.
-    rational_cofactors = basis.lift(trace.cofactors)
-    hs = [rational_cofactors.get(g, OperatorVector.zero(m, 1)) for g in range(len(generators))]
-    w, cleared = clear_denominators([c for h in hs for c in h.terms.values()], m)
-    polynomial = iter(cleared)
-    witness = Witness(w, [OperatorVector({d: next(polynomial) for d in h.terms}, m, 1)
-                          for h in hs])
+    # combination of the generators, so the lift of the trace is the witness.
+    w, cofactors = basis.lift(trace.cofactors)
+    witness = Witness(w, [cofactors.get(g, OperatorVector.zero(m, 1))
+                          for g in range(len(generators))])
     if not verify_witness(witness, q, generators):
         raise RuntimeError("internal error: extracted witness failed verification")
     return MembershipResult(True, witness, trace.normal_form, basis)

@@ -11,13 +11,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Sequence, Tuple, TypeVar
 
 from .errors import DegreeExceeded, InvalidInput
 from .polynomials import Polynomial, RationalFunction
 from .scalars import Scalar
 
 MultiIndex = Tuple[int, ...]
+K = TypeVar("K")
+T = TypeVar("T")
+V = TypeVar("V")
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,6 +66,34 @@ def multi_indices(m: int, max_total: int) -> Iterator[MultiIndex]:
                 prev = c
             parts.append(total + m - 2 - prev)
             yield tuple(parts)
+
+
+def stepwise(start: T, step: Callable[[int, T, MultiIndex], T]) -> Callable[[MultiIndex], T]:
+    """A memoized f on multi-indices, built one derivation at a time.
+
+    ``f(0) = start`` and ``f(alpha) = step(j, f(alpha - e_j), alpha)`` for the
+    last (0-based) j with ``alpha_j > 0``; each value is computed once.
+    """
+    values: Dict[MultiIndex, T] = {}
+
+    def f(alpha: MultiIndex) -> T:
+        # down to a known value, then back up; f does not call itself, so it
+        # is not in a reference cycle and is freed as soon as it is dropped
+        path = []
+        found = values.get(alpha)
+        while found is None:
+            if not any(alpha):
+                found = values[alpha] = start
+                break
+            j = max(k for k, a in enumerate(alpha) if a)
+            path.append((j, alpha))
+            alpha = alpha[:j] + (alpha[j] - 1,) + alpha[j + 1:]
+            found = values.get(alpha)
+        for j, target in reversed(path):
+            found = values[target] = step(j, found, target)
+        return found
+
+    return f
 
 
 def derivatives_up_to(m: int, n: int, s: int) -> List[Derivative]:
@@ -141,7 +172,7 @@ class OperatorVector:
             return NotImplemented
         terms = dict(self.terms)
         for d, c in other.terms.items():
-            _add_term(terms, d, c)
+            add_term(terms, d, c)
         return OperatorVector(terms, self.m, self.n)
 
     def __neg__(self) -> "OperatorVector":
@@ -161,15 +192,14 @@ class OperatorVector:
         return OperatorVector({d: f * c for d, c in self.terms.items()}, self.m, self.n)
 
 
-def _add_term(terms: Dict[Derivative, RationalFunction], d: Derivative,
-              c: RationalFunction) -> None:
-    """terms[d] += c for a nonzero c, dropping the entry when it cancels."""
-    old = terms.get(d)
+def add_term(terms: Dict[K, V], key: K, c: V) -> None:
+    """terms[key] += c for a nonzero c, dropping the entry when it cancels."""
+    old = terms.get(key)
     s = c if old is None else old + c
     if s:
-        terms[d] = s
+        terms[key] = s
     else:
-        del terms[d]
+        del terms[key]
 
 
 def apply_single_d(j: int, p: OperatorVector) -> OperatorVector:
@@ -181,8 +211,8 @@ def apply_single_d(j: int, p: OperatorVector) -> OperatorVector:
     for d, f in p.terms.items():
         df = f.derivative(j)
         if df:
-            _add_term(terms, d, df)
-        _add_term(terms, d.differentiate(shift), f)
+            add_term(terms, d, df)
+        add_term(terms, d.differentiate(shift), f)
     return OperatorVector(terms, p.m, p.n)
 
 
@@ -203,9 +233,10 @@ def scalar_operator_product(h: OperatorVector, p: OperatorVector) -> OperatorVec
         raise InvalidInput("left factor must be a scalar operator (n = 1)")
     if h.m != p.m:
         raise InvalidInput("variable counts differ")
+    shifted = stepwise(p, lambda j, q, alpha: apply_single_d(j + 1, q))  # D^alpha p
     result = OperatorVector.zero(p.m, p.n)
     for d, f in h.terms.items():
-        result = result + left_multiply_by_d(d.alpha, p).left_scale(f)
+        result = result + shifted(d.alpha).left_scale(f)
     return result
 
 

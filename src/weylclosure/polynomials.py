@@ -19,7 +19,10 @@ clears denominators.  It keeps its operands reduced and, after Henrici,
 takes gcds only of the small factors where a common factor can remain, never
 of the full cross products.  The edge is ``num`` and ``den``: a polynomial
 pair over the field with a monic denominator (graded-lex leading coefficient
-1), built on request in one pass over the terms and not stored.
+1), built on request in one pass over the terms and not stored.  Fraction-free
+callers, such as the witness lift, cross a second edge: ``integer_pair`` hands
+out a numerator and denominator in the integer ring, and ``integer_ratio`` and
+``monic_polynomial`` take integer-ring results back.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, List, Mapping, Sequence, Tuple
+from typing import Iterable, Mapping, Sequence, Tuple
 
 from sympy.polys.domains import QQ, QQ_I, ZZ, ZZ_I
 from sympy.polys.orderings import grlex
@@ -102,14 +105,13 @@ def _from_ground(c, domain) -> Scalar:
     return GaussianRational(_fraction(c.x), _fraction(c.y))
 
 
-def _complex(element):
+def gaussian(element):
     """The element with its coefficients in the Gaussian domain: QQ_I, or ZZ_I for ZZ."""
-    domain = element.ring.domain
-    gaussian = _GAUSSIAN.get(domain)
-    if gaussian is None:
+    target = _GAUSSIAN.get(element.ring.domain)
+    if target is None:
         return element
-    return _ring(element.ring.ngens, gaussian).from_dict(
-        {m: gaussian(c) for m, c in element.items()})
+    return _ring(element.ring.ngens, target).from_dict(
+        {m: target(c) for m, c in element.items()})
 
 
 def _real(element):
@@ -126,7 +128,7 @@ def _in_one_ring(first: "Polynomial", *rest: "Polynomial"):
     elements = [first._element]
     for p in rest:
         if p._element.ring is not ring:
-            return [_complex(q._element) for q in (first, *rest)]
+            return [gaussian(q._element) for q in (first, *rest)]
         elements.append(p._element)
     return elements
 
@@ -218,6 +220,10 @@ class Polynomial:
     def __repr__(self):
         return f"Polynomial({dict(self.terms)!r}, nvars={self.nvars})"
 
+    def __reduce__(self):
+        # a sympy ring does not pickle (sympy 1.14), so rebuild from the terms
+        return Polynomial, (dict(self.terms), self.nvars)
+
     # -- arithmetic --------------------------------------------------------
 
     def _coerce(self, other):
@@ -264,7 +270,7 @@ class Polynomial:
         return Polynomial._wrap(self._element ** exponent)
 
     def scale(self, scalar) -> "Polynomial":
-        element = _complex(self._element) if _is_complex(scalar) else self._element
+        element = gaussian(self._element) if _is_complex(scalar) else self._element
         return Polynomial._wrap(element.mul_ground(_to_ground(scalar, element.ring.domain)))
 
     def monic(self) -> "Polynomial":
@@ -499,6 +505,9 @@ class RationalFunction:
     def __repr__(self):
         return f"RationalFunction({self.num!r}, {self.den!r})"
 
+    def __reduce__(self):
+        return RationalFunction, (self.num, self.den)
+
     def _coerce(self, other):
         if isinstance(other, RationalFunction):
             return other
@@ -512,7 +521,7 @@ class RationalFunction:
         """The triple with a and b in ZZ_I[x] and c in QQ_I."""
         if self._a.ring.domain is ZZ_I:
             return self._c, self._a, self._b
-        return QQ_I(self._c), _complex(self._a), _complex(self._b)
+        return QQ_I(self._c), gaussian(self._a), gaussian(self._b)
 
     def _triples(self, other: "RationalFunction"):
         """The triples of self and other in one ring: the Gaussian one if either is."""
@@ -642,8 +651,8 @@ class RationalFunction:
         return self.num.evaluate(point) / den_value
 
 
-def _denominator_lcm(rs: Iterable[RationalFunction]):
-    """The lcm of the integer denominators b of rs, or None when each is 1."""
+def common_denominator(rs: Iterable[RationalFunction], nvars: int) -> Polynomial:
+    """A monic polynomial w with w*r polynomial for every r: the lcm of denominators."""
     w = None
     seen = set()
     for r in rs:
@@ -656,39 +665,46 @@ def _denominator_lcm(rs: Iterable[RationalFunction]):
             w = b
             continue
         if w.ring is not b.ring:
-            w, b = _complex(w), _complex(b)
+            w, b = gaussian(w), gaussian(b)
         w = w * _cofactors(w, b)[2]
-    return w
-
-
-def common_denominator(rs: Iterable[RationalFunction], nvars: int) -> Polynomial:
-    """A monic polynomial w with w*r polynomial for every r: the lcm of denominators."""
-    w = _denominator_lcm(rs)
     if w is None:
         return Polynomial.constant(1, nvars)
-    return _over_field(w, _FIELD[w.ring.domain].one / _lc(w))
+    return monic_polynomial(w)
 
 
-def clear_denominators(rs: Sequence[RationalFunction],
-                       nvars: int) -> Tuple[Polynomial, List[RationalFunction]]:
-    """``common_denominator(rs)`` and every w*r, a polynomial, as a rational function.
+# -- the integer edge, for fraction-free callers ------------------------------
+#
+# A fraction-free computation holds integer-ring elements (ZZ[x], or ZZ_I[x]
+# in complex mode) of the graded-lex rings above and works on them with the
+# sympy ring methods.  These functions take rational functions into that form
+# and back.
 
-    Each w*r is an exact quotient of the integer lcm times a numerator; w is
-    made monic once, at the end.
-    """
-    w = _denominator_lcm(rs)
-    if w is None:
-        return Polynomial.constant(1, nvars), list(rs)
-    lc = _lc(w)
-    cleared = []
-    for r in rs:
-        k, a, b = r._c, r._a, r._b
-        multiple = w
-        if a.ring is not w.ring:
-            (k, a, b), multiple = r._gaussian(), _complex(w)
-        if not b.is_ground:
-            multiple = multiple.exquo(b)
-        # (w/lc) * k*a/b = (k/lc) * a*(w/b), a product of primitive polynomials
-        cleared.append(RationalFunction._reduced(k / lc, a * multiple,
-                                                 _one(nvars, a.ring.domain)))
-    return _over_field(w, _FIELD[w.ring.domain].one / lc), cleared
+
+def integer_pair(r: RationalFunction):
+    """(num, den) in the integer ring of a nonzero r, with r = num / den."""
+    p, q = _as_ratio(r._c)
+    a, b = r._a, r._b
+    return (a if p == 1 else a.mul_ground(p)), (b if q == 1 else b.mul_ground(q))
+
+
+def integer_ratio(num, den) -> RationalFunction:
+    """num / den in lowest terms, for elements of one integer ring and den != 0."""
+    if not num:
+        return RationalFunction.zero(num.ring.ngens)
+    k, a = _primitive(num)
+    if den.is_ground:
+        e, b = _lc(den), _one(den.ring.ngens, den.ring.domain)
+    else:
+        e, b = _primitive(den)
+        _, a, b = _cofactors(a, b)
+    if a.ring.domain is ZZ:
+        return RationalFunction._reduced(QQ(k, e), a, b)
+    return RationalFunction._reduced(
+        QQ_I.convert_from(k, ZZ_I) / QQ_I.convert_from(e, ZZ_I), a, b)
+
+
+def monic_polynomial(element) -> Polynomial:
+    """A nonzero integer-ring element divided by its leading coefficient, over the field."""
+    if element.is_ground:
+        return Polynomial.constant(1, element.ring.ngens)
+    return _over_field(element, _FIELD[element.ring.domain].one / _lc(element))

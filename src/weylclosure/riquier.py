@@ -15,6 +15,16 @@ element was made from earlier nodes and the generators; a reduction to zero
 records nothing.  The exact scalar-operator cofactors that express a basis
 element in the generators are replayed from the log on demand, forward and
 only over the element's ancestors, when a membership witness needs them.
+
+The replay does no F(x) arithmetic.  Each replayed element holds its
+cofactors as polynomial numerators over one polynomial denominator, all in
+the integer ring ZZ[x] (ZZ_I[x] in complex mode).  A product with a
+multiplier expands ``D^beta * 1/B`` by the Leibniz rule, and a sum goes over
+the lcm of the denominators.  Each result is divided by the gcd of its
+denominator and all its numerators, a chain of gcds that stops once it is
+constant.  The lift of a reduction is then over the lcm of the cofactors'
+reduced denominators: made monic, that is the witness's w.  Rational
+functions appear only at the edge, in the cofactors handed out.
 """
 
 from __future__ import annotations
@@ -22,19 +32,23 @@ from __future__ import annotations
 import enum
 import heapq
 import itertools
-from typing import (TYPE_CHECKING, Dict, Iterable, List, Mapping, NamedTuple, Optional,
+import math
+from typing import (TYPE_CHECKING, Any, Dict, Iterable, List, Mapping, NamedTuple, Optional,
                     Sequence, Tuple)
 
 from .errors import InvalidInput
 from .operators import (
     Derivative,
+    MultiIndex,
     OperatorVector,
+    add_term,
     derivatives_up_to,
     left_multiply_by_d,
-    scalar_operator_product,
+    stepwise,
 )
 from .ranking import ReductionTrace, head_of, pick_rule, reduce_full
-from .polynomials import RationalFunction
+from .polynomials import (Polynomial, RationalFunction, gaussian, integer_pair, integer_ratio,
+                          monic_polynomial)
 
 if TYPE_CHECKING:
     from .jets import SolvePlan
@@ -56,27 +70,226 @@ class _Node(NamedTuple):
     scale: RationalFunction
 
 
+class _Lifted(NamedTuple):
+    """Generator cofactors over one denominator, with integer-ring entries.
+
+    Generator g's cofactor is the sum of ``numerators[g][alpha] / den * D^alpha``;
+    ``den`` and every numerator are elements of one ring ZZ[x] or ZZ_I[x].
+    """
+
+    den: Any
+    numerators: Dict[int, Dict[MultiIndex, Any]]
+
+
+def _gaussian(lifted: _Lifted) -> _Lifted:
+    return _Lifted(gaussian(lifted.den), {
+        g: {alpha: gaussian(v) for alpha, v in cof.items()}
+        for g, cof in lifted.numerators.items()})
+
+
+# a scalar operator as (beta, (u, v)) per term (u/v) D^beta, u and v integral
+Pairs = List[Tuple[MultiIndex, Tuple[Any, Any]]]
+
+
+def _pairs(multiplier: OperatorVector) -> Pairs:
+    return [(d.alpha, integer_pair(c)) for d, c in multiplier.terms.items()]
+
+
+def _product(pairs: Pairs, source: _Lifted) -> _Lifted:
+    """The scalar operator ``pairs`` times source, over one denominator.
+
+    For source = P / B and a multiplier term (u/v) D^beta, the Leibniz rule
+    gives ``D^beta (1/B) P = sum over gamma <= beta of C(beta, gamma)
+    d^gamma(1/B) D^(beta - gamma) P`` with ``d^gamma(1/B) = Q_gamma /
+    B^(|gamma| + 1)``, ``Q_0 = 1`` and ``Q_(gamma + e_j) = d_j(Q_gamma) B -
+    (|gamma| + 1) Q_gamma d_j(B)``.  Every term is put over ``L * B^e``, for
+    ``L`` the lcm of the multiplier's denominators v and ``e`` one more than
+    the multiplier's order (1 for a constant B, whose derivatives vanish).
+    """
+    if not pairs:
+        return _Lifted(source.den, {})
+    ring = source.den.ring
+    if any(u.ring is not ring for _, (u, _) in pairs):
+        source = _gaussian(source)
+        pairs = [(beta, (gaussian(u), gaussian(v))) for beta, (u, v) in pairs]
+    if len(pairs) == 1 and not any(pairs[0][0]):  # a function: (u/v) * P/B = u P / (v B)
+        u, v = pairs[0][1]
+        return _Lifted(source.den if v == 1 else v * source.den,
+                       source.numerators if u == 1 else {
+                           g: {alpha: u * value for alpha, value in cof.items()}
+                           for g, cof in source.numerators.items()})
+    den, x = source.den, source.den.ring.gens
+    one = den.ring.one
+    lcm = pairs[0][1][1]
+    for _, (_, v) in pairs[1:]:
+        if v != lcm:
+            lcm = lcm * lcm.cofactors(v)[2]
+    ground = den.is_ground
+    top = 0 if ground else max(sum(beta) for beta, _ in pairs)
+    powers = [one, den]  # B^k for k <= top + 1
+    while len(powers) < top + 2:
+        powers.append(powers[-1] * den)
+    zero = (0,) * len(x)
+
+    def q_step(j, q, gamma):
+        return q.diff(x[j]) * den - (q * den.diff(x[j])).mul_ground(sum(gamma))
+
+    def d_step(j, numerators, delta):
+        # D_j (N D^alpha) = d_j(N) D^alpha + N D^(alpha + e_j)
+        out = {}
+        for g, cof in numerators.items():
+            shifted: Dict[MultiIndex, Any] = {}
+            for alpha, v in cof.items():
+                dv = v.diff(x[j])
+                if dv:
+                    add_term(shifted, alpha, dv)
+                add_term(shifted, alpha[:j] + (alpha[j] + 1,) + alpha[j + 1:], v)
+            if shifted:
+                out[g] = shifted
+        return out
+
+    q_at = stepwise(one, q_step)  # Q_gamma
+    shift = stepwise(source.numerators, d_step)  # D^delta P
+    total: Dict[int, Dict[MultiIndex, Any]] = {}
+    for beta, (u, v) in pairs:
+        base = u if v == lcm else u * lcm.exquo(v)
+        # a constant B has no derivatives, so only gamma = 0 contributes
+        gammas = [zero] if ground else itertools.product(*(range(b + 1) for b in beta))
+        for gamma in gammas:
+            order = sum(gamma)
+            factor = base
+            if order:
+                q = q_at(gamma)
+                if not q:  # d^gamma(1/B) = 0, as when B is free of a variable in gamma
+                    continue
+                factor = factor * q
+                binomial = math.prod(map(math.comb, beta, gamma))
+                if binomial != 1:
+                    factor = factor.mul_ground(binomial)
+            if order < top:
+                factor = factor * powers[top - order]
+            unit = factor == one
+            delta = tuple(b - c for b, c in zip(beta, gamma))
+            for g, cof in shift(delta).items():
+                target = total.setdefault(g, {})
+                for alpha, value in cof.items():
+                    add_term(target, alpha, value if unit else factor * value)
+    scale = powers[top + 1]
+    return _Lifted(scale if lcm == one else lcm * scale,
+                   {g: cof for g, cof in total.items() if cof})
+
+
+def _sum(parts: List[_Lifted]) -> _Lifted:
+    """The sum of a nonempty list of parts, over the lcm of their denominators.
+
+    The parts may share their dicts with replayed elements, so none is changed.
+    """
+    if len(parts) == 1:
+        return parts[0]
+    if any(part.den.ring is not parts[0].den.ring for part in parts):
+        parts = [_gaussian(part) for part in parts]
+    den, total = parts[0].den, {g: dict(cof) for g, cof in parts[0].numerators.items()}
+    for part in parts[1:]:
+        factor = None
+        if part.den != den:
+            _, factor, other = den.cofactors(part.den)  # den/gcd, part.den/gcd
+            if other != 1:
+                total = {g: {alpha: other * v for alpha, v in cof.items()}
+                         for g, cof in total.items()}
+                den = den * other
+        for g, cof in part.numerators.items():
+            target = total.setdefault(g, {})
+            for alpha, value in cof.items():
+                add_term(target, alpha, value if factor is None else factor * value)
+    return _Lifted(den, {g: cof for g, cof in total.items() if cof})
+
+
+def _cancelled(lifted: _Lifted) -> _Lifted:
+    """The cofactors over den/G, for G the gcd of den and every numerator.
+
+    Once G is constant no polynomial factor is common, so den/G is the lcm of
+    the cofactors' reduced denominators (up to a constant factor).  G starts
+    as den and shrinks by one gcd for each numerator it does not divide, so
+    each quotient comes from that division or from the gcd's cofactors.
+    """
+    if lifted.den.is_ground:
+        return lifted
+    common, rest = lifted.den, lifted.den.ring.one  # den = common * rest
+    quotients: Dict[Tuple[int, MultiIndex], Any] = {}  # numerator / common
+    # short numerators first: the gcd with them is cheap and often constant
+    entries = sorted(((g, alpha, v) for g, cof in lifted.numerators.items()
+                      for alpha, v in cof.items()), key=lambda entry: len(entry[2]))
+    for g, alpha, value in entries:
+        if value.is_ground:
+            return lifted
+        remainder = True
+        if len(value) > 1 and len(common) > 1:  # the gcd of a monomial is cheaper
+            quotient, remainder = value.div(common)
+        if remainder:
+            common, shrink, quotient = common.cofactors(value)
+            if common.is_ground:
+                return lifted
+            rest = rest * shrink
+            quotients = {key: q * shrink for key, q in quotients.items()}
+        quotients[g, alpha] = quotient
+    numerators: Dict[int, Dict[MultiIndex, Any]] = {}
+    for (g, alpha), q in quotients.items():
+        numerators.setdefault(g, {})[alpha] = q
+    return _Lifted(rest, numerators)
+
+
+def _operators(numerators: Dict[int, Dict[MultiIndex, Any]], den, m: int) -> Cofactors:
+    """The cofactors numerators/den as scalar operators over F(x), at the replay's edge."""
+    return {g: OperatorVector({Derivative(1, alpha): integer_ratio(v, den)
+                               for alpha, v in cof.items()}, m, 1)
+            for g, cof in numerators.items()}
+
+
 class DerivationLog:
     """How each element of a completion was made, for lifting to the generators.
 
     Ids ``0 .. generators - 1`` are the generator leaves; id
     ``generators + k`` is ``nodes[k]``.  A node's sources always have smaller
-    ids, so replaying in id order meets every source before its users.
+    ids, so replaying in id order meets every source before its users.  The
+    replay is fraction-free: each replayed id holds its cofactors over one
+    integer polynomial denominator (``_Lifted``), reduced by the gcd of that
+    denominator and every numerator.
     """
 
     def __init__(self, generators: int, m: int):
         # the multiplier 1, which also is each leaf's cofactor
         self.one = OperatorVector.scalar_function(RationalFunction.constant(1, m), m)
         self.generators = generators
+        self.m = m
         self.nodes: List[_Node] = []
-        self._replayed: Dict[int, Cofactors] = {j: {j: self.one} for j in range(generators)}
+        self._replayed = self._leaves()
+
+    def _unit(self):
+        """The one of ZZ[x], the numerator of the multiplier 1."""
+        (one,) = self.one.terms.values()
+        return integer_pair(one)[0]
+
+    def _leaves(self) -> Dict[int, _Lifted]:
+        one = self._unit()
+        return {j: _Lifted(one, {j: {(0,) * self.m: one}}) for j in range(self.generators)}
+
+    def __getstate__(self):
+        # the replayed cofactors are a cache of sympy ring elements, which do
+        # not pickle (sympy 1.14); a copy replays again when it needs them
+        state = dict(self.__dict__)
+        del state["_replayed"]
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._replayed = self._leaves()
 
     def append(self, terms: Iterable[Term], scale: RationalFunction) -> int:
         self.nodes.append(_Node(tuple(terms), scale))
         return self.generators + len(self.nodes) - 1
 
-    def replay(self, ids: Iterable[int]) -> List[Cofactors]:
-        """The generator cofactors of each id, replaying the ancestors not yet replayed."""
+    def replay(self, ids: Iterable[int]) -> List[_Lifted]:
+        """The lifted cofactors of each id, replaying the ancestors not yet replayed."""
         ids = list(ids)
         todo = set()
         stack = [i for i in ids if i not in self._replayed]
@@ -88,26 +301,31 @@ class DerivationLog:
             stack.extend(source for _, source in self.nodes[i - self.generators].terms)
         for i in sorted(todo):
             node = self.nodes[i - self.generators]
-            self._replayed[i] = {
-                g: c.left_scale(node.scale) for g, c in self._combine(node.terms).items()
-            }
+            scale = [((0,) * self.m, integer_pair(node.scale))]
+            self._replayed[i] = _cancelled(_product(scale, self._combine(node.terms)))
         return [self._replayed[i] for i in ids]
 
-    def lift(self, terms: Iterable[Term]) -> Cofactors:
-        """The generator cofactors of sum(multiplier * source) over the terms."""
+    def cofactors(self, ids: Iterable[int]) -> List[Cofactors]:
+        """The generator cofactors of each id over F(x)."""
+        return [_operators(lifted.numerators, lifted.den, self.m) for lifted in self.replay(ids)]
+
+    def lift(self, terms: Iterable[Term]) -> Tuple[Polynomial, Cofactors]:
+        """(w, h) with w * sum(multiplier * source) = sum_g h[g] * generator g.
+
+        w is the monic lcm of the denominators of the exact cofactors, and each
+        h[g] has polynomial coefficients.
+        """
         terms = list(terms)
         self.replay(source for _, source in terms)
-        return self._combine(terms)
+        den, numerators = _cancelled(self._combine(terms))
+        return (monic_polynomial(den),
+                _operators(numerators, den.ring.ground_new(den.LC), self.m))
 
-    def _combine(self, terms: Iterable[Term]) -> Cofactors:
+    def _combine(self, terms: Iterable[Term]) -> _Lifted:
         # every source is replayed already
-        total: Cofactors = {}
-        for multiplier, source in terms:
-            for g, c in self._replayed[source].items():
-                contribution = scalar_operator_product(multiplier, c)
-                cur = total.get(g)
-                total[g] = contribution if cur is None else cur + contribution
-        return {g: c for g, c in total.items() if not c.is_zero()}
+        parts = [_product(_pairs(multiplier), self._replayed[source])
+                 for multiplier, source in terms]
+        return _sum(parts) if parts else _Lifted(self._unit(), {})
 
 
 class RiquierBasis:
@@ -130,13 +348,15 @@ class RiquierBasis:
     @property
     def generator_cofactors(self) -> List[Cofactors]:
         """Per element, exact cofactors over the generators (replayed on first use)."""
-        return [dict(c) for c in self.derivation.replay(self.made_by)]
+        return self.derivation.cofactors(self.made_by)
 
-    def lift(self, multipliers: Mapping[int, OperatorVector]) -> Cofactors:
-        """Generator cofactors of sum_k multipliers[k] * elements[k].
+    def lift(self, multipliers: Mapping[int, OperatorVector]) -> Tuple[Polynomial, Cofactors]:
+        """(w, h) with w * sum_k multipliers[k] * elements[k] = sum_g h[g] * generator g.
 
-        Only the elements named in ``multipliers`` and their ancestors in the
-        log are replayed.
+        w is a monic polynomial, the lcm of the denominators of the exact
+        generator cofactors, and every h[g] has polynomial coefficients.  Only
+        the elements named in ``multipliers`` and their ancestors in the log
+        are replayed.
         """
         return self.derivation.lift(
             (multiplier, self.made_by[k]) for k, multiplier in multipliers.items())

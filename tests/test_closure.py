@@ -1,10 +1,13 @@
 """Membership decisions, witness verification and the independent cross-checks."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
 
 from weylclosure import (
+    Derivative,
     InvalidInput,
     OperatorVector,
     Polynomial,
@@ -15,6 +18,7 @@ from weylclosure import (
     oracle_division_member_1d,
     parse_operator,
     parse_rational,
+    reduce_full,
     scalar_operator_product,
     verify_witness,
     weyl_closure_member,
@@ -90,6 +94,33 @@ def test_vector_candidate_membership():
     result = weyl_closure_member(op("D^2 [u1] + x [u2]", 1, 2), gens)
     assert result.member
     assert verify_witness(result.witness, op("D^2 [u1] + x [u2]", 1, 2), gens)
+
+
+@pytest.mark.parametrize("copy_of", [lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_values_and_results_survive_pickle_and_deepcopy(copy_of):
+    gaussian = parse_operator("(x + i)*D^2 - i*x*D + 3", 1, 1, "complex")
+    values = [
+        rat("(x^2 + 1)/(2*x - 3)").num,
+        rat("(x^2 + 1)/(2*x - 3)"),
+        gaussian.coefficient(Derivative(1, (1,))),
+        op("(1/x)*D^2 [u1] + x [u2]", 1, 2),
+        gaussian,
+    ]
+    for value in values:
+        again = copy_of(value)
+        assert again == value and hash(again) == hash(value)
+    gens = [op("x^2*D^2 - 2*x*D + 2")]
+    result = weyl_closure_member(op("D^3"), gens)
+    again = copy_of(result)
+    assert again.member and again.witness == result.witness
+    assert again.normal_form == result.normal_form
+    assert again.basis.elements == result.basis.elements
+    assert verify_witness(again.witness, op("D^3"), gens)
+    # the copy replays its own derivation log
+    trace = reduce_full(op("D^3"), again.basis.elements)
+    assert again.basis.lift(trace.cofactors) == result.basis.lift(trace.cofactors)
+    assert again.basis.generator_cofactors == result.basis.generator_cofactors
 
 
 def test_rational_coefficients_are_rejected():

@@ -95,6 +95,19 @@ def test_left_multiply_matches_product(rng):
         assert left_multiply_by_d(beta, p) == scalar_operator_product(d_op, p)
 
 
+def test_product_shares_shifts_and_matches_one_shift_per_term(rng):
+    # the product builds D^alpha p from D^(alpha - e_j) p; the reference
+    # shifts p from scratch for every term of h
+    for m, n in [(1, 1), (1, 2), (2, 1), (2, 2)]:
+        for _ in range(6):
+            h = random_operator(rng, m, 1, order=3, degree=1, terms=4, polynomial_coeffs=False)
+            p = random_operator(rng, m, n, order=2, degree=2, terms=3, polynomial_coeffs=False)
+            expected = OperatorVector.zero(m, n)
+            for d, f in h.terms.items():
+                expected = expected + left_multiply_by_d(d.alpha, p).left_scale(f)
+            assert scalar_operator_product(h, p) == expected
+
+
 # -- coefficient slices ----------------------------------------------------
 
 def test_cf_slice_example_51():

@@ -9,10 +9,12 @@ import pytest
 from weylclosure import (
     Derivative,
     DerivativeClass,
+    GaussianRational,
     InvalidInput,
     OperatorVector,
     Polynomial,
     RationalFunction,
+    common_denominator,
     complete_to_riquier_basis,
     head_of,
     left_multiply_by_d,
@@ -402,6 +404,160 @@ def test_replay_touches_only_the_ancestors_of_the_trace():
     basis.lift({k: op("1", 2) for k in touched})
     replayed = set(log._replayed) - {0, 1}
     assert replayed == {basis.made_by[k] for k in touched}
+
+
+# -- rational reference for the fraction-free lift ---------------------------
+#
+# The library replays the derivation log fraction-free: every replayed node
+# is one integer polynomial denominator over polynomial numerators, and the
+# witness is read off the reduced lift.  This reference is the earlier replay
+# over F(x), by scalar_operator_product and RationalFunction arithmetic, whose
+# witness clears the lifted cofactors by the lcm of their denominators.  The
+# exact cofactors are unique, so w and every h_j must come out identical.
+
+def rational_replay(log):
+    """(combine, cofactors_of) over F(x) for a derivation log."""
+    memo = {j: {j: log.one} for j in range(log.generators)}
+
+    def combine(terms):
+        total = {}
+        for multiplier, source in terms:
+            for g, c in cofactors_of(source).items():
+                contribution = scalar_operator_product(multiplier, c)
+                total[g] = contribution if g not in total else total[g] + contribution
+        return {g: c for g, c in total.items() if not c.is_zero()}
+
+    def cofactors_of(i):
+        if i not in memo:
+            node = log.nodes[i - log.generators]
+            memo[i] = {g: c.left_scale(node.scale) for g, c in combine(node.terms).items()}
+        return memo[i]
+
+    return combine, cofactors_of
+
+
+def rational_witness(basis, q, count):
+    """(w, [h_j]) by the rational replay and the lcm of the denominators."""
+    combine, _ = rational_replay(basis.derivation)
+    trace = reduce_full(q, basis.elements)
+    lifted = combine((step, basis.made_by[k]) for k, step in trace.cofactors.items())
+    hs = [lifted.get(g, OperatorVector.zero(basis.m, 1)) for g in range(count)]
+    w = common_denominator([c for h in hs for c in h.terms.values()], basis.m)
+    return w, [h.left_scale(w) for h in hs]
+
+
+def random_gaussian_operator(rng, m, n, order, degree):
+    """A random operator whose coefficients have Gaussian rational entries."""
+    built = OperatorVector.zero(m, n)
+    for _ in range(rng.randint(1, 2)):
+        alpha = [0] * m
+        for _ in range(rng.randint(0, order)):
+            alpha[rng.randrange(m)] += 1
+        terms = {}
+        for _ in range(2):
+            mono = [0] * m
+            for _ in range(rng.randint(0, degree)):
+                mono[rng.randrange(m)] += 1
+            terms[tuple(mono)] = GaussianRational(rng.randint(-2, 2), rng.randint(-2, 2))
+        built = built + OperatorVector.from_derivative(
+            Derivative(rng.randint(1, n), tuple(alpha)), m, n,
+            RationalFunction(Polynomial(terms, m)))
+    return built
+
+
+def lift_cases():
+    """(generators, candidates) for the lift oracle.
+
+    Random systems in each bench-shaped (m, n, generators) class, two
+    generators in two variables, Gaussian systems, then the zero candidate
+    and a unit collapse whose witness has w of degree 24.
+    """
+    rng = random.Random(9009)
+    cases = []
+    for m, n, count in METAMORPHIC_CLASSES * 4 + [(2, 1, 2), (2, 2, 2)] * 4:
+        degree = 1 if count == 2 and m == 2 else 2
+        gens = random_generators(rng, m, n, count, order=2, degree=degree, terms=2)
+        member = OperatorVector.zero(m, n)
+        for g in gens:
+            member = member + scalar_operator_product(
+                random_operator(rng, m, 1, order=1, degree=1, terms=1), g)
+        other = random_operator(rng, m, n, order=2, degree=degree, terms=2)
+        cases.append((gens, [member, other]))
+    for m, n, count in [(1, 1, 1), (1, 1, 2), (1, 2, 1), (2, 1, 1), (1, 1, 2), (2, 1, 2)] * 2:
+        degree = 1 if count == 2 and m == 2 else 2
+        gens = [random_gaussian_operator(rng, m, n, order=2, degree=degree)
+                for _ in range(count)]
+        gens = [g for g in gens if not g.is_zero()] or [op("1", m, n)]
+        member = OperatorVector.zero(m, n)
+        for g in gens:
+            member = member + scalar_operator_product(
+                random_gaussian_operator(rng, m, 1, order=1, degree=1), g)
+        cases.append((gens, [member, random_gaussian_operator(rng, m, n, 2, degree)]))
+    cases.append(([op("x^2*D^2 - 2*x*D + 2")], [op("0")]))
+    cases.append(([op("D1 - x2", 2), op("D2", 2)], [op("0", 2), op("x1*D1^2", 2)]))
+    cases.append((UNIT_COLLAPSE, [UNIT_COLLAPSE_Q]))
+    return cases
+
+
+# an m = n = 1 pair whose basis is {1}: the witness needs w of degree 24
+UNIT_COLLAPSE = [op("(-2*x^2 - 2)*D^2 + 1"), op("(-x^2 + 1)*D^2 + (-2*x^2 + 3)*D")]
+UNIT_COLLAPSE_Q = op("(2*x^2 - 2)*D^3 + (4*x^2 + 4*x - 6)*D^2 + 8*x*D")
+
+
+def _is_gaussian(c):
+    return any(isinstance(v, GaussianRational) for v in c.num.terms.values())
+
+
+def test_fraction_free_lift_matches_the_rational_reference():
+    members = gaussian = cleared = 0
+    for gens, candidates in lift_cases():
+        for q in candidates:
+            result = weyl_closure_member(q, gens)
+            if not result.member:
+                continue
+            members += 1
+            gaussian += any(_is_gaussian(c) for g in gens for c in g.terms.values())
+            cleared += not result.witness.w.is_constant()
+            w, hs = rational_witness(result.basis, q, len(gens))
+            assert result.witness.w == w
+            assert result.witness.cofactors == hs
+            _, cofactors_of = rational_replay(result.basis.derivation)
+            assert result.basis.generator_cofactors == [
+                cofactors_of(i) for i in result.basis.made_by]
+    assert members >= 60 and gaussian >= 15 and cleared >= 25
+
+
+def test_unit_collapse_witness_has_a_high_degree_w():
+    result = weyl_closure_member(UNIT_COLLAPSE_Q, UNIT_COLLAPSE)
+    assert result.basis.elements == [op("1")]
+    w = result.witness.w
+    assert max(k for (k,) in w.terms) == 24 and w.leading_coefficient() == 1
+    assert (w, result.witness.cofactors) == rational_witness(
+        result.basis, UNIT_COLLAPSE_Q, 2)
+
+
+@pytest.mark.parametrize("gens, q", [
+    (UNIT_COLLAPSE, UNIT_COLLAPSE_Q),
+    ([op("D1^2 - x2", 2), op("x1*D2 + 1", 2)], op("D1^2*D2", 2)),
+    ([parse_operator("(x + i)*D^2 - i*x*D + 3", 1, 1, "complex")],
+     parse_operator("(D + i*x)*((x + i)*D^2 - i*x*D + 3)", 1, 1, "complex")),
+])
+def test_lift_does_no_rational_function_arithmetic(gens, q, monkeypatch):
+    expected = weyl_closure_member(q, gens)
+    assert expected.member
+    basis = complete_to_riquier_basis(gens, q.m, q.n)
+    trace = reduce_full(q, basis.elements)
+
+    def refuse(*args):
+        raise AssertionError("the lift did F(x) arithmetic")
+
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "derivative"):
+        monkeypatch.setattr(RationalFunction, name, refuse)
+    w, cofactors = basis.lift(trace.cofactors)
+    monkeypatch.undo()
+    assert w == expected.witness.w
+    assert [cofactors.get(g, OperatorVector.zero(q.m, 1)) for g in range(len(gens))] \
+        == expected.witness.cofactors
 
 
 # -- metamorphic checks: the reduced monic basis depends only on the module --
