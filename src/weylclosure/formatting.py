@@ -88,7 +88,6 @@ def _poly_is_single_term(p: Polynomial) -> bool:
 
 
 def format_rational(r: RationalFunction) -> str:
-    # num and den are built on each access: read them once
     num_poly = r.num
     if r.is_polynomial():
         return format_polynomial(num_poly)

@@ -1,28 +1,29 @@
 """Sparse multivariate polynomials and normalized rational functions over Q or Q(i).
 
-A polynomial holds one element of a sympy sparse polynomial ring in
-graded-lex order, over ``QQ`` when every coefficient is rational and over
-``QQ_I`` when some coefficient has a nonzero imaginary part.  Every result is
-moved back to the rational ring when its imaginary parts cancel, so equal
-values are equal elements of the same ring.  Coefficients cross the module's
-edge as ``Fraction`` or ``GaussianRational``.
-
 A rational function holds ``c * a / b``: a content ``c`` in the field (``QQ``,
 or ``QQ_I`` for a value with imaginary parts) and coprime ``a`` and ``b`` in
-the integer ring (``ZZ``, or ``ZZ_I``), each primitive and with a canonical
-leading coefficient (positive over ``ZZ``, in the first quadrant over
-``ZZ_I``).  This form is unique, so equality and hashing compare the triple;
-a Gaussian result whose imaginary parts cancel moves back to ``ZZ``.  By
-Gauss's lemma a product of primitive polynomials is primitive, so the
-arithmetic runs on integer polynomials and sympy's integer gcd and never
-clears denominators.  It keeps its operands reduced and, after Henrici,
-takes gcds only of the small factors where a common factor can remain, never
-of the full cross products.  The edge is ``num`` and ``den``: a polynomial
-pair over the field with a monic denominator (graded-lex leading coefficient
-1), built on request in one pass over the terms and not stored.  Fraction-free
-callers, such as the witness lift, cross a second edge: ``integer_pair`` hands
-out a numerator and denominator in the integer ring, and ``integer_ratio`` and
-``monic_polynomial`` take integer-ring results back.
+the integer ring (``ZZ``, or ``ZZ_I``) of sympy's sparse polynomials in
+graded-lex order, each primitive and with a canonical leading coefficient
+(positive over ``ZZ``, in the first quadrant over ``ZZ_I``).  This form is
+unique, so equality and hashing compare the triple; a Gaussian result whose
+imaginary parts cancel moves back to ``ZZ``.  By Gauss's lemma a product of
+primitive polynomials is primitive, so the arithmetic runs on integer
+polynomials and sympy's integer gcd and never clears denominators.  It keeps
+its operands reduced and, after Henrici, takes gcds only of the small factors
+where a common factor can remain, never of the full cross products.
+
+A polynomial is the ``b = 1`` case of the triple: it wraps a rational function
+whose denominator is the ring's one, and its arithmetic is that rational
+function's.  Coefficients cross the module's edge as ``Fraction``, or as
+``GaussianRational`` for every coefficient of a polynomial with some
+imaginary part.  The constructor gathers ``c`` and ``a`` from them with
+``math.lcm``/``math.gcd``, and ``terms`` multiplies them back out.  ``num``
+and ``den`` (monic: graded-lex leading coefficient 1) wrap the factors of the
+triple without rebuilding them; only a real factor of a Gaussian value is
+moved back to ``ZZ``.  Fraction-free callers, such as the witness lift, cross
+a second edge: ``integer_pair`` hands out a numerator and denominator in the
+integer ring, and ``integer_ratio`` and ``monic_polynomial`` take
+integer-ring results back.
 """
 
 from __future__ import annotations
@@ -36,17 +37,20 @@ from sympy.polys.domains import QQ, QQ_I, ZZ, ZZ_I
 from sympy.polys.orderings import grlex
 from sympy.polys.rings import PolyRing
 
-from .errors import EvaluationAtPole
+from .errors import EvaluationAtPole, InvalidInput
 from .scalars import GaussianRational, Scalar, format_point
 
 Monomial = Tuple[int, ...]
 
 _ONES: dict = {}
-_GAUSSIAN = {QQ: QQ_I, ZZ: ZZ_I}  # the Gaussian domain over each real one
 _FIELD = {ZZ: QQ, ZZ_I: QQ_I}  # the fraction field of each integer domain
+_INTEGER = ZZ.dtype  # int, or gmpy2's mpz under its ground types
+_REAL = {int, Fraction}  # coefficient types of a real polynomial
+# n/d in QQ for coprime n and d > 0: sympy's PythonMPQ skips its gcd this way
+_content = getattr(QQ.dtype, "_new", QQ.dtype)
 
 
-def _one(nvars: int, domain=QQ):
+def _one(nvars: int, domain=ZZ):
     """The one of the ring for (nvars, domain), built once with its ring.
 
     sympy only combines elements of one ring object; ``.new`` of this
@@ -59,12 +63,8 @@ def _one(nvars: int, domain=QQ):
     return one
 
 
-def _ring(nvars: int, domain=QQ) -> PolyRing:
-    return _one(nvars, domain).ring
-
-
 def _lc(element):
-    """The graded-lex leading coefficient of a nonzero element."""
+    """The graded-lex leading coefficient of a nonzero element (or of a term dict)."""
     if len(element) == 1:
         for c in element.values():
             return c
@@ -80,101 +80,135 @@ def _unit(c):
     return ZZ_I.units[-c.quadrant()]
 
 
-def _is_complex(c) -> bool:
-    return isinstance(c, GaussianRational) and bool(c.im)
+def _checked(value):
+    """An int or Fraction as it is, and a GaussianRational with no imaginary part as a Fraction.
+
+    Raises TypeError for any other type.
+    """
+    if isinstance(value, GaussianRational):
+        return value if value.im else value.re
+    if isinstance(value, (int, Fraction)):
+        return value
+    raise TypeError(f"coefficient of type {type(value).__name__}: "
+                    "expected int, Fraction or GaussianRational")
 
 
-def _to_ground(c, domain):
-    """An int, Fraction or GaussianRational as an element of QQ or QQ_I."""
-    if isinstance(c, GaussianRational):
-        re = QQ(c.re.numerator, c.re.denominator)
-        if domain is QQ:
-            return re
-        return QQ_I(re, QQ(c.im.numerator, c.im.denominator))
-    value = QQ(c.numerator, c.denominator)
-    return value if domain is QQ else QQ_I(value)
+def _ground(value):
+    """An int, Fraction or GaussianRational in QQ, or in QQ_I if it is not real."""
+    value = _checked(value)
+    if isinstance(value, GaussianRational):
+        return QQ_I(_ground(value.re), _ground(value.im))
+    return QQ(value.numerator, value.denominator)
 
 
 def _fraction(c) -> Fraction:
     return Fraction(int(c.numerator), int(c.denominator))
 
 
-def _from_ground(c, domain) -> Scalar:
-    if domain is QQ:
+def _scalar(c, domain) -> Scalar:
+    """An element of the field of the integer domain as a Fraction or GaussianRational."""
+    if domain is ZZ:
         return _fraction(c)
     return GaussianRational(_fraction(c.x), _fraction(c.y))
 
 
 def gaussian(element):
-    """The element with its coefficients in the Gaussian domain: QQ_I, or ZZ_I for ZZ."""
-    target = _GAUSSIAN.get(element.ring.domain)
-    if target is None:
+    """The element with its coefficients in ZZ_I (unchanged if they are already)."""
+    if element.ring.domain is ZZ_I:
         return element
-    return _ring(element.ring.ngens, target).from_dict(
-        {m: target(c) for m, c in element.items()})
+    return _one(element.ring.ngens, ZZ_I).new({m: ZZ_I(c) for m, c in element.items()})
 
 
 def _real(element):
-    """A Gaussian element moved to QQ or ZZ, or None if some coefficient is not real."""
+    """An element of ZZ_I[x] moved to ZZ[x], or None if some coefficient is not real."""
     if any(c.y for c in element.values()):
         return None
-    domain = QQ if element.ring.domain is QQ_I else ZZ
-    return _one(element.ring.ngens, domain).new({m: c.x for m, c in element.items()})
+    return _one(element.ring.ngens).new({m: c.x for m, c in element.items()})
 
 
-def _in_one_ring(first: "Polynomial", *rest: "Polynomial"):
-    """The elements of the polynomials in one ring: the complex one if any is complex."""
-    ring = first._element.ring
-    elements = [first._element]
-    for p in rest:
-        if p._element.ring is not ring:
-            return [gaussian(q._element) for q in (first, *rest)]
-        elements.append(p._element)
-    return elements
+def _split(terms: Mapping[Monomial, Scalar], nvars: int):
+    """(c, a) with c * a the polynomial with these terms (a = 0 if none is nonzero).
+
+    c is in the field, and a is primitive in the integer ring (``ZZ_I`` when
+    some coefficient is not real) with a canonical leading coefficient.  The
+    denominators and the content are gathered with ``math.lcm``/``math.gcd``
+    over the coefficients.  An exponent that is not ``nvars`` nonnegative
+    integers raises InvalidInput, and a coefficient of another type than int,
+    Fraction or GaussianRational raises TypeError.
+    """
+    complex_mode = False
+    if not set(map(type, terms.values())) <= _REAL:
+        terms = {m: _checked(v) for m, v in terms.items()}
+        complex_mode = any(isinstance(v, GaussianRational) for v in terms.values())
+    coefficients = {}
+    for m, v in terms.items():
+        if len(m) != nvars or (nvars and min(m) < 0):
+            raise InvalidInput(f"exponent {m} is not {nvars} nonnegative integers")
+        if v:
+            coefficients[m] = v
+    if complex_mode:
+        return _split_gaussian(coefficients, nvars)
+    if not coefficients:
+        return QQ.zero, _one(nvars).ring.zero
+    if len(coefficients) == 1:  # a monomial: c is its coefficient
+        ((m, v),) = coefficients.items()
+        return _content(v.numerator, v.denominator), _one(nvars).new({m: _INTEGER(1)})
+    values = coefficients.values()
+    den = math.lcm(*[v.denominator for v in values])
+    num = math.gcd(*[v.numerator for v in values])
+    if _lc(coefficients) < 0:
+        num = -num
+    return _content(num, den), _one(nvars).new(
+        {m: _INTEGER(v.numerator * (den // v.denominator) // num) for m, v in coefficients.items()})
+
+
+def _split_gaussian(coefficients, nvars: int):
+    """The (c, a) of ``_split`` for nonzero coefficients of which some are not real."""
+    parts = {m: (v.re, v.im) if isinstance(v, GaussianRational) else (v, 0)
+             for m, v in coefficients.items()}
+    den = math.lcm(*[q.denominator for pair in parts.values() for q in pair])
+    k, a = _one(nvars, ZZ_I).new(
+        {m: ZZ_I(int(re * den), int(im * den)) for m, (re, im) in parts.items()}).primitive()
+    unit = _unit(_lc(a))
+    return QQ_I.convert_from(k, ZZ_I) / unit / den, a.mul_ground(unit)
 
 
 class Polynomial:
-    """A sparse polynomial in ``nvars`` variables with exact field coefficients."""
+    """A sparse polynomial in ``nvars`` variables with exact field coefficients.
 
-    __slots__ = ("_element", "nvars")
+    It wraps the rational function of its value, whose denominator is 1.
+    """
+
+    __slots__ = ("_r",)
 
     def __init__(self, terms: Mapping[Monomial, Scalar], nvars: int):
-        ring = _ring(nvars, QQ_I if any(_is_complex(c) for c in terms.values()) else QQ)
-        self._element = ring.from_dict(
-            {tuple(m): _to_ground(c, ring.domain) for m, c in terms.items() if c})
-        self.nvars = nvars
+        c, a = _split(terms, nvars)
+        self._r = RationalFunction._new(c, a, _one(nvars, a.ring.domain))
 
     @classmethod
-    def _wrap(cls, element) -> "Polynomial":
-        """A polynomial around a ring element, moved to QQ if no coefficient is complex."""
-        if element.ring.domain is QQ_I:
-            real = _real(element)
-            if real is not None:
-                element = real
+    def _of(cls, r: "RationalFunction") -> "Polynomial":
+        """The polynomial of a rational function with denominator 1."""
         p = object.__new__(cls)
-        p._element = element
-        p.nvars = element.ring.ngens
+        p._r = r
         return p
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, nvars: int) -> "Polynomial":
-        return cls._wrap(_ring(nvars).zero)
+        return cls._of(RationalFunction.zero(nvars))
 
     @classmethod
     def constant(cls, value, nvars: int) -> "Polynomial":
-        if value == 1:
-            return cls._wrap(_ring(nvars).one)
-        ring = _ring(nvars, QQ_I if _is_complex(value) else QQ)
-        return cls._wrap(ring.ground_new(_to_ground(value, ring.domain)))
+        return cls._of(RationalFunction.constant(value, nvars))
 
     @classmethod
     def variable(cls, index: int, nvars: int) -> "Polynomial":
         """The polynomial x_index, with index in 1..nvars."""
         if not 1 <= index <= nvars:
             raise IndexError(f"variable index {index} out of range 1..{nvars}")
-        return cls._wrap(_ring(nvars).gens[index - 1])
+        one = _one(nvars)
+        return cls._of(RationalFunction._new(QQ.one, one.ring.gens[index - 1], one))
 
     @classmethod
     def monomial(cls, mono: Monomial, coeff, nvars: int) -> "Polynomial":
@@ -183,39 +217,41 @@ class Polynomial:
     # -- basic queries -----------------------------------------------------
 
     @property
+    def nvars(self) -> int:
+        return self._r._a.ring.ngens
+
+    @property
     def terms(self) -> Mapping[Monomial, Scalar]:
         """The nonzero coefficients by exponent tuple, read-only."""
-        domain = self._element.ring.domain
-        return MappingProxyType(
-            {m: _from_ground(c, domain) for m, c in self._element.items()})
+        c, a = self._r._c, self._r._a
+        if a.ring.domain is ZZ:
+            p, q = int(c.numerator), int(c.denominator)
+            return MappingProxyType({m: Fraction(p * int(v), q) for m, v in a.items()})
+        return MappingProxyType({m: _scalar(c * v, ZZ_I) for m, v in a.items()})
 
     def is_zero(self) -> bool:
-        return not self._element
+        return not self._r._a
 
     def is_constant(self) -> bool:
-        return self._element.is_ground
+        return self._r._a.is_ground
 
     def constant_value(self) -> Scalar:
-        element = self._element
-        return _from_ground(element.get(element.ring.zero_monom, element.ring.domain.zero),
-                            element.ring.domain)
+        a = self._r._a
+        return _scalar(self._r._c * a.get(a.ring.zero_monom, a.ring.domain.zero), a.ring.domain)
 
     def leading_coefficient(self) -> Scalar:
-        return _from_ground(self._element.LC, self._element.ring.domain)
+        a = self._r._a
+        return _scalar(self._r._c * a.LC, a.ring.domain)
 
     def __bool__(self):
-        return bool(self._element)
+        return bool(self._r._a)
 
     def __eq__(self, other):
-        if isinstance(other, Polynomial):
-            # canonical rings: equal values never sit in different rings
-            return self._element.ring is other._element.ring and self._element == other._element
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            return self == Polynomial.constant(other, self.nvars)
-        return NotImplemented
+        o = self._operand(other)
+        return NotImplemented if o is None else self._r == o
 
     def __hash__(self):
-        return hash(self._element)
+        return hash(self._r)
 
     def __repr__(self):
         return f"Polynomial({dict(self.terms)!r}, nvars={self.nvars})"
@@ -224,67 +260,59 @@ class Polynomial:
         # a sympy ring does not pickle (sympy 1.14), so rebuild from the terms
         return Polynomial, (dict(self.terms), self.nvars)
 
-    # -- arithmetic --------------------------------------------------------
+    # -- arithmetic: that of the wrapped rational functions -------------------
 
-    def _coerce(self, other):
-        if isinstance(other, Polynomial):
-            return other
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            return Polynomial.constant(other, self.nvars)
-        return None
+    def _operand(self, other):
+        """A polynomial or scalar operand as a rational function, else None."""
+        return None if isinstance(other, RationalFunction) else self._r._coerce(other)
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        a, b = _in_one_ring(self, o)
-        return Polynomial._wrap(a + b)
+        return Polynomial._of(self._r + o)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial._wrap(-self._element)
+        return Polynomial._of(-self._r)
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        a, b = _in_one_ring(self, o)
-        return Polynomial._wrap(a - b)
+        return Polynomial._of(self._r - o)
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        a, b = _in_one_ring(self, o)
-        return Polynomial._wrap(a * b)
+        return Polynomial._of(self._r * o)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
         if exponent < 0:
             raise ValueError("negative polynomial power")
-        return Polynomial._wrap(self._element ** exponent)
+        c, a, b = self._r._c, self._r._a, self._r._b
+        # a power of a primitive polynomial is primitive (Gauss's lemma)
+        return Polynomial._of(RationalFunction._reduced(c ** exponent, a ** exponent, b))
 
     def scale(self, scalar) -> "Polynomial":
-        element = gaussian(self._element) if _is_complex(scalar) else self._element
-        return Polynomial._wrap(element.mul_ground(_to_ground(scalar, element.ring.domain)))
+        return Polynomial._of(self._r * RationalFunction.constant(scalar, self.nvars))
 
     def monic(self) -> "Polynomial":
         """Divide by the graded-lex leading coefficient."""
-        return Polynomial._wrap(self._element.monic())
+        return monic_polynomial(self._r._a) if self else self
 
     # -- calculus ----------------------------------------------------------
 
     def derivative(self, index: int) -> "Polynomial":
         """Partial derivative with respect to x_index (1-based)."""
-        if not 1 <= index <= self.nvars:
-            raise IndexError(f"variable index {index} out of range 1..{self.nvars}")
-        element = self._element
-        return Polynomial._wrap(element.diff(element.ring.gens[index - 1]))
+        return Polynomial._of(self._r.derivative(index))
 
     def evaluate(self, point: Sequence[Scalar]) -> Scalar:
         if len(point) != self.nvars:
@@ -304,24 +332,25 @@ class Polynomial:
         """Exact quotient self / divisor; raises ValueError if not divisible."""
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        a, b = _in_one_ring(self, divisor)
-        quotient, remainder = a.div(b)
-        if remainder:
+        quotient = self._r / divisor._r
+        if not quotient.is_polynomial():
             raise ValueError("inexact polynomial division")
-        return Polynomial._wrap(quotient)
+        return Polynomial._of(quotient)
 
 
 def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     """Monic gcd over the coefficient field (graded-lex leading coefficient 1)."""
-    a, b = _in_one_ring(f, g)
-    return Polynomial._wrap(a.gcd(b).monic())
+    (_, a, _), (_, b, _) = f._r._triples(g._r)
+    if not a and not b:
+        return f
+    return monic_polynomial(_cofactors(a, b)[0])
 
 
 def poly_lcm(f: Polynomial, g: Polynomial) -> Polynomial:
-    a, b = _in_one_ring(f, g)
+    (_, a, _), (_, b, _) = f._r._triples(g._r)
     if not a or not b:
         return Polynomial.zero(f.nvars)
-    return Polynomial._wrap(a.lcm(b))  # over a field, sympy's lcm is monic
+    return monic_polynomial(a * _cofactors(a, b)[2])
 
 
 def _cofactors(a, b):
@@ -337,29 +366,6 @@ def _primitive(t):
         k = math.gcd(*t.values())
         return k, (t if k == 1 else t.quo_ground(k))
     return t.primitive()
-
-
-def _split(element):
-    """(c, a) with element = c * a for a nonzero element of QQ[x] or QQ_I[x].
-
-    c is in the field, and a is primitive in the integer ring with a
-    canonical leading coefficient.  The denominators and the content are
-    gathered with ``math.lcm``/``math.gcd`` over the coefficients, with no
-    sympy denominator clearing or ring conversion.
-    """
-    nvars = element.ring.ngens
-    if element.ring.domain is QQ:
-        den = math.lcm(*[c.denominator for c in element.values()])
-        num = math.gcd(*[c.numerator for c in element.values()])
-        if _lc(element) < 0:
-            num = -num
-        return QQ(num, den), _one(nvars, ZZ).new(
-            {m: c.numerator * (den // c.denominator) // num for m, c in element.items()})
-    den = math.lcm(*[q.denominator for c in element.values() for q in (c.x, c.y)])
-    k, a = _one(nvars, ZZ_I).new(
-        {m: _gaussian_integer(c, den) for m, c in element.items()}).primitive()
-    unit = _unit(_lc(a))
-    return QQ_I.convert_from(k, ZZ_I) / unit / den, a.mul_ground(unit)
 
 
 def _gaussian_integer(c, n: int):
@@ -398,16 +404,9 @@ def _canonical(c, a, b):
 
 def _lowest_terms(num: Polynomial, den: Polynomial):
     """The triple of num/den for a nonzero num and den: the one full gcd."""
-    n, d = _in_one_ring(num, den)
-    (c, a), (e, b) = _split(n), _split(d)
+    (c, a, _), (e, b, _) = num._r._triples(den._r)
     _, a, b = _cofactors(a, b)
     return _canonical(c / e, a, b)
-
-
-def _over_field(element, scale) -> Polynomial:
-    """scale * element as a polynomial over QQ or QQ_I, built in one pass over the terms."""
-    one = _one(element.ring.ngens, _FIELD[element.ring.domain])
-    return Polynomial._wrap(one.new({m: scale * v for m, v in element.items()}))
 
 
 # -- rational functions ----------------------------------------------------
@@ -423,15 +422,11 @@ class RationalFunction:
     def __init__(self, num: Polynomial, den: Polynomial | None = None):
         if den is not None and den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero():
-            zero = RationalFunction.zero(num.nvars)
-            parts = zero._c, zero._a, zero._b
-        elif den is None:
-            c, a = _split(num._element)
-            parts = c, a, _one(num.nvars, a.ring.domain)
+        if den is None or num.is_zero():
+            r = num._r  # a polynomial is already a triple with b = 1
+            self._c, self._a, self._b = r._c, r._a, r._b
         else:
-            parts = _lowest_terms(num, den)
-        self._c, self._a, self._b = parts
+            self._c, self._a, self._b = _lowest_terms(num, den)
 
     @classmethod
     def _new(cls, c, a, b) -> "RationalFunction":
@@ -451,16 +446,17 @@ class RationalFunction:
     def zero(cls, nvars: int) -> "RationalFunction":
         zero = _ZEROS.get(nvars)
         if zero is None:
-            one = _one(nvars, ZZ)
+            one = _one(nvars)
             zero = _ZEROS[nvars] = cls._new(QQ.zero, one.ring.zero, one)
         return zero
 
     @classmethod
     def constant(cls, value, nvars: int) -> "RationalFunction":
-        if not value:
+        c = _ground(value)
+        if not c:
             return cls.zero(nvars)
-        one = _one(nvars, ZZ_I if _is_complex(value) else ZZ)
-        return cls._new(_to_ground(value, _FIELD[one.ring.domain]), one, one)
+        one = _one(nvars, ZZ if isinstance(c, QQ.dtype) else ZZ_I)
+        return cls._new(c, one, one)
 
     # -- the edge: numerator and denominator over the field -----------------
 
@@ -468,15 +464,16 @@ class RationalFunction:
     def num(self) -> Polynomial:
         """The numerator over the field, for the monic denominator ``den``."""
         b = self._b
-        return _over_field(self._a, self._c if b.is_ground else self._c / _lc(b))
+        if b.is_ground:
+            return Polynomial._of(self)
+        # normalized again, since a Gaussian value can have a real numerator: 1/(x + i)
+        return Polynomial._of(RationalFunction._reduced(
+            self._c / _lc(b), self._a, _one(self.nvars, b.ring.domain)))
 
     @property
     def den(self) -> Polynomial:
         """The denominator over the field, monic (1 for a polynomial)."""
-        b = self._b
-        if b.is_ground:
-            return Polynomial.constant(1, b.ring.ngens)
-        return _over_field(b, _FIELD[b.ring.domain].one / _lc(b))
+        return monic_polynomial(self._b)
 
     @property
     def nvars(self) -> int:
@@ -512,7 +509,7 @@ class RationalFunction:
         if isinstance(other, RationalFunction):
             return other
         if isinstance(other, Polynomial):
-            return RationalFunction(other)
+            return other._r
         if isinstance(other, (int, Fraction, GaussianRational)):
             return RationalFunction.constant(other, self.nvars)
         return None
@@ -524,9 +521,16 @@ class RationalFunction:
         return QQ_I(self._c), gaussian(self._a), gaussian(self._b)
 
     def _triples(self, other: "RationalFunction"):
-        """The triples of self and other in one ring: the Gaussian one if either is."""
+        """The triples of self and other in one ring: the Gaussian one if either is.
+
+        This is where operands meet, so it rejects operands in different
+        numbers of variables.
+        """
         if self._a.ring is other._a.ring:
             return (self._c, self._a, self._b), (other._c, other._a, other._b)
+        if self.nvars != other.nvars:
+            raise InvalidInput(
+                f"operands in {self.nvars} and {other.nvars} variables do not combine")
         return self._gaussian(), other._gaussian()
 
     # The arithmetic below is Henrici's (JACM 3, 1956; Knuth, TAOCP 2, 4.5.1):
@@ -539,11 +543,11 @@ class RationalFunction:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not o._a:
-            return self
-        if not self._a:
-            return o
         (k, a, b), (l, c, d) = self._triples(o)
+        if not c:
+            return self
+        if not a:
+            return o
         # with l/k = p/q over the integers, k*a/b + l*c/d = (k/q) * (q*a/b + p*c/d)
         p, q = _as_ratio(l / k)
         if q != 1:
@@ -586,9 +590,9 @@ class RationalFunction:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not self._a or not o._a:
-            return RationalFunction.zero(self.nvars)
         (k, a, b), (l, c, d) = self._triples(o)
+        if not a or not c:
+            return RationalFunction.zero(self.nvars)
         # a/b and c/d are reduced, so only a with d and c with b can share factors
         _, a, d = _cofactors(a, d)
         _, c, b = _cofactors(c, b)
@@ -705,6 +709,7 @@ def integer_ratio(num, den) -> RationalFunction:
 
 def monic_polynomial(element) -> Polynomial:
     """A nonzero integer-ring element divided by its leading coefficient, over the field."""
-    if element.is_ground:
-        return Polynomial.constant(1, element.ring.ngens)
-    return _over_field(element, _FIELD[element.ring.domain].one / _lc(element))
+    _, b = _primitive(element)
+    domain = b.ring.domain
+    return Polynomial._of(RationalFunction._reduced(
+        _FIELD[domain].one / _lc(b), b, _one(b.ring.ngens, domain)))

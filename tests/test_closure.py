@@ -2,12 +2,14 @@
 
 import copy
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
 
 from weylclosure import (
     Derivative,
+    GaussianRational,
     InvalidInput,
     OperatorVector,
     Polynomial,
@@ -244,3 +246,94 @@ def test_membership_paths_agree_randomized(rng):
         assert result.member == membership_via_lemma1(q, gens)
         if result.member:
             assert verify_witness(result.witness, q, gens)
+
+
+# -- metamorphic checks: membership is invariant under automorphisms ----------
+#
+# phi(x_j) = l_j * x_s(j), phi(D_j) = D_s(j) / l_j, for a permutation s and
+# nonzero scalars l_j, keeps [D_j, x_k] = delta_jk, so it is an automorphism
+# of the Weyl algebra acting on each component.  It maps a member q of the
+# closure of the p_j to a member phi(q) of the closure of the phi(p_j), and
+# a witness w*q = sum h_j p_j to phi(w)*phi(q) = sum phi(h_j) phi(p_j).
+
+# (m, n, number of generators), as in the benchmark's systems
+MEMBERSHIP_CLASSES = [(1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2), (2, 1, 1), (2, 2, 1)]
+SCALES = [Fraction(1), Fraction(-1), Fraction(2), Fraction(-2), Fraction(1, 2), Fraction(-1, 2)]
+I = GaussianRational(0, 1)
+
+
+def _map_polynomial(p, s, scales, factor=1):
+    terms = {}
+    for e, v in p.terms.items():
+        moved = [0] * len(e)
+        for j, k in enumerate(e):
+            moved[s[j]] = k
+            for _ in range(k):
+                v = v * scales[j]
+        terms[tuple(moved)] = v * factor
+    return Polynomial(terms, p.nvars)
+
+
+def _map_operator(p, s, scales):
+    terms = {}
+    for d, c in p.terms.items():
+        factor, alpha = 1, [0] * p.m
+        for j, a in enumerate(d.alpha):
+            alpha[s[j]] = a
+            for _ in range(a):
+                factor = factor / scales[j]
+        terms[Derivative(d.component, tuple(alpha))] = RationalFunction(
+            _map_polynomial(c.num, s, scales, factor))
+    return OperatorVector(terms, p.m, p.n)
+
+
+def _permuted(rng, m):
+    # a rotation, so no system in two or more variables keeps its order
+    k = rng.randrange(1, m) if m > 1 else 0
+    return [(j + k) % m for j in range(m)], [Fraction(1)] * m
+
+
+def _rescaled(rng, m):
+    return list(range(m)), [rng.choice(SCALES) for _ in range(m)]
+
+
+def _made_complex(rng, m):
+    # x -> i x, D -> -i D
+    return list(range(m)), [I] * m
+
+
+def _membership_cases():
+    """Random systems shaped like conftest's, each with a constructed member and a random q."""
+    for seed in range(40):
+        rng = random.Random(seed)
+        m, n, count = MEMBERSHIP_CLASSES[seed % len(MEMBERSHIP_CLASSES)]
+        gens = random_generators(rng, m, n, count, order=2, degree=1, polynomial_coeffs=True)
+        member = OperatorVector.zero(m, n)
+        for g in gens:
+            a = random_operator(rng, m, 1, order=1, degree=1, terms=2, polynomial_coeffs=True)
+            member = member + scalar_operator_product(a, g)
+        other = random_operator(rng, m, n, order=2, degree=1, polynomial_coeffs=True)
+        yield rng, gens, [member, other]
+
+
+@pytest.mark.parametrize("draw_map", [_permuted, _rescaled, _made_complex],
+                         ids=["permuted variables", "rescaled variables", "x -> i x"])
+def test_membership_is_invariant_under_weyl_automorphisms(draw_map):
+    members = nonmembers = 0
+    for rng, gens, candidates in _membership_cases():
+        s, scales = draw_map(rng, gens[0].m)
+        mapped_gens = [_map_operator(g, s, scales) for g in gens]
+        for q in candidates:
+            result = weyl_closure_member(q, gens)
+            mapped_q = _map_operator(q, s, scales)
+            mapped = weyl_closure_member(mapped_q, mapped_gens)
+            assert mapped.member == result.member
+            if not result.member:
+                nonmembers += 1
+                continue
+            members += 1
+            assert verify_witness(mapped.witness, mapped_q, mapped_gens)
+            image = Witness(_map_polynomial(result.witness.w, s, scales),
+                            [_map_operator(h, s, scales) for h in result.witness.cofactors])
+            assert verify_witness(image, mapped_q, mapped_gens)
+    assert members >= 40 and nonmembers >= 10

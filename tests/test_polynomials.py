@@ -1,23 +1,30 @@
 """Exact scalar, polynomial and rational-function arithmetic."""
 
 import functools
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sympy.polys.domains import QQ, QQ_I
+from sympy.polys.domains import QQ, QQ_I, ZZ, ZZ_I
 from sympy.polys.orderings import grlex
 from sympy.polys.rings import PolyRing
 
 from weylclosure import (
+    Derivative,
     EvaluationAtPole,
     GaussianRational,
+    InvalidInput,
     Polynomial,
     RationalFunction,
     common_denominator,
+    formal_solve,
+    format_operator,
+    parse_operator,
     poly_gcd,
     poly_lcm,
+    weyl_closure_member,
 )
 
 
@@ -628,3 +635,83 @@ def test_the_denominator_is_monic():
         assert f.den.leading_coefficient() == 1
         assert (f * f.den).is_polynomial()
         assert RationalFunction(f.num, f.den) == f
+
+
+# -- one representation: a polynomial is the triple with denominator 1 -------
+
+@settings(deadline=None, max_examples=60)
+@given(term_pairs())
+def test_polynomials_round_trip_through_the_triple_and_the_terms(pair):
+    nvars, f, _ = pair
+    p = Polynomial(f, nvars)
+    assert RationalFunction(p).num == p
+    assert RationalFunction(p).den == 1
+    again = Polynomial(dict(p.terms), nvars)
+    assert again == p and hash(again) == hash(p)
+    # all Fraction for a real polynomial, all GaussianRational once one is not real
+    types = {type(c) for c in p.terms.values()}
+    if any(isinstance(c, GaussianRational) and c.im for c in f.values()):
+        assert types == {GaussianRational}
+    else:
+        assert types <= {Fraction}
+
+
+def test_only_integer_polynomial_rings_are_built():
+    from weylclosure import polynomials
+
+    for field, unit in (("real", "1"), ("complex", "i")):
+        # D^2 annihilates x + unit, as p does, so D^2 = (x + unit)^-1 * D * p
+        p = parse_operator(f"(x + {unit})*D - 1", 1, 1, field)
+        result = weyl_closure_member(parse_operator("D^2", 1, 1, field), [p])
+        assert result.member and not result.witness.w.is_constant()
+        assert format_operator(result.basis.elements[0]) == f"D - (1/(x + {unit}))"
+        jet = formal_solve(result.basis, (Fraction(0),), {Derivative(1, (0,)): Fraction(1)}, 3)
+        assert jet.value(Derivative(1, (2,))) == 0
+    domains = {one.ring.domain for one in polynomials._ONES.values()}
+    assert domains == {ZZ, ZZ_I}
+
+
+# -- malformed input and mismatched operands ----------------------------------
+
+def test_exponents_must_have_nvars_nonnegative_entries():
+    with pytest.raises(InvalidInput, match=r"\(1,\) is not 2 nonnegative"):
+        Polynomial({(1,): 1}, 2)
+    with pytest.raises(InvalidInput, match=r"\(-1,\) is not 1 nonnegative"):
+        Polynomial({(-1,): 1}, 1)
+    with pytest.raises(InvalidInput, match=r"\(0, 1, 0\)"):
+        Polynomial.monomial((0, 1, 0), Fraction(1), 2)
+
+
+def test_coefficients_must_be_exact_scalars():
+    with pytest.raises(TypeError, match="float"):
+        Polynomial({(1,): 0.5}, 1)
+    with pytest.raises(TypeError, match="float"):
+        RationalFunction.constant(0.5, 1)
+    with pytest.raises(TypeError, match="str"):
+        Polynomial.constant("1", 1)
+    assert Polynomial({(1,): 2}, 1) == Polynomial({(1,): Fraction(2)}, 1) \
+        == Polynomial({(1,): GaussianRational(2)}, 1)
+
+
+def test_operands_in_different_numbers_of_variables_are_rejected():
+    x1, x2 = Polynomial.variable(1, 1), Polynomial.variable(1, 2)
+    r1, r2 = RationalFunction(x1 + 1, x1), RationalFunction(x2, x2 + 1)
+    pattern = "operands in [12] and [12] variables"
+    pairs = [(x1, x2), (x2.scale(I), x1), (Polynomial.zero(1), x2), (r1, r2), (x1, r2),
+             (r2, RationalFunction.zero(1))]
+    for f, g in pairs:
+        for combine in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(InvalidInput, match=pattern):
+                combine(f, g)
+    for f, g in ((r1, r2), (x1, r2), (r2, x1)):
+        with pytest.raises(InvalidInput, match=pattern):
+            f / g
+    with pytest.raises(InvalidInput, match=pattern):
+        RationalFunction(x1, x2)
+    with pytest.raises(InvalidInput, match=pattern):
+        (x1 * x1).exact_div(x2)
+    for combine in (poly_gcd, poly_lcm):
+        with pytest.raises(InvalidInput, match=pattern):
+            combine(x1, x2)
+    assert x1 != x2 and Polynomial.zero(1) != Polynomial.zero(2)
+    assert r1 != RationalFunction(x2 + 1, x2)
