@@ -8,9 +8,12 @@ graded-lex order, each primitive and with a canonical leading coefficient
 unique, so equality and hashing compare the triple; a Gaussian result whose
 imaginary parts cancel moves back to ``ZZ``.  By Gauss's lemma a product of
 primitive polynomials is primitive, so the arithmetic runs on integer
-polynomials and sympy's integer gcd and never clears denominators.  It keeps
-its operands reduced and, after Henrici, takes gcds only of the small factors
-where a common factor can remain, never of the full cross products.
+polynomials and never clears denominators.  It keeps its operands reduced
+and, after Henrici, takes gcds only of the small factors where a common
+factor can remain, never of the full cross products.  Every gcd goes through
+one kernel, ``gcd_cofactors``: a zero, constant, equal or monomial operand
+is answered without a sympy call, and any other pair goes to sympy's dense
+gcd.
 
 A polynomial is the ``b = 1`` case of the triple: it wraps a rational function
 whose denominator is the ring's one, and its arithmetic is that rational
@@ -22,18 +25,20 @@ and ``den`` (monic: graded-lex leading coefficient 1) wrap the factors of the
 triple without rebuilding them; only a real factor of a Gaussian value is
 moved back to ``ZZ``.  Fraction-free callers, such as the witness lift, cross
 a second edge: ``integer_pair`` hands out a numerator and denominator in the
-integer ring, and ``integer_ratio`` and ``monic_polynomial`` take
-integer-ring results back.
+integer ring, ``gcd_cofactors`` takes their gcds, and ``integer_ratio`` and
+``monic_polynomial`` take integer-ring results back.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Tuple
 
 from sympy.polys.domains import QQ, QQ_I, ZZ, ZZ_I
+from sympy.polys.euclidtools import dmp_inner_gcd
 from sympy.polys.orderings import grlex
 from sympy.polys.rings import PolyRing
 
@@ -343,21 +348,88 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     (_, a, _), (_, b, _) = f._r._triples(g._r)
     if not a and not b:
         return f
-    return monic_polynomial(_cofactors(a, b)[0])
+    return monic_polynomial(gcd_cofactors(a, b)[0])
 
 
 def poly_lcm(f: Polynomial, g: Polynomial) -> Polynomial:
     (_, a, _), (_, b, _) = f._r._triples(g._r)
     if not a or not b:
         return Polynomial.zero(f.nvars)
-    return monic_polynomial(a * _cofactors(a, b)[2])
+    return monic_polynomial(a * gcd_cofactors(a, b)[2])
 
 
-def _cofactors(a, b):
-    """(gcd, a/gcd, b/gcd) from one sympy call, for primitive a and b: a constant is a unit."""
-    if (a.is_ground and a) or (b.is_ground and b):
-        return _one(a.ring.ngens, a.ring.domain), a, b
-    return a.cofactors(b)
+def gcd_cofactors(a, b):
+    """(g, a/g, b/g) for g a gcd of a and b, fixed up to a unit.
+
+    The one gcd kernel: every gcd the library takes comes here.  a and b are
+    elements of one integer ring, ZZ[x] or ZZ_I[x], not both zero; they need
+    not be primitive, and g carries the gcd of their contents.  A caller that
+    needs the canonical form normalizes g itself (``_canonical``).  A zero,
+    a constant or a monomial operand, and equal operands, take no sympy call:
+    the gcd with a constant or a monomial is c * x^mu, for c the gcd of all
+    the coefficients and mu the componentwise minimum of all the exponents.
+    Any other pair goes to sympy's dense gcd, whose heuristic gcd over ZZ
+    beat the sparse one on every class of input the completion and the lift
+    produce (1.9x on univariate and 1.15x on multivariate pairs from random
+    membership problems; 3x on pairs of over 100 terms in a slow
+    completion).  Over ZZ_I sympy's sparse gcd is this dense gcd as well.
+    """
+    ring = a.ring
+    if not b:
+        return a, _one_of(ring), b
+    if not a:
+        return b, a, _one_of(ring)
+    if len(a) == 1 or len(b) == 1:
+        c = _coefficient_gcd(a, b) if len(a) <= len(b) else _coefficient_gcd(b, a)
+        zero = ring.zero_monom
+        mu = zero if zero in a or zero in b else tuple(map(min, *a.keys(), *b.keys()))
+        if c == ring.domain.one and mu == zero:
+            return _one_of(ring), a, b
+        return a.new({mu: c}), _divided(a, mu, c), _divided(b, mu, c)
+    if a == b:
+        one = _one_of(ring)
+        return a, one, one
+    return tuple(map(ring.from_dense, dmp_inner_gcd(
+        a.to_dense(), b.to_dense(), ring.ngens - 1, ring.domain)))
+
+
+def _one_of(ring):
+    """The ring's one, shared when the ring is this module's (``ring.one`` builds one)."""
+    one = _one(ring.ngens, ring.domain)
+    return one if one.ring is ring else ring.one
+
+
+def _coefficient_gcd(a, b):
+    """The gcd of the coefficients of a and b; a is the shorter, as the loop may stop at one."""
+    domain = a.ring.domain
+    c = domain.zero
+    for v in chain(a.values(), b.values()):
+        c = domain.gcd(c, v)
+        if c == domain.one:
+            break
+    return c
+
+
+def _divided(a, mu, c):
+    """a / (c * x^mu), for c * x^mu dividing every term of a."""
+    if c == a.ring.domain.one:
+        return a.new({tuple(e - s for e, s in zip(m, mu)): v for m, v in a.items()})
+    quo = a.ring.domain.quo
+    return a.new({tuple(e - s for e, s in zip(m, mu)): quo(v, c) for m, v in a.items()})
+
+
+def _times(a, b):
+    """a * b, with no sympy product when either factor is the ring's one."""
+    if _is_one(a):
+        return b
+    if _is_one(b):
+        return a
+    return a * b
+
+
+def _is_one(a):
+    """a == 1, without building the ring's one as ``is_one`` does."""
+    return len(a) == 1 and a.get(a.ring.zero_monom) == a.ring.domain.one
 
 
 def _primitive(t):
@@ -405,7 +477,7 @@ def _canonical(c, a, b):
 def _lowest_terms(num: Polynomial, den: Polynomial):
     """The triple of num/den for a nonzero num and den: the one full gcd."""
     (c, a, _), (e, b, _) = num._r._triples(den._r)
-    _, a, b = _cofactors(a, b)
+    _, a, b = gcd_cofactors(a, b)
     return _canonical(c / e, a, b)
 
 
@@ -548,29 +620,30 @@ class RationalFunction:
             return self
         if not a:
             return o
-        # with l/k = p/q over the integers, k*a/b + l*c/d = (k/q) * (q*a/b + p*c/d)
-        p, q = _as_ratio(l / k)
-        if q != 1:
-            a = a.mul_ground(q)
-        if p != 1:
-            c = c.mul_ground(p)
+        if k != l:
+            # with l/k = p/q over the integers, k*a/b + l*c/d = (k/q) * (q*a/b + p*c/d)
+            p, q = _as_ratio(l / k)
+            if q != 1:
+                a, k = a.mul_ground(q), k / q
+            if p != 1:
+                c = c.mul_ground(p)
         if b == d:  # both 1 when both are constant: then no gcd is taken
             t = a + c
             if not t:
                 return RationalFunction.zero(self.nvars)
             h, t = _primitive(t)
             if not b.is_ground:
-                _, t, b = _cofactors(t, b)
-            return RationalFunction._reduced(k / q * h, t, b)
-        g, b_g, d_g = _cofactors(b, d)
+                _, t, b = gcd_cofactors(t, b)
+            return RationalFunction._reduced(k * h, t, b)
+        g, b_g, d_g = gcd_cofactors(b, d)
         # nonzero: the sum cancels only against the negation, whose denominator is b
-        h, t = _primitive(a * d_g + c * b_g)
+        h, t = _primitive(_times(a, d_g) + _times(c, b_g))
         if g.is_ground:  # coprime denominators; g may be a unit other than 1
-            return RationalFunction._reduced(k / q * h, t, b * d_g)
+            return RationalFunction._reduced(k * h, t, _times(b, d_g))
         # t is coprime to b/g and to d/g, so a common factor of t and the
         # denominator b*d/g can only lie in g
-        _, t, g = _cofactors(t, g)
-        return RationalFunction._reduced(k / q * h, t, b_g * g * d_g)
+        _, t, g = gcd_cofactors(t, g)
+        return RationalFunction._reduced(k * h, t, b_g * g * d_g)
 
     __radd__ = __add__
 
@@ -594,9 +667,9 @@ class RationalFunction:
         if not a or not c:
             return RationalFunction.zero(self.nvars)
         # a/b and c/d are reduced, so only a with d and c with b can share factors
-        _, a, d = _cofactors(a, d)
-        _, c, b = _cofactors(c, b)
-        return RationalFunction._reduced(k * l, a * c, b * d)
+        _, a, d = gcd_cofactors(a, d)
+        _, c, b = gcd_cofactors(c, b)
+        return RationalFunction._reduced(k * l, _times(a, c), _times(b, d))
 
     __rmul__ = __mul__
 
@@ -640,12 +713,12 @@ class RationalFunction:
         # multiplicity in g, so it does not divide b/g.  Hence gcd(t, g) is
         # the whole common factor.  When db = 0, g = b up to a unit and this
         # is gcd(da, b): d/dx((x*y + 1)/y) = y/y = 1.
-        g, b_g, db_g = _cofactors(b, b.diff(x))
+        g, b_g, db_g = gcd_cofactors(b, b.diff(x))
         t = da * b_g - a * db_g
         if not t:
             return RationalFunction.zero(self.nvars)
         h, t = _primitive(t)
-        _, t, g = _cofactors(t, g)
+        _, t, g = gcd_cofactors(t, g)
         return RationalFunction._reduced(k * h, t, g * b_g * b_g)
 
     def evaluate(self, point: Sequence[Scalar]) -> Scalar:
@@ -670,7 +743,7 @@ def common_denominator(rs: Iterable[RationalFunction], nvars: int) -> Polynomial
             continue
         if w.ring is not b.ring:
             w, b = gaussian(w), gaussian(b)
-        w = w * _cofactors(w, b)[2]
+        w = w * gcd_cofactors(w, b)[2]
     if w is None:
         return Polynomial.constant(1, nvars)
     return monic_polynomial(w)
@@ -700,7 +773,7 @@ def integer_ratio(num, den) -> RationalFunction:
         e, b = _lc(den), _one(den.ring.ngens, den.ring.domain)
     else:
         e, b = _primitive(den)
-        _, a, b = _cofactors(a, b)
+        _, a, b = gcd_cofactors(a, b)
     if a.ring.domain is ZZ:
         return RationalFunction._reduced(QQ(k, e), a, b)
     return RationalFunction._reduced(

@@ -22,9 +22,10 @@ the integer ring ZZ[x] (ZZ_I[x] in complex mode).  A product with a
 multiplier expands ``D^beta * 1/B`` by the Leibniz rule, and a sum goes over
 the lcm of the denominators.  Each result is divided by the gcd of its
 denominator and all its numerators, a chain of gcds that stops once it is
-constant.  The lift of a reduction is then over the lcm of the cofactors'
-reduced denominators: made monic, that is the witness's w.  Rational
-functions appear only at the edge, in the cofactors handed out.
+constant.  Every gcd and lcm here comes from ``polynomials.gcd_cofactors``,
+the library's one gcd kernel.  The lift of a reduction is then over the lcm
+of the cofactors' reduced denominators: made monic, that is the witness's w.
+Rational functions appear only at the edge, in the cofactors handed out.
 """
 
 from __future__ import annotations
@@ -47,8 +48,8 @@ from .operators import (
     stepwise,
 )
 from .ranking import ReductionTrace, head_of, pick_rule, reduce_full
-from .polynomials import (Polynomial, RationalFunction, gaussian, integer_pair, integer_ratio,
-                          monic_polynomial)
+from .polynomials import (Polynomial, RationalFunction, gaussian, gcd_cofactors, integer_pair,
+                          integer_ratio, monic_polynomial)
 
 if TYPE_CHECKING:
     from .jets import SolvePlan
@@ -123,7 +124,7 @@ def _product(pairs: Pairs, source: _Lifted) -> _Lifted:
     lcm = pairs[0][1][1]
     for _, (_, v) in pairs[1:]:
         if v != lcm:
-            lcm = lcm * lcm.cofactors(v)[2]
+            lcm = lcm * gcd_cofactors(lcm, v)[2]
     ground = den.is_ground
     top = 0 if ground else max(sum(beta) for beta, _ in pairs)
     powers = [one, den]  # B^k for k <= top + 1
@@ -192,7 +193,7 @@ def _sum(parts: List[_Lifted]) -> _Lifted:
     for part in parts[1:]:
         factor = None
         if part.den != den:
-            _, factor, other = den.cofactors(part.den)  # den/gcd, part.den/gcd
+            _, factor, other = gcd_cofactors(den, part.den)  # den/gcd, part.den/gcd
             if other != 1:
                 total = {g: {alpha: other * v for alpha, v in cof.items()}
                          for g, cof in total.items()}
@@ -226,7 +227,7 @@ def _cancelled(lifted: _Lifted) -> _Lifted:
         if len(value) > 1 and len(common) > 1:  # the gcd of a monomial is cheaper
             quotient, remainder = value.div(common)
         if remainder:
-            common, shrink, quotient = common.cofactors(value)
+            common, shrink, quotient = gcd_cofactors(common, value)
             if common.is_ground:
                 return lifted
             rest = rest * shrink

@@ -26,6 +26,7 @@ from weylclosure import (
     poly_lcm,
     weyl_closure_member,
 )
+from weylclosure.polynomials import gcd_cofactors
 
 
 def poly(text_terms, m=1):
@@ -715,3 +716,62 @@ def test_operands_in_different_numbers_of_variables_are_rejected():
             combine(x1, x2)
     assert x1 != x2 and Polynomial.zero(1) != Polynomial.zero(2)
     assert r1 != RationalFunction(x2 + 1, x2)
+
+
+# -- the gcd kernel against sympy's sparse cofactors ---------------------------
+
+_KERNEL_SHAPES = ("random", "ground", "equal", "monomial", "divides", "common", "zero")
+
+
+@st.composite
+def kernel_operands(draw):
+    """(a, b) in ZZ[x] or ZZ_I[x], 1-3 variables, shaped to reach every path."""
+    nvars = draw(st.integers(1, 3))
+    domain = draw(st.sampled_from([ZZ, ZZ_I]))
+    ring = _reference_ring(nvars, domain)
+    ints = st.integers(-6, 6)
+    coefficients = (ints.map(ZZ) if domain is ZZ else st.builds(ZZ_I, ints, ints)).filter(bool)
+    monomials = st.tuples(*[st.integers(0, 3 if nvars == 1 else 2)] * nvars)
+
+    def element(max_size):  # nonzero
+        return ring.from_dict(draw(st.dictionaries(monomials, coefficients, min_size=1,
+                                                   max_size=max_size)))
+
+    shape = draw(st.sampled_from(_KERNEL_SHAPES))
+    a = element(4)
+    if shape == "random":
+        b = element(4)
+    elif shape == "ground":
+        b = ring.ground_new(draw(coefficients))
+    elif shape == "equal":
+        b = a
+    elif shape == "monomial":
+        b = ring.from_dict({draw(monomials): draw(coefficients)})
+    elif shape == "divides":
+        b = a * element(3)
+    elif shape == "common":
+        f = element(3)
+        a, b = a * f, element(3) * f
+    else:
+        b = ring.zero
+    if draw(st.booleans()):
+        a, b = b, a
+    if draw(st.booleans()):  # operands with a constant factor, as the witness lift passes
+        k = draw(coefficients)
+        a, b = a.mul_ground(k), b.mul_ground(k if shape == "equal" else draw(coefficients))
+    return a, b
+
+
+def _units(domain):
+    return ZZ_I.units if domain is ZZ_I else [ZZ(1), ZZ(-1)]
+
+
+@settings(deadline=None, max_examples=150)
+@given(kernel_operands())
+def test_gcd_kernel_matches_sympys_sparse_cofactors(operands):
+    a, b = operands
+    g, cff, cfg = gcd_cofactors(a, b)
+    assert g * cff == a and g * cfg == b
+    h = a.cofactors(b)[0]
+    # the gcd, content included, up to a unit
+    assert any(g == h.mul_ground(u) for u in _units(a.ring.domain))

@@ -5,6 +5,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 import pytest
+from sympy.polys.domains import ZZ
+from sympy.polys.orderings import grlex
+from sympy.polys.rings import PolyRing
 
 from weylclosure import (
     Derivative,
@@ -16,6 +19,8 @@ from weylclosure import (
     RationalFunction,
     common_denominator,
     complete_to_riquier_basis,
+    format_operator,
+    format_polynomial,
     head_of,
     left_multiply_by_d,
     parse_operator,
@@ -558,6 +563,55 @@ def test_lift_does_no_rational_function_arithmetic(gens, q, monkeypatch):
     assert w == expected.witness.w
     assert [cofactors.get(g, OperatorVector.zero(q.m, 1)) for g in range(len(gens))] \
         == expected.witness.cofactors
+
+
+# (m, n, generators, q, basis, w, h_j), as printed before the gcd kernel
+# changed: each lift cancels a nonconstant gcd in riquier._cancelled.  In
+# x2^2 - x1 the lex leader (x1, which a dense gcd makes positive) and the
+# graded-lex leader (x2^2) have opposite signs.
+PINNED_WITNESSES = [
+    (1, 2, ["((-1/2*x^2 + 3*x)) [u1] + 6*x^2*D^2 [u2]", "((-x^2 - 3*x)*D^2) [u2]"],
+     "((3*x^2 - 8)*D^2) [u2]",
+     ["1 [u1]", "D^2 [u2]"], "x^2 + 3*x", ["0", "(-3*x^2 + 8)"]),
+    (1, 1, ["-x + 2"], "(-2*x^2 + 8)*D^2 - 3*x*D",
+     ["1"], "x^2 - 4*x + 4",
+     ["(2*x^3 - 4*x^2 - 8*x + 16)*D^2 + (-x^2 - 6*x + 16)*D + (x + 8)"]),
+    (2, 1, ["(x2^2 - x1)*x2"], "D1*D2",
+     ["1"], "x2^8 - 3*x1*x2^6 + 3*x1^2*x2^4 - x1^3*x2^2",
+     ["(x2^5 - 2*x1*x2^3 + x1^2*x2)*D1*D2 + (-3*x2^4 + 4*x1*x2^2 - x1^2)*D1"
+      " + (x2^3 - x1*x2)*D2 + (-5*x2^2 + x1)"]),
+    (2, 1, ["(-2*x2 + 1/2)*(x2^2 - x1)*D2"], "(1/2*x1 - 2*x2)*D1*D2",
+     ["D2"], "x2^5 - 2*x1*x2^3 - 1/4*x2^4 + x1^2*x2 + 1/2*x1*x2^2 - 1/4*x1^2",
+     ["(-1/4*x1*x2^2 + x2^3 + 1/4*x1^2 - x1*x2)*D1 + (-1/4*x1 + x2)"]),
+]
+
+
+@pytest.mark.parametrize("m, n, gens, q, basis, w, hs", PINNED_WITNESSES)
+def test_witness_strings_after_a_cancelled_gcd_are_pinned(m, n, gens, q, basis, w, hs,
+                                                           monkeypatch):
+    cancelled = []
+    original = riquier._cancelled
+
+    def spy(lifted):
+        out = original(lifted)
+        cancelled.append(out is not lifted)
+        return out
+
+    monkeypatch.setattr(riquier, "_cancelled", spy)
+    result = weyl_closure_member(parse_operator(q, m, n), [parse_operator(g, m, n) for g in gens])
+    assert any(cancelled)
+    assert [format_operator(e) for e in result.basis.elements] == basis
+    assert format_polynomial(result.witness.w) == w
+    assert [format_operator(h) if not h.is_zero() else "0"
+            for h in result.witness.cofactors] == hs
+
+
+def test_lift_sums_over_denominators_with_integer_content_stay_over_their_lcm():
+    # a lift denominator carries integer content: a coefficient 1/2 gives v = 2
+    x, = PolyRing(["x"], ZZ, grlex).gens
+    parts = [riquier._Lifted(x.ring.ground_new(d), {0: {(0,): x}}) for d in (2, 4, 4)]
+    total = riquier._sum(parts)
+    assert total.den == 4 and total.numerators == {0: {(0,): 4 * x}}
 
 
 # -- metamorphic checks: the reduced monic basis depends only on the module --
