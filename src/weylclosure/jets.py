@@ -9,7 +9,9 @@ It compiles those rules at a point into a solve plan, kept on the basis: over
 Delta_T in ranking order, each entry is either parametric or a row of
 (earlier position, value) pairs.  Delta_s is a prefix of Delta_(s+1), so one
 plan per point serves every order, and a solve is one pass of exact
-multiply-adds over a prefix of it.
+multiply-adds over a prefix of it.  The principal/parametric classification
+of Delta_T is done once per basis (``RiquierBasis.ranked_up_to``): the plans
+and the constraint matrix's columns read its positions.
 
 Both evaluate first and differentiate second.  Each coefficient c of a basis
 element is Taylor-expanded at x0 once, as a truncated power series over Q or
@@ -18,30 +20,36 @@ rule: column ``delta + gamma`` gets ``sum C(beta, gamma) d^(beta-gamma) c(x0)``
 over the terms ``c D^delta`` of p and ``gamma <= beta``.  No rational-function
 arithmetic happens here; ``operators.apply_to_jet`` keeps the symbolic shifts
 as an independent check.
+
+The arithmetic is only what the answers need: integer factors (binomials,
+factorials) are multiplied out before one Fraction product per entry, and
+none when that product is 1; zero Taylor terms are never formed; absent and
+vanishing values are the one shared ``scalars.ZERO``.  Requests whose Delta_s
+or constraint matrix would exceed ``operators.MAX_JET_SIZE`` are refused with
+InvalidInput before anything is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from math import comb, factorial, prod
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import EvaluationAtPole, InvalidInput, SBelowS0
 from .formatting import format_derivative
 from .linalg import nullity, nullspace_basis
 from .operators import (
+    MAX_JET_SIZE,
     Derivative,
     Jet,
     MultiIndex,
     OperatorVector,
-    derivatives_up_to,
     multi_indices,
 )
 from .polynomials import Polynomial, RationalFunction
-from .ranking import pick_rule
 from .riquier import RiquierBasis
-from .scalars import Scalar, format_point
+from .scalars import ZERO, Scalar, format_point
 
 
 @dataclass
@@ -58,20 +66,31 @@ class ConstraintSystem:
 
 def constraint_matrix(basis: RiquierBasis, s: int,
                       point: Sequence[Scalar]) -> ConstraintSystem:
-    """All rows cf(D^beta p)|_point over Delta_s, for p in the basis, |beta| <= s - deg p."""
+    """All rows cf(D^beta p)|_point over Delta_s, for p in the basis, |beta| <= s - deg p.
+
+    InvalidInput, before anything is built, when the matrix would have more
+    than MAX_JET_SIZE entries.
+    """
     if s < basis.s0:
         raise SBelowS0(f"requested order {s} is below the basis degree {basis.s0}")
     point = _check_point(basis, point)
-    columns = derivatives_up_to(basis.m, basis.n, s)
-    zero = Fraction(0)
+    nrows = sum(comb(s - p.degree() + basis.m, basis.m) for p in basis.elements)
+    ncols = basis.n * comb(s + basis.m, basis.m)
+    if nrows * ncols > MAX_JET_SIZE:
+        raise InvalidInput(
+            f"the constraint matrix of order {s} has {nrows} rows and {ncols} columns, "
+            f"{nrows * ncols} entries, more than the limit of {MAX_JET_SIZE}")
+    columns = basis.ranked[:basis.ranked_up_to(s)]
     rows: List[List[Scalar]] = []
     labels: List[Tuple[int, MultiIndex]] = []
     for index, p in enumerate(basis.elements):
         reach = s - p.degree()
         table = _derivative_table(p, point, reach)
         for beta in sorted(multi_indices(basis.m, reach), key=lambda b: (sum(b), b)):
-            row = _leibniz_row(table, beta)
-            rows.append([row.get(d, zero) for d in columns])
+            row = [ZERO] * ncols
+            for d, value in _leibniz_row(table, beta).items():
+                row[basis.position[d]] = value
+            rows.append(row)
             labels.append((index, beta))
     return ConstraintSystem(rows, labels, columns, s, point, basis)
 
@@ -92,7 +111,7 @@ def check_jet_constraints(jet: Jet, system: ConstraintSystem) -> bool:
         raise InvalidInput("jet base point does not match the constraint system")
     vector = [jet.value(d) for d in system.columns]
     for row in system.rows:
-        total: Scalar = Fraction(0)
+        total: Scalar = ZERO
         for a, b in zip(row, vector):
             total = total + a * b
         if total:
@@ -103,19 +122,16 @@ def check_jet_constraints(jet: Jet, system: ConstraintSystem) -> bool:
 class SolvePlan:
     """The substitution rules of a basis compiled at one point.
 
-    ``derivatives`` is Delta_order in ranking order and ``index`` maps each
-    derivative to its position.  ``rows[i]`` is None when ``derivatives[i]``
-    is parametric; otherwise the value there is ``sum(c * value[j])`` over
-    the ``(j, c)`` pairs of the row, every j < i: the shifted rule's other
-    terms, negated, with zero coefficients dropped.  Under the standard
-    ranking Delta_s is a prefix of Delta_(s+1), so one plan serves every
+    ``rows[i]`` is None when ``basis.ranked[i]`` is parametric; otherwise the
+    value there is ``sum(c * value[j])`` over the ``(j, c)`` pairs of the
+    row, every j < i: the shifted rule's other terms, negated, with zero
+    coefficients dropped.  The positions are those of the basis's one
+    classification (``RiquierBasis.ranked_up_to``), so one plan serves every
     order: a solve at a higher order extends it, a lower order reads a prefix.
     """
 
     def __init__(self) -> None:
         self.order = -1
-        self.derivatives: List[Derivative] = []
-        self.index: Dict[Derivative, int] = {}
         self.rows: List[Optional[Tuple[Tuple[int, Scalar], ...]]] = []
 
     def extend(self, basis: RiquierBasis, point: Tuple[Scalar, ...], order: int) -> None:
@@ -123,13 +139,10 @@ class SolvePlan:
         if order <= self.order:
             return
         start = len(self.rows)
-        self.derivatives = derivatives_up_to(basis.m, basis.n, order)
-        new = self.derivatives[start:]
-        self.index.update((d, i) for i, d in enumerate(new, start))
+        size = basis.ranked_up_to(order)
         tables: Dict[int, Dict[Derivative, Dict[MultiIndex, Scalar]]] = {}
         rows = []
-        for d in new:
-            rule = pick_rule(d, basis.heads)
+        for d, rule in zip(basis.ranked[start:size], basis.ranked_rules[start:size]):
             if rule is None:
                 rows.append(None)
                 continue
@@ -138,7 +151,7 @@ class SolvePlan:
                 tables[rule] = _derivative_table(p, point, order - p.degree())
             beta = tuple(a - b for a, b in zip(d.alpha, basis.heads[rule].alpha))
             # the head coefficient of the shifted rule is 1
-            rows.append(tuple((self.index[delta], -value)
+            rows.append(tuple((basis.position[delta], -value)
                               for delta, value in _leibniz_row(tables[rule], beta).items()
                               if delta != d and value))
         self.rows.extend(rows)
@@ -176,10 +189,10 @@ def formal_solve(basis: RiquierBasis, point: Sequence[Scalar],
     if plan is None:
         plan = basis.solve_plans[point] = SolvePlan()
     plan.extend(basis, point, order)
-    size = basis.n * comb(order + basis.m, basis.m)  # |Delta_order|
-    values: List[Scalar] = [Fraction(0)] * size
+    size = basis.ranked_up_to(order)
+    values: List[Scalar] = [ZERO] * size
     for d, value in init.items():
-        i = plan.index[d]
+        i = basis.position[d]
         if plan.rows[i] is not None:
             raise InvalidInput(
                 f"initial value given for the principal derivative "
@@ -188,13 +201,13 @@ def formal_solve(basis: RiquierBasis, point: Sequence[Scalar],
         values[i] = value
     for i, row in enumerate(plan.rows[:size]):
         if row is not None:
-            total: Scalar = Fraction(0)
+            total: Scalar = ZERO  # a row with no nonzero term builds no new zero
             for j, c in row:
                 v = values[j]
                 if v:
                     total = total + c * v
             values[i] = total
-    return Jet(point, order, basis.m, basis.n, dict(zip(plan.derivatives, values)))
+    return Jet(point, order, basis.m, basis.n, dict(zip(basis.ranked, values)))
 
 
 # -- evaluate-first Leibniz rows --------------------------------------------
@@ -205,19 +218,27 @@ def _shifted_series(f: Polynomial, point: Tuple[Scalar, ...],
     """Coefficients of f(point + y) as a polynomial in y, truncated at total degree order."""
     series: Dict[MultiIndex, Scalar] = {}
     for mono, c in f.terms.items():
-        # expand prod_j (x0_j + y_j)^e_j binomially, one variable at a time
+        # expand prod_j (x0_j + y_j)^e_j binomially, one variable at a time,
+        # through the nonzero terms C(e, k) x0_j^(e-k) y_j^k: at x0_j = 0 only y_j^e
         partial: Dict[MultiIndex, Scalar] = {(): c}
         for x, e in zip(point, mono):
-            powers = [Fraction(1)]
-            for _ in range(e):  # GaussianRational has no __pow__
-                powers.append(powers[-1] * x)
+            if x:
+                powers = [1]
+                for _ in range(e):  # GaussianRational has no __pow__
+                    powers.append(powers[-1] * x)
+                factors = {k: comb(e, k) * powers[e - k] for k in range(e + 1)}
+            else:
+                factors = {e: 1}
             grown: Dict[MultiIndex, Scalar] = {}
             for mu, value in partial.items():
-                for k in range(min(e, order - sum(mu)) + 1):
-                    grown[mu + (k,)] = value * comb(e, k) * powers[e - k]
+                room = order - sum(mu)
+                for k, factor in factors.items():
+                    if k <= room:
+                        grown[mu + (k,)] = value if factor == 1 else value * factor
             partial = grown
         for mu, value in partial.items():
-            series[mu] = series.get(mu, 0) + value
+            known = series.get(mu)
+            series[mu] = value if known is None else known + value
     return series
 
 
@@ -235,18 +256,17 @@ def _coefficient_derivatives(c: RationalFunction, point: Tuple[Scalar, ...],
         # power-series division num/den, in increasing total degree
         series = {}
         for mu in multi_indices(len(point), order):
-            total = num.get(mu, 0)
+            total = num.get(mu, ZERO)
             for nu, value in den.items():
                 rest = tuple(a - b for a, b in zip(mu, nu))
-                if min(rest) >= 0:
+                if min(rest) >= 0 and series[rest]:
                     total = total - value * series[rest]
-            series[mu] = total / lead
+            series[mu] = total if lead == 1 else total / lead
     derivatives: Dict[MultiIndex, Scalar] = {}
     for mu, value in series.items():
         if value:
-            for a in mu:
-                value = value * factorial(a)
-            derivatives[mu] = value
+            factor = prod(map(factorial, mu))
+            derivatives[mu] = value if factor == 1 else value * factor
     return derivatives
 
 
@@ -270,10 +290,12 @@ def _leibniz_row(table: Dict[Derivative, Dict[MultiIndex, Scalar]],
             gamma = tuple(b - a for a, b in zip(mu, beta))
             if min(gamma) < 0:
                 continue
-            for b, g in zip(beta, gamma):
-                value = value * comb(b, g)
+            factor = prod(map(comb, beta, gamma))
+            if factor != 1:
+                value = value * factor
             column = delta.differentiate(gamma)
-            row[column] = row.get(column, 0) + value
+            known = row.get(column)
+            row[column] = value if known is None else known + value
     return row
 
 
@@ -285,8 +307,7 @@ def solution_space_dim(basis: RiquierBasis, s: int, point: Sequence[Scalar]) -> 
 
 def constraint_nullspace(system: ConstraintSystem) -> List[Jet]:
     """A basis of jets spanning the solutions of the constraint system."""
-    vectors = nullspace_basis(system.rows, len(system.columns),
-                              Fraction(0), Fraction(1))
+    vectors = nullspace_basis(system.rows, len(system.columns), ZERO, Fraction(1))
     jets = []
     for vec in vectors:
         jets.append(Jet(system.point, system.s, system.basis.m, system.basis.n,
@@ -302,12 +323,16 @@ def pick_regular_point(avoid: Sequence[Polynomial], m: int,
     through 0, 1, -1, ..., r, -r for r = search_radius.  The grid is searched
     depth-first, one coordinate at a time, and a candidate is skipped as soon
     as fixing it leaves some polynomial identically zero, since no point that
-    extends it can then be regular.
+    extends it can then be regular.  Each coordinate is made when the search
+    reaches it, so a search that stops at 0 builds no other.
     """
-    candidates: List[Fraction] = [Fraction(0)]
-    for k in range(1, search_radius + 1):
-        candidates.append(Fraction(k))
-        candidates.append(Fraction(-k))
+
+    def candidates() -> Iterator[Fraction]:
+        yield ZERO
+        for k in range(1, search_radius + 1):
+            yield Fraction(k)
+            yield Fraction(-k)
+
     polys = [p for p in avoid if not p.is_zero()]
     if any(p.nvars != m for p in polys):
         raise ValueError("point dimension mismatch")
@@ -317,7 +342,7 @@ def pick_regular_point(avoid: Sequence[Polynomial], m: int,
         # every polynomial in terms is nonzero in the ``left`` free variables
         if left == 0:
             return ()
-        for c in candidates:
+        for c in candidates():
             fixed = [_fix_first_variable(t, c) for t in terms]
             if all(fixed):
                 rest = search(fixed, left - 1)

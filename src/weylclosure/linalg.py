@@ -2,7 +2,9 @@
 
 Works uniformly for scalar matrices (Fraction / GaussianRational entries) and
 for symbolic matrices over the rational function field: entries only need
-+, -, *, /, truthiness and equality.
++, -, *, /, truthiness and equality.  Elimination skips zeros: it does
+arithmetic only on the nonzero entries of each pivot row, which is most of
+the saving on constraint matrices, since they are mostly zeros.
 """
 
 from __future__ import annotations
@@ -11,7 +13,11 @@ from typing import List, Optional, Sequence, Tuple
 
 
 def row_echelon(rows: List[list]) -> Tuple[List[list], List[int]]:
-    """Reduced row echelon form (in place on a copy) and the pivot column list."""
+    """Reduced row echelon form (in place on a copy) and the pivot column list.
+
+    Scaling the pivot row and eliminating with it touch only the pivot row's
+    nonzero entries: where it is zero, no entry of any row changes.
+    """
     mat = [list(r) for r in rows]
     if not mat:
         return mat, []
@@ -23,12 +29,18 @@ def row_echelon(rows: List[list]) -> Tuple[List[list], List[int]]:
         if pivot_row is None:
             continue
         mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = mat[r][col]
-        mat[r] = [e / inv for e in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col]:
-                factor = mat[i][col]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
+        row = mat[r]
+        # left of col the pivot row is zero: earlier pivots cleared it
+        support = [j for j in range(col, ncols) if row[j]]
+        inv = row[col]
+        if inv != 1:
+            for j in support:
+                row[j] = row[j] / inv
+        for i, other in enumerate(mat):
+            factor = other[col]
+            if factor and i != r:
+                for j in support:
+                    other[j] = other[j] - factor * row[j]
         pivots.append(col)
         r += 1
         if r == len(mat):
@@ -55,7 +67,8 @@ def nullspace_basis(rows: List[list], ncols: int, zero, one) -> List[list]:
         vec = [zero] * ncols
         vec[f] = one
         for r, c in enumerate(pivots):
-            vec[c] = -mat[r][f]
+            if mat[r][f]:
+                vec[c] = -mat[r][f]
         basis.append(vec)
     return basis
 

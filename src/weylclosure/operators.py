@@ -9,18 +9,26 @@ always have equal term maps.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Mapping, Sequence, Tuple, TypeVar
 
 from .errors import DegreeExceeded, InvalidInput
 from .polynomials import Polynomial, RationalFunction
-from .scalars import Scalar
+from .scalars import ZERO, Scalar
 
 MultiIndex = Tuple[int, ...]
 K = TypeVar("K")
 T = TypeVar("T")
 V = TypeVar("V")
+
+# The most derivatives ``derivatives_up_to`` lists, and the most entries
+# ``jets.constraint_matrix`` builds.  At the bound Delta_s takes about 40 MB
+# and 0.4 s to build (2 vCPUs, Python 3.11), and a constraint matrix with
+# that many entries already takes seconds to eliminate; the test suite and
+# the benchmark build at most 56 derivatives and 3,192 entries.
+MAX_JET_SIZE = 100_000
 
 
 @dataclass(frozen=True, slots=True)
@@ -97,7 +105,15 @@ def stepwise(start: T, step: Callable[[int, T, MultiIndex], T]) -> Callable[[Mul
 
 
 def derivatives_up_to(m: int, n: int, s: int) -> List[Derivative]:
-    """The set Delta_s, sorted by the standard ranking."""
+    """The set Delta_s, sorted by the standard ranking.
+
+    InvalidInput when it has more than MAX_JET_SIZE derivatives.
+    """
+    size = n * math.comb(s + m, m) if s >= 0 else 0
+    if size > MAX_JET_SIZE:
+        raise InvalidInput(
+            f"order {s} has {size} derivatives in {m} variable(s) and {n} unknown(s), "
+            f"more than the limit of {MAX_JET_SIZE}")
     out = [
         Derivative(i, alpha)
         for alpha in multi_indices(m, s)
@@ -273,7 +289,7 @@ class Jet:
         self.values = dict(values)
 
     def value(self, d: Derivative) -> Scalar:
-        return self.values.get(d, Fraction(0))
+        return self.values.get(d, ZERO)
 
     def truncate(self, order: int) -> "Jet":
         return Jet(self.base_point, order, self.m, self.n,

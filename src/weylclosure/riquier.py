@@ -330,7 +330,13 @@ class DerivationLog:
 
 
 class RiquierBasis:
-    """A monic, autoreduced, confluent generating set with its derivation log."""
+    """A monic, autoreduced, confluent generating set with its derivation log.
+
+    The basis also keeps the principal/parametric classification of Delta_T
+    (``ranked_up_to``): each derivative is classified once per basis, by
+    ``ranking.pick_rule``, and ``parametric_up_to`` and the solve plans of
+    ``jets.formal_solve`` both read that one list.
+    """
 
     def __init__(self, elements: Sequence[OperatorVector], m: int, n: int,
                  derivation: DerivationLog, made_by: Sequence[int]):
@@ -341,10 +347,15 @@ class RiquierBasis:
         # the log and, per element, the log id that made it
         self.derivation = derivation
         self.made_by = list(made_by)
+        # Delta_T in ranking order for the highest order T asked so far, each
+        # derivative's position there, and per position the index of the rule
+        # whose head divides it (None when it is parametric); see ``ranked_up_to``
+        self.ranked: List[Derivative] = []
+        self.position: Dict[Derivative, int] = {}
+        self.ranked_rules: List[Optional[int]] = []
         # the substitution rules compiled at each point, one plan per point
         # for every truncation order; built and extended by jets.formal_solve
         self.solve_plans: Dict[tuple, "SolvePlan"] = {}
-        self._parametric: Dict[int, List[Derivative]] = {}
 
     @property
     def generator_cofactors(self) -> List[Cofactors]:
@@ -381,20 +392,34 @@ class RiquierBasis:
             return DerivativeClass.PRINCIPAL
         return DerivativeClass.PARAMETRIC
 
+    def ranked_up_to(self, order: int) -> int:
+        """|Delta_order|, after extending ``ranked`` to cover Delta_order.
+
+        ``ranked`` lists Delta_T in ranking order, ``position`` maps each of
+        its derivatives to its index there, and ``ranked_rules`` holds the
+        index of the rule whose head divides it, or None when it is
+        parametric.  Under the standard ranking Delta_s is a prefix of
+        Delta_(s+1), so a higher order appends the new derivatives, each
+        classified once, and a lower order reads a prefix.
+        """
+        size = self.n * math.comb(order + self.m, self.m)
+        start = len(self.ranked)
+        if size > start:
+            new = derivatives_up_to(self.m, self.n, order)[start:]
+            self.ranked.extend(new)
+            self.position.update((d, i) for i, d in enumerate(new, start))
+            self.ranked_rules.extend(pick_rule(d, self.heads) for d in new)
+        return size
+
     def parametric_up_to(self, s: int) -> List[Derivative]:
         """All parametric derivatives in Delta_s, in ranking order, as a fresh list.
 
-        The classification is computed once per s; a negative s raises InvalidInput.
+        They are read off ``ranked_up_to``; a negative s raises InvalidInput.
         """
         if s < 0:
             raise InvalidInput(f"order s must be nonnegative, got {s}")
-        parametric = self._parametric.get(s)
-        if parametric is None:
-            parametric = self._parametric[s] = [
-                d for d in derivatives_up_to(self.m, self.n, s)
-                if self.classify(d) is DerivativeClass.PARAMETRIC
-            ]
-        return list(parametric)
+        size = self.ranked_up_to(s)
+        return [d for d, rule in zip(self.ranked[:size], self.ranked_rules) if rule is None]
 
 
 def _monic_and_logged(trace: ReductionTrace, terms: List[Term], rule_ids: Sequence[int],

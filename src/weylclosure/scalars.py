@@ -13,6 +13,10 @@ from typing import Sequence, Union
 
 Scalar = Union[Fraction, "GaussianRational"]
 
+# The zero that jets hand out for every absent or vanishing value: one object,
+# since Fraction is immutable and building one costs a constructor call.
+ZERO = Fraction(0)
+
 
 class GaussianRational:
     """An element of Q(i), stored as exact real and imaginary parts."""

@@ -1,6 +1,7 @@
 """End-to-end command-line runs against temporary system files."""
 
 import json
+import time
 
 import pytest
 
@@ -240,6 +241,28 @@ def test_prop1_pole_message_names_a_gaussian_point(tmp_path, capsys):
     code = main(["prop1", str(path), "--point", "1 + i", "--s", "2"])
     assert code == 2
     assert capsys.readouterr().err == "error: denominator vanishes at 1 + i\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--point", "0, 0", "--order", "3000"],
+     "error: order 3000 has 4504501 derivatives in 2 variable(s) and 1 unknown(s), "
+     "more than the limit of 100000\n"),
+    (["prop1", "--point", "0, 0", "--s", "400"],
+     "error: the constraint matrix of order 400 has 80200 rows and 80601 columns, "
+     "6464200200 entries, more than the limit of 100000\n"),
+])
+def test_oversized_jet_request_exits_2_before_allocating(tmp_path, capsys, argv, message):
+    # without the size guard both calls fill memory until MemoryError
+    path = tmp_path / "d1.sys"
+    path.write_text("vars: 2\nrow: D1\n")
+    start = time.perf_counter()
+    code = main(argv[:1] + [str(path)] + argv[1:])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == message
+    assert elapsed < 5
 
 
 # -- verify-witness --------------------------------------------------------

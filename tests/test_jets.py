@@ -9,6 +9,7 @@ import pytest
 
 from weylclosure import (
     Derivative,
+    DerivativeClass,
     EvaluationAtPole,
     GaussianRational,
     InvalidInput,
@@ -24,8 +25,9 @@ from weylclosure import (
     pick_regular_point,
     solution_space_dim,
 )
-from weylclosure import jets
+from weylclosure import jets, ranking, riquier
 from weylclosure.operators import (
+    MAX_JET_SIZE,
     Jet,
     apply_to_jet,
     cf_slice,
@@ -199,6 +201,34 @@ def test_pole_message_gives_the_exact_point():
         formal_solve(basis, (Fraction(1), Fraction(-1)), {}, 2)
 
 
+def test_constraint_matrix_size_guard_refuses_before_building(monkeypatch):
+    basis = basis_of("D")
+    # D has s rows over s + 1 columns: 315 * 316 is within the bound, 316 * 317 is not
+    assert 315 * 316 <= MAX_JET_SIZE < 316 * 317
+    system = constraint_matrix(basis, 315, ZERO)
+    assert (len(system.rows), len(system.columns)) == (315, 316)
+
+    def refuse(*args):
+        raise AssertionError("a derivative table was built")
+
+    monkeypatch.setattr(jets, "_derivative_table", refuse)
+    with pytest.raises(InvalidInput) as info:
+        constraint_matrix(basis, 316, ZERO)
+    assert str(info.value) == (
+        "the constraint matrix of order 316 has 316 rows and 317 columns, "
+        f"100172 entries, more than the limit of {MAX_JET_SIZE}")
+
+
+def test_derivatives_up_to_refuses_past_the_bound():
+    # |Delta_s| = n * C(s + m, m): C(448, 2) = 100128
+    with pytest.raises(InvalidInput) as info:
+        derivatives_up_to(2, 1, 446)
+    assert str(info.value) == (
+        "order 446 has 100128 derivatives in 2 variable(s) and 1 unknown(s), "
+        f"more than the limit of {MAX_JET_SIZE}")
+    assert len(derivatives_up_to(1, 2, 4)) == 10
+
+
 def test_check_jet_constraints_examples():
     system = constraint_matrix(basis_of("D^2"), 2, ZERO)
     assert check_jet_constraints(jet_1d(0, [1, 1, 0]), system)
@@ -329,6 +359,31 @@ def test_formal_solve_builds_each_row_once_per_point(monkeypatch):
     formal_solve(basis, (Fraction(2),), init, 3)
     assert len(betas) == 8
     assert basis.solve_plans[ONE] is plan and len(basis.solve_plans) == 2
+
+
+def test_each_derivative_is_classified_once_per_basis(monkeypatch):
+    basis = basis_of("D1 [u1] - x2 [u2]", "D2 [u1] + x1*D1 [u2]", m=2, n=2)
+    order = basis.s0 + 3
+    classified = []
+    pick_rule = ranking.pick_rule
+
+    def counting(d, heads):
+        classified.append(d)
+        return pick_rule(d, heads)
+
+    for module in (ranking, riquier, jets):
+        monkeypatch.setattr(module, "pick_rule", counting, raising=False)
+    point = (Fraction(1), Fraction(2))
+    constraint_matrix(basis, basis.s0 + 1, point)
+    parametric = basis.parametric_up_to(order)
+    init = {d: Fraction(k + 1) for k, d in enumerate(parametric)}
+    low = {d: v for d, v in init.items() if d.order <= order - 1}
+    formal_solve(basis, point, low, order - 1)
+    formal_solve(basis, point, init, order)
+    monkeypatch.undo()
+    assert classified == derivatives_up_to(2, 2, order)
+    assert parametric == [d for d in classified
+                          if basis.classify(d) is DerivativeClass.PARAMETRIC]
 
 
 def test_formal_solve_satisfies_constraints():

@@ -31,6 +31,7 @@ from weylclosure import (
 )
 from weylclosure import riquier
 from weylclosure.cli import main
+from weylclosure.operators import derivatives_up_to
 from weylclosure.riquier import DerivationLog
 from conftest import random_generators, random_operator, random_polynomial
 
@@ -164,6 +165,22 @@ def test_parametric_up_to_returns_a_fresh_list():
     basis = complete_to_riquier_basis([op("x^2*D^2 - 2*x*D + 2")])
     basis.parametric_up_to(3).clear()
     assert basis.parametric_up_to(3) == [Derivative(1, (0,)), Derivative(1, (1,))]
+
+
+@pytest.mark.parametrize("orders", [(1, 2, 4), (4, 2, 1)])
+@pytest.mark.parametrize("texts, m, n", [
+    (["x^2*D^2 - 2*x*D + 2"], 1, 1),
+    (["D1 - x1", "D2^2"], 2, 1),
+    (["D1 [u1] - x2 [u2]", "D2 [u1] + x1*D1 [u2]"], 2, 2),
+])
+def test_parametric_up_to_is_the_classify_filter_in_either_order(texts, m, n, orders):
+    # the classification behind parametric_up_to grows with the highest order
+    # asked; asked high first, lower orders read a prefix of it
+    basis = complete_to_riquier_basis([op(t, m, n) for t in texts], m, n)
+    for s in orders:
+        assert basis.parametric_up_to(s) == [
+            d for d in derivatives_up_to(m, n, s)
+            if basis.classify(d) is DerivativeClass.PARAMETRIC]
 
 
 @pytest.mark.parametrize("s", [-1, -2])
