@@ -63,9 +63,9 @@ class Derivative:
         )
 
 
-def multi_indices(m: int, max_total: int) -> Iterator[MultiIndex]:
-    """All alpha in N^m with |alpha| <= max_total, in increasing total degree."""
-    for total in range(max_total + 1):
+def multi_indices(m: int, max_total: int, min_total: int = 0) -> Iterator[MultiIndex]:
+    """All alpha in N^m with min_total <= |alpha| <= max_total, in increasing total degree."""
+    for total in range(min_total, max_total + 1):
         for cuts in itertools.combinations(range(total + m - 1), m - 1):
             parts = []
             prev = -1
@@ -104,10 +104,13 @@ def stepwise(start: T, step: Callable[[int, T, MultiIndex], T]) -> Callable[[Mul
     return f
 
 
-def derivatives_up_to(m: int, n: int, s: int) -> List[Derivative]:
+def derivatives_up_to(m: int, n: int, s: int, above: int = -1) -> List[Derivative]:
     """The set Delta_s, sorted by the standard ranking.
 
-    InvalidInput when it has more than MAX_JET_SIZE derivatives.
+    With ``above = t`` only the derivatives of order above t are listed: the
+    ranking compares orders first, so they are the part of Delta_s that
+    follows Delta_t.  InvalidInput when Delta_s has more than MAX_JET_SIZE
+    derivatives, whatever ``above`` is.
     """
     size = n * math.comb(s + m, m) if s >= 0 else 0
     if size > MAX_JET_SIZE:
@@ -116,7 +119,7 @@ def derivatives_up_to(m: int, n: int, s: int) -> List[Derivative]:
             f"more than the limit of {MAX_JET_SIZE}")
     out = [
         Derivative(i, alpha)
-        for alpha in multi_indices(m, s)
+        for alpha in multi_indices(m, s, above + 1)
         for i in range(1, n + 1)
     ]
     out.sort(key=Derivative.rank_key)

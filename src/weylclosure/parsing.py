@@ -12,49 +12,52 @@ Grammar (``*`` is noncommutative and mandatory between factors)::
 Division requires both operands to be pure functions (no derivations), which
 keeps the noncommutative product unambiguous.  Component tags appear only at
 the top level of a row and are required when n > 1.
+
+Text is evaluated straight to standard form.  A function (a value with no
+derivation in it) is an exact polynomial term dict ``{exponent: scalar}``,
+with ``int`` coefficients where they are integral and ``Fraction`` or
+``GaussianRational`` otherwise; division by a constant scales it, and only
+division by a nonconstant function turns it into a ``RationalFunction``.  A
+value with a derivation in it maps each multi-index alpha to the function
+that multiplies ``D^alpha``.  A derivation raised to ``^k`` is one
+derivative, and a function raised to ``^k`` is a polynomial power.  A
+product with a function on the left multiplies coefficient by coefficient;
+only a product with a derivation on the left needs the Leibniz rule, and it
+takes it from ``operators.scalar_operator_product``.  Each coefficient
+becomes a ``RationalFunction`` once, at the end.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from operator import mul
+from typing import Optional
 
 from .errors import ParseError
 from .operators import Derivative, OperatorVector, scalar_operator_product
 from .polynomials import Polynomial, RationalFunction
 from .scalars import GaussianRational
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|([-+*/^()\[\]]))")
+# an integer, a name, a symbol, or (group 4) any other character but whitespace
+_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|([-+*/^()\[\]])|(\S))")
+# token kinds: the group of _TOKEN_RE that matched, and 0 for the end of the text
+_END, _INT, _NAME, _SYM, _BAD = 0, 1, 2, 3, 4
+_VARIABLE_RE = re.compile(r"x\d+")
+_DERIVATION_RE = re.compile(r"D\d+")
+_TAG_RE = re.compile(r"u\d+")
 
 
-@dataclass
-class _Token:
-    kind: str  # 'int' | 'name' | 'sym' | 'end'
-    text: str
-    position: int
-
-
-def _tokenize(text: str) -> List[_Token]:
+def _tokenize(text: str):
+    """(kind, text, position) for each token, then an end token."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None or match.end() == match.start():
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            bad = len(text) - len(stripped)
-            raise ParseError(f"unexpected character {text[bad]!r}", bad)
-        if match.group(1) is not None:
-            tokens.append(_Token("int", match.group(1), match.start(1)))
-        elif match.group(2) is not None:
-            tokens.append(_Token("name", match.group(2), match.start(2)))
-        else:
-            tokens.append(_Token("sym", match.group(3), match.start(3)))
-        pos = match.end()
-    tokens.append(_Token("end", "", len(text)))
+    for match in _TOKEN_RE.finditer(text):
+        kind = match.lastindex
+        position = match.start(kind)
+        if kind == _BAD:
+            raise ParseError(f"unexpected character {text[position]!r}", position)
+        tokens.append((kind, match.group(kind), position))
+    tokens.append((_END, "", len(text)))
     return tokens
 
 
@@ -62,18 +65,71 @@ _VARIABLE_ALIASES = {"x": 1, "y": 2, "z": 3}
 _DERIVATION_ALIASES = {"Dx": 1, "Dy": 2, "Dz": 3}
 
 
-class _Value:
-    """A parsed scalar operator together with its syntactic class."""
+# -- values ----------------------------------------------------------------
+#
+# A function is a term dict (exponent tuple -> nonzero scalar) or, once it
+# has been divided by a nonconstant function, a RationalFunction; both are
+# falsy exactly when zero.  A value with a derivation in it is an _Operator.
 
-    __slots__ = ("op", "is_function")
 
-    def __init__(self, op: OperatorVector, is_function: bool):
-        self.op = op
-        self.is_function = is_function
+class _Operator(dict):
+    """A parsed value with a derivation in it: multi-index alpha -> nonzero function."""
 
-    def function(self) -> RationalFunction:
-        m = self.op.m
-        return self.op.coefficient(Derivative(1, (0,) * m))
+    __slots__ = ()
+
+
+def _rational(f, m: int) -> RationalFunction:
+    return f if isinstance(f, RationalFunction) else RationalFunction(Polynomial(f, m))
+
+
+def _quotient(u, c):
+    """u / c for scalars, an int when both are ints and c divides u."""
+    if type(u) is int and type(c) is int:
+        q = Fraction(u, c)
+        return q.numerator if q.denominator == 1 else q
+    return u / c
+
+
+def _function_sum(f, g, m: int):
+    if type(f) is dict and type(g) is dict:
+        out = dict(f)
+        for e, v in g.items():
+            s = out.pop(e, 0) + v
+            if s:
+                out[e] = s
+        return out
+    return _rational(f, m) + _rational(g, m)
+
+
+def _function_product(f, g, m: int):
+    if type(f) is dict and type(g) is dict:
+        out = {}
+        for e, u in f.items():
+            for k, v in g.items():
+                key = tuple([a + b for a, b in zip(e, k)])
+                out[key] = out.get(key, 0) + u * v
+        return {e: v for e, v in out.items() if v}
+    return _rational(f, m) * _rational(g, m)
+
+
+def _negated(value):
+    if type(value) is dict:
+        return {e: -v for e, v in value.items()}
+    if type(value) is _Operator:
+        return _Operator({alpha: _negated(c) for alpha, c in value.items()})
+    return -value
+
+
+def _power(value, k: int, times):
+    """value^k for k >= 1 by repeated squaring under the product ``times``."""
+    result = None
+    while True:
+        if k & 1:
+            result = value if result is None else times(result, value)
+        k >>= 1
+        if not k:
+            return result
+        value = times(value, value)
 
 
 class _Parser:
@@ -85,75 +141,120 @@ class _Parser:
         self.m = m
         self.n = n
         self.field = field
+        self.zero = (0,) * m
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self) -> _Token:
+    def peek(self):
         return self.tokens[self.index]
 
-    def advance(self) -> _Token:
+    def advance(self):
         token = self.tokens[self.index]
         self.index += 1
         return token
 
-    def expect_symbol(self, text: str) -> _Token:
-        token = self.peek()
-        if token.kind != "sym" or token.text != text:
-            raise ParseError(f"expected {text!r}", token.position)
+    def at_symbol(self, symbols: str) -> Optional[str]:
+        """The current token's text when it is one of ``symbols``, else None."""
+        kind, text, _ = self.tokens[self.index]
+        return text if kind == _SYM and text in symbols else None
+
+    def expect_symbol(self, text: str):
+        if self.at_symbol(text) is None:
+            raise ParseError(f"expected {text!r}", self.peek()[2])
         return self.advance()
 
     def fail(self, message: str):
-        raise ParseError(message, self.peek().position)
+        raise ParseError(message, self.peek()[2])
 
-    # -- value helpers -----------------------------------------------------
+    # -- arithmetic --------------------------------------------------------
 
-    def _const(self, value) -> _Value:
-        f = RationalFunction.constant(value, self.m)
-        return _Value(OperatorVector.scalar_function(f, self.m), True)
+    def operator(self, value) -> _Operator:
+        if type(value) is _Operator:
+            return value
+        return _Operator({self.zero: value} if value else {})
 
-    def _scalar_product(self, left: _Value, right: _Value) -> _Value:
-        return _Value(
-            scalar_operator_product(left.op, right.op),
-            left.is_function and right.is_function,
-        )
+    def sum(self, left, right):
+        if type(left) is not _Operator and type(right) is not _Operator:
+            return _function_sum(left, right, self.m)
+        out = _Operator(self.operator(left))
+        for alpha, c in self.operator(right).items():
+            old = out.pop(alpha, None)
+            s = c if old is None else _function_sum(old, c, self.m)
+            if s:
+                out[alpha] = s
+        return out
+
+    def product(self, left, right):
+        m = self.m
+        if type(left) is _Operator:  # the Leibniz rule
+            h, p = (OperatorVector({Derivative(1, alpha): _rational(c, m)
+                                    for alpha, c in self.operator(v).items()}, m, 1)
+                    for v in (left, right))
+            return _Operator({d.alpha: c for d, c in scalar_operator_product(h, p).terms.items()})
+        if type(right) is _Operator:
+            if not left:
+                return _Operator()
+            return _Operator({alpha: _function_product(left, c, m) for alpha, c in right.items()})
+        return _function_product(left, right, m)
+
+    def power(self, value, k: int):
+        if type(value) is dict:
+            return _power(value, k, lambda f, g: _function_product(f, g, self.m))
+        if type(value) is not _Operator:  # a RationalFunction
+            return _power(value, k, mul)
+        if len(value) == 1:
+            ((alpha, c),) = value.items()
+            if type(c) is dict and c.keys() == {self.zero}:
+                # c * D^alpha for a constant c, which commutes with D: one derivative
+                return _Operator({tuple([a * k for a in alpha]):
+                                  {self.zero: _power(c[self.zero], k, mul)}})
+        return _power(value, k, self.product)
+
+    def quotient(self, left, right, position: int):
+        if type(left) is _Operator or type(right) is _Operator:
+            raise ParseError("division is only defined between functions", position)
+        if not right:
+            raise ParseError("division by zero", position)
+        if type(left) is dict and type(right) is dict and right.keys() == {self.zero}:
+            c = right[self.zero]
+            return {e: _quotient(v, c) for e, v in left.items()}
+        return _rational(left, self.m) / _rational(right, self.m)
 
     # -- grammar -----------------------------------------------------------
 
-    def parse_primary(self) -> _Value:
-        token = self.peek()
-        if token.kind == "int":
+    def parse_primary(self):
+        kind, text, position = self.peek()
+        if kind == _INT:
             self.advance()
-            return self._const(Fraction(int(token.text)))
-        if token.kind == "name":
+            value = int(text)
+            return {self.zero: value} if value else {}
+        if kind == _NAME:
             self.advance()
-            return self._resolve_name(token)
-        if token.kind == "sym" and token.text == "(":
+            return self._resolve_name(text, position)
+        if self.at_symbol("(") is not None:
             self.advance()
             value = self.parse_expr()
             self.expect_symbol(")")
             return value
         self.fail("expected a number, identifier or parenthesized expression")
 
-    def _resolve_name(self, token: _Token) -> _Value:
-        name = token.text
+    def _resolve_name(self, name: str, position: int):
         if name == "i":
             if self.field != "complex":
-                raise ParseError("imaginary unit requires complex field mode",
-                                 token.position)
-            return self._const(GaussianRational(0, 1))
+                raise ParseError("imaginary unit requires complex field mode", position)
+            return {self.zero: GaussianRational(0, 1)}
         var_index = None
-        if re.fullmatch(r"x\d+", name):
+        if _VARIABLE_RE.fullmatch(name):
             var_index = int(name[1:])
         elif name in _VARIABLE_ALIASES and self.m <= 3:
             var_index = _VARIABLE_ALIASES[name]
         if var_index is not None:
             if not 1 <= var_index <= self.m:
                 raise ParseError(f"variable {name!r} out of range for {self.m} variable(s)",
-                                 token.position)
-            poly = Polynomial.variable(var_index, self.m)
-            return self._const_rational(RationalFunction(poly))
+                                 position)
+            return {self._unit(var_index): 1}
         d_index = None
-        if re.fullmatch(r"D\d+", name):
+        if _DERIVATION_RE.fullmatch(name):
             d_index = int(name[1:])
         elif name == "D" and self.m == 1:
             d_index = 1
@@ -162,129 +263,103 @@ class _Parser:
         if d_index is not None:
             if not 1 <= d_index <= self.m:
                 raise ParseError(f"derivation {name!r} out of range for {self.m} variable(s)",
-                                 token.position)
-            alpha = tuple(1 if j == d_index - 1 else 0 for j in range(self.m))
-            op = OperatorVector.from_derivative(Derivative(1, alpha), self.m, 1)
-            return _Value(op, False)
-        raise ParseError(f"unknown identifier {name!r}", token.position)
+                                 position)
+            return _Operator({self._unit(d_index): {self.zero: 1}})
+        raise ParseError(f"unknown identifier {name!r}", position)
 
-    def _const_rational(self, f: RationalFunction) -> _Value:
-        return _Value(OperatorVector.scalar_function(f, self.m), True)
+    def _unit(self, index: int):
+        """The exponent tuple of x_index, or the multi-index of D_index."""
+        return tuple([1 if j == index else 0 for j in range(1, self.m + 1)])
 
-    def parse_factor(self) -> _Value:
-        token = self.peek()
-        if token.kind == "sym" and token.text == "-":
+    def parse_factor(self):
+        if self.at_symbol("-") is not None:
             self.advance()
-            inner = self.parse_factor()
-            return _Value(-inner.op, inner.is_function)
+            return _negated(self.parse_factor())
         value = self.parse_primary()
-        token = self.peek()
-        if token.kind == "sym" and token.text == "^":
+        if self.at_symbol("^") is not None:
             self.advance()
-            exp_token = self.peek()
-            negative = exp_token.kind == "sym" and exp_token.text == "-"
+            negative = self.at_symbol("-") is not None
             if negative:
                 self.advance()
-                exp_token = self.peek()
-            if exp_token.kind != "int":
+            kind, text, position = self.peek()
+            if kind != _INT:
                 self.fail("expected an integer exponent")
             self.advance()
-            exponent = int(exp_token.text)
+            exponent = int(text)
             if negative or exponent == 0:
-                raise ParseError("exponent must be a positive integer",
-                                 exp_token.position)
-            result = value
-            for _ in range(exponent - 1):
-                result = self._scalar_product(result, value)
-            value = result
+                raise ParseError("exponent must be a positive integer", position)
+            value = self.power(value, exponent)
         return value
 
-    def parse_term(self) -> _Value:
+    def parse_term(self):
         value = self.parse_factor()
         while True:
-            token = self.peek()
-            if token.kind != "sym" or token.text not in ("*", "/"):
+            op = self.at_symbol("*/")
+            if op is None:
                 return value
-            self.advance()
+            position = self.advance()[2]
             right = self.parse_factor()
-            if token.text == "*":
-                value = self._scalar_product(value, right)
+            if op == "*":
+                value = self.product(value, right)
             else:
-                if not (value.is_function and right.is_function):
-                    raise ParseError("division is only defined between functions",
-                                     token.position)
-                divisor = right.function()
-                if divisor.is_zero():
-                    raise ParseError("division by zero", token.position)
-                quotient = value.function() / divisor
-                value = self._const_rational(quotient)
+                value = self.quotient(value, right, position)
 
-    def parse_expr(self) -> _Value:
+    def parse_expr(self):
         value = self.parse_term()
         while True:
-            token = self.peek()
-            if token.kind != "sym" or token.text not in ("+", "-"):
+            op = self.at_symbol("+-")
+            if op is None:
                 return value
             self.advance()
             right = self.parse_term()
-            if token.text == "+":
-                value = _Value(value.op + right.op,
-                               value.is_function and right.is_function)
-            else:
-                value = _Value(value.op - right.op,
-                               value.is_function and right.is_function)
+            value = self.sum(value, right if op == "+" else _negated(right))
 
     def parse_tag(self) -> Optional[int]:
-        token = self.peek()
-        if token.kind != "sym" or token.text != "[":
+        if self.at_symbol("[") is None:
             return None
         self.advance()
-        name = self.peek()
+        kind, text, position = self.peek()
         component = None
-        if name.kind == "name" and re.fullmatch(r"u\d+", name.text):
-            component = int(name.text[1:])
+        if kind == _NAME and _TAG_RE.fullmatch(text):
+            component = int(text[1:])
         if component is None:
             self.fail("expected a component tag like u1")
         self.advance()
         self.expect_symbol("]")
         if not 1 <= component <= self.n:
             raise ParseError(f"component u{component} out of range for {self.n} unknown(s)",
-                             name.position)
+                             position)
         return component
 
     def parse_row(self) -> OperatorVector:
-        result = OperatorVector.zero(self.m, self.n)
-        sign = 1
+        rows = {}  # component -> the _Operator of its terms
+        sign = "+"
         first = True
         while True:
-            token = self.peek()
-            if token.kind == "sym" and token.text in ("+", "-"):
-                if first:
-                    pass  # leading sign is handled by parse_factor
-                else:
+            op = self.at_symbol("+-")
+            if op is not None:
+                if not first:  # a leading sign is handled by parse_factor
                     self.advance()
-                    sign = 1 if token.text == "+" else -1
+                    sign = op
             elif not first:
                 break
             value = self.parse_expr()
             component = self.parse_tag()
             if component is None:
-                if self.n > 1 and not value.op.is_zero():
+                if self.n > 1 and value:
                     self.fail("a component tag [u#] is required when n > 1")
                 component = 1
-            embedded = OperatorVector(
-                {Derivative(component, d.alpha): c for d, c in value.op.terms.items()},
-                self.m, self.n,
-            )
-            if sign < 0:
-                embedded = -embedded
-            result = result + embedded
+            if sign == "-":
+                value = _negated(value)
+            row = rows.get(component)
+            rows[component] = self.operator(value) if row is None else self.sum(row, value)
             first = False
-            sign = 1
-        token = self.peek()
-        if token.kind != "end":
+            sign = "+"
+        if self.peek()[0] != _END:
             self.fail("unexpected trailing input")
-        return result
+        return OperatorVector({Derivative(component, alpha): _rational(c, self.m)
+                               for component, row in rows.items() for alpha, c in row.items()},
+                              self.m, self.n)
 
 
 def parse_operator(text: str, m: int, n: int = 1, field: str = "real") -> OperatorVector:
@@ -301,9 +376,8 @@ def parse_rational(text: str, m: int, field: str = "real") -> RationalFunction:
     """Parse a pure function (no derivations allowed)."""
     parser = _Parser(text, m, 1, field)
     value = parser.parse_expr()
-    token = parser.peek()
-    if token.kind != "end":
+    if parser.peek()[0] != _END:
         parser.fail("unexpected trailing input")
-    if not value.is_function:
+    if type(value) is _Operator:
         raise ParseError("expected a function without derivations", 0)
-    return value.function()
+    return _rational(value, m)

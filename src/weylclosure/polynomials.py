@@ -666,9 +666,12 @@ class RationalFunction:
         (k, a, b), (l, c, d) = self._triples(o)
         if not a or not c:
             return RationalFunction.zero(self.nvars)
-        # a/b and c/d are reduced, so only a with d and c with b can share factors
-        _, a, d = gcd_cofactors(a, d)
-        _, c, b = gcd_cofactors(c, b)
+        # a/b and c/d are reduced, so only a with d and c with b can share
+        # factors, and neither can share one with a denominator of 1
+        if not d.is_ground:
+            _, a, d = gcd_cofactors(a, d)
+        if not b.is_ground:
+            _, c, b = gcd_cofactors(c, b)
         return RationalFunction._reduced(k * l, _times(a, c), _times(b, d))
 
     __rmul__ = __mul__

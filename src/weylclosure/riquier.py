@@ -405,7 +405,8 @@ class RiquierBasis:
         size = self.n * math.comb(order + self.m, self.m)
         start = len(self.ranked)
         if size > start:
-            new = derivatives_up_to(self.m, self.n, order)[start:]
+            held = self.ranked[-1].order if self.ranked else -1
+            new = derivatives_up_to(self.m, self.n, order, above=held)
             self.ranked.extend(new)
             self.position.update((d, i) for i, d in enumerate(new, start))
             self.ranked_rules.extend(pick_rule(d, self.heads) for d in new)

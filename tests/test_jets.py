@@ -229,6 +229,34 @@ def test_derivatives_up_to_refuses_past_the_bound():
     assert len(derivatives_up_to(1, 2, 4)) == 10
 
 
+def test_derivatives_above_an_order_follow_the_lower_delta():
+    full = derivatives_up_to(2, 2, 5)
+    assert derivatives_up_to(2, 2, 5, above=3) == full[len(derivatives_up_to(2, 2, 3)):]
+    assert derivatives_up_to(2, 2, 5, above=-1) == full
+    assert derivatives_up_to(2, 2, 5, above=5) == []
+    # the bound is on Delta_s, however few derivatives are built
+    with pytest.raises(InvalidInput, match="^order 446 has 100128 derivatives"):
+        derivatives_up_to(2, 1, 446, above=445)
+
+
+def test_ranked_up_to_builds_only_the_new_orders(monkeypatch):
+    basis = basis_of("D1 [u1] - x2 [u2]", "D2 [u1] + x1*D1 [u2]", m=2, n=2)
+    asked = []
+    build = riquier.derivatives_up_to
+
+    def recording(m, n, s, above=-1):
+        asked.append((s, above))
+        return build(m, n, s, above)
+
+    monkeypatch.setattr(riquier, "derivatives_up_to", recording)
+    assert basis.ranked_up_to(2) == 12
+    assert basis.ranked_up_to(1) == 6
+    assert basis.ranked_up_to(4) == 30
+    assert asked == [(2, -1), (4, 2)]
+    assert basis.ranked == derivatives_up_to(2, 2, 4)
+    assert basis.position == {d: i for i, d in enumerate(basis.ranked)}
+
+
 def test_check_jet_constraints_examples():
     system = constraint_matrix(basis_of("D^2"), 2, ZERO)
     assert check_jet_constraints(jet_1d(0, [1, 1, 0]), system)

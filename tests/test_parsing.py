@@ -1,6 +1,7 @@
 """Operator grammar, positioned parse errors, and the parse/format round trip."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,11 +11,15 @@ from weylclosure import (
     Derivative,
     GaussianRational,
     InvalidInput,
+    OperatorVector,
     ParseError,
+    Polynomial,
+    RationalFunction,
     format_operator,
     format_rational,
     parse_operator,
     parse_rational,
+    scalar_operator_product,
 )
 from weylclosure.systemio import load_system, parse_initial_conditions, parse_point
 from conftest import random_operator
@@ -100,6 +105,173 @@ def test_parse_parenthesized_operator_product():
 def test_parse_unary_minus_and_powers():
     assert op("-x^2") == op("0 - x^2")
     assert op("(-x)^2") == op("x^2")
+
+
+
+def weyl(terms, m=1):
+    """The scalar operator sum c * x^e * D^alpha over terms {alpha: {e: c}}."""
+    return OperatorVector({Derivative(1, alpha): RationalFunction(Polynomial(coeffs, m))
+                           for alpha, coeffs in terms.items()}, m, 1)
+
+
+@pytest.mark.parametrize("text, m, expected", [
+    ("D^2000", 1, weyl({(2000,): {(0,): 1}})),
+    ("x^2000", 1, weyl({(0,): {(2000,): 1}})),
+    ("D1^3*D2^5", 2, weyl({(3, 5): {(0, 0): 1}}, 2)),
+])
+def test_high_powers_parse_to_the_derivative_or_monomial_they_name(text, m, expected):
+    start = time.perf_counter()
+    parsed = op(text, m)
+    assert time.perf_counter() - start < 1
+    assert parsed == expected
+
+
+def test_powers_and_products_with_a_derivation_on_the_left_are_weyl_products():
+    # (D + x)^3 = D^3 + 3x D^2 + (3x^2 + 3) D + x^3 + 3x, and D x^2 = x^2 D + 2x
+    assert op("(D + x)^3") == weyl({(3,): {(0,): 1}, (2,): {(1,): 3},
+                                   (1,): {(2,): 3, (0,): 3}, (0,): {(3,): 1, (1,): 3}})
+    assert op("D*x^2") == weyl({(1,): {(2,): 1}, (0,): {(1,): 2}})
+    # a constant times a derivation commutes with it: (c*D)^k = c^k * D^k
+    assert op("(-D)^2") == op("D^2")
+    assert op("(1/2*D1*D2)^3", 2) == weyl({(3, 3): {(0, 0): Fraction(1, 8)}}, 2)
+    assert op("(i*D)^3", field="complex") == op("-i*D^3", field="complex")
+    d_plus_x = weyl({(1,): {(0,): 1}, (0,): {(1,): 1}})
+    assert op("(D + x)^3") == scalar_operator_product(
+        d_plus_x, scalar_operator_product(d_plus_x, d_plus_x))
+
+
+# -- the parser against the library's own arithmetic --------------------------
+#
+# Random expression trees are rendered to text with as few parentheses as the
+# grammar allows, and evaluated with scalar_operator_product, +/- on
+# OperatorVector and RationalFunction division; the parser must agree.
+
+class Refused(Exception):
+    """The ParseError message the parser must raise for a tree."""
+
+
+# binding strength of each node: sums, products, unary minus, powers, leaves
+_LEVEL = {"+": 0, "-": 0, "*": 1, "/": 1, "neg": 2, "^": 3}
+
+
+def _render(tree, level, m):
+    kind = tree[0]
+    if kind == "num":
+        text = str(tree[1])
+    elif kind == "i":
+        text = "i"
+    elif kind in ("x", "D"):
+        _, index, alias = tree
+        if m == 1:
+            text = {"x": ["x1", "x"], "D": ["D1", "D", "Dx"]}[kind][alias % (2 + (kind == "D"))]
+        else:
+            text = (f"{kind}{index}" if alias % 2 else
+                    {"x": ["x", "y"], "D": ["Dx", "Dy"]}[kind][index - 1])
+    elif kind == "neg":
+        text = "-" + _render(tree[1], 2, m)
+    elif kind == "^":
+        text = f"{_render(tree[1], 4, m)}^{tree[2]}"
+    else:
+        left, right = tree[1], tree[2]
+        text = f"{_render(left, _LEVEL[kind], m)} {kind} {_render(right, _LEVEL[kind] + 1, m)}"
+    return f"({text})" if _LEVEL.get(kind, 4) < level else text
+
+
+def _has_derivation(tree):
+    return tree[0] == "D" or any(isinstance(t, tuple) and _has_derivation(t) for t in tree[1:])
+
+
+def _evaluate(tree, m):
+    """The operator of a tree by the library's arithmetic, with n = 1."""
+    kind = tree[0]
+    if kind == "num":
+        return OperatorVector.scalar_function(RationalFunction.constant(tree[1], m), m)
+    if kind == "i":
+        return OperatorVector.scalar_function(
+            RationalFunction.constant(GaussianRational(0, 1), m), m)
+    if kind == "x":
+        return OperatorVector.scalar_function(
+            RationalFunction(Polynomial.variable(tree[1], m)), m)
+    if kind == "D":
+        alpha = tuple(1 if j == tree[1] else 0 for j in range(1, m + 1))
+        return OperatorVector.from_derivative(Derivative(1, alpha), m, 1)
+    if kind == "neg":
+        return -_evaluate(tree[1], m)
+    if kind == "^":
+        base = _evaluate(tree[1], m)
+        result = base
+        for _ in range(tree[2] - 1):
+            result = scalar_operator_product(base, result)
+        return result
+    left, right = _evaluate(tree[1], m), _evaluate(tree[2], m)
+    if kind == "+":
+        return left + right
+    if kind == "-":
+        return left - right
+    if kind == "*":
+        return scalar_operator_product(left, right)
+    if _has_derivation(tree[1]) or _has_derivation(tree[2]):
+        raise Refused("division is only defined between functions")
+    if right.is_zero():
+        raise Refused("division by zero")
+    one = Derivative(1, (0,) * m)
+    return OperatorVector.scalar_function(left.coefficient(one) / right.coefficient(one), m)
+
+
+def _trees(m, complex_mode):
+    leaves = [st.tuples(st.just("num"), st.integers(0, 4)),
+              st.tuples(st.sampled_from(["x", "D"]), st.integers(1, m), st.integers(0, 5))]
+    if complex_mode:
+        leaves.append(st.just(("i",)))
+    return st.recursive(st.one_of(leaves), lambda sub: st.one_of(
+        st.tuples(st.sampled_from(["+", "-", "*", "*", "*", "/", "/"]), sub, sub),
+        st.tuples(st.just("neg"), sub),
+        st.tuples(st.just("^"), sub, st.integers(1, 3)),
+    ), max_leaves=7)
+
+
+@st.composite
+def rows(draw):
+    """(text, m, n, field, pieces): a row of signed, tagged expression trees."""
+    m, n = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    field = draw(st.sampled_from(["real", "complex"]))
+    count = draw(st.integers(1, 3)) if n > 1 else 1
+    pieces = [(draw(_trees(m, field == "complex")), draw(st.integers(1, n)),
+               draw(st.booleans()) and k > 0) for k in range(count)]
+    text = ""
+    for k, (tree, component, negative) in enumerate(pieces):
+        if k:
+            text += " - " if negative else " + "
+        text += _render(tree, 0, m)
+        if n > 1 or draw(st.booleans()):
+            text += f" [u{component}]"
+    return text, m, n, field, pieces
+
+
+@settings(deadline=None, max_examples=250)
+@given(rows())
+def test_parser_agrees_with_the_library_arithmetic(row):
+    text, m, n, field, pieces = row
+    try:
+        expected = OperatorVector.zero(m, n)
+        for tree, component, negative in pieces:
+            value = _evaluate(tree, m)
+            embedded = OperatorVector({Derivative(component, d.alpha): c
+                                       for d, c in value.terms.items()}, m, n)
+            expected = expected - embedded if negative else expected + embedded
+    except Refused as refused:
+        with pytest.raises(ParseError, match=rf"^{refused} \(at position \d+\)$"):
+            parse_operator(text, m, n, field)
+        return
+    assert parse_operator(text, m, n, field) == expected
+
+
+def test_oracle_rendering_examples():
+    x, d = ("x", 1, 1), ("D", 1, 1)
+    tree = ("*", ("neg", ("^", ("+", d, x), 2)), ("/", ("num", 1), ("-", x, ("num", 2))))
+    assert _render(tree, 0, 1) == "-(D + x)^2 * (1 / (x - 2))"
+    assert _render(("-", x, ("-", x, d)), 0, 1) == "x - (x - D)"
+    assert _render(("^", ("neg", x), 3), 0, 2) == "(-x1)^3"
 
 
 # -- positioned errors -----------------------------------------------------

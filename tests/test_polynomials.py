@@ -579,6 +579,32 @@ def test_arithmetic_never_calls_the_normalizing_constructor(monkeypatch):
     assert xy1_over_y.derivative(1) == 1
 
 
+
+def test_products_take_no_gcd_against_a_denominator_of_one(monkeypatch):
+    from weylclosure import polynomials
+
+    x, y = X2, Y2
+    p, q = RationalFunction(x + 1), RationalFunction(y - x)
+    f, g, h = RationalFunction(x, y + 1), RationalFunction(y, x), RationalFunction(y + 1)
+    expected = [RationalFunction((x + 1) * (y - x)), RationalFunction(x),
+                RationalFunction(y, y + 1)]
+    pairs = []
+    kernel = polynomials.gcd_cofactors
+
+    def counting(a, b):
+        pairs.append((a, b))
+        return kernel(a, b)
+
+    monkeypatch.setattr(polynomials, "gcd_cofactors", counting)
+    assert p * q == expected[0]
+    assert pairs == []
+    # one operand with a denominator: only it meets the other numerator
+    assert f * h == expected[1]
+    assert h * f == expected[1]
+    assert len(pairs) == 2
+    assert f * g == expected[2]
+    assert len(pairs) == 4
+
 # -- the canonical triple: equality, hashing and the edge --------------------
 
 def test_equal_values_compare_and_hash_equal_however_they_are_made():
