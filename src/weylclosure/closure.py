@@ -6,7 +6,8 @@ identity ``w * q = sum_j h_j * p_j`` with polynomial w and cofactors: the
 basis lifts the reduction trace to the generators, replaying its derivation
 log fraction-free and only for the basis elements the trace touches, and
 hands back w, the monic lcm of the cofactors' denominators, with the cleared
-h_j.  The identity is then checked by multiplying it out over F(x), which
+h_j.  The identity is then checked by multiplying it out on integer rows in
+ZZ[x] (ZZ_I[x] for Gaussian operands), with a Leibniz kernel of its own that
 shares no code with the lift.  A non-member answer replays nothing.
 The cross-checks are F(x)-linear solving on coefficient slices and, for a
 single operator in one variable, Euclidean left division.
@@ -14,6 +15,7 @@ single operator in one variable, Euclidean left division.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -24,9 +26,8 @@ from .operators import (
     coefficient_vector,
     left_multiply_by_d,
     multi_indices,
-    scalar_operator_product,
 )
-from .polynomials import Polynomial, RationalFunction
+from .polynomials import Polynomial, RationalFunction, integer_polynomials
 from .ranking import head_of, reduce_full
 from .riquier import RiquierBasis, complete_to_riquier_basis
 
@@ -58,14 +59,50 @@ def _validate_polynomial_rows(q: OperatorVector,
             raise InvalidInput(f"generator {j} has mismatched dimensions")
 
 
+def _shifts(row: dict, x):
+    """beta -> the row D^beta * row, keyed by (component, alpha), zeros dropped.
+
+    ``D_j (c D^alpha) = d_j(c) D^alpha + c D^(alpha + e_j)``.  Each shifted row
+    is built once, from the one of beta - e_j for the last j with beta_j > 0,
+    so each derivative of a coefficient is taken once.
+    """
+    memo = {(0,) * len(x): row}
+
+    def at(beta):
+        found = memo.get(beta)
+        if found is None:
+            j = max(k for k, b in enumerate(beta) if b)
+            found = {}
+            for (component, alpha), c in at(beta[:j] + (beta[j] - 1,) + beta[j + 1:]).items():
+                key = (component, alpha[:j] + (alpha[j] + 1,) + alpha[j + 1:])
+                found[key] = found[key] + c if key in found else c
+                dc = c.diff(x[j])
+                if dc:
+                    key = (component, alpha)
+                    found[key] = found[key] + dc if key in found else dc
+            found = memo[beta] = {key: value for key, value in found.items() if value}
+        return found
+
+    return at
+
+
 def verify_witness(witness: Witness, q: OperatorVector,
                    generators: Sequence[OperatorVector]) -> bool:
-    """Check the identity w*q - sum_j h_j * p_j = 0 by direct multiplication.
+    """Check the identity w*q - sum_j h_j * p_j = 0 by multiplying it out on integer rows.
+
+    Each operand is scaled by one integer to ZZ[x] (ZZ_I[x] if any operand is
+    Gaussian): W = L_w w, Q = L_q q, H_j = L_(h_j) h_j and P_j = L_(p_j) p_j.
+    For M the lcm of L_w L_q and every L_(h_j) L_(p_j), the entries of
+    ``(M / (L_w L_q)) W Q - sum_j (M / (L_(h_j) L_(p_j))) H_j P_j``, which is
+    M times the identity, must all cancel.  A product ``H_j P_j`` takes each
+    shifted row ``D^beta P_j`` once, one derivation at a time; none of this
+    is shared with the lift.
 
     A certificate of the wrong shape is rejected: a zero w, a w in another
     number of variables, a wrong number of cofactors, or a cofactor that is
     not a scalar operator (n = 1) with polynomial coefficients in q's
-    variables.
+    variables.  A q or generator that is not a polynomial row of q's shape
+    raises InvalidInput.
     """
     if witness.w.is_zero() or witness.w.nvars != q.m:
         return False
@@ -73,10 +110,30 @@ def verify_witness(witness: Witness, q: OperatorVector,
         return False
     if not all(h.m == q.m and h.n == 1 and h.is_polynomial_row() for h in witness.cofactors):
         return False
-    residue = q.left_scale(witness.w)
-    for h, g in zip(witness.cofactors, generators):
-        residue = residue - scalar_operator_product(h, g)
-    return residue.is_zero()
+    _validate_polynomial_rows(q, generators)
+    # a zero cofactor's product is zero, so its generator is not scaled
+    operands = [q] + [p for pair in zip(witness.cofactors, generators) if pair[0] for p in pair]
+    (w_scale, (w,)), *scaled = integer_polynomials(
+        [[RationalFunction(witness.w)]] + [list(p.terms.values()) for p in operands])
+    # each row keyed by the plain (component, alpha) of its derivatives
+    rows = [(scale, {(d.component, d.alpha): v for d, v in zip(p.terms, values)})
+            for p, (scale, values) in zip(operands, scaled)]
+    (q_scale, q_row), products = rows[0], list(zip(rows[1::2], rows[2::2]))
+    top = math.lcm(w_scale * q_scale, *[h_scale * p_scale
+                                         for (h_scale, _), (p_scale, _) in products])
+    if top != w_scale * q_scale:
+        w = w.mul_ground(top // (w_scale * q_scale))
+    residue = {key: w * c for key, c in q_row.items()}
+    for (h_scale, h_row), (p_scale, p_row) in products:
+        k = top // (h_scale * p_scale)
+        shifted = _shifts(p_row, w.ring.gens)
+        for (_, beta), h in h_row.items():
+            if k != 1:
+                h = h.mul_ground(k)
+            for key, c in shifted(beta).items():
+                term = h * c
+                residue[key] = residue[key] - term if key in residue else -term
+    return not any(residue.values())
 
 
 def weyl_closure_member(q: OperatorVector,

@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, prod
+from operator import add
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import EvaluationAtPole, InvalidInput, SBelowS0
@@ -81,6 +82,7 @@ def constraint_matrix(basis: RiquierBasis, s: int,
             f"the constraint matrix of order {s} has {nrows} rows and {ncols} columns, "
             f"{nrows * ncols} entries, more than the limit of {MAX_JET_SIZE}")
     columns = basis.ranked[:basis.ranked_up_to(s)]
+    places = _places(columns)
     rows: List[List[Scalar]] = []
     labels: List[Tuple[int, MultiIndex]] = []
     for index, p in enumerate(basis.elements):
@@ -88,8 +90,8 @@ def constraint_matrix(basis: RiquierBasis, s: int,
         table = _derivative_table(p, point, reach)
         for beta in sorted(multi_indices(basis.m, reach), key=lambda b: (sum(b), b)):
             row = [ZERO] * ncols
-            for d, value in _leibniz_row(table, beta).items():
-                row[basis.position[d]] = value
+            for key, value in _leibniz_row(table, beta).items():
+                row[places[key]] = value
             rows.append(row)
             labels.append((index, beta))
     return ConstraintSystem(rows, labels, columns, s, point, basis)
@@ -141,6 +143,7 @@ class SolvePlan:
         start = len(self.rows)
         size = basis.ranked_up_to(order)
         tables: Dict[int, Dict[Derivative, Dict[MultiIndex, Scalar]]] = {}
+        places = _places(basis.ranked[:size])
         rows = []
         for d, rule in zip(basis.ranked[start:size], basis.ranked_rules[start:size]):
             if rule is None:
@@ -151,9 +154,10 @@ class SolvePlan:
                 tables[rule] = _derivative_table(p, point, order - p.degree())
             beta = tuple(a - b for a, b in zip(d.alpha, basis.heads[rule].alpha))
             # the head coefficient of the shifted rule is 1
-            rows.append(tuple((basis.position[delta], -value)
-                              for delta, value in _leibniz_row(tables[rule], beta).items()
-                              if delta != d and value))
+            own = (d.component, d.alpha)
+            rows.append(tuple((places[key], -value)
+                              for key, value in _leibniz_row(tables[rule], beta).items()
+                              if key != own and value))
         self.rows.extend(rows)
         self.order = order
 
@@ -277,15 +281,23 @@ def _derivative_table(p: OperatorVector, point: Tuple[Scalar, ...],
             for delta, c in p.terms.items()}
 
 
+def _places(ranked: Sequence[Derivative]) -> Dict[Tuple[int, MultiIndex], int]:
+    """The position of each derivative of ``ranked``, keyed by (component, alpha)."""
+    return {(d.component, d.alpha): i for i, d in enumerate(ranked)}
+
+
 def _leibniz_row(table: Dict[Derivative, Dict[MultiIndex, Scalar]],
-                 beta: MultiIndex) -> Dict[Derivative, Scalar]:
+                 beta: MultiIndex) -> Dict[Tuple[int, MultiIndex], Scalar]:
     """The coefficients of D^beta p at the point, from p's derivative table.
 
     D^beta (c D^delta) = sum over gamma <= beta of
-    C(beta, gamma) (d^(beta-gamma) c) D^(delta+gamma).
+    C(beta, gamma) (d^(beta-gamma) c) D^(delta+gamma).  Each column is keyed
+    by the plain (component, alpha) of its derivative, which ``_places``
+    turns into a position, so no Derivative is built for it.
     """
-    row: Dict[Derivative, Scalar] = {}
+    row: Dict[Tuple[int, MultiIndex], Scalar] = {}
     for delta, derivatives in table.items():
+        component, alpha = delta.component, delta.alpha
         for mu, value in derivatives.items():
             gamma = tuple(b - a for a, b in zip(mu, beta))
             if min(gamma) < 0:
@@ -293,7 +305,7 @@ def _leibniz_row(table: Dict[Derivative, Dict[MultiIndex, Scalar]],
             factor = prod(map(comb, beta, gamma))
             if factor != 1:
                 value = value * factor
-            column = delta.differentiate(gamma)
+            column = (component, tuple(map(add, alpha, gamma)))
             known = row.get(column)
             row[column] = value if known is None else known + value
     return row

@@ -557,6 +557,10 @@ class RationalFunction:
     def is_polynomial(self) -> bool:
         return self._b.is_ground  # a canonical constant denominator is 1
 
+    def is_one(self) -> bool:
+        """self == 1, read off the triple: a real constant is c * 1 / 1 in ZZ[x]."""
+        return self._b.is_ground and self._a.is_ground and self._c == 1
+
     def __bool__(self):
         return bool(self._a)
 
@@ -765,6 +769,26 @@ def integer_pair(r: RationalFunction):
     p, q = _as_ratio(r._c)
     a, b = r._a, r._b
     return (a if p == 1 else a.mul_ground(p)), (b if q == 1 else b.mul_ground(q))
+
+
+def integer_polynomials(groups: Sequence[Sequence[RationalFunction]]):
+    """Per group of polynomials rs, (L, [L * r for r in rs]) over one integer L.
+
+    L is the least positive integer that makes every ``L * r`` of its group
+    integral.  All the elements are in one ring: ZZ[x], or ZZ_I[x] when some
+    r of any group is Gaussian.
+    """
+    complex_mode = any(r._a.ring.domain is ZZ_I for rs in groups for r in rs)
+    out = []
+    for rs in groups:
+        ratios = [_as_ratio(r._c) for r in rs]
+        scale = math.lcm(*[q for _, q in ratios])
+        values = []
+        for r, (p, q) in zip(rs, ratios):
+            factor = p * (scale // q)
+            values.append(r._a if factor == 1 else r._a.mul_ground(factor))
+        out.append((scale, [gaussian(v) for v in values] if complex_mode else values))
+    return out
 
 
 def integer_ratio(num, den) -> RationalFunction:

@@ -3,20 +3,28 @@
 Reduction rewrites the ranking-highest derivative that is divisible by some
 rule head, using the rule as a substitution, and keeps exact scalar-operator
 cofactors so that ``input = sum_j cofactors[j] * rules[j] + normal_form``
-holds identically.
+holds identically.  It does only the arithmetic its answer needs: a rule is
+checked monic on its canonical head coefficient, each shift
+``D^gamma * rule`` is built once per call, the targets come off a max-heap
+by rank, and the working operator is one term dict changed in place.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from operator import neg
+from typing import Callable, Dict, List, Sequence
 
 from .errors import InvalidInput, ZeroOperator
 from .operators import (
     Derivative,
+    MultiIndex,
     OperatorVector,
-    left_multiply_by_d,
+    add_term,
+    apply_single_d,
     scalar_operator_product,
+    stepwise,
 )
 from .polynomials import RationalFunction
 
@@ -79,8 +87,21 @@ def pick_rule(delta: Derivative, heads: Sequence[Derivative]) -> int | None:
     return best
 
 
+def _descending(d: Derivative):
+    """A heap key that pops derivatives from the ranking-highest down."""
+    return (-d.order, -d.component, tuple(map(neg, d.alpha[:-1])))
+
+
 def reduce_full(p: OperatorVector, rules: Sequence[OperatorVector]) -> ReductionTrace:
-    """Fully reduce p by a list of monic rules, eliminating every reducible derivative."""
+    """Fully reduce p by a list of monic rules, eliminating every reducible derivative.
+
+    Each step rewrites the ranking-highest reducible derivative.  The rule's
+    shifts ``D^gamma * rule`` are built once per call, one derivation at a
+    time, and every term of a shifted monic rule other than its head ranks
+    below the target it rewrites.  So the targets come off a max-heap of the
+    terms in strictly decreasing rank, a term popped is never made again, and
+    the target's own term cancels exactly and is dropped without arithmetic.
+    """
     heads: List[Derivative] = []
     for j, rule in enumerate(rules):
         if (rule.m, rule.n) != (p.m, p.n):
@@ -88,31 +109,43 @@ def reduce_full(p: OperatorVector, rules: Sequence[OperatorVector]) -> Reduction
         if rule.is_zero():
             raise InvalidInput("reduction rules must be nonzero")
         data = head_of(rule)
-        if data.coefficient != 1:
+        if not data.coefficient.is_one():
             raise InvalidInput("reduction rules must be monic")
         heads.append(data.head)
 
-    work = p
-    cofactors: Dict[int, OperatorVector] = {}
-    while True:
-        target = None
-        rule_index = None
-        for delta in sorted(work.terms, key=Derivative.rank_key, reverse=True):
-            j = pick_rule(delta, heads)
-            if j is not None:
-                target, rule_index = delta, j
-                break
-        if target is None:
-            break
-        head = heads[rule_index]
-        gamma = tuple(a - b for a, b in zip(target.alpha, head.alpha))
-        coeff = work.coefficient(target)
-        shifted = left_multiply_by_d(gamma, rules[rule_index])
-        work = work - shifted.left_scale(coeff)
-        step = OperatorVector.from_derivative(Derivative(1, gamma), p.m, 1, coeff)
-        existing = cofactors.get(rule_index)
-        cofactors[rule_index] = step if existing is None else existing + step
-    return ReductionTrace(work, cofactors)
+    terms = dict(p.terms)
+    cofactors: Dict[int, Dict[Derivative, RationalFunction]] = {}
+    if heads and terms:
+        shifts: Dict[int, Callable[[MultiIndex], OperatorVector]] = {}
+        queue = [(_descending(d), d) for d in terms]
+        heapq.heapify(queue)
+        queued = set(terms)
+        while queue:
+            target = heapq.heappop(queue)[1]
+            coeff = terms.get(target)
+            if coeff is None:  # cancelled by an earlier step
+                continue
+            j = pick_rule(target, heads)
+            if j is None:
+                continue
+            shifted = shifts.get(j)
+            if shifted is None:
+                shifted = shifts[j] = stepwise(
+                    rules[j], lambda i, q, alpha: apply_single_d(i + 1, q))
+            gamma = tuple(a - b for a, b in zip(target.alpha, heads[j].alpha))
+            del terms[target]
+            for d, c in shifted(gamma).terms.items():
+                if d != target:
+                    if d not in queued:
+                        queued.add(d)
+                        heapq.heappush(queue, (_descending(d), d))
+                    add_term(terms, d, -(coeff * c))
+            # targets strictly decrease, so no (rule, gamma) comes twice
+            cofactors.setdefault(j, {})[Derivative(1, gamma)] = coeff
+    if not cofactors:  # p is reduced already
+        return ReductionTrace(p, {})
+    return ReductionTrace(OperatorVector(terms, p.m, p.n),
+                          {j: OperatorVector(cof, p.m, 1) for j, cof in cofactors.items()})
 
 
 def is_reduced(p: OperatorVector, rules: Sequence[OperatorVector]) -> bool:

@@ -4,7 +4,11 @@ The completion is Buchberger-style over the rational-function coefficient
 field: make generators monic, adjoin reduced S-pairs to a fixpoint, then
 autoreduce.  Each element's head is computed once, when it is adjoined.
 Pending pairs wait in a heap keyed by the lcm of their heads, lowest first
-(the normal strategy), ties in the order the pairs were formed.  The final
+(the normal strategy), ties in the order the pairs were formed.  Once every
+component has an order-0 head, every derivative is reducible, so every
+pending pair would reduce to zero: the completion drops them and the
+elements of higher order (the unit case of Gebauer and Moeller's basis
+update, checked only when an order-0 head is adjoined).  The final
 autoreduction is one forward pass: the basis is confluent by then, so an
 element either reduces to zero or keeps its head, and no change makes an
 earlier element reducible again.
@@ -19,10 +23,11 @@ only over the element's ancestors, when a membership witness needs them.
 The replay does no F(x) arithmetic.  Each replayed element holds its
 cofactors as polynomial numerators over one polynomial denominator, all in
 the integer ring ZZ[x] (ZZ_I[x] in complex mode).  A product with a
-multiplier expands ``D^beta * 1/B`` by the Leibniz rule, and a sum goes over
-the lcm of the denominators.  Each result is divided by the gcd of its
-denominator and all its numerators, a chain of gcds that stops once it is
-constant.  Every gcd and lcm here comes from ``polynomials.gcd_cofactors``,
+multiplier expands ``D^beta * 1/B`` by the Leibniz rule, summing the factors
+of each shift first so that each shifted numerator is multiplied once, and a
+sum goes over the lcm of the denominators.  Each result is divided by the
+gcd of its denominator and all its numerators, a chain of gcds that stops
+once it is constant.  Every gcd and lcm here comes from ``polynomials.gcd_cofactors``,
 the library's one gcd kernel.  The lift of a reduction is then over the lcm
 of the cofactors' reduced denominators: made monic, that is the witness's w.
 Rational functions appear only at the edge, in the cofactors handed out.
@@ -35,7 +40,7 @@ import heapq
 import itertools
 import math
 from typing import (TYPE_CHECKING, Any, Dict, Iterable, List, Mapping, NamedTuple, Optional,
-                    Sequence, Tuple)
+                    Sequence, Set, Tuple)
 
 from .errors import InvalidInput
 from .operators import (
@@ -106,6 +111,8 @@ def _product(pairs: Pairs, source: _Lifted) -> _Lifted:
     (|gamma| + 1) Q_gamma d_j(B)``.  Every term is put over ``L * B^e``, for
     ``L`` the lcm of the multiplier's denominators v and ``e`` one more than
     the multiplier's order (1 for a constant B, whose derivatives vanish).
+    The factors of all (beta, gamma) with one shift ``delta = beta - gamma``
+    are summed first, so each ``D^delta P`` is multiplied once.
     """
     if not pairs:
         return _Lifted(source.den, {})
@@ -150,8 +157,8 @@ def _product(pairs: Pairs, source: _Lifted) -> _Lifted:
         return out
 
     q_at = stepwise(one, q_step)  # Q_gamma
-    shift = stepwise(source.numerators, d_step)  # D^delta P
-    total: Dict[int, Dict[MultiIndex, Any]] = {}
+    # the factor of each shift delta = beta - gamma, summed over its (beta, gamma)
+    factors: Dict[MultiIndex, Any] = {}
     for beta, (u, v) in pairs:
         base = u if v == lcm else u * lcm.exquo(v)
         # a constant B has no derivatives, so only gamma = 0 contributes
@@ -169,12 +176,16 @@ def _product(pairs: Pairs, source: _Lifted) -> _Lifted:
                     factor = factor.mul_ground(binomial)
             if order < top:
                 factor = factor * powers[top - order]
-            unit = factor == one
-            delta = tuple(b - c for b, c in zip(beta, gamma))
-            for g, cof in shift(delta).items():
-                target = total.setdefault(g, {})
-                for alpha, value in cof.items():
-                    add_term(target, alpha, value if unit else factor * value)
+            add_term(factors, tuple(b - c for b, c in zip(beta, gamma)), factor)
+    # each shifted numerator D^delta P is multiplied once, by its summed factor
+    shift = stepwise(source.numerators, d_step)
+    total: Dict[int, Dict[MultiIndex, Any]] = {}
+    for delta, factor in factors.items():
+        unit = factor == one
+        for g, cof in shift(delta).items():
+            target = total.setdefault(g, {})
+            for alpha, value in cof.items():
+                add_term(target, alpha, value if unit else factor * value)
     scale = powers[top + 1]
     return _Lifted(scale if lcm == one else lcm * scale,
                    {g: cof for g, cof in total.items() if cof})
@@ -456,6 +467,9 @@ def complete_to_riquier_basis(generators: Sequence[OperatorVector],
     # pending pairs (lcm rank key, formation count, j, k, lcm of the heads)
     pairs: List[Tuple[tuple, int, int, int, Derivative]] = []
     formed = itertools.count()
+    # the components that have an order-0 head: once all n do, every
+    # derivative is reducible, and every later pair would reduce to zero
+    units: Set[int] = set()
 
     def adjoin(op: OperatorVector, terms: List[Term]) -> None:
         trace = reduce_full(op, basis)
@@ -470,8 +484,14 @@ def complete_to_riquier_basis(generators: Sequence[OperatorVector],
         basis.append(element)
         heads.append(head)
         made_by.append(node)
+        if not head.order:
+            units.add(head.component)
+            if len(units) == n:
+                pairs.clear()
 
     for j, g in enumerate(gens):
+        if len(units) == n:
+            break
         if not g.is_zero():
             adjoin(g, [(log.one, j)])
 
@@ -485,6 +505,13 @@ def complete_to_riquier_basis(generators: Sequence[OperatorVector],
         d_k = OperatorVector.from_derivative(Derivative(1, shift_k), m, 1)
         spair = left_multiply_by_d(shift_j, basis[j]) - left_multiply_by_d(shift_k, basis[k])
         adjoin(spair, [(d_j, made_by[j]), (-d_k, made_by[k])])
+
+    if len(units) == n:
+        # the module is all of F(x)^n (the unit stop of Gebauer and Moeller's
+        # basis update): the order-0 elements span it, and the autoreduction
+        # would delete every other element
+        keep = [i for i, head in enumerate(heads) if not head.order]
+        basis, heads, made_by = ([seq[i] for i in keep] for seq in (basis, heads, made_by))
 
     # Autoreduce in one forward pass.  The basis is confluent now, so an
     # element whose head another head divides reduces to zero, and any other

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weylclosure import (
     Derivative,
@@ -25,7 +26,7 @@ from weylclosure import (
     verify_witness,
     weyl_closure_member,
 )
-from conftest import random_operator, random_generators
+from conftest import random_operator, random_generators, random_polynomial
 
 
 def op(text, m=1, n=1):
@@ -168,6 +169,85 @@ def test_verify_witness_accepts_hand_built_identity():
     # x^2 * D^3 = D * (x^2*D^2 - 2*x*D + 2)
     gens = [op("x^2*D^2 - 2*x*D + 2")]
     assert verify_witness(Witness(rat("x^2").num, [op("D")]), op("D^3"), gens)
+
+
+def _verify_over_fx(witness, q, generators):
+    """The reference check: the residue w*q - sum h_j * p_j multiplied out over F(x)."""
+    if witness.w.is_zero() or witness.w.nvars != q.m:
+        return False
+    if len(witness.cofactors) != len(generators):
+        return False
+    if not all(h.m == q.m and h.n == 1 and h.is_polynomial_row() for h in witness.cofactors):
+        return False
+    residue = q.left_scale(witness.w)
+    for h, g in zip(witness.cofactors, generators):
+        residue = residue - scalar_operator_product(h, g)
+    return residue.is_zero()
+
+
+def _made_gaussian(rng, p):
+    """p with each coefficient times a constant with a nonzero imaginary part."""
+    return OperatorVector({d: c * RationalFunction.constant(
+        GaussianRational(Fraction(rng.randint(-2, 2)), Fraction(rng.choice([-2, -1, 1, 3]), 2)),
+        p.m) for d, c in p.terms.items()}, p.m, p.n)
+
+
+def _witness_cases(seed, m, field):
+    """(witness, q, generators, valid) for a random member and its tampered witnesses.
+
+    ``field`` makes the generators and cofactors real, Gaussian, or a mix in
+    which the generators are Gaussian and the cofactors and w real.
+    """
+    rng = random.Random(seed)
+    n, count = rng.randint(1, 2), rng.randint(1, 2)
+    gens = random_generators(rng, m, n, count, order=2, degree=1, polynomial_coeffs=True)
+    multipliers = [random_operator(rng, m, 1, order=1, degree=1, terms=2,
+                                   polynomial_coeffs=True) for _ in gens]
+    w = random_polynomial(rng, m, degree=1, allow_zero=False)
+    if field != "real":
+        gens = [_made_gaussian(rng, g) for g in gens]
+    if field == "gaussian":
+        multipliers = [_made_gaussian(rng, a) for a in multipliers]
+        w = w * Polynomial.constant(GaussianRational(Fraction(1), Fraction(-2)), m)
+    q = combine(multipliers, gens)
+    # w * q = sum (w * a_j) * p_j, with w * a_j the left product by a function
+    cofactors = [a.left_scale(w) for a in multipliers]
+    valid = Witness(w, cofactors)
+    yield valid, q, gens, True
+    yield Witness(w + Polynomial.constant(1, m), cofactors), q, gens, None
+    changed = list(cofactors)
+    j = rng.randrange(count)
+    d = next(iter(changed[j].terms), Derivative(1, (0,) * m))
+    bump = OperatorVector.from_derivative(d, m, 1, RationalFunction(
+        Polynomial.variable(rng.randint(1, m), m) + Polynomial.constant(1, m)))
+    changed[j] = changed[j] + bump
+    yield Witness(w, changed), q, gens, None
+    if count == 2:
+        yield Witness(w, cofactors[::-1]), q, gens, None
+    yield Witness(w, cofactors + [OperatorVector.zero(m, 1)]), q, gens, False
+    yield Witness(w, [OperatorVector(h.terms, m, 2) for h in cofactors]), q, gens, False
+    if (m, n, count) in {(1, 1, 1), (1, 1, 2), (1, 2, 1), (2, 1, 1)}:
+        result = weyl_closure_member(q, gens)
+        yield result.witness, q, gens, True
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(0, 2**32), st.sampled_from([1, 2]),
+       st.sampled_from(["real", "gaussian", "mixed"]))
+def test_verify_witness_agrees_with_the_residue_over_fx(seed, m, field):
+    for witness, q, gens, valid in _witness_cases(seed, m, field):
+        verdict = verify_witness(witness, q, gens)
+        assert verdict is _verify_over_fx(witness, q, gens)
+        if valid is not None:
+            assert verdict is valid
+
+
+def test_verify_witness_rejects_rows_that_are_not_polynomial():
+    witness = Witness(rat("1").num, [op("1")])
+    with pytest.raises(InvalidInput):
+        verify_witness(witness, op("(1/x)*D"), [op("(1/x)*D")])
+    with pytest.raises(InvalidInput):
+        verify_witness(witness, op("D"), [op("D [u1]", 1, 2)])
 
 
 # -- the F(x)-linear solver ------------------------------------------------

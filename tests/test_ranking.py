@@ -12,6 +12,7 @@ from weylclosure import (
     ZeroOperator,
     compare_derivatives,
     head_of,
+    left_multiply_by_d,
     make_monic,
     parse_operator,
     reduce_full,
@@ -143,6 +144,54 @@ def test_normal_form_unique_for_confluent_rules(rng):
         shuffled = rules[:]
         rng.shuffle(shuffled)
         assert reduce_full(p, rules).normal_form == reduce_full(p, shuffled).normal_form
+
+
+def _reduce_sorting_every_step(p, rules):
+    """The reference reduction: re-sort the operator and rebuild D^gamma * rule on every step."""
+    heads = [head_of(rule).head for rule in rules]
+    work, cofactors = p, {}
+    while True:
+        target = rule_index = None
+        for delta in sorted(work.terms, key=Derivative.rank_key, reverse=True):
+            j = pick_rule(delta, heads)
+            if j is not None:
+                target, rule_index = delta, j
+                break
+        if target is None:
+            return work, cofactors
+        gamma = tuple(a - b for a, b in zip(target.alpha, heads[rule_index].alpha))
+        coeff = work.coefficient(target)
+        work = work - left_multiply_by_d(gamma, rules[rule_index]).left_scale(coeff)
+        step = OperatorVector.from_derivative(Derivative(1, gamma), p.m, 1, coeff)
+        existing = cofactors.get(rule_index)
+        cofactors[rule_index] = step if existing is None else existing + step
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2**32), st.integers(1, 2), st.integers(1, 2), st.integers(1, 3))
+def test_reduce_full_matches_the_sort_every_step_reduction(seed, m, n, count):
+    rng = random.Random(seed)
+    p = random_operator(rng, m, n, order=3, degree=2, terms=4, polynomial_coeffs=False)
+    rules = [make_monic(random_nonzero_operator(rng, m, n, order=2, degree=1))
+             for _ in range(count)]
+    trace = reduce_full(p, rules)
+    normal_form, cofactors = _reduce_sorting_every_step(p, rules)
+    assert trace.normal_form == normal_form
+    assert trace.cofactors == cofactors
+    # the same terms in the same order, so the printed forms agree as well
+    assert list(trace.normal_form.terms) == list(normal_form.terms)
+    assert list(trace.cofactors) == list(cofactors)
+
+
+@pytest.mark.parametrize("rule", [
+    op("2*D"),
+    parse_operator("i*D + x", 1, 1, "complex"),
+    op("(1/x)*D + 1"),
+])
+def test_reduce_full_rejects_a_rule_that_is_not_monic(rule):
+    with pytest.raises(InvalidInput) as info:
+        reduce_full(op("D^2"), [op("D^3"), rule])
+    assert str(info.value) == "reduction rules must be monic"
 
 
 @pytest.mark.parametrize("p, rules, message", [

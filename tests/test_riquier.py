@@ -120,6 +120,40 @@ def test_autoreduction_takes_one_pass(monkeypatch):
     assert basis.elements == [op("D2", 2), op("D1", 2)]
 
 
+@pytest.mark.parametrize("rows, m, n, q, full_completion_calls, basis_text, witness_text", [
+    # the hand-written collapsing system: D2 (D1 - x2) - (D1 - x2) D2 = -1
+    (["D1 - x2", "D2"], 2, 1, "D1^2", 7, ["1"],
+     ["1", "-D1^2*D2", "D1^3 - x2*D1^2"]),
+    # two unknowns, each of which gets an order-0 head
+    (["D1 [u1] - x2 [u1]", "D2 [u1] + 1 [u2]", "D1 [u2]"], 2, 2, "D1*D2 [u1]", 12,
+     ["1 [u1]", "1 [u2]"],
+     ["x2^2", "-x2*D1^2*D2^2 + D1^2*D2 - x2*D1*D2 + D1",
+      "x2*D1^3*D2 - D1^3 - x2^2*D1^2*D2", "-x2*D1^2*D2 + D1^2 + x2^2*D1*D2"]),
+])
+def test_unit_stop_ends_the_completion_at_a_unit_basis(monkeypatch, rows, m, n, q,
+                                                       full_completion_calls, basis_text,
+                                                       witness_text):
+    # once every unknown has an order-0 head, no pending pair is reduced; the
+    # completion that reduced every pair took full_completion_calls reductions
+    # and gave the same basis and witness, recorded here as text
+    calls = []
+    reduce = riquier.reduce_full
+
+    def counting(p, rules):
+        calls.append(p)
+        return reduce(p, rules)
+
+    monkeypatch.setattr(riquier, "reduce_full", counting)
+    gens = [op(row, m, n) for row in rows]
+    basis = complete_to_riquier_basis(gens, m, n)
+    assert len(calls) < full_completion_calls
+    assert [format_operator(e) for e in basis.elements] == basis_text
+    result = weyl_closure_member(op(q, m, n), gens)
+    witness = result.witness
+    assert ([format_polynomial(witness.w)] + [format_operator(h) for h in witness.cofactors]
+            == witness_text)
+
+
 # -- classification --------------------------------------------------------
 
 def test_classify_principal_and_parametric():
