@@ -26,6 +26,7 @@ from .operators import (
     coefficient_vector,
     left_multiply_by_d,
     multi_indices,
+    stepwise,
 )
 from .polynomials import Polynomial, RationalFunction, integer_polynomials
 from .ranking import head_of, reduce_full
@@ -64,26 +65,21 @@ def _shifts(row: dict, x):
 
     ``D_j (c D^alpha) = d_j(c) D^alpha + c D^(alpha + e_j)``.  Each shifted row
     is built once, from the one of beta - e_j for the last j with beta_j > 0,
-    so each derivative of a coefficient is taken once.
+    so each derivative of a coefficient is taken once; ``operators.stepwise``
+    walks there without recursion, so any order is fine.
     """
-    memo = {(0,) * len(x): row}
+    def step(j, previous, beta):
+        found = {}
+        for (component, alpha), c in previous.items():
+            key = (component, alpha[:j] + (alpha[j] + 1,) + alpha[j + 1:])
+            found[key] = found[key] + c if key in found else c
+            dc = c.diff(x[j])
+            if dc:
+                key = (component, alpha)
+                found[key] = found[key] + dc if key in found else dc
+        return {key: value for key, value in found.items() if value}
 
-    def at(beta):
-        found = memo.get(beta)
-        if found is None:
-            j = max(k for k, b in enumerate(beta) if b)
-            found = {}
-            for (component, alpha), c in at(beta[:j] + (beta[j] - 1,) + beta[j + 1:]).items():
-                key = (component, alpha[:j] + (alpha[j] + 1,) + alpha[j + 1:])
-                found[key] = found[key] + c if key in found else c
-                dc = c.diff(x[j])
-                if dc:
-                    key = (component, alpha)
-                    found[key] = found[key] + dc if key in found else dc
-            found = memo[beta] = {key: value for key, value in found.items() if value}
-        return found
-
-    return at
+    return stepwise(row, step)
 
 
 def verify_witness(witness: Witness, q: OperatorVector,

@@ -82,7 +82,6 @@ def constraint_matrix(basis: RiquierBasis, s: int,
             f"the constraint matrix of order {s} has {nrows} rows and {ncols} columns, "
             f"{nrows * ncols} entries, more than the limit of {MAX_JET_SIZE}")
     columns = basis.ranked[:basis.ranked_up_to(s)]
-    places = _places(columns)
     rows: List[List[Scalar]] = []
     labels: List[Tuple[int, MultiIndex]] = []
     for index, p in enumerate(basis.elements):
@@ -91,7 +90,7 @@ def constraint_matrix(basis: RiquierBasis, s: int,
         for beta in sorted(multi_indices(basis.m, reach), key=lambda b: (sum(b), b)):
             row = [ZERO] * ncols
             for key, value in _leibniz_row(table, beta).items():
-                row[places[key]] = value
+                row[basis.position[key]] = value
             rows.append(row)
             labels.append((index, beta))
     return ConstraintSystem(rows, labels, columns, s, point, basis)
@@ -143,7 +142,6 @@ class SolvePlan:
         start = len(self.rows)
         size = basis.ranked_up_to(order)
         tables: Dict[int, Dict[Derivative, Dict[MultiIndex, Scalar]]] = {}
-        places = _places(basis.ranked[:size])
         rows = []
         for d, rule in zip(basis.ranked[start:size], basis.ranked_rules[start:size]):
             if rule is None:
@@ -155,7 +153,7 @@ class SolvePlan:
             beta = tuple(a - b for a, b in zip(d.alpha, basis.heads[rule].alpha))
             # the head coefficient of the shifted rule is 1
             own = (d.component, d.alpha)
-            rows.append(tuple((places[key], -value)
+            rows.append(tuple((basis.position[key], -value)
                               for key, value in _leibniz_row(tables[rule], beta).items()
                               if key != own and value))
         self.rows.extend(rows)
@@ -196,7 +194,7 @@ def formal_solve(basis: RiquierBasis, point: Sequence[Scalar],
     size = basis.ranked_up_to(order)
     values: List[Scalar] = [ZERO] * size
     for d, value in init.items():
-        i = basis.position[d]
+        i = basis.position[d.component, d.alpha]
         if plan.rows[i] is not None:
             raise InvalidInput(
                 f"initial value given for the principal derivative "
@@ -281,19 +279,14 @@ def _derivative_table(p: OperatorVector, point: Tuple[Scalar, ...],
             for delta, c in p.terms.items()}
 
 
-def _places(ranked: Sequence[Derivative]) -> Dict[Tuple[int, MultiIndex], int]:
-    """The position of each derivative of ``ranked``, keyed by (component, alpha)."""
-    return {(d.component, d.alpha): i for i, d in enumerate(ranked)}
-
-
 def _leibniz_row(table: Dict[Derivative, Dict[MultiIndex, Scalar]],
                  beta: MultiIndex) -> Dict[Tuple[int, MultiIndex], Scalar]:
     """The coefficients of D^beta p at the point, from p's derivative table.
 
     D^beta (c D^delta) = sum over gamma <= beta of
     C(beta, gamma) (d^(beta-gamma) c) D^(delta+gamma).  Each column is keyed
-    by the plain (component, alpha) of its derivative, which ``_places``
-    turns into a position, so no Derivative is built for it.
+    by the plain (component, alpha) of its derivative, the key of
+    ``RiquierBasis.position``, so no Derivative is built for it.
     """
     row: Dict[Tuple[int, MultiIndex], Scalar] = {}
     for delta, derivatives in table.items():

@@ -358,11 +358,12 @@ class RiquierBasis:
         # the log and, per element, the log id that made it
         self.derivation = derivation
         self.made_by = list(made_by)
-        # Delta_T in ranking order for the highest order T asked so far, each
-        # derivative's position there, and per position the index of the rule
-        # whose head divides it (None when it is parametric); see ``ranked_up_to``
+        # Delta_T in ranking order for the highest order T asked so far, the
+        # position there of each derivative's (component, alpha), and per
+        # position the index of the rule whose head divides it (None when it
+        # is parametric); see ``ranked_up_to``
         self.ranked: List[Derivative] = []
-        self.position: Dict[Derivative, int] = {}
+        self.position: Dict[Tuple[int, MultiIndex], int] = {}
         self.ranked_rules: List[Optional[int]] = []
         # the substitution rules compiled at each point, one plan per point
         # for every truncation order; built and extended by jets.formal_solve
@@ -406,10 +407,10 @@ class RiquierBasis:
     def ranked_up_to(self, order: int) -> int:
         """|Delta_order|, after extending ``ranked`` to cover Delta_order.
 
-        ``ranked`` lists Delta_T in ranking order, ``position`` maps each of
-        its derivatives to its index there, and ``ranked_rules`` holds the
-        index of the rule whose head divides it, or None when it is
-        parametric.  Under the standard ranking Delta_s is a prefix of
+        ``ranked`` lists Delta_T in ranking order, ``position`` maps the
+        (component, alpha) of each of its derivatives to its index there, and
+        ``ranked_rules`` holds the index of the rule whose head divides it, or
+        None when it is parametric.  Under the standard ranking Delta_s is a prefix of
         Delta_(s+1), so a higher order appends the new derivatives, each
         classified once, and a lower order reads a prefix.
         """
@@ -419,7 +420,8 @@ class RiquierBasis:
             held = self.ranked[-1].order if self.ranked else -1
             new = derivatives_up_to(self.m, self.n, order, above=held)
             self.ranked.extend(new)
-            self.position.update((d, i) for i, d in enumerate(new, start))
+            self.position.update(((d.component, d.alpha), i)
+                                 for i, d in enumerate(new, start))
             self.ranked_rules.extend(pick_rule(d, self.heads) for d in new)
         return size
 

@@ -285,6 +285,18 @@ def test_verify_witness_rejects_rational_w(euler_file, capsys):
     assert code == 2
 
 
+def test_verify_witness_refuses_a_system_that_member_refuses(tmp_path, capsys):
+    # a row with a rational coefficient is outside A_m(F)^n: both commands
+    # report it as an input error rather than a verdict
+    path = tmp_path / "rational.sys"
+    path.write_text("vars: 1\nrow: (1/x)*D - 1\n")
+    message = "error: generator 0 has non-polynomial coefficients\n"
+    assert main(["member", str(path), "--q", "D"]) == 2
+    assert capsys.readouterr() == ("", message)
+    assert main(["verify-witness", str(path), "--q", "D", "--w", "1", "--h", "x"]) == 2
+    assert capsys.readouterr() == ("", message)
+
+
 def test_repeated_calls_share_one_parser_but_no_values(euler_file, capsys, monkeypatch):
     built = []
     build_parser = cli.build_parser

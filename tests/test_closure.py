@@ -250,6 +250,20 @@ def test_verify_witness_rejects_rows_that_are_not_polynomial():
         verify_witness(witness, op("D"), [op("D [u1]", 1, 2)])
 
 
+def test_witnesses_of_high_order_are_checked_without_recursion():
+    # each shifted generator row is built from the one before it, so a
+    # cofactor of order 1500 needs no call stack of that depth
+    result = weyl_closure_member(op("D^1500"), [op("D")])
+    assert result.member
+    assert result.witness.w == rat("1").num
+    assert result.witness.cofactors == [op("D^1499")]
+    assert verify_witness(Witness(rat("1").num, [op("D^1500")]), op("D^1501"), [op("D")])
+    assert not verify_witness(Witness(rat("1").num, [op("D^1500")]), op("D^1500"), [op("D")])
+    gens = [op("D1", m=2)]
+    q = op("D1^751*D2^750", m=2)
+    assert verify_witness(Witness(rat("1", m=2).num, [op("D1^750*D2^750", m=2)]), q, gens)
+
+
 # -- the F(x)-linear solver ------------------------------------------------
 
 def test_lemma1_solve_single_relation():

@@ -254,7 +254,7 @@ def test_ranked_up_to_builds_only_the_new_orders(monkeypatch):
     assert basis.ranked_up_to(4) == 30
     assert asked == [(2, -1), (4, 2)]
     assert basis.ranked == derivatives_up_to(2, 2, 4)
-    assert basis.position == {d: i for i, d in enumerate(basis.ranked)}
+    assert basis.position == {(d.component, d.alpha): i for i, d in enumerate(basis.ranked)}
 
 
 def test_check_jet_constraints_examples():
