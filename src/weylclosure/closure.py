@@ -23,9 +23,11 @@ from .errors import InvalidInput
 from .linalg import solve_linear_combination
 from .operators import (
     OperatorVector,
+    check_fits,
     coefficient_vector,
-    left_multiply_by_d,
+    fits,
     multi_indices,
+    shifts,
     stepwise,
 )
 from .polynomials import Polynomial, RationalFunction, integer_polynomials
@@ -53,6 +55,7 @@ def _validate_polynomial_rows(q: OperatorVector,
                               generators: Sequence[OperatorVector]) -> None:
     if not q.is_polynomial_row():
         raise InvalidInput("candidate has non-polynomial coefficients")
+    check_fits(q.terms, q.m, q.n, "candidate term")
     for j, g in enumerate(generators):
         if not g.is_polynomial_row():
             raise InvalidInput(f"generator {j} has non-polynomial coefficients")
@@ -97,14 +100,15 @@ def verify_witness(witness: Witness, q: OperatorVector,
     A certificate of the wrong shape is rejected: a zero w, a w in another
     number of variables, a wrong number of cofactors, or a cofactor that is
     not a scalar operator (n = 1) with polynomial coefficients in q's
-    variables.  A q or generator that is not a polynomial row of q's shape
-    raises InvalidInput.
+    variables and multi-indices in N^m.  A q or generator that is not a
+    polynomial row of q's shape raises InvalidInput.
     """
     if witness.w.is_zero() or witness.w.nvars != q.m:
         return False
     if len(witness.cofactors) != len(generators):
         return False
-    if not all(h.m == q.m and h.n == 1 and h.is_polynomial_row() for h in witness.cofactors):
+    if not all(h.m == q.m and h.n == 1 and h.is_polynomial_row()
+               and all(fits(d, q.m, 1) for d in h.terms) for h in witness.cofactors):
         return False
     _validate_polynomial_rows(q, generators)
     # a zero cofactor's product is zero, so its generator is not scaled
@@ -185,8 +189,9 @@ def _lemma1_decide(q: OperatorVector, basis: RiquierBasis) -> bool:
     s = max([q.degree()] + [p.degree() for p in basis.elements])
     family = []
     for p in basis.elements:
+        shifted = shifts(p)
         for beta in multi_indices(q.m, s - p.degree()):
-            family.append(coefficient_vector(left_multiply_by_d(beta, p), s))
+            family.append(coefficient_vector(shifted(beta), s))
     target = coefficient_vector(q, s)
     return lemma1_solve(target, family) is not None
 
@@ -197,7 +202,10 @@ def oracle_division_member_1d(q: OperatorVector, p: OperatorVector) -> bool:
         raise InvalidInput("Euclidean oracle requires m = n = 1")
     if p.is_zero():
         raise InvalidInput("division by the zero operator")
+    check_fits(q.terms, 1, 1, "candidate term")
+    check_fits(p.terms, 1, 1, "divisor term")
     p_head = head_of(p)
+    shifted = shifts(p)
     remainder = q
     while not remainder.is_zero():
         r_head = head_of(remainder)
@@ -205,6 +213,6 @@ def oracle_division_member_1d(q: OperatorVector, p: OperatorVector) -> bool:
             return False
         shift = (r_head.degree - p_head.degree,)
         coeff = r_head.coefficient / p_head.coefficient
-        step = left_multiply_by_d(shift, p).left_scale(coeff)
+        step = shifted(shift).left_scale(coeff)
         remainder = remainder - step
     return True

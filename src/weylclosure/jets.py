@@ -46,6 +46,7 @@ from .operators import (
     Jet,
     MultiIndex,
     OperatorVector,
+    check_fits,
     multi_indices,
 )
 from .polynomials import Polynomial, RationalFunction
@@ -176,12 +177,7 @@ def formal_solve(basis: RiquierBasis, point: Sequence[Scalar],
     if order < basis.s0:
         raise SBelowS0(f"truncation order {order} is below the basis degree {basis.s0}")
     for d in init:
-        if (len(d.alpha) != basis.m or any(a < 0 for a in d.alpha)
-                or not 1 <= d.component <= basis.n):
-            raise InvalidInput(
-                f"initial value given for unknown {d.component} with multi-index "
-                f"{d.alpha}, which does not fit {basis.m} variable(s) and "
-                f"{basis.n} unknown(s)")
+        check_fits([d], basis.m, basis.n, "initial value")
         if d.order > order:
             raise InvalidInput(
                 f"initial value given for {format_derivative(d, basis.m, basis.n)} "

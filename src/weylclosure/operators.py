@@ -3,7 +3,14 @@
 An operator vector is a finite left-linear combination of derivatives
 ``D^alpha e_i`` with coefficients in F(x).  Products are normal-ordered eagerly
 through the commutation rule ``D_j f = f D_j + df/dx_j``, so equal operators
-always have equal term maps.
+always have equal term maps.  The shifted operators ``D^beta * p`` of one p
+come from one kernel, ``shifts(p)``, which builds each of them once, one
+derivation from another: left products, S-pairs, reduction steps, the
+lemma1 slices and the jet action all take their shifts from it.  (The
+witness check multiplies on integer rows with a kernel of its own, so that
+it shares no code with what it checks.)  An operator's head under the
+standard ranking is found on first use and kept with the operator, whose
+terms never change.
 """
 
 from __future__ import annotations
@@ -12,9 +19,9 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, Iterator, List, Mapping, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple, TypeVar
 
-from .errors import DegreeExceeded, InvalidInput
+from .errors import DegreeExceeded, InvalidInput, ZeroOperator
 from .polynomials import Polynomial, RationalFunction
 from .scalars import ZERO, Scalar
 
@@ -61,6 +68,21 @@ class Derivative:
         return self.component == other.component and all(
             a <= b for a, b in zip(self.alpha, other.alpha)
         )
+
+
+def fits(d: Derivative, m: int, n: int) -> bool:
+    """True iff d is D^alpha e_i with alpha in N^m and i in 1..n."""
+    return len(d.alpha) == m and 1 <= d.component <= n and (not d.alpha or min(d.alpha) >= 0)
+
+
+def check_fits(derivatives: Iterable[Derivative], m: int, n: int, what: str) -> None:
+    """InvalidInput naming the first derivative that does not ``fit`` (m, n)."""
+    for d in derivatives:
+        if not fits(d, m, n):
+            raise InvalidInput(
+                f"{what} given for unknown {d.component} with multi-index "
+                f"{d.alpha}, which does not fit {m} variable(s) and "
+                f"{n} unknown(s)")
 
 
 def multi_indices(m: int, max_total: int, min_total: int = 0) -> Iterator[MultiIndex]:
@@ -127,14 +149,19 @@ def derivatives_up_to(m: int, n: int, s: int, above: int = -1) -> List[Derivativ
 
 
 class OperatorVector:
-    """An element of B_m(F)^n in standard form."""
+    """An element of B_m(F)^n in standard form.
 
-    __slots__ = ("terms", "m", "n")
+    ``terms`` is not changed after construction, so the head, once found,
+    is kept in ``_head``; equality and hashing ignore it.
+    """
+
+    __slots__ = ("terms", "m", "n", "_head")
 
     def __init__(self, terms: Mapping[Derivative, RationalFunction], m: int, n: int):
         self.terms = {d: c for d, c in terms.items() if c}
         self.m = m
         self.n = n
+        self._head = None
 
     # -- constructors ------------------------------------------------------
 
@@ -170,6 +197,16 @@ class OperatorVector:
 
     def __repr__(self):
         return f"OperatorVector({self.terms!r}, m={self.m}, n={self.n})"
+
+    @property
+    def head(self) -> Derivative:
+        """The ranking-highest derivative, found on first use; ZeroOperator for zero."""
+        head = self._head
+        if head is None:
+            if not self.terms:
+                raise ZeroOperator("zero operator has no head")
+            head = self._head = max(self.terms, key=Derivative.rank_key)
+        return head
 
     def degree(self) -> int:
         """Max |alpha| over the support; -1 for the zero operator."""
@@ -208,7 +245,9 @@ class OperatorVector:
             f = RationalFunction(f) if isinstance(f, Polynomial) else RationalFunction.constant(f, self.m)
         if not f:
             return OperatorVector.zero(self.m, self.n)
-        return OperatorVector({d: f * c for d, c in self.terms.items()}, self.m, self.n)
+        scaled = OperatorVector({d: f * c for d, c in self.terms.items()}, self.m, self.n)
+        scaled._head = self._head  # a nonzero factor keeps every term
+        return scaled
 
 
 def add_term(terms: Dict[K, V], key: K, c: V) -> None:
@@ -235,15 +274,22 @@ def apply_single_d(j: int, p: OperatorVector) -> OperatorVector:
     return OperatorVector(terms, p.m, p.n)
 
 
+def shifts(p: OperatorVector) -> Callable[[MultiIndex], OperatorVector]:
+    """The memoized beta -> D^beta * p, for beta in N^m.
+
+    Each shift is built once, by one ``apply_single_d`` from an earlier one;
+    the derivations go in increasing index, D_1 first, as for D^beta read
+    left to right.  The caller checks that beta is in N^m.
+    """
+    return stepwise(p, lambda j, q, beta: apply_single_d(j + 1, q))
+
+
 def left_multiply_by_d(beta: MultiIndex, p: OperatorVector) -> OperatorVector:
     """Standard form of D^beta * p."""
     if len(beta) != p.m:
         raise InvalidInput("multi-index length does not match variable count")
-    result = p
-    for j, e in enumerate(beta, start=1):
-        for _ in range(e):
-            result = apply_single_d(j, result)
-    return result
+    check_fits([Derivative(1, beta)], p.m, 1, "shift")
+    return shifts(p)(beta)
 
 
 def scalar_operator_product(h: OperatorVector, p: OperatorVector) -> OperatorVector:
@@ -252,7 +298,9 @@ def scalar_operator_product(h: OperatorVector, p: OperatorVector) -> OperatorVec
         raise InvalidInput("left factor must be a scalar operator (n = 1)")
     if h.m != p.m:
         raise InvalidInput("variable counts differ")
-    shifted = stepwise(p, lambda j, q, alpha: apply_single_d(j + 1, q))  # D^alpha p
+    check_fits(h.terms, h.m, 1, "left factor term")
+    check_fits(p.terms, p.m, p.n, "right factor term")
+    shifted = shifts(p)
     result = OperatorVector.zero(p.m, p.n)
     for d, f in h.terms.items():
         result = result + shifted(d.alpha).left_scale(f)
@@ -319,12 +367,14 @@ class Jet:
 def apply_to_jet(p: OperatorVector, u: Jet) -> Jet:
     """The jet of p[u] at the same base point, exact through order T - deg p.
 
-    Each D^beta p is shifted symbolically over F(x) and only then evaluated.
+    Each D^beta p is shifted symbolically over F(x), once, from
+    ``shifts(p)``, and only then evaluated.
     This stays apart from the Taylor-coefficient rows of ``jets`` on purpose:
     it is the independent check that formal solutions are annihilated.
     """
     if p.m != u.m or p.n != u.n:
         raise InvalidInput("operator and jet dimensions differ")
+    check_fits(p.terms, p.m, p.n, "operator term")
     if p.is_zero():
         return Jet(u.base_point, u.order, u.m, 1, {})
     deg = p.degree()
@@ -334,10 +384,10 @@ def apply_to_jet(p: OperatorVector, u: Jet) -> Jet:
         )
     out_order = u.order - deg
     values: Dict[Derivative, Scalar] = {}
+    shifted = shifts(p)
     for beta in multi_indices(p.m, out_order):
-        shifted = left_multiply_by_d(beta, p)
         total: Scalar = Fraction(0)
-        for d, c in shifted.terms.items():
+        for d, c in shifted(beta).terms.items():
             total = total + c.evaluate(u.base_point) * u.value(d)
         values[Derivative(1, beta)] = total
     return Jet(u.base_point, out_order, u.m, 1, values)

@@ -3,10 +3,12 @@
 Reduction rewrites the ranking-highest derivative that is divisible by some
 rule head, using the rule as a substitution, and keeps exact scalar-operator
 cofactors so that ``input = sum_j cofactors[j] * rules[j] + normal_form``
-holds identically.  It does only the arithmetic its answer needs: a rule is
-checked monic on its canonical head coefficient, each shift
-``D^gamma * rule`` is built once per call, the targets come off a max-heap
-by rank, and the working operator is one term dict changed in place.
+holds identically.  It does only the arithmetic its answer needs: a rule's
+head is the one it keeps (``OperatorVector.head``), the rule is checked
+monic on its canonical head coefficient, each shift ``D^gamma * rule`` is
+built once per call by ``operators.shifts``, the targets come off a
+max-heap by rank, and the working operator is one term dict changed in
+place.
 """
 
 from __future__ import annotations
@@ -16,15 +18,14 @@ from dataclasses import dataclass, field
 from operator import neg
 from typing import Callable, Dict, List, Sequence
 
-from .errors import InvalidInput, ZeroOperator
+from .errors import InvalidInput
 from .operators import (
     Derivative,
     MultiIndex,
     OperatorVector,
     add_term,
-    apply_single_d,
     scalar_operator_product,
-    stepwise,
+    shifts,
 )
 from .polynomials import RationalFunction
 
@@ -47,10 +48,12 @@ class HeadData:
 
 
 def head_of(p: OperatorVector) -> HeadData:
-    """Ranking-maximal derivative of p with its coefficient and total degree."""
-    if p.is_zero():
-        raise ZeroOperator("zero operator has no head")
-    head = max(p.terms, key=Derivative.rank_key)
+    """Ranking-maximal derivative of p with its coefficient and total degree.
+
+    The head is the one p keeps (``OperatorVector.head``); ZeroOperator for
+    the zero operator.
+    """
+    head = p.head
     return HeadData(head, p.terms[head], head.order)
 
 
@@ -95,12 +98,14 @@ def _descending(d: Derivative):
 def reduce_full(p: OperatorVector, rules: Sequence[OperatorVector]) -> ReductionTrace:
     """Fully reduce p by a list of monic rules, eliminating every reducible derivative.
 
-    Each step rewrites the ranking-highest reducible derivative.  The rule's
-    shifts ``D^gamma * rule`` are built once per call, one derivation at a
-    time, and every term of a shifted monic rule other than its head ranks
-    below the target it rewrites.  So the targets come off a max-heap of the
-    terms in strictly decreasing rank, a term popped is never made again, and
-    the target's own term cancels exactly and is dropped without arithmetic.
+    Each step rewrites the ranking-highest reducible derivative.  A rule's
+    head is the one the rule keeps, found at most once in the rule's life,
+    and its shifts ``D^gamma * rule`` come from ``operators.shifts``, each
+    built once per call.  Every term of a shifted monic rule other than its
+    head ranks below the target it rewrites.  So the targets come off a
+    max-heap of the terms in strictly decreasing rank, a term popped is never
+    made again, and the target's own term cancels exactly and is dropped
+    without arithmetic.
     """
     heads: List[Derivative] = []
     for j, rule in enumerate(rules):
@@ -108,15 +113,15 @@ def reduce_full(p: OperatorVector, rules: Sequence[OperatorVector]) -> Reduction
             raise InvalidInput(f"rule {j} has mismatched dimensions")
         if rule.is_zero():
             raise InvalidInput("reduction rules must be nonzero")
-        data = head_of(rule)
-        if not data.coefficient.is_one():
+        head = rule.head
+        if not rule.terms[head].is_one():
             raise InvalidInput("reduction rules must be monic")
-        heads.append(data.head)
+        heads.append(head)
 
     terms = dict(p.terms)
     cofactors: Dict[int, Dict[Derivative, RationalFunction]] = {}
     if heads and terms:
-        shifts: Dict[int, Callable[[MultiIndex], OperatorVector]] = {}
+        shifted_rules: Dict[int, Callable[[MultiIndex], OperatorVector]] = {}
         queue = [(_descending(d), d) for d in terms]
         heapq.heapify(queue)
         queued = set(terms)
@@ -128,10 +133,9 @@ def reduce_full(p: OperatorVector, rules: Sequence[OperatorVector]) -> Reduction
             j = pick_rule(target, heads)
             if j is None:
                 continue
-            shifted = shifts.get(j)
+            shifted = shifted_rules.get(j)
             if shifted is None:
-                shifted = shifts[j] = stepwise(
-                    rules[j], lambda i, q, alpha: apply_single_d(i + 1, q))
+                shifted = shifted_rules[j] = shifts(rules[j])
             gamma = tuple(a - b for a, b in zip(target.alpha, heads[j].alpha))
             del terms[target]
             for d, c in shifted(gamma).terms.items():
@@ -153,5 +157,5 @@ def is_reduced(p: OperatorVector, rules: Sequence[OperatorVector]) -> bool:
     for j, rule in enumerate(rules):
         if (rule.m, rule.n) != (p.m, p.n):
             raise InvalidInput(f"rule {j} has mismatched dimensions")
-    heads = [head_of(rule).head for rule in rules if not rule.is_zero()]
+    heads = [rule.head for rule in rules if not rule.is_zero()]
     return all(pick_rule(delta, heads) is None for delta in p.terms)

@@ -2,7 +2,10 @@
 
 The completion is Buchberger-style over the rational-function coefficient
 field: make generators monic, adjoin reduced S-pairs to a fixpoint, then
-autoreduce.  Each element's head is computed once, when it is adjoined.
+autoreduce.  Each element keeps its own head (``OperatorVector.head``): it
+is found when the reduced operator is made monic, carried to the monic
+element, and read from there by the pairs, the unit stop, the
+autoreduction, the final sort and every later reduction by the basis.
 Pending pairs wait in a heap keyed by the lcm of their heads, lowest first
 (the normal strategy), ties in the order the pairs were formed.  Once every
 component has an order-0 head, every derivative is reducible, so every
@@ -11,14 +14,16 @@ elements of higher order (the unit case of Gebauer and Moeller's basis
 update, checked only when an order-0 head is adjoined).  The final
 autoreduction is one forward pass: the basis is confluent by then, so an
 element either reduces to zero or keeps its head, and no change makes an
-earlier element reducible again.
+earlier element reducible again.  An S-pair's shifted elements come from
+``operators.left_multiply_by_d``, which reads them off ``operators.shifts``.
 
 The completion computes with operators only.  Each element it adjoins or
 autoreduces appends one node to a derivation log, which records how the
 element was made from earlier nodes and the generators; a reduction to zero
 records nothing.  The exact scalar-operator cofactors that express a basis
 element in the generators are replayed from the log on demand, forward and
-only over the element's ancestors, when a membership witness needs them.
+only over the element's ancestors, when a membership witness needs them; a
+completion that is never lifted builds no replay state at all.
 
 The replay does no F(x) arithmetic.  Each replayed element holds its
 cofactors as polynomial numerators over one polynomial denominator, all in
@@ -48,6 +53,7 @@ from .operators import (
     MultiIndex,
     OperatorVector,
     add_term,
+    check_fits,
     derivatives_up_to,
     left_multiply_by_d,
     stepwise,
@@ -265,7 +271,8 @@ class DerivationLog:
     ids, so replaying in id order meets every source before its users.  The
     replay is fraction-free: each replayed id holds its cofactors over one
     integer polynomial denominator (``_Lifted``), reduced by the gcd of that
-    denominator and every numerator.
+    denominator and every numerator.  That cache, ``_replayed``, is None
+    until the first replay builds it, the generator leaves included.
     """
 
     def __init__(self, generators: int, m: int):
@@ -274,27 +281,17 @@ class DerivationLog:
         self.generators = generators
         self.m = m
         self.nodes: List[_Node] = []
-        self._replayed = self._leaves()
+        self._replayed: Optional[Dict[int, _Lifted]] = None
 
     def _unit(self):
         """The one of ZZ[x], the numerator of the multiplier 1."""
         (one,) = self.one.terms.values()
         return integer_pair(one)[0]
 
-    def _leaves(self) -> Dict[int, _Lifted]:
-        one = self._unit()
-        return {j: _Lifted(one, {j: {(0,) * self.m: one}}) for j in range(self.generators)}
-
     def __getstate__(self):
         # the replayed cofactors are a cache of sympy ring elements, which do
         # not pickle (sympy 1.14); a copy replays again when it needs them
-        state = dict(self.__dict__)
-        del state["_replayed"]
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._replayed = self._leaves()
+        return {**self.__dict__, "_replayed": None}
 
     def append(self, terms: Iterable[Term], scale: RationalFunction) -> int:
         self.nodes.append(_Node(tuple(terms), scale))
@@ -303,6 +300,10 @@ class DerivationLog:
     def replay(self, ids: Iterable[int]) -> List[_Lifted]:
         """The lifted cofactors of each id, replaying the ancestors not yet replayed."""
         ids = list(ids)
+        if self._replayed is None:
+            one = self._unit()
+            self._replayed = {j: _Lifted(one, {j: {(0,) * self.m: one}})
+                              for j in range(self.generators)}
         todo = set()
         stack = [i for i in ids if i not in self._replayed]
         while stack:
@@ -354,7 +355,8 @@ class RiquierBasis:
         self.elements = list(elements)
         self.m = m
         self.n = n
-        self.heads = [head_of(p).head for p in self.elements]
+        # each element keeps its head, so this reads them without a search
+        self.heads = [p.head for p in self.elements]
         # the log and, per element, the log id that made it
         self.derivation = derivation
         self.made_by = list(made_by)
@@ -394,12 +396,7 @@ class RiquierBasis:
 
     def classify(self, d: Derivative) -> DerivativeClass:
         """Principal or parametric; InvalidInput unless d is a derivative of the system's (m, n)."""
-        if (len(d.alpha) != self.m or any(a < 0 for a in d.alpha)
-                or not 1 <= d.component <= self.n):
-            raise InvalidInput(
-                f"derivative given for unknown {d.component} with multi-index "
-                f"{d.alpha}, which does not fit {self.m} variable(s) and "
-                f"{self.n} unknown(s)")
+        check_fits([d], self.m, self.n, "derivative")
         if pick_rule(d, self.heads) is not None:
             return DerivativeClass.PRINCIPAL
         return DerivativeClass.PARAMETRIC
@@ -460,11 +457,11 @@ def complete_to_riquier_basis(generators: Sequence[OperatorVector],
     for j, g in enumerate(gens):
         if (g.m, g.n) != (m, n):
             raise InvalidInput(f"generator {j} has mismatched dimensions")
+        check_fits(g.terms, m, n, f"generator {j} term")
 
     log = DerivationLog(len(gens), m)
-    # in step: each element, its head and the log id that made it
+    # in step: each element (which keeps its head) and the log id that made it
     basis: List[OperatorVector] = []
-    heads: List[Derivative] = []
     made_by: List[int] = []
     # pending pairs (lcm rank key, formation count, j, k, lcm of the heads)
     pairs: List[Tuple[tuple, int, int, int, Derivative]] = []
@@ -478,13 +475,12 @@ def complete_to_riquier_basis(generators: Sequence[OperatorVector],
         if trace.normal_form.is_zero():
             return
         element, node = _monic_and_logged(trace, terms, made_by, log)
-        head = head_of(element).head
-        for j, other in enumerate(heads):
-            if other.component == head.component:
-                lcm = Derivative(head.component, tuple(map(max, other.alpha, head.alpha)))
+        head = element.head
+        for j, other in enumerate(basis):
+            if other.head.component == head.component:
+                lcm = Derivative(head.component, tuple(map(max, other.head.alpha, head.alpha)))
                 heapq.heappush(pairs, (lcm.rank_key(), next(formed), j, len(basis), lcm))
         basis.append(element)
-        heads.append(head)
         made_by.append(node)
         if not head.order:
             units.add(head.component)
@@ -501,8 +497,8 @@ def complete_to_riquier_basis(generators: Sequence[OperatorVector],
     # basis only grows here, so a pending pair's key never changes.
     while pairs:
         _, _, j, k, lcm = heapq.heappop(pairs)
-        shift_j = tuple(c - a for c, a in zip(lcm.alpha, heads[j].alpha))
-        shift_k = tuple(c - b for c, b in zip(lcm.alpha, heads[k].alpha))
+        shift_j = tuple(c - a for c, a in zip(lcm.alpha, basis[j].head.alpha))
+        shift_k = tuple(c - b for c, b in zip(lcm.alpha, basis[k].head.alpha))
         d_j = OperatorVector.from_derivative(Derivative(1, shift_j), m, 1)
         d_k = OperatorVector.from_derivative(Derivative(1, shift_k), m, 1)
         spair = left_multiply_by_d(shift_j, basis[j]) - left_multiply_by_d(shift_k, basis[k])
@@ -512,8 +508,8 @@ def complete_to_riquier_basis(generators: Sequence[OperatorVector],
         # the module is all of F(x)^n (the unit stop of Gebauer and Moeller's
         # basis update): the order-0 elements span it, and the autoreduction
         # would delete every other element
-        keep = [i for i, head in enumerate(heads) if not head.order]
-        basis, heads, made_by = ([seq[i] for i in keep] for seq in (basis, heads, made_by))
+        keep = [i for i, element in enumerate(basis) if not element.head.order]
+        basis, made_by = ([seq[i] for i in keep] for seq in (basis, made_by))
 
     # Autoreduce in one forward pass.  The basis is confluent now, so an
     # element whose head another head divides reduces to zero, and any other
@@ -524,12 +520,12 @@ def complete_to_riquier_basis(generators: Sequence[OperatorVector],
         others = basis[:idx] + basis[idx + 1:]
         trace = reduce_full(basis[idx], others)
         if trace.normal_form.is_zero():
-            del basis[idx], heads[idx], made_by[idx]
+            del basis[idx], made_by[idx]
             continue
         if trace.normal_form != basis[idx]:
             basis[idx], made_by[idx] = _monic_and_logged(
                 trace, [(log.one, made_by[idx])], made_by[:idx] + made_by[idx + 1:], log)
         idx += 1
 
-    order = sorted(range(len(basis)), key=lambda i: heads[i].rank_key())
+    order = sorted(range(len(basis)), key=lambda i: basis[i].head.rank_key())
     return RiquierBasis([basis[i] for i in order], m, n, log, [made_by[i] for i in order])

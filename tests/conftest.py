@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import random
+import signal
 from fractions import Fraction
 from typing import List
 
@@ -67,3 +69,18 @@ def random_generators(rng: random.Random, m: int, n: int, count: int,
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+@contextlib.contextmanager
+def returns_within(seconds: float):
+    """Fail with TimeoutError, rather than hang, when the block runs too long (Unix)."""
+    def expire(signum, frame):
+        raise TimeoutError(f"did not return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

@@ -16,6 +16,7 @@ from weylclosure import (
     Polynomial,
     RationalFunction,
     Witness,
+    complete_to_riquier_basis,
     lemma1_solve,
     membership_via_lemma1,
     oracle_division_member_1d,
@@ -26,7 +27,8 @@ from weylclosure import (
     verify_witness,
     weyl_closure_member,
 )
-from conftest import random_operator, random_generators, random_polynomial
+from weylclosure import operators
+from conftest import random_operator, random_generators, random_polynomial, returns_within
 
 
 def op(text, m=1, n=1):
@@ -124,6 +126,14 @@ def test_values_and_results_survive_pickle_and_deepcopy(copy_of):
     trace = reduce_full(op("D^3"), again.basis.elements)
     assert again.basis.lift(trace.cofactors) == result.basis.lift(trace.cofactors)
     assert again.basis.generator_cofactors == result.basis.generator_cofactors
+    # a basis never lifted has no replay state; its copy lifts to the same witness
+    basis = complete_to_riquier_basis(gens)
+    again = copy_of(basis)
+    assert again.heads == basis.heads
+    assert [p.head for p in again.elements] == basis.heads
+    trace = reduce_full(op("D^3"), again.elements)
+    assert again.lift(trace.cofactors) == basis.lift(trace.cofactors) == (
+        result.witness.w, dict(enumerate(result.witness.cofactors)))
 
 
 def test_rational_coefficients_are_rejected():
@@ -151,7 +161,7 @@ def test_verify_witness_rejects_wrong_identity():
 
 
 @pytest.mark.parametrize("case", ["w in two variables", "cofactor in two variables",
-                                  "cofactor with two unknowns"])
+                                  "cofactor with two unknowns", "cofactor outside N^m"])
 def test_verify_witness_rejects_a_certificate_of_the_wrong_shape(case):
     gens, q = [op("D")], op("D^2")
     w, h = rat("1").num, op("D")
@@ -160,9 +170,12 @@ def test_verify_witness_rejects_a_certificate_of_the_wrong_shape(case):
         w = Polynomial.constant(1, 2)
     elif case == "cofactor in two variables":
         h = op("D1", m=2)
-    else:
+    elif case == "cofactor with two unknowns":
         h = op("D [u1]", n=2)
-    assert verify_witness(Witness(w, [h]), q, gens) is False
+    else:
+        h = h + outside()
+    with returns_within(2):
+        assert verify_witness(Witness(w, [h]), q, gens) is False
 
 
 def test_verify_witness_accepts_hand_built_identity():
@@ -264,6 +277,23 @@ def test_witnesses_of_high_order_are_checked_without_recursion():
     assert verify_witness(Witness(rat("1", m=2).num, [op("D1^750*D2^750", m=2)]), q, gens)
 
 
+def outside():
+    """D^(-1), a term outside N^1 that the parser cannot write."""
+    return OperatorVector.from_derivative(Derivative(1, (-1,)), 1, 1)
+
+
+@pytest.mark.parametrize("decide", [weyl_closure_member, membership_via_lemma1])
+def test_membership_rejects_a_multi_index_outside_n_m(decide):
+    # D + D^(-1) is no operator; it once gave the answer false with normal form -1
+    with returns_within(2):
+        with pytest.raises(InvalidInput) as info:
+            decide(op("D^2"), [op("D") + outside()])
+        assert str(info.value) == ("generator 0 term given for unknown 1 with multi-index "
+                                   "(-1,), which does not fit 1 variable(s) and 1 unknown(s)")
+        with pytest.raises(InvalidInput, match="candidate term"):
+            decide(op("D^2") + outside(), [op("D")])
+
+
 # -- the F(x)-linear solver ------------------------------------------------
 
 def test_lemma1_solve_single_relation():
@@ -295,6 +325,21 @@ def test_lemma1_reconstructs_solution(rng):
             assert total == f[k]
 
 
+def test_lemma1_builds_each_shift_once(monkeypatch):
+    # the slices of D^beta (D + x), beta = 0..3, take one derivation each,
+    # where rebuilding each shift from D + x takes 1+2+3
+    calls = []
+    single = operators.apply_single_d
+
+    def counting(j, p):
+        calls.append(j)
+        return single(j, p)
+
+    monkeypatch.setattr(operators, "apply_single_d", counting)
+    membership_via_lemma1(op("D^4"), [op("D + x")])
+    assert len(calls) == 3
+
+
 # -- Euclidean left-division oracle ----------------------------------------
 
 def test_oracle_division_exact_left_multiple():
@@ -314,6 +359,14 @@ def test_oracle_division_rejects_higher_dimension():
 def test_oracle_division_by_zero():
     with pytest.raises(InvalidInput):
         oracle_division_member_1d(op("D"), op("0"))
+
+
+def test_oracle_division_rejects_a_multi_index_outside_n_m():
+    # both once answered false
+    with pytest.raises(InvalidInput, match="candidate term"):
+        oracle_division_member_1d(op("D^2") + outside(), op("D"))
+    with pytest.raises(InvalidInput, match="divisor term"):
+        oracle_division_member_1d(op("D^2"), op("D") + outside())
 
 
 # -- structural properties -------------------------------------------------

@@ -19,7 +19,8 @@ from weylclosure import (
     parse_operator,
     scalar_operator_product,
 )
-from conftest import random_nonzero_operator, random_operator
+from weylclosure import operators
+from conftest import random_nonzero_operator, random_operator, returns_within
 
 ZERO1 = (Fraction(0),)
 
@@ -183,6 +184,22 @@ def test_apply_to_jet_truncation_underflow():
         apply_to_jet(op("D^3"), u)
 
 
+def test_apply_to_jet_builds_each_shift_once(monkeypatch):
+    # the shifts D^beta (D + x), beta = 0..4, come one derivation from the
+    # last: 4 derivations, where rebuilding each from D + x takes 1+2+3+4
+    calls = []
+    single = operators.apply_single_d
+
+    def counting(j, p):
+        calls.append(j)
+        return single(j, p)
+
+    monkeypatch.setattr(operators, "apply_single_d", counting)
+    out = apply_to_jet(op("D + x"), jet_1d(0, [1, 0, -1, 0, 3, 0]))
+    assert out.order == 4 and out.is_zero()
+    assert len(calls) == 4
+
+
 def test_apply_to_jet_commutes_with_products(rng):
     for _ in range(10):
         h = random_operator(rng, 1, 1, order=1, degree=1, terms=2)
@@ -198,3 +215,39 @@ def test_is_polynomial_row():
     assert op("x^2*D^2 - 2*x*D + 2").is_polynomial_row()
     assert not op("D^2 - (2/x)*D + 2/x^2").is_polynomial_row()
     assert op("0").is_polynomial_row()
+
+
+# -- multi-indices outside N^m ---------------------------------------------
+#
+# A term D^alpha with a negative entry is no element of B_m(F)^n.  Built
+# directly (the parser cannot write one), it must be rejected, not walked
+# down forever by the shift kernel.
+
+def outside():
+    return OperatorVector.from_derivative(Derivative(1, (-1,)), 1, 1)
+
+
+def test_product_rejects_a_term_outside_n_m():
+    with returns_within(2):
+        with pytest.raises(InvalidInput) as info:
+            scalar_operator_product(outside() + op("x"), op("x*D + 1"))
+        assert str(info.value) == ("left factor term given for unknown 1 with multi-index "
+                                   "(-1,), which does not fit 1 variable(s) and 1 unknown(s)")
+        with pytest.raises(InvalidInput, match="right factor term"):
+            scalar_operator_product(op("D"), outside())
+        with pytest.raises(InvalidInput, match="right factor term given for unknown 3"):
+            scalar_operator_product(op("D"), OperatorVector.from_derivative(
+                Derivative(3, (0,)), 1, 2))
+
+
+@pytest.mark.parametrize("beta, m", [((-1,), 1), ((2, -1), 2)])
+def test_left_multiply_rejects_a_negative_multi_index(beta, m):
+    with returns_within(2):
+        with pytest.raises(InvalidInput, match="shift given for unknown 1"):
+            left_multiply_by_d(beta, op("x1*D1", 2) if m == 2 else op("x*D"))
+
+
+def test_apply_to_jet_rejects_a_term_outside_n_m():
+    with returns_within(2):
+        with pytest.raises(InvalidInput, match="operator term given for unknown 1"):
+            apply_to_jet(op("D + x") + outside(), jet_1d(0, [1, 0, -1, 0, 3]))

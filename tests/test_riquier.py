@@ -97,6 +97,11 @@ def test_empty_input_yields_empty_basis():
     ([op("D1", 2), op("D")], (None, None), "generator 1 has mismatched dimensions"),
     ([op("D1", 2), op("D2", 2), op("D [u2]", 1, 2)], (None, None),
      "generator 2 has mismatched dimensions"),
+    # a term D^alpha with alpha outside N^m, which the parser cannot write
+    ([op("D1 [u1]", 2, 2),
+      op("D2 [u2]", 2, 2) + OperatorVector.from_derivative(Derivative(2, (0, -1)), 2, 2)],
+     (2, 2), "generator 1 term given for unknown 2 with multi-index (0, -1), "
+             "which does not fit 2 variable(s) and 2 unknown(s)"),
 ])
 def test_completion_rejects_mismatched_generator_dimensions(generators, dims, message):
     with pytest.raises(InvalidInput) as info:
@@ -154,6 +159,29 @@ def test_unit_stop_ends_the_completion_at_a_unit_basis(monkeypatch, rows, m, n, 
             == witness_text)
 
 
+def test_each_head_is_searched_once(monkeypatch):
+    # every element keeps its head: over the completion, the reduction of q,
+    # the lift and the witness check, each head search is the one made when
+    # an operator is made monic (one per log node), and no operator is searched
+    # twice; the monic element and every reduction by it read the kept head
+    searched, reads = [], []
+    head = OperatorVector.head
+
+    def watched(p):
+        reads.append(p)
+        if p._head is None:
+            searched.append(p)
+        return head.fget(p)
+
+    monkeypatch.setattr(OperatorVector, "head", property(watched))
+    gens = [op(row, 2, 2) for row in ["D1 [u1] - x2 [u1]", "D2 [u1] + 1 [u2]", "D1 [u2]"]]
+    result = weyl_closure_member(op("D1*D2 [u1]", 2, 2), gens)
+    assert result.member
+    assert len({id(p) for p in searched}) == len(searched)
+    assert len(searched) == len(result.basis.derivation.nodes)
+    assert len(reads) > 2 * len(searched)
+
+
 # -- classification --------------------------------------------------------
 
 def test_classify_principal_and_parametric():
@@ -169,6 +197,8 @@ def test_classify_principal_and_parametric():
                                "which does not fit 2 variable(s) and 1 unknown(s)"),
     (Derivative(3, (0, 0)), "derivative given for unknown 3 with multi-index (0, 0), "
                             "which does not fit 2 variable(s) and 1 unknown(s)"),
+    (Derivative(1, (1, -1)), "derivative given for unknown 1 with multi-index (1, -1), "
+                             "which does not fit 2 variable(s) and 1 unknown(s)"),
 ])
 def test_classify_rejects_a_derivative_of_the_wrong_shape(d, message):
     # divides() compares multi-indices entry by entry, so these would pass as
@@ -455,7 +485,7 @@ def test_replay_runs_only_for_member_witnesses(tmp_path, capsys, monkeypatch):
 def test_replay_touches_only_the_ancestors_of_the_trace():
     basis = complete_to_riquier_basis([op("D1^2", 2), op("D2 - x1", 2)])
     log = basis.derivation
-    assert log._replayed.keys() == {0, 1}
+    assert log._replayed is None  # nothing is replayed before a lift
     touched = {k for k, p in enumerate(basis.elements) if head_of(p).head.alpha == (0, 1)}
     basis.lift({k: op("1", 2) for k in touched})
     replayed = set(log._replayed) - {0, 1}
