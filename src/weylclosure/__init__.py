@@ -41,33 +41,29 @@ from .operators import (
     Jet,
     OperatorVector,
     apply_to_jet,
-    cf_slice,
     coefficient_vector,
     derivatives_up_to,
     left_multiply_by_d,
     scalar_operator_product,
 )
-from .parsing import parse_operator, parse_rational, parse_scalar_operator
-from .polynomials import Polynomial, RationalFunction, common_denominator, poly_gcd, poly_lcm
-from .ranking import HeadData, ReductionTrace, compare_derivatives, head_of, make_monic, reduce_full
+from .parsing import parse_operator, parse_rational
+from .polynomials import Polynomial, RationalFunction
+from .ranking import ReductionTrace, reduce_full
 from .riquier import DerivativeClass, RiquierBasis, complete_to_riquier_basis
 from .scalars import GaussianRational
 
 __all__ = [
     "ConstraintSystem", "DegreeExceeded", "Derivative", "DerivativeClass",
-    "EvaluationAtPole", "GaussianRational", "HeadData", "InvalidInput", "Jet",
+    "EvaluationAtPole", "GaussianRational", "InvalidInput", "Jet",
     "MembershipResult", "OperatorVector", "ParseError", "Polynomial",
     "RationalFunction", "ReductionTrace", "RiquierBasis", "SBelowS0",
     "WeylClosureError", "Witness", "ZeroOperator", "apply_to_jet",
-    "basis_denominators",
-    "cf_slice", "check_jet_constraints", "coefficient_vector",
-    "common_denominator", "compare_derivatives", "complete_to_riquier_basis",
-    "constraint_matrix", "constraint_nullspace", "derivatives_up_to",
-    "formal_solve", "format_operator", "format_polynomial", "format_rational",
-    "format_scalar", "head_of", "left_multiply_by_d", "lemma1_solve",
-    "make_monic", "membership_via_lemma1", "oracle_division_member_1d",
-    "parse_operator", "parse_rational", "parse_scalar_operator",
-    "pick_regular_point", "poly_gcd", "poly_lcm", "reduce_full",
+    "basis_denominators", "check_jet_constraints", "coefficient_vector",
+    "complete_to_riquier_basis", "constraint_matrix", "constraint_nullspace",
+    "derivatives_up_to", "formal_solve", "format_operator", "format_polynomial",
+    "format_rational", "format_scalar", "left_multiply_by_d", "lemma1_solve",
+    "membership_via_lemma1", "oracle_division_member_1d", "parse_operator",
+    "parse_rational", "pick_regular_point", "reduce_full",
     "scalar_operator_product", "solution_space_dim", "verify_witness",
     "weyl_closure_member",
 ]

@@ -10,7 +10,6 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 from typing import List, Optional
 
 from .closure import (
@@ -27,7 +26,6 @@ from .jets import (
     constraint_matrix,
     formal_solve,
     pick_regular_point,
-    solution_space_dim,
 )
 from .linalg import nullity
 from .parsing import parse_operator, parse_rational

@@ -31,7 +31,7 @@ from .operators import (
     stepwise,
 )
 from .polynomials import Polynomial, RationalFunction, integer_polynomials
-from .ranking import head_of, reduce_full
+from .ranking import reduce_full
 from .riquier import RiquierBasis, complete_to_riquier_basis
 
 
@@ -204,15 +204,14 @@ def oracle_division_member_1d(q: OperatorVector, p: OperatorVector) -> bool:
         raise InvalidInput("division by the zero operator")
     check_fits(q.terms, 1, 1, "candidate term")
     check_fits(p.terms, 1, 1, "divisor term")
-    p_head = head_of(p)
+    p_head = p.head
     shifted = shifts(p)
     remainder = q
     while not remainder.is_zero():
-        r_head = head_of(remainder)
-        if r_head.degree < p_head.degree:
+        r_head = remainder.head
+        if r_head.order < p_head.order:
             return False
-        shift = (r_head.degree - p_head.degree,)
-        coeff = r_head.coefficient / p_head.coefficient
-        step = shifted(shift).left_scale(coeff)
+        coeff = remainder.terms[r_head] / p.terms[p_head]
+        step = shifted((r_head.order - p_head.order,)).left_scale(coeff)
         remainder = remainder - step
     return True

@@ -7,7 +7,6 @@ coefficients parenthesized whenever they are not a single product-safe term.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import List
 
 from .operators import Derivative, OperatorVector

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from math import comb, factorial, prod
 from operator import add
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
@@ -316,45 +317,38 @@ def constraint_nullspace(system: ConstraintSystem) -> List[Jet]:
     return jets
 
 
-def pick_regular_point(avoid: Sequence[Polynomial], m: int,
-                       search_radius: int = 25) -> Tuple[Fraction, ...]:
-    """First small rational point where none of the given polynomials vanishes.
+def pick_regular_point(avoid: Sequence[Polynomial], m: int) -> Tuple[Fraction, ...]:
+    """The first integer point where none of the given polynomials vanishes.
 
-    "First" is in the lexicographic order of the grid whose coordinates run
-    through 0, 1, -1, ..., r, -r for r = search_radius.  The grid is searched
-    depth-first, one coordinate at a time, and a candidate is skipped as soon
-    as fixing it leaves some polynomial identically zero, since no point that
-    extends it can then be regular.  Each coordinate is made when the search
-    reaches it, so a search that stops at 0 builds no other.
+    "First" is lexicographic, with each coordinate running through 0, 1, -1,
+    2, -2, ...  Each coordinate in turn is fixed to the first candidate that
+    leaves every polynomial nonzero in the remaining variables, and some point
+    extends that choice, so no choice is ever undone.  A candidate c fails only
+    when x - c divides some polynomial, so one of the first 1 + (sum of the
+    polynomials' degrees in that variable) candidates succeeds.  Each
+    candidate is made when the search reaches it.
     """
-
-    def candidates() -> Iterator[Fraction]:
-        yield ZERO
-        for k in range(1, search_radius + 1):
-            yield Fraction(k)
-            yield Fraction(-k)
-
     polys = [p for p in avoid if not p.is_zero()]
     if any(p.nvars != m for p in polys):
         raise ValueError("point dimension mismatch")
-
-    def search(terms: List[Mapping[MultiIndex, Scalar]],
-               left: int) -> Optional[Tuple[Fraction, ...]]:
-        # every polynomial in terms is nonzero in the ``left`` free variables
-        if left == 0:
-            return ()
-        for c in candidates():
+    terms: List[Mapping[MultiIndex, Scalar]] = [p.terms for p in polys]
+    point = []
+    for _ in range(m):
+        for c in _candidates():
             fixed = [_fix_first_variable(t, c) for t in terms]
             if all(fixed):
-                rest = search(fixed, left - 1)
-                if rest is not None:
-                    return (c,) + rest
-        return None
+                break
+        point.append(c)
+        terms = fixed
+    return tuple(point)
 
-    point = search([p.terms for p in polys], m)
-    if point is None:
-        raise EvaluationAtPole("no regular point found in the search range")
-    return point
+
+def _candidates() -> Iterator[Fraction]:
+    """The integers in the order 0, 1, -1, 2, -2, ..."""
+    yield ZERO
+    for k in count(1):
+        yield Fraction(k)
+        yield Fraction(-k)
 
 
 def _fix_first_variable(terms: Mapping[MultiIndex, Scalar],

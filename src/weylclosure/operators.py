@@ -286,8 +286,6 @@ def shifts(p: OperatorVector) -> Callable[[MultiIndex], OperatorVector]:
 
 def left_multiply_by_d(beta: MultiIndex, p: OperatorVector) -> OperatorVector:
     """Standard form of D^beta * p."""
-    if len(beta) != p.m:
-        raise InvalidInput("multi-index length does not match variable count")
     check_fits([Derivative(1, beta)], p.m, 1, "shift")
     return shifts(p)(beta)
 

@@ -367,11 +367,6 @@ def parse_operator(text: str, m: int, n: int = 1, field: str = "real") -> Operat
     return _Parser(text, m, n, field).parse_row()
 
 
-def parse_scalar_operator(text: str, m: int, field: str = "real") -> OperatorVector:
-    """Parse a scalar (n = 1) operator expression."""
-    return parse_operator(text, m, 1, field)
-
-
 def parse_rational(text: str, m: int, field: str = "real") -> RationalFunction:
     """Parse a pure function (no derivations allowed)."""
     parser = _Parser(text, m, 1, field)

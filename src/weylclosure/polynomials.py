@@ -35,7 +35,7 @@ import math
 from fractions import Fraction
 from itertools import chain
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence, Tuple
+from typing import Mapping, Sequence, Tuple
 
 from sympy.polys.domains import QQ, QQ_I, ZZ, ZZ_I
 from sympy.polys.euclidtools import dmp_inner_gcd
@@ -343,14 +343,7 @@ class Polynomial:
         return Polynomial._of(quotient)
 
 
-def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Monic gcd over the coefficient field (graded-lex leading coefficient 1)."""
-    (_, a, _), (_, b, _) = f._r._triples(g._r)
-    if not a and not b:
-        return f
-    return monic_polynomial(gcd_cofactors(a, b)[0])
-
-
+# No library path calls this: bench/tracing.py times it by name, and it goes with that metric.
 def poly_lcm(f: Polynomial, g: Polynomial) -> Polynomial:
     (_, a, _), (_, b, _) = f._r._triples(g._r)
     if not a or not b:
@@ -733,27 +726,6 @@ class RationalFunction:
         if not den_value:
             raise EvaluationAtPole(f"denominator vanishes at {format_point(point)}")
         return self.num.evaluate(point) / den_value
-
-
-def common_denominator(rs: Iterable[RationalFunction], nvars: int) -> Polynomial:
-    """A monic polynomial w with w*r polynomial for every r: the lcm of denominators."""
-    w = None
-    seen = set()
-    for r in rs:
-        b = r._b
-        # a constant denominator is 1, and a repeated one already divides w
-        if b.is_ground or b in seen:
-            continue
-        seen.add(b)
-        if w is None:
-            w = b
-            continue
-        if w.ring is not b.ring:
-            w, b = gaussian(w), gaussian(b)
-        w = w * gcd_cofactors(w, b)[2]
-    if w is None:
-        return Polynomial.constant(1, nvars)
-    return monic_polynomial(w)
 
 
 # -- the integer edge, for fraction-free callers ------------------------------

@@ -1,4 +1,4 @@
-"""The standard ranking, heads, monic normalization, and multi-step reduction.
+"""Rule selection by the standard ranking, and multi-step reduction.
 
 Reduction rewrites the ranking-highest derivative that is divisible by some
 rule head, using the rule as a substitution, and keeps exact scalar-operator
@@ -30,38 +30,6 @@ from .operators import (
 from .polynomials import RationalFunction
 
 
-def compare_derivatives(d1: Derivative, d2: Derivative) -> int:
-    """-1, 0 or 1 as d1 precedes, equals or follows d2 in the standard ranking."""
-    k1, k2 = d1.rank_key(), d2.rank_key()
-    if k1 < k2:
-        return -1
-    if k1 > k2:
-        return 1
-    return 0
-
-
-@dataclass(frozen=True)
-class HeadData:
-    head: Derivative
-    coefficient: RationalFunction
-    degree: int
-
-
-def head_of(p: OperatorVector) -> HeadData:
-    """Ranking-maximal derivative of p with its coefficient and total degree.
-
-    The head is the one p keeps (``OperatorVector.head``); ZeroOperator for
-    the zero operator.
-    """
-    head = p.head
-    return HeadData(head, p.terms[head], head.order)
-
-
-def make_monic(p: OperatorVector) -> OperatorVector:
-    """Left-divide p by its head coefficient."""
-    return p.left_scale(head_of(p).coefficient.inverse())
-
-
 @dataclass
 class ReductionTrace:
     """Result of a full reduction: normal form plus exact cofactors per rule index."""
@@ -80,12 +48,12 @@ class ReductionTrace:
 def pick_rule(delta: Derivative, heads: Sequence[Derivative]) -> int | None:
     """Index of the rule whose head divides delta: ranking-highest head, then lowest index.
 
-    This is the one rule selector: reduction, ``is_reduced``, the principal/
-    parametric classification and the solve plans all choose through it.
+    This is the one rule selector: reduction, the principal/parametric
+    classification and the solve plans all choose through it.
     """
     best = None
     for j, head in enumerate(heads):
-        if head.divides(delta) and (best is None or compare_derivatives(heads[best], head) < 0):
+        if head.divides(delta) and (best is None or heads[best].rank_key() < head.rank_key()):
             best = j
     return best
 
@@ -151,11 +119,3 @@ def reduce_full(p: OperatorVector, rules: Sequence[OperatorVector]) -> Reduction
     return ReductionTrace(OperatorVector(terms, p.m, p.n),
                           {j: OperatorVector(cof, p.m, 1) for j, cof in cofactors.items()})
 
-
-def is_reduced(p: OperatorVector, rules: Sequence[OperatorVector]) -> bool:
-    """True iff no derivative of p is divisible by any rule head."""
-    for j, rule in enumerate(rules):
-        if (rule.m, rule.n) != (p.m, p.n):
-            raise InvalidInput(f"rule {j} has mismatched dimensions")
-    heads = [rule.head for rule in rules if not rule.is_zero()]
-    return all(pick_rule(delta, heads) is None for delta in p.terms)

@@ -58,7 +58,7 @@ from .operators import (
     left_multiply_by_d,
     stepwise,
 )
-from .ranking import ReductionTrace, head_of, pick_rule, reduce_full
+from .ranking import ReductionTrace, pick_rule, reduce_full
 from .polynomials import (Polynomial, RationalFunction, gaussian, gcd_cofactors, integer_pair,
                           integer_ratio, monic_polynomial)
 
@@ -440,9 +440,10 @@ def _monic_and_logged(trace: ReductionTrace, terms: List[Term], rule_ids: Sequen
     ``terms`` make the reduced operator; each reduction step by rule k adds
     the term ``(-step, rule_ids[k])``.
     """
-    scale = head_of(trace.normal_form).coefficient.inverse()
+    normal_form = trace.normal_form
+    scale = normal_form.terms[normal_form.head].inverse()
     terms = terms + [(-step, rule_ids[k]) for k, step in trace.cofactors.items()]
-    return trace.normal_form.left_scale(scale), log.append(terms, scale)
+    return normal_form.left_scale(scale), log.append(terms, scale)
 
 
 def complete_to_riquier_basis(generators: Sequence[OperatorVector],

@@ -8,11 +8,10 @@ strings; no floating point survives serialization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .errors import InvalidInput, ParseError
+from .errors import InvalidInput
 from .formatting import format_derivative, format_scalar
 from .operators import Derivative, Jet, OperatorVector
 from .parsing import parse_operator, parse_rational

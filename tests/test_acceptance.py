@@ -20,7 +20,6 @@ from weylclosure import (
     constraint_nullspace,
     formal_solve,
     format_operator,
-    head_of,
     left_multiply_by_d,
     membership_via_lemma1,
     oracle_division_member_1d,
@@ -141,7 +140,7 @@ def _all_s_pairs_reduce(basis):
     for j, f in enumerate(basis.elements):
         for k in range(j + 1, len(basis.elements)):
             g = basis.elements[k]
-            hf, hg = head_of(f).head, head_of(g).head
+            hf, hg = f.head, g.head
             if hf.component != hg.component:
                 continue
             gamma = tuple(max(a, b) for a, b in zip(hf.alpha, hg.alpha))
@@ -157,7 +156,7 @@ def test_acceptance_5_completion_correctness():
     ok = (collapsing.elements == [op("1", 2)]
           and collapsing.parametric_up_to(3) == [])
     gradient = complete_to_riquier_basis([op("D1", 2), op("D2", 2)])
-    ok = ok and sorted(head_of(p).head.alpha for p in gradient.elements) == [(0, 1), (1, 0)]
+    ok = ok and sorted(p.head.alpha for p in gradient.elements) == [(0, 1), (1, 0)]
     bases = [collapsing, gradient]
     rng = random.Random(55555)
     for _ in range(10):

@@ -198,6 +198,16 @@ def test_solve_picks_regular_point_automatically(euler_file, capsys):
     assert doc["point"] != ["0"]
 
 
+def test_solve_picks_a_point_past_51_poles_in_one_coordinate(tmp_path, capsys):
+    # the basis denominator x2 * prod (x2^2 - k^2) vanishes at x2 = 0, +-1, ..., +-25
+    product = "*".join(["x2"] + [f"(x2^2 - {k * k})" for k in range(1, 26)])
+    path = tmp_path / "poles.sys"
+    path.write_text(f"vars: 2\nrow: ({product})*D1 - 1\n")
+    code, doc = run(capsys, ["solve", str(path)])
+    assert code == 0
+    assert doc["point"] == ["0", "26"]
+
+
 # -- prop1 -----------------------------------------------------------------
 
 def test_prop1_counts(euler_file, capsys):

@@ -35,7 +35,7 @@ from weylclosure.operators import (
     left_multiply_by_d,
     multi_indices,
 )
-from conftest import random_generators
+from conftest import random_generators, returns_within
 
 ZERO = (Fraction(0),)
 ONE = (Fraction(1),)
@@ -525,10 +525,10 @@ def test_pick_regular_point_no_constraints():
     assert pick_regular_point([], 2) == (Fraction(0), Fraction(0))
 
 
-def scan_regular_point(avoid, m, search_radius=25):
-    """The lexicographic scan over the whole candidate grid, as the oracle."""
+def scan_regular_point(avoid, m, radius):
+    """The lexicographic scan over the grid with coordinates 0, 1, -1, ..., radius, -radius."""
     candidates = [Fraction(0)]
-    for k in range(1, search_radius + 1):
+    for k in range(1, radius + 1):
         candidates += [Fraction(k), Fraction(-k)]
     for point in itertools.product(candidates, repeat=m):
         if all(p.evaluate(point) for p in avoid if not p.is_zero()):
@@ -539,33 +539,45 @@ def scan_regular_point(avoid, m, search_radius=25):
 def test_pick_regular_point_matches_the_scan(rng):
     for trial in range(60):
         m = rng.randint(1, 3)
-        radius = rng.randint(1, 3)
+        spread = rng.randint(1, 3)
         avoid = []
         for _ in range(rng.randint(1, 3)):
             # products of linear factors with small integer roots, so that the
             # origin and other early grid points are often zeros
             p = Polynomial.constant(rng.choice([1, -2, 3]), m)
             for _ in range(rng.randint(1, 3)):
-                factor = Polynomial.constant(rng.choice([0, rng.randint(-radius, radius)]), m)
+                factor = Polynomial.constant(rng.choice([0, rng.randint(-spread, spread)]), m)
                 for j in rng.sample(range(1, m + 1), rng.randint(1, m)):
                     factor = factor + Polynomial.variable(j, m).scale(Fraction(rng.choice([1, -1])))
                 p = p * factor
             avoid.append(p)
-        expected = scan_regular_point(avoid, m, radius)
-        if expected is None:
-            with pytest.raises(EvaluationAtPole):
-                pick_regular_point(avoid, m, radius)
-        else:
-            assert pick_regular_point(avoid, m, radius) == expected, (trial, avoid)
+        # at most 3 * 3 linear factors, so at most 9 candidates fail per
+        # coordinate and the 11 of radius 5 hold the first regular point
+        expected = scan_regular_point(avoid, m, 5)
+        assert expected is not None
+        assert pick_regular_point(avoid, m) == expected, (trial, avoid)
 
 
 def test_pick_regular_point_backs_up_past_a_dead_prefix():
     x, y = Polynomial.variable(1, 2), Polynomial.variable(2, 2)
-    # at x = 0 the polynomial is y^3 - y, not identically zero but zero on the
-    # whole grid {0, 1, -1}, so the search must leave x = 0 again
+    # at x = 0 the polynomial is y^3 - y, zero at y = 0, 1, -1 but not
+    # identically zero, so x = 0 is kept and y runs on to 2: no prefix that
+    # leaves every polynomial nonzero is ever dead, and none is undone
     p = x + y * y * y - y
-    assert scan_regular_point([p], 2, 1) == (Fraction(1), Fraction(0))
-    assert pick_regular_point([p], 2, search_radius=1) == (Fraction(1), Fraction(0))
+    assert pick_regular_point([p], 2) == (Fraction(0), Fraction(2))
+    assert scan_regular_point([p], 2, 2) == (Fraction(0), Fraction(2))
+
+
+def test_pick_regular_point_passes_every_root_of_one_coordinate():
+    # x3 * prod (x3^2 - k^2) vanishes at x3 = 0, +-1, ..., +-25: the first
+    # regular point lies past the 51 candidates that the search used to be
+    # limited to
+    x3 = Polynomial.variable(3, 3)
+    p = x3
+    for k in range(1, 26):
+        p = p * (x3 * x3 - k * k)
+    with returns_within(1.0):
+        assert pick_regular_point([p], 3) == (Fraction(0), Fraction(0), Fraction(26))
 
 
 def test_pick_regular_point_in_six_variables_is_fast():

@@ -1,7 +1,6 @@
 """Normal-ordered operator arithmetic, coefficient slices and jet action."""
 
 import dataclasses
-import random
 from fractions import Fraction
 
 import pytest
@@ -14,13 +13,13 @@ from weylclosure import (
     Jet,
     OperatorVector,
     apply_to_jet,
-    cf_slice,
     left_multiply_by_d,
     parse_operator,
     scalar_operator_product,
 )
 from weylclosure import operators
-from conftest import random_nonzero_operator, random_operator, returns_within
+from weylclosure.operators import cf_slice
+from conftest import random_operator, returns_within
 
 ZERO1 = (Fraction(0),)
 

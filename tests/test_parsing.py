@@ -1,6 +1,5 @@
 """Operator grammar, positioned parse errors, and the parse/format round trip."""
 
-import random
 import time
 from fractions import Fraction
 

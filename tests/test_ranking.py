@@ -1,7 +1,6 @@
-"""Standard ranking, head data, monic normalization and cofactor-tracked reduction."""
+"""Standard ranking, heads, monic normalization and cofactor-tracked reduction."""
 
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,16 +9,13 @@ from weylclosure import (
     Derivative,
     OperatorVector,
     ZeroOperator,
-    compare_derivatives,
-    head_of,
+    complete_to_riquier_basis,
     left_multiply_by_d,
-    make_monic,
     parse_operator,
     reduce_full,
-    scalar_operator_product,
 )
 from weylclosure.errors import InvalidInput
-from weylclosure.ranking import is_reduced, pick_rule
+from weylclosure.ranking import pick_rule
 from conftest import random_nonzero_operator, random_operator
 
 
@@ -27,19 +23,22 @@ def op(text, m=1, n=1):
     return parse_operator(text, m, n)
 
 
+def monic(p):
+    return p.left_scale(p.terms[p.head].inverse())
+
+
 # -- ranking ---------------------------------------------------------------
 
 def test_compare_mixed_partials():
-    assert compare_derivatives(Derivative(1, (0, 1)), Derivative(1, (1, 0))) == -1
+    assert Derivative(1, (0, 1)).rank_key() < Derivative(1, (1, 0)).rank_key()
 
 
 def test_compare_component_tiebreak():
-    assert compare_derivatives(Derivative(1, (0,)), Derivative(2, (0,))) == -1
+    assert Derivative(1, (0,)).rank_key() < Derivative(2, (0,)).rank_key()
 
 
 def test_compare_reflexive():
-    d = Derivative(2, (1, 3))
-    assert compare_derivatives(d, d) == 0
+    assert Derivative(2, (1, 3)).rank_key() == Derivative(2, (1, 3)).rank_key()
 
 
 derivative_strategy = st.builds(
@@ -53,53 +52,58 @@ derivative_strategy = st.builds(
 @given(derivative_strategy, derivative_strategy,
        st.tuples(st.integers(0, 3), st.integers(0, 3)))
 def test_ranking_property(d1, d2, gamma):
-    order = compare_derivatives(d1, d2)
-    shifted = compare_derivatives(d1.differentiate(gamma), d2.differentiate(gamma))
-    assert order == shifted
+    k1, k2 = d1.rank_key(), d2.rank_key()
+    s1, s2 = d1.differentiate(gamma).rank_key(), d2.differentiate(gamma).rank_key()
+    assert (k1 < k2, k1 == k2) == (s1 < s2, s1 == s2)
 
 
 @settings(deadline=None, max_examples=60)
 @given(derivative_strategy, derivative_strategy, derivative_strategy)
 def test_ranking_is_total_and_transitive(a, b, c):
-    assert compare_derivatives(a, b) == -compare_derivatives(b, a)
-    if compare_derivatives(a, b) <= 0 and compare_derivatives(b, c) <= 0:
-        assert compare_derivatives(a, c) <= 0
+    ka, kb, kc = a.rank_key(), b.rank_key(), c.rank_key()
+    # total: two different derivatives never tie
+    assert (ka == kb) == (a == b)
+    if ka <= kb and kb <= kc:
+        assert ka <= kc
 
 
 # -- heads and monic form --------------------------------------------------
 
 def test_head_of_example_51():
-    data = head_of(op("x^2*D^2 - 2*x*D + 2"))
-    assert data.head == Derivative(1, (2,))
-    assert data.coefficient == parse_operator("x^2", 1).coefficient(Derivative(1, (0,)))
-    assert data.degree == 2
+    p = op("x^2*D^2 - 2*x*D + 2")
+    assert p.head == Derivative(1, (2,))
+    assert p.terms[p.head] == parse_operator("x^2", 1).coefficient(Derivative(1, (0,)))
+    assert p.head.order == 2
 
 
 def test_head_component_tiebreak():
     p = op("1 [u1] + 1 [u2]", 1, 2)
-    assert head_of(p).head == Derivative(2, (0,))
+    assert p.head == Derivative(2, (0,))
 
 
 def test_head_of_constant():
-    data = head_of(op("5"))
-    assert data.head == Derivative(1, (0,)) and data.degree == 0
+    p = op("5")
+    assert p.head == Derivative(1, (0,)) and p.head.order == 0
 
 
 def test_head_of_zero_raises():
     with pytest.raises(ZeroOperator):
-        head_of(op("0"))
+        op("0").head
 
+
+# the Riquier basis of one scalar operator in one variable is that operator made monic
 
 def test_make_monic_example_51():
-    assert make_monic(op("x^2*D^2 - 2*x*D + 2")) == op("D^2 - (2/x)*D + 2/x^2")
+    basis = complete_to_riquier_basis([op("x^2*D^2 - 2*x*D + 2")])
+    assert basis.elements == [op("D^2 - (2/x)*D + 2/x^2")]
 
 
 def test_make_monic_negated():
-    assert make_monic(op("(-D+x)*(D+x)")) == op("D^2 - x^2 + 1")
+    assert complete_to_riquier_basis([op("(-D+x)*(D+x)")]).elements == [op("D^2 - x^2 + 1")]
 
 
 def test_make_monic_already_monic():
-    assert make_monic(op("D")) == op("D")
+    assert complete_to_riquier_basis([op("D")]).elements == [op("D")]
 
 
 # -- reduction -------------------------------------------------------------
@@ -128,12 +132,13 @@ def test_reconstruction_identity_randomized(rng):
         n = rng.randint(1, 2)
         p = random_operator(rng, m, n, order=3, degree=2)
         rules = [
-            make_monic(random_nonzero_operator(rng, m, n, order=2, degree=1))
+            monic(random_nonzero_operator(rng, m, n, order=2, degree=1))
             for _ in range(rng.randint(1, 2))
         ]
         trace = reduce_full(p, rules)
         assert trace.reconstruct(rules) == p
-        assert is_reduced(trace.normal_form, rules)
+        heads = [rule.head for rule in rules]
+        assert all(pick_rule(delta, heads) is None for delta in trace.normal_form.terms)
 
 
 def test_normal_form_unique_for_confluent_rules(rng):
@@ -148,7 +153,7 @@ def test_normal_form_unique_for_confluent_rules(rng):
 
 def _reduce_sorting_every_step(p, rules):
     """The reference reduction: re-sort the operator and rebuild D^gamma * rule on every step."""
-    heads = [head_of(rule).head for rule in rules]
+    heads = [rule.head for rule in rules]
     work, cofactors = p, {}
     while True:
         target = rule_index = None
@@ -172,7 +177,7 @@ def _reduce_sorting_every_step(p, rules):
 def test_reduce_full_matches_the_sort_every_step_reduction(seed, m, n, count):
     rng = random.Random(seed)
     p = random_operator(rng, m, n, order=3, degree=2, terms=4, polynomial_coeffs=False)
-    rules = [make_monic(random_nonzero_operator(rng, m, n, order=2, degree=1))
+    rules = [monic(random_nonzero_operator(rng, m, n, order=2, degree=1))
              for _ in range(count)]
     trace = reduce_full(p, rules)
     normal_form, cofactors = _reduce_sorting_every_step(p, rules)
@@ -202,12 +207,6 @@ def test_reduce_full_rejects_mismatched_rule_dimensions(p, rules, message):
     with pytest.raises(InvalidInput) as info:
         reduce_full(p, rules)
     assert str(info.value) == message
-
-
-def test_is_reduced_rejects_mismatched_rule_dimensions():
-    with pytest.raises(InvalidInput) as info:
-        is_reduced(op("D"), [op("D^2"), op("D1", 2)])
-    assert str(info.value) == "rule 1 has mismatched dimensions"
 
 
 def test_pick_rule_prefers_the_highest_head_then_the_lowest_index():

@@ -17,14 +17,11 @@ from weylclosure import (
     OperatorVector,
     Polynomial,
     RationalFunction,
-    common_denominator,
     complete_to_riquier_basis,
     format_operator,
     format_polynomial,
-    head_of,
     left_multiply_by_d,
     parse_operator,
-    poly_lcm,
     reduce_full,
     scalar_operator_product,
     weyl_closure_member,
@@ -32,6 +29,7 @@ from weylclosure import (
 from weylclosure import riquier
 from weylclosure.cli import main
 from weylclosure.operators import derivatives_up_to
+from weylclosure.polynomials import poly_lcm
 from weylclosure.riquier import DerivationLog
 from conftest import random_generators, random_operator, random_polynomial
 
@@ -44,7 +42,7 @@ def s_pairs_reduce_to_zero(basis):
     for j, f in enumerate(basis.elements):
         for k in range(j + 1, len(basis.elements)):
             g = basis.elements[k]
-            hf, hg = head_of(f).head, head_of(g).head
+            hf, hg = f.head, g.head
             if hf.component != hg.component:
                 continue
             gamma = tuple(max(a, b) for a, b in zip(hf.alpha, hg.alpha))
@@ -69,7 +67,7 @@ def reconstructs_from_generators(basis, generators):
 
 def test_commuting_pair_is_already_a_basis():
     basis = complete_to_riquier_basis([op("D1", 2), op("D2", 2)])
-    assert sorted(head_of(p).head.alpha for p in basis.elements) == [(0, 1), (1, 0)]
+    assert sorted(p.head.alpha for p in basis.elements) == [(0, 1), (1, 0)]
     assert s_pairs_reduce_to_zero(basis)
 
 
@@ -274,7 +272,7 @@ def test_randomized_completions_are_confluent_and_exact(rng):
         basis = complete_to_riquier_basis(generators, m, n)
         # monic and autoreduced
         for idx, element in enumerate(basis.elements):
-            assert head_of(element).coefficient == 1
+            assert element.terms[element.head] == 1
             others = basis.elements[:idx] + basis.elements[idx + 1:]
             if others:
                 assert reduce_full(element, others).normal_form == element
@@ -293,8 +291,8 @@ def test_completion_is_idempotent(rng):
         again = complete_to_riquier_basis(basis.elements, m, 1)
         assert sorted(h.rank_key() for h in basis.heads) == \
             sorted(h.rank_key() for h in again.heads)
-        assert sorted(basis.elements, key=lambda p: head_of(p).head.rank_key()) == \
-            sorted(again.elements, key=lambda p: head_of(p).head.rank_key())
+        assert sorted(basis.elements, key=lambda p: p.head.rank_key()) == \
+            sorted(again.elements, key=lambda p: p.head.rank_key())
 
 
 # -- eager oracle ----------------------------------------------------------
@@ -344,7 +342,7 @@ def eager_reduce(entry, basis):
 
 
 def eager_monic(entry):
-    return entry.left_scale(head_of(entry.op).coefficient.inverse())
+    return entry.left_scale(entry.op.terms[entry.op.head].inverse())
 
 
 def eager_completion(generators, m, n) -> Tuple[List[OperatorVector], List[dict]]:
@@ -358,9 +356,9 @@ def eager_completion(generators, m, n) -> Tuple[List[OperatorVector], List[dict]
         if reduced.op.is_zero():
             return
         reduced = eager_monic(reduced)
-        comp = head_of(reduced.op).head.component
+        comp = reduced.op.head.component
         pairs.extend((j, len(basis)) for j, e in enumerate(basis)
-                     if head_of(e.op).head.component == comp)
+                     if e.op.head.component == comp)
         basis.append(reduced)
 
     for j, g in enumerate(generators):
@@ -368,12 +366,12 @@ def eager_completion(generators, m, n) -> Tuple[List[OperatorVector], List[dict]
             adjoin(EagerEntry(g, {j: OperatorVector.scalar_function(one, m)}))
 
     def common(pair):
-        hf, hg = (head_of(basis[i].op).head for i in pair)
+        hf, hg = (basis[i].op.head for i in pair)
         return tuple(max(a, b) for a, b in zip(hf.alpha, hg.alpha)), hf, hg
 
     while pairs:
         pairs.sort(key=lambda pair: Derivative(
-            head_of(basis[pair[0]].op).head.component, common(pair)[0]).rank_key())
+            basis[pair[0]].op.head.component, common(pair)[0]).rank_key())
         j, k = pairs.pop(0)
         gamma, hf, hg = common((j, k))
         adjoin(basis[j].shift(tuple(c - a for c, a in zip(gamma, hf.alpha)))
@@ -396,7 +394,7 @@ def eager_completion(generators, m, n) -> Tuple[List[OperatorVector], List[dict]
                 basis[idx] = eager_monic(reduced)
             break
 
-    basis.sort(key=lambda e: head_of(e.op).head.rank_key())
+    basis.sort(key=lambda e: e.op.head.rank_key())
     return [e.op for e in basis], [e.cofactors for e in basis]
 
 
@@ -411,10 +409,7 @@ def eager_witness(q, generators, m, n):
         for g, c in element_cofactors[k].items():
             contribution = scalar_operator_product(step, c)
             rational[g] = contribution if g not in rational else rational[g] + contribution
-    w = Polynomial.constant(1, m)
-    for h in rational.values():
-        for coeff in h.terms.values():
-            w = poly_lcm(w, coeff.den)
+    w = lcm_of_denominators(rational.values(), m)
     return w, [rational.get(g, OperatorVector.zero(m, 1)).left_scale(w)
                for g in range(len(generators))]
 
@@ -486,7 +481,7 @@ def test_replay_touches_only_the_ancestors_of_the_trace():
     basis = complete_to_riquier_basis([op("D1^2", 2), op("D2 - x1", 2)])
     log = basis.derivation
     assert log._replayed is None  # nothing is replayed before a lift
-    touched = {k for k, p in enumerate(basis.elements) if head_of(p).head.alpha == (0, 1)}
+    touched = {k for k, p in enumerate(basis.elements) if p.head.alpha == (0, 1)}
     basis.lift({k: op("1", 2) for k in touched})
     replayed = set(log._replayed) - {0, 1}
     assert replayed == {basis.made_by[k] for k in touched}
@@ -500,6 +495,14 @@ def test_replay_touches_only_the_ancestors_of_the_trace():
 # over F(x), by scalar_operator_product and RationalFunction arithmetic, whose
 # witness clears the lifted cofactors by the lcm of their denominators.  The
 # exact cofactors are unique, so w and every h_j must come out identical.
+
+def lcm_of_denominators(operators, m):
+    w = Polynomial.constant(1, m)
+    for h in operators:
+        for coeff in h.terms.values():
+            w = poly_lcm(w, coeff.den)
+    return w
+
 
 def rational_replay(log):
     """(combine, cofactors_of) over F(x) for a derivation log."""
@@ -528,7 +531,7 @@ def rational_witness(basis, q, count):
     trace = reduce_full(q, basis.elements)
     lifted = combine((step, basis.made_by[k]) for k, step in trace.cofactors.items())
     hs = [lifted.get(g, OperatorVector.zero(basis.m, 1)) for g in range(count)]
-    w = common_denominator([c for h in hs for c in h.terms.values()], basis.m)
+    w = lcm_of_denominators(hs, basis.m)
     return w, [h.left_scale(w) for h in hs]
 
 
