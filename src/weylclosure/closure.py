@@ -5,10 +5,13 @@ generated F(x)-submodule.  A reduction to zero is turned into an exact
 identity ``w * q = sum_j h_j * p_j`` with polynomial w and cofactors: the
 basis lifts the reduction trace to the generators, replaying its derivation
 log fraction-free and only for the basis elements the trace touches, and
-hands back w, the monic lcm of the cofactors' denominators, with the cleared
-h_j.  The identity is then checked by multiplying it out on integer rows in
-ZZ[x] (ZZ_I[x] for Gaussian operands), with a Leibniz kernel of its own that
-shares no code with the lift.  A non-member answer replays nothing.
+hands back its integer rows: a denominator and numerators in ZZ[x] (ZZ_I[x]
+for Gaussian operands).  The identity is checked on those rows, by
+multiplying it out with a Leibniz kernel of its own that shares no code with
+the lift, and only then are they cleared into w, the monic lcm of the
+cofactors' denominators, and the h_j.  ``verify_witness`` runs the same
+kernel on a witness from outside, scaled to integer rows.  A non-member
+answer replays nothing.
 The cross-checks are F(x)-linear solving on coefficient slices and, for a
 single operator in one variable, Euclidean left division.
 """
@@ -30,9 +33,9 @@ from .operators import (
     shifts,
     stepwise,
 )
-from .polynomials import Polynomial, RationalFunction, integer_polynomials
+from .polynomials import Polynomial, RationalFunction, gaussian, integer_polynomials
 from .ranking import reduce_full
-from .riquier import RiquierBasis, complete_to_riquier_basis
+from .riquier import RiquierBasis, cleared, complete_to_riquier_basis
 
 
 @dataclass
@@ -115,10 +118,28 @@ def verify_witness(witness: Witness, q: OperatorVector,
     operands = [q] + [p for pair in zip(witness.cofactors, generators) if pair[0] for p in pair]
     (w_scale, (w,)), *scaled = integer_polynomials(
         [[RationalFunction(witness.w)]] + [list(p.terms.values()) for p in operands])
-    # each row keyed by the plain (component, alpha) of its derivatives
-    rows = [(scale, {(d.component, d.alpha): v for d, v in zip(p.terms, values)})
-            for p, (scale, values) in zip(operands, scaled)]
-    (q_scale, q_row), products = rows[0], list(zip(rows[1::2], rows[2::2]))
+    rows = [(scale, _keyed(p, values)) for p, (scale, values) in zip(operands, scaled)]
+    products = [((h_scale, {alpha: v for (_, alpha), v in h_row.items()}), p)
+                for (h_scale, h_row), p in zip(rows[1::2], rows[2::2])]
+    return _cancels((w_scale, w), rows[0], products)
+
+
+def _keyed(p: OperatorVector, values) -> dict:
+    """The row of p's integer coefficients, keyed by the plain (component, alpha)."""
+    return {(d.component, d.alpha): v for d, v in zip(p.terms, values)}
+
+
+def _cancels(w, q, products) -> bool:
+    """Whether W Q - sum_j H_j P_j cancels, on integer rows with their integer scales.
+
+    ``w`` is (L_w, W), ``q`` is (L_q, Q) and each product is ((L_h, H), (L_p,
+    P)), for H keyed by multi-index and Q and P by (component, alpha), all
+    in one integer ring.  For M the lcm of L_w L_q and every L_h L_p, each
+    term is weighted by M over its scales, so the residue is M times
+    ``w q - sum_j h_j p_j`` for w = W / L_w and so on.  A product ``H_j P_j``
+    takes each shifted row ``D^beta P_j`` once, one derivation at a time.
+    """
+    (w_scale, w), (q_scale, q_row) = w, q
     top = math.lcm(w_scale * q_scale, *[h_scale * p_scale
                                          for (h_scale, _), (p_scale, _) in products])
     if top != w_scale * q_scale:
@@ -127,13 +148,33 @@ def verify_witness(witness: Witness, q: OperatorVector,
     for (h_scale, h_row), (p_scale, p_row) in products:
         k = top // (h_scale * p_scale)
         shifted = _shifts(p_row, w.ring.gens)
-        for (_, beta), h in h_row.items():
+        for beta, h in h_row.items():
             if k != 1:
                 h = h.mul_ground(k)
             for key, c in shifted(beta).items():
                 term = h * c
                 residue[key] = residue[key] - term if key in residue else -term
     return not any(residue.values())
+
+
+def _lift_cancels(den, numerators, q: OperatorVector,
+                  generators: Sequence[OperatorVector]) -> bool:
+    """Whether ``den * q = sum_g numerators[g] * generators[g]`` for a lift's integer rows.
+
+    The check of ``weyl_closure_member`` on the rows it already validated:
+    only q and the generators with a cofactor are scaled to integer rows,
+    once, and den and the numerators are taken as the lift made them.
+    """
+    used = list(numerators)
+    operands = [q] + [generators[g] for g in used]
+    scaled = integer_polynomials([list(p.terms.values()) for p in operands])
+    rows = [(scale, _keyed(p, values)) for p, (scale, values) in zip(operands, scaled)]
+    hs = [numerators[g] for g in used]
+    if any(values and values[0].ring is not den.ring for _, values in scaled):
+        # one side is Gaussian: the other moves to ZZ_I[x] too
+        den, hs = gaussian(den), [{alpha: gaussian(v) for alpha, v in h.items()} for h in hs]
+        rows = [(scale, {key: gaussian(v) for key, v in row.items()}) for scale, row in rows]
+    return _cancels((1, den), rows[0], [((1, h), row) for h, row in zip(hs, rows[1:])])
 
 
 def weyl_closure_member(q: OperatorVector,
@@ -148,11 +189,14 @@ def weyl_closure_member(q: OperatorVector,
 
     # q = sum_k trace.cofactors[k] * basis_k and each basis element is an exact
     # combination of the generators, so the lift of the trace is the witness.
-    w, cofactors = basis.lift(trace.cofactors)
+    # Its identity is checked on the lift's own integer rows before they are
+    # cleared into the witness.
+    lifted = basis.lift_rows(trace.cofactors)
+    if not _lift_cancels(lifted.den, lifted.numerators, q, generators):
+        raise RuntimeError("internal error: extracted witness failed verification")
+    w, cofactors = cleared(lifted, m)
     witness = Witness(w, [cofactors.get(g, OperatorVector.zero(m, 1))
                           for g in range(len(generators))])
-    if not verify_witness(witness, q, generators):
-        raise RuntimeError("internal error: extracted witness failed verification")
     return MembershipResult(True, witness, trace.normal_form, basis)
 
 

@@ -59,8 +59,8 @@ from .operators import (
     stepwise,
 )
 from .ranking import ReductionTrace, pick_rule, reduce_full
-from .polynomials import (Polynomial, RationalFunction, gaussian, gcd_cofactors, integer_pair,
-                          integer_ratio, monic_polynomial)
+from .polynomials import (Polynomial, RationalFunction, exact_quotient, gaussian, gcd_cofactors,
+                          integer_pair, integer_ratio, monic_polynomial)
 
 if TYPE_CHECKING:
     from .jets import SolvePlan
@@ -240,10 +240,10 @@ def _cancelled(lifted: _Lifted) -> _Lifted:
     for g, alpha, value in entries:
         if value.is_ground:
             return lifted
-        remainder = True
+        quotient = None
         if len(value) > 1 and len(common) > 1:  # the gcd of a monomial is cheaper
-            quotient, remainder = value.div(common)
-        if remainder:
+            quotient = exact_quotient(value, common)
+        if quotient is None:
             common, shrink, quotient = gcd_cofactors(common, value)
             if common.is_ground:
                 return lifted
@@ -263,6 +263,16 @@ def _operators(numerators: Dict[int, Dict[MultiIndex, Any]], den, m: int) -> Cof
             for g, cof in numerators.items()}
 
 
+def cleared(lifted: _Lifted, m: int) -> Tuple[Polynomial, Cofactors]:
+    """(w, h) of a lift's integer rows: w is den made monic, and h[g] is
+    numerators[g] over den's leading coefficient, as a scalar operator."""
+    den = lifted.den
+    return monic_polynomial(den), _operators(lifted.numerators, den.ring.ground_new(den.LC), m)
+
+
+_ONE_OPERATORS: Dict[int, OperatorVector] = {}  # the multiplier 1 in each number of variables
+
+
 class DerivationLog:
     """How each element of a completion was made, for lifting to the generators.
 
@@ -277,7 +287,10 @@ class DerivationLog:
 
     def __init__(self, generators: int, m: int):
         # the multiplier 1, which also is each leaf's cofactor
-        self.one = OperatorVector.scalar_function(RationalFunction.constant(1, m), m)
+        self.one = _ONE_OPERATORS.get(m)
+        if self.one is None:
+            self.one = _ONE_OPERATORS[m] = OperatorVector.scalar_function(
+                RationalFunction.constant(1, m), m)
         self.generators = generators
         self.m = m
         self.nodes: List[_Node] = []
@@ -322,17 +335,14 @@ class DerivationLog:
         """The generator cofactors of each id over F(x)."""
         return [_operators(lifted.numerators, lifted.den, self.m) for lifted in self.replay(ids)]
 
-    def lift(self, terms: Iterable[Term]) -> Tuple[Polynomial, Cofactors]:
-        """(w, h) with w * sum(multiplier * source) = sum_g h[g] * generator g.
-
-        w is the monic lcm of the denominators of the exact cofactors, and each
-        h[g] has polynomial coefficients.
+    def lift_rows(self, terms: Iterable[Term]) -> _Lifted:
+        """(den, numerators) with den * sum(multiplier * source) = sum_g
+        numerators[g] * generator g, on integer rows with no polynomial factor
+        common to den and every numerator; ``cleared`` makes them (w, h).
         """
         terms = list(terms)
         self.replay(source for _, source in terms)
-        den, numerators = _cancelled(self._combine(terms))
-        return (monic_polynomial(den),
-                _operators(numerators, den.ring.ground_new(den.LC), self.m))
+        return _cancelled(self._combine(terms))
 
     def _combine(self, terms: Iterable[Term]) -> _Lifted:
         # every source is replayed already
@@ -384,7 +394,12 @@ class RiquierBasis:
         the elements named in ``multipliers`` and their ancestors in the log
         are replayed.
         """
-        return self.derivation.lift(
+        return cleared(self.lift_rows(multipliers), self.m)
+
+    def lift_rows(self, multipliers: Mapping[int, OperatorVector]) -> _Lifted:
+        """``lift`` before its edge: the integer rows (den, numerators) with
+        den * sum_k multipliers[k] * elements[k] = sum_g numerators[g] * generator g."""
+        return self.derivation.lift_rows(
             (multiplier, self.made_by[k]) for k, multiplier in multipliers.items())
 
     @property

@@ -27,7 +27,9 @@ from weylclosure import (
     verify_witness,
     weyl_closure_member,
 )
-from weylclosure import operators
+from weylclosure import closure, operators, polynomials
+from weylclosure.polynomials import integer_pair
+from weylclosure.riquier import RiquierBasis
 from conftest import random_operator, random_generators, random_polynomial, returns_within
 
 
@@ -182,6 +184,49 @@ def test_verify_witness_accepts_hand_built_identity():
     # x^2 * D^3 = D * (x^2*D^2 - 2*x*D + 2)
     gens = [op("x^2*D^2 - 2*x*D + 2")]
     assert verify_witness(Witness(rat("x^2").num, [op("D")]), op("D^3"), gens)
+
+
+# -- the lift's integer rows, checked inside weyl_closure_member ----------------
+
+def test_a_member_answer_validates_its_rows_once(monkeypatch):
+    calls = []
+    validate = closure._validate_polynomial_rows
+    monkeypatch.setattr(closure, "_validate_polynomial_rows",
+                        lambda q, gens: calls.append(q) or validate(q, gens))
+    gens = [op("x^2*D^2 - 2*x*D + 2")]
+    result = weyl_closure_member(op("D^3"), gens)
+    assert result.member and len(calls) == 1
+    # the public check stays independent and validates on its own
+    assert verify_witness(result.witness, op("D^3"), gens) and len(calls) == 2
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_a_wrong_lift_cannot_pass_the_internal_check(monkeypatch, field):
+    gens = [parse_operator("x^2*D^2 - 2*x*D + 2", 1, 1, field)]
+    q = parse_operator("(x + i)*D^3" if field == "complex" else "D^3", 1, 1, field)
+    assert weyl_closure_member(q, gens).member
+    lift_rows = RiquierBasis.lift_rows
+
+    def one_wrong_numerator(basis, multipliers):
+        lifted = lift_rows(basis, multipliers)
+        (g, cofactor), *_ = lifted.numerators.items()
+        alpha, value = next(iter(cofactor.items()))
+        return lifted._replace(numerators={
+            **lifted.numerators, g: {**cofactor, alpha: value + lifted.den}})
+
+    monkeypatch.setattr(RiquierBasis, "lift_rows", one_wrong_numerator)
+    with pytest.raises(RuntimeError, match="internal error"):
+        weyl_closure_member(q, gens)
+
+
+def test_the_internal_check_takes_rows_of_either_integer_ring():
+    # den * q = h * p with den = 1 and h = 1, one side real and the other Gaussian
+    real, gaussian = op("D"), parse_operator("(x + i)*D", 1, 1, "complex")
+    one = integer_pair(RationalFunction.constant(1, 1))[0]
+    for row_of, p in ((lambda v: v, gaussian), (polynomials.gaussian, real)):
+        den, h = row_of(one), {(0,): row_of(one)}
+        assert closure._lift_cancels(den, {0: h}, p, [p])
+        assert not closure._lift_cancels(den, {0: h}, p.left_scale(rat("2")), [p])
 
 
 def _verify_over_fx(witness, q, generators):

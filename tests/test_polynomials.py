@@ -7,7 +7,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sympy import sympify
 from sympy.polys.domains import QQ, QQ_I, ZZ, ZZ_I
+from sympy.polys.euclidtools import dmp_inner_gcd
 from sympy.polys.orderings import grlex
 from sympy.polys.rings import PolyRing
 
@@ -23,7 +25,8 @@ from weylclosure import (
     parse_operator,
     weyl_closure_member,
 )
-from weylclosure.polynomials import gcd_cofactors, poly_lcm
+from weylclosure import polynomials
+from weylclosure.polynomials import exact_quotient, gcd_cofactors, poly_lcm
 
 
 def poly(text_terms, m=1):
@@ -511,8 +514,6 @@ def test_rational_arithmetic_oracle_frozen_cases():
 
 
 def test_arithmetic_never_calls_the_normalizing_constructor(monkeypatch):
-    from weylclosure import polynomials
-
     x, y = X2, Y2
     f = RationalFunction(x + 1, y * y - x)
     g = RationalFunction(x + 1, y)
@@ -541,8 +542,6 @@ def test_arithmetic_never_calls_the_normalizing_constructor(monkeypatch):
 
 
 def test_products_take_no_gcd_against_a_denominator_of_one(monkeypatch):
-    from weylclosure import polynomials
-
     x, y = X2, Y2
     p, q = RationalFunction(x + 1), RationalFunction(y - x)
     f, g, h = RationalFunction(x, y + 1), RationalFunction(y, x), RationalFunction(y + 1)
@@ -644,8 +643,6 @@ def test_polynomials_round_trip_through_the_triple_and_the_terms(pair):
 
 
 def test_only_integer_polynomial_rings_are_built():
-    from weylclosure import polynomials
-
     for field, unit in (("real", "1"), ("complex", "i")):
         # D^2 annihilates x + unit, as p does, so D^2 = (x + unit)^-1 * D * p
         p = parse_operator(f"(x + {unit})*D - 1", 1, 1, field)
@@ -705,12 +702,36 @@ def test_operands_in_different_numbers_of_variables_are_rejected():
 
 # -- the gcd kernel against sympy's sparse cofactors ---------------------------
 
-_KERNEL_SHAPES = ("random", "ground", "equal", "monomial", "divides", "common", "zero")
+_KERNEL_SHAPES = ("random", "ground", "equal", "monomial", "divides", "common", "zero", "large")
+
+
+def _large_univariate(draw):
+    """(a, b) in ZZ[x] of degree up to 40 with a planted common factor, each
+    with a content and a leading coefficient of either sign: the packed
+    kernel's inputs, with coefficients up to 10^12 (a large xi) or up to 3
+    (where a first xi more often finds a spurious factor and a retry runs)."""
+    ring = _reference_ring(1, ZZ)
+    height = draw(st.sampled_from([3, 10**4, 10**12]))
+
+    def element(low, high):  # of degree low..high with a nonzero leading coefficient
+        degree = draw(st.integers(low, high))
+        coefficients = draw(st.lists(st.integers(-height, height), min_size=degree,
+                                     max_size=degree))
+        coefficients.append(draw(st.integers(1, height)) * draw(st.sampled_from([1, -1])))
+        return ring.from_dict({(e,): ZZ(c) for e, c in enumerate(coefficients) if c})
+
+    common = element(0, 12)
+    a, b = element(1, 28) * common, element(1, 28) * common
+    contents = st.integers(-10**6, 10**6).filter(bool)
+    return a.mul_ground(ZZ(draw(contents))), b.mul_ground(ZZ(draw(contents)))
 
 
 @st.composite
 def kernel_operands(draw):
     """(a, b) in ZZ[x] or ZZ_I[x], 1-3 variables, shaped to reach every path."""
+    shape = draw(st.sampled_from(_KERNEL_SHAPES))
+    if shape == "large":
+        return _large_univariate(draw)
     nvars = draw(st.integers(1, 3))
     domain = draw(st.sampled_from([ZZ, ZZ_I]))
     ring = _reference_ring(nvars, domain)
@@ -722,7 +743,6 @@ def kernel_operands(draw):
         return ring.from_dict(draw(st.dictionaries(monomials, coefficients, min_size=1,
                                                    max_size=max_size)))
 
-    shape = draw(st.sampled_from(_KERNEL_SHAPES))
     a = element(4)
     if shape == "random":
         b = element(4)
@@ -760,3 +780,81 @@ def test_gcd_kernel_matches_sympys_sparse_cofactors(operands):
     h = a.cofactors(b)[0]
     # the gcd, content included, up to a unit
     assert any(g == h.mul_ground(u) for u in _units(a.ring.domain))
+    assert exact_quotient(a, g) == cff and exact_quotient(b, g) == cfg
+
+
+def _sympy_gcd(a, b):
+    """gcd_cofactors' answer from sympy's dense gcd, the kernel's fallback."""
+    ring = a.ring
+    return tuple(map(ring.from_dense, dmp_inner_gcd(
+        a.to_dense(), b.to_dense(), ring.ngens - 1, ring.domain)))
+
+
+def _univariate(text):
+    return _reference_ring(1, ZZ).from_expr(sympify(text.replace("x", "t0")))
+
+
+# A pair whose first xi finds a spurious integer factor, so the packed kernel
+# takes a second try
+RETRIED = ("-3*x**8 - 7*x**7 + 7*x**6 + 2*x**5 - 10*x**4 + 2*x**3 + 4*x**2 - 4*x",
+           "-6*x**8 + x**7 + 10*x**6 + 7*x**5 - 13*x**4 - 10*x**3 + 11*x**2 + 6*x - 6")
+
+
+def test_packed_gcd_retries_with_a_larger_xi(monkeypatch):
+    tries = []
+    unpacked = polynomials._unpacked
+    monkeypatch.setattr(polynomials, "_unpacked",
+                        lambda value, xi: tries.append(xi) or unpacked(value, xi))
+    a, b = map(_univariate, RETRIED)
+    assert gcd_cofactors(a, b) == _sympy_gcd(a, b)
+    assert len(tries) == 2 and tries[1] > tries[0]
+    # every xi keeps GCDHEU's bound 2 * min(|f|, |g|) + 2 on the primitive parts
+    assert tries[0] >= 2 * min(10, 13) + 2
+
+
+def test_the_packed_kernel_falls_back_to_sympy(monkeypatch):
+    monkeypatch.setattr(polynomials, "_packed_gcd", lambda a, b: None)
+    a = _univariate("6*x**3 - 6*x")  # 6 x (x - 1) (x + 1)
+    b = _univariate("-4*x**2 - 4*x")  # -4 x (x + 1)
+    g, cff, cfg = gcd_cofactors(a, b)
+    assert (g, cff, cfg) == _sympy_gcd(a, b)
+    assert g == _univariate("2*x**2 + 2*x") and g * cff == a and g * cfg == b
+
+
+def test_the_gcd_kernel_is_chosen_by_the_ring(monkeypatch):
+    calls = []
+    inner = polynomials.dmp_inner_gcd
+    monkeypatch.setattr(polynomials, "dmp_inner_gcd",
+                        lambda *args: calls.append(args[-1]) or inner(*args))
+    a, b = map(_univariate, RETRIED)
+    gcd_cofactors(a, b)
+    gcd_cofactors(_univariate("x**2 - 1"), _univariate("x**2 + 2*x + 1"))
+    assert calls == []  # univariate ZZ: the packed kernel, no sympy call
+    two = _reference_ring(2, ZZ)
+    gcd_cofactors(*map(two.from_expr, sympify(["t0**2 - t1**2", "t0**2 + 2*t0*t1 + t1**2"])))
+    gaussian = _reference_ring(1, ZZ_I)
+    x = gaussian.gens[0]
+    gcd_cofactors(x**2 + 1, x**2 + ZZ_I(0, 2) * x - 1)  # (x + i)(x - i) and (x + i)^2
+    assert calls == [ZZ, ZZ_I]
+
+
+@pytest.mark.parametrize("a, b, quotient", [
+    ("x**3 - 1", "x - 1", "x**2 + x + 1"),  # a divisor
+    ("-6*x**4 + 6", "2*x**2 + 2", "-3*x**2 + 3"),  # a divisor with contents and signs
+    ("x**3 + 1", "x - 1", None),  # a nonzero remainder
+    ("x + 1", "x**2 + 1", None),  # a divisor of higher degree
+    ("x + 4", "2*x + 8", None),  # only the content is missing: not over ZZ
+    ("2*x + 8", "2", "x + 4"),  # a constant divisor
+    ("0", "x + 1", "0"),
+])
+def test_exact_quotient_divides_over_zz_as_sympys_div_does(a, b, quotient):
+    a, b = _univariate(a), _univariate(b)
+    got = exact_quotient(a, b)
+    assert got == (None if quotient is None else _univariate(quotient))
+    q, r = a.div(b)
+    assert (got is None) == bool(r) and (got is None or got == q)
+    # in two variables sympy's division answers, the same
+    two = _reference_ring(2, ZZ)
+    a, b, got = (None if f is None else two.from_dict({(e, 0): c for (e,), c in f.items()})
+                 for f in (a, b, got))
+    assert exact_quotient(a, b) == got
