@@ -6,12 +6,18 @@ identity ``w * q = sum_j h_j * p_j`` with polynomial w and cofactors: the
 basis lifts the reduction trace to the generators, replaying its derivation
 log fraction-free and only for the basis elements the trace touches, and
 hands back its integer rows: a denominator and numerators in ZZ[x] (ZZ_I[x]
-for Gaussian operands).  The identity is checked on those rows, by
-multiplying it out with a Leibniz kernel of its own that shares no code with
-the lift, and only then are they cleared into w, the monic lcm of the
-cofactors' denominators, and the h_j.  ``verify_witness`` runs the same
-kernel on a witness from outside, scaled to integer rows.  A non-member
-answer replays nothing.
+for Gaussian operands), as CoefficientLists in one variable over ZZ and as
+sympy elements otherwise.  The identity is checked on those rows before they
+are cleared into w, the monic lcm of the cofactors' denominators, and the
+h_j, by multiplying it out with a Leibniz kernel of its own (``_cancels``).
+That check shares with the lift only the arithmetic of its rows: the
+products, sums, differences, derivatives and scalar multiples of
+``polynomials.CoefficientList`` (or of sympy's elements), and the scaling of
+q and the generators to the same kind of row.  It shares none of the lift's
+own steps: not its Leibniz expansion, its sums over lcms or its gcds.
+``verify_witness`` runs ``_cancels`` on a witness from outside, scaled to
+sympy's sparse rows in every ring, so the public check shares no arithmetic
+with the lift at all.  A non-member answer replays nothing.
 The cross-checks are F(x)-linear solving on coefficient slices and, for a
 single operator in one variable, Euclidean left division.
 """
@@ -97,8 +103,10 @@ def verify_witness(witness: Witness, q: OperatorVector,
     For M the lcm of L_w L_q and every L_(h_j) L_(p_j), the entries of
     ``(M / (L_w L_q)) W Q - sum_j (M / (L_(h_j) L_(p_j))) H_j P_j``, which is
     M times the identity, must all cancel.  A product ``H_j P_j`` takes each
-    shifted row ``D^beta P_j`` once, one derivation at a time; none of this
-    is shared with the lift.
+    shifted row ``D^beta P_j`` once, one derivation at a time.  The rows are
+    sympy's sparse elements even in one variable over ZZ, so this check
+    runs none of the ``CoefficientList`` arithmetic that the lift and its
+    internal check (``_lift_cancels``) compute with.
 
     A certificate of the wrong shape is rejected: a zero w, a w in another
     number of variables, a wrong number of cofactors, or a cofactor that is
@@ -162,12 +170,13 @@ def _lift_cancels(den, numerators, q: OperatorVector,
     """Whether ``den * q = sum_g numerators[g] * generators[g]`` for a lift's integer rows.
 
     The check of ``weyl_closure_member`` on the rows it already validated:
-    only q and the generators with a cofactor are scaled to integer rows,
-    once, and den and the numerators are taken as the lift made them.
+    only q and the generators with a cofactor are scaled to integer rows of
+    the lift's kind (CoefficientLists in one variable over ZZ), once, and den
+    and the numerators are taken as the lift made them.
     """
     used = list(numerators)
     operands = [q] + [generators[g] for g in used]
-    scaled = integer_polynomials([list(p.terms.values()) for p in operands])
+    scaled = integer_polynomials([list(p.terms.values()) for p in operands], lists=True)
     rows = [(scale, _keyed(p, values)) for p, (scale, values) in zip(operands, scaled)]
     hs = [numerators[g] for g in used]
     if any(values and values[0].ring is not den.ring for _, values in scaled):

@@ -1,8 +1,10 @@
 """Canonical text rendering of scalars, polynomials, rational functions and operators.
 
 The printer is the inverse of the parser: ``parse(format(p)) == p`` holds
-structurally.  Operator terms are emitted in decreasing ranking order with
-coefficients parenthesized whenever they are not a single product-safe term.
+structurally.  Operator terms are emitted in decreasing ranking order.  A
+coefficient that multiplies a derivative is parenthesized whenever it is not
+a single product-safe term; a polynomial coefficient of the order-0 term is
+a sum of its own and is written without parentheses.
 """
 
 from __future__ import annotations
@@ -120,7 +122,7 @@ def _format_coefficient(coeff: RationalFunction, has_derivative: bool) -> str:
         return "-" + _format_coefficient(-coeff, has_derivative)
     if coeff.is_polynomial():
         text = format_polynomial(num)
-        if len(num.terms) > 1:
+        if has_derivative and len(num.terms) > 1:  # else a summand: 'D^2 - x^2 + 1'
             text = f"({text})"
         return text + ("*" if has_derivative else "")
     text = format_rational(coeff)

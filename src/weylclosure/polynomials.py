@@ -25,9 +25,16 @@ imaginary part.  The constructor gathers ``c`` and ``a`` from them with
 and ``den`` (monic: graded-lex leading coefficient 1) wrap the factors of the
 triple without rebuilding them; only a real factor of a Gaussian value is
 moved back to ``ZZ``.  Fraction-free callers, such as the witness lift, cross
-a second edge: ``integer_pair`` hands out a numerator and denominator in the
-integer ring, ``gcd_cofactors`` takes their gcds, and ``integer_ratio`` and
-``monic_polynomial`` take integer-ring results back.
+a second edge: ``integer_pair`` (and ``integer_polynomials`` with ``lists``)
+hands out a numerator and denominator in the integer ring, ``gcd_cofactors``
+takes their gcds, ``exact_quotient`` their exact quotients, and
+``integer_ratio`` and ``monic_polynomial`` take integer-ring results back.
+In one variable over ZZ these integer rows are ``CoefficientList``s, a
+tuple of coefficients with its own product, sum, difference, derivative and
+scalar multiple, since there sympy's cost of building each small
+``PolyElement`` rivals the arithmetic; in any other ring they are sympy's
+elements.  The ring alone makes that choice, and only this module knows it:
+the callers run one code on either kind.
 """
 
 from __future__ import annotations
@@ -41,6 +48,7 @@ from typing import Mapping, Sequence, Tuple
 from sympy.polys.domains import QQ, QQ_I, ZZ, ZZ_I
 from sympy.polys.euclidtools import dmp_inner_gcd
 from sympy.polys.orderings import grlex
+from sympy.polys.polyerrors import ExactQuotientFailed
 from sympy.polys.rings import PolyRing
 
 from .errors import EvaluationAtPole, InvalidInput
@@ -70,7 +78,9 @@ def _one(nvars: int, domain=ZZ):
 
 
 def _lc(element):
-    """The graded-lex leading coefficient of a nonzero element (or of a term dict)."""
+    """The graded-lex leading coefficient of a nonzero element, term dict or CoefficientList."""
+    if type(element) is CoefficientList:
+        return element[-1]
     if len(element) == 1:
         for c in element.values():
             return c
@@ -122,7 +132,10 @@ def gaussian(element):
     """The element with its coefficients in ZZ_I (unchanged if they are already)."""
     if element.ring.domain is ZZ_I:
         return element
-    return _one(element.ring.ngens, ZZ_I).new({m: ZZ_I(c) for m, c in element.items()})
+    one = _one(element.ring.ngens, ZZ_I)
+    if type(element) is CoefficientList:
+        return one.new({(e,): ZZ_I(c) for e, c in enumerate(element) if c})
+    return one.new({m: ZZ_I(c) for m, c in element.items()})
 
 
 def _real(element):
@@ -357,9 +370,11 @@ def gcd_cofactors(a, b):
 
     The one gcd kernel: every gcd the library takes comes here.  a and b are
     elements of one integer ring, ZZ[x] or ZZ_I[x], not both zero; they need
-    not be primitive, and g carries the gcd of their contents.  A caller that
-    needs the canonical form normalizes g itself (``_canonical``).  The
-    kernel is chosen by the ring and the operands' shape, never by their size:
+    not be primitive, and g carries the gcd of their contents.  Two
+    ``CoefficientList`` operands give ``CoefficientList`` results, and two
+    sympy elements give sympy elements of their ring.  A caller that needs
+    the canonical form normalizes g itself (``_canonical``).  The kernel is
+    chosen by the ring and the operands' shape, never by their size:
 
     - a zero, a constant or a monomial operand, and equal operands, take no
       gcd at all: the gcd with a constant or a monomial is c * x^mu, for c
@@ -380,6 +395,8 @@ def gcd_cofactors(a, b):
       random membership problems; 3x on pairs of over 100 terms in a slow
       completion).  Over ZZ_I sympy's sparse gcd is this dense gcd as well.
     """
+    if type(a) is CoefficientList:
+        return _list_gcd(a, b)
     ring = a.ring
     if not b:
         return a, _one_of(ring), b
@@ -396,32 +413,245 @@ def gcd_cofactors(a, b):
         one = _one_of(ring)
         return a, one, one
     if ring.ngens == 1 and ring.domain is ZZ:
-        found = _packed_gcd(a, b)
+        f, g = _coefficients(a), _coefficients(b)
+        found = _packed_gcd(f, g)
         if found is not None:
-            return found
+            h, f_h, g_h = found
+            if f_h is f:  # coprime: a and b are their own cofactors
+                return _one_of(ring), a, b
+            return _element(a, h), _element(a, f_h), _element(a, g_h)
     return tuple(map(ring.from_dense, dmp_inner_gcd(
         a.to_dense(), b.to_dense(), ring.ngens - 1, ring.domain)))
+
+
+# -- coefficient lists: ZZ[x] in one variable without sympy's per-call cost ----
+
+
+class CoefficientList(tuple):
+    """An element of ZZ[x] in one variable: its coefficients, constant term first.
+
+    The list has no trailing zeros, so zero is the empty list, and its
+    coefficients are of ZZ's dtype (``int``, or gmpy2's ``mpz``).  It is the
+    integer row of the witness lift (``riquier``) and of the internal check
+    (``closure._lift_cancels``) in one variable over ZZ, where sympy's cost
+    of building a ``PolyElement`` for every small product rivals the
+    arithmetic.  It answers the part of the ``PolyElement`` interface those
+    callers use (``+``, ``-``, ``*``, ``==`` with a row or an integer,
+    ``diff``, ``mul_ground``, ``exquo``, ``is_ground``, ``LC`` and ``ring``),
+    so they run one code on either kind of row; ``gcd_cofactors`` and
+    ``exact_quotient`` take it as it is.  A product skips the zero
+    coefficients of both factors, so it costs terms x terms, never degree x
+    degree, and a factor of one term is a shifted scalar multiple.
+    """
+
+    __slots__ = ()
+    ring: "_ListRing"  # set below
+
+    def __repr__(self):
+        return f"CoefficientList({list(self)!r})"
+
+    def __eq__(self, other):
+        if type(other) is CoefficientList:
+            return tuple.__eq__(self, other)
+        if isinstance(other, (int, _INTEGER)):  # a constant, as sympy compares one
+            return len(self) == 1 and self[0] == other if other else not self
+        return NotImplemented
+
+    def __ne__(self, other):
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    __hash__ = tuple.__hash__
+
+    @property
+    def is_ground(self) -> bool:
+        return len(self) <= 1
+
+    @property
+    def LC(self):
+        return self[-1] if self else _NIL
+
+    def __neg__(self):
+        return CoefficientList([-v for v in self])
+
+    def __add__(self, other):
+        if type(other) is not CoefficientList:
+            return NotImplemented
+        if len(self) < len(other):
+            self, other = other, self
+        out = list(self)
+        for i, v in enumerate(other):
+            if v:
+                out[i] += v
+        return _trimmed(out)
+
+    def __sub__(self, other):
+        if type(other) is not CoefficientList:
+            return NotImplemented
+        if len(self) >= len(other):
+            out = list(self)
+            for i, v in enumerate(other):
+                if v:
+                    out[i] -= v
+        else:
+            out = [-v for v in other]
+            for i, v in enumerate(self):
+                if v:
+                    out[i] += v
+        return _trimmed(out)
+
+    def __mul__(self, other):
+        if type(other) is not CoefficientList:
+            return NotImplemented
+        if len(other) > len(self):
+            self, other = other, self
+        if len(other) <= 1:  # zero, or a constant c
+            if not other:
+                return _LIST_ZERO
+            c = other[0]
+            return self if c == 1 else CoefficientList([c * v if v else v for v in self])
+        # the nonzero terms only: a sparse factor costs its terms, not its degree
+        terms = [(j, v) for j, v in enumerate(other) if v]
+        if len(terms) == 1:  # c x^j: self shifted by j and scaled by c
+            ((j, c),) = terms
+            return CoefficientList([_NIL] * j + (list(self) if c == 1 else
+                                                 [c * v if v else v for v in self]))
+        out = [_NIL] * (len(self) + len(other) - 1)
+        for i, c in enumerate(self):
+            if c:
+                for j, v in terms:
+                    out[i + j] += c * v
+        # the product of the two leading coefficients is the nonzero last one
+        return CoefficientList(out)
+
+    def mul_ground(self, k):
+        """k times the element, for an integer k."""
+        if not k:
+            return _LIST_ZERO
+        return self if k == 1 else CoefficientList([v * k if v else v for v in self])
+
+    def diff(self, x=None):
+        """The derivative; x, the one generator, may be given as for a sympy element."""
+        return CoefficientList([self[e] * e for e in range(1, len(self))])
+
+    def exquo(self, other):
+        """self / other, raising ExactQuotientFailed unless other divides self over ZZ."""
+        q = exact_quotient(self, other)
+        if q is None:
+            raise ExactQuotientFailed(self, other)
+        return q
+
+
+def _trimmed(out):
+    """The CoefficientList of a list of coefficients, its trailing zeros dropped."""
+    while out and not out[-1]:
+        out.pop()
+    return CoefficientList(out)
+
+
+class _ListRing:
+    """ZZ[x] for ``CoefficientList``: the attributes of sympy's PolyRing that its callers read."""
+
+    ngens = 1
+    domain = ZZ
+
+    def __init__(self):
+        self.zero = CoefficientList(())
+        self.one = CoefficientList((_INTEGER(1),))
+        self.gens = (CoefficientList((_NIL, _INTEGER(1))),)
+
+    def ground_new(self, c):
+        return CoefficientList((c,) if c else ())
+
+
+_NIL = _INTEGER(0)
+CoefficientList.ring = _LISTS = _ListRing()
+_LIST_ZERO, _LIST_ONE = _LISTS.zero, _LISTS.one
+
+
+def _listed(values, k=1):
+    """The CoefficientList of k times these coefficients, each of ZZ's dtype.
+
+    ``math.gcd`` and the packed kernel's digits are Python ints, so under
+    gmpy2's ground types their results are converted here.
+    """
+    if k != 1:
+        values = [k * v for v in values]
+    if _INTEGER is not int:
+        values = [_INTEGER(v) for v in values]
+    return CoefficientList(values)
+
+
+def _coefficients(a, k=1):
+    """k times a nonzero univariate element of ZZ[x], as a CoefficientList."""
+    out = [_NIL] * (max(a)[0] + 1)
+    if k == 1:
+        for (e,), v in a.items():
+            out[e] = v
+    else:
+        for (e,), v in a.items():
+            out[e] = k * v
+    return CoefficientList(out)
+
+
+def _element(a, coefficients):
+    """The element of a's ring with these coefficients, constant term first."""
+    return a.new({(e,): v for e, v in enumerate(coefficients) if v})
+
+
+def _sparse(a):
+    """A CoefficientList as an element of this module's ring ZZ[x]; any other element as it is."""
+    return _element(_one(1), a) if type(a) is CoefficientList else a
+
+
+def _list_gcd(a, b):
+    """gcd_cofactors of two CoefficientLists."""
+    if not b:
+        return a, _LIST_ONE, b
+    if not a:
+        return b, a, _LIST_ONE
+    if len(a) - a.count(0) == 1 or len(b) - b.count(0) == 1:  # a monomial or a constant
+        c = _INTEGER(math.gcd(*a, *b))
+        mu = min(_lowest(a), _lowest(b))
+        if c == 1 and not mu:
+            return _LIST_ONE, a, b
+        return (CoefficientList([_NIL] * mu + [c]), CoefficientList([v // c for v in a[mu:]]),
+                CoefficientList([v // c for v in b[mu:]]))
+    if a == b:
+        return a, _LIST_ONE, _LIST_ONE
+    found = _packed_gcd(a, b)
+    if found is not None:
+        return found
+    # sympy's dense lists run from the highest degree down
+    return tuple(CoefficientList(v[::-1]) for v in dmp_inner_gcd(
+        list(reversed(a)), list(reversed(b)), 0, ZZ))
+
+
+def _lowest(a):
+    """The exponent of the lowest nonzero term of a nonzero CoefficientList."""
+    for e, v in enumerate(a):
+        if v:
+            return e
 
 
 _PACKED_TRIES = 4  # GCDHEU's tries before the fallback to sympy
 
 
-def _packed_gcd(a, b):
-    """(g, a/g, b/g) for univariate a, b in ZZ[x] of two or more terms, or None.
+def _packed_gcd(f, g):
+    """(h, f/h, g/h) as CoefficientLists for coefficient lists f, g of two or more terms, or None.
 
     The first xi is 2 * min(|f|, |g|) + 29 for the max-norms of the primitive
     parts f and g, so every xi keeps GCDHEU's bound 2 * min(|f|, |g|) + 2.
+    Coprime operands with content 1 come back as they are, f and g
+    themselves, with h = 1.
     """
-    f, g = _coefficients(a), _coefficients(b)
     f_content, g_content = math.gcd(*f), math.gcd(*g)
     content = math.gcd(f_content, g_content)
-    if f_content != 1:
-        f = [v // f_content for v in f]
-    if g_content != 1:
-        g = [v // g_content for v in g]
-    xi = 2 * min(max(map(abs, f)), max(map(abs, g))) + 29
+    f_part = f if f_content == 1 else [v // f_content for v in f]
+    g_part = g if g_content == 1 else [v // g_content for v in g]
+    xi = 2 * min(max(map(abs, f_part)), max(map(abs, g_part))) + 29
     for _ in range(_PACKED_TRIES):
-        h = _unpacked(math.gcd(_packed(f, xi), _packed(g, xi)), xi)
+        h = _unpacked(math.gcd(_packed(f_part, xi), _packed(g_part, xi)), xi)
         k = math.gcd(*h)
         if h[-1] < 0:
             k = -k
@@ -429,29 +659,16 @@ def _packed_gcd(a, b):
             h = [v // k for v in h]
         if len(h) == 1:  # coprime parts: the gcd is the content's
             if content == 1:
-                return _one_of(a.ring), a, b
-            f_quotient, g_quotient = f, g
+                return _LIST_ONE, f, g
+            f_quotient, g_quotient = f_part, g_part
         else:
-            f_quotient = _quotient(f, h)
-            g_quotient = None if f_quotient is None else _quotient(g, h)
+            f_quotient = _quotient(f_part, h)
+            g_quotient = None if f_quotient is None else _quotient(g_part, h)
         if g_quotient is not None:
-            return (_element(a, h, content), _element(a, f_quotient, f_content // content),
-                    _element(a, g_quotient, g_content // content))
+            return (_listed(h, content), _listed(f_quotient, f_content // content),
+                    _listed(g_quotient, g_content // content))
         xi = xi * 73794 // 27011  # about 2.73 times the last xi
     return None
-
-
-def _coefficients(a):
-    """The coefficients of a nonzero univariate element, constant term first."""
-    out = [0] * (max(a)[0] + 1)
-    for (e,), v in a.items():
-        out[e] = v
-    return out
-
-
-def _element(a, coefficients, k=1):
-    """k times the element of a's ring with these coefficients, constant term first."""
-    return a.new({(e,): _INTEGER(k * v) for e, v in enumerate(coefficients) if v})
 
 
 def _packed(coefficients, xi):
@@ -479,36 +696,37 @@ def _quotient(f, h):
 
     Long division from the top: a leading coefficient that h's does not
     divide, or a nonzero remainder, means h does not divide f in ZZ[x].
+    Only the nonzero terms of h below its leading one are subtracted.
     """
     low = len(h) - 1
     if len(f) <= low:
         return None
-    r, lead, q = list(f), h[-1], [0] * (len(f) - low)
+    r, lead, q = list(f), h[-1], [_NIL] * (len(f) - low)
+    tail = [(j, v) for j, v in enumerate(h[:low]) if v]
     for i in range(len(q) - 1, -1, -1):
         c, m = divmod(r[i + low], lead)
         if m:
             return None
         if c:
             q[i] = c
-            for j in range(low):
-                r[i + j] -= c * h[j]
+            for j, v in tail:
+                r[i + j] -= c * v
     return None if any(r[:low]) else q
 
 
 def exact_quotient(a, b):
     """a / b if the nonzero b divides a in their integer ring, else None.
 
-    Over ZZ[x] in one variable this is ``_packed_gcd``'s long division on
-    coefficient lists; any other ring uses sympy's division.  Divisibility is
-    over the integer ring, as with sympy's ``div``: 2x + 8 does not divide
-    x + 4 over ZZ.
+    Two CoefficientLists divide by ``_quotient``'s long division, which
+    ``_packed_gcd`` also certifies with; sympy elements use sympy's division.
+    Divisibility is over the integer ring, as with sympy's ``div``: 2x + 8
+    does not divide x + 4 over ZZ.
     """
     if not a:
         return a
-    ring = a.ring
-    if ring.ngens == 1 and ring.domain is ZZ:
-        q = _quotient(_coefficients(a), _coefficients(b))
-        return None if q is None else _element(a, q)
+    if type(a) is CoefficientList:
+        q = _quotient(a, b)
+        return None if q is None else CoefficientList(q)
     q, r = a.div(b)
     return None if r else q
 
@@ -553,7 +771,10 @@ def _is_one(a):
 
 
 def _primitive(t):
-    """(content, t / content) for a nonzero element of ZZ[x] or ZZ_I[x]."""
+    """(content, t / content) for a nonzero element of ZZ[x] or ZZ_I[x], or a CoefficientList."""
+    if type(t) is CoefficientList:
+        k = math.gcd(*t)
+        return k, (t if k == 1 else CoefficientList([v // k for v in t]))
     if t.ring.domain is ZZ:
         k = math.gcd(*t.values())
         return k, (t if k == 1 else t.quo_ground(k))
@@ -857,25 +1078,40 @@ class RationalFunction:
 
 # -- the integer edge, for fraction-free callers ------------------------------
 #
-# A fraction-free computation holds integer-ring elements (ZZ[x], or ZZ_I[x]
-# in complex mode) of the graded-lex rings above and works on them with the
-# sympy ring methods.  These functions take rational functions into that form
-# and back.
+# A fraction-free computation holds integer-ring elements and works on them
+# with the ring methods: in one variable over ZZ they are CoefficientLists,
+# and otherwise (more variables, or ZZ_I[x] in complex mode) elements of the
+# graded-lex sympy rings above.  The choice is made by the ring alone.  These
+# functions take rational functions into that form and back; no module but
+# this one knows which form a row has.
+
+
+def _listable(ring) -> bool:
+    """Whether the integer-ring elements of this sympy ring go out as CoefficientLists."""
+    return ring.ngens == 1 and ring.domain is ZZ
 
 
 def integer_pair(r: RationalFunction):
-    """(num, den) in the integer ring of a nonzero r, with r = num / den."""
+    """(num, den) in the integer ring of a nonzero r, with r = num / den.
+
+    In one variable over ZZ they are CoefficientLists.
+    """
     p, q = _as_ratio(r._c)
     a, b = r._a, r._b
+    if _listable(a.ring):
+        return _coefficients(a, p), _coefficients(b, q)
     return (a if p == 1 else a.mul_ground(p)), (b if q == 1 else b.mul_ground(q))
 
 
-def integer_polynomials(groups: Sequence[Sequence[RationalFunction]]):
+def integer_polynomials(groups: Sequence[Sequence[RationalFunction]], lists: bool = False):
     """Per group of polynomials rs, (L, [L * r for r in rs]) over one integer L.
 
     L is the least positive integer that makes every ``L * r`` of its group
     integral.  All the elements are in one ring: ZZ[x], or ZZ_I[x] when some
-    r of any group is Gaussian.
+    r of any group is Gaussian.  They are sympy elements, except that with
+    ``lists`` the elements of ZZ[x] in one variable are CoefficientLists, as
+    the witness lift's rows are.  ``verify_witness`` keeps sympy's elements,
+    so the public check shares no arithmetic with the lift.
     """
     complex_mode = any(r._a.ring.domain is ZZ_I for rs in groups for r in rs)
     out = []
@@ -885,13 +1121,19 @@ def integer_polynomials(groups: Sequence[Sequence[RationalFunction]]):
         values = []
         for r, (p, q) in zip(rs, ratios):
             factor = p * (scale // q)
-            values.append(r._a if factor == 1 else r._a.mul_ground(factor))
+            if lists and not complex_mode and _listable(r._a.ring):
+                values.append(_coefficients(r._a, factor))
+            else:
+                values.append(r._a if factor == 1 else r._a.mul_ground(factor))
         out.append((scale, [gaussian(v) for v in values] if complex_mode else values))
     return out
 
 
 def integer_ratio(num, den) -> RationalFunction:
-    """num / den in lowest terms, for elements of one integer ring and den != 0."""
+    """num / den in lowest terms, for elements of one integer ring and den != 0.
+
+    They may be CoefficientLists; the result holds sympy's elements.
+    """
     if not num:
         return RationalFunction.zero(num.ring.ngens)
     k, a = _primitive(num)
@@ -900,6 +1142,7 @@ def integer_ratio(num, den) -> RationalFunction:
     else:
         e, b = _primitive(den)
         _, a, b = gcd_cofactors(a, b)
+    a, b = _sparse(a), _sparse(b)
     if a.ring.domain is ZZ:
         return RationalFunction._reduced(QQ(k, e), a, b)
     return RationalFunction._reduced(
@@ -908,7 +1151,7 @@ def integer_ratio(num, den) -> RationalFunction:
 
 def monic_polynomial(element) -> Polynomial:
     """A nonzero integer-ring element divided by its leading coefficient, over the field."""
-    _, b = _primitive(element)
+    _, b = _primitive(_sparse(element))
     domain = b.ring.domain
     return Polynomial._of(RationalFunction._reduced(
         _FIELD[domain].one / _lc(b), b, _one(b.ring.ngens, domain)))

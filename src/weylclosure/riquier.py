@@ -27,7 +27,12 @@ completion that is never lifted builds no replay state at all.
 
 The replay does no F(x) arithmetic.  Each replayed element holds its
 cofactors as polynomial numerators over one polynomial denominator, all in
-the integer ring ZZ[x] (ZZ_I[x] in complex mode).  A product with a
+the integer ring ZZ[x] (ZZ_I[x] in complex mode).  ``polynomials.integer_pair``
+chooses their form by the ring: in one variable over ZZ they are
+``polynomials.CoefficientList`` rows, and otherwise sympy's sparse elements.
+They keep that form from the multipliers to ``cleared``, which hands them to
+``integer_ratio`` and ``monic_polynomial``; the code here runs unchanged on
+either, as the two answer the same ring interface.  A product with a
 multiplier expands ``D^beta * 1/B`` by the Leibniz rule, summing the factors
 of each shift first so that each shifted numerator is multiplied once, and a
 sum goes over the lcm of the denominators.  Each result is divided by the
@@ -86,7 +91,8 @@ class _Lifted(NamedTuple):
     """Generator cofactors over one denominator, with integer-ring entries.
 
     Generator g's cofactor is the sum of ``numerators[g][alpha] / den * D^alpha``;
-    ``den`` and every numerator are elements of one ring ZZ[x] or ZZ_I[x].
+    ``den`` and every numerator are elements of one ring ZZ[x] or ZZ_I[x]:
+    CoefficientLists in one variable over ZZ, sympy elements otherwise.
     """
 
     den: Any
@@ -235,13 +241,15 @@ def _cancelled(lifted: _Lifted) -> _Lifted:
     common, rest = lifted.den, lifted.den.ring.one  # den = common * rest
     quotients: Dict[Tuple[int, MultiIndex], Any] = {}  # numerator / common
     # short numerators first: the gcd with them is cheap and often constant
+    # (the length of a row is its number of terms, or its degree + 1 for a
+    # CoefficientList: either way a size)
     entries = sorted(((g, alpha, v) for g, cof in lifted.numerators.items()
                       for alpha, v in cof.items()), key=lambda entry: len(entry[2]))
     for g, alpha, value in entries:
         if value.is_ground:
             return lifted
         quotient = None
-        if len(value) > 1 and len(common) > 1:  # the gcd of a monomial is cheaper
+        if len(value) > 1 and len(common) > 1:  # the gcd of a sympy monomial is cheaper
             quotient = exact_quotient(value, common)
         if quotient is None:
             common, shrink, quotient = gcd_cofactors(common, value)
@@ -271,6 +279,7 @@ def cleared(lifted: _Lifted, m: int) -> Tuple[Polynomial, Cofactors]:
 
 
 _ONE_OPERATORS: Dict[int, OperatorVector] = {}  # the multiplier 1 in each number of variables
+_ONE_ROWS: Dict[int, Any] = {}  # its integer numerator, the one of the lift's ring
 
 
 class DerivationLog:
@@ -298,12 +307,16 @@ class DerivationLog:
 
     def _unit(self):
         """The one of ZZ[x], the numerator of the multiplier 1."""
-        (one,) = self.one.terms.values()
-        return integer_pair(one)[0]
+        unit = _ONE_ROWS.get(self.m)
+        if unit is None:
+            (one,) = self.one.terms.values()
+            unit = _ONE_ROWS[self.m] = integer_pair(one)[0]
+        return unit
 
     def __getstate__(self):
-        # the replayed cofactors are a cache of sympy ring elements, which do
-        # not pickle (sympy 1.14); a copy replays again when it needs them
+        # the replayed cofactors are a cache of integer rows, and sympy's ring
+        # elements among them do not pickle (sympy 1.14); a copy replays
+        # again when it needs them
         return {**self.__dict__, "_replayed": None}
 
     def append(self, terms: Iterable[Term], scale: RationalFunction) -> int:

@@ -89,6 +89,15 @@ def test_member_false_exit_code(tmp_path, capsys):
     assert doc["witness"] is None
 
 
+
+def test_riquier_prints_a_polynomial_order_0_coefficient_as_a_summand(tmp_path, capsys):
+    # (-D + x)*(D + x) = -(D^2 - x^2 + 1), whose monic basis element is D^2 - x^2 + 1
+    path = tmp_path / "herm.sys"
+    path.write_text("vars: 1\nrow: (-D + x)*(D + x)\n")
+    code, doc = run(capsys, ["riquier", str(path)])
+    assert code == 0
+    assert doc["basis"] == ["D^2 - x^2 + 1"]
+
 def test_member_cross_check_agrees(euler_file, capsys):
     code, doc = run(capsys, ["member", euler_file, "--q", "D^3", "--cross-check"])
     assert code == 0

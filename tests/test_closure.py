@@ -229,6 +229,59 @@ def test_the_internal_check_takes_rows_of_either_integer_ring():
         assert not closure._lift_cancels(den, {0: h}, p.left_scale(rat("2")), [p])
 
 
+
+def _lift_rows_of(q, gens):
+    basis = complete_to_riquier_basis(gens, q.m, q.n)
+    lifted = basis.lift_rows(reduce_full(q, basis.elements).cofactors)
+    return [lifted.den] + [v for cof in lifted.numerators.values() for v in cof.values()]
+
+
+def test_the_lift_rows_are_coefficient_lists_only_in_one_variable_over_zz():
+    gens = [op("x^2*D^2 - 2*x*D + 2")]
+    rows = _lift_rows_of(op("D^3"), gens)
+    assert all(type(v) is polynomials.CoefficientList for v in rows)
+    two = [parse_operator("x1*D1 - x2^2*D2 + 1", 2, 1)]
+    gaussian = [parse_operator("x^2*D^2 - 2*x*D + 2", 1, 1, "complex")]
+    for q, gens in ((scalar_operator_product(op("D1 + x2", 2), two[0]), two),
+                    (parse_operator("(x + i)*D^3", 1, 1, "complex"), gaussian)):
+        rows = _lift_rows_of(q, gens)
+        assert rows and not any(type(v) is polynomials.CoefficientList for v in rows)
+
+
+def test_the_lift_on_coefficient_lists_gives_the_witness_of_sympys_elements(monkeypatch):
+    rng = random.Random(1801)
+    cases = []
+    for k in range(24):
+        n, count = [(1, 1), (1, 2), (2, 1), (2, 2)][k % 4]
+        gens = random_generators(rng, 1, n, count)
+        q = combine([random_operator(rng, 1, 1, order=1, degree=1) for _ in gens], gens)
+        cases.append((q, gens, weyl_closure_member(q, gens)))
+    assert all(result.member for _, _, result in cases)
+    # the same lifts with every integer row a sympy element
+    monkeypatch.setattr(polynomials, "_listable", lambda ring: False)
+    for q, gens, result in cases:
+        again = weyl_closure_member(q, gens)
+        assert again.witness == result.witness
+        assert verify_witness(result.witness, q, gens)
+
+
+def test_verify_witness_runs_no_coefficient_list_arithmetic(monkeypatch):
+    gens = [op("x^2*D^2 - 2*x*D + 2"), op("(x - 1)*D + 3")]
+    q = combine([op("D + x"), op("x^2*D")], gens)
+    witness = weyl_closure_member(q, gens).witness
+    wrong = Witness(witness.w, [witness.cofactors[0], witness.cofactors[1] + op("1")])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify_witness ran the lift's row arithmetic")
+
+    lists = polynomials.CoefficientList
+    for name in ("__mul__", "__add__", "__sub__", "__neg__", "diff", "mul_ground", "exquo"):
+        monkeypatch.setattr(lists, name, refuse)
+    for name in ("_coefficients", "_list_gcd", "_quotient", "exact_quotient", "gcd_cofactors"):
+        monkeypatch.setattr(polynomials, name, refuse)
+    assert verify_witness(witness, q, gens)
+    assert not verify_witness(wrong, q, gens)
+
 def _verify_over_fx(witness, q, generators):
     """The reference check: the residue w*q - sum h_j * p_j multiplied out over F(x)."""
     if witness.w.is_zero() or witness.w.nvars != q.m:

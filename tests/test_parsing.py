@@ -325,6 +325,16 @@ def test_round_trip_on_corpus():
         assert parse_operator(format_operator(p), m, n) == p
 
 
+
+def test_a_polynomial_order_0_coefficient_prints_without_parentheses():
+    # a summand of its own, in a scalar row and in one component of a vector row
+    assert format_operator(op("D^2 + (-x^2 + 1)")) == "D^2 - x^2 + 1"
+    assert format_operator(op("x - 1")) == "x - 1"
+    vector = op("(-1/2*x^2 + 3*x) [u1] + 6*x^2*D^2 [u2]", 1, 2)
+    assert format_operator(vector) == "(-1/2*x^2 + 3*x) [u1] + 6*x^2*D^2 [u2]"
+    # a coefficient that multiplies a derivative keeps its parentheses
+    assert format_operator(op("(x + 1)*D + x^2 + 1")) == "(x + 1)*D + x^2 + 1"
+
 def test_round_trip_randomized(rng):
     for _ in range(150):
         m = rng.randint(1, 3)

@@ -858,3 +858,178 @@ def test_exact_quotient_divides_over_zz_as_sympys_div_does(a, b, quotient):
     a, b, got = (None if f is None else two.from_dict({(e, 0): c for (e,), c in f.items()})
                  for f in (a, b, got))
     assert exact_quotient(a, b) == got
+
+
+# -- CoefficientList: the lift's rows in one variable over ZZ ------------------
+
+CoefficientList = polynomials.CoefficientList
+
+
+def _listed(coefficients):
+    """A CoefficientList of these ints (constant term first), trailing zeros dropped."""
+    coefficients = list(coefficients)
+    while coefficients and not coefficients[-1]:
+        coefficients.pop()
+    return CoefficientList([ZZ(c) for c in coefficients])
+
+
+def _as_sympy(row):
+    return _reference_ring(1, ZZ).from_dict({(e,): c for e, c in enumerate(row) if c})
+
+
+def _is_canonical(row):
+    """A CoefficientList with no trailing zero, every coefficient of ZZ's dtype."""
+    return (type(row) is CoefficientList and (not row or row[-1] != 0)
+            and all(type(c) is ZZ.dtype for c in row))
+
+
+@st.composite
+def coefficient_lists(draw, high=3000):
+    """Zero, constants, monomials, dense rows and sparse rows of degree up to high,
+    with coefficients of either sign up to 3 or beyond 2^64."""
+    shape = draw(st.sampled_from(["zero", "constant", "monomial", "dense", "sparse"]))
+    height = draw(st.sampled_from([3, 2**70]))
+    nonzero = st.integers(-height, height).filter(bool)
+    if shape == "zero":
+        return _listed([])
+    if shape == "constant":
+        return _listed([draw(nonzero)])
+    if shape == "monomial":
+        return _listed([0] * draw(st.integers(1, high)) + [draw(nonzero)])
+    if shape == "dense":
+        return _listed(draw(st.lists(st.integers(-height, height), max_size=7))
+                       + [draw(nonzero)])
+    exponents = draw(st.sets(st.integers(0, high), min_size=2, max_size=4))
+    coefficients = [0] * (max(exponents) + 1)
+    for e in exponents:
+        coefficients[e] = draw(nonzero)
+    return _listed(coefficients)
+
+
+@settings(deadline=None, max_examples=200)
+@given(coefficient_lists(), coefficient_lists(),
+       st.sampled_from([0, 1, -1, 6, -2**70]))
+def test_coefficient_list_arithmetic_matches_sympys_sparse_elements(a, b, k):
+    sa, sb = _as_sympy(a), _as_sympy(b)
+    for got, expected in ((a * b, sa * sb), (a + b, sa + sb), (a - b, sa - sb),
+                          (b - a, sb - sa), (-a, -sa), (a.diff(), sa.diff(sa.ring.gens[0])),
+                          (a.mul_ground(ZZ(k)), sa.mul_ground(ZZ(k)))):
+        assert _is_canonical(got) and _as_sympy(got) == expected
+    assert (a == b) == (sa == sb) and (a != b) == (sa != sb)
+    assert a.is_ground == sa.is_ground and (not a or a.LC == sa.LC)
+    assert (a == 1) == (sa == 1) and (a == 0) == (not sa)
+
+
+@settings(deadline=None, max_examples=150)
+@given(coefficient_lists(), coefficient_lists())
+def test_coefficient_list_exact_quotient_matches_sympys_div(a, b):
+    if not b:
+        return
+    sa, sb = _as_sympy(a), _as_sympy(b)
+    product = a * b
+    assert exact_quotient(product, b) == a and product.exquo(b) == a
+    got = exact_quotient(a, b)
+    q, r = sa.div(sb)
+    assert (got is None) == bool(r)
+    if got is None:
+        with pytest.raises(polynomials.ExactQuotientFailed):
+            a.exquo(b)
+    else:
+        assert _is_canonical(got) and _as_sympy(got) == q
+
+
+def _from_sympy(element):
+    return _listed(element.get((e,), 0) for e in range(element.degree() + 1)) if element \
+        else _listed([])
+
+
+@st.composite
+def list_gcd_operands(draw):
+    """Pairs for the gcd kernel on lists: the shapes of coefficient_lists, to a
+    degree that sympy's reference gcd answers quickly, or the packed kernel's
+    planted factors.  test_coefficient_list_gcd_of_sparse_rows_of_high_degree
+    takes degree 3000."""
+    if draw(st.booleans()):
+        return draw(coefficient_lists(high=60)), draw(coefficient_lists(high=60))
+    return tuple(map(_from_sympy, _large_univariate(draw)))
+
+
+@settings(deadline=None, max_examples=150)
+@given(list_gcd_operands())
+def test_coefficient_list_gcd_matches_sympys_cofactors(operands):
+    a, b = operands
+    if not a and not b:
+        return
+    g, cff, cfg = gcd_cofactors(a, b)
+    assert all(map(_is_canonical, (g, cff, cfg)))
+    assert g * cff == a and g * cfg == b
+    sa, sb = _as_sympy(a), _as_sympy(b)
+    assert _as_sympy(g) in (sa.gcd(sb), -sa.gcd(sb))
+
+
+def test_coefficient_list_gcd_falls_back_to_sympy(monkeypatch):
+    monkeypatch.setattr(polynomials, "_packed_gcd", lambda f, g: None)
+    a = _listed([0, -6, 0, 6])  # 6 x (x - 1) (x + 1)
+    b = _listed([0, -4, -4])  # -4 x (x + 1)
+    g, cff, cfg = gcd_cofactors(a, b)
+    assert all(map(_is_canonical, (g, cff, cfg)))
+    assert (g, cff, cfg) == tuple(map(_from_sympy, _sympy_gcd(_as_sympy(a), _as_sympy(b))))
+
+
+def test_coefficient_list_gcd_of_sparse_rows_of_high_degree():
+    # gcd(x^3000 - 1, x^2000 - 1) = x^1000 - 1
+    a, b = _listed([-1] + [0] * 2999 + [1]), _listed([-1] + [0] * 1999 + [1])
+    g, cff, cfg = gcd_cofactors(a, b)
+    assert g in (_listed([-1] + [0] * 999 + [1]), _listed([1] + [0] * 999 + [-1]))
+    assert g * cff == a and g * cfg == b
+
+
+class _Counted(int):
+    """An int that counts the products it takes part in."""
+
+    products = 0
+
+    def __mul__(self, other):
+        _Counted.products += 1
+        return int(self) * int(other)
+
+    __rmul__ = __mul__
+
+
+def test_a_product_of_sparse_rows_costs_terms_times_terms(monkeypatch):
+    monkeypatch.setattr(_Counted, "products", 0)
+    high = 3000
+
+    def sparse(terms):
+        row = [0] * (max(terms) + 1)
+        for e, c in terms.items():
+            row[e] = _Counted(c)
+        return CoefficientList(row)
+
+    def plain(row):  # sympy's reference arithmetic would count too
+        return _as_sympy(_listed(map(int, row)))
+
+    a, b, c = sparse({0: 1, high: 2}), sparse({0: -3, 1: 1, high: 1}), sparse({high: 5})
+    products = [a * b]
+    assert _Counted.products == 2 * 3  # not (high + 1)^2
+    products.append(c * b)
+    assert _Counted.products == 2 * 3 + 3  # a one-term factor: one product per term of the other
+    assert [plain(p) for p in products] == [plain(a) * plain(b), plain(c) * plain(b)]
+
+
+def test_coefficient_lists_are_the_lift_rows_and_nothing_else():
+    x, y = Polynomial.variable(1, 1), Polynomial.variable(1, 2)
+    num, den = polynomials.integer_pair(RationalFunction(x * x - 1, 2 * x + 4))
+    assert type(num) is CoefficientList and type(den) is CoefficientList
+    assert (num, den) == (_listed([-1, 0, 1]), _listed([2, 1]).mul_ground(ZZ(2)))
+    # more variables and Gaussian values keep sympy's elements
+    for r in (RationalFunction(y + 1, y - 1), RationalFunction(x.scale(I) + 1, x)):
+        assert not any(type(v) is CoefficientList for v in polynomials.integer_pair(r))
+    # the scaling of rows hands out lists only when asked, and only over ZZ in one variable
+    groups = [[RationalFunction(x.scale(Fraction(1, 2)) + 1)], [RationalFunction(x)]]
+    ((scale, (row,)), _) = polynomials.integer_polynomials(groups, lists=True)
+    assert scale == 2 and row == _listed([2, 1])
+    assert not any(type(v) is CoefficientList
+                   for _, values in polynomials.integer_polynomials(groups) for v in values)
+    assert polynomials.integer_ratio(num, den) == RationalFunction(x * x - 1, 2 * x + 4)
+    assert polynomials.monic_polynomial(_listed([4, 0, -2])) == x * x - 2
