@@ -247,7 +247,7 @@ def _coefficient_derivatives(c: RationalFunction, point: Tuple[Scalar, ...],
     if len(point) != c.nvars:
         raise ValueError("point dimension mismatch")
     series = _shifted_series(c.num, point, order)
-    if not c.den.is_constant():  # a constant denominator is 1: it is monic
+    if not c.is_polynomial():  # a polynomial's denominator is 1: it is monic
         num, den = series, _shifted_series(c.den, point, order)
         lead = den.pop((0,) * len(point), 0)
         if not lead:
@@ -326,12 +326,13 @@ def pick_regular_point(avoid: Sequence[Polynomial], m: int) -> Tuple[Fraction, .
     extends that choice, so no choice is ever undone.  A candidate c fails only
     when x - c divides some polynomial, so one of the first 1 + (sum of the
     polynomials' degrees in that variable) candidates succeeds.  Each
-    candidate is made when the search reaches it.
+    candidate is made when the search reaches it.  A nonzero constant never
+    vanishes, so only the nonconstant polynomials are searched.
     """
     polys = [p for p in avoid if not p.is_zero()]
     if any(p.nvars != m for p in polys):
         raise ValueError("point dimension mismatch")
-    terms: List[Mapping[MultiIndex, Scalar]] = [p.terms for p in polys]
+    terms: List[Mapping[MultiIndex, Scalar]] = [p.terms for p in polys if not p.is_constant()]
     point = []
     for _ in range(m):
         for c in _candidates():

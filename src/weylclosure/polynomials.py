@@ -2,9 +2,15 @@
 
 A rational function holds ``c * a / b``: a content ``c`` in the field (``QQ``,
 or ``QQ_I`` for a value with imaginary parts) and coprime ``a`` and ``b`` in
-the integer ring (``ZZ``, or ``ZZ_I``) of sympy's sparse polynomials in
-graded-lex order, each primitive and with a canonical leading coefficient
-(positive over ``ZZ``, in the first quadrant over ``ZZ_I``).  This form is
+the integer ring (``ZZ``, or ``ZZ_I``), each primitive and with a canonical
+leading coefficient (positive over ``ZZ``, in the first quadrant over
+``ZZ_I``).  In one variable over ``ZZ``, the ring of every real univariate
+value, ``a`` and ``b`` are ``CoefficientList``s, tuples of coefficients with
+their own dense arithmetic, since there sympy's cost of building each small
+``PolyElement`` rivals the arithmetic; in more variables, or over ``ZZ_I``,
+they are elements of sympy's sparse polynomial rings in graded-lex order.
+The ring alone makes that choice, never the size, and the two kinds answer
+one interface, so the arithmetic below is written once.  This form is
 unique, so equality and hashing compare the triple; a Gaussian result whose
 imaginary parts cancel moves back to ``ZZ``.  By Gauss's lemma a product of
 primitive polynomials is primitive, so the arithmetic runs on integer
@@ -12,7 +18,7 @@ polynomials and never clears denominators.  It keeps its operands reduced
 and, after Henrici, takes gcds only of the small factors where a common
 factor can remain, never of the full cross products.  Every gcd goes through
 one kernel, ``gcd_cofactors``: a zero, constant, equal or monomial operand
-is answered without a sympy call, a univariate pair over ZZ takes a
+is answered without a sympy call, a pair of coefficient lists takes a
 heuristic gcd on packed Python integers, and any other pair goes to sympy's
 dense gcd.
 
@@ -25,20 +31,19 @@ imaginary part.  The constructor gathers ``c`` and ``a`` from them with
 and ``den`` (monic: graded-lex leading coefficient 1) wrap the factors of the
 triple without rebuilding them; only a real factor of a Gaussian value is
 moved back to ``ZZ``.  Fraction-free callers, such as the witness lift, cross
-a second edge: ``integer_pair`` (and ``integer_polynomials`` with ``lists``)
-hands out a numerator and denominator in the integer ring, ``gcd_cofactors``
-takes their gcds, ``exact_quotient`` their exact quotients, and
-``integer_ratio`` and ``monic_polynomial`` take integer-ring results back.
-In one variable over ZZ these integer rows are ``CoefficientList``s, a
-tuple of coefficients with its own product, sum, difference, derivative and
-scalar multiple, since there sympy's cost of building each small
-``PolyElement`` rivals the arithmetic; in any other ring they are sympy's
-elements.  The ring alone makes that choice, and only this module knows it:
-the callers run one code on either kind.
+a second edge: ``integer_pair`` and ``integer_polynomials`` hand out a
+numerator and denominator in the integer ring, of the triple's own kind,
+``gcd_cofactors`` takes their gcds, ``exact_quotient`` their exact
+quotients, and ``integer_ratio`` and ``monic_polynomial`` take integer-ring
+results back; the callers run one code on either kind and never test which
+they hold.  One conversion between the kinds remains, ``_sparse``: the
+public ``closure.verify_witness`` multiplies on sympy's sparse rows, so that
+it shares no arithmetic with the lift.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from itertools import chain
@@ -56,7 +61,7 @@ from .scalars import GaussianRational, Scalar, format_point
 
 Monomial = Tuple[int, ...]
 
-_ONES: dict = {}
+_ONES: dict = {}  # the ring's one by (nvars, id(domain)): the CoefficientList one for (1, ZZ)
 _FIELD = {ZZ: QQ, ZZ_I: QQ_I}  # the fraction field of each integer domain
 _INTEGER = ZZ.dtype  # int, or gmpy2's mpz under its ground types
 _REAL = {int, Fraction}  # coefficient types of a real polynomial
@@ -67,8 +72,10 @@ _content = getattr(QQ.dtype, "_new", QQ.dtype)
 def _one(nvars: int, domain=ZZ):
     """The one of the ring for (nvars, domain), built once with its ring.
 
-    sympy only combines elements of one ring object; ``.new`` of this
-    element makes further elements of it from a dict of nonzero coefficients.
+    In one variable over ZZ it is the ``CoefficientList`` one; otherwise
+    sympy's, and sympy only combines elements of one ring object.  ``.new``
+    of this element makes further elements of its ring from a dict of
+    nonzero coefficients.
     """
     key = (nvars, id(domain))  # a domain hashes slowly
     one = _ONES.get(key)
@@ -132,10 +139,7 @@ def gaussian(element):
     """The element with its coefficients in ZZ_I (unchanged if they are already)."""
     if element.ring.domain is ZZ_I:
         return element
-    one = _one(element.ring.ngens, ZZ_I)
-    if type(element) is CoefficientList:
-        return one.new({(e,): ZZ_I(c) for e, c in enumerate(element) if c})
-    return one.new({m: ZZ_I(c) for m, c in element.items()})
+    return _one(element.ring.ngens, ZZ_I).new({m: ZZ_I(c) for m, c in element.items()})
 
 
 def _real(element):
@@ -370,9 +374,9 @@ def gcd_cofactors(a, b):
 
     The one gcd kernel: every gcd the library takes comes here.  a and b are
     elements of one integer ring, ZZ[x] or ZZ_I[x], not both zero; they need
-    not be primitive, and g carries the gcd of their contents.  Two
-    ``CoefficientList`` operands give ``CoefficientList`` results, and two
-    sympy elements give sympy elements of their ring.  A caller that needs
+    not be primitive, and g carries the gcd of their contents.  The results
+    are of the operands' kind: ``CoefficientList``s in one variable over ZZ,
+    and sympy elements of their ring otherwise.  A caller that needs
     the canonical form normalizes g itself (``_canonical``).  The kernel is
     chosen by the ring and the operands' shape, never by their size:
 
@@ -380,7 +384,7 @@ def gcd_cofactors(a, b):
       gcd at all: the gcd with a constant or a monomial is c * x^mu, for c
       the gcd of all the coefficients and mu the componentwise minimum of
       all the exponents;
-    - a univariate pair over ZZ goes to ``_packed_gcd``, the heuristic gcd of
+    - a pair of ``CoefficientList``s goes to ``_packed_gcd``, the heuristic gcd of
       Char, Geddes and Gonnet (GCDHEU, JSC 1989) on Python integers: each
       primitive part is packed into one integer by evaluating it at xi, and
       the gcd of the two integers is unpacked into balanced xi-adic digits.
@@ -389,7 +393,8 @@ def gcd_cofactors(a, b):
       so the exact divisions certify the answer.  A try that fails is
       retried with a larger xi, and after ``_PACKED_TRIES`` failures the pair
       falls back to sympy;
-    - any other pair (more variables, or ZZ_I) goes to sympy's dense gcd,
+    - any other pair (more variables, ZZ_I, or a caller's own sympy
+      elements of ZZ[x]) goes to sympy's dense gcd,
       whose heuristic gcd over ZZ beat the sparse one on every class of input
       the completion and the lift produce (1.15x on multivariate pairs from
       random membership problems; 3x on pairs of over 100 terms in a slow
@@ -412,14 +417,6 @@ def gcd_cofactors(a, b):
     if a == b:
         one = _one_of(ring)
         return a, one, one
-    if ring.ngens == 1 and ring.domain is ZZ:
-        f, g = _coefficients(a), _coefficients(b)
-        found = _packed_gcd(f, g)
-        if found is not None:
-            h, f_h, g_h = found
-            if f_h is f:  # coprime: a and b are their own cofactors
-                return _one_of(ring), a, b
-            return _element(a, h), _element(a, f_h), _element(a, g_h)
     return tuple(map(ring.from_dense, dmp_inner_gcd(
         a.to_dense(), b.to_dense(), ring.ngens - 1, ring.domain)))
 
@@ -431,17 +428,21 @@ class CoefficientList(tuple):
     """An element of ZZ[x] in one variable: its coefficients, constant term first.
 
     The list has no trailing zeros, so zero is the empty list, and its
-    coefficients are of ZZ's dtype (``int``, or gmpy2's ``mpz``).  It is the
-    integer row of the witness lift (``riquier``) and of the internal check
-    (``closure._lift_cancels``) in one variable over ZZ, where sympy's cost
-    of building a ``PolyElement`` for every small product rivals the
-    arithmetic.  It answers the part of the ``PolyElement`` interface those
-    callers use (``+``, ``-``, ``*``, ``==`` with a row or an integer,
-    ``diff``, ``mul_ground``, ``exquo``, ``is_ground``, ``LC`` and ``ring``),
-    so they run one code on either kind of row; ``gcd_cofactors`` and
-    ``exact_quotient`` take it as it is.  A product skips the zero
-    coefficients of both factors, so it costs terms x terms, never degree x
-    degree, and a factor of one term is a shifted scalar multiple.
+    coefficients are of ZZ's dtype (``int``, or gmpy2's ``mpz``).  It is
+    every element of ZZ[x] in one variable that this module makes: the
+    ``a`` and ``b`` of every real univariate ``RationalFunction`` and
+    ``Polynomial``, and so the integer rows of the witness lift
+    (``riquier``) and of the internal check (``closure._lift_cancels``).
+    There sympy's cost of building a ``PolyElement`` for every small product
+    rivals the arithmetic.  It answers the part of the ``PolyElement``
+    interface that this module and those callers use (``+``, ``-``, ``*``,
+    ``**``, ``==`` with a row or an integer, ``diff``, ``mul_ground``,
+    ``exquo``, ``items``, ``get``, ``new``, ``is_ground``, ``LC`` and
+    ``ring``), so they run one code on either kind of element;
+    ``gcd_cofactors`` and ``exact_quotient`` take it as it is.  A product
+    skips the zero coefficients of both factors, so it costs terms x terms,
+    never degree x degree, and a factor of one term is a shifted scalar
+    multiple.
     """
 
     __slots__ = ()
@@ -470,6 +471,24 @@ class CoefficientList(tuple):
     @property
     def LC(self):
         return self[-1] if self else _NIL
+
+    def items(self):
+        """The nonzero terms as ((exponent,), coefficient) pairs, lowest first."""
+        return [((e,), v) for e, v in enumerate(self) if v]
+
+    def get(self, monomial, default=None):
+        """The coefficient of x^e for monomial (e,), or default if it is zero."""
+        (e,) = monomial
+        return self[e] if e < len(self) and self[e] else default
+
+    def new(self, terms):
+        """The CoefficientList of a dict of nonzero coefficients keyed by (exponent,)."""
+        if not terms:
+            return _LIST_ZERO
+        out = [_NIL] * (max(terms)[0] + 1)
+        for (e,), v in terms.items():
+            out[e] = v
+        return CoefficientList(out)
 
     def __neg__(self):
         return CoefficientList([-v for v in self])
@@ -524,6 +543,19 @@ class CoefficientList(tuple):
         # the product of the two leading coefficients is the nonzero last one
         return CoefficientList(out)
 
+    def __pow__(self, exponent: int):
+        """The element to a nonnegative integer power, by repeated squaring."""
+        if not self and not exponent:
+            raise ValueError("0**0")  # as sympy's elements raise
+        power, base = _LIST_ONE, self
+        while exponent:
+            if exponent & 1:
+                power = power * base
+            exponent >>= 1
+            if exponent:
+                base = base * base
+        return power
+
     def mul_ground(self, k):
         """k times the element, for an integer k."""
         if not k:
@@ -554,6 +586,7 @@ class _ListRing:
 
     ngens = 1
     domain = ZZ
+    zero_monom = (0,)
 
     def __init__(self):
         self.zero = CoefficientList(())
@@ -567,6 +600,7 @@ class _ListRing:
 _NIL = _INTEGER(0)
 CoefficientList.ring = _LISTS = _ListRing()
 _LIST_ZERO, _LIST_ONE = _LISTS.zero, _LISTS.one
+_ONES[1, id(ZZ)] = _LIST_ONE
 
 
 def _listed(values, k=1):
@@ -582,26 +616,19 @@ def _listed(values, k=1):
     return CoefficientList(values)
 
 
-def _coefficients(a, k=1):
-    """k times a nonzero univariate element of ZZ[x], as a CoefficientList."""
-    out = [_NIL] * (max(a)[0] + 1)
-    if k == 1:
-        for (e,), v in a.items():
-            out[e] = v
-    else:
-        for (e,), v in a.items():
-            out[e] = k * v
-    return CoefficientList(out)
-
-
-def _element(a, coefficients):
-    """The element of a's ring with these coefficients, constant term first."""
-    return a.new({(e,): v for e, v in enumerate(coefficients) if v})
+@functools.lru_cache(maxsize=None)
+def _sparse_one():
+    """The one of sympy's sparse ZZ[x] in one variable."""
+    return PolyRing(["v0"], ZZ, grlex).one
 
 
 def _sparse(a):
-    """A CoefficientList as an element of this module's ring ZZ[x]; any other element as it is."""
-    return _element(_one(1), a) if type(a) is CoefficientList else a
+    """A CoefficientList as an element of sympy's sparse ZZ[x]; any other element as it is.
+
+    The one conversion between the two kinds: ``verify_witness`` multiplies
+    on sympy's rows, so that it shares no arithmetic with the lift.
+    """
+    return _sparse_one().new(dict(a.items())) if type(a) is CoefficientList else a
 
 
 def _list_gcd(a, b):
@@ -767,6 +794,8 @@ def _times(a, b):
 
 def _is_one(a):
     """a == 1, without building the ring's one as ``is_one`` does."""
+    if type(a) is CoefficientList:
+        return len(a) == 1 and a[0] == 1
     return len(a) == 1 and a.get(a.ring.zero_monom) == a.ring.domain.one
 
 
@@ -825,6 +854,7 @@ def _lowest_terms(num: Polynomial, den: Polynomial):
 # -- rational functions ----------------------------------------------------
 
 _ZEROS: dict = {}  # the zero rational function in each number of variables
+_ONE_POLYNOMIALS: dict = {}  # the polynomial 1 in each number of variables: a polynomial's den
 
 
 class RationalFunction:
@@ -886,7 +916,13 @@ class RationalFunction:
     @property
     def den(self) -> Polynomial:
         """The denominator over the field, monic (1 for a polynomial)."""
-        return monic_polynomial(self._b)
+        if not self._b.is_ground:
+            return monic_polynomial(self._b)
+        nvars = self.nvars
+        one = _ONE_POLYNOMIALS.get(nvars)
+        if one is None:
+            one = _ONE_POLYNOMIALS[nvars] = Polynomial.constant(1, nvars)
+        return one
 
     @property
     def nvars(self) -> int:
@@ -1078,28 +1114,18 @@ class RationalFunction:
 
 # -- the integer edge, for fraction-free callers ------------------------------
 #
-# A fraction-free computation holds integer-ring elements and works on them
-# with the ring methods: in one variable over ZZ they are CoefficientLists,
-# and otherwise (more variables, or ZZ_I[x] in complex mode) elements of the
-# graded-lex sympy rings above.  The choice is made by the ring alone.  These
-# functions take rational functions into that form and back; no module but
-# this one knows which form a row has.
-
-
-def _listable(ring) -> bool:
-    """Whether the integer-ring elements of this sympy ring go out as CoefficientLists."""
-    return ring.ngens == 1 and ring.domain is ZZ
+# A fraction-free computation holds integer-ring elements of the triple's own
+# kind and works on them with the ring methods: CoefficientLists in one
+# variable over ZZ, and otherwise (more variables, or ZZ_I[x] in complex
+# mode) elements of the graded-lex sympy rings above.  These functions take
+# rational functions into that form and back; no module but this one knows
+# which kind a row is.
 
 
 def integer_pair(r: RationalFunction):
-    """(num, den) in the integer ring of a nonzero r, with r = num / den.
-
-    In one variable over ZZ they are CoefficientLists.
-    """
+    """(num, den) in the integer ring of a nonzero r, with r = num / den."""
     p, q = _as_ratio(r._c)
     a, b = r._a, r._b
-    if _listable(a.ring):
-        return _coefficients(a, p), _coefficients(b, q)
     return (a if p == 1 else a.mul_ground(p)), (b if q == 1 else b.mul_ground(q))
 
 
@@ -1108,10 +1134,11 @@ def integer_polynomials(groups: Sequence[Sequence[RationalFunction]], lists: boo
 
     L is the least positive integer that makes every ``L * r`` of its group
     integral.  All the elements are in one ring: ZZ[x], or ZZ_I[x] when some
-    r of any group is Gaussian.  They are sympy elements, except that with
-    ``lists`` the elements of ZZ[x] in one variable are CoefficientLists, as
-    the witness lift's rows are.  ``verify_witness`` keeps sympy's elements,
-    so the public check shares no arithmetic with the lift.
+    r of any group is Gaussian.  With ``lists`` they are of the triple's own
+    kind, as the witness lift's rows are; without it the elements of ZZ[x]
+    in one variable go out as sympy's sparse elements (``_sparse``), for
+    ``verify_witness``, so that the public check shares no arithmetic with
+    the lift.
     """
     complex_mode = any(r._a.ring.domain is ZZ_I for rs in groups for r in rs)
     out = []
@@ -1120,20 +1147,14 @@ def integer_polynomials(groups: Sequence[Sequence[RationalFunction]], lists: boo
         scale = math.lcm(*[q for _, q in ratios])
         values = []
         for r, (p, q) in zip(rs, ratios):
-            factor = p * (scale // q)
-            if lists and not complex_mode and _listable(r._a.ring):
-                values.append(_coefficients(r._a, factor))
-            else:
-                values.append(r._a if factor == 1 else r._a.mul_ground(factor))
+            a, factor = (r._a if lists else _sparse(r._a)), p * (scale // q)
+            values.append(a if factor == 1 else a.mul_ground(factor))
         out.append((scale, [gaussian(v) for v in values] if complex_mode else values))
     return out
 
 
 def integer_ratio(num, den) -> RationalFunction:
-    """num / den in lowest terms, for elements of one integer ring and den != 0.
-
-    They may be CoefficientLists; the result holds sympy's elements.
-    """
+    """num / den in lowest terms, for elements of one integer ring and den != 0."""
     if not num:
         return RationalFunction.zero(num.ring.ngens)
     k, a = _primitive(num)
@@ -1142,7 +1163,6 @@ def integer_ratio(num, den) -> RationalFunction:
     else:
         e, b = _primitive(den)
         _, a, b = gcd_cofactors(a, b)
-    a, b = _sparse(a), _sparse(b)
     if a.ring.domain is ZZ:
         return RationalFunction._reduced(QQ(k, e), a, b)
     return RationalFunction._reduced(
@@ -1151,7 +1171,7 @@ def integer_ratio(num, den) -> RationalFunction:
 
 def monic_polynomial(element) -> Polynomial:
     """A nonzero integer-ring element divided by its leading coefficient, over the field."""
-    _, b = _primitive(_sparse(element))
+    _, b = _primitive(element)
     domain = b.ring.domain
     return Polynomial._of(RationalFunction._reduced(
         _FIELD[domain].one / _lc(b), b, _one(b.ring.ngens, domain)))

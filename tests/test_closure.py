@@ -7,6 +7,9 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy.polys.domains import ZZ
+from sympy.polys.orderings import grlex
+from sympy.polys.rings import PolyRing
 
 from weylclosure import (
     Derivative,
@@ -17,6 +20,8 @@ from weylclosure import (
     RationalFunction,
     Witness,
     complete_to_riquier_basis,
+    format_operator,
+    format_polynomial,
     lemma1_solve,
     membership_via_lemma1,
     oracle_division_member_1d,
@@ -27,7 +32,7 @@ from weylclosure import (
     verify_witness,
     weyl_closure_member,
 )
-from weylclosure import closure, operators, polynomials
+from weylclosure import closure, operators, polynomials, riquier
 from weylclosure.polynomials import integer_pair
 from weylclosure.riquier import RiquierBasis
 from conftest import random_operator, random_generators, random_polynomial, returns_within
@@ -248,21 +253,41 @@ def test_the_lift_rows_are_coefficient_lists_only_in_one_variable_over_zz():
         assert rows and not any(type(v) is polynomials.CoefficientList for v in rows)
 
 
-def test_the_lift_on_coefficient_lists_gives_the_witness_of_sympys_elements(monkeypatch):
+def _membership_outputs():
+    """(answer, lift rows) for 24 random one-variable members, each answer printed:
+    built and decided on whatever elements the library's core holds."""
     rng = random.Random(1801)
-    cases = []
     for k in range(24):
         n, count = [(1, 1), (1, 2), (2, 1), (2, 2)][k % 4]
         gens = random_generators(rng, 1, n, count)
         q = combine([random_operator(rng, 1, 1, order=1, degree=1) for _ in gens], gens)
-        cases.append((q, gens, weyl_closure_member(q, gens)))
-    assert all(result.member for _, _, result in cases)
-    # the same lifts with every integer row a sympy element
-    monkeypatch.setattr(polynomials, "_listable", lambda ring: False)
-    for q, gens, result in cases:
-        again = weyl_closure_member(q, gens)
-        assert again.witness == result.witness
+        result = weyl_closure_member(q, gens)
         assert verify_witness(result.witness, q, gens)
+        yield (result.member, format_operator(result.normal_form),
+               [format_operator(e) for e in result.basis.elements],
+               format_polynomial(result.witness.w),
+               [format_operator(h) for h in result.witness.cofactors]), _lift_rows_of(q, gens)
+
+
+def test_the_lift_on_coefficient_lists_gives_the_witness_of_sympys_elements(monkeypatch):
+    on_lists = []
+    for output, rows in _membership_outputs():
+        assert output[0] and all(type(v) is polynomials.CoefficientList for v in rows)
+        on_lists.append(output)
+    # the same systems with the whole core on sympy's elements: ZZ[x] in one
+    # variable is sympy's ring, and the caches of values made from it start empty
+    sparse_one = PolyRing(["t"], ZZ, grlex).one
+    one = polynomials._one
+    monkeypatch.setattr(polynomials, "_one", lambda nvars, domain=ZZ: (
+        sparse_one if nvars == 1 and domain is ZZ else one(nvars, domain)))
+    for module, cache in ((polynomials, "_ZEROS"), (polynomials, "_ONE_POLYNOMIALS"),
+                          (riquier, "_ONE_OPERATORS"), (riquier, "_ONE_ROWS")):
+        monkeypatch.setattr(module, cache, {})
+    on_sympy = []
+    for output, rows in _membership_outputs():
+        assert rows and all(v.ring is sparse_one.ring for v in rows)
+        on_sympy.append(output)
+    assert on_sympy == on_lists
 
 
 def test_verify_witness_runs_no_coefficient_list_arithmetic(monkeypatch):
@@ -277,7 +302,7 @@ def test_verify_witness_runs_no_coefficient_list_arithmetic(monkeypatch):
     lists = polynomials.CoefficientList
     for name in ("__mul__", "__add__", "__sub__", "__neg__", "diff", "mul_ground", "exquo"):
         monkeypatch.setattr(lists, name, refuse)
-    for name in ("_coefficients", "_list_gcd", "_quotient", "exact_quotient", "gcd_cofactors"):
+    for name in ("_trimmed", "_list_gcd", "_quotient", "exact_quotient", "gcd_cofactors"):
         monkeypatch.setattr(polynomials, name, refuse)
     assert verify_witness(witness, q, gens)
     assert not verify_witness(wrong, q, gens)

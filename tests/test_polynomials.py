@@ -11,7 +11,7 @@ from sympy import sympify
 from sympy.polys.domains import QQ, QQ_I, ZZ, ZZ_I
 from sympy.polys.euclidtools import dmp_inner_gcd
 from sympy.polys.orderings import grlex
-from sympy.polys.rings import PolyRing
+from sympy.polys.rings import PolyElement, PolyRing
 
 from weylclosure import (
     Derivative,
@@ -23,6 +23,7 @@ from weylclosure import (
     formal_solve,
     format_operator,
     parse_operator,
+    parse_rational,
     weyl_closure_member,
 )
 from weylclosure import polynomials
@@ -794,6 +795,11 @@ def _univariate(text):
     return _reference_ring(1, ZZ).from_expr(sympify(text.replace("x", "t0")))
 
 
+def _univariate_list(text):
+    """The CoefficientList of a polynomial in x over ZZ, the library's kind in one variable."""
+    return _from_sympy(_univariate(text))
+
+
 # A pair whose first xi finds a spurious integer factor, so the packed kernel
 # takes a second try
 RETRIED = ("-3*x**8 - 7*x**7 + 7*x**6 + 2*x**5 - 10*x**4 + 2*x**3 + 4*x**2 - 4*x",
@@ -805,20 +811,26 @@ def test_packed_gcd_retries_with_a_larger_xi(monkeypatch):
     unpacked = polynomials._unpacked
     monkeypatch.setattr(polynomials, "_unpacked",
                         lambda value, xi: tries.append(xi) or unpacked(value, xi))
-    a, b = map(_univariate, RETRIED)
-    assert gcd_cofactors(a, b) == _sympy_gcd(a, b)
+    a, b = map(_univariate_list, RETRIED)
+    expected = _sympy_gcd(*map(_univariate, RETRIED))
+    assert gcd_cofactors(a, b) == tuple(map(_from_sympy, expected))
     assert len(tries) == 2 and tries[1] > tries[0]
     # every xi keeps GCDHEU's bound 2 * min(|f|, |g|) + 2 on the primitive parts
     assert tries[0] >= 2 * min(10, 13) + 2
 
 
 def test_the_packed_kernel_falls_back_to_sympy(monkeypatch):
+    calls = []
+    inner = polynomials.dmp_inner_gcd
+    monkeypatch.setattr(polynomials, "dmp_inner_gcd",
+                        lambda *args: calls.append(args[-1]) or inner(*args))
     monkeypatch.setattr(polynomials, "_packed_gcd", lambda a, b: None)
-    a = _univariate("6*x**3 - 6*x")  # 6 x (x - 1) (x + 1)
-    b = _univariate("-4*x**2 - 4*x")  # -4 x (x + 1)
+    a, b = map(_univariate_list, RETRIED)
     g, cff, cfg = gcd_cofactors(a, b)
-    assert (g, cff, cfg) == _sympy_gcd(a, b)
-    assert g == _univariate("2*x**2 + 2*x") and g * cff == a and g * cfg == b
+    assert calls == [ZZ]  # the packed kernel gave up, and sympy's dense gcd answered
+    assert all(map(_is_canonical, (g, cff, cfg)))
+    assert (g, cff, cfg) == tuple(map(_from_sympy, _sympy_gcd(*map(_univariate, RETRIED))))
+    assert g * cff == a and g * cfg == b
 
 
 def test_the_gcd_kernel_is_chosen_by_the_ring(monkeypatch):
@@ -826,16 +838,19 @@ def test_the_gcd_kernel_is_chosen_by_the_ring(monkeypatch):
     inner = polynomials.dmp_inner_gcd
     monkeypatch.setattr(polynomials, "dmp_inner_gcd",
                         lambda *args: calls.append(args[-1]) or inner(*args))
-    a, b = map(_univariate, RETRIED)
+    a, b = map(_univariate_list, RETRIED)
     gcd_cofactors(a, b)
-    gcd_cofactors(_univariate("x**2 - 1"), _univariate("x**2 + 2*x + 1"))
-    assert calls == []  # univariate ZZ: the packed kernel, no sympy call
+    gcd_cofactors(_univariate_list("x**2 - 1"), _univariate_list("x**2 + 2*x + 1"))
+    assert calls == []  # univariate ZZ, as coefficient lists: the packed kernel, no sympy call
     two = _reference_ring(2, ZZ)
     gcd_cofactors(*map(two.from_expr, sympify(["t0**2 - t1**2", "t0**2 + 2*t0*t1 + t1**2"])))
     gaussian = _reference_ring(1, ZZ_I)
     x = gaussian.gens[0]
     gcd_cofactors(x**2 + 1, x**2 + ZZ_I(0, 2) * x - 1)  # (x + i)(x - i) and (x + i)^2
     assert calls == [ZZ, ZZ_I]
+    # a caller's own sympy elements of ZZ[x] take sympy's dense gcd as well
+    gcd_cofactors(*map(_univariate, RETRIED))
+    assert calls == [ZZ, ZZ_I, ZZ]
 
 
 @pytest.mark.parametrize("a, b, quotient", [
@@ -1017,19 +1032,89 @@ def test_a_product_of_sparse_rows_costs_terms_times_terms(monkeypatch):
     assert [plain(p) for p in products] == [plain(a) * plain(b), plain(c) * plain(b)]
 
 
-def test_coefficient_lists_are_the_lift_rows_and_nothing_else():
+def test_coefficient_lists_are_every_integer_row_in_one_variable_over_zz():
     x, y = Polynomial.variable(1, 1), Polynomial.variable(1, 2)
     num, den = polynomials.integer_pair(RationalFunction(x * x - 1, 2 * x + 4))
-    assert type(num) is CoefficientList and type(den) is CoefficientList
+    assert all(map(_is_canonical, (num, den)))
     assert (num, den) == (_listed([-1, 0, 1]), _listed([2, 1]).mul_ground(ZZ(2)))
     # more variables and Gaussian values keep sympy's elements
     for r in (RationalFunction(y + 1, y - 1), RationalFunction(x.scale(I) + 1, x)):
-        assert not any(type(v) is CoefficientList for v in polynomials.integer_pair(r))
-    # the scaling of rows hands out lists only when asked, and only over ZZ in one variable
+        assert all(isinstance(v, PolyElement) for v in polynomials.integer_pair(r))
+    # the scaling of rows hands out the triple's own kind for the lift's internal
+    # check, and sympy's sparse elements for verify_witness, which shares no
+    # arithmetic with the lift
     groups = [[RationalFunction(x.scale(Fraction(1, 2)) + 1)], [RationalFunction(x)]]
     ((scale, (row,)), _) = polynomials.integer_polynomials(groups, lists=True)
-    assert scale == 2 and row == _listed([2, 1])
-    assert not any(type(v) is CoefficientList
-                   for _, values in polynomials.integer_polynomials(groups) for v in values)
+    assert scale == 2 and row == _listed([2, 1]) and _is_canonical(row)
+    ((scale, (row,)), (_, (other,))) = polynomials.integer_polynomials(groups)
+    assert isinstance(row, PolyElement) and row.ring is other.ring and row.ring.domain is ZZ
+    assert _from_sympy(row) == _listed([2, 1])
+    # and the integer rows come back as triples of lists
+    for value in (polynomials.integer_ratio(num, den), polynomials.monic_polynomial(
+            _listed([4, 0, -2]))):
+        _assert_kind(value)
     assert polynomials.integer_ratio(num, den) == RationalFunction(x * x - 1, 2 * x + 4)
     assert polynomials.monic_polynomial(_listed([4, 0, -2])) == x * x - 2
+
+
+# -- one kind of element per ring: lists in one variable over ZZ ------------------
+#
+# Under sympy's gmpy2 ground types ZZ's dtype is mpz, not int, so the dtype
+# check of _is_canonical sees mpz only in CI's gmpy2 cell.
+
+
+def _assert_kind(value):
+    """The triple of a RationalFunction or Polynomial holds the kind of its ring:
+    canonical CoefficientLists in one variable over ZZ, sympy's elements otherwise."""
+    r = RationalFunction(value) if isinstance(value, Polynomial) else value
+    real = all(type(c) is Fraction for p in (r.num, r.den) for c in p.terms.values())
+    for element in (r._a, r._b):
+        if r.nvars == 1 and real:
+            assert _is_canonical(element), (value, element)
+        else:
+            assert isinstance(element, PolyElement), (value, element)
+            assert element.ring.domain is (ZZ if real else ZZ_I)
+
+
+@settings(deadline=None, max_examples=80)
+@given(term_pairs(), st.integers(0, 3))
+def test_every_value_holds_the_element_kind_of_its_ring(pair, exponent):
+    nvars, f, g = pair
+    p, q = Polynomial(f, nvars), Polynomial(g, nvars)
+    third = Fraction(1, 3)
+    values = [p, q, p + q, p - q, p * q, -p, p ** exponent if p else p, p.derivative(1),
+              p.scale(third), p.monic(), Polynomial.zero(nvars),
+              Polynomial.constant(third, nvars), Polynomial.variable(1, nvars),
+              Polynomial.monomial((2,) * nvars, -third, nvars), RationalFunction.zero(nvars),
+              RationalFunction.constant(third, nvars),
+              # Gaussian operands whose imaginary parts cancel
+              (p + q.scale(I)) - q.scale(I),
+              (p + 1).scale(I) * RationalFunction.constant(-I, nvars)]
+    if q:
+        x = Polynomial.variable(1, nvars)
+        r = RationalFunction(p + 1, q)
+        values += [r, r + p, r - RationalFunction(p, q * x + 1), r * r, r / (x + 2),
+                   r.derivative(1), r.num, r.den, r.inverse() if r else r]
+    for value in values:
+        _assert_kind(value)
+
+
+def test_parsed_and_cancelled_values_hold_the_element_kind_of_their_ring():
+    x = Polynomial.variable(1, 1)
+    real = [parse_rational("(x^2 - 1)/(2*x + 4)", 1), X + 1]
+    real += list(parse_operator("(x^2 + 1/2)*D - x", 1).terms.values())
+    # the imaginary parts cancel in a sum and in a product: the value moves back to ZZ[x]
+    real += [(x + I) - I, RationalFunction(x.scale(I)) * RationalFunction.constant(-I, 1),
+             RationalFunction(x.scale(I), (x + 1).scale(I))]
+    for value in real:
+        _assert_kind(value)
+        r = RationalFunction(value) if isinstance(value, Polynomial) else value
+        assert type(r._a) is CoefficientList and type(r._b) is CoefficientList
+    assert (x + I) - I == x
+    # two variables and Gaussian values keep sympy's elements
+    gaussian = parse_operator("(x + i)*D - 1", 1, 1, "complex")
+    for value in [parse_rational("x1/(x2 + 1)", 2), X2 + Y2, x + I,
+                  parse_rational("1/(x + i)", 1, "complex"), gaussian.terms[gaussian.head]]:
+        _assert_kind(value)
+        r = RationalFunction(value) if isinstance(value, Polynomial) else value
+        assert isinstance(r._a, PolyElement) and isinstance(r._b, PolyElement)
