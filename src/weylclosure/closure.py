@@ -73,7 +73,7 @@ def _validate_polynomial_rows(q: OperatorVector,
 
 
 def _shifts(row: dict, x):
-    """beta -> the row D^beta * row, keyed by (component, alpha), zeros dropped.
+    """beta -> the row D^beta * row, keyed by derivative, zeros dropped.
 
     ``D_j (c D^alpha) = d_j(c) D^alpha + c D^(alpha + e_j)``.  Each shifted row
     is built once, from the one of beta - e_j for the last j with beta_j > 0,
@@ -82,13 +82,13 @@ def _shifts(row: dict, x):
     """
     def step(j, previous, beta):
         found = {}
-        for (component, alpha), c in previous.items():
+        for d, c in previous.items():
+            component, alpha = d
             key = (component, alpha[:j] + (alpha[j] + 1,) + alpha[j + 1:])
             found[key] = found[key] + c if key in found else c
             dc = c.diff(x[j])
             if dc:
-                key = (component, alpha)
-                found[key] = found[key] + dc if key in found else dc
+                found[d] = found[d] + dc if d in found else dc
         return {key: value for key, value in found.items() if value}
 
     return stepwise(row, step)
@@ -133,15 +133,15 @@ def verify_witness(witness: Witness, q: OperatorVector,
 
 
 def _keyed(p: OperatorVector, values) -> dict:
-    """The row of p's integer coefficients, keyed by the plain (component, alpha)."""
-    return {(d.component, d.alpha): v for d, v in zip(p.terms, values)}
+    """The row of p's integer coefficients, keyed by derivative."""
+    return dict(zip(p.terms, values))
 
 
 def _cancels(w, q, products) -> bool:
     """Whether W Q - sum_j H_j P_j cancels, on integer rows with their integer scales.
 
     ``w`` is (L_w, W), ``q`` is (L_q, Q) and each product is ((L_h, H), (L_p,
-    P)), for H keyed by multi-index and Q and P by (component, alpha), all
+    P)), for H keyed by multi-index and Q and P by derivative, all
     in one integer ring.  For M the lcm of L_w L_q and every L_h L_p, each
     term is weighted by M over its scales, so the residue is M times
     ``w q - sum_j h_j p_j`` for w = W / L_w and so on.  A product ``H_j P_j``

@@ -153,11 +153,10 @@ class SolvePlan:
                 p = basis.elements[rule]
                 tables[rule] = _derivative_table(p, point, order - p.degree())
             beta = tuple(a - b for a, b in zip(d.alpha, basis.heads[rule].alpha))
-            # the head coefficient of the shifted rule is 1
-            own = (d.component, d.alpha)
+            # the head coefficient of the shifted rule, at d itself, is 1
             rows.append(tuple((basis.position[key], -value)
                               for key, value in _leibniz_row(tables[rule], beta).items()
-                              if key != own and value))
+                              if key != d and value))
         self.rows.extend(rows)
         self.order = order
 
@@ -177,8 +176,8 @@ def formal_solve(basis: RiquierBasis, point: Sequence[Scalar],
     """
     if order < basis.s0:
         raise SBelowS0(f"truncation order {order} is below the basis degree {basis.s0}")
+    check_fits(init, basis.m, basis.n, "initial value")
     for d in init:
-        check_fits([d], basis.m, basis.n, "initial value")
         if d.order > order:
             raise InvalidInput(
                 f"initial value given for {format_derivative(d, basis.m, basis.n)} "
@@ -191,7 +190,7 @@ def formal_solve(basis: RiquierBasis, point: Sequence[Scalar],
     size = basis.ranked_up_to(order)
     values: List[Scalar] = [ZERO] * size
     for d, value in init.items():
-        i = basis.position[d.component, d.alpha]
+        i = basis.position[d]
         if plan.rows[i] is not None:
             raise InvalidInput(
                 f"initial value given for the principal derivative "
@@ -277,17 +276,15 @@ def _derivative_table(p: OperatorVector, point: Tuple[Scalar, ...],
 
 
 def _leibniz_row(table: Dict[Derivative, Dict[MultiIndex, Scalar]],
-                 beta: MultiIndex) -> Dict[Tuple[int, MultiIndex], Scalar]:
+                 beta: MultiIndex) -> Dict[Derivative, Scalar]:
     """The coefficients of D^beta p at the point, from p's derivative table.
 
     D^beta (c D^delta) = sum over gamma <= beta of
     C(beta, gamma) (d^(beta-gamma) c) D^(delta+gamma).  Each column is keyed
-    by the plain (component, alpha) of its derivative, the key of
-    ``RiquierBasis.position``, so no Derivative is built for it.
+    by the plain tuple (component, alpha), which equals its Derivative.
     """
-    row: Dict[Tuple[int, MultiIndex], Scalar] = {}
-    for delta, derivatives in table.items():
-        component, alpha = delta.component, delta.alpha
+    row: Dict[Derivative, Scalar] = {}
+    for (component, alpha), derivatives in table.items():
         for mu, value in derivatives.items():
             gamma = tuple(b - a for a, b in zip(mu, beta))
             if min(gamma) < 0:

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple, TypeVar
+from typing import (Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Sequence,
+                    Tuple, TypeVar)
 
 from .errors import DegreeExceeded, InvalidInput, ZeroOperator
 from .polynomials import Polynomial, RationalFunction
@@ -38,20 +38,16 @@ V = TypeVar("V")
 MAX_JET_SIZE = 100_000
 
 
-@dataclass(frozen=True, slots=True)
-class Derivative:
-    """The derivative monomial D^alpha applied to unknown number ``component``."""
+class Derivative(NamedTuple):
+    """The derivative monomial D^alpha applied to unknown number ``component``.
+
+    It is the plain tuple ``(component, alpha)``, which keys every
+    derivative table of the library.  Tuples order by their entries, not by
+    the ranking: sort derivatives with ``rank_key``.
+    """
 
     component: int
     alpha: MultiIndex
-    # derivatives key most dicts of the library, so the hash is computed once
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.component, self.alpha)))
-
-    def __hash__(self):
-        return self._hash
 
     @property
     def order(self) -> int:

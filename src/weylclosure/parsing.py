@@ -36,7 +36,7 @@ from typing import Optional
 
 from .errors import ParseError
 from .operators import Derivative, OperatorVector, scalar_operator_product
-from .polynomials import Polynomial, RationalFunction
+from .polynomials import Polynomial, RationalFunction, _power
 from .scalars import GaussianRational
 
 # an integer, a name, a symbol, or (group 4) any other character but whitespace
@@ -118,18 +118,6 @@ def _negated(value):
     if type(value) is _Operator:
         return _Operator({alpha: _negated(c) for alpha, c in value.items()})
     return -value
-
-
-def _power(value, k: int, times):
-    """value^k for k >= 1 by repeated squaring under the product ``times``."""
-    result = None
-    while True:
-        if k & 1:
-            result = value if result is None else times(result, value)
-        k >>= 1
-        if not k:
-            return result
-        value = times(value, value)
 
 
 class _Parser:

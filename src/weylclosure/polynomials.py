@@ -47,13 +47,13 @@ import functools
 import math
 from fractions import Fraction
 from itertools import chain
+from operator import mul
 from types import MappingProxyType
 from typing import Mapping, Sequence, Tuple
 
 from sympy.polys.domains import QQ, QQ_I, ZZ, ZZ_I
 from sympy.polys.euclidtools import dmp_inner_gcd
 from sympy.polys.orderings import grlex
-from sympy.polys.polyerrors import ExactQuotientFailed
 from sympy.polys.rings import PolyRing
 
 from .errors import EvaluationAtPole, InvalidInput
@@ -320,9 +320,14 @@ class Polynomial:
     def __pow__(self, exponent: int):
         if exponent < 0:
             raise ValueError("negative polynomial power")
+        if not exponent:
+            if not self:
+                raise ValueError("0**0")
+            return Polynomial.constant(1, self.nvars)
         c, a, b = self._r._c, self._r._a, self._r._b
         # a power of a primitive polynomial is primitive (Gauss's lemma)
-        return Polynomial._of(RationalFunction._reduced(c ** exponent, a ** exponent, b))
+        return Polynomial._of(RationalFunction._reduced(
+            _power(c, exponent, mul), _power(a, exponent, mul), b))
 
     def scale(self, scalar) -> "Polynomial":
         return Polynomial._of(self._r * RationalFunction.constant(scalar, self.nvars))
@@ -436,10 +441,10 @@ class CoefficientList(tuple):
     There sympy's cost of building a ``PolyElement`` for every small product
     rivals the arithmetic.  It answers the part of the ``PolyElement``
     interface that this module and those callers use (``+``, ``-``, ``*``,
-    ``**``, ``==`` with a row or an integer, ``diff``, ``mul_ground``,
-    ``exquo``, ``items``, ``get``, ``new``, ``is_ground``, ``LC`` and
-    ``ring``), so they run one code on either kind of element;
-    ``gcd_cofactors`` and ``exact_quotient`` take it as it is.  A product
+    ``==`` with a row or an integer, ``diff``, ``mul_ground``, ``items``,
+    ``get``, ``new``, ``is_ground``, ``LC`` and ``ring``), so they run one
+    code on either kind of element; ``gcd_cofactors`` and ``exact_quotient``
+    take it as it is, and ``_power`` raises either to a power.  A product
     skips the zero coefficients of both factors, so it costs terms x terms,
     never degree x degree, and a factor of one term is a shifted scalar
     multiple.
@@ -543,19 +548,6 @@ class CoefficientList(tuple):
         # the product of the two leading coefficients is the nonzero last one
         return CoefficientList(out)
 
-    def __pow__(self, exponent: int):
-        """The element to a nonnegative integer power, by repeated squaring."""
-        if not self and not exponent:
-            raise ValueError("0**0")  # as sympy's elements raise
-        power, base = _LIST_ONE, self
-        while exponent:
-            if exponent & 1:
-                power = power * base
-            exponent >>= 1
-            if exponent:
-                base = base * base
-        return power
-
     def mul_ground(self, k):
         """k times the element, for an integer k."""
         if not k:
@@ -565,13 +557,6 @@ class CoefficientList(tuple):
     def diff(self, x=None):
         """The derivative; x, the one generator, may be given as for a sympy element."""
         return CoefficientList([self[e] * e for e in range(1, len(self))])
-
-    def exquo(self, other):
-        """self / other, raising ExactQuotientFailed unless other divides self over ZZ."""
-        q = exact_quotient(self, other)
-        if q is None:
-            raise ExactQuotientFailed(self, other)
-        return q
 
 
 def _trimmed(out):
@@ -781,6 +766,18 @@ def _divided(a, mu, c):
         return a.new({tuple(e - s for e, s in zip(m, mu)): v for m, v in a.items()})
     quo = a.ring.domain.quo
     return a.new({tuple(e - s for e, s in zip(m, mu)): quo(v, c) for m, v in a.items()})
+
+
+def _power(value, k: int, times):
+    """value^k for k >= 1 by repeated squaring under the product ``times``."""
+    result = None
+    while True:
+        if k & 1:
+            result = value if result is None else times(result, value)
+        k >>= 1
+        if not k:
+            return result
+        value = times(value, value)
 
 
 def _times(a, b):

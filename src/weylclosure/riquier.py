@@ -172,7 +172,7 @@ def _product(pairs: Pairs, source: _Lifted) -> _Lifted:
     # the factor of each shift delta = beta - gamma, summed over its (beta, gamma)
     factors: Dict[MultiIndex, Any] = {}
     for beta, (u, v) in pairs:
-        base = u if v == lcm else u * lcm.exquo(v)
+        base = u if v == lcm else u * exact_quotient(lcm, v)
         # a constant B has no derivatives, so only gamma = 0 contributes
         gammas = [zero] if ground else itertools.product(*(range(b + 1) for b in beta))
         for gamma in gammas:
@@ -384,11 +384,11 @@ class RiquierBasis:
         self.derivation = derivation
         self.made_by = list(made_by)
         # Delta_T in ranking order for the highest order T asked so far, the
-        # position there of each derivative's (component, alpha), and per
-        # position the index of the rule whose head divides it (None when it
-        # is parametric); see ``ranked_up_to``
+        # position there of each derivative, and per position the index of
+        # the rule whose head divides it (None when it is parametric); see
+        # ``ranked_up_to``
         self.ranked: List[Derivative] = []
-        self.position: Dict[Tuple[int, MultiIndex], int] = {}
+        self.position: Dict[Derivative, int] = {}
         self.ranked_rules: List[Optional[int]] = []
         # the substitution rules compiled at each point, one plan per point
         # for every truncation order; built and extended by jets.formal_solve
@@ -432,10 +432,10 @@ class RiquierBasis:
     def ranked_up_to(self, order: int) -> int:
         """|Delta_order|, after extending ``ranked`` to cover Delta_order.
 
-        ``ranked`` lists Delta_T in ranking order, ``position`` maps the
-        (component, alpha) of each of its derivatives to its index there, and
-        ``ranked_rules`` holds the index of the rule whose head divides it, or
-        None when it is parametric.  Under the standard ranking Delta_s is a prefix of
+        ``ranked`` lists Delta_T in ranking order, ``position`` maps each of
+        its derivatives to its index there, and ``ranked_rules`` holds the
+        index of the rule whose head divides it, or None when it is
+        parametric.  Under the standard ranking Delta_s is a prefix of
         Delta_(s+1), so a higher order appends the new derivatives, each
         classified once, and a lower order reads a prefix.
         """
@@ -445,8 +445,7 @@ class RiquierBasis:
             held = self.ranked[-1].order if self.ranked else -1
             new = derivatives_up_to(self.m, self.n, order, above=held)
             self.ranked.extend(new)
-            self.position.update(((d.component, d.alpha), i)
-                                 for i, d in enumerate(new, start))
+            self.position.update(zip(new, itertools.count(start)))
             self.ranked_rules.extend(pick_rule(d, self.heads) for d in new)
         return size
 

@@ -257,6 +257,14 @@ def test_ranked_up_to_builds_only_the_new_orders(monkeypatch):
     assert basis.position == {(d.component, d.alpha): i for i, d in enumerate(basis.ranked)}
 
 
+def test_position_is_keyed_by_the_derivative_itself():
+    basis = basis_of("D1 [u1] - x2 [u2]", "D2 [u1] + x1*D1 [u2]", m=2, n=2)
+    basis.ranked_up_to(3)
+    assert len(basis.ranked) == 20
+    for i, d in enumerate(basis.ranked):
+        assert basis.position[d] == i
+
+
 def test_check_jet_constraints_examples():
     system = constraint_matrix(basis_of("D^2"), 2, ZERO)
     assert check_jet_constraints(jet_1d(0, [1, 1, 0]), system)
@@ -312,6 +320,22 @@ def test_formal_solve_rejects_initial_value_above_the_order():
     with pytest.raises(InvalidInput) as info:
         formal_solve(basis, (Fraction(0), Fraction(0)), init, 2)
     assert str(info.value) == "initial value given for D2^5 above the truncation order 2"
+
+
+def test_formal_solve_checks_its_initial_values_in_one_call(monkeypatch):
+    calls = []
+    check_fits = jets.check_fits
+
+    def counting(derivatives, m, n, what):
+        calls.append(what)
+        return check_fits(derivatives, m, n, what)
+
+    monkeypatch.setattr(jets, "check_fits", counting)
+    basis = basis_of("D1", m=2)
+    init = {Derivative(1, (0, k)): Fraction(k + 1) for k in range(4)}
+    u = formal_solve(basis, (Fraction(0), Fraction(0)), init, 3)
+    assert calls == ["initial value"]
+    assert all(u.value(d) == value for d, value in init.items())
 
 
 @pytest.mark.parametrize("d", [Derivative(2, (0, 1)), Derivative(1, (1,)),

@@ -1,6 +1,5 @@
 """Normal-ordered operator arithmetic, coefficient slices and jet action."""
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -173,8 +172,19 @@ def test_derivative_keeps_the_equality_hash_and_repr_of_its_fields():
     assert d == Derivative(2, (1, 0)) and d != Derivative(1, (1, 0))
     assert hash(d) == hash((2, (1, 0)))
     assert repr(d) == "Derivative(component=2, alpha=(1, 0))"
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         d.component = 1
+
+
+def test_a_derivative_is_the_tuple_of_its_component_and_alpha():
+    d = Derivative(2, (1, 0))
+    assert d == (2, (1, 0)) and (2, (1, 0)) == d and d != (1, (1, 0))
+    component, alpha = d
+    assert (component, alpha) == (d[0], d[1]) == (2, (1, 0))
+    # either spelling finds the other's entry in a derivative table
+    assert {(2, (1, 0)): "x"}[d] == "x"
+    assert {d: "y"}[2, (1, 0)] == "y"
+    assert len({d, (2, (1, 0)), Derivative(2, (1, 0))}) == 1
 
 
 def test_apply_to_jet_truncation_underflow():
