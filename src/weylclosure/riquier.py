@@ -6,15 +6,18 @@ autoreduce.  Each element keeps its own head (``OperatorVector.head``): it
 is found when the reduced operator is made monic, carried to the monic
 element, and read from there by the pairs, the unit stop, the
 autoreduction, the final sort and every later reduction by the basis.
-Pending pairs wait in a heap keyed by the lcm of their heads, lowest first
-(the normal strategy), ties in the order the pairs were formed.  Once every
-component has an order-0 head, every derivative is reducible, so every
-pending pair would reduce to zero: the completion drops them and the
-elements of higher order (the unit case of Gebauer and Moeller's basis
-update, checked only when an order-0 head is adjoined).  The final
-autoreduction is one forward pass: the basis is confluent by then, so an
-element either reduces to zero or keeps its head, and no change makes an
-earlier element reducible again.  An S-pair's shifted elements come from
+Adjoining an element is Gebauer and Moeller's basis update: the new head
+retires every live element whose head it divides.  A retired element is left
+out of every later reduction and pair, and its pending pairs are dropped but
+for its pair with the new element, which reduces it again; so the live heads
+of each component form an antichain.  Pending pairs wait in a heap keyed by
+the lcm of their heads, lowest first (the normal strategy), ties in the order
+the pairs were formed.  Once every component has an order-0 head, those are
+the only live elements and every pending pair would reduce to zero, so the
+completion drops them (the unit stop, checked only when an order-0 head is
+adjoined).  The final autoreduction is one forward pass that reduces tails:
+no head divides another, so every element keeps its head, and no change makes
+an earlier element reducible again.  An S-pair's shifted elements come from
 ``operators.left_multiply_by_d``, which reads them off ``operators.shifts``.
 
 The completion computes with operators only.  Each element it adjoins or
@@ -488,28 +491,31 @@ def complete_to_riquier_basis(generators: Sequence[OperatorVector],
         check_fits(g.terms, m, n, f"generator {j} term")
 
     log = DerivationLog(len(gens), m)
-    # in step: each element (which keeps its head) and the log id that made it
-    basis: List[OperatorVector] = []
-    made_by: List[int] = []
+    # every element made (each keeps its head), keyed by the log id that made
+    # it, and the live ones among them
+    made: Dict[int, OperatorVector] = {}
+    basis: Dict[int, OperatorVector] = {}
     # pending pairs (lcm rank key, formation count, j, k, lcm of the heads)
     pairs: List[Tuple[tuple, int, int, int, Derivative]] = []
     formed = itertools.count()
     # the components that have an order-0 head: once all n do, every
-    # derivative is reducible, and every later pair would reduce to zero
+    # derivative is reducible, and every pending pair would reduce to zero
     units: Set[int] = set()
 
     def adjoin(op: OperatorVector, terms: List[Term]) -> None:
-        trace = reduce_full(op, basis)
+        trace = reduce_full(op, list(basis.values()))
         if trace.normal_form.is_zero():
             return
-        element, node = _monic_and_logged(trace, terms, made_by, log)
+        element, node = _monic_and_logged(trace, terms, list(basis), log)
+        made[node] = element
         head = element.head
-        for j, other in enumerate(basis):
+        for j, other in list(basis.items()):
             if other.head.component == head.component:
                 lcm = Derivative(head.component, tuple(map(max, other.head.alpha, head.alpha)))
-                heapq.heappush(pairs, (lcm.rank_key(), next(formed), j, len(basis), lcm))
-        basis.append(element)
-        made_by.append(node)
+                if lcm == other.head:  # the new head divides it: retire it
+                    del basis[j]
+                heapq.heappush(pairs, (lcm.rank_key(), next(formed), j, node, lcm))
+        basis[node] = element
         if not head.order:
             units.add(head.component)
             if len(units) == n:
@@ -521,39 +527,30 @@ def complete_to_riquier_basis(generators: Sequence[OperatorVector],
         if not g.is_zero():
             adjoin(g, [(log.one, j)])
 
-    # Normal strategy: lowest-ranking lcm first, ties in formation order.  The
-    # basis only grows here, so a pending pair's key never changes.
+    # Normal strategy: lowest-ranking lcm first, ties in formation order.  A
+    # retired element's pairs are dropped, but for the one with the element
+    # that retired it: that pair reduces it again, and a nonzero remainder has
+    # a head new to the head module, which only grows.
     while pairs:
         _, _, j, k, lcm = heapq.heappop(pairs)
-        shift_j = tuple(c - a for c, a in zip(lcm.alpha, basis[j].head.alpha))
-        shift_k = tuple(c - b for c, b in zip(lcm.alpha, basis[k].head.alpha))
+        if lcm != made[j].head and (j not in basis or k not in basis):
+            continue
+        shift_j = tuple(c - a for c, a in zip(lcm.alpha, made[j].head.alpha))
+        shift_k = tuple(c - b for c, b in zip(lcm.alpha, made[k].head.alpha))
         d_j = OperatorVector.from_derivative(Derivative(1, shift_j), m, 1)
         d_k = OperatorVector.from_derivative(Derivative(1, shift_k), m, 1)
-        spair = left_multiply_by_d(shift_j, basis[j]) - left_multiply_by_d(shift_k, basis[k])
-        adjoin(spair, [(d_j, made_by[j]), (-d_k, made_by[k])])
+        spair = left_multiply_by_d(shift_j, made[j]) - left_multiply_by_d(shift_k, made[k])
+        adjoin(spair, [(d_j, j), (-d_k, k)])
 
-    if len(units) == n:
-        # the module is all of F(x)^n (the unit stop of Gebauer and Moeller's
-        # basis update): the order-0 elements span it, and the autoreduction
-        # would delete every other element
-        keep = [i for i, element in enumerate(basis) if not element.head.order]
-        basis, made_by = ([seq[i] for i in keep] for seq in (basis, made_by))
+    # Reduce the tails in one forward pass.  No live head divides another, so
+    # every element keeps its head, and an element found reduced stays so.
+    if len(basis) > 1:
+        for j in list(basis):
+            element = basis.pop(j)
+            trace = reduce_full(element, list(basis.values()))
+            if trace.normal_form != element:
+                element, j = _monic_and_logged(trace, [(log.one, j)], list(basis), log)
+            basis[j] = element
 
-    # Autoreduce in one forward pass.  The basis is confluent now, so an
-    # element whose head another head divides reduces to zero, and any other
-    # element keeps its head: the heads only disappear, so an element found
-    # reduced stays reduced, and no later change needs an earlier re-check.
-    idx = 0
-    while idx < len(basis) and len(basis) > 1:
-        others = basis[:idx] + basis[idx + 1:]
-        trace = reduce_full(basis[idx], others)
-        if trace.normal_form.is_zero():
-            del basis[idx], made_by[idx]
-            continue
-        if trace.normal_form != basis[idx]:
-            basis[idx], made_by[idx] = _monic_and_logged(
-                trace, [(log.one, made_by[idx])], made_by[:idx] + made_by[idx + 1:], log)
-        idx += 1
-
-    order = sorted(range(len(basis)), key=lambda i: basis[i].head.rank_key())
-    return RiquierBasis([basis[i] for i in order], m, n, log, [made_by[i] for i in order])
+    order = sorted(basis, key=lambda j: basis[j].head.rank_key())
+    return RiquierBasis([basis[j] for j in order], m, n, log, order)

@@ -24,6 +24,7 @@ from weylclosure import (
     parse_operator,
     reduce_full,
     scalar_operator_product,
+    verify_witness,
     weyl_closure_member,
 )
 from weylclosure import riquier
@@ -31,7 +32,7 @@ from weylclosure.cli import main
 from weylclosure.operators import derivatives_up_to
 from weylclosure.polynomials import poly_lcm
 from weylclosure.riquier import DerivationLog
-from conftest import random_generators, random_operator, random_polynomial
+from conftest import random_generators, random_operator, random_polynomial, returns_within
 
 
 def op(text, m=1, n=1):
@@ -108,8 +109,42 @@ def test_completion_rejects_mismatched_generator_dimensions(generators, dims, me
 
 
 def test_autoreduction_takes_one_pass(monkeypatch):
-    # 3 reductions to adjoin, 3 S-pairs, then D1 unchanged, D2^2 deleted and
-    # D2 unchanged; a restart after the deletion would check D1 again (10)
+    # 3 reductions to adjoin; adjoining D2 retires D2^2, so the pair of D1 and
+    # D2^2 is dropped, and the pair of D2^2 and D2 reduces D2^2 again, to zero
+    # (1); the pair of D1 and D2 (1); then D1 and D2 are checked once each (2).
+    # An autoreduction that restarted, or deleted an element, would check more.
+    calls, shifted = [], []
+    reduce, multiply = riquier.reduce_full, riquier.left_multiply_by_d
+
+    def counting(p, rules):
+        calls.append(p)
+        return reduce(p, rules)
+
+    def shifting(beta, p):
+        shifted.append(beta)
+        return multiply(beta, p)
+
+    monkeypatch.setattr(riquier, "reduce_full", counting)
+    monkeypatch.setattr(riquier, "left_multiply_by_d", shifting)
+    basis = complete_to_riquier_basis([op("D1", 2), op("D2^2", 2), op("D2", 2)], 2, 1)
+    assert len(calls) == 7
+    assert len(shifted) == 4  # two S-pairs of two shifted elements each
+    assert basis.elements == [op("D2", 2), op("D1", 2)]
+
+
+# two systems of the heavy tail (two generators of order 2 in two variables),
+# in which new heads divide older ones: without retiring the older elements
+# the completion took 23 reductions, and several seconds for the first
+TAIL = {
+    "k=70": ["(-2*x2^2 - 2)*D1*D2 - 3*x1*x2*D2^2 - 3*D2",
+             "(-x2^2 - x2)*D1^2 + (-2*x2^2 + x1 - 2)*D1"],
+    "k=72": ["(-3*x1*x2 - 1)*D1^2 + (-2*x2 - 3)*D1",
+             "(2*x1 - 1)*D1*D2 + (3*x2 - 3)*D2^2 + (-3*x1 - 3)*D2"],
+}
+
+
+@pytest.mark.parametrize("rows", TAIL.values(), ids=TAIL.keys())
+def test_retiring_keeps_the_tail_short(monkeypatch, rows):
     calls = []
     reduce = riquier.reduce_full
 
@@ -118,9 +153,21 @@ def test_autoreduction_takes_one_pass(monkeypatch):
         return reduce(p, rules)
 
     monkeypatch.setattr(riquier, "reduce_full", counting)
-    basis = complete_to_riquier_basis([op("D1", 2), op("D2^2", 2), op("D2", 2)], 2, 1)
-    assert len(calls) == 9
-    assert basis.elements == [op("D2", 2), op("D1", 2)]
+    with returns_within(30):
+        basis = complete_to_riquier_basis([op(row, 2) for row in rows], 2, 1)
+    assert [format_operator(e) for e in basis.elements] == ["D2", "D1"]
+    assert len(calls) == 11
+
+
+def test_retiring_pairs_lift_to_a_witness():
+    # the log of a completion that retired elements lifts D1 to a witness
+    # (k=72: its lift takes about 1 s; that of k=70 takes about 10 s)
+    gens = [op(row, 2) for row in TAIL["k=72"]]
+    q = op("D1", 2)
+    with returns_within(30):
+        result = weyl_closure_member(q, gens)
+    assert result.member
+    assert verify_witness(result.witness, q, gens)
 
 
 @pytest.mark.parametrize("rows, m, n, q, full_completion_calls, basis_text, witness_text", [
