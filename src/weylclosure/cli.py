@@ -159,7 +159,7 @@ def _cmd_verify_witness(args) -> int:
     cofactors = [
         parse_operator(text, system.m, 1, system.field_mode) for text in args.h
     ]
-    valid = verify_witness(Witness(w.num, cofactors), q, system.generators)
+    valid = verify_witness(Witness(w, cofactors), q, system.generators)
     _emit({"valid": valid})
     return 0 if valid else 1
 

@@ -108,13 +108,13 @@ def verify_witness(witness: Witness, q: OperatorVector,
     runs none of the ``CoefficientList`` arithmetic that the lift and its
     internal check (``_lift_cancels``) compute with.
 
-    A certificate of the wrong shape is rejected: a zero w, a w in another
-    number of variables, a wrong number of cofactors, or a cofactor that is
-    not a scalar operator (n = 1) with polynomial coefficients in q's
-    variables and multi-indices in N^m.  A q or generator that is not a
-    polynomial row of q's shape raises InvalidInput.
+    A certificate of the wrong shape is rejected: a zero w, a w that is not a
+    polynomial, a w in another number of variables, a wrong number of
+    cofactors, or a cofactor that is not a scalar operator (n = 1) with
+    polynomial coefficients in q's variables and multi-indices in N^m.  A q or
+    generator that is not a polynomial row of q's shape raises InvalidInput.
     """
-    if witness.w.is_zero() or witness.w.nvars != q.m:
+    if witness.w.is_zero() or not witness.w.is_polynomial() or witness.w.nvars != q.m:
         return False
     if len(witness.cofactors) != len(generators):
         return False
@@ -125,7 +125,7 @@ def verify_witness(witness: Witness, q: OperatorVector,
     # a zero cofactor's product is zero, so its generator is not scaled
     operands = [q] + [p for pair in zip(witness.cofactors, generators) if pair[0] for p in pair]
     (w_scale, (w,)), *scaled = integer_polynomials(
-        [[RationalFunction(witness.w)]] + [list(p.terms.values()) for p in operands])
+        [[witness.w]] + [list(p.terms.values()) for p in operands])
     rows = [(scale, _keyed(p, values)) for p, (scale, values) in zip(operands, scaled)]
     products = [((h_scale, {alpha: v for (_, alpha), v in h_row.items()}), p)
                 for (h_scale, h_row), p in zip(rows[1::2], rows[2::2])]

@@ -22,7 +22,7 @@ from typing import (Callable, Dict, Iterable, Iterator, List, Mapping, NamedTupl
                     Tuple, TypeVar)
 
 from .errors import DegreeExceeded, InvalidInput, ZeroOperator
-from .polynomials import Polynomial, RationalFunction
+from .polynomials import RationalFunction
 from .scalars import ZERO, Scalar
 
 MultiIndex = Tuple[int, ...]
@@ -235,10 +235,10 @@ class OperatorVector:
             return NotImplemented
         return self + (-other)
 
-    def left_scale(self, f: RationalFunction | Polynomial | int) -> "OperatorVector":
+    def left_scale(self, f: RationalFunction | int) -> "OperatorVector":
         """Multiply on the left by a function (commutes past nothing: pure scaling)."""
-        if isinstance(f, (Polynomial, int)):
-            f = RationalFunction(f) if isinstance(f, Polynomial) else RationalFunction.constant(f, self.m)
+        if isinstance(f, int):
+            f = RationalFunction.constant(f, self.m)
         if not f:
             return OperatorVector.zero(self.m, self.n)
         scaled = OperatorVector({d: f * c for d, c in self.terms.items()}, self.m, self.n)

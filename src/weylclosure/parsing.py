@@ -79,7 +79,7 @@ class _Operator(dict):
 
 
 def _rational(f, m: int) -> RationalFunction:
-    return f if isinstance(f, RationalFunction) else RationalFunction(Polynomial(f, m))
+    return f if isinstance(f, RationalFunction) else Polynomial(f, m)
 
 
 def _quotient(u, c):

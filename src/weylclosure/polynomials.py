@@ -22,15 +22,17 @@ is answered without a sympy call, a pair of coefficient lists takes a
 heuristic gcd on packed Python integers, and any other pair goes to sympy's
 dense gcd.
 
-A polynomial is the ``b = 1`` case of the triple: it wraps a rational function
-whose denominator is the ring's one, and its arithmetic is that rational
-function's.  Coefficients cross the module's edge as ``Fraction``, or as
-``GaussianRational`` for every coefficient of a polynomial with some
-imaginary part.  The constructor gathers ``c`` and ``a`` from them with
-``math.lcm``/``math.gcd``, and ``terms`` multiplies them back out.  ``num``
-and ``den`` (monic: graded-lex leading coefficient 1) wrap the factors of the
-triple without rebuilding them; only a real factor of a Gaussian value is
-moved back to ``ZZ``.  Fraction-free callers, such as the witness lift, cross
+A polynomial is the ``b = 1`` case of the triple: ``Polynomial`` is the
+subclass of ``RationalFunction`` that ``RationalFunction._new`` picks for
+every triple with b = 1, so any operation that yields a polynomial yields a
+``Polynomial``, and ``RationalFunction(p)`` is p.  Coefficients cross the
+module's edge as ``Fraction``, or as ``GaussianRational`` for every
+coefficient of a polynomial with some imaginary part.  The constructor
+gathers ``c`` and ``a`` from them with ``math.lcm``/``math.gcd``, and
+``terms`` multiplies them back out.  ``num`` and ``den`` (monic: graded-lex
+leading coefficient 1) wrap the factors of the triple without rebuilding
+them; only a real factor of a Gaussian value is moved back to ``ZZ``.
+Fraction-free callers, such as the witness lift, cross
 a second edge: ``integer_pair`` and ``integer_polynomials`` hand out a
 numerator and denominator in the integer ring, of the triple's own kind,
 ``gcd_cofactors`` takes their gcds, ``exact_quotient`` their exact
@@ -194,184 +196,6 @@ def _split_gaussian(coefficients, nvars: int):
         {m: ZZ_I(int(re * den), int(im * den)) for m, (re, im) in parts.items()}).primitive()
     unit = _unit(_lc(a))
     return QQ_I.convert_from(k, ZZ_I) / unit / den, a.mul_ground(unit)
-
-
-class Polynomial:
-    """A sparse polynomial in ``nvars`` variables with exact field coefficients.
-
-    It wraps the rational function of its value, whose denominator is 1.
-    """
-
-    __slots__ = ("_r",)
-
-    def __init__(self, terms: Mapping[Monomial, Scalar], nvars: int):
-        c, a = _split(terms, nvars)
-        self._r = RationalFunction._new(c, a, _one(nvars, a.ring.domain))
-
-    @classmethod
-    def _of(cls, r: "RationalFunction") -> "Polynomial":
-        """The polynomial of a rational function with denominator 1."""
-        p = object.__new__(cls)
-        p._r = r
-        return p
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, nvars: int) -> "Polynomial":
-        return cls._of(RationalFunction.zero(nvars))
-
-    @classmethod
-    def constant(cls, value, nvars: int) -> "Polynomial":
-        return cls._of(RationalFunction.constant(value, nvars))
-
-    @classmethod
-    def variable(cls, index: int, nvars: int) -> "Polynomial":
-        """The polynomial x_index, with index in 1..nvars."""
-        if not 1 <= index <= nvars:
-            raise IndexError(f"variable index {index} out of range 1..{nvars}")
-        one = _one(nvars)
-        return cls._of(RationalFunction._new(QQ.one, one.ring.gens[index - 1], one))
-
-    @classmethod
-    def monomial(cls, mono: Monomial, coeff, nvars: int) -> "Polynomial":
-        return cls({tuple(mono): coeff}, nvars)
-
-    # -- basic queries -----------------------------------------------------
-
-    @property
-    def nvars(self) -> int:
-        return self._r._a.ring.ngens
-
-    @property
-    def terms(self) -> Mapping[Monomial, Scalar]:
-        """The nonzero coefficients by exponent tuple, read-only."""
-        c, a = self._r._c, self._r._a
-        if a.ring.domain is ZZ:
-            p, q = int(c.numerator), int(c.denominator)
-            return MappingProxyType({m: Fraction(p * int(v), q) for m, v in a.items()})
-        return MappingProxyType({m: _scalar(c * v, ZZ_I) for m, v in a.items()})
-
-    def is_zero(self) -> bool:
-        return not self._r._a
-
-    def is_constant(self) -> bool:
-        return self._r._a.is_ground
-
-    def constant_value(self) -> Scalar:
-        a = self._r._a
-        return _scalar(self._r._c * a.get(a.ring.zero_monom, a.ring.domain.zero), a.ring.domain)
-
-    def leading_coefficient(self) -> Scalar:
-        a = self._r._a
-        return _scalar(self._r._c * a.LC, a.ring.domain)
-
-    def __bool__(self):
-        return bool(self._r._a)
-
-    def __eq__(self, other):
-        o = self._operand(other)
-        return NotImplemented if o is None else self._r == o
-
-    def __hash__(self):
-        return hash(self._r)
-
-    def __repr__(self):
-        return f"Polynomial({dict(self.terms)!r}, nvars={self.nvars})"
-
-    def __reduce__(self):
-        # a sympy ring does not pickle (sympy 1.14), so rebuild from the terms
-        return Polynomial, (dict(self.terms), self.nvars)
-
-    # -- arithmetic: that of the wrapped rational functions -------------------
-
-    def _operand(self, other):
-        """A polynomial or scalar operand as a rational function, else None."""
-        return None if isinstance(other, RationalFunction) else self._r._coerce(other)
-
-    def __add__(self, other):
-        o = self._operand(other)
-        if o is None:
-            return NotImplemented
-        return Polynomial._of(self._r + o)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Polynomial._of(-self._r)
-
-    def __sub__(self, other):
-        o = self._operand(other)
-        if o is None:
-            return NotImplemented
-        return Polynomial._of(self._r - o)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def __mul__(self, other):
-        o = self._operand(other)
-        if o is None:
-            return NotImplemented
-        return Polynomial._of(self._r * o)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int):
-        if exponent < 0:
-            raise ValueError("negative polynomial power")
-        if not exponent:
-            if not self:
-                raise ValueError("0**0")
-            return Polynomial.constant(1, self.nvars)
-        c, a, b = self._r._c, self._r._a, self._r._b
-        # a power of a primitive polynomial is primitive (Gauss's lemma)
-        return Polynomial._of(RationalFunction._reduced(
-            _power(c, exponent, mul), _power(a, exponent, mul), b))
-
-    def scale(self, scalar) -> "Polynomial":
-        return Polynomial._of(self._r * RationalFunction.constant(scalar, self.nvars))
-
-    def monic(self) -> "Polynomial":
-        """Divide by the graded-lex leading coefficient."""
-        return monic_polynomial(self._r._a) if self else self
-
-    # -- calculus ----------------------------------------------------------
-
-    def derivative(self, index: int) -> "Polynomial":
-        """Partial derivative with respect to x_index (1-based)."""
-        return Polynomial._of(self._r.derivative(index))
-
-    def evaluate(self, point: Sequence[Scalar]) -> Scalar:
-        if len(point) != self.nvars:
-            raise ValueError("point dimension mismatch")
-        total: Scalar = Fraction(0)
-        for m, c in self.terms.items():
-            value = c
-            for x, e in zip(point, m):
-                for _ in range(e):
-                    value = value * x
-            total = total + value
-        return total
-
-    # -- division ----------------------------------------------------------
-
-    def exact_div(self, divisor: "Polynomial") -> "Polynomial":
-        """Exact quotient self / divisor; raises ValueError if not divisible."""
-        if divisor.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        quotient = self._r / divisor._r
-        if not quotient.is_polynomial():
-            raise ValueError("inexact polynomial division")
-        return Polynomial._of(quotient)
-
-
-# No library path calls this: bench/tracing.py times it by name, and it goes with that metric.
-def poly_lcm(f: Polynomial, g: Polynomial) -> Polynomial:
-    (_, a, _), (_, b, _) = f._r._triples(g._r)
-    if not a or not b:
-        return Polynomial.zero(f.nvars)
-    return monic_polynomial(a * gcd_cofactors(a, b)[2])
 
 
 def gcd_cofactors(a, b):
@@ -663,10 +487,9 @@ def _packed_gcd(f, g):
     g_part = g if g_content == 1 else [v // g_content for v in g]
     xi = 2 * min(max(map(abs, f_part)), max(map(abs, g_part))) + 29
     for _ in range(_PACKED_TRIES):
+        # xi passes the root bound 1 + min(|f|, |g|), so the gcd is positive and so is h[-1]
         h = _unpacked(math.gcd(_packed(f_part, xi), _packed(g_part, xi)), xi)
         k = math.gcd(*h)
-        if h[-1] < 0:
-            k = -k
         if k != 1:
             h = [v // k for v in h]
         if len(h) == 1:  # coprime parts: the gcd is the content's
@@ -843,7 +666,7 @@ def _canonical(c, a, b):
 
 def _lowest_terms(num: Polynomial, den: Polynomial):
     """The triple of num/den for a nonzero num and den: the one full gcd."""
-    (c, a, _), (e, b, _) = num._r._triples(den._r)
+    (c, a, _), (e, b, _) = num._triples(den)
     _, a, b = gcd_cofactors(a, b)
     return _canonical(c / e, a, b)
 
@@ -855,23 +678,34 @@ _ONE_POLYNOMIALS: dict = {}  # the polynomial 1 in each number of variables: a p
 
 
 class RationalFunction:
-    """A normalized quotient c * a / b: content c, coprime primitive integer a and b."""
+    """A normalized quotient c * a / b: content c, coprime primitive integer a and b.
+
+    A value with b = 1 is a ``Polynomial``, the subclass, whichever
+    operation made it.
+    """
 
     __slots__ = ("_c", "_a", "_b")
 
-    def __init__(self, num: Polynomial, den: Polynomial | None = None):
+    def __new__(cls, num: Polynomial, den: Polynomial | None = None):
+        """num / den in lowest terms; ``RationalFunction(p)`` is p itself."""
         if den is not None and den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
         if den is None or num.is_zero():
-            r = num._r  # a polynomial is already a triple with b = 1
-            self._c, self._a, self._b = r._c, r._a, r._b
-        else:
-            self._c, self._a, self._b = _lowest_terms(num, den)
+            return num
+        return RationalFunction._new(*_lowest_terms(num, den))
 
-    @classmethod
-    def _new(cls, c, a, b) -> "RationalFunction":
-        """Wrap a triple that is already canonical."""
-        f = object.__new__(cls)
+    def __init__(self, *args):
+        """Nothing to do: ``__new__`` built the value.
+
+        It takes the constructor's arguments, which ``object.__init__``
+        rejects once a wrapper replaces this method, as the constructor count
+        of ``bench/tracing.py`` does.
+        """
+
+    @staticmethod
+    def _new(c, a, b) -> "RationalFunction":
+        """Wrap a triple that is already canonical: a Polynomial when b = 1."""
+        f = object.__new__(Polynomial if b.is_ground else RationalFunction)
         f._c, f._a, f._b = c, a, b
         return f
 
@@ -905,10 +739,9 @@ class RationalFunction:
         """The numerator over the field, for the monic denominator ``den``."""
         b = self._b
         if b.is_ground:
-            return Polynomial._of(self)
+            return self
         # normalized again, since a Gaussian value can have a real numerator: 1/(x + i)
-        return Polynomial._of(RationalFunction._reduced(
-            self._c / _lc(b), self._a, _one(self.nvars, b.ring.domain)))
+        return RationalFunction._reduced(self._c / _lc(b), self._a, _one(self.nvars, b.ring.domain))
 
     @property
     def den(self) -> Polynomial:
@@ -958,8 +791,6 @@ class RationalFunction:
     def _coerce(self, other):
         if isinstance(other, RationalFunction):
             return other
-        if isinstance(other, Polynomial):
-            return other._r
         if isinstance(other, (int, Fraction, GaussianRational)):
             return RationalFunction.constant(other, self.nvars)
         return None
@@ -1109,6 +940,107 @@ class RationalFunction:
         return self.num.evaluate(point) / den_value
 
 
+class Polynomial(RationalFunction):
+    """A sparse polynomial in ``nvars`` variables with exact field coefficients.
+
+    It is the ``b = 1`` case of the triple: ``RationalFunction._new`` makes
+    every value whose denominator is 1 a ``Polynomial``, so this class adds
+    only what is particular to polynomials.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, terms: Mapping[Monomial, Scalar], nvars: int):
+        c, a = _split(terms, nvars)
+        return RationalFunction._new(c, a, _one(nvars, a.ring.domain))
+
+    @classmethod
+    def variable(cls, index: int, nvars: int) -> "Polynomial":
+        """The polynomial x_index, with index in 1..nvars."""
+        if not 1 <= index <= nvars:
+            raise IndexError(f"variable index {index} out of range 1..{nvars}")
+        one = _one(nvars)
+        return RationalFunction._new(QQ.one, one.ring.gens[index - 1], one)
+
+    @classmethod
+    def monomial(cls, mono: Monomial, coeff, nvars: int) -> "Polynomial":
+        return cls({tuple(mono): coeff}, nvars)
+
+    @property
+    def terms(self) -> Mapping[Monomial, Scalar]:
+        """The nonzero coefficients by exponent tuple, read-only."""
+        c, a = self._c, self._a
+        if a.ring.domain is ZZ:
+            p, q = int(c.numerator), int(c.denominator)
+            return MappingProxyType({m: Fraction(p * int(v), q) for m, v in a.items()})
+        return MappingProxyType({m: _scalar(c * v, ZZ_I) for m, v in a.items()})
+
+    def is_constant(self) -> bool:
+        return self._a.is_ground
+
+    def constant_value(self) -> Scalar:
+        a = self._a
+        return _scalar(self._c * a.get(a.ring.zero_monom, a.ring.domain.zero), a.ring.domain)
+
+    def leading_coefficient(self) -> Scalar:
+        a = self._a
+        return _scalar(self._c * a.LC, a.ring.domain)
+
+    def __repr__(self):
+        return f"Polynomial({dict(self.terms)!r}, nvars={self.nvars})"
+
+    def __reduce__(self):
+        # a sympy ring does not pickle (sympy 1.14), so rebuild from the terms
+        return Polynomial, (dict(self.terms), self.nvars)
+
+    def __pow__(self, exponent: int):
+        if exponent < 0:
+            raise ValueError("negative polynomial power")
+        if not exponent:
+            if not self:
+                raise ValueError("0**0")
+            return Polynomial.constant(1, self.nvars)
+        # a power of a primitive polynomial is primitive (Gauss's lemma)
+        return RationalFunction._reduced(
+            _power(self._c, exponent, mul), _power(self._a, exponent, mul), self._b)
+
+    def scale(self, scalar) -> "Polynomial":
+        return self * scalar
+
+    def monic(self) -> "Polynomial":
+        """Divide by the graded-lex leading coefficient."""
+        return monic_polynomial(self._a) if self else self
+
+    def evaluate(self, point: Sequence[Scalar]) -> Scalar:
+        if len(point) != self.nvars:
+            raise ValueError("point dimension mismatch")
+        total: Scalar = Fraction(0)
+        for m, c in self.terms.items():
+            value = c
+            for x, e in zip(point, m):
+                for _ in range(e):
+                    value = value * x
+            total = total + value
+        return total
+
+    def exact_div(self, divisor: "Polynomial") -> "Polynomial":
+        """Exact quotient self / divisor; raises ValueError if not divisible."""
+        if divisor.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        quotient = self / divisor
+        if not quotient.is_polynomial():
+            raise ValueError("inexact polynomial division")
+        return quotient
+
+
+# No library path calls this: bench/tracing.py times it by name, and it goes with that metric.
+def poly_lcm(f: Polynomial, g: Polynomial) -> Polynomial:
+    (_, a, _), (_, b, _) = f._triples(g)
+    if not a or not b:
+        return Polynomial.zero(f.nvars)
+    return monic_polynomial(a * gcd_cofactors(a, b)[2])
+
+
 # -- the integer edge, for fraction-free callers ------------------------------
 #
 # A fraction-free computation holds integer-ring elements of the triple's own
@@ -1170,5 +1102,4 @@ def monic_polynomial(element) -> Polynomial:
     """A nonzero integer-ring element divided by its leading coefficient, over the field."""
     _, b = _primitive(element)
     domain = b.ring.domain
-    return Polynomial._of(RationalFunction._reduced(
-        _FIELD[domain].one / _lc(b), b, _one(b.ring.ngens, domain)))
+    return RationalFunction._reduced(_FIELD[domain].one / _lc(b), b, _one(b.ring.ngens, domain))

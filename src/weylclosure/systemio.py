@@ -33,9 +33,9 @@ class SystemFile:
 def parse_scalar_value(text: str, m: int, field_mode: str) -> Scalar:
     """Parse a constant like '1/2' or '1 + i' into an exact scalar."""
     value = parse_rational(text.strip(), m, field_mode)
-    if not value.is_polynomial() or not value.num.is_constant():
+    if not value.is_polynomial() or not value.is_constant():
         raise InvalidInput(f"expected a constant, got {text!r}")
-    return value.num.constant_value()
+    return value.constant_value()
 
 
 def parse_point(text: str, m: int, field_mode: str) -> Tuple[Scalar, ...]:

@@ -354,6 +354,47 @@ def test_malformed_system_file(tmp_path, capsys):
     assert main(["riquier", str(path)]) == 2
 
 
+@pytest.mark.parametrize("text, message", [
+    ("row: D\n", "missing 'vars:' line"),
+    ("vars: 0\nrow: D\n", "vars and unknowns must be positive"),
+    ("field: quaternion\nvars: 1\nrow: D\n", "unknown field mode 'quaternion'"),
+    ("vars: 1\nrow D\n", "expected 'key: value'"),
+])
+def test_system_file_errors_exit_2_with_their_message(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.sys"
+    path.write_text(text)
+    assert main(["riquier", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--init", "D"], "initial condition 'D' is missing '='"),
+    (["--init", "D + 1=1"], "left side of 'D + 1=1' must be a single derivative"),
+    (["--init", "2*D=1"], "left side of '2*D=1' must have coefficient 1"),
+    (["--point", "0, 1"], "expected 1 coordinate(s), got 2"),
+    (["--point", "x"], "expected a constant, got 'x'"),
+])
+def test_solve_argument_errors_exit_2_with_their_message(tmp_path, capsys, argv, message):
+    path = tmp_path / "osc.sys"
+    path.write_text("vars: 1\nrow: D^2 + 1\n")
+    assert main(["solve", str(path), "--order", "2"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_member_cross_check_disagreement_exits_2(euler_file, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_lemma1_decide", lambda q, basis: False)
+    code = main(["member", euler_file, "--q", "D^3", "--cross-check"])
+    captured = capsys.readouterr()
+    assert code == 2
+    doc = json.loads(captured.out)
+    assert doc["member"] is True and doc["lemma1_member"] is False
+    assert captured.err == "cross-check disagreement\n"
+
+
 def test_syntax_error_in_row(tmp_path, capsys):
     path = tmp_path / "bad.sys"
     path.write_text("vars: 1\nrow: 2x\n")

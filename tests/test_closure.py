@@ -167,14 +167,17 @@ def test_verify_witness_rejects_wrong_identity():
     assert not verify_witness(Witness(rat("1").num, [op("x")]), op("D"), gens)
 
 
-@pytest.mark.parametrize("case", ["w in two variables", "cofactor in two variables",
-                                  "cofactor with two unknowns", "cofactor outside N^m"])
+@pytest.mark.parametrize("case", ["w in two variables", "w not a polynomial",
+                                  "cofactor in two variables", "cofactor with two unknowns",
+                                  "cofactor outside N^m"])
 def test_verify_witness_rejects_a_certificate_of_the_wrong_shape(case):
     gens, q = [op("D")], op("D^2")
     w, h = rat("1").num, op("D")
     assert verify_witness(Witness(w, [h]), q, gens)  # the right shape passes
     if case == "w in two variables":
         w = Polynomial.constant(1, 2)
+    elif case == "w not a polynomial":  # its numerator 1 would pass
+        w = rat("1/x")
     elif case == "cofactor in two variables":
         h = op("D1", m=2)
     elif case == "cofactor with two unknowns":

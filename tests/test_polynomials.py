@@ -2,10 +2,11 @@
 
 import functools
 import operator
+import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sympy import sympify
 from sympy.polys.domains import QQ, QQ_I, ZZ, ZZ_I
@@ -1061,12 +1062,13 @@ def test_coefficient_lists_are_every_integer_row_in_one_variable_over_zz():
 
 
 def _assert_kind(value):
-    """The triple of a RationalFunction or Polynomial holds the kind of its ring:
-    canonical CoefficientLists in one variable over ZZ, sympy's elements otherwise."""
-    r = RationalFunction(value) if isinstance(value, Polynomial) else value
-    real = all(type(c) is Fraction for p in (r.num, r.den) for c in p.terms.values())
-    for element in (r._a, r._b):
-        if r.nvars == 1 and real:
+    """The value is a Polynomial exactly when its denominator is 1, and its triple
+    holds the kind of its ring: canonical CoefficientLists in one variable over
+    ZZ, sympy's elements otherwise."""
+    assert isinstance(value, Polynomial) == value.is_polynomial(), value
+    real = all(type(c) is Fraction for p in (value.num, value.den) for c in p.terms.values())
+    for element in (value._a, value._b):
+        if value.nvars == 1 and real:
             assert _is_canonical(element), (value, element)
         else:
             assert isinstance(element, PolyElement), (value, element)
@@ -1075,9 +1077,13 @@ def _assert_kind(value):
 
 @settings(deadline=None, max_examples=80)
 @given(term_pairs(), st.integers(0, 3))
+# three variables, real and Gaussian: fixed, as random Gaussian gcds there take seconds
+@example((3, {(1, 1, 0): Fraction(1, 2), (0, 0, 2): 3}, {(0, 1, 1): 1, (1, 0, 0): -2}), 2)
+@example((3, {(1, 0, 1): I, (0, 2, 0): 1}, {(0, 0, 1): 1, (1, 1, 0): GaussianRational(2, -1)}), 3)
 def test_every_value_holds_the_element_kind_of_its_ring(pair, exponent):
     nvars, f, g = pair
     p, q = Polynomial(f, nvars), Polynomial(g, nvars)
+    assert RationalFunction(p) is p
     third = Fraction(1, 3)
     values = [p, q, p + q, p - q, p * q, -p, p ** exponent if p else p, p.derivative(1),
               p.scale(third), p.monic(), Polynomial.zero(nvars),
@@ -1091,9 +1097,17 @@ def test_every_value_holds_the_element_kind_of_its_ring(pair, exponent):
         x = Polynomial.variable(1, nvars)
         r = RationalFunction(p + 1, q)
         values += [r, r + p, r - RationalFunction(p, q * x + 1), r * r, r / (x + 2),
-                   r.derivative(1), r.num, r.den, r.inverse() if r else r]
+                   r.derivative(nvars), r.num, r.den, r.inverse() if r else r, q.inverse(),
+                   p / q, r / r if r else r, r * q.den - r * q]
+        # a quotient that cancels is the polynomial, equal to it and hashed alike
+        for same in (RationalFunction(p * q, q), p * q / q, (p / q) * q, p + r - r):
+            _assert_kind(same)
+            assert same == p and hash(same) == hash(p)
+        assert r * q == p + 1 and hash(r * q) == hash(p + 1)
     for value in values:
         _assert_kind(value)
+        again = pickle.loads(pickle.dumps(value))
+        assert again == value and type(again) is type(value)
 
 
 def test_parsed_and_cancelled_values_hold_the_element_kind_of_their_ring():
@@ -1105,13 +1119,11 @@ def test_parsed_and_cancelled_values_hold_the_element_kind_of_their_ring():
              RationalFunction(x.scale(I), (x + 1).scale(I))]
     for value in real:
         _assert_kind(value)
-        r = RationalFunction(value) if isinstance(value, Polynomial) else value
-        assert type(r._a) is CoefficientList and type(r._b) is CoefficientList
+        assert type(value._a) is CoefficientList and type(value._b) is CoefficientList
     assert (x + I) - I == x
     # two variables and Gaussian values keep sympy's elements
     gaussian = parse_operator("(x + i)*D - 1", 1, 1, "complex")
     for value in [parse_rational("x1/(x2 + 1)", 2), X2 + Y2, x + I,
                   parse_rational("1/(x + i)", 1, "complex"), gaussian.terms[gaussian.head]]:
         _assert_kind(value)
-        r = RationalFunction(value) if isinstance(value, Polynomial) else value
-        assert isinstance(r._a, PolyElement) and isinstance(r._b, PolyElement)
+        assert isinstance(value._a, PolyElement) and isinstance(value._b, PolyElement)
