@@ -5,19 +5,21 @@ generated F(x)-submodule.  A reduction to zero is turned into an exact
 identity ``w * q = sum_j h_j * p_j`` with polynomial w and cofactors: the
 basis lifts the reduction trace to the generators, replaying its derivation
 log fraction-free and only for the basis elements the trace touches, and
-hands back its integer rows: a denominator and numerators in ZZ[x] (ZZ_I[x]
-for Gaussian operands), as CoefficientLists in one variable over ZZ and as
-sympy elements otherwise.  The identity is checked on those rows before they
-are cleared into w, the monic lcm of the cofactors' denominators, and the
-h_j, by multiplying it out with a Leibniz kernel of its own (``_cancels``).
-That check shares with the lift only the arithmetic of its rows: the
-products, sums, differences, derivatives and scalar multiples of
-``polynomials.CoefficientList`` (or of sympy's elements), and the scaling of
-q and the generators to the same kind of row.  It shares none of the lift's
-own steps: not its Leibniz expansion, its sums over lcms or its gcds.
-``verify_witness`` runs ``_cancels`` on a witness from outside, scaled to
-sympy's sparse rows in every ring, so the public check shares no arithmetic
-with the lift at all.  A non-member answer replays nothing.
+hands back its integer rows: a denominator and numerators keyed by
+(generator, multi-index), in ZZ[x] (ZZ_I[x] for Gaussian operands), as
+CoefficientLists in one variable over ZZ and as sympy elements otherwise.
+The identity is checked on those rows before they are cleared into w, the
+monic lcm of the cofactors' denominators, and the h_j, by multiplying it out
+with a Leibniz kernel of its own (``_identity_holds``, the one function that
+multiplies out a witness identity).  That check shares with the lift only
+the arithmetic of its rows: the products, sums, differences, derivatives and
+scalar multiples of ``polynomials.CoefficientList`` (or of sympy's
+elements), and the scaling of q and the generators to the same kind of row.
+It shares none of the lift's own steps: not its Leibniz expansion, its sums
+over lcms or its gcds.  ``verify_witness`` runs ``_identity_holds`` on a
+witness from outside, scaled to sympy's sparse rows in every ring, so the
+public check shares no arithmetic with the lift at all.  A non-member answer
+replays nothing.
 The cross-checks are F(x)-linear solving on coefficient slices and, for a
 single operator in one variable, Euclidean left division.
 """
@@ -98,15 +100,11 @@ def verify_witness(witness: Witness, q: OperatorVector,
                    generators: Sequence[OperatorVector]) -> bool:
     """Check the identity w*q - sum_j h_j * p_j = 0 by multiplying it out on integer rows.
 
-    Each operand is scaled by one integer to ZZ[x] (ZZ_I[x] if any operand is
-    Gaussian): W = L_w w, Q = L_q q, H_j = L_(h_j) h_j and P_j = L_(p_j) p_j.
-    For M the lcm of L_w L_q and every L_(h_j) L_(p_j), the entries of
-    ``(M / (L_w L_q)) W Q - sum_j (M / (L_(h_j) L_(p_j))) H_j P_j``, which is
-    M times the identity, must all cancel.  A product ``H_j P_j`` takes each
-    shifted row ``D^beta P_j`` once, one derivation at a time.  The rows are
-    sympy's sparse elements even in one variable over ZZ, so this check
-    runs none of the ``CoefficientList`` arithmetic that the lift and its
-    internal check (``_lift_cancels``) compute with.
+    w and every h_j are scaled by one integer L, to den = L w and
+    numerators[j, beta] = L h_j[beta] in ZZ[x] (ZZ_I[x] if one is Gaussian),
+    for ``_identity_holds``.  Its rows are sympy's sparse elements even in one
+    variable over ZZ, so this check runs none of the ``CoefficientList``
+    arithmetic that the lift and the internal check compute with.
 
     A certificate of the wrong shape is rejected: a zero w, a w that is not a
     polynomial, a w in another number of variables, a wrong number of
@@ -122,68 +120,43 @@ def verify_witness(witness: Witness, q: OperatorVector,
                and all(fits(d, q.m, 1) for d in h.terms) for h in witness.cofactors):
         return False
     _validate_polynomial_rows(q, generators)
-    # a zero cofactor's product is zero, so its generator is not scaled
-    operands = [q] + [p for pair in zip(witness.cofactors, generators) if pair[0] for p in pair]
-    (w_scale, (w,)), *scaled = integer_polynomials(
-        [[witness.w]] + [list(p.terms.values()) for p in operands])
-    rows = [(scale, _keyed(p, values)) for p, (scale, values) in zip(operands, scaled)]
-    products = [((h_scale, {alpha: v for (_, alpha), v in h_row.items()}), p)
-                for (h_scale, h_row), p in zip(rows[1::2], rows[2::2])]
-    return _cancels((w_scale, w), rows[0], products)
+    entries = {(j, d.alpha): c for j, h in enumerate(witness.cofactors) for d, c in h.terms.items()}
+    ((_, (den, *numerators)),) = integer_polynomials([[witness.w, *entries.values()]])
+    return _identity_holds(den, dict(zip(entries, numerators)), q, generators, lists=False)
 
 
-def _keyed(p: OperatorVector, values) -> dict:
-    """The row of p's integer coefficients, keyed by derivative."""
-    return dict(zip(p.terms, values))
+def _identity_holds(den, numerators, q: OperatorVector,
+                    generators: Sequence[OperatorVector], lists: bool) -> bool:
+    """Whether ``den * q = sum numerators[g, beta] * D^beta p_g``, multiplied out on integer rows.
 
-
-def _cancels(w, q, products) -> bool:
-    """Whether W Q - sum_j H_j P_j cancels, on integer rows with their integer scales.
-
-    ``w`` is (L_w, W), ``q`` is (L_q, Q) and each product is ((L_h, H), (L_p,
-    P)), for H keyed by multi-index and Q and P by derivative, all
-    in one integer ring.  For M the lcm of L_w L_q and every L_h L_p, each
-    term is weighted by M over its scales, so the residue is M times
-    ``w q - sum_j h_j p_j`` for w = W / L_w and so on.  A product ``H_j P_j``
-    takes each shifted row ``D^beta P_j`` once, one derivation at a time.
+    ``den`` and the numerators, keyed by (g, beta), are in one integer ring.
+    Only q and the generators with a numerator are scaled, to Q = L_q q and
+    P_g = L_g p_g (rows of the lift's kind with ``lists``, sympy's without).
+    For M the lcm of those scales, every entry of ``(M / L_q) den Q - sum
+    (M / L_g) N_(g, beta) D^beta P_g`` must cancel.  Each ``D^beta P_g`` is
+    built once (``_shifts``); if one side is Gaussian, both go to ZZ_I[x].
     """
-    (w_scale, w), (q_scale, q_row) = w, q
-    top = math.lcm(w_scale * q_scale, *[h_scale * p_scale
-                                         for (h_scale, _), (p_scale, _) in products])
-    if top != w_scale * q_scale:
-        w = w.mul_ground(top // (w_scale * q_scale))
-    residue = {key: w * c for key, c in q_row.items()}
-    for (h_scale, h_row), (p_scale, p_row) in products:
-        k = top // (h_scale * p_scale)
-        shifted = _shifts(p_row, w.ring.gens)
-        for beta, h in h_row.items():
-            if k != 1:
-                h = h.mul_ground(k)
-            for key, c in shifted(beta).items():
-                term = h * c
-                residue[key] = residue[key] - term if key in residue else -term
-    return not any(residue.values())
-
-
-def _lift_cancels(den, numerators, q: OperatorVector,
-                  generators: Sequence[OperatorVector]) -> bool:
-    """Whether ``den * q = sum_g numerators[g] * generators[g]`` for a lift's integer rows.
-
-    The check of ``weyl_closure_member`` on the rows it already validated:
-    only q and the generators with a cofactor are scaled to integer rows of
-    the lift's kind (CoefficientLists in one variable over ZZ), once, and den
-    and the numerators are taken as the lift made them.
-    """
-    used = list(numerators)
+    used = list(dict.fromkeys(g for g, _ in numerators))
     operands = [q] + [generators[g] for g in used]
-    scaled = integer_polynomials([list(p.terms.values()) for p in operands], lists=True)
-    rows = [(scale, _keyed(p, values)) for p, (scale, values) in zip(operands, scaled)]
-    hs = [numerators[g] for g in used]
+    scaled = integer_polynomials([list(p.terms.values()) for p in operands], lists=lists)
     if any(values and values[0].ring is not den.ring for _, values in scaled):
-        # one side is Gaussian: the other moves to ZZ_I[x] too
-        den, hs = gaussian(den), [{alpha: gaussian(v) for alpha, v in h.items()} for h in hs]
-        rows = [(scale, {key: gaussian(v) for key, v in row.items()}) for scale, row in rows]
-    return _cancels((1, den), rows[0], [((1, h), row) for h, row in zip(hs, rows[1:])])
+        den, numerators = gaussian(den), {key: gaussian(v) for key, v in numerators.items()}
+        scaled = [(scale, [gaussian(v) for v in values]) for scale, values in scaled]
+    (q_scale, q_row), *rows = scaled
+    top = math.lcm(q_scale, *[scale for scale, _ in rows])
+    if top != q_scale:
+        den = den.mul_ground(top // q_scale)
+    residue = {key: den * c for key, c in zip(q.terms, q_row)}
+    shifted = {g: (top // scale, _shifts(dict(zip(generators[g].terms, row)), den.ring.gens))
+               for g, (scale, row) in zip(used, rows)}
+    for (g, beta), h in numerators.items():
+        k, shifts_of_p = shifted[g]
+        if k != 1:
+            h = h.mul_ground(k)
+        for key, c in shifts_of_p(beta).items():
+            term = h * c
+            residue[key] = residue[key] - term if key in residue else -term
+    return not any(residue.values())
 
 
 def weyl_closure_member(q: OperatorVector,
@@ -201,7 +174,7 @@ def weyl_closure_member(q: OperatorVector,
     # Its identity is checked on the lift's own integer rows before they are
     # cleared into the witness.
     lifted = basis.lift_rows(trace.cofactors)
-    if not _lift_cancels(lifted.den, lifted.numerators, q, generators):
+    if not _identity_holds(lifted.den, lifted.numerators, q, generators, lists=True):
         raise RuntimeError("internal error: extracted witness failed verification")
     w, cofactors = cleared(lifted, m)
     witness = Witness(w, [cofactors.get(g, OperatorVector.zero(m, 1))

@@ -261,7 +261,7 @@ class CoefficientList(tuple):
     every element of ZZ[x] in one variable that this module makes: the
     ``a`` and ``b`` of every real univariate ``RationalFunction`` and
     ``Polynomial``, and so the integer rows of the witness lift
-    (``riquier``) and of the internal check (``closure._lift_cancels``).
+    (``riquier``) and of the internal check (``closure._identity_holds``).
     There sympy's cost of building a ``PolyElement`` for every small product
     rivals the arithmetic.  It answers the part of the ``PolyElement``
     interface that this module and those callers use (``+``, ``-``, ``*``,
@@ -780,7 +780,10 @@ class RationalFunction:
                 and self._a == o._a and self._b == o._b)
 
     def __hash__(self):
-        return hash((self._c, self._a, self._b))
+        a, b = self._a, self._b
+        if a.is_ground and b.is_ground:  # a constant equals its scalar, so it hashes as one
+            return hash(self.constant_value())
+        return hash((self._c, a, b))
 
     def __repr__(self):
         return f"RationalFunction({self.num!r}, {self.den!r})"

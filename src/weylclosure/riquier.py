@@ -30,7 +30,9 @@ completion that is never lifted builds no replay state at all.
 
 The replay does no F(x) arithmetic.  Each replayed element holds its
 cofactors as polynomial numerators over one polynomial denominator, all in
-the integer ring ZZ[x] (ZZ_I[x] in complex mode).  ``polynomials.integer_pair``
+the integer ring ZZ[x] (ZZ_I[x] in complex mode), the numerators in one
+table keyed by (g, alpha) for the D^alpha entry of generator g's cofactor;
+only ``_operators``, at the edge, groups them by g.  ``polynomials.integer_pair``
 chooses their form by the ring: in one variable over ZZ they are
 ``polynomials.CoefficientList`` rows, and otherwise sympy's sparse elements.
 They keep that form from the multipliers to ``cleared``, which hands them to
@@ -90,22 +92,24 @@ class _Node(NamedTuple):
     scale: RationalFunction
 
 
+Row = Tuple[int, MultiIndex]  # (g, alpha): the D^alpha entry of generator g's cofactor
+
+
 class _Lifted(NamedTuple):
     """Generator cofactors over one denominator, with integer-ring entries.
 
-    Generator g's cofactor is the sum of ``numerators[g][alpha] / den * D^alpha``;
+    Generator g's cofactor is the sum of ``numerators[g, alpha] / den * D^alpha``;
     ``den`` and every numerator are elements of one ring ZZ[x] or ZZ_I[x]:
     CoefficientLists in one variable over ZZ, sympy elements otherwise.
     """
 
     den: Any
-    numerators: Dict[int, Dict[MultiIndex, Any]]
+    numerators: Dict[Row, Any]
 
 
 def _gaussian(lifted: _Lifted) -> _Lifted:
-    return _Lifted(gaussian(lifted.den), {
-        g: {alpha: gaussian(v) for alpha, v in cof.items()}
-        for g, cof in lifted.numerators.items()})
+    return _Lifted(gaussian(lifted.den),
+                   {key: gaussian(v) for key, v in lifted.numerators.items()})
 
 
 # a scalar operator as (beta, (u, v)) per term (u/v) D^beta, u and v integral
@@ -139,8 +143,7 @@ def _product(pairs: Pairs, source: _Lifted) -> _Lifted:
         u, v = pairs[0][1]
         return _Lifted(source.den if v == 1 else v * source.den,
                        source.numerators if u == 1 else {
-                           g: {alpha: u * value for alpha, value in cof.items()}
-                           for g, cof in source.numerators.items()})
+                           key: u * value for key, value in source.numerators.items()})
     den, x = source.den, source.den.ring.gens
     one = den.ring.one
     lcm = pairs[0][1][1]
@@ -159,16 +162,12 @@ def _product(pairs: Pairs, source: _Lifted) -> _Lifted:
 
     def d_step(j, numerators, delta):
         # D_j (N D^alpha) = d_j(N) D^alpha + N D^(alpha + e_j)
-        out = {}
-        for g, cof in numerators.items():
-            shifted: Dict[MultiIndex, Any] = {}
-            for alpha, v in cof.items():
-                dv = v.diff(x[j])
-                if dv:
-                    add_term(shifted, alpha, dv)
-                add_term(shifted, alpha[:j] + (alpha[j] + 1,) + alpha[j + 1:], v)
-            if shifted:
-                out[g] = shifted
+        out: Dict[Row, Any] = {}
+        for (g, alpha), v in numerators.items():
+            dv = v.diff(x[j])
+            if dv:
+                add_term(out, (g, alpha), dv)
+            add_term(out, (g, alpha[:j] + (alpha[j] + 1,) + alpha[j + 1:]), v)
         return out
 
     q_at = stepwise(one, q_step)  # Q_gamma
@@ -194,16 +193,13 @@ def _product(pairs: Pairs, source: _Lifted) -> _Lifted:
             add_term(factors, tuple(b - c for b, c in zip(beta, gamma)), factor)
     # each shifted numerator D^delta P is multiplied once, by its summed factor
     shift = stepwise(source.numerators, d_step)
-    total: Dict[int, Dict[MultiIndex, Any]] = {}
+    total: Dict[Row, Any] = {}
     for delta, factor in factors.items():
         unit = factor == one
-        for g, cof in shift(delta).items():
-            target = total.setdefault(g, {})
-            for alpha, value in cof.items():
-                add_term(target, alpha, value if unit else factor * value)
+        for key, value in shift(delta).items():
+            add_term(total, key, value if unit else factor * value)
     scale = powers[top + 1]
-    return _Lifted(scale if lcm == one else lcm * scale,
-                   {g: cof for g, cof in total.items() if cof})
+    return _Lifted(scale if lcm == one else lcm * scale, total)
 
 
 def _sum(parts: List[_Lifted]) -> _Lifted:
@@ -215,20 +211,17 @@ def _sum(parts: List[_Lifted]) -> _Lifted:
         return parts[0]
     if any(part.den.ring is not parts[0].den.ring for part in parts):
         parts = [_gaussian(part) for part in parts]
-    den, total = parts[0].den, {g: dict(cof) for g, cof in parts[0].numerators.items()}
+    den, total = parts[0].den, dict(parts[0].numerators)
     for part in parts[1:]:
         factor = None
         if part.den != den:
             _, factor, other = gcd_cofactors(den, part.den)  # den/gcd, part.den/gcd
             if other != 1:
-                total = {g: {alpha: other * v for alpha, v in cof.items()}
-                         for g, cof in total.items()}
+                total = {key: other * v for key, v in total.items()}
                 den = den * other
-        for g, cof in part.numerators.items():
-            target = total.setdefault(g, {})
-            for alpha, value in cof.items():
-                add_term(target, alpha, value if factor is None else factor * value)
-    return _Lifted(den, {g: cof for g, cof in total.items() if cof})
+        for key, value in part.numerators.items():
+            add_term(total, key, value if factor is None else factor * value)
+    return _Lifted(den, total)
 
 
 def _cancelled(lifted: _Lifted) -> _Lifted:
@@ -242,13 +235,12 @@ def _cancelled(lifted: _Lifted) -> _Lifted:
     if lifted.den.is_ground:
         return lifted
     common, rest = lifted.den, lifted.den.ring.one  # den = common * rest
-    quotients: Dict[Tuple[int, MultiIndex], Any] = {}  # numerator / common
+    quotients: Dict[Row, Any] = {}  # numerator / common
     # short numerators first: the gcd with them is cheap and often constant
     # (the length of a row is its number of terms, or its degree + 1 for a
     # CoefficientList: either way a size)
-    entries = sorted(((g, alpha, v) for g, cof in lifted.numerators.items()
-                      for alpha, v in cof.items()), key=lambda entry: len(entry[2]))
-    for g, alpha, value in entries:
+    entries = sorted(lifted.numerators.items(), key=lambda entry: len(entry[1]))
+    for key, value in entries:
         if value.is_ground:
             return lifted
         quotient = None
@@ -259,24 +251,23 @@ def _cancelled(lifted: _Lifted) -> _Lifted:
             if common.is_ground:
                 return lifted
             rest = rest * shrink
-            quotients = {key: q * shrink for key, q in quotients.items()}
-        quotients[g, alpha] = quotient
-    numerators: Dict[int, Dict[MultiIndex, Any]] = {}
-    for (g, alpha), q in quotients.items():
-        numerators.setdefault(g, {})[alpha] = q
-    return _Lifted(rest, numerators)
+            quotients = {row: q * shrink for row, q in quotients.items()}
+        quotients[key] = quotient
+    return _Lifted(rest, quotients)
 
 
-def _operators(numerators: Dict[int, Dict[MultiIndex, Any]], den, m: int) -> Cofactors:
-    """The cofactors numerators/den as scalar operators over F(x), at the replay's edge."""
-    return {g: OperatorVector({Derivative(1, alpha): integer_ratio(v, den)
-                               for alpha, v in cof.items()}, m, 1)
-            for g, cof in numerators.items()}
+def _operators(numerators: Dict[Row, Any], den, m: int) -> Cofactors:
+    """The cofactors numerators/den as scalar operators over F(x), at the replay's edge:
+    the one place that groups the rows by generator."""
+    terms: Dict[int, Dict[Derivative, RationalFunction]] = {}
+    for (g, alpha), v in numerators.items():
+        terms.setdefault(g, {})[Derivative(1, alpha)] = integer_ratio(v, den)
+    return {g: OperatorVector(cof, m, 1) for g, cof in terms.items()}
 
 
 def cleared(lifted: _Lifted, m: int) -> Tuple[Polynomial, Cofactors]:
-    """(w, h) of a lift's integer rows: w is den made monic, and h[g] is
-    numerators[g] over den's leading coefficient, as a scalar operator."""
+    """(w, h) of a lift's integer rows: w is den made monic, and h[g] is the
+    rows numerators[g, alpha] over den's leading coefficient, as a scalar operator."""
     den = lifted.den
     return monic_polynomial(den), _operators(lifted.numerators, den.ring.ground_new(den.LC), m)
 
@@ -331,7 +322,7 @@ class DerivationLog:
         ids = list(ids)
         if self._replayed is None:
             one = self._unit()
-            self._replayed = {j: _Lifted(one, {j: {(0,) * self.m: one}})
+            self._replayed = {j: _Lifted(one, {(j, (0,) * self.m): one})
                               for j in range(self.generators)}
         todo = set()
         stack = [i for i in ids if i not in self._replayed]
@@ -352,9 +343,10 @@ class DerivationLog:
         return [_operators(lifted.numerators, lifted.den, self.m) for lifted in self.replay(ids)]
 
     def lift_rows(self, terms: Iterable[Term]) -> _Lifted:
-        """(den, numerators) with den * sum(multiplier * source) = sum_g
-        numerators[g] * generator g, on integer rows with no polynomial factor
-        common to den and every numerator; ``cleared`` makes them (w, h).
+        """(den, numerators) with den * sum(multiplier * source) = sum over
+        (g, alpha) of numerators[g, alpha] * D^alpha * generator g, on integer
+        rows with no polynomial factor common to den and every numerator;
+        ``cleared`` makes them (w, h).
         """
         terms = list(terms)
         self.replay(source for _, source in terms)
@@ -414,7 +406,8 @@ class RiquierBasis:
 
     def lift_rows(self, multipliers: Mapping[int, OperatorVector]) -> _Lifted:
         """``lift`` before its edge: the integer rows (den, numerators) with
-        den * sum_k multipliers[k] * elements[k] = sum_g numerators[g] * generator g."""
+        den * sum_k multipliers[k] * elements[k] = sum over (g, alpha) of
+        numerators[g, alpha] * D^alpha * generator g."""
         return self.derivation.lift_rows(
             (multiplier, self.made_by[k]) for k, multiplier in multipliers.items())
 

@@ -265,9 +265,9 @@ def test_acceptance_9_annihilation_consistency():
 
 def test_acceptance_10_parser_round_trip_and_fuzz():
     ok = True
-    for text, m, n in CORPUS:
-        p = parse_operator(text, m, n)
-        ok = ok and parse_operator(format_operator(p), m, n) == p
+    for text, m, n, field in CORPUS:
+        p = parse_operator(text, m, n, field)
+        ok = ok and parse_operator(format_operator(p), m, n, field) == p
     rng = random.Random(101010)
     alphabet = "xyD123i+-*/^()[]u. "
     for _ in range(10_000):

@@ -99,6 +99,9 @@ def test_zero_candidate_is_always_a_member():
 def test_nonzero_candidate_against_empty_system():
     result = weyl_closure_member(op("D"), [op("0")])
     assert not result.member
+    # no generators at all: N = 0
+    assert not weyl_closure_member(op("D"), []).member
+    assert not membership_via_lemma1(op("D"), [])
 
 
 def test_vector_candidate_membership():
@@ -217,10 +220,8 @@ def test_a_wrong_lift_cannot_pass_the_internal_check(monkeypatch, field):
 
     def one_wrong_numerator(basis, multipliers):
         lifted = lift_rows(basis, multipliers)
-        (g, cofactor), *_ = lifted.numerators.items()
-        alpha, value = next(iter(cofactor.items()))
-        return lifted._replace(numerators={
-            **lifted.numerators, g: {**cofactor, alpha: value + lifted.den}})
+        key, value = next(iter(lifted.numerators.items()))
+        return lifted._replace(numerators={**lifted.numerators, key: value + lifted.den})
 
     monkeypatch.setattr(RiquierBasis, "lift_rows", one_wrong_numerator)
     with pytest.raises(RuntimeError, match="internal error"):
@@ -232,16 +233,17 @@ def test_the_internal_check_takes_rows_of_either_integer_ring():
     real, gaussian = op("D"), parse_operator("(x + i)*D", 1, 1, "complex")
     one = integer_pair(RationalFunction.constant(1, 1))[0]
     for row_of, p in ((lambda v: v, gaussian), (polynomials.gaussian, real)):
-        den, h = row_of(one), {(0,): row_of(one)}
-        assert closure._lift_cancels(den, {0: h}, p, [p])
-        assert not closure._lift_cancels(den, {0: h}, p.left_scale(rat("2")), [p])
+        den, numerators = row_of(one), {(0, (0,)): row_of(one)}
+        assert closure._identity_holds(den, numerators, p, [p], lists=True)
+        assert not closure._identity_holds(den, numerators, p.left_scale(rat("2")), [p],
+                                           lists=True)
 
 
 
 def _lift_rows_of(q, gens):
     basis = complete_to_riquier_basis(gens, q.m, q.n)
     lifted = basis.lift_rows(reduce_full(q, basis.elements).cofactors)
-    return [lifted.den] + [v for cof in lifted.numerators.values() for v in cof.values()]
+    return [lifted.den] + list(lifted.numerators.values())
 
 
 def test_the_lift_rows_are_coefficient_lists_only_in_one_variable_over_zz():

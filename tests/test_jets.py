@@ -276,6 +276,8 @@ def test_check_jet_constraints_order_mismatch():
     system = constraint_matrix(basis_of("D^2"), 2, ZERO)
     with pytest.raises(InvalidInput):
         check_jet_constraints(jet_1d(0, [1, 1]), system)
+    with pytest.raises(InvalidInput, match="base point"):
+        check_jet_constraints(jet_1d(1, [1, 1, 0]), system)
 
 
 # -- formal solutions ------------------------------------------------------
@@ -543,6 +545,8 @@ def test_pick_regular_point_avoids_zeros():
     x = Polynomial.variable(1, 1)
     assert pick_regular_point([x], 1) == (Fraction(1),)
     assert pick_regular_point([x - Polynomial.constant(1, 1), x], 1) == (Fraction(-1),)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        pick_regular_point([x], 2)
 
 
 def test_pick_regular_point_no_constraints():

@@ -260,3 +260,17 @@ def test_apply_to_jet_rejects_a_term_outside_n_m():
     with returns_within(2):
         with pytest.raises(InvalidInput, match="operator term given for unknown 1"):
             apply_to_jet(op("D + x") + outside(), jet_1d(0, [1, 0, -1, 0, 3]))
+
+
+def test_operands_of_the_wrong_shape_are_rejected():
+    p = op("x*D + 1")
+    with pytest.raises(IndexError, match="derivation index 0"):
+        operators.apply_single_d(0, p)
+    with pytest.raises(InvalidInput, match="scalar operator"):
+        scalar_operator_product(op("D [u2]", 1, 2), p)
+    with pytest.raises(InvalidInput, match="variable counts differ"):
+        scalar_operator_product(op("D1", 2), p)
+    with pytest.raises(InvalidInput, match="dimensions differ"):
+        apply_to_jet(op("D [u1]", 1, 2), jet_1d(0, [1, 0, -1]))
+    with pytest.raises(InvalidInput, match="dimensions differ"):
+        apply_to_jet(op("D1", 2), jet_1d(0, [1, 0, -1]))

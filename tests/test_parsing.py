@@ -67,6 +67,8 @@ def test_parse_division_by_operator_rejected():
         op("1/D")
     with pytest.raises(ParseError):
         op("D/x")
+    with pytest.raises(ParseError, match="without derivations"):
+        parse_rational("D", 1)
 
 
 def test_parse_component_tags():
@@ -85,6 +87,8 @@ def test_parse_imaginary_unit_needs_complex_field():
     assert p.coefficient(Derivative(1, (1,))) == GaussianRational(0, 1)
     with pytest.raises(ParseError):
         op("i*D")
+    with pytest.raises(ParseError, match="unknown field mode 'quaternion'"):
+        op("x", field="quaternion")
 
 
 def test_parse_nonpositive_exponent_rejected():
@@ -303,27 +307,34 @@ def test_error_trailing_garbage():
         op("x + ")
     with pytest.raises(ParseError):
         op("x )")
+    with pytest.raises(ParseError, match="trailing input"):
+        parse_rational("x)", 1)
 
 
 # -- round trip ------------------------------------------------------------
 
 CORPUS = [
-    ("x^2*D^2 - 2*x*D + 2", 1, 1),
-    ("D^2 - (2/x)*D + 2/x^2", 1, 1),
-    ("D^3", 1, 1),
-    ("-D^2 + x^2 - 1", 1, 1),
-    ("D1*D2 - x2*D1", 2, 1),
-    ("D^2 [u1] + x [u2]", 1, 2),
-    ("0", 1, 1),
-    ("3/4", 1, 1),
+    ("x^2*D^2 - 2*x*D + 2", 1, 1, "real"),
+    ("D^2 - (2/x)*D + 2/x^2", 1, 1, "real"),
+    ("D^3", 1, 1, "real"),
+    ("-D^2 + x^2 - 1", 1, 1, "real"),
+    ("D1*D2 - x2*D1", 2, 1, "real"),
+    ("D^2 [u1] + x [u2]", 1, 2, "real"),
+    ("0", 1, 1, "real"),
+    ("3/4", 1, 1, "real"),
+    # Gaussian coefficients: -i, k*i and a - b*i, a negative imaginary
+    # coefficient and a parenthesized one on a monomial
+    ("(1 + i)*x^2*D - i*x + (2 - 3*i)", 1, 1, "complex"),
+    ("-i*D^2 + (-1/2*i)*x", 1, 1, "complex"),
+    ("((x + i)/(x - i))*D - i", 1, 1, "complex"),
+    ("(-i*x)/(x + 1)", 1, 1, "complex"),
 ]
 
 
 def test_round_trip_on_corpus():
-    for text, m, n in CORPUS:
-        p = op(text, m, n)
-        assert parse_operator(format_operator(p), m, n) == p
-
+    for text, m, n, field in CORPUS:
+        p = op(text, m, n, field)
+        assert parse_operator(format_operator(p), m, n, field) == p
 
 
 def test_a_polynomial_order_0_coefficient_prints_without_parentheses():

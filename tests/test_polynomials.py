@@ -87,6 +87,27 @@ def test_rat_eval_at_pole():
         r.evaluate((Fraction(0),))
 
 
+def test_division_by_zero_and_arguments_out_of_range_raise():
+    zero, r = Polynomial.zero(1), RationalFunction(X + ONE, X)
+    with pytest.raises(ZeroDivisionError):
+        RationalFunction(X, zero)
+    with pytest.raises(ZeroDivisionError):
+        r / 0
+    with pytest.raises(ZeroDivisionError):
+        RationalFunction.zero(1).inverse()
+    with pytest.raises(ZeroDivisionError):
+        X.exact_div(zero)
+    assert 2 / r == 2 * r.inverse() == RationalFunction(X.scale(2), X + ONE)
+    with pytest.raises(IndexError, match="variable index 0"):
+        Polynomial.variable(0, 2)
+    with pytest.raises(ValueError, match="negative"):
+        X ** -1
+    with pytest.raises(ValueError):
+        zero ** 0
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        X.evaluate((Fraction(1), Fraction(2)))
+
+
 # -- gcd machinery ---------------------------------------------------------
 
 def test_lcm_multivariate():
@@ -612,6 +633,19 @@ def test_rational_functions_equal_plain_scalars():
     assert RationalFunction(x.scale(I), x) == I
     assert RationalFunction(x + 1, x) != 1
     assert RationalFunction.zero(2) == 0 and not RationalFunction.zero(2)
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+def test_constants_hash_as_the_scalars_they_equal(nvars):
+    x = Polynomial.variable(nvars, nvars)
+    scalars = [0, 2, -7, Fraction(1, 2), Fraction(-5, 3), GaussianRational(4), I,
+               GaussianRational(Fraction(1, 2), -3)]
+    for v in scalars:
+        # made as a constant, and as a quotient that cancels to one
+        for r in (RationalFunction.constant(v, nvars), RationalFunction(x.scale(v), x)):
+            assert r == v and hash(r) == hash(v)
+            assert v in {r} and r in {v}
+    assert 2 in {RationalFunction.constant(2, 1)}
 
 
 def test_the_denominator_is_monic():

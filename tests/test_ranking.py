@@ -209,6 +209,12 @@ def test_reduce_full_rejects_mismatched_rule_dimensions(p, rules, message):
     assert str(info.value) == message
 
 
+def test_reduce_full_rejects_a_zero_rule():
+    with pytest.raises(InvalidInput) as info:
+        reduce_full(op("D^2"), [op("D"), op("0")])
+    assert str(info.value) == "reduction rules must be nonzero"
+
+
 def test_pick_rule_prefers_the_highest_head_then_the_lowest_index():
     heads = [Derivative(1, (1, 0)), Derivative(1, (0, 1)), Derivative(1, (1, 1)),
              Derivative(1, (1, 1)), Derivative(2, (0, 0))]

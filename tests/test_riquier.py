@@ -88,6 +88,10 @@ def test_single_generator_just_goes_monic():
 def test_empty_input_yields_empty_basis():
     basis = complete_to_riquier_basis([op("0")], 1, 1)
     assert basis.elements == [] and basis.s0 == 0
+    assert complete_to_riquier_basis([], 1, 1).elements == []
+    # with no generator, nothing tells the dimensions
+    with pytest.raises(ValueError, match="dimensions required"):
+        complete_to_riquier_basis([])
 
 
 @pytest.mark.parametrize("generators, dims, message", [
@@ -740,9 +744,9 @@ def test_witness_strings_after_a_cancelled_gcd_are_pinned(m, n, gens, q, basis, 
 def test_lift_sums_over_denominators_with_integer_content_stay_over_their_lcm():
     # a lift denominator carries integer content: a coefficient 1/2 gives v = 2
     x, = PolyRing(["x"], ZZ, grlex).gens
-    parts = [riquier._Lifted(x.ring.ground_new(d), {0: {(0,): x}}) for d in (2, 4, 4)]
+    parts = [riquier._Lifted(x.ring.ground_new(d), {(0, (0,)): x}) for d in (2, 4, 4)]
     total = riquier._sum(parts)
-    assert total.den == 4 and total.numerators == {0: {(0,): 4 * x}}
+    assert total.den == 4 and total.numerators == {(0, (0,)): 4 * x}
 
 
 # -- metamorphic checks: the reduced monic basis depends only on the module --
