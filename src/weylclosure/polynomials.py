@@ -35,8 +35,8 @@ them; only a real factor of a Gaussian value is moved back to ``ZZ``.
 Fraction-free callers, such as the witness lift, cross
 a second edge: ``integer_pair`` and ``integer_polynomials`` hand out a
 numerator and denominator in the integer ring, of the triple's own kind,
-``gcd_cofactors`` takes their gcds, ``exact_quotient`` their exact
-quotients, and ``integer_ratio`` and ``monic_polynomial`` take integer-ring
+``gcd_cofactors`` takes their gcds and, as its cofactors, every quotient they
+need, and ``integer_ratio`` and ``monic_polynomial`` take integer-ring
 results back; the callers run one code on either kind and never test which
 they hold.  One conversion between the kinds remains, ``_sparse``: the
 public ``closure.verify_witness`` multiplies on sympy's sparse rows, so that
@@ -267,11 +267,10 @@ class CoefficientList(tuple):
     interface that this module and those callers use (``+``, ``-``, ``*``,
     ``==`` with a row or an integer, ``diff``, ``mul_ground``, ``items``,
     ``get``, ``new``, ``is_ground``, ``LC`` and ``ring``), so they run one
-    code on either kind of element; ``gcd_cofactors`` and ``exact_quotient``
-    take it as it is, and ``_power`` raises either to a power.  A product
-    skips the zero coefficients of both factors, so it costs terms x terms,
-    never degree x degree, and a factor of one term is a shifted scalar
-    multiple.
+    code on either kind of element; ``gcd_cofactors`` takes it as it is,
+    and ``_power`` raises either to a power.  A product skips the zero
+    coefficients of both factors, so it costs terms x terms, never degree x
+    degree, and a factor of one term is a shifted scalar multiple.
     """
 
     __slots__ = ()
@@ -535,7 +534,7 @@ def _quotient(f, h):
     """
     low = len(h) - 1
     if len(f) <= low:
-        return None
+        return None if f else []
     r, lead, q = list(f), h[-1], [_NIL] * (len(f) - low)
     tail = [(j, v) for j, v in enumerate(h[:low]) if v]
     for i in range(len(q) - 1, -1, -1):
@@ -547,23 +546,6 @@ def _quotient(f, h):
             for j, v in tail:
                 r[i + j] -= c * v
     return None if any(r[:low]) else q
-
-
-def exact_quotient(a, b):
-    """a / b if the nonzero b divides a in their integer ring, else None.
-
-    Two CoefficientLists divide by ``_quotient``'s long division, which
-    ``_packed_gcd`` also certifies with; sympy elements use sympy's division.
-    Divisibility is over the integer ring, as with sympy's ``div``: 2x + 8
-    does not divide x + 4 over ZZ.
-    """
-    if not a:
-        return a
-    if type(a) is CoefficientList:
-        q = _quotient(a, b)
-        return None if q is None else CoefficientList(q)
-    q, r = a.div(b)
-    return None if r else q
 
 
 def _one_of(ring):
@@ -664,13 +646,6 @@ def _canonical(c, a, b):
     return c, a, b
 
 
-def _lowest_terms(num: Polynomial, den: Polynomial):
-    """The triple of num/den for a nonzero num and den: the one full gcd."""
-    (c, a, _), (e, b, _) = num._triples(den)
-    _, a, b = gcd_cofactors(a, b)
-    return _canonical(c / e, a, b)
-
-
 # -- rational functions ----------------------------------------------------
 
 _ZEROS: dict = {}  # the zero rational function in each number of variables
@@ -686,13 +661,9 @@ class RationalFunction:
 
     __slots__ = ("_c", "_a", "_b")
 
-    def __new__(cls, num: Polynomial, den: Polynomial | None = None):
-        """num / den in lowest terms; ``RationalFunction(p)`` is p itself."""
-        if den is not None and den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-        if den is None or num.is_zero():
-            return num
-        return RationalFunction._new(*_lowest_terms(num, den))
+    def __new__(cls, num: Polynomial, den=None):
+        """num / den, as ``/`` makes it; ``RationalFunction(p)`` is p itself."""
+        return num if den is None else num / den
 
     def __init__(self, *args):
         """Nothing to do: ``__new__`` built the value.
@@ -1026,10 +997,8 @@ class Polynomial(RationalFunction):
             total = total + value
         return total
 
-    def exact_div(self, divisor: "Polynomial") -> "Polynomial":
-        """Exact quotient self / divisor; raises ValueError if not divisible."""
-        if divisor.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
+    def exact_div(self, divisor) -> "Polynomial":
+        """self / divisor for a polynomial or scalar divisor; ValueError if not a polynomial."""
         quotient = self / divisor
         if not quotient.is_polynomial():
             raise ValueError("inexact polynomial division")

@@ -42,9 +42,11 @@ multiplier expands ``D^beta * 1/B`` by the Leibniz rule, summing the factors
 of each shift first so that each shifted numerator is multiplied once, and a
 sum goes over the lcm of the denominators.  Each result is divided by the
 gcd of its denominator and all its numerators, a chain of gcds that stops
-once it is constant.  Every gcd and lcm here comes from ``polynomials.gcd_cofactors``,
-the library's one gcd kernel.  The lift of a reduction is then over the lcm
-of the cofactors' reduced denominators: made monic, that is the witness's w.
+once it is constant.  Every gcd, lcm and quotient here comes from
+``polynomials.gcd_cofactors``, the library's one gcd kernel: a quotient is
+one of its cofactors, never a trial division.  The lift of a reduction is
+then over the lcm of the cofactors' reduced denominators: made monic, that
+is the witness's w.
 Rational functions appear only at the edge, in the cofactors handed out.
 """
 
@@ -69,8 +71,8 @@ from .operators import (
     stepwise,
 )
 from .ranking import ReductionTrace, pick_rule, reduce_full
-from .polynomials import (Polynomial, RationalFunction, exact_quotient, gaussian, gcd_cofactors,
-                          integer_pair, integer_ratio, monic_polynomial)
+from .polynomials import (Polynomial, RationalFunction, gaussian, gcd_cofactors, integer_pair,
+                          integer_ratio, monic_polynomial)
 
 if TYPE_CHECKING:
     from .jets import SolvePlan
@@ -146,10 +148,18 @@ def _product(pairs: Pairs, source: _Lifted) -> _Lifted:
                            key: u * value for key, value in source.numerators.items()})
     den, x = source.den, source.den.ring.gens
     one = den.ring.one
-    lcm = pairs[0][1][1]
-    for _, (_, v) in pairs[1:]:
-        if v != lcm:
-            lcm = lcm * gcd_cofactors(lcm, v)[2]
+    # the lcm L of the v so far, and each term's base u * (L / v), kept exact
+    # as L grows: with (g, L/g, v/g) = gcd_cofactors(L, v), L * (v/g) / v = L/g
+    lcm, bases = pairs[0][1][1], [pairs[0][1][0]]
+    for _, (u, v) in pairs[1:]:
+        if v == lcm:
+            bases.append(u)
+            continue
+        _, lcm_g, v_g = gcd_cofactors(lcm, v)
+        if v_g != 1:
+            bases = [base * v_g for base in bases]
+            lcm = lcm * v_g
+        bases.append(u * lcm_g)
     ground = den.is_ground
     top = 0 if ground else max(sum(beta) for beta, _ in pairs)
     powers = [one, den]  # B^k for k <= top + 1
@@ -173,8 +183,7 @@ def _product(pairs: Pairs, source: _Lifted) -> _Lifted:
     q_at = stepwise(one, q_step)  # Q_gamma
     # the factor of each shift delta = beta - gamma, summed over its (beta, gamma)
     factors: Dict[MultiIndex, Any] = {}
-    for beta, (u, v) in pairs:
-        base = u if v == lcm else u * exact_quotient(lcm, v)
+    for (beta, _), base in zip(pairs, bases):
         # a constant B has no derivatives, so only gamma = 0 contributes
         gammas = [zero] if ground else itertools.product(*(range(b + 1) for b in beta))
         for gamma in gammas:
@@ -229,8 +238,10 @@ def _cancelled(lifted: _Lifted) -> _Lifted:
 
     Once G is constant no polynomial factor is common, so den/G is the lcm of
     the cofactors' reduced denominators (up to a constant factor).  G starts
-    as den and shrinks by one gcd for each numerator it does not divide, so
-    each quotient comes from that division or from the gcd's cofactors.
+    as den and takes one gcd with each numerator in turn, so every quotient
+    is a cofactor of that gcd: with (G', G/G', N/G') = gcd_cofactors(G, N),
+    the earlier quotients, over G, and the rest of den are multiplied by
+    G/G' before N/G' is stored.
     """
     if lifted.den.is_ground:
         return lifted
@@ -239,17 +250,11 @@ def _cancelled(lifted: _Lifted) -> _Lifted:
     # short numerators first: the gcd with them is cheap and often constant
     # (the length of a row is its number of terms, or its degree + 1 for a
     # CoefficientList: either way a size)
-    entries = sorted(lifted.numerators.items(), key=lambda entry: len(entry[1]))
-    for key, value in entries:
-        if value.is_ground:
+    for key, value in sorted(lifted.numerators.items(), key=lambda entry: len(entry[1])):
+        common, shrink, quotient = gcd_cofactors(common, value)
+        if common.is_ground:
             return lifted
-        quotient = None
-        if len(value) > 1 and len(common) > 1:  # the gcd of a sympy monomial is cheaper
-            quotient = exact_quotient(value, common)
-        if quotient is None:
-            common, shrink, quotient = gcd_cofactors(common, value)
-            if common.is_ground:
-                return lifted
+        if shrink != 1:
             rest = rest * shrink
             quotients = {row: q * shrink for row, q in quotients.items()}
         quotients[key] = quotient

@@ -5,9 +5,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 import pytest
-from sympy.polys.domains import ZZ
+from hypothesis import given, settings, strategies as st
+from sympy.polys.domains import ZZ, ZZ_I
 from sympy.polys.orderings import grlex
-from sympy.polys.rings import PolyRing
+from sympy.polys.rings import PolyElement, PolyRing
 
 from weylclosure import (
     Derivative,
@@ -27,7 +28,7 @@ from weylclosure import (
     verify_witness,
     weyl_closure_member,
 )
-from weylclosure import riquier
+from weylclosure import polynomials, riquier
 from weylclosure.cli import main
 from weylclosure.operators import derivatives_up_to
 from weylclosure.polynomials import poly_lcm
@@ -163,12 +164,18 @@ def test_retiring_keeps_the_tail_short(monkeypatch, rows):
     assert len(calls) == 11
 
 
-def test_retiring_pairs_lift_to_a_witness():
+def test_retiring_pairs_lift_to_a_witness(monkeypatch):
     # the log of a completion that retired elements lifts D1 to a witness
-    # (k=72: its lift takes about 1 s; that of k=70 takes about 10 s)
+    # (k=72: its lift takes about 1 s; that of k=70 takes about 4 s), and
+    # every quotient of the lift is a gcd cofactor, never a trial division
     gens = [op(row, 2) for row in TAIL["k=72"]]
     q = op("D1", 2)
-    with returns_within(30):
+
+    def refuse(*args):
+        raise AssertionError("the lift called sympy's polynomial division")
+
+    with monkeypatch.context() as patched, returns_within(30):
+        patched.setattr(PolyElement, "div", refuse)
         result = weyl_closure_member(q, gens)
     assert result.member
     assert verify_witness(result.witness, q, gens)
@@ -747,6 +754,88 @@ def test_lift_sums_over_denominators_with_integer_content_stay_over_their_lcm():
     parts = [riquier._Lifted(x.ring.ground_new(d), {(0, (0,)): x}) for d in (2, 4, 4)]
     total = riquier._sum(parts)
     assert total.den == 4 and total.numerators == {(0, (0,)): 4 * x}
+
+
+def test_a_product_keeps_each_term_exact_over_the_growing_lcm():
+    # the multiplier's denominators v1 = x2^2 - x1 and v1 * (x1 + 3*x2 + 1):
+    # sympy's dense gcd of the lcm with v1 is -v1, so a base read off the
+    # lcm's cofactor would flip the sign of the D1 term
+    source = RationalFunction(Polynomial.variable(2, 2), Polynomial.variable(1, 2) + 1)
+    multiplier = op("1/(x2^2 - x1)*D1 + 3/((x2^2 - x1)*(x1 + 3*x2 + 1))", 2)
+    num, den = polynomials.integer_pair(source)
+    lifted = riquier._product(riquier._pairs(multiplier),
+                              riquier._Lifted(den, {(0, (0, 0)): num}))
+    expected = scalar_operator_product(multiplier, OperatorVector.scalar_function(source, 2))
+    assert riquier._operators(lifted.numerators, lifted.den, 2) == {0: expected}
+
+
+def _units(domain):
+    return ZZ_I.units if domain is ZZ_I else [ZZ(1), ZZ(-1)]
+
+
+def _divides(a, b):
+    """a divides b in their integer ring: sympy's cofactor of a by gcd(a, b) is a unit."""
+    a, b = polynomials._sparse(a), polynomials._sparse(b)
+    _, cofactor, _ = a.cofactors(b)
+    return cofactor.is_ground and cofactor.LC in _units(a.ring.domain)
+
+
+def assert_cancels(lifted):
+    """_cancelled keeps every ratio N/den, over a divisor of den whose gcd with
+    all the new numerators is constant."""
+    cancelled = riquier._cancelled(lifted)
+    den, new_den = lifted.den, cancelled.den
+    assert cancelled.numerators.keys() == lifted.numerators.keys()
+    for key, value in lifted.numerators.items():
+        assert new_den * value == den * cancelled.numerators[key]
+    assert _divides(new_den, den)
+    common = polynomials._sparse(new_den)
+    for value in cancelled.numerators.values():
+        common = common.gcd(polynomials._sparse(value))
+    assert common.is_ground
+
+
+@st.composite
+def planted_rows(draw):
+    """A _Lifted in one variable (coefficient lists) or two (sympy's rows) over ZZ,
+    whose denominator G * D and numerators share a planted nonconstant factor G.
+
+    One numerator is a multiple of the denominator, which every running common
+    factor divides; another is G * A, which the running factor G * D need not.
+    """
+    nvars = draw(st.integers(1, 2))
+    one = polynomials._one(nvars)
+    monomials = st.tuples(*[st.integers(0, 2)] * nvars)
+
+    def element(constant=True):
+        terms = draw(st.dictionaries(monomials, st.integers(-3, 3).filter(bool),
+                                     min_size=1 if constant else 2, max_size=3))
+        return one.new({m: ZZ(c) for m, c in terms.items()})
+
+    g, d = element(constant=False), element()
+    den = g * d
+    values = [g * element(), den * element()] + [g * element()
+                                                 for _ in range(draw(st.integers(0, 2)))]
+    return riquier._Lifted(den, {(k, (0,) * nvars): v for k, v in enumerate(values)})
+
+
+@settings(deadline=None, max_examples=80)
+@given(planted_rows())
+def test_cancelled_keeps_every_ratio_over_a_divisor_with_no_common_factor(lifted):
+    assert_cancels(lifted)
+
+
+def test_cancelled_over_gaussian_rows():
+    x, = polynomials._one(1, ZZ_I).ring.gens
+    g = x + ZZ_I(0, 1)  # x + i
+    d = x * x + ZZ_I(2, 0)
+    den = g * g * d
+    rows = {(0, (0,)): g * (x + ZZ_I(1, 1)), (1, (0,)): den * (x - ZZ_I(3, 0)),
+            (1, (1,)): g * g * ZZ_I(0, 2)}
+    lifted = riquier._Lifted(den, rows)
+    assert_cancels(lifted)
+    # the common factor is g: the reduced denominator is g * d up to a unit
+    assert riquier._cancelled(lifted).den.degree() == 3
 
 
 # -- metamorphic checks: the reduced monic basis depends only on the module --
