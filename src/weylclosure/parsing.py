@@ -5,12 +5,15 @@ Grammar (``*`` is noncommutative and mandatory between factors)::
     row     :=  expr ( tag )? ( ('+'|'-') expr ( tag )? )*
     expr    :=  term ( ('+'|'-') term )*
     term    :=  factor ( ('*'|'/') factor )*
-    factor  :=  '-' factor  |  primary ( '^' INT )?
+    factor  :=  '-'* primary ( '^' INT )?
     primary :=  INT  |  'i'  |  variable  |  derivation  |  '(' expr ')'
     tag     :=  '[' 'u' INT ']'
 
-Division requires both operands to be pure functions (no derivations), which
-keeps the noncommutative product unambiguous.  Component tags appear only at
+Parentheses nest at most ``_MAX_NESTING`` deep, and a run of unary minus
+signs is read in a loop, so no input can exhaust Python's recursion limit:
+deeper nesting is a ParseError at the parenthesis that opens one level too
+many.  Division requires both operands to be pure functions (no
+derivations), which keeps the noncommutative product unambiguous.  Component tags appear only at
 the top level of a row and are required when n > 1.
 
 Text is evaluated straight to standard form.  A function (a value with no
@@ -46,6 +49,7 @@ _END, _INT, _NAME, _SYM, _BAD = 0, 1, 2, 3, 4
 _VARIABLE_RE = re.compile(r"x\d+")
 _DERIVATION_RE = re.compile(r"D\d+")
 _TAG_RE = re.compile(r"u\d+")
+_MAX_NESTING = 100  # parenthesis levels; each takes four frames of the recursive descent
 
 
 def _tokenize(text: str):
@@ -130,6 +134,7 @@ class _Parser:
         self.n = n
         self.field = field
         self.zero = (0,) * m
+        self.depth = 0  # the parentheses open at the current token
 
     # -- token plumbing ----------------------------------------------------
 
@@ -220,9 +225,13 @@ class _Parser:
             self.advance()
             return self._resolve_name(text, position)
         if self.at_symbol("(") is not None:
+            if self.depth == _MAX_NESTING:
+                raise ParseError(f"parentheses nested more than {_MAX_NESTING} deep", position)
             self.advance()
+            self.depth += 1
             value = self.parse_expr()
             self.expect_symbol(")")
+            self.depth -= 1
             return value
         self.fail("expected a number, identifier or parenthesized expression")
 
@@ -260,9 +269,10 @@ class _Parser:
         return tuple([1 if j == index else 0 for j in range(1, self.m + 1)])
 
     def parse_factor(self):
-        if self.at_symbol("-") is not None:
+        negated = False
+        while self.at_symbol("-") is not None:  # a run of signs, read without recursion
             self.advance()
-            return _negated(self.parse_factor())
+            negated = not negated
         value = self.parse_primary()
         if self.at_symbol("^") is not None:
             self.advance()
@@ -277,7 +287,7 @@ class _Parser:
             if negative or exponent == 0:
                 raise ParseError("exponent must be a positive integer", position)
             value = self.power(value, exponent)
-        return value
+        return _negated(value) if negated else value
 
     def parse_term(self):
         value = self.parse_factor()

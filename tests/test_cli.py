@@ -401,6 +401,30 @@ def test_syntax_error_in_row(tmp_path, capsys):
     assert main(["riquier", str(path)]) == 2
 
 
+DEEP = "(" * 300 + "D" + ")" * 300
+
+
+@pytest.mark.parametrize("argv, row", [
+    (["member", "{path}", "--q", DEEP], "D"),
+    (["member", "{path}", "--q=" + "-" * 1200 + "(" * 101 + "D" + ")" * 101], "D"),
+    (["riquier", "{path}"], DEEP),
+], ids=["q", "signs-then-parentheses", "row"])
+def test_deep_nesting_exits_2_with_a_positioned_message(tmp_path, capsys, argv, row):
+    path = tmp_path / "deep.sys"
+    path.write_text(f"vars: 1\nrow: {row}\n")
+    assert main([arg.format(path=path) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: parentheses nested more than 100 deep (at position")
+
+
+def test_a_long_run_of_minus_signs_is_a_valid_candidate(tmp_path, capsys):
+    path = tmp_path / "d.sys"
+    path.write_text("vars: 1\nrow: D\n")
+    code, doc = run(capsys, ["member", str(path), "--q=" + "-" * 1200 + "D"])
+    assert code == 0 and doc["member"] is True
+
+
 def test_complex_field_mode(tmp_path, capsys):
     path = tmp_path / "cplx.sys"
     path.write_text("field: complex\nvars: 1\nrow: D - i\n")

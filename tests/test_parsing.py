@@ -20,6 +20,7 @@ from weylclosure import (
     parse_rational,
     scalar_operator_product,
 )
+from weylclosure import parsing
 from weylclosure.systemio import load_system, parse_initial_conditions, parse_point
 from conftest import random_operator
 
@@ -295,6 +296,31 @@ def test_error_unknown_name():
         op("x2", 1)
     with pytest.raises(ParseError):
         op("foo")
+
+
+@pytest.mark.parametrize("parse", [
+    lambda text: op(text),
+    lambda text: parse_rational(text, 1),
+], ids=["operator", "rational"])
+def test_nesting_beyond_the_limit_is_a_positioned_parse_error(parse):
+    # 300 levels would overflow an unbounded recursive descent (RecursionError)
+    limit = parsing._MAX_NESTING
+    assert parse("(" * limit + "x" + ")" * limit) == parse("x")
+    for depth in (limit + 1, 300, 5000):
+        with pytest.raises(ParseError, match=f"nested more than {limit} deep") as e:
+            parse("(" * depth + "x" + ")" * depth)
+        assert e.value.position == limit
+    # the limit counts open parentheses only: closed ones free their level
+    wide = "+".join(["(" * limit + "x" + ")" * limit] * 3)
+    assert parse(wide) == parse("3*x")
+
+
+def test_a_run_of_minus_signs_parses_without_recursion():
+    # a sign per recursion would overflow the recursive descent at 1,200 signs
+    assert op("-" * 1200 + "D") == op("D")
+    assert op("-" * 1201 + "D") == op("-D")
+    assert op("x*" + "-" * 5001 + "x^2") == op("-x^3")
+    assert op("(" + "-" * 3 + "(x + 1))^2") == op("(x + 1)^2")
 
 
 def test_error_empty_input():

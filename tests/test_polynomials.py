@@ -882,13 +882,114 @@ def test_the_gcd_kernel_is_chosen_by_the_ring(monkeypatch):
     assert calls == []  # univariate ZZ, as coefficient lists: the packed kernel, no sympy call
     two = _reference_ring(2, ZZ)
     gcd_cofactors(*map(two.from_expr, sympify(["t0**2 - t1**2", "t0**2 + 2*t0*t1 + t1**2"])))
+    assert calls == []  # two variables over ZZ: the packed kernel at powers of one xi
     gaussian = _reference_ring(1, ZZ_I)
     x = gaussian.gens[0]
     gcd_cofactors(x**2 + 1, x**2 + ZZ_I(0, 2) * x - 1)  # (x + i)(x - i) and (x + i)^2
-    assert calls == [ZZ, ZZ_I]
-    # a caller's own sympy elements of ZZ[x] take sympy's dense gcd as well
+    assert calls == [ZZ_I]
+    # a caller's own sympy elements of ZZ[x] take sympy's dense gcd
     gcd_cofactors(*map(_univariate, RETRIED))
-    assert calls == [ZZ, ZZ_I, ZZ]
+    assert calls == [ZZ_I, ZZ]
+
+
+# -- the packed kernel in two or more variables ---------------------------------
+
+
+@st.composite
+def multivariate_operands(draw):
+    """(a, b) in ZZ[t0, t1] or ZZ[t0, t1, t2] with a planted common factor, each
+    perhaps with a content and a monomial factor of its own, with coefficients
+    up to 3 (where the images share factors more often) or up to 10^12."""
+    nvars = draw(st.integers(2, 3))
+    ring = _reference_ring(nvars, ZZ)
+    height = draw(st.sampled_from([3, 10**12]))
+    coefficients = st.integers(-height, height).filter(bool).map(ZZ)
+    monomials = st.tuples(*[st.integers(0, 3)] * nvars)
+
+    def element(max_size):  # nonzero
+        return ring.from_dict(draw(st.dictionaries(monomials, coefficients, min_size=1,
+                                                   max_size=max_size)))
+
+    common = element(4)
+    a, b = element(5) * common, element(5) * common
+    for _ in range(2):
+        if draw(st.booleans()):
+            monomial = ring.from_dict({draw(monomials): ZZ(1)})
+            a = a.mul_ground(ZZ(draw(st.integers(2, 6)))) * monomial
+        a, b = b, a
+    return a, b
+
+
+@settings(deadline=None, max_examples=150)
+@given(multivariate_operands())
+def test_multivariate_gcd_agrees_with_sympys_dense_gcd(operands):
+    a, b = operands
+    g, cff, cfg = gcd_cofactors(a, b)
+    assert g * cff == a and g * cfg == b
+    h = _sympy_gcd(a, b)[0]
+    assert g in (h, -h)
+    assert all(type(c) is ZZ.dtype for v in (g, cff, cfg) for c in v.values())
+    packed = polynomials._kronecker_gcd(a, b) if len(a) > 1 and len(b) > 1 and a != b else None
+    if packed is not None:  # the packed answer itself, not only the kernel's
+        assert packed[0] in (h, -h) and packed[0] * packed[1] == a and packed[0] * packed[2] == b
+
+
+def _spied(monkeypatch):
+    """The rings of the dmp_inner_gcd calls and the results of _image_gcd, as lists."""
+    calls, images = [], []
+    inner, image_gcd = polynomials.dmp_inner_gcd, polynomials._image_gcd
+    monkeypatch.setattr(polynomials, "dmp_inner_gcd",
+                        lambda *args: calls.append(args[-1]) or inner(*args))
+    monkeypatch.setattr(polynomials, "_image_gcd",
+                        lambda *args: images.append(image_gcd(*args)) or images[-1])
+    return calls, images
+
+
+@pytest.mark.parametrize("a, b, gcd, sympy_calls", [
+    # gcd 1, but the images share t^2, divided out before the gcd: t once t1
+    # is divided out of the second operand, 2 t0 + t1 -> 2 t^3 + t
+    ("2*t0**2 + 5*t0*t1 + 3*t1**2", "2*t0*t1 + t1**2", "1", 0),
+    # a gcd with no constant term: its image t^5 - t^2 is t^2 times the gcd H found
+    ("t0*t1 - t1**3", "(t0 - t1**2)**2", "t0 - t1**2", 0),
+    # gcd 1, but the images share t - 1: t0 - 1 -> t^2 - 1 and t1 - 1 -> t - 1
+    ("t0 - 1", "t1 - 1", "1", 1),
+    ("6*t0*t1 + 4", "10*t0 + 2*t1**2", "2", 0),  # only the content is shared
+    ("t0**2*t1 + t0*t1**3", "t0**3*t1**2 - 3*t0*t1", "t0*t1", 0),  # only a monomial
+    ("12*t0**3*t1**2 + 6*t0**2*t1**3", "(8*t0**2 + 4*t0*t1)*(t1 - 3)", "2*t0*(2*t0 + t1)", 0),
+    ("(t0*t2 + t1 + 1)*(t0 - t2)", "(t0*t2 + t1 + 1)*(t1**2 + 3)", "t0*t2 + t1 + 1", 0),
+    # a cofactor with larger coefficients than the smaller operand: its digits
+    # are taken again at the larger operand's own xi
+    ("(3*t0**2 + 1)*(648*t0**9 - 1503*t0**5 - 1050*t0**4 + 9)*(t1 + 1)",
+     "(2*t0 + 1)*(3*t0**2 + 1)*(t1 + 1)", "(3*t0**2 + 1)*(t1 + 1)", 0),
+])
+def test_packed_multivariate_gcds_of_pinned_pairs(monkeypatch, a, b, gcd, sympy_calls):
+    ring = _reference_ring(3 if "t2" in a else 2, ZZ)
+    a, b, expected = (ring.from_expr(sympify(text)) for text in (a, b, gcd))
+    calls, images = _spied(monkeypatch)
+    g, cff, cfg = gcd_cofactors(a, b)
+    assert g in (expected, -expected) and g * cff == a and g * cfg == b
+    assert all(type(c) is ZZ.dtype for v in (g, cff, cfg) for c in v.values())
+    assert len(calls) == sympy_calls and len(images) == 1
+    if sympy_calls:
+        # the images' gcd was certified, and only its decoding failed: no
+        # larger xi can remove a factor of the images, so sympy answered at once
+        assert images[0] is not None
+
+
+@pytest.mark.parametrize("n, sympy_calls", [(1091, 0), (1092, 1)])
+def test_the_packed_size_rule_is_pinned_on_both_sides(monkeypatch, n, sympy_calls):
+    # g = t0^n + t1 + 1 with the cofactors t1 + 2 and t1 - 1: the smaller
+    # primitive operand has norm 1, so the first xi is 31, of 5 bits, and the
+    # images have (n + 1) * 3 digits: 16,380 bits for n = 1091, 16,395 for 1092
+    ring = _reference_ring(2, ZZ)
+    t0, t1 = ring.gens
+    g = t0**n + t1 + 1
+    a, b = g * (t1 + 2), g * (t1 - 1)
+    assert polynomials._PACKED_BITS == 2 ** 14
+    calls, images = _spied(monkeypatch)
+    h, cff, cfg = gcd_cofactors(a, b)
+    assert h in (g, -g) and h * cff == a and h * cfg == b
+    assert len(calls) == sympy_calls and len(images) == 1 - sympy_calls
 
 
 @pytest.mark.parametrize("a, b, quotient", [

@@ -181,6 +181,32 @@ def test_retiring_pairs_lift_to_a_witness(monkeypatch):
     assert verify_witness(result.witness, q, gens)
 
 
+# a tail system in two unknowns whose D1 membership needs a w of degree 33 in x1
+TAIL103 = ["3*D1 [u1] + ((-2*x1 - 1)*D1 - 3*x1^2 + x1) [u2]",
+           "((3*x1^2 + 1)*D2^2 + 3*x1^2 - 2*x1) [u2]",
+           "-3*x2*D2 [u1] + ((-3*x1 + 2)*D1) [u2]"]
+
+
+def test_the_lift_takes_its_two_variable_gcds_from_the_packed_kernel(monkeypatch):
+    # the membership takes 350 two-variable gcds over ZZ: the packed kernel
+    # answers all but one pair, whose images exceed _PACKED_BITS and which
+    # sympy's dense gcd, certified by trial division, takes instead
+    gens = [op(row, 2, 2) for row in TAIL103]
+    q = op("D1 [u1]", 2, 2)
+    calls, kernel_calls = [], []
+    inner, kernel = polynomials.dmp_inner_gcd, polynomials._kronecker_gcd
+    with monkeypatch.context() as patched, returns_within(30):
+        patched.setattr(polynomials, "dmp_inner_gcd",
+                        lambda *args: calls.append(args[-1]) or inner(*args))
+        patched.setattr(polynomials, "_kronecker_gcd",
+                        lambda a, b: kernel_calls.append(a.ring.ngens) or kernel(a, b))
+        result = weyl_closure_member(q, gens)
+    assert result.member
+    assert max(m[0] for m in result.witness.w.terms) == 33
+    assert verify_witness(result.witness, q, gens)
+    assert calls == [ZZ] and kernel_calls == [2] * 350
+
+
 @pytest.mark.parametrize("rows, m, n, q, full_completion_calls, basis_text, witness_text", [
     # the hand-written collapsing system: D2 (D1 - x2) - (D1 - x2) D2 = -1
     (["D1 - x2", "D2"], 2, 1, "D1^2", 7, ["1"],
