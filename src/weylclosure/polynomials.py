@@ -20,9 +20,9 @@ factor can remain, never of the full cross products.  Every gcd goes through
 one kernel, ``gcd_cofactors``: a zero, constant, equal or monomial operand
 is answered without a sympy call; a pair of coefficient lists, and a pair of
 sympy elements of ``ZZ`` in two or more variables (packed at powers of one
-xi), take a heuristic gcd on packed Python integers; and a Gaussian pair,
-and the few pairs that the packed kernels give back, go to sympy's dense
-gcd.
+xi), take one heuristic gcd on packed Python integers, certified by exact
+products; and a Gaussian pair, and the few pairs that the packed kernels
+give back, go to sympy's dense gcd.
 
 A polynomial is the ``b = 1`` case of the triple: ``Polynomial`` is the
 subclass of ``RationalFunction`` that ``RationalFunction._new`` picks for
@@ -216,26 +216,27 @@ def gcd_cofactors(a, b):
       gcd at all: the gcd with a constant or a monomial is c * x^mu, for c
       the gcd of all the coefficients and mu the componentwise minimum of
       all the exponents;
-    - a pair of ``CoefficientList``s goes to ``_packed_gcd``, the heuristic gcd of
-      Char, Geddes and Gonnet (GCDHEU, JSC 1989) on Python integers: each
-      primitive part is packed into one integer by evaluating it at xi, and
-      the gcd of the two integers is unpacked into balanced xi-adic digits.
-      With xi >= 2 * min(|f|, |g|) + 2 (max-norms of the primitive parts) on
-      every try, a primitive candidate that divides both parts is their gcd,
-      so the exact divisions certify the answer.  A try that fails is
-      retried with a larger xi, and after ``_PACKED_TRIES`` failures the pair
-      falls back to sympy;
+    - a pair of ``CoefficientList``s goes to ``_packed_gcd``, which divides
+      out the contents and hands the primitive parts to ``_image_gcd``, the
+      heuristic gcd of Char, Geddes and Gonnet (GCDHEU, JSC 1989) on Python
+      integers: each part is packed into one integer by evaluating it at xi,
+      and the gcd of the two integers is unpacked into balanced xi-adic
+      digits.  With xi >= 2 * min(|f|, |g|) + 2 (max-norms of the primitive
+      parts) on every try, a primitive candidate that divides both parts is
+      their gcd.  Both cofactors come from the integer quotients, and the
+      triple is certified by the exact products h * (f/h) = f and
+      h * (g/h) = g, compared on packed integers; no polynomial division is
+      tried.  A try that fails is retried with a larger xi, and after
+      ``_PACKED_TRIES`` failures the pair falls back to sympy;
     - a pair of sympy elements of ZZ[x1, ..., xn], n >= 2, goes to
-      ``_kronecker_gcd``: the same GCDHEU on the images under x_i -> t^(w_i),
-      a Kronecker substitution (von zur Gathen and Gerhard, *Modern Computer
-      Algebra*, ch. 8), with per-variable degree bounds as weights, so each
-      image is evaluated at a power of one xi.  Its cofactors come from the
-      integer quotients, and the triple is certified by the exact products
-      h * (f/h) = f and h * (g/h) = g, compared on packed integers; no
-      polynomial division is tried.  It gives a pair back to sympy when the
-      images share a factor that the operands do not (t - 1 for x1 - 1 and
-      x2 - 1; powers of t it divides out), and when the images would pack
-      into more than ``_PACKED_BITS`` bits, where sympy's gcd is faster;
+      ``_kronecker_gcd``: the same ``_image_gcd`` on the images under
+      x_i -> t^(w_i), a Kronecker substitution (von zur Gathen and Gerhard,
+      *Modern Computer Algebra*, ch. 8), with per-variable degree bounds as
+      weights, so each image is evaluated at a power of one xi.  It gives a
+      pair back to sympy when the images share a factor that the operands
+      do not (t - 1 for x1 - 1 and x2 - 1; powers of t it divides out), and
+      when the images would pack, at the larger operand's xi, into more than
+      ``_PACKED_BITS`` bits, where sympy's gcd is faster;
     - any other pair (ZZ_I, or a caller's own sympy elements of ZZ[x] in one
       variable) goes to sympy's dense gcd, whose heuristic gcd over ZZ beat
       the sparse one on every class of input the completion and the lift
@@ -488,40 +489,94 @@ def _lowest(a):
 
 
 _PACKED_TRIES = 4  # GCDHEU's tries before the fallback to sympy
-_PACKED_BITS = 2 ** 14  # the largest packed image of a pair in two or more variables
+_PACKED_BITS = 2 ** 15  # the largest packed image of a pair in two or more variables
 
 
 def _packed_gcd(f, g):
     """(h, f/h, g/h) as CoefficientLists for coefficient lists f, g of two or more terms, or None.
 
-    The first xi is 2 * min(|f|, |g|) + 29 for the max-norms of the primitive
-    parts f and g, so every xi keeps GCDHEU's bound 2 * min(|f|, |g|) + 2.
-    Coprime operands with content 1 come back as they are, f and g
-    themselves, with h = 1.
+    The contents are divided out, and their gcd multiplies h; ``_image_gcd``
+    takes the gcd of the primitive parts.  Coprime operands with content 1
+    come back as they are, f and g themselves, with h = 1.
     """
     f_content, g_content = math.gcd(*f), math.gcd(*g)
     content = math.gcd(f_content, g_content)
     f_part = f if f_content == 1 else [v // f_content for v in f]
     g_part = g if g_content == 1 else [v // g_content for v in g]
-    xi = 2 * min(max(map(abs, f_part)), max(map(abs, g_part))) + 29
+    found = _image_gcd(f_part, g_part, max(map(abs, f_part)), max(map(abs, g_part)))
+    if found is None:
+        return None
+    h, f_quotient, g_quotient = found
+    if len(h) == 1 and content == 1:
+        return _LIST_ONE, f, g
+    return (_listed(h, content), _listed(f_quotient, f_content // content),
+            _listed(g_quotient, g_content // content))
+
+
+def _image_gcd(f, g, f_norm, g_norm):
+    """(h, f/h, g/h) as coefficient lists for primitive f and g of two or more terms, or None.
+
+    The heuristic gcd of Char, Geddes and Gonnet (GCDHEU, JSC 1989) on
+    Python integers: f and g are packed into one integer each by evaluating
+    them at xi, and the gcd of the two integers is unpacked into balanced
+    xi-adic digits, whose primitive part is the candidate h.  Each cofactor
+    comes from an integer quotient (``_cofactor``) and is certified by an
+    exact product, not by a division.  The first xi is 2 * min(|f|, |g|) +
+    29 for the norms, the largest coefficients of f and g in absolute value,
+    so every xi keeps GCDHEU's bound 2 * min(|f|, |g|) + 2, under which a
+    primitive h that divides f and g is their gcd; xi passes the root bound
+    1 + min(|f|, |g|) as well, so h's leading coefficient is positive.  A
+    try that fails is retried with a larger xi, and after ``_PACKED_TRIES``
+    failures the pair falls back to sympy.  A constant h comes back as [1]
+    with f and g.
+    """
+    xi = 2 * min(f_norm, g_norm) + 29
     for _ in range(_PACKED_TRIES):
-        # xi passes the root bound 1 + min(|f|, |g|), so the gcd is positive and so is h[-1]
-        h = _unpacked(math.gcd(_packed(f_part, xi), _packed(g_part, xi)), xi)
+        f_value, g_value = _packed(f, xi), _packed(g, xi)
+        value = math.gcd(f_value, g_value)
+        h = _unpacked(value, xi)
+        if len(h) == 1:
+            return [1], f, g
         k = math.gcd(*h)
         if k != 1:
-            h = [v // k for v in h]
-        if len(h) == 1:  # coprime parts: the gcd is the content's
-            if content == 1:
-                return _LIST_ONE, f, g
-            f_quotient, g_quotient = f_part, g_part
-        else:
-            f_quotient = _quotient(f_part, h)
-            g_quotient = None if f_quotient is None else _quotient(g_part, h)
-        if g_quotient is not None:
-            return (_listed(h, content), _listed(f_quotient, f_content // content),
-                    _listed(g_quotient, g_content // content))
+            h, value = [v // k for v in h], value // k
+        f_quotient = _cofactor(h, f, f_norm, f_value // value, xi)
+        if f_quotient is not None:
+            g_quotient = _cofactor(h, g, g_norm, g_value // value, xi)
+            if g_quotient is not None:
+                return h, f_quotient, g_quotient
         xi = xi * 73794 // 27011  # about 2.73 times the last xi
     return None
+
+
+def _cofactor(h, f, f_norm, quotient, xi):
+    """f / h from the integer quotient f(xi) / h(xi), or None if h * (f/h) = f fails.
+
+    Below 2 * |f| + 2 the digits of a cofactor as large as f would not fit,
+    so the quotient is taken again at 2 * |f| + 29 (f's own first xi),
+    where f(xi) is not zero either; a quotient with a remainder there means
+    h does not divide f.
+    """
+    if xi < 2 * f_norm + 2:
+        xi = 2 * f_norm + 29
+        quotient, remainder = divmod(_packed(f, xi), _packed(h, xi))
+        if remainder:
+            return None
+    q = _unpacked(quotient, xi)
+    return q if _product_holds(h, q, f, f_norm, xi) else None
+
+
+def _product_holds(h, q, f, f_norm, xi):
+    """Whether h * q = f on coefficient lists, given h(xi) * q(xi) = f(xi) and f's norm.
+
+    Every coefficient of h * q - f is below X = |h|_1 * |q| + |f| + 1 in
+    absolute value, so the difference is zero when it vanishes at X: at xi
+    itself when xi >= X, and otherwise at X, on packed integers.
+    """
+    bound = sum(map(abs, h)) * max(map(abs, q)) + f_norm + 1
+    if bound <= xi:
+        return True
+    return _packed(h, bound) * _packed(q, bound) == _packed(f, bound)
 
 
 def _packed(coefficients, xi):
@@ -542,29 +597,6 @@ def _unpacked(value, xi):
             value += 1
         digits.append(digit)
     return digits
-
-
-def _quotient(f, h):
-    """f / h on coefficient lists (constant term first) if h divides f over ZZ, else None.
-
-    Long division from the top: a leading coefficient that h's does not
-    divide, or a nonzero remainder, means h does not divide f in ZZ[x].
-    Only the nonzero terms of h below its leading one are subtracted.
-    """
-    low = len(h) - 1
-    if len(f) <= low:
-        return None if f else []
-    r, lead, q = list(f), h[-1], [_NIL] * (len(f) - low)
-    tail = [(j, v) for j, v in enumerate(h[:low]) if v]
-    for i in range(len(q) - 1, -1, -1):
-        c, m = divmod(r[i + low], lead)
-        if m:
-            return None
-        if c:
-            q[i] = c
-            for j, v in tail:
-                r[i + j] -= c * v
-    return None if any(r[:low]) else q
 
 
 # -- sympy elements of ZZ[x1, ..., xn], n >= 2: GCDHEU at powers of one xi ----
@@ -592,13 +624,17 @@ def _kronecker_gcd(a, b):
     t - 1): no larger xi removes it, so it falls back to sympy at once.
 
     So does a pair whose images would pack into more than ``_PACKED_BITS``
-    bits at the first xi (d_1 * ... * d_n digits of its bit length): there
-    sympy's gcd, which evaluates one variable at a time, is faster.
-    Measured per call on the 826 two-variable pairs of the ``D1`` lifts of
-    three tail systems (k = 70, 92, 103) whose images take at most 2^18
-    bits, as the median ratio to sympy's time in each range of sizes: 0.13
-    to 0.33 below 2^13 bits, 0.75 from 2^13 to 2^14, 1.3 from 2^14 to 2^15,
-    and 2.3 to 7.4 above.
+    bits at the larger operand's first xi, 2 * max(|f|, |g|) + 29, at which
+    ``_cofactor`` takes that operand's cofactor (d_1 * ... * d_n digits of
+    its bit length): there sympy's gcd, which evaluates one variable at a
+    time, is faster.  Measured per call on the 852 two-variable pairs of the
+    ``D1`` lifts of three tail systems (k = 70, 92, 103), as the median
+    ratio to sympy's time in each range of that size: 0.14 to 0.33 below
+    2^14 bits, 0.78 from 2^14 to 2^15, 1.7 to 1.8 from 2^15 to 2^17, and
+    3.3 to 21 above.  The rule bounds neither a retry's larger xi nor the
+    exact products, which ``_product_holds`` may pack at a larger X: on the
+    754 of those pairs that it admits, the largest pack of a pair was at
+    most 1.8 times the size the rule counts.
     """
     a_content, b_content = math.gcd(*a.values()), math.gcd(*b.values())
     f_norm = max(map(abs, a.values())) // a_content
@@ -607,7 +643,7 @@ def _kronecker_gcd(a, b):
     b_low, b_high = _exponent_range(b)
     bounds = [max(p - q, r - s) + 1 for p, q, r, s in zip(a_high, a_low, b_high, b_low)]
     size = math.prod(bounds)
-    if size * (2 * min(f_norm, g_norm) + 29).bit_length() > _PACKED_BITS:
+    if size * (2 * max(f_norm, g_norm) + 29).bit_length() > _PACKED_BITS:
         return None
     weights = [math.prod(bounds[i + 1:]) for i in range(len(bounds))]
     f = _substituted(a, a_low, weights, size, a_content)
@@ -670,65 +706,6 @@ def _element(like, terms, k, shift):
     if any(shift):
         terms = {tuple(map(add, m, shift)): v for m, v in terms.items()}
     return like.new({m: _INTEGER(v * k) for m, v in terms.items()})
-
-
-def _image_gcd(f, g, f_norm, g_norm):
-    """(h, f/h, g/h) as coefficient lists in t for primitive f and g, or None.
-
-    GCDHEU as in ``_packed_gcd``, from the same first xi, but each cofactor
-    comes from an integer quotient (``_cofactor``) and is certified by an
-    exact product, not by a division.  With xi >= 2 * min(|f|, |g|) + 2 a
-    primitive h that divides f and g is their gcd.  A constant h comes back
-    as [1] with f and g.  The norms are the largest coefficients of f and g
-    in absolute value.
-    """
-    xi = 2 * min(f_norm, g_norm) + 29
-    for _ in range(_PACKED_TRIES):
-        f_value, g_value = _packed(f, xi), _packed(g, xi)
-        value = math.gcd(f_value, g_value)
-        h = _unpacked(value, xi)
-        if len(h) == 1:
-            return [1], f, g
-        k = math.gcd(*h)
-        if k != 1:
-            h, value = [v // k for v in h], value // k
-        f_quotient = _cofactor(h, f, f_norm, f_value // value, xi)
-        if f_quotient is not None:
-            g_quotient = _cofactor(h, g, g_norm, g_value // value, xi)
-            if g_quotient is not None:
-                return h, f_quotient, g_quotient
-        xi = xi * 73794 // 27011
-    return None
-
-
-def _cofactor(h, f, f_norm, quotient, xi):
-    """f / h from the integer quotient f(xi) / h(xi), or None if h * (f/h) = f fails.
-
-    Below 2 * |f| + 2 the digits of a cofactor as large as f would not fit,
-    so the quotient is taken again at 2 * |f| + 29 (f's own first xi),
-    where f(xi) is not zero either; a quotient with a remainder there means
-    h does not divide f.
-    """
-    if xi < 2 * f_norm + 2:
-        xi = 2 * f_norm + 29
-        quotient, remainder = divmod(_packed(f, xi), _packed(h, xi))
-        if remainder:
-            return None
-    q = _unpacked(quotient, xi)
-    return q if _product_holds(h, q, f, xi) else None
-
-
-def _product_holds(h, q, f, xi):
-    """Whether h * q = f on coefficient lists in t, given h(xi) * q(xi) = f(xi).
-
-    Every coefficient of h * q - f is below X = |h|_1 * |q| + |f| + 1 in
-    absolute value, so the difference is zero when it vanishes at X: at xi
-    itself when xi >= X, and otherwise at X, on packed integers.
-    """
-    bound = sum(map(abs, h)) * max(map(abs, q)) + max(map(abs, f)) + 1
-    if bound <= xi:
-        return True
-    return _packed(h, bound) * _packed(q, bound) == _packed(f, bound)
 
 
 def _one_of(ring):

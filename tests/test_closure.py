@@ -307,7 +307,7 @@ def test_verify_witness_runs_no_coefficient_list_arithmetic(monkeypatch):
     lists = polynomials.CoefficientList
     for name in ("__mul__", "__add__", "__sub__", "__neg__", "diff", "mul_ground"):
         monkeypatch.setattr(lists, name, refuse)
-    for name in ("_trimmed", "_list_gcd", "_quotient", "gcd_cofactors"):
+    for name in ("_trimmed", "_list_gcd", "_image_gcd", "gcd_cofactors"):
         monkeypatch.setattr(polynomials, name, refuse)
     assert verify_witness(witness, q, gens)
     assert not verify_witness(wrong, q, gens)

@@ -845,13 +845,14 @@ RETRIED = ("-3*x**8 - 7*x**7 + 7*x**6 + 2*x**5 - 10*x**4 + 2*x**3 + 4*x**2 - 4*x
 
 
 def test_packed_gcd_retries_with_a_larger_xi(monkeypatch):
-    tries = []
+    tries = {}  # each xi once, in the order of the tries: a try unpacks the gcd and cofactors
     unpacked = polynomials._unpacked
     monkeypatch.setattr(polynomials, "_unpacked",
-                        lambda value, xi: tries.append(xi) or unpacked(value, xi))
+                        lambda value, xi: tries.setdefault(xi) or unpacked(value, xi))
     a, b = map(_univariate_list, RETRIED)
     expected = _sympy_gcd(*map(_univariate, RETRIED))
     assert gcd_cofactors(a, b) == tuple(map(_from_sympy, expected))
+    tries = list(tries)
     assert len(tries) == 2 and tries[1] > tries[0]
     # every xi keeps GCDHEU's bound 2 * min(|f|, |g|) + 2 on the primitive parts
     assert tries[0] >= 2 * min(10, 13) + 2
@@ -976,16 +977,22 @@ def test_packed_multivariate_gcds_of_pinned_pairs(monkeypatch, a, b, gcd, sympy_
         assert images[0] is not None
 
 
-@pytest.mark.parametrize("n, sympy_calls", [(1091, 0), (1092, 1)])
-def test_the_packed_size_rule_is_pinned_on_both_sides(monkeypatch, n, sympy_calls):
-    # g = t0^n + t1 + 1 with the cofactors t1 + 2 and t1 - 1: the smaller
-    # primitive operand has norm 1, so the first xi is 31, of 5 bits, and the
-    # images have (n + 1) * 3 digits: 16,380 bits for n = 1091, 16,395 for 1092
+@pytest.mark.parametrize("other, n, sympy_calls", [
+    # norms 3 and 1: the larger operand's first xi is 35, of 6 bits, and the
+    # images have (n + 1) * 3 digits: 32,760 bits for n = 1819, 32,778 for 1820
+    ("t1 - 1", 1819, 0), ("t1 - 1", 1820, 1),
+    # norms 3 and 10^12 + 1: 41 bits a digit, 32,718 bits for n = 265 and
+    # 32,841 for n = 266, though at the smaller norm's xi (6 bits) both pairs
+    # would pack into fewer than 5,000
+    ("10**12*t1 - 1", 265, 0), ("10**12*t1 - 1", 266, 1),
+])
+def test_the_packed_size_rule_is_pinned_on_both_sides(monkeypatch, other, n, sympy_calls):
+    # g = t0^n + t1 + 1 with the cofactors t1 + 2 and other
     ring = _reference_ring(2, ZZ)
     t0, t1 = ring.gens
     g = t0**n + t1 + 1
-    a, b = g * (t1 + 2), g * (t1 - 1)
-    assert polynomials._PACKED_BITS == 2 ** 14
+    a, b = g * (t1 + 2), g * ring.from_expr(sympify(other))
+    assert polynomials._PACKED_BITS == 2 ** 15
     calls, images = _spied(monkeypatch)
     h, cff, cfg = gcd_cofactors(a, b)
     assert h in (g, -g) and h * cff == a and h * cfg == b
@@ -1002,7 +1009,7 @@ def test_the_packed_size_rule_is_pinned_on_both_sides(monkeypatch, n, sympy_call
     ("0", "x + 1", "0"),
 ])
 def test_exact_quotient_divides_over_zz_as_sympys_div_does(a, b, quotient):
-    # the packed gcd's certificate, _quotient, divides coefficient lists
+    # the library's exact quotients are gcd cofactors, on coefficient lists
     got = _exact_quotient(_univariate_list(a), _univariate_list(b))
     assert got == (None if quotient is None else _univariate_list(quotient))
     q, r = _univariate(a).div(_univariate(b))
@@ -1085,10 +1092,10 @@ def test_coefficient_list_exact_quotient_matches_sympys_div(a, b):
 
 
 def _exact_quotient(a, b):
-    """a / b as a CoefficientList by the packed gcd's certificate, or None if b does not
-    divide a."""
-    q = polynomials._quotient(a, b)
-    return None if q is None else CoefficientList(q)
+    """a / b as a CoefficientList from the cofactors of gcd_cofactors(a, b), or None if b
+    does not divide a: b divides a exactly when b's cofactor is a unit, +1 or -1."""
+    g, cff, cfg = gcd_cofactors(a, b)
+    return cff * cfg if cfg in (1, -1) else None
 
 
 def _from_sympy(element):

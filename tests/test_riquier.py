@@ -188,9 +188,9 @@ TAIL103 = ["3*D1 [u1] + ((-2*x1 - 1)*D1 - 3*x1^2 + x1) [u2]",
 
 
 def test_the_lift_takes_its_two_variable_gcds_from_the_packed_kernel(monkeypatch):
-    # the membership takes 350 two-variable gcds over ZZ: the packed kernel
-    # answers all but one pair, whose images exceed _PACKED_BITS and which
-    # sympy's dense gcd, certified by trial division, takes instead
+    # the membership takes 350 two-variable gcds over ZZ, and the packed
+    # kernel answers every one: no pair's images exceed _PACKED_BITS, and none
+    # goes to sympy's dense gcd, which certifies by trial division
     gens = [op(row, 2, 2) for row in TAIL103]
     q = op("D1 [u1]", 2, 2)
     calls, kernel_calls = [], []
@@ -204,7 +204,7 @@ def test_the_lift_takes_its_two_variable_gcds_from_the_packed_kernel(monkeypatch
     assert result.member
     assert max(m[0] for m in result.witness.w.terms) == 33
     assert verify_witness(result.witness, q, gens)
-    assert calls == [ZZ] and kernel_calls == [2] * 350
+    assert calls == [] and kernel_calls == [2] * 350
 
 
 @pytest.mark.parametrize("rows, m, n, q, full_completion_calls, basis_text, witness_text", [
