@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from typing import List, Optional
 
@@ -209,6 +210,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The options that take a value.  argparse reads a value that starts with '-'
+# ("--point -1/2", "--q -D^2") as an option, so such a value is attached to
+# its option first, as if written "--point=-1/2", unless it has the shape of
+# an option itself: "-h", or "--" and a lowercase letter, as every long option
+# of the CLI has.  An option with nothing after it is still an error.
+_VALUE_OPTIONS = frozenset({"--field", "--s", "--q", "--point", "--init", "--order", "--w", "--h"})
+_OPTION_SHAPE = re.compile(r"-h$|--[a-z]")
+
+
+def _attached(argv: List[str]) -> List[str]:
+    """argv with each value that starts with '-' attached to its option by '='."""
+    out: List[str] = []
+    i = 0
+    while i < len(argv):
+        arg = argv[i]
+        if (arg in _VALUE_OPTIONS and i + 1 < len(argv) and argv[i + 1].startswith("-")
+                and not _OPTION_SHAPE.match(argv[i + 1])):
+            out.append(f"{arg}={argv[i + 1]}")
+            i += 2
+        else:
+            out.append(arg)
+            i += 1
+    return out
+
+
 @functools.lru_cache(maxsize=None)
 def _parser() -> argparse.ArgumentParser:
     """The parser, built on the first call only: parsing does not change it."""
@@ -216,7 +242,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parser().parse_args(_attached(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
     except (WeylClosureError, OSError, ValueError) as exc:

@@ -5,21 +5,28 @@ derivative values at a point extends to a formal solution iff it is
 annihilated by every row ``cf(D^beta p)|_{x0}`` with ``|beta| <= s - deg p``.
 The formal solver fills in principal-derivative values in ranking order from
 the substitution rules, which is the constructive half of that equivalence.
-It compiles those rules at a point into a solve plan, kept on the basis: over
-Delta_T in ranking order, each entry is either parametric or a row of
-(earlier position, value) pairs.  Delta_s is a prefix of Delta_(s+1), so one
-plan per point serves every order, and a solve is one pass of exact
-multiply-adds over a prefix of it.  The principal/parametric classification
-of Delta_T is done once per basis (``RiquierBasis.ranked_up_to``): the plans
-and the constraint matrix's columns read its positions.
 
-Both evaluate first and differentiate second.  Each coefficient c of a basis
-element is Taylor-expanded at x0 once, as a truncated power series over Q or
-Q(i), and the evaluated row of ``D^beta p`` is read off the numeric Leibniz
-rule: column ``delta + gamma`` gets ``sum C(beta, gamma) d^(beta-gamma) c(x0)``
-over the terms ``c D^delta`` of p and ``gamma <= beta``.  No rational-function
-arithmetic happens here; ``operators.apply_to_jet`` keeps the symbolic shifts
-as an independent check.
+The basis is evaluated at a point in one place, its plan there
+(``SolvePlan``, kept in ``basis.solve_plans``), which the constraint matrix
+and every solve at that point share.  Both evaluate first and differentiate
+second.  Each element's Taylor table is built once: a polynomial coefficient
+c is expanded at x0 in full, since its series is finite, and a rational one,
+as a truncated power series over Q or Q(i), to the highest order asked, and
+again only when a higher order is asked.  Each evaluated row of ``D^beta p``
+is read once off the numeric Leibniz rule: column ``delta + gamma`` gets
+``sum C(beta, gamma) d^(beta-gamma) c(x0)`` over the terms ``c D^delta`` of p
+and ``gamma <= beta``.  No rational-function arithmetic happens here;
+``operators.apply_to_jet`` keeps the symbolic shifts as an independent check.
+
+The plan compiles the substitution rules over Delta_T in ranking order and
+stores them transposed: for each position, the later rows that read it, with
+their coefficients.  Delta_s is a prefix of Delta_(s+1), so one plan per
+point serves every order, and a solve pushes each nonzero value forward over
+a prefix of it, never visiting a row whose inputs are all zero.  Delta_T and
+its positions are ranked once per (m, n) (``riquier.ranked_delta``), and the
+principal/parametric classification once per basis
+(``RiquierBasis.ranked_up_to``): the plans and the constraint matrix's
+columns read both.
 
 The arithmetic is only what the answers need: integer factors (binomials,
 factorials) are multiplied out before one Fraction product per entry, and
@@ -33,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
+from itertools import count, repeat
 from math import comb, factorial, prod
 from operator import add
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
@@ -71,6 +78,8 @@ def constraint_matrix(basis: RiquierBasis, s: int,
                       point: Sequence[Scalar]) -> ConstraintSystem:
     """All rows cf(D^beta p)|_point over Delta_s, for p in the basis, |beta| <= s - deg p.
 
+    The rows are read off the basis's evaluation at the point
+    (``basis.solve_plans``), which the solve plan there shares.
     InvalidInput, before anything is built, when the matrix would have more
     than MAX_JET_SIZE entries.
     """
@@ -83,16 +92,18 @@ def constraint_matrix(basis: RiquierBasis, s: int,
         raise InvalidInput(
             f"the constraint matrix of order {s} has {nrows} rows and {ncols} columns, "
             f"{nrows * ncols} entries, more than the limit of {MAX_JET_SIZE}")
-    columns = basis.ranked[:basis.ranked_up_to(s)]
+    size = basis.ranked_up_to(s)  # before reading ranked, which this may replace
+    columns = basis.ranked[:size]
+    position = basis.position
+    plan = _plan(basis, point)
     rows: List[List[Scalar]] = []
     labels: List[Tuple[int, MultiIndex]] = []
     for index, p in enumerate(basis.elements):
         reach = s - p.degree()
-        table = _derivative_table(p, point, reach)
         for beta in sorted(multi_indices(basis.m, reach), key=lambda b: (sum(b), b)):
             row = [ZERO] * ncols
-            for key, value in _leibniz_row(table, beta).items():
-                row[basis.position[key]] = value
+            for key, value in plan.row(basis, index, beta, reach).items():
+                row[position[key]] = value
             rows.append(row)
             labels.append((index, beta))
     return ConstraintSystem(rows, labels, columns, s, point, basis)
@@ -123,42 +134,86 @@ def check_jet_constraints(jet: Jet, system: ConstraintSystem) -> bool:
 
 
 class SolvePlan:
-    """The substitution rules of a basis compiled at one point.
+    """The basis evaluated at one point, and its substitution rules compiled there.
 
-    ``rows[i]`` is None when ``basis.ranked[i]`` is parametric; otherwise the
-    value there is ``sum(c * value[j])`` over the ``(j, c)`` pairs of the
-    row, every j < i: the shifted rule's other terms, negated, with zero
-    coefficients dropped.  The positions are those of the basis's one
-    classification (``RiquierBasis.ranked_up_to``), so one plan serves every
-    order: a solve at a higher order extends it, a lower order reads a prefix.
+    It is the one place where the basis is evaluated at the point.  Element
+    k's derivative table (``_derivative_table``) is built on first use: the
+    values d^mu c(point) of its polynomial coefficients in full, and of its
+    rational ones through the highest order asked, expanded again only when a
+    higher order is asked.  Each evaluated row of D^beta p_k is built once,
+    by ``row``; ``constraint_matrix`` and the solve plan read the same rows.
+
+    The solve plan covers Delta_order in the basis's ranking: ``rows[i]`` is
+    the row that solves position i, the shifted rule whose head is
+    ``basis.ranked[i]``, or None when that derivative is parametric.  It is
+    stored transposed: ``readers[j]`` lists, in increasing i, the (i, c) with
+    j < i such that the value at i has the term c * (value at j), the
+    shifted rule's other terms negated, zero coefficients dropped.  So a
+    solve pushes each nonzero value forward and never visits a row whose
+    inputs are all zero.  One plan serves every order: a solve at a higher
+    order extends it, a lower order reads a prefix.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, point: Tuple[Scalar, ...]) -> None:
+        self.point = point
         self.order = -1
-        self.rows: List[Optional[Tuple[Tuple[int, Scalar], ...]]] = []
+        self.rows: List[Optional[Dict[Derivative, Scalar]]] = []
+        self.readers: List[List[Tuple[int, Scalar]]] = []
+        # per element index: its derivative table and the order it was built for
+        self._tables: Dict[int, Tuple[Dict[Derivative, Dict[MultiIndex, Scalar]], int]] = {}
+        self._rows: Dict[Tuple[int, MultiIndex], Dict[Derivative, Scalar]] = {}
 
-    def extend(self, basis: RiquierBasis, point: Tuple[Scalar, ...], order: int) -> None:
-        """Compile the rows up to ``order``; no row is added if this raises."""
+    def row(self, basis: RiquierBasis, k: int, beta: MultiIndex,
+            reach: int) -> Dict[Derivative, Scalar]:
+        """The evaluated row of D^beta p_k, built once; ``reach`` >= |beta| is
+        the order to expand p_k's table to, should the row need it expanded."""
+        row = self._rows.get((k, beta))
+        if row is None:
+            held = self._tables.get(k)
+            if held is None or held[1] < sum(beta):
+                table = _derivative_table(basis.elements[k], self.point, reach,
+                                          None if held is None else held[0])
+                held = self._tables[k] = table, reach
+            row = self._rows[k, beta] = _leibniz_row(held[0], beta)
+        return row
+
+    def extend(self, basis: RiquierBasis, order: int) -> None:
+        """Compile the plan up to ``order``; no position is added if this raises."""
         if order <= self.order:
             return
         start = len(self.rows)
         size = basis.ranked_up_to(order)
-        tables: Dict[int, Dict[Derivative, Dict[MultiIndex, Scalar]]] = {}
+        position = basis.position
+        ranked = basis.ranked
         rows = []
-        for d, rule in zip(basis.ranked[start:size], basis.ranked_rules[start:size]):
+        for i in range(start, size):
+            rule = basis.ranked_rules[i]
             if rule is None:
                 rows.append(None)
                 continue
-            if rule not in tables:
-                p = basis.elements[rule]
-                tables[rule] = _derivative_table(p, point, order - p.degree())
-            beta = tuple(a - b for a, b in zip(d.alpha, basis.heads[rule].alpha))
-            # the head coefficient of the shifted rule, at d itself, is 1
-            rows.append(tuple((basis.position[key], -value)
-                              for key, value in _leibniz_row(tables[rule], beta).items()
-                              if key != d and value))
+            head = basis.heads[rule]
+            beta = tuple(a - b for a, b in zip(ranked[i].alpha, head.alpha))
+            rows.append(self.row(basis, rule, beta, order - head.order))
+        # every row is built: nothing below raises
+        readers = self.readers
+        readers.extend([] for _ in rows)
+        for i, row in enumerate(rows, start):
+            if row is not None:
+                d = ranked[i]
+                for key, value in row.items():
+                    # the head coefficient of the shifted rule, at d itself, is 1
+                    if key != d and value:
+                        readers[position[key]].append((i, -value))
         self.rows.extend(rows)
         self.order = order
+
+
+def _plan(basis: RiquierBasis, point: Tuple[Scalar, ...]) -> SolvePlan:
+    """The basis's evaluation at the point, made on first use."""
+    plan = basis.solve_plans.get(point)
+    if plan is None:
+        plan = basis.solve_plans[point] = SolvePlan(point)
+    return plan
 
 
 def formal_solve(basis: RiquierBasis, point: Sequence[Scalar],
@@ -166,45 +221,50 @@ def formal_solve(basis: RiquierBasis, point: Sequence[Scalar],
     """The unique order-T jet with the given parametric values solving the system.
 
     Principal-derivative values are computed in increasing ranking order from
-    the substitution rule of the basis element whose head divides them, as
-    one pass of exact multiply-adds over the basis's solve plan at the point
-    (``basis.solve_plans``), which is compiled on the first solve there and
-    extended when a later solve asks for a higher order.  Unspecified
-    parametric values default to zero.  A value given for a derivative that
-    does not fit the system's (m, n), lies above the truncation order or is
-    principal raises InvalidInput, and so does a point without m coordinates.
+    the substitution rule of the basis element whose head divides them: the
+    basis's solve plan at the point (``basis.solve_plans``), compiled on the
+    first solve there and extended when a later solve asks for a higher
+    order, pushes each nonzero value forward to the rows that read it.
+    Unspecified parametric values default to zero.  A value given for a
+    derivative that does not fit the system's (m, n), lies above the
+    truncation order or is principal raises InvalidInput, and so does a point
+    without m coordinates.  Each value is checked by one lookup of its
+    position; the checks by fit and by order run only when a lookup fails.
     """
     if order < basis.s0:
         raise SBelowS0(f"truncation order {order} is below the basis degree {basis.s0}")
-    check_fits(init, basis.m, basis.n, "initial value")
-    for d in init:
-        if d.order > order:
-            raise InvalidInput(
-                f"initial value given for {format_derivative(d, basis.m, basis.n)} "
-                f"above the truncation order {order}")
+    size = basis.n * comb(order + basis.m, basis.m)
+    found = list(map(basis.position.get, init, repeat(size, len(init))))
+    missed = max(found, default=0) >= size
+    if missed:
+        check_fits(init, basis.m, basis.n, "initial value")
+        for d in init:
+            if d.order > order:
+                raise InvalidInput(
+                    f"initial value given for {format_derivative(d, basis.m, basis.n)} "
+                    f"above the truncation order {order}")
     point = _check_point(basis, point)
-    plan = basis.solve_plans.get(point)
-    if plan is None:
-        plan = basis.solve_plans[point] = SolvePlan()
-    plan.extend(basis, point, order)
-    size = basis.ranked_up_to(order)
+    plan = _plan(basis, point)
+    plan.extend(basis, order)
+    if missed:  # the ranking covers Delta_order now
+        found = list(map(basis.position.__getitem__, init))
     values: List[Scalar] = [ZERO] * size
-    for d, value in init.items():
-        i = basis.position[d]
+    for i, (d, value) in zip(found, init.items()):
         if plan.rows[i] is not None:
             raise InvalidInput(
                 f"initial value given for the principal derivative "
                 f"{format_derivative(d, basis.m, basis.n)}; "
                 f"only parametric derivatives take initial values")
         values[i] = value
-    for i, row in enumerate(plan.rows[:size]):
-        if row is not None:
-            total: Scalar = ZERO  # a row with no nonzero term builds no new zero
-            for j, c in row:
-                v = values[j]
-                if v:
-                    total = total + c * v
-            values[i] = total
+    readers = plan.readers
+    # every push goes to a later position, so enumerate meets each value after
+    # all its pushes; most values are the shared ZERO, which ``is`` skips cheaply
+    for j, v in enumerate(values):
+        if v is not ZERO and v:
+            for i, c in readers[j]:
+                if i >= size:
+                    break
+                values[i] = values[i] + c * v
     return Jet(point, order, basis.m, basis.n, dict(zip(basis.ranked, values)))
 
 
@@ -212,8 +272,11 @@ def formal_solve(basis: RiquierBasis, point: Sequence[Scalar],
 
 
 def _shifted_series(f: Polynomial, point: Tuple[Scalar, ...],
-                    order: int) -> Dict[MultiIndex, Scalar]:
-    """Coefficients of f(point + y) as a polynomial in y, truncated at total degree order."""
+                    order: Optional[int] = None) -> Dict[MultiIndex, Scalar]:
+    """Coefficients of f(point + y) as a polynomial in y, truncated at total degree order.
+
+    With no order, every term is kept.
+    """
     series: Dict[MultiIndex, Scalar] = {}
     for mono, c in f.terms.items():
         # expand prod_j (x0_j + y_j)^e_j binomially, one variable at a time,
@@ -229,7 +292,7 @@ def _shifted_series(f: Polynomial, point: Tuple[Scalar, ...],
                 factors = {e: 1}
             grown: Dict[MultiIndex, Scalar] = {}
             for mu, value in partial.items():
-                room = order - sum(mu)
+                room = e if order is None else order - sum(mu)  # k never passes e
                 for k, factor in factors.items():
                     if k <= room:
                         grown[mu + (k,)] = value if factor == 1 else value * factor
@@ -242,12 +305,18 @@ def _shifted_series(f: Polynomial, point: Tuple[Scalar, ...],
 
 def _coefficient_derivatives(c: RationalFunction, point: Tuple[Scalar, ...],
                              order: int) -> Dict[MultiIndex, Scalar]:
-    """The nonzero values d^mu c(point) for |mu| <= order, from the Taylor series of c."""
+    """The nonzero values d^mu c(point), from the Taylor series of c.
+
+    All of them for a polynomial c, whose series is finite, and those with
+    |mu| <= order for any other c.
+    """
     if len(point) != c.nvars:
         raise ValueError("point dimension mismatch")
-    series = _shifted_series(c.num, point, order)
-    if not c.is_polynomial():  # a polynomial's denominator is 1: it is monic
-        num, den = series, _shifted_series(c.den, point, order)
+    if c.is_polynomial():  # a polynomial's denominator is 1: it is monic
+        series = _shifted_series(c.num, point)
+    else:
+        num = _shifted_series(c.num, point, order)
+        den = _shifted_series(c.den, point, order)
         lead = den.pop((0,) * len(point), 0)
         if not lead:
             raise EvaluationAtPole(f"denominator vanishes at {format_point(point)}")
@@ -268,10 +337,16 @@ def _coefficient_derivatives(c: RationalFunction, point: Tuple[Scalar, ...],
     return derivatives
 
 
-def _derivative_table(p: OperatorVector, point: Tuple[Scalar, ...],
-                      order: int) -> Dict[Derivative, Dict[MultiIndex, Scalar]]:
-    """For each term c*D^delta of p, the values d^mu c(point) with |mu| <= order."""
-    return {delta: _coefficient_derivatives(c, point, order)
+def _derivative_table(p: OperatorVector, point: Tuple[Scalar, ...], order: int,
+                      held: Optional[Dict[Derivative, Dict[MultiIndex, Scalar]]] = None
+                      ) -> Dict[Derivative, Dict[MultiIndex, Scalar]]:
+    """For each term c*D^delta of p, the values d^mu c(point) of ``_coefficient_derivatives``.
+
+    The complete values of a polynomial c are taken from the table ``held``
+    built before, when there is one.
+    """
+    return {delta: held[delta] if held is not None and c.is_polynomial()
+            else _coefficient_derivatives(c, point, order)
             for delta, c in p.terms.items()}
 
 

@@ -221,7 +221,8 @@ def gcd_cofactors(a, b):
       heuristic gcd of Char, Geddes and Gonnet (GCDHEU, JSC 1989) on Python
       integers: each part is packed into one integer by evaluating it at xi,
       and the gcd of the two integers is unpacked into balanced xi-adic
-      digits.  With xi >= 2 * min(|f|, |g|) + 2 (max-norms of the primitive
+      digits, or else either part is divided by its unpacked quotient by that
+      gcd.  With xi >= 2 * min(|f|, |g|) + 2 (max-norms of the primitive
       parts) on every try, a primitive candidate that divides both parts is
       their gcd.  Both cofactors come from the integer quotients, and the
       triple is certified by the exact products h * (f/h) = f and
@@ -488,7 +489,11 @@ def _lowest(a):
             return e
 
 
-_PACKED_TRIES = 4  # GCDHEU's tries before the fallback to sympy
+# GCDHEU's tries before the fallback to sympy, six as in sympy's own heuristic
+# gcd: when the two cofactors share a fixed divisor, as x^2 (x - 1)^2 and an
+# even polynomial do at every integer, the integer gcd carries it, and only a
+# larger xi gives its digits room (the sixth, for a pair of decide's)
+_PACKED_TRIES = 6
 _PACKED_BITS = 2 ** 15  # the largest packed image of a pair in two or more variables
 
 
@@ -518,35 +523,59 @@ def _image_gcd(f, g, f_norm, g_norm):
 
     The heuristic gcd of Char, Geddes and Gonnet (GCDHEU, JSC 1989) on
     Python integers: f and g are packed into one integer each by evaluating
-    them at xi, and the gcd of the two integers is unpacked into balanced
-    xi-adic digits, whose primitive part is the candidate h.  Each cofactor
-    comes from an integer quotient (``_cofactor``) and is certified by an
-    exact product, not by a division.  The first xi is 2 * min(|f|, |g|) +
-    29 for the norms, the largest coefficients of f and g in absolute value,
-    so every xi keeps GCDHEU's bound 2 * min(|f|, |g|) + 2, under which a
-    primitive h that divides f and g is their gcd; xi passes the root bound
-    1 + min(|f|, |g|) as well, so h's leading coefficient is positive.  A
-    try that fails is retried with a larger xi, and after ``_PACKED_TRIES``
-    failures the pair falls back to sympy.  A constant h comes back as [1]
-    with f and g.
+    them at xi, and the gcd gamma of the two integers gives three candidates
+    in turn: the primitive part of gamma unpacked into balanced xi-adic
+    digits; f divided by the unpacked f(xi)/gamma; and g divided by the
+    unpacked g(xi)/gamma.  The last two find h when its digits do not fit
+    xi but a cofactor's do.  Every quotient comes from integers
+    (``_cofactor``) and is certified by an exact product, not by a division.
+    The first xi is 2 * min(|f|, |g|) + 29 for the norms, the largest
+    coefficients of f and g in absolute value, so every xi keeps GCDHEU's
+    bound 2 * min(|f|, |g|) + 2, under which a candidate that divides f and
+    g is their gcd; xi passes the root bound 1 + min(|f|, |g|) of that gcd
+    as well, so h's leading coefficient is positive.  A try that
+    fails is retried with a larger xi, and after ``_PACKED_TRIES`` failures
+    the pair falls back to sympy.  A constant h comes back as [1] with f and g.
     """
     xi = 2 * min(f_norm, g_norm) + 29
     for _ in range(_PACKED_TRIES):
         f_value, g_value = _packed(f, xi), _packed(g, xi)
-        value = math.gcd(f_value, g_value)
-        h = _unpacked(value, xi)
+        gamma = math.gcd(f_value, g_value)
+        h = _unpacked(gamma, xi)
         if len(h) == 1:
             return [1], f, g
         k = math.gcd(*h)
+        value = gamma
         if k != 1:
-            h, value = [v // k for v in h], value // k
+            h, value = [v // k for v in h], gamma // k
         f_quotient = _cofactor(h, f, f_norm, f_value // value, xi)
         if f_quotient is not None:
             g_quotient = _cofactor(h, g, g_norm, g_value // value, xi)
             if g_quotient is not None:
                 return h, f_quotient, g_quotient
+        found = _divided_by_cofactor(f, f_norm, f_value, g, g_norm, g_value, gamma, xi)
+        if found is not None:
+            return found
+        found = _divided_by_cofactor(g, g_norm, g_value, f, f_norm, f_value, gamma, xi)
+        if found is not None:
+            h, g_quotient, f_quotient = found
+            return h, f_quotient, g_quotient
         xi = xi * 73794 // 27011  # about 2.73 times the last xi
     return None
+
+
+def _divided_by_cofactor(f, f_norm, f_value, g, g_norm, g_value, gamma, xi):
+    """(h, f/h, g/h) for h = f divided by q, the unpacked f(xi)/gamma, or None.
+
+    f(xi) = q(xi) * gamma, so ``_cofactor`` takes h = f/q from gamma and
+    certifies it; then h(xi) = gamma, and g's cofactor comes from g(xi)/gamma.
+    """
+    q = _unpacked(f_value // gamma, xi)
+    h = _cofactor(q, f, f_norm, gamma, xi)
+    if h is None:
+        return None
+    g_quotient = _cofactor(h, g, g_norm, g_value // gamma, xi)
+    return None if g_quotient is None else (h, q, g_quotient)
 
 
 def _cofactor(h, f, f_norm, quotient, xi):

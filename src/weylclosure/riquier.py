@@ -48,6 +48,13 @@ one of its cofactors, never a trial division.  The lift of a reduction is
 then over the lcm of the cofactors' reduced denominators: made monic, that
 is the witness's w.
 Rational functions appear only at the edge, in the cofactors handed out.
+
+A basis ranks Delta_T, the derivatives up to order T, for its jets.  The
+list in ranking order and the position of each derivative come from
+``ranked_delta``, which enumerates and sorts them once per (m, n) in the
+process, and every basis of that (m, n) shares them, read-only; each basis
+classifies its own derivatives as principal or parametric
+(``RiquierBasis.ranked_up_to``).
 """
 
 from __future__ import annotations
@@ -364,13 +371,42 @@ class DerivationLog:
         return _sum(parts) if parts else _Lifted(self._unit(), {})
 
 
+# Per (m, n): Delta_T in ranking order, for the highest order T asked in the
+# process, and the position there of each derivative.  An extension publishes
+# a new list and a new map, so a list or map handed out never changes.
+_RANKINGS: Dict[Tuple[int, int], Tuple[List[Derivative], Dict[Derivative, int]]] = {}
+
+
+def ranked_delta(m: int, n: int, order: int) -> Tuple[List[Derivative], Dict[Derivative, int]]:
+    """(Delta_T in ranking order, the position of each of its derivatives), T >= order.
+
+    One list and one map serve every basis of the same (m, n), so each order
+    of Delta is enumerated and sorted once per process: a higher order appends
+    the new derivatives to copies of the list and the map it had, and a lower
+    order returns them as they are, longer than Delta_order.  Both are shared,
+    so they are read-only.  InvalidInput, from ``derivatives_up_to``, when
+    Delta_order has more than MAX_JET_SIZE derivatives.
+    """
+    ranked, position = _RANKINGS.get((m, n), ([], {}))
+    if order >= 0 and n * math.comb(order + m, m) > len(ranked):
+        held = ranked[-1].order if ranked else -1
+        new = derivatives_up_to(m, n, order, above=held)
+        position = dict(position)
+        position.update(zip(new, itertools.count(len(ranked))))
+        ranked = ranked + new
+        _RANKINGS[m, n] = ranked, position
+    return ranked, position
+
+
 class RiquierBasis:
     """A monic, autoreduced, confluent generating set with its derivation log.
 
     The basis also keeps the principal/parametric classification of Delta_T
     (``ranked_up_to``): each derivative is classified once per basis, by
-    ``ranking.pick_rule``, and ``parametric_up_to`` and the solve plans of
-    ``jets.formal_solve`` both read that one list.
+    ``ranking.pick_rule``, and ``parametric_up_to``, the constraint matrix
+    and the solve plans of ``jets`` all read that one list.  The ranking it
+    classifies, ``ranked`` and ``position``, is ``ranked_delta``'s, shared by
+    every basis of the same (m, n): both are read-only.
     """
 
     def __init__(self, elements: Sequence[OperatorVector], m: int, n: int,
@@ -383,15 +419,14 @@ class RiquierBasis:
         # the log and, per element, the log id that made it
         self.derivation = derivation
         self.made_by = list(made_by)
-        # Delta_T in ranking order for the highest order T asked so far, the
-        # position there of each derivative, and per position the index of
-        # the rule whose head divides it (None when it is parametric); see
-        # ``ranked_up_to``
-        self.ranked: List[Derivative] = []
-        self.position: Dict[Derivative, int] = {}
+        # the shared Delta_T in ranking order and its positions (``ranked_delta``),
+        # covering at least the highest order T asked so far, and per position
+        # of Delta_T the index of the rule whose head divides it (None when it
+        # is parametric); see ``ranked_up_to``
+        self.ranked, self.position = ranked_delta(m, n, -1)
         self.ranked_rules: List[Optional[int]] = []
-        # the substitution rules compiled at each point, one plan per point
-        # for every truncation order; built and extended by jets.formal_solve
+        # the basis evaluated at each point, one plan per point for every
+        # order; built and extended by jets.constraint_matrix and formal_solve
         self.solve_plans: Dict[tuple, "SolvePlan"] = {}
 
     @property
@@ -431,23 +466,21 @@ class RiquierBasis:
         return DerivativeClass.PARAMETRIC
 
     def ranked_up_to(self, order: int) -> int:
-        """|Delta_order|, after extending ``ranked`` to cover Delta_order.
+        """|Delta_order|, after classifying every derivative of Delta_order.
 
-        ``ranked`` lists Delta_T in ranking order, ``position`` maps each of
-        its derivatives to its index there, and ``ranked_rules`` holds the
-        index of the rule whose head divides it, or None when it is
-        parametric.  Under the standard ranking Delta_s is a prefix of
-        Delta_(s+1), so a higher order appends the new derivatives, each
-        classified once, and a lower order reads a prefix.
+        ``ranked`` and ``position`` are ``ranked_delta(m, n, order)``, and
+        ``ranked_rules`` holds, per position, the index of the rule whose head
+        divides the derivative there, or None when it is parametric.  Under
+        the standard ranking Delta_s is a prefix of Delta_(s+1), so a higher
+        order classifies the new derivatives, each once, and a lower order
+        reads a prefix.
         """
         size = self.n * math.comb(order + self.m, self.m)
-        start = len(self.ranked)
+        start = len(self.ranked_rules)
         if size > start:
-            held = self.ranked[-1].order if self.ranked else -1
-            new = derivatives_up_to(self.m, self.n, order, above=held)
-            self.ranked.extend(new)
-            self.position.update(zip(new, itertools.count(start)))
-            self.ranked_rules.extend(pick_rule(d, self.heads) for d in new)
+            if size > len(self.ranked):
+                self.ranked, self.position = ranked_delta(self.m, self.n, order)
+            self.ranked_rules.extend(pick_rule(d, self.heads) for d in self.ranked[start:size])
         return size
 
     def parametric_up_to(self, s: int) -> List[Derivative]:

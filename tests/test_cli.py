@@ -432,3 +432,55 @@ def test_complex_field_mode(tmp_path, capsys):
                              "--init", "1=1", "--order", "2"])
     assert code == 0
     assert doc["derivative_values"]["u1"] == {"0": "1", "1": "i", "2": "-1"}
+
+
+# -- values that start with '-' ----------------------------------------------
+
+def test_values_that_start_with_a_dash_are_taken_as_with_an_equals_sign(euler_file, capsys):
+    for argv in (["prop1", euler_file, "--point", "-1/2", "--s", "4"],
+                 ["solve", euler_file, "--point", "-1/2", "--init", "1=1, D=0", "--order", "4"],
+                 ["member", euler_file, "--q", "-D^2"],
+                 ["verify-witness", euler_file, "--q", "D^3", "--w", "x^2", "--h", "-D"],
+                 ["verify-witness", euler_file, "--q", "-D^3", "--w", "-x^2", "--h", "D"]):
+        attached = []  # the same argv in the --opt=value form
+        for arg in argv:
+            if arg.startswith("-") and not arg.startswith("--"):
+                attached[-1] += "=" + arg
+            else:
+                attached.append(arg)
+        expected = run(capsys, attached)
+        assert expected[0] in (0, 1)
+        assert run(capsys, argv) == expected, argv
+
+
+def test_a_dash_value_solves_the_euler_system_at_minus_one_half(euler_file, capsys):
+    code, doc = run(capsys, ["prop1", euler_file, "--point", "-1/2", "--s", "4"])
+    assert code == 0 and doc["nullity"] == 2 == doc["parametric_count"]
+    code, doc = run(capsys, ["solve", euler_file, "--point", "-1/2",
+                             "--init", "1=1, D=0", "--order", "4"])
+    assert code == 0
+    assert doc["derivative_values"]["u1"] == {"0": "1", "1": "0", "2": "-8", "3": "0", "4": "0"}
+    code, doc = run(capsys, ["member", euler_file, "--q", "-D^2"])
+    assert code == 1 and doc["member"] is False
+
+
+@pytest.mark.parametrize("argv", [
+    ["prop1", "{path}", "--point"],
+    ["prop1", "{path}", "--point", "--s", "4"],
+    ["member", "{path}", "--q", "--cross-check"],
+    ["verify-witness", "{path}", "--w", "1", "--h"],
+    ["solve", "{path}", "--order", "-h"],
+])
+def test_an_option_with_no_value_still_exits_2(euler_file, capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main([arg.format(path=euler_file) for arg in argv])
+    assert info.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
+def test_every_option_that_takes_a_value_accepts_one_that_starts_with_a_dash():
+    parser = cli.build_parser()
+    subcommands = next(a for a in parser._actions if a.choices and a.dest == "command")
+    valued = {option for p in [parser, *subcommands.choices.values()] for a in p._actions
+              if a.nargs != 0 for option in a.option_strings}
+    assert valued == cli._VALUE_OPTIONS

@@ -170,6 +170,113 @@ def test_plan_prefix_and_extension_match_the_oracle(case, orders):
     assert basis.solve_plans[point].order == 6
 
 
+def off_pole_point(rng, basis, kind):
+    """A point of the given kind ("integer", "rational", "gaussian") off the basis's poles."""
+    dens = [d for d in basis_denominators(basis) if not d.is_constant()]
+    while True:
+        if kind == "integer":
+            point = tuple(Fraction(rng.randint(-4, 4)) for _ in range(basis.m))
+        elif kind == "rational":
+            point = tuple(Fraction(rng.randint(-9, 9), rng.randint(2, 5)) for _ in range(basis.m))
+        else:
+            point = tuple(GaussianRational(rng.randint(-3, 3), rng.randint(1, 3))
+                          for _ in range(basis.m))
+        if all(d.evaluate(point) for d in dens):
+            return point
+
+
+@pytest.mark.parametrize("kind", ["integer", "rational", "gaussian"])
+def test_matrix_and_solves_share_one_evaluation_in_any_call_order(kind):
+    rng = random.Random(f"shared-evaluation/{kind}")
+    for trial in range(8):
+        m, n = rng.randint(1, 2), rng.randint(1, 2)
+        gens = random_generators(rng, m, n, rng.randint(1, 2), order=2, degree=1, terms=2,
+                                 polynomial_coeffs=trial % 2 == 0)
+        basis = complete_to_riquier_basis(gens, m, n)
+        point = off_pole_point(rng, basis, kind)
+        s, order = basis.s0 + rng.randint(0, 2), basis.s0 + rng.randint(0, 3)
+        calls = [("matrix", s), ("solve", order)]
+        if trial % 4 >= 2:  # solve first
+            calls.reverse()
+        if trial % 2:  # then a solve above both orders, which extends the plan
+            calls.append(("solve", max(s, order) + 1))
+        jets_by_order = {}
+        for what, k in calls:
+            if what == "matrix":
+                system = constraint_matrix(basis, k, point)
+                rows, labels = symbolic_constraint_rows(basis, k, point)
+                assert (system.rows, system.row_labels) == (rows, labels)
+            else:
+                init = {d: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                        for d in basis.parametric_up_to(k)}
+                u = formal_solve(basis, point, init, k)
+                assert u.values == symbolic_formal_solve(basis, point, init, k).values
+                jets_by_order[k] = u
+        # the two read the same rows: every solve to order >= s satisfies the matrix
+        for k, u in jets_by_order.items():
+            if k >= s:
+                assert check_jet_constraints(u.truncate(s), system), (kind, trial)
+        assert list(basis.solve_plans) == [point]
+
+
+def test_a_polynomial_coefficient_is_expanded_once_per_point(monkeypatch):
+    basis = basis_of("D^2 + x^3*D + 1/(x - 3)")
+    (element,) = basis.elements
+    polynomial = {delta for delta, c in element.terms.items() if c.is_polynomial()}
+    assert len(polynomial) == 2
+    built = []
+    expand = jets._coefficient_derivatives
+
+    def counting(c, point, order):
+        built.append((c, point, order))
+        return expand(c, point, order)
+
+    monkeypatch.setattr(jets, "_coefficient_derivatives", counting)
+    point, other = (Fraction(1),), (Fraction(-1, 2),)
+    constraint_matrix(basis, 4, point)
+    for order in (3, 6, 5, 8):
+        formal_solve(basis, point, {Derivative(1, (0,)): Fraction(1)}, order)
+    formal_solve(basis, other, {}, 4)
+    for delta in polynomial:
+        c = element.terms[delta]
+        assert [p for d, p, _ in built if d is c] == [point, other]
+    # the rational coefficient is expanded to the highest order asked, and
+    # again only when a higher order is asked: the matrix's reach 4 - 2, then
+    # the solves' 6 - 2 and 8 - 2
+    (rational,) = [c for c in element.terms.values() if not c.is_polynomial()]
+    assert [(p, order) for c, p, order in built if c is rational] == [
+        (point, 2), (point, 4), (point, 6), (other, 2)]
+
+
+def test_delta_is_enumerated_once_per_order_across_bases(monkeypatch):
+    monkeypatch.setattr(riquier, "_RANKINGS", {})
+    asked = []
+    build = riquier.derivatives_up_to
+
+    def recording(m, n, s, above=-1):
+        asked.append((m, n, s, above))
+        return build(m, n, s, above)
+
+    monkeypatch.setattr(riquier, "derivatives_up_to", recording)
+    first = basis_of("D1 [u1] - x2 [u2]", "D2 [u1] + x1*D1 [u2]", m=2, n=2)
+    second = basis_of("D1 [u2] - 1 [u1]", "D2^2 [u1]", m=2, n=2)
+    other = basis_of("D1 - x2", m=2)
+    point = (Fraction(1), Fraction(2))
+    constraint_matrix(first, 3, point)
+    formal_solve(second, point, {}, 3)
+    formal_solve(first, point, {}, 5)
+    second.parametric_up_to(4)
+    constraint_matrix(other, 3, point)
+    assert asked == [(2, 2, 3, -1), (2, 2, 5, 3), (2, 1, 3, -1)]
+    # each basis classifies its own derivatives over the one shared ranking
+    assert first.ranked is second.ranked and first.position is second.position
+    assert other.ranked == derivatives_up_to(2, 1, 3)
+    for basis in (first, second, other):
+        size = len(basis.ranked_rules)
+        assert basis.ranked_rules == [ranking.pick_rule(d, basis.heads)
+                                      for d in basis.ranked[:size]]
+
+
 # -- constraint matrices ---------------------------------------------------
 
 def test_constraint_matrix_for_d_squared():
@@ -240,6 +347,7 @@ def test_derivatives_above_an_order_follow_the_lower_delta():
 
 
 def test_ranked_up_to_builds_only_the_new_orders(monkeypatch):
+    monkeypatch.setattr(riquier, "_RANKINGS", {})
     basis = basis_of("D1 [u1] - x2 [u2]", "D2 [u1] + x1*D1 [u2]", m=2, n=2)
     asked = []
     build = riquier.derivatives_up_to
@@ -250,19 +358,29 @@ def test_ranked_up_to_builds_only_the_new_orders(monkeypatch):
 
     monkeypatch.setattr(riquier, "derivatives_up_to", recording)
     assert basis.ranked_up_to(2) == 12
+    low, low_position = basis.ranked, basis.position
     assert basis.ranked_up_to(1) == 6
     assert basis.ranked_up_to(4) == 30
     assert asked == [(2, -1), (4, 2)]
     assert basis.ranked == derivatives_up_to(2, 2, 4)
     assert basis.position == {(d.component, d.alpha): i for i, d in enumerate(basis.ranked)}
+    # an extension is published as a new list and map: the ones handed out before stay as they were
+    assert low == derivatives_up_to(2, 2, 2)
+    assert low_position == {(d.component, d.alpha): i for i, d in enumerate(low)}
+    assert basis.ranked_rules == [ranking.pick_rule(d, basis.heads) for d in basis.ranked]
 
 
-def test_position_is_keyed_by_the_derivative_itself():
+def test_position_is_keyed_by_the_derivative_itself(monkeypatch):
+    monkeypatch.setattr(riquier, "_RANKINGS", {})
     basis = basis_of("D1 [u1] - x2 [u2]", "D2 [u1] + x1*D1 [u2]", m=2, n=2)
     basis.ranked_up_to(3)
     assert len(basis.ranked) == 20
     for i, d in enumerate(basis.ranked):
         assert basis.position[d] == i
+    # every basis of the same (m, n) reads the same list and map
+    other = basis_of("D1 [u2]", m=2, n=2)
+    other.ranked_up_to(2)
+    assert other.ranked is basis.ranked and other.position is basis.position
 
 
 def test_check_jet_constraints_examples():
@@ -325,6 +443,7 @@ def test_formal_solve_rejects_initial_value_above_the_order():
 
 
 def test_formal_solve_checks_its_initial_values_in_one_call(monkeypatch):
+    monkeypatch.setattr(riquier, "_RANKINGS", {})
     calls = []
     check_fits = jets.check_fits
 
@@ -335,9 +454,31 @@ def test_formal_solve_checks_its_initial_values_in_one_call(monkeypatch):
     monkeypatch.setattr(jets, "check_fits", counting)
     basis = basis_of("D1", m=2)
     init = {Derivative(1, (0, k)): Fraction(k + 1) for k in range(4)}
+    # the ranking does not reach order 3 yet, so the lookups fail and the
+    # checks run, in one call
     u = formal_solve(basis, (Fraction(0), Fraction(0)), init, 3)
     assert calls == ["initial value"]
     assert all(u.value(d) == value for d, value in init.items())
+
+    class CountingPosition(dict):
+        lookups = 0
+
+        def get(self, *args):
+            CountingPosition.lookups += 1
+            return dict.get(self, *args)
+
+        def __getitem__(self, key):
+            CountingPosition.lookups += 1
+            return dict.__getitem__(self, key)
+
+    # now every value is checked by one lookup of its position, and no other check runs
+    basis.position = CountingPosition(basis.position)
+    assert formal_solve(basis, (Fraction(0), Fraction(0)), init, 3) == u
+    assert calls == ["initial value"] and CountingPosition.lookups == len(init)
+    # a lookup that fails runs the checks, once, with their message
+    with pytest.raises(InvalidInput, match="^initial value given for D2\\^3 above"):
+        formal_solve(basis, (Fraction(0), Fraction(0)), init, 2)
+    assert calls == ["initial value"] * 2
 
 
 @pytest.mark.parametrize("d", [Derivative(2, (0, 1)), Derivative(1, (1,)),

@@ -858,6 +858,51 @@ def test_packed_gcd_retries_with_a_larger_xi(monkeypatch):
     assert tries[0] >= 2 * min(10, 13) + 2
 
 
+# (x + 1)^7 times x - 1 and times x + 2: the first xi, 2 * 14 + 29 = 57, is
+# below twice the gcd's coefficient 35, so its digits do not fit, while those
+# of the cofactor x + 2 of the operand of norm 105 do
+HIDDEN = ([-1, -6, -14, -14, 0, 14, 14, 6, 1], [2, 15, 49, 91, 105, 77, 35, 9, 1])
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["g-side", "f-side"])
+def test_a_cofactor_candidate_finds_a_gcd_whose_digits_do_not_fit(monkeypatch, swap):
+    f, g = HIDDEN[::-1] if swap else HIDDEN
+    monkeypatch.setattr(polynomials, "_PACKED_TRIES", 1)
+    found = []
+    divided = polynomials._divided_by_cofactor
+    monkeypatch.setattr(polynomials, "_divided_by_cofactor",
+                        lambda a, *rest: found.append(a) or divided(a, *rest))
+    h, f_quotient, g_quotient = polynomials._image_gcd(f, g, max(map(abs, f)), max(map(abs, g)))
+    assert h == [1, 7, 21, 35, 35, 21, 7, 1]
+    assert (f_quotient, g_quotient) == (([2, 1], [-1, 1]) if swap else ([-1, 1], [2, 1]))
+    # the first xi: the gcd's digits fail, then f's cofactor, which is the
+    # answer when f is the operand of norm 105, else g's
+    assert found == ([f] if swap else [f, g])
+
+
+# decide's pair at key 4242.1, op 50, highest degree first: its primitive parts
+# are x^2 (x - 1)^2 (x^2 + 8)^2 and a degree-14 polynomial whose cofactor is
+# even at every integer, as x^2 (x - 1)^2 is, so the gcd of the packed images
+# carries an integer factor (48, 36, 1296, 48 and 162 on the first five xi)
+# too large for the gcd's digits, and no cofactor is the image's quotient
+FIXED_DIVISOR = ([65536, -131072, 1114112, -2097152, 5242880, -8388608, 4194304, 0, 0],
+                 [1572864, 3145728, 96993280, 78381056, 2071199744, 532676608, 20296237056,
+                  -905969664, 91637153792, -18253611008, 133143986176, -13958643712,
+                  -132070244352, 154618822656, -51539607552])
+
+
+def test_a_pair_whose_cofactors_share_a_fixed_divisor_takes_the_packed_kernel(monkeypatch):
+    calls = []
+    inner = polynomials.dmp_inner_gcd
+    monkeypatch.setattr(polynomials, "dmp_inner_gcd",
+                        lambda *args: calls.append(args) or inner(*args))
+    a, b = (_listed(v[::-1]) for v in FIXED_DIVISOR)
+    expected = inner(*([ZZ(v) for v in dense] for dense in FIXED_DIVISOR), 0, ZZ)
+    assert calls == []
+    assert gcd_cofactors(a, b) == tuple(_listed(v[::-1]) for v in expected)
+    assert calls == []
+
+
 def test_the_packed_kernel_falls_back_to_sympy(monkeypatch):
     calls = []
     inner = polynomials.dmp_inner_gcd
