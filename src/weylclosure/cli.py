@@ -46,7 +46,7 @@ def _emit(document: dict) -> None:
 
 
 def _resolve_point(args, system: SystemFile, basis):
-    if getattr(args, "point", None):
+    if args.point is not None:
         return parse_point(args.point, system.m, system.field_mode)
     if system.point is not None:
         return system.point

@@ -143,13 +143,12 @@ class SolvePlan:
     higher order is asked.  Each evaluated row of D^beta p_k is built once,
     by ``row``; ``constraint_matrix`` and the solve plan read the same rows.
 
-    The solve plan covers Delta_order in the basis's ranking: ``rows[i]`` is
-    the row that solves position i, the shifted rule whose head is
-    ``basis.ranked[i]``, or None when that derivative is parametric.  It is
-    stored transposed: ``readers[j]`` lists, in increasing i, the (i, c) with
-    j < i such that the value at i has the term c * (value at j), the
-    shifted rule's other terms negated, zero coefficients dropped.  So a
-    solve pushes each nonzero value forward and never visits a row whose
+    The solve plan covers Delta_order in the basis's ranking: position i is
+    solved by the shifted rule ``basis.ranked_rules[i]`` (None: parametric).
+    Its rows are stored transposed: ``readers[j]`` lists, in increasing i,
+    the (i, c) with j < i such that the value at i has the term c * (value
+    at j), the shifted rule's other terms negated, zero coefficients
+    dropped.  So a solve pushes each nonzero value forward and never visits a row whose
     inputs are all zero.  One plan serves every order: a solve at a higher
     order extends it, a lower order reads a prefix.
     """
@@ -157,7 +156,6 @@ class SolvePlan:
     def __init__(self, point: Tuple[Scalar, ...]) -> None:
         self.point = point
         self.order = -1
-        self.rows: List[Optional[Dict[Derivative, Scalar]]] = []
         self.readers: List[List[Tuple[int, Scalar]]] = []
         # per element index: its derivative table and the order it was built for
         self._tables: Dict[int, Tuple[Dict[Derivative, Dict[MultiIndex, Scalar]], int]] = {}
@@ -181,7 +179,7 @@ class SolvePlan:
         """Compile the plan up to ``order``; no position is added if this raises."""
         if order <= self.order:
             return
-        start = len(self.rows)
+        start = len(self.readers)
         size = basis.ranked_up_to(order)
         position = basis.position
         ranked = basis.ranked
@@ -204,7 +202,6 @@ class SolvePlan:
                     # the head coefficient of the shifted rule, at d itself, is 1
                     if key != d and value:
                         readers[position[key]].append((i, -value))
-        self.rows.extend(rows)
         self.order = order
 
 
@@ -250,7 +247,7 @@ def formal_solve(basis: RiquierBasis, point: Sequence[Scalar],
         found = list(map(basis.position.__getitem__, init))
     values: List[Scalar] = [ZERO] * size
     for i, (d, value) in zip(found, init.items()):
-        if plan.rows[i] is not None:
+        if basis.ranked_rules[i] is not None:
             raise InvalidInput(
                 f"initial value given for the principal derivative "
                 f"{format_derivative(d, basis.m, basis.n)}; "

@@ -16,8 +16,10 @@ imaginary parts cancel moves back to ``ZZ``.  By Gauss's lemma a product of
 primitive polynomials is primitive, so the arithmetic runs on integer
 polynomials and never clears denominators.  It keeps its operands reduced
 and, after Henrici, takes gcds only of the small factors where a common
-factor can remain, never of the full cross products.  Every gcd goes through
-one kernel, ``gcd_cofactors``, one ladder for every ring and both kinds: a
+factor can remain, never of the full cross products.  Every product of two
+integer-ring elements comes from one entry, ``_times``, which skips a factor
+of 1, and every gcd, and every quotient as one of its cofactors, from one
+kernel, ``gcd_cofactors``, one ladder for every ring and both kinds: a
 zero, equal or one-term operand is answered without a sympy call; every
 other pair over ``ZZ`` takes one packed entry, a heuristic gcd on Python
 integers certified by exact products, where a coefficient list is its own
@@ -771,7 +773,14 @@ def _power(value, k: int, times):
 
 
 def _times(a, b):
-    """a * b, with no sympy product when either factor is the ring's one."""
+    """a * b in one integer ring: the integer core's one product entry.
+
+    Every product of two integer-ring elements here and in the witness lift
+    comes here, so a faster kernel changes this function only; a factor
+    equal to the ring's one gives the other, with no product.  The witness
+    check (``closure._identity_holds``) keeps ``*`` on purpose, so that
+    ``verify_witness`` shares no product kernel with the lift.
+    """
     if _is_one(a):
         return b
     if _is_one(b):
@@ -995,6 +1004,7 @@ class RationalFunction:
                 a, k = a.mul_ground(q), k / q
             if p != 1:
                 c = c.mul_ground(p)
+        # without this fork and derivative's for b = 1, cli's op p50 rose 5%
         if b == d:  # both 1 when both are constant: then no gcd is taken
             t = a + c
             if not t:
@@ -1011,7 +1021,7 @@ class RationalFunction:
         # t is coprime to b/g and to d/g, so a common factor of t and the
         # denominator b*d/g can only lie in g
         _, t, g = gcd_cofactors(t, g)
-        return RationalFunction._reduced(k * h, t, b_g * g * d_g)
+        return RationalFunction._reduced(k * h, t, _times(_times(b_g, g), d_g))
 
     __radd__ = __add__
 
@@ -1035,7 +1045,7 @@ class RationalFunction:
         if not a or not c:
             return RationalFunction.zero(self.nvars)
         # a/b and c/d are reduced, so only a with d and c with b can share
-        # factors, and neither can share one with a denominator of 1
+        # factors, and neither can share one with a denominator of 1 (pinned by a test)
         if not d.is_ground:
             _, a, d = gcd_cofactors(a, d)
         if not b.is_ground:
@@ -1071,7 +1081,7 @@ class RationalFunction:
         k, a, b = self._c, self._a, self._b
         x = a.ring.gens[index - 1]
         da = a.diff(x)
-        if b.is_ground:
+        if b.is_ground:  # a fork that pays: see __add__'s for b == d
             if not da:
                 return RationalFunction.zero(self.nvars)
             h, da = _primitive(da)
@@ -1085,12 +1095,12 @@ class RationalFunction:
         # the whole common factor.  When db = 0, g = b up to a unit and this
         # is gcd(da, b): d/dx((x*y + 1)/y) = y/y = 1.
         g, b_g, db_g = gcd_cofactors(b, b.diff(x))
-        t = da * b_g - a * db_g
+        t = _times(da, b_g) - _times(a, db_g)
         if not t:
             return RationalFunction.zero(self.nvars)
         h, t = _primitive(t)
         _, t, g = gcd_cofactors(t, g)
-        return RationalFunction._reduced(k * h, t, g * b_g * b_g)
+        return RationalFunction._reduced(k * h, t, _times(_times(g, b_g), b_g))
 
     def evaluate(self, point: Sequence[Scalar]) -> Scalar:
         den_value = self.den.evaluate(point)
@@ -1161,7 +1171,7 @@ class Polynomial(RationalFunction):
             return Polynomial.constant(1, self.nvars)
         # a power of a primitive polynomial is primitive (Gauss's lemma)
         return RationalFunction._reduced(
-            _power(self._c, exponent, mul), _power(self._a, exponent, mul), self._b)
+            _power(self._c, exponent, mul), _power(self._a, exponent, _times), self._b)
 
     def scale(self, scalar) -> "Polynomial":
         return self * scalar
@@ -1195,7 +1205,7 @@ def poly_lcm(f: Polynomial, g: Polynomial) -> Polynomial:
     (_, a, _), (_, b, _) = f._triples(g)
     if not a or not b:
         return Polynomial.zero(f.nvars)
-    return monic_polynomial(a * gcd_cofactors(a, b)[2])
+    return monic_polynomial(_times(a, gcd_cofactors(a, b)[2]))
 
 
 # -- the integer edge, for fraction-free callers ------------------------------
@@ -1243,12 +1253,8 @@ def integer_ratio(num, den) -> RationalFunction:
     """num / den in lowest terms, for elements of one integer ring and den != 0."""
     if not num:
         return RationalFunction.zero(num.ring.ngens)
-    k, a = _primitive(num)
-    if den.is_ground:
-        e, b = _lc(den), _one(den.ring.ngens, den.ring.domain)
-    else:
-        e, b = _primitive(den)
-        _, a, b = gcd_cofactors(a, b)
+    (k, a), (e, b) = _primitive(num), _primitive(den)
+    _, a, b = gcd_cofactors(a, b)
     if a.ring.domain is ZZ:
         return RationalFunction._reduced(QQ(k, e), a, b)
     return RationalFunction._reduced(

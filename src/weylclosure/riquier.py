@@ -44,9 +44,11 @@ sum goes over the lcm of the denominators.  Each result is divided by the
 gcd of its denominator and all its numerators, a chain of gcds that stops
 once it is constant.  Every gcd, lcm and quotient here comes from
 ``polynomials.gcd_cofactors``, the library's one gcd kernel: a quotient is
-one of its cofactors, never a trial division.  The lift of a reduction is
-then over the lcm of the cofactors' reduced denominators: made monic, that
-is the witness's w.
+one of its cofactors, never a trial division, and every product from
+``polynomials._times``, which skips a factor of 1; the few tests for a
+trivial operand left here skip whole loops, not single products.  The lift
+of a reduction is then over the lcm of the cofactors' reduced denominators:
+made monic, that is the witness's w.
 Rational functions appear only at the edge, in the cofactors handed out.
 
 A basis ranks Delta_T, the derivatives up to order T, for its jets.  The
@@ -78,8 +80,8 @@ from .operators import (
     stepwise,
 )
 from .ranking import ReductionTrace, pick_rule, reduce_full
-from .polynomials import (Polynomial, RationalFunction, gaussian, gcd_cofactors, integer_pair,
-                          integer_ratio, monic_polynomial)
+from .polynomials import (Polynomial, RationalFunction, _times, gaussian, gcd_cofactors,
+                          integer_pair, integer_ratio, monic_polynomial)
 
 if TYPE_CHECKING:
     from .jets import SolvePlan
@@ -148,34 +150,31 @@ def _product(pairs: Pairs, source: _Lifted) -> _Lifted:
     if any(u.ring is not ring for _, (u, _) in pairs):
         source = _gaussian(source)
         pairs = [(beta, (gaussian(u), gaussian(v))) for beta, (u, v) in pairs]
+    # without this fork and the ``unit`` hoist below, decide's op p50 rose 7%
     if len(pairs) == 1 and not any(pairs[0][0]):  # a function: (u/v) * P/B = u P / (v B)
         u, v = pairs[0][1]
-        return _Lifted(source.den if v == 1 else v * source.den,
-                       source.numerators if u == 1 else {
-                           key: u * value for key, value in source.numerators.items()})
+        return _Lifted(_times(v, source.den), source.numerators if u == 1 else {
+            key: _times(u, value) for key, value in source.numerators.items()})
     den, x = source.den, source.den.ring.gens
     one = den.ring.one
     # the lcm L of the v so far, and each term's base u * (L / v), kept exact
     # as L grows: with (g, L/g, v/g) = gcd_cofactors(L, v), L * (v/g) / v = L/g
     lcm, bases = pairs[0][1][1], [pairs[0][1][0]]
     for _, (u, v) in pairs[1:]:
-        if v == lcm:
-            bases.append(u)
-            continue
         _, lcm_g, v_g = gcd_cofactors(lcm, v)
-        if v_g != 1:
-            bases = [base * v_g for base in bases]
-            lcm = lcm * v_g
-        bases.append(u * lcm_g)
+        if v_g != 1:  # else every base would be rebuilt unchanged
+            bases = [_times(base, v_g) for base in bases]
+            lcm = _times(lcm, v_g)
+        bases.append(_times(u, lcm_g))
     ground = den.is_ground
     top = 0 if ground else max(sum(beta) for beta, _ in pairs)
     powers = [one, den]  # B^k for k <= top + 1
     while len(powers) < top + 2:
-        powers.append(powers[-1] * den)
+        powers.append(_times(powers[-1], den))
     zero = (0,) * len(x)
 
     def q_step(j, q, gamma):
-        return q.diff(x[j]) * den - (q * den.diff(x[j])).mul_ground(sum(gamma))
+        return _times(q.diff(x[j]), den) - _times(q, den.diff(x[j])).mul_ground(sum(gamma))
 
     def d_step(j, numerators, delta):
         # D_j (N D^alpha) = d_j(N) D^alpha + N D^(alpha + e_j)
@@ -200,22 +199,20 @@ def _product(pairs: Pairs, source: _Lifted) -> _Lifted:
                 q = q_at(gamma)
                 if not q:  # d^gamma(1/B) = 0, as when B is free of a variable in gamma
                     continue
-                factor = factor * q
+                factor = _times(factor, q)
                 binomial = math.prod(map(math.comb, beta, gamma))
                 if binomial != 1:
                     factor = factor.mul_ground(binomial)
-            if order < top:
-                factor = factor * powers[top - order]
+            factor = _times(factor, powers[top - order])
             add_term(factors, tuple(b - c for b, c in zip(beta, gamma)), factor)
     # each shifted numerator D^delta P is multiplied once, by its summed factor
     shift = stepwise(source.numerators, d_step)
     total: Dict[Row, Any] = {}
     for delta, factor in factors.items():
-        unit = factor == one
+        unit = factor == one  # one test per shift, not one per numerator in _times
         for key, value in shift(delta).items():
-            add_term(total, key, value if unit else factor * value)
-    scale = powers[top + 1]
-    return _Lifted(scale if lcm == one else lcm * scale, total)
+            add_term(total, key, value if unit else _times(factor, value))
+    return _Lifted(_times(lcm, powers[top + 1]), total)
 
 
 def _sum(parts: List[_Lifted]) -> _Lifted:
@@ -229,14 +226,12 @@ def _sum(parts: List[_Lifted]) -> _Lifted:
         parts = [_gaussian(part) for part in parts]
     den, total = parts[0].den, dict(parts[0].numerators)
     for part in parts[1:]:
-        factor = None
-        if part.den != den:
-            _, factor, other = gcd_cofactors(den, part.den)  # den/gcd, part.den/gcd
-            if other != 1:
-                total = {key: other * v for key, v in total.items()}
-                den = den * other
+        _, factor, other = gcd_cofactors(den, part.den)  # den/gcd, part.den/gcd
+        if other != 1:  # else every row would be rebuilt unchanged
+            total = {key: _times(other, v) for key, v in total.items()}
+            den = _times(den, other)
         for key, value in part.numerators.items():
-            add_term(total, key, value if factor is None else factor * value)
+            add_term(total, key, _times(factor, value))
     return _Lifted(den, total)
 
 
@@ -250,8 +245,6 @@ def _cancelled(lifted: _Lifted) -> _Lifted:
     the earlier quotients, over G, and the rest of den are multiplied by
     G/G' before N/G' is stored.
     """
-    if lifted.den.is_ground:
-        return lifted
     common, rest = lifted.den, lifted.den.ring.one  # den = common * rest
     quotients: Dict[Row, Any] = {}  # numerator / common
     # short numerators first: the gcd with them is cheap and often constant
@@ -261,9 +254,9 @@ def _cancelled(lifted: _Lifted) -> _Lifted:
         common, shrink, quotient = gcd_cofactors(common, value)
         if common.is_ground:
             return lifted
-        if shrink != 1:
-            rest = rest * shrink
-            quotients = {row: q * shrink for row, q in quotients.items()}
+        if shrink != 1:  # else every quotient would be rebuilt unchanged
+            rest = _times(rest, shrink)
+            quotients = {row: _times(q, shrink) for row, q in quotients.items()}
         quotients[key] = quotient
     return _Lifted(rest, quotients)
 

@@ -238,6 +238,19 @@ def test_prop1_rejects_an_empty_coordinate(tmp_path, capsys):
     assert captured.err == "error: empty coordinate in point '1,,2'\n"
 
 
+@pytest.mark.parametrize("command", ["solve", "prop1"])
+def test_an_empty_point_is_rejected_not_picked(tmp_path, capsys, command):
+    # an empty --point is a given point with an empty coordinate, not a
+    # missing one: the command must not pick a point of its own
+    path = tmp_path / "g.sys"
+    path.write_text("vars: 1\nrow: D\n")
+    code = main([command, str(path), "--point", ""])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: empty coordinate in point ''\n"
+
+
 def test_point_line_with_an_empty_coordinate_exits_2(tmp_path, capsys):
     path = tmp_path / "g.sys"
     path.write_text("vars: 2\nrow: D1\npoint: 1,,2\n")

@@ -1326,6 +1326,16 @@ def test_coefficient_lists_are_every_integer_row_in_one_variable_over_zz():
         _assert_kind(value)
     assert polynomials.integer_ratio(num, den) == RationalFunction(x * x - 1, 2 * x + 4)
     assert polynomials.monic_polynomial(_listed([4, 0, -2])) == x * x - 2
+    # over a constant denominator: a negative integer, as a list and as a
+    # two-variable sympy element, and the Gaussian constants 1 + i and -i
+    p = X2 * Y2 - 2 * X2 + 3
+    gaussian = x.scale(I) + 2
+    for r, constant, element in ((x * x - 1, -6, ZZ(-6)), (p, -6, ZZ(-6)),
+                                 (gaussian, 1 + I, ZZ_I(1, 1)), (gaussian, -I, ZZ_I(0, -1))):
+        num, _ = polynomials.integer_pair(r)
+        ratio = polynomials.integer_ratio(num, num.ring.ground_new(element))
+        _assert_kind(ratio)
+        assert ratio == r / constant
 
 
 # -- one kind of element per ring: lists in one variable over ZZ ------------------

@@ -1,5 +1,6 @@
 """Completion to Riquier bases: confluence, autoreduction, cofactors, classification."""
 
+import itertools
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
@@ -205,6 +206,59 @@ def test_the_lift_takes_its_two_variable_gcds_from_the_packed_kernel(monkeypatch
     assert max(m[0] for m in result.witness.w.terms) == 33
     assert verify_witness(result.witness, q, gens)
     assert calls == [] and kernel_calls == [2] * 350
+
+
+def test_every_integer_product_of_the_lift_and_the_triples_goes_through_times(monkeypatch):
+    # polynomials._times is the integer core's one product entry: a product of
+    # two integer-ring elements (sympy's, or coefficient lists) made outside it
+    # is recorded, and the lift and the triple arithmetic make none, while
+    # verify_witness keeps sympy's own products, so it shares no kernel with them
+    gens = [op(row, 2, 2) for row in TAIL103]
+    q = op("D1 [u1]", 2, 2)
+    expected = weyl_closure_member(q, gens)
+    basis = complete_to_riquier_basis(gens, 2, 2)
+    trace = reduce_full(q, basis.elements)
+    x, y = Polynomial.variable(1, 2), Polynomial.variable(2, 2)
+    i = GaussianRational(0, 1)
+    values = [RationalFunction(x * y + 1, x - y), RationalFunction(y * y + x, x - y),
+              RationalFunction(x + 2, (x - y) * (y + 3)), RationalFunction(x.scale(i) + y, y + 1),
+              RationalFunction(Polynomial.variable(1, 1).scale(i) + 2, Polynomial.variable(1, 1))]
+    outside, depth = [], [0]
+    times = polynomials._times
+
+    def entry(a, b):
+        depth[0] += 1
+        try:
+            return times(a, b)
+        finally:
+            depth[0] -= 1
+
+    def spied(product):
+        def spy(self, other):
+            if not depth[0] and isinstance(other, (PolyElement, polynomials.CoefficientList)):
+                outside.append((self, other))
+            return product(self, other)
+        return spy
+
+    with monkeypatch.context() as patched:
+        patched.setattr(polynomials, "_times", entry)
+        patched.setattr(riquier, "_times", entry, raising=False)
+        for kind in (PolyElement, polynomials.CoefficientList):
+            patched.setattr(kind, "__mul__", spied(kind.__mul__))
+        rows = basis.lift_rows(trace.cofactors)
+        for f, g in itertools.product(values, repeat=2):
+            if f.nvars == g.nvars:
+                assert (f + g) * f == f * f + g * f
+                assert (f * g).derivative(1) == f.derivative(1) * g + f * g.derivative(1)
+        for p in (x * y - 2 * x + 3, x.scale(i) + y):
+            assert p ** 3 == p * p * p
+        assert outside == []
+        assert verify_witness(expected.witness, q, gens)
+        assert outside
+    w, cofactors = riquier.cleared(rows, 2)
+    assert w == expected.witness.w
+    assert [cofactors.get(g, OperatorVector.zero(2, 1)) for g in range(len(gens))] \
+        == expected.witness.cofactors
 
 
 @pytest.mark.parametrize("rows, m, n, q, full_completion_calls, basis_text, witness_text", [
