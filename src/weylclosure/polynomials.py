@@ -1074,6 +1074,19 @@ class RationalFunction:
         # the swapped pair is as canonical as the pair itself
         return RationalFunction._new(1 / self._c, self._b, self._a)
 
+    def __pow__(self, exponent: int):
+        if exponent < 0:
+            raise ValueError("negative power")
+        if not exponent:
+            if not self:
+                raise ValueError("0**0")
+            return Polynomial.constant(1, self.nvars)
+        # powers of coprime primitive a and b are coprime and primitive (Gauss's
+        # lemma), so only the units are normalized again, as for 1/(x + i)
+        return RationalFunction._reduced(_power(self._c, exponent, mul),
+                                         _power(self._a, exponent, _times),
+                                         _power(self._b, exponent, _times))
+
     def derivative(self, index: int) -> "RationalFunction":
         """Partial derivative by the quotient rule, reduced by a gcd with a factor of b only."""
         if not 1 <= index <= self.nvars:
@@ -1161,17 +1174,6 @@ class Polynomial(RationalFunction):
     def __reduce__(self):
         # a sympy ring does not pickle (sympy 1.14), so rebuild from the terms
         return Polynomial, (dict(self.terms), self.nvars)
-
-    def __pow__(self, exponent: int):
-        if exponent < 0:
-            raise ValueError("negative polynomial power")
-        if not exponent:
-            if not self:
-                raise ValueError("0**0")
-            return Polynomial.constant(1, self.nvars)
-        # a power of a primitive polynomial is primitive (Gauss's lemma)
-        return RationalFunction._reduced(
-            _power(self._c, exponent, mul), _power(self._a, exponent, _times), self._b)
 
     def scale(self, scalar) -> "Polynomial":
         return self * scalar

@@ -57,6 +57,16 @@ list in ranking order and the position of each derivative come from
 process, and every basis of that (m, n) shares them, read-only; each basis
 classifies its own derivatives as principal or parametric
 (``RiquierBasis.ranked_up_to``).
+
+The process completes each system once while it keeps asking about it:
+``complete_to_riquier_basis`` remembers its last completion, and given
+generators equal by value to the last ones, in the same order and with the
+same (m, n), it returns that same basis object, with the classification, the
+solve plans and the replayed derivation log its earlier callers built.  So a
+returned basis is shared and read-only, as ``ranked`` and ``position`` are;
+its memo tables only grow.  The memory is one entry: completing another
+system replaces it, so the process holds one basis with its plans and
+replay rows.
 """
 
 from __future__ import annotations
@@ -400,6 +410,12 @@ class RiquierBasis:
     and the solve plans of ``jets`` all read that one list.  The ranking it
     classifies, ``ranked`` and ``position``, is ``ranked_delta``'s, shared by
     every basis of the same (m, n): both are read-only.
+
+    A basis that ``complete_to_riquier_basis`` returns is shared with every
+    later caller that completes the same generators, so it is read-only too:
+    only its memo tables (``ranked_rules``, ``solve_plans`` and the
+    derivation log's replayed rows) grow, and they hold what any caller
+    would compute.
     """
 
     def __init__(self, elements: Sequence[OperatorVector], m: int, n: int,
@@ -500,10 +516,20 @@ def _monic_and_logged(trace: ReductionTrace, terms: List[Term], rule_ids: Sequen
     return normal_form.left_scale(scale), log.append(terms, scale)
 
 
+# The last completion, (m, n, generators) and its basis, or None: one entry,
+# so the process holds at most one basis (see complete_to_riquier_basis).
+_last: Optional[Tuple[Tuple[int, int, Tuple[OperatorVector, ...]], RiquierBasis]] = None
+
+
 def complete_to_riquier_basis(generators: Sequence[OperatorVector],
                               m: Optional[int] = None,
                               n: Optional[int] = None) -> RiquierBasis:
-    """Complete a generating set to a Riquier basis of the same F(x)-submodule."""
+    """Complete a generating set to a Riquier basis of the same F(x)-submodule.
+
+    The last call's basis is returned again, shared and read-only, for
+    generators equal to its own by value, in order, with the same (m, n).
+    """
+    global _last
     gens = list(generators)
     if m is None or n is None:
         if not gens:
@@ -513,6 +539,12 @@ def complete_to_riquier_basis(generators: Sequence[OperatorVector],
         if (g.m, g.n) != (m, n):
             raise InvalidInput(f"generator {j} has mismatched dimensions")
         check_fits(g.terms, m, n, f"generator {j} term")
+    # a tuple compares m, n and the number of generators before any generator,
+    # and an operator is immutable, so equal values complete to the same basis
+    key = (m, n, tuple(gens))
+    if _last is not None and _last[0] == key:
+        return _last[1]
+    _last = None  # the kept basis is released before another is made
 
     log = DerivationLog(len(gens), m)
     # every element made (each keeps its head), keyed by the log id that made
@@ -577,4 +609,6 @@ def complete_to_riquier_basis(generators: Sequence[OperatorVector],
             basis[j] = element
 
     order = sorted(basis, key=lambda j: basis[j].head.rank_key())
-    return RiquierBasis([basis[j] for j in order], m, n, log, order)
+    completed = RiquierBasis([basis[j] for j in order], m, n, log, order)
+    _last = key, completed
+    return completed

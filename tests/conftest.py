@@ -10,7 +10,7 @@ from typing import List
 
 import pytest
 
-from weylclosure import Derivative, OperatorVector, Polynomial, RationalFunction
+from weylclosure import Derivative, OperatorVector, Polynomial, RationalFunction, riquier
 
 
 def random_polynomial(rng: random.Random, m: int, degree: int = 2,
@@ -69,6 +69,22 @@ def random_generators(rng: random.Random, m: int, n: int, count: int,
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+@pytest.fixture
+def fresh_completion():
+    """Empty ``complete_to_riquier_basis``'s memory of its last basis, now and
+    whenever the test calls the returned function, so that the next call
+    completes its generators afresh.  The memory the test found is put back
+    after it; no emptied entry is held meanwhile."""
+    kept = riquier._last
+
+    def empty():
+        riquier._last = None
+
+    empty()
+    yield empty
+    riquier._last = kept
 
 
 @contextlib.contextmanager

@@ -370,7 +370,7 @@ def test_ranked_up_to_builds_only_the_new_orders(monkeypatch):
     assert basis.ranked_rules == [ranking.pick_rule(d, basis.heads) for d in basis.ranked]
 
 
-def test_position_is_keyed_by_the_derivative_itself(monkeypatch):
+def test_position_is_keyed_by_the_derivative_itself(monkeypatch, fresh_completion):
     monkeypatch.setattr(riquier, "_RANKINGS", {})
     basis = basis_of("D1 [u1] - x2 [u2]", "D2 [u1] + x1*D1 [u2]", m=2, n=2)
     basis.ranked_up_to(3)
@@ -442,7 +442,7 @@ def test_formal_solve_rejects_initial_value_above_the_order():
     assert str(info.value) == "initial value given for D2^5 above the truncation order 2"
 
 
-def test_formal_solve_checks_its_initial_values_in_one_call(monkeypatch):
+def test_formal_solve_checks_its_initial_values_in_one_call(monkeypatch, fresh_completion):
     monkeypatch.setattr(riquier, "_RANKINGS", {})
     calls = []
     check_fits = jets.check_fits

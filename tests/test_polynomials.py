@@ -147,6 +147,32 @@ def test_gaussian_coefficients_in_rational_functions():
     assert r.is_polynomial() and r.num.constant_value() == i
 
 
+@pytest.mark.parametrize("text, m, field", [
+    ("(x^2 - 1)/(2*x + 3)", 1, "real"),
+    ("3/2", 1, "real"),
+    ("1/(x + i)", 1, "complex"),
+    ("(2*i*x + 1)/(x^2 + i)", 1, "complex"),
+    ("x/((1 + i)*x + 1)", 1, "complex"),  # (1 + i)^2 = 2i: the unit moves again
+    ("i/x", 1, "complex"),  # its square -1/x^2 is real, and moves to ZZ
+    ("(x1*x2 + 1)/(x1 - x2)", 2, "real"),
+    ("(x1 - i*x2)/(3*x1*x2 + 2)", 2, "complex"),
+    ("-x1^2*x2 + 1/2", 2, "real"),
+])
+def test_a_power_is_the_repeated_product(text, m, field):
+    r = parse_rational(text, m, field)
+    product = Polynomial.constant(1, m)
+    for k in range(5):
+        power = r ** k
+        # canonical triples: equal values are equal triples, in one ring and class
+        assert power == product and type(power) is type(product)
+        product = product * r
+    with pytest.raises(ValueError, match="negative"):
+        r ** -2
+    assert RationalFunction.zero(m) ** 3 == RationalFunction.zero(m)
+    with pytest.raises(ValueError):
+        RationalFunction.zero(m) ** 0
+
+
 # -- properties ------------------------------------------------------------
 
 small_polys = st.builds(

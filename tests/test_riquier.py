@@ -1,12 +1,15 @@
 """Completion to Riquier bases: confluence, autoreduction, cofactors, classification."""
 
+import copy
+import gc
 import itertools
 import random
+import weakref
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 from sympy.polys.domains import ZZ, ZZ_I
 from sympy.polys.orderings import grlex
 from sympy.polys.rings import PolyElement, PolyRing
@@ -295,7 +298,7 @@ def test_unit_stop_ends_the_completion_at_a_unit_basis(monkeypatch, rows, m, n, 
             == witness_text)
 
 
-def test_each_head_is_searched_once(monkeypatch):
+def test_each_head_is_searched_once(monkeypatch, fresh_completion):
     # every element keeps its head: over the completion, the reduction of q,
     # the lift and the witness check, each head search is the one made when
     # an operator is made monic (one per log node), and no operator is searched
@@ -623,6 +626,74 @@ def test_replay_touches_only_the_ancestors_of_the_trace():
     basis.lift({k: op("1", 2) for k in touched})
     replayed = set(log._replayed) - {0, 1}
     assert replayed == {basis.made_by[k] for k in touched}
+
+
+# -- one completion per system: the last basis is kept ------------------------
+
+@settings(deadline=None, max_examples=30,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(0, 2 ** 32), st.integers(0, 5), st.booleans())
+def test_equal_generators_get_the_last_basis_back(monkeypatch, fresh_completion,
+                                                  seed, kind, constructed):
+    logs = []
+    init = DerivationLog.__init__
+
+    def counting(self, generators, m):
+        logs.append(generators)
+        init(self, generators, m)
+
+    monkeypatch.setattr(DerivationLog, "__init__", counting)
+    rng = random.Random(seed)
+    m, n, count = METAMORPHIC_CLASSES[kind]
+    gens = random_generators(rng, m, n, count, order=2, degree=1)
+    q = random_operator(rng, m, n, order=2, degree=1, terms=2)
+    if constructed:  # a member, so that the witness is lifted
+        q = OperatorVector.zero(m, n)
+        for g in gens:
+            q = q + scalar_operator_product(
+                random_operator(rng, m, 1, order=1, degree=1, terms=1), g)
+    fresh_completion()
+    basis = complete_to_riquier_basis(gens, m, n)
+    assert len(logs) == 1
+    # deep copies, equal by value: the same basis object, and no completion
+    # runs; the second query also reuses the replayed derivation log
+    assert complete_to_riquier_basis(copy.deepcopy(gens), m, n) is basis
+    result = weyl_closure_member(q, copy.deepcopy(gens))
+    twice = weyl_closure_member(q, copy.deepcopy(gens))
+    assert result.basis is basis and twice.basis is basis and len(logs) == 1
+    answer = (result.member, result.normal_form, result.witness)
+    assert (twice.member, twice.normal_form, twice.witness) == answer
+    # once another system is completed, the last basis is released
+    ref = weakref.ref(basis)
+    del basis, result, twice
+    wider = [OperatorVector(g.terms, m, n + 1) for g in gens]  # another (m, n)
+    assert complete_to_riquier_basis(wider, m, n + 1).n == n + 1 and len(logs) == 2
+    gc.collect()
+    assert ref() is None
+    # reordered and Gaussian generators complete afresh; the latter generate
+    # the same module, and so have the same reduced basis
+    kept = complete_to_riquier_basis(gens, m, n)
+    assert len(logs) == 3
+    if gens[::-1] != gens:
+        assert complete_to_riquier_basis(gens[::-1], m, n) is not kept and len(logs) == 4
+    made = len(logs)
+    i = RationalFunction.constant(GaussianRational(0, 1), m)
+    gaussian = complete_to_riquier_basis([g.left_scale(i) for g in gens], m, n)
+    assert gaussian is not kept and len(logs) == made + 1
+    assert gaussian.elements == kept.elements
+    # the same answer as from a fresh completion with the memory emptied
+    fresh_completion()
+    fresh = weyl_closure_member(q, gens)
+    assert fresh.basis is not kept and len(logs) == made + 2
+    assert (fresh.member, fresh.normal_form, fresh.witness) == answer
+
+
+def test_no_generators_are_kept_apart_by_their_dimensions(fresh_completion):
+    one = complete_to_riquier_basis([], 1, 1)
+    assert complete_to_riquier_basis([], 1, 1) is one
+    other = complete_to_riquier_basis([], 2, 1)
+    assert other is not one and (other.m, other.n) == (2, 1)
+    assert complete_to_riquier_basis([], 2, 2).n == 2
 
 
 # -- rational reference for the fraction-free lift ---------------------------
