@@ -15,7 +15,7 @@ from typing import List, Optional
 
 from .closure import (
     Witness,
-    _lemma1_decide,
+    membership_via_lemma1,
     oracle_division_member_1d,
     verify_witness,
     weyl_closure_member,
@@ -100,8 +100,8 @@ def _cmd_member(args) -> int:
             "cofactors": [format_operator(h) for h in result.witness.cofactors],
         }
     if args.cross_check:
-        # the completion is deterministic, so the lemma1 path reuses the basis
-        lemma = _lemma1_decide(q, result.basis)
+        # the completion keeps its last basis, so the lemma1 path reuses it
+        lemma = membership_via_lemma1(q, system.generators)
         document["lemma1_member"] = lemma
         agree = lemma == result.member
         if system.m == 1 and system.n == 1 and len(system.generators) == 1:

@@ -197,17 +197,15 @@ def lemma1_solve(f: Sequence[RationalFunction],
 
 def membership_via_lemma1(q: OperatorVector,
                           generators: Sequence[OperatorVector]) -> bool:
-    """Independent decision path: F(x)-linear solving on coefficient slices."""
-    _validate_polynomial_rows(q, generators)
-    return _lemma1_decide(q, complete_to_riquier_basis(generators, q.m, q.n))
+    """Independent decision path: F(x)-linear solving on coefficient slices.
 
-
-def _lemma1_decide(q: OperatorVector, basis: RiquierBasis) -> bool:
-    """The lemma1 decision for a validated candidate against a completed basis.
-
-    Solving on coefficient slices is independent of the reduction, so a
-    caller that already completed the generators passes that basis.
+    Solving is independent of the reduction, but its family is the shifts of
+    the basis elements; the basis is the completion's kept one when the
+    caller has just completed the same generators, as ``member
+    --cross-check`` has.
     """
+    _validate_polynomial_rows(q, generators)
+    basis = complete_to_riquier_basis(generators, q.m, q.n)
     if q.is_zero():
         return True
     if not basis.elements:

@@ -1252,11 +1252,20 @@ def integer_polynomials(groups: Sequence[Sequence[RationalFunction]], lists: boo
 
 
 def integer_ratio(num, den) -> RationalFunction:
-    """num / den in lowest terms, for elements of one integer ring and den != 0."""
+    """num / den in lowest terms, for elements of one integer ring and den != 0.
+
+    A constant den, such as the leading coefficient a witness's rows are
+    divided by, meets only num's content: a field division, with no gcd of
+    ring elements.
+    """
     if not num:
         return RationalFunction.zero(num.ring.ngens)
-    (k, a), (e, b) = _primitive(num), _primitive(den)
-    _, a, b = gcd_cofactors(a, b)
+    k, a = _primitive(num)
+    if den.is_ground:
+        e, b = den.LC, _one_of(a.ring)
+    else:
+        e, b = _primitive(den)
+        _, a, b = gcd_cofactors(a, b)
     if a.ring.domain is ZZ:
         return RationalFunction._reduced(QQ(k, e), a, b)
     return RationalFunction._reduced(

@@ -4,6 +4,15 @@ A system file is UTF-8 text with ``field:``, ``vars:``, ``unknowns:`` and
 ``row:`` lines, plus optional ``q:``, ``point:``, ``s:`` and ``T:`` lines.
 Blank lines and ``#`` comments are ignored.  All emitted values are exact
 strings; no floating point survives serialization.
+
+The process parses each system file once while it keeps asking about it:
+``load_system`` reads the whole file on every call, and when the text and
+the default field are those of its last call, it returns that same
+``SystemFile`` object without parsing.  So a returned ``SystemFile`` is
+shared and read-only, as a ``RiquierBasis`` from the completion is, and the
+CLI commands on one file hand ``complete_to_riquier_basis`` the very same
+generators.  The memory is one entry: parsing another text replaces it, and
+a text that fails to parse is not kept.
 """
 
 from __future__ import annotations
@@ -20,6 +29,10 @@ from .scalars import Scalar
 
 @dataclass
 class SystemFile:
+    """A parsed system file.  One from ``load_system`` is shared with every
+    later load of the same text, so it is read-only: change neither its
+    fields nor its list of generators."""
+
     field_mode: str
     m: int
     n: int
@@ -71,39 +84,60 @@ def parse_initial_conditions(text: str, m: int, n: int,
     return init
 
 
+# The last load, (text, default field) and its system, or None: one entry,
+# so the process holds at most one parsed system (see load_system).
+_last: Optional[Tuple[Tuple[str, str], SystemFile]] = None
+
+
 def load_system(path: str, default_field: str = "real") -> SystemFile:
+    """Read and parse a system file.
+
+    The file is read in full on every call, so a missing or unreadable file
+    raises OSError.  When its text and ``default_field`` are those of the
+    last call, that call's ``SystemFile`` is returned again, shared and
+    read-only; otherwise the text is parsed and becomes the one kept entry.
+    """
+    global _last
+    with open(path, encoding="utf-8") as handle:
+        text = handle.read()
+    source = (text, default_field)
+    if _last is not None and _last[0] == source:
+        return _last[1]
+    _last = None  # the kept system is released before another is parsed
     field_mode = default_field
     m: Optional[int] = None
     n = 1
     rows: List[str] = []
     extras: Dict[str, str] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if ":" not in line:
-                raise InvalidInput(f"{path}:{lineno}: expected 'key: value'")
-            key, value = (part.strip() for part in line.split(":", 1))
-            if key == "field":
-                if value not in ("real", "complex"):
-                    raise InvalidInput(f"{path}:{lineno}: unknown field mode {value!r}")
-                field_mode = value
-            elif key == "vars":
-                m = int(value)
-            elif key == "unknowns":
-                n = int(value)
-            elif key == "row":
-                rows.append(value)
-            elif key in ("q", "point", "s", "T"):
-                extras[key] = value
-            else:
-                raise InvalidInput(f"{path}:{lineno}: unknown key {key!r}")
+    # reading in text mode turned '\r\n' and '\r' into '\n', so these are the
+    # lines that iterating the file gives; str.splitlines would also break at
+    # form feeds and other separators, and shift the line numbers
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if ":" not in line:
+            raise InvalidInput(f"{path}:{lineno}: expected 'key: value'")
+        key, value = (part.strip() for part in line.split(":", 1))
+        if key == "field":
+            if value not in ("real", "complex"):
+                raise InvalidInput(f"{path}:{lineno}: unknown field mode {value!r}")
+            field_mode = value
+        elif key == "vars":
+            m = int(value)
+        elif key == "unknowns":
+            n = int(value)
+        elif key == "row":
+            rows.append(value)
+        elif key in ("q", "point", "s", "T"):
+            extras[key] = value
+        else:
+            raise InvalidInput(f"{path}:{lineno}: unknown key {key!r}")
     if m is None:
         raise InvalidInput(f"{path}: missing 'vars:' line")
     if m < 1 or n < 1:
         raise InvalidInput(f"{path}: vars and unknowns must be positive")
-    generators = [parse_operator(text, m, n, field_mode) for text in rows]
+    generators = [parse_operator(row, m, n, field_mode) for row in rows]
     system = SystemFile(field_mode, m, n, generators)
     if "q" in extras:
         system.q = parse_operator(extras["q"], m, n, field_mode)
@@ -113,6 +147,7 @@ def load_system(path: str, default_field: str = "real") -> SystemFile:
         system.s = int(extras["s"])
     if "T" in extras:
         system.truncation = int(extras["T"])
+    _last = source, system
     return system
 
 

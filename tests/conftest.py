@@ -10,7 +10,7 @@ from typing import List
 
 import pytest
 
-from weylclosure import Derivative, OperatorVector, Polynomial, RationalFunction, riquier
+from weylclosure import Derivative, OperatorVector, Polynomial, RationalFunction, riquier, systemio
 
 
 def random_polynomial(rng: random.Random, m: int, degree: int = 2,
@@ -85,6 +85,21 @@ def fresh_completion():
     empty()
     yield empty
     riquier._last = kept
+
+
+@pytest.fixture
+def fresh_load():
+    """Empty ``load_system``'s memory of its last system, now and whenever the
+    test calls the returned function, so that the next load parses its file
+    afresh.  The memory the test found is put back after it."""
+    kept = systemio._last
+
+    def empty():
+        systemio._last = None
+
+    empty()
+    yield empty
+    systemio._last = kept
 
 
 @contextlib.contextmanager

@@ -5,9 +5,10 @@ import time
 
 import pytest
 
-from weylclosure import cli
+from weylclosure import cli, systemio
 from weylclosure.cli import main
 from weylclosure.formatting import format_operator
+from weylclosure.riquier import DerivationLog
 
 EULER = """\
 # second-order equation with polynomial solutions x and x^2
@@ -105,21 +106,20 @@ def test_member_cross_check_agrees(euler_file, capsys):
     assert doc["euclidean_member"] is True
 
 
-def test_member_cross_check_completes_once(euler_file, capsys, monkeypatch):
-    import weylclosure.cli
-    import weylclosure.closure
-
+def test_member_cross_check_completes_once(euler_file, capsys, monkeypatch, fresh_completion):
+    # the lemma1 path asks complete_to_riquier_basis again, and gets the basis
+    # weyl_closure_member just made: each completion makes one derivation log
     calls = []
-    original = weylclosure.closure.complete_to_riquier_basis
+    init = DerivationLog.__init__
 
-    def counting(*args):
+    def counting(self, *args):
         calls.append(args)
-        return original(*args)
+        init(self, *args)
 
-    monkeypatch.setattr(weylclosure.closure, "complete_to_riquier_basis", counting)
-    monkeypatch.setattr(weylclosure.cli, "complete_to_riquier_basis", counting)
+    monkeypatch.setattr(DerivationLog, "__init__", counting)
     for q, member in (("D^3", True), ("D^2", False)):
         calls.clear()
+        fresh_completion()
         code, doc = run(capsys, ["member", euler_file, "--q", q, "--cross-check"])
         assert code == (0 if member else 1)
         assert doc["lemma1_member"] is member
@@ -355,6 +355,36 @@ def test_repeated_calls_share_one_parser_but_no_values(euler_file, capsys, monke
     assert built == [True]
 
 
+def test_the_commands_on_one_file_parse_it_once(euler_file, capsys, monkeypatch, fresh_load):
+    parsed = []
+    parse = systemio.parse_operator
+
+    def spy(text, *args):
+        parsed.append(text)
+        return parse(text, *args)
+
+    monkeypatch.setattr(systemio, "parse_operator", spy)
+    calls = [["riquier", euler_file], ["prop1", euler_file, "--point", "1"],
+             ["solve", euler_file, "--point", "1"],
+             ["member", euler_file, "--q", "D^3", "--cross-check"],
+             ["verify-witness", euler_file, "--q", "D^3", "--w", "x^2", "--h", "D"]]
+    for argv in calls:
+        assert main(argv) == 0
+    capsys.readouterr()
+    assert parsed == ["x^2*D^2 - 2*x*D + 2"]
+
+
+def test_a_file_rewritten_between_calls_is_read_again(tmp_path, capsys):
+    path = tmp_path / "s.sys"
+    path.write_text(EULER)
+    assert run(capsys, ["riquier", str(path)])[1]["basis"] == ["D^2 - (2/x)*D + 2/x^2"]
+    path.write_text(GRADIENT)
+    assert run(capsys, ["riquier", str(path)])[1]["basis"] == ["D2", "D1"]
+    path.write_text("vars: 1\nrow D\n")
+    assert main(["riquier", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}:2: expected 'key: value'\n"
+
+
 # -- input errors ----------------------------------------------------------
 
 def test_missing_file_is_an_input_error(capsys):
@@ -415,7 +445,7 @@ def test_solve_argument_errors_exit_2_with_their_message(tmp_path, capsys, argv,
 
 
 def test_member_cross_check_disagreement_exits_2(euler_file, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "_lemma1_decide", lambda q, basis: False)
+    monkeypatch.setattr(cli, "membership_via_lemma1", lambda q, generators: False)
     code = main(["member", euler_file, "--q", "D^3", "--cross-check"])
     captured = capsys.readouterr()
     assert code == 2

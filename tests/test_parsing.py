@@ -20,7 +20,7 @@ from weylclosure import (
     parse_rational,
     scalar_operator_product,
 )
-from weylclosure import parsing
+from weylclosure import parsing, systemio
 from weylclosure.systemio import load_system, parse_initial_conditions, parse_point
 from conftest import random_operator
 
@@ -432,3 +432,102 @@ def test_point_line_with_an_empty_coordinate_is_rejected(tmp_path):
     path.write_text("vars: 2\nrow: D1\npoint: 1,,2\n")
     with pytest.raises(InvalidInput, match=r"^empty coordinate in point '1,,2'$"):
         load_system(str(path))
+
+
+# -- one parse per system file: the last system is kept -------------------------
+
+EULER = "vars: 1\nrow: x^2*D^2 - 2*x*D + 2\nq: D^3\npoint: 1\n"
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The texts systemio hands to parse_operator, in order."""
+    seen = []
+    parse = systemio.parse_operator
+
+    def spy(text, *args):
+        seen.append(text)
+        return parse(text, *args)
+
+    monkeypatch.setattr(systemio, "parse_operator", spy)
+    return seen
+
+
+def test_an_unchanged_file_is_parsed_once(tmp_path, fresh_load, parses):
+    path = tmp_path / "euler.sys"
+    path.write_text(EULER)
+    first = load_system(str(path))
+    assert parses == ["x^2*D^2 - 2*x*D + 2", "D^3"]
+    # the same text at another path is the same system, shared
+    other = tmp_path / "copy.sys"
+    other.write_text(EULER)
+    for again in (str(path), str(other)):
+        assert load_system(again) is first
+    assert len(parses) == 2
+    assert first.generators == [op("x^2*D^2 - 2*x*D + 2")] and first.point == (1,)
+
+
+def test_a_rewritten_file_gives_the_new_system(tmp_path, fresh_load, parses):
+    path = tmp_path / "s.sys"
+    path.write_text(EULER)
+    old = load_system(str(path))
+    path.write_text("vars: 1\nrow: D - 1\n")
+    new = load_system(str(path))
+    assert new is not old and new.generators == [op("D - 1")] and new.q is None
+    assert parses[-1] == "D - 1"
+    # and back: the first text is parsed again, since only the last is kept
+    path.write_text(EULER)
+    assert load_system(str(path)) == old and len(parses) == 5
+
+
+def test_another_default_field_parses_again(tmp_path, fresh_load, parses):
+    path = tmp_path / "s.sys"
+    path.write_text("vars: 1\nrow: D - 1\n")
+    real = load_system(str(path))
+    complex_mode = load_system(str(path), "complex")
+    assert complex_mode is not real and len(parses) == 2
+    assert (real.field_mode, complex_mode.field_mode) == ("real", "complex")
+    assert load_system(str(path), "complex") is complex_mode and len(parses) == 2
+    # a file that declares its field is still keyed by the default it was read with
+    path.write_text("field: complex\nvars: 1\nrow: D - i\n")
+    declared = load_system(str(path))
+    assert load_system(str(path), "complex") is not declared and len(parses) == 4
+
+
+def test_a_file_that_fails_to_load_raises_every_time_and_is_not_kept(tmp_path, fresh_load):
+    good = tmp_path / "good.sys"
+    good.write_text(EULER)
+    bad = tmp_path / "bad.sys"
+    bad.write_text("vars: 1\nrow: 2x\n")
+    kept = load_system(str(good))
+    for _ in range(2):
+        with pytest.raises(ParseError):
+            load_system(str(bad))
+        assert systemio._last is None
+    # a missing file raises OSError on every call, before any text is compared
+    missing = str(tmp_path / "missing.sys")
+    for _ in range(2):
+        with pytest.raises(OSError):
+            load_system(missing)
+    assert systemio._last is None
+    assert load_system(str(good)) is not kept
+
+
+# The messages are those the file iterator gave: text mode turns "\r\n" and
+# "\r" into "\n", and lines end there only, not at the other separators that
+# str.splitlines breaks at.
+@pytest.mark.parametrize("data, message", [
+    (b"vars: 1\r\n\r\n# c\r\nrow D\r\n", "4: expected 'key: value'"),
+    (b"vars: 1\r\rrow: D\rbogus: 1\r", "4: unknown key 'bogus'"),
+    (b"vars: 1\nrow: D\nfield: octonion", "3: unknown field mode 'octonion'"),
+    ("vars: 1\n# page\x0cbreak\nrow: D\nwhat: 1\n".encode(), "4: unknown key 'what'"),
+    ("vars: 1\n# a\u2028b\u2029c\x85d\x1ce\x1df\x1eg\x0bh\nrow D\n".encode(),
+     "3: expected 'key: value'"),
+], ids=["crlf", "cr", "no-final-newline", "form-feed", "unicode-separators"])
+def test_line_numbers_count_newlines_only(tmp_path, fresh_load, data, message):
+    path = tmp_path / "s.sys"
+    path.write_bytes(data)
+    for _ in range(2):
+        with pytest.raises(InvalidInput) as error:
+            load_system(str(path))
+        assert str(error.value) == f"{path}:{message}"
