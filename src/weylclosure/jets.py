@@ -23,7 +23,7 @@ stores them transposed: for each position, the later rows that read it, with
 their coefficients.  Delta_s is a prefix of Delta_(s+1), so one plan per
 point serves every order, and a solve pushes each nonzero value forward over
 a prefix of it, never visiting a row whose inputs are all zero.  Delta_T and
-its positions are ranked once per (m, n) (``riquier.ranked_delta``), and the
+its positions are ranked once per (m, n) (``operators.ranked_delta``), and the
 principal/parametric classification once per basis
 (``RiquierBasis.ranked_up_to``): the plans and the constraint matrix's
 columns read both.
@@ -55,6 +55,7 @@ from .operators import (
     MultiIndex,
     OperatorVector,
     check_fits,
+    delta_size,
     multi_indices,
 )
 from .polynomials import Polynomial, RationalFunction
@@ -80,14 +81,14 @@ def constraint_matrix(basis: RiquierBasis, s: int,
 
     The rows are read off the basis's evaluation at the point
     (``basis.solve_plans``), which the solve plan there shares.
-    InvalidInput, before anything is built, when the matrix would have more
-    than MAX_JET_SIZE entries.
+    InvalidInput, before anything is built, when Delta_s would have more than
+    MAX_JET_SIZE derivatives or the matrix more than MAX_JET_SIZE entries.
     """
     if s < basis.s0:
         raise SBelowS0(f"requested order {s} is below the basis degree {basis.s0}")
     point = _check_point(basis, point)
-    nrows = sum(comb(s - p.degree() + basis.m, basis.m) for p in basis.elements)
-    ncols = basis.n * comb(s + basis.m, basis.m)
+    ncols = delta_size(basis.m, basis.n, s)
+    nrows = sum(delta_size(basis.m, 1, s - p.degree()) for p in basis.elements)
     if nrows * ncols > MAX_JET_SIZE:
         raise InvalidInput(
             f"the constraint matrix of order {s} has {nrows} rows and {ncols} columns, "
@@ -100,7 +101,7 @@ def constraint_matrix(basis: RiquierBasis, s: int,
     labels: List[Tuple[int, MultiIndex]] = []
     for index, p in enumerate(basis.elements):
         reach = s - p.degree()
-        for beta in sorted(multi_indices(basis.m, reach), key=lambda b: (sum(b), b)):
+        for beta in multi_indices(basis.m, reach):
             row = [ZERO] * ncols
             for key, value in plan.row(basis, index, beta, reach).items():
                 row[position[key]] = value
@@ -230,7 +231,7 @@ def formal_solve(basis: RiquierBasis, point: Sequence[Scalar],
     """
     if order < basis.s0:
         raise SBelowS0(f"truncation order {order} is below the basis degree {basis.s0}")
-    size = basis.n * comb(order + basis.m, basis.m)
+    size = delta_size(basis.m, basis.n, order)
     found = list(map(basis.position.get, init, repeat(size, len(init))))
     missed = max(found, default=0) >= size
     if missed:

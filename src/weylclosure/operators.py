@@ -10,7 +10,8 @@ lemma1 slices and the jet action all take their shifts from it.  (The
 witness check multiplies on integer rows with a kernel of its own, so that
 it shares no code with what it checks.)  An operator's head under the
 standard ranking is found on first use and kept with the operator, whose
-terms never change.
+terms never change.  Delta_s, the derivatives of order at most s, is sized
+(``delta_size``) and ranked (``ranked_delta``) here only.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ K = TypeVar("K")
 T = TypeVar("T")
 V = TypeVar("V")
 
-# The most derivatives ``derivatives_up_to`` lists, and the most entries
+# The most derivatives Delta_s may have (``delta_size``), and the most entries
 # ``jets.constraint_matrix`` builds.  At the bound Delta_s takes about 40 MB
 # and 0.4 s to build (2 vCPUs, Python 3.11), and a constraint matrix with
 # that many entries already takes seconds to eliminate; the test suite and
@@ -122,26 +123,53 @@ def stepwise(start: T, step: Callable[[int, T, MultiIndex], T]) -> Callable[[Mul
     return f
 
 
-def derivatives_up_to(m: int, n: int, s: int, above: int = -1) -> List[Derivative]:
-    """The set Delta_s, sorted by the standard ranking.
-
-    With ``above = t`` only the derivatives of order above t are listed: the
-    ranking compares orders first, so they are the part of Delta_s that
-    follows Delta_t.  InvalidInput when Delta_s has more than MAX_JET_SIZE
-    derivatives, whatever ``above`` is.
-    """
+def delta_size(m: int, n: int, s: int) -> int:
+    """|Delta_s| = n * C(s + m, m), 0 for s < 0; InvalidInput past MAX_JET_SIZE."""
     size = n * math.comb(s + m, m) if s >= 0 else 0
     if size > MAX_JET_SIZE:
         raise InvalidInput(
             f"order {s} has {size} derivatives in {m} variable(s) and {n} unknown(s), "
             f"more than the limit of {MAX_JET_SIZE}")
-    out = [
-        Derivative(i, alpha)
-        for alpha in multi_indices(m, s, above + 1)
-        for i in range(1, n + 1)
-    ]
-    out.sort(key=Derivative.rank_key)
-    return out
+    return size
+
+
+def _ranked_orders(m: int, n: int, s: int, above: int) -> List[Derivative]:
+    """Orders above..s of Delta in ranking order: by order, component, multi-index."""
+    return [Derivative(i, alpha)
+            for t in range(above + 1, s + 1)
+            for i in range(1, n + 1)
+            for alpha in multi_indices(m, t, t)]
+
+
+# Per (m, n): Delta_T in ranking order, for the highest order T asked in the
+# process, and the position there of each derivative.  An extension publishes
+# a new list and a new map, so a list or map handed out never changes.
+_RANKINGS: Dict[Tuple[int, int], Tuple[List[Derivative], Dict[Derivative, int]]] = {}
+
+
+def ranked_delta(m: int, n: int, order: int) -> Tuple[List[Derivative], Dict[Derivative, int]]:
+    """(Delta_T in ranking order, the position of each of its derivatives), T >= order.
+
+    Each order is enumerated once per (m, n) in the process; a lower order
+    gets the list and map as they are, longer than Delta_order.  Both are
+    shared, so they are read-only.  InvalidInput past MAX_JET_SIZE.
+    """
+    ranked, position = _RANKINGS.get((m, n), ([], {}))
+    if delta_size(m, n, order) > len(ranked):
+        new = _ranked_orders(m, n, order, ranked[-1].order if ranked else -1)
+        position = dict(position)
+        position.update(zip(new, itertools.count(len(ranked))))
+        ranked = ranked + new
+        _RANKINGS[m, n] = ranked, position
+    return ranked, position
+
+
+def derivatives_up_to(m: int, n: int, s: int, above: int = -1) -> List[Derivative]:
+    """Delta_s in ranking order, or with ``above = t`` the part that follows
+    Delta_t, as a fresh slice of ``ranked_delta``'s list: the caller owns it.
+    InvalidInput past MAX_JET_SIZE, whatever ``above`` is."""
+    size = delta_size(m, n, s)
+    return ranked_delta(m, n, s)[0][delta_size(m, n, min(above, s)):size]
 
 
 class OperatorVector:

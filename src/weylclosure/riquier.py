@@ -53,7 +53,7 @@ Rational functions appear only at the edge, in the cofactors handed out.
 
 A basis ranks Delta_T, the derivatives up to order T, for its jets.  The
 list in ranking order and the position of each derivative come from
-``ranked_delta``, which enumerates and sorts them once per (m, n) in the
+``operators.ranked_delta``, which enumerates them once per (m, n) in the
 process, and every basis of that (m, n) shares them, read-only; each basis
 classifies its own derivatives as principal or parametric
 (``RiquierBasis.ranked_up_to``).
@@ -85,8 +85,9 @@ from .operators import (
     OperatorVector,
     add_term,
     check_fits,
-    derivatives_up_to,
+    delta_size,
     left_multiply_by_d,
+    ranked_delta,
     stepwise,
 )
 from .ranking import ReductionTrace, pick_rule, reduce_full
@@ -374,33 +375,6 @@ class DerivationLog:
         return _sum(parts) if parts else _Lifted(self._unit(), {})
 
 
-# Per (m, n): Delta_T in ranking order, for the highest order T asked in the
-# process, and the position there of each derivative.  An extension publishes
-# a new list and a new map, so a list or map handed out never changes.
-_RANKINGS: Dict[Tuple[int, int], Tuple[List[Derivative], Dict[Derivative, int]]] = {}
-
-
-def ranked_delta(m: int, n: int, order: int) -> Tuple[List[Derivative], Dict[Derivative, int]]:
-    """(Delta_T in ranking order, the position of each of its derivatives), T >= order.
-
-    One list and one map serve every basis of the same (m, n), so each order
-    of Delta is enumerated and sorted once per process: a higher order appends
-    the new derivatives to copies of the list and the map it had, and a lower
-    order returns them as they are, longer than Delta_order.  Both are shared,
-    so they are read-only.  InvalidInput, from ``derivatives_up_to``, when
-    Delta_order has more than MAX_JET_SIZE derivatives.
-    """
-    ranked, position = _RANKINGS.get((m, n), ([], {}))
-    if order >= 0 and n * math.comb(order + m, m) > len(ranked):
-        held = ranked[-1].order if ranked else -1
-        new = derivatives_up_to(m, n, order, above=held)
-        position = dict(position)
-        position.update(zip(new, itertools.count(len(ranked))))
-        ranked = ranked + new
-        _RANKINGS[m, n] = ranked, position
-    return ranked, position
-
-
 class RiquierBasis:
     """A monic, autoreduced, confluent generating set with its derivation log.
 
@@ -408,8 +382,8 @@ class RiquierBasis:
     (``ranked_up_to``): each derivative is classified once per basis, by
     ``ranking.pick_rule``, and ``parametric_up_to``, the constraint matrix
     and the solve plans of ``jets`` all read that one list.  The ranking it
-    classifies, ``ranked`` and ``position``, is ``ranked_delta``'s, shared by
-    every basis of the same (m, n): both are read-only.
+    classifies, ``ranked`` and ``position``, is ``operators.ranked_delta``'s,
+    shared by every basis of the same (m, n): both are read-only.
 
     A basis that ``complete_to_riquier_basis`` returns is shared with every
     later caller that completes the same generators, so it is read-only too:
@@ -428,10 +402,8 @@ class RiquierBasis:
         # the log and, per element, the log id that made it
         self.derivation = derivation
         self.made_by = list(made_by)
-        # the shared Delta_T in ranking order and its positions (``ranked_delta``),
-        # covering at least the highest order T asked so far, and per position
-        # of Delta_T the index of the rule whose head divides it (None when it
-        # is parametric); see ``ranked_up_to``
+        # the shared ranking (``ranked_delta``) and, per position, the rule
+        # whose head divides it or None; see ``ranked_up_to``
         self.ranked, self.position = ranked_delta(m, n, -1)
         self.ranked_rules: List[Optional[int]] = []
         # the basis evaluated at each point, one plan per point for every
@@ -477,14 +449,12 @@ class RiquierBasis:
     def ranked_up_to(self, order: int) -> int:
         """|Delta_order|, after classifying every derivative of Delta_order.
 
-        ``ranked`` and ``position`` are ``ranked_delta(m, n, order)``, and
+        ``ranked`` and ``position`` are ``ranked_delta(m, n, order)``'s, and
         ``ranked_rules`` holds, per position, the index of the rule whose head
-        divides the derivative there, or None when it is parametric.  Under
-        the standard ranking Delta_s is a prefix of Delta_(s+1), so a higher
-        order classifies the new derivatives, each once, and a lower order
-        reads a prefix.
+        divides the derivative there, or None when it is parametric.  Delta_s
+        is a prefix of Delta_(s+1), so each derivative is classified once.
         """
-        size = self.n * math.comb(order + self.m, self.m)
+        size = delta_size(self.m, self.n, order)
         start = len(self.ranked_rules)
         if size > start:
             if size > len(self.ranked):

@@ -2,7 +2,8 @@
 
 A system file is UTF-8 text with ``field:``, ``vars:``, ``unknowns:`` and
 ``row:`` lines, plus optional ``q:``, ``point:``, ``s:`` and ``T:`` lines.
-Blank lines and ``#`` comments are ignored.  All emitted values are exact
+Only ``row:`` may repeat; ``vars:``, ``unknowns:``, ``s:`` and ``T:`` take
+integers.  Blank lines and ``#`` comments are ignored.  All emitted values are exact
 strings; no floating point survives serialization.
 
 The process parses each system file once while it keeps asking about it:
@@ -104,11 +105,8 @@ def load_system(path: str, default_field: str = "real") -> SystemFile:
     if _last is not None and _last[0] == source:
         return _last[1]
     _last = None  # the kept system is released before another is parsed
-    field_mode = default_field
-    m: Optional[int] = None
-    n = 1
     rows: List[str] = []
-    extras: Dict[str, str] = {}
+    values: Dict[str, object] = {}
     # reading in text mode turned '\r\n' and '\r' into '\n', so these are the
     # lines that iterating the file gives; str.splitlines would also break at
     # form feeds and other separators, and shift the line numbers
@@ -119,34 +117,35 @@ def load_system(path: str, default_field: str = "real") -> SystemFile:
         if ":" not in line:
             raise InvalidInput(f"{path}:{lineno}: expected 'key: value'")
         key, value = (part.strip() for part in line.split(":", 1))
-        if key == "field":
-            if value not in ("real", "complex"):
-                raise InvalidInput(f"{path}:{lineno}: unknown field mode {value!r}")
-            field_mode = value
-        elif key == "vars":
-            m = int(value)
-        elif key == "unknowns":
-            n = int(value)
-        elif key == "row":
+        if key == "row":
             rows.append(value)
-        elif key in ("q", "point", "s", "T"):
-            extras[key] = value
-        else:
+            continue
+        if key in values:
+            raise InvalidInput(f"{path}:{lineno}: duplicate key {key!r}")
+        if key == "field" and value not in ("real", "complex"):
+            raise InvalidInput(f"{path}:{lineno}: unknown field mode {value!r}")
+        if key in ("vars", "unknowns", "s", "T"):
+            try:
+                value = int(value)
+            except ValueError:
+                raise InvalidInput(
+                    f"{path}:{lineno}: {key} must be an integer, got {value!r}") from None
+        elif key not in ("field", "q", "point"):
             raise InvalidInput(f"{path}:{lineno}: unknown key {key!r}")
-    if m is None:
+        values[key] = value
+    if "vars" not in values:
         raise InvalidInput(f"{path}: missing 'vars:' line")
+    field_mode = values.get("field", default_field)
+    m, n = values["vars"], values.get("unknowns", 1)
     if m < 1 or n < 1:
         raise InvalidInput(f"{path}: vars and unknowns must be positive")
     generators = [parse_operator(row, m, n, field_mode) for row in rows]
-    system = SystemFile(field_mode, m, n, generators)
-    if "q" in extras:
-        system.q = parse_operator(extras["q"], m, n, field_mode)
-    if "point" in extras:
-        system.point = parse_point(extras["point"], m, field_mode)
-    if "s" in extras:
-        system.s = int(extras["s"])
-    if "T" in extras:
-        system.truncation = int(extras["T"])
+    system = SystemFile(field_mode, m, n, generators, s=values.get("s"),
+                        truncation=values.get("T"))
+    if "q" in values:
+        system.q = parse_operator(values["q"], m, n, field_mode)
+    if "point" in values:
+        system.point = parse_point(values["point"], m, field_mode)
     _last = source, system
     return system
 

@@ -11,6 +11,7 @@ from typing import List
 import pytest
 
 from weylclosure import Derivative, OperatorVector, Polynomial, RationalFunction, riquier, systemio
+from weylclosure.operators import multi_indices
 
 
 def random_polynomial(rng: random.Random, m: int, degree: int = 2,
@@ -64,6 +65,13 @@ def random_generators(rng: random.Random, m: int, n: int, count: int,
         random_nonzero_operator(rng, m, n, order=order, degree=degree, **kwargs)
         for _ in range(count)
     ]
+
+
+def ranked_oracle(m: int, n: int, s: int) -> List[Derivative]:
+    """Delta_s sorted by ``Derivative.rank_key``: the ranking built without
+    the library's shared one, for tests that check against it."""
+    return sorted((Derivative(i, alpha) for alpha in multi_indices(m, s)
+                   for i in range(1, n + 1)), key=Derivative.rank_key)
 
 
 @pytest.fixture

@@ -10,8 +10,11 @@ from functools import lru_cache
 
 from weylclosure import (
     Derivative,
+    GaussianRational,
     OperatorVector,
     ParseError,
+    Polynomial,
+    RationalFunction,
     apply_to_jet,
     basis_denominators,
     check_jet_constraints,
@@ -284,3 +287,55 @@ def test_acceptance_10_parser_round_trip_and_fuzz():
             break
     report(10, ok, "format/parse identity holds and 10,000 fuzzed inputs "
            "never crash")
+
+
+# -- 11 --------------------------------------------------------------------
+
+# (m, n, number of generators) of the complex sweep's systems, taken in turn
+COMPLEX_CLASSES = [(1, 1, 1), (1, 1, 2), (1, 2, 1), (2, 1, 1), (2, 2, 1)]
+GAUSSIAN_FACTORS = [GaussianRational(0, 1), GaussianRational(1, 1), GaussianRational(2, -1)]
+
+
+def gaussian_scaled(rng, p):
+    """p with about three in four coefficients scaled by i, 1 + i or 2 - i.
+
+    Each coefficient is built from its Gaussian terms, as the parser builds one.
+    """
+    terms = {}
+    for d, c in p.terms.items():
+        factor = rng.choice(GAUSSIAN_FACTORS) if rng.random() < 0.75 else 1
+        terms[d] = RationalFunction(
+            Polynomial({e: factor * v for e, v in c.num.terms.items()}, p.m))
+    return OperatorVector(terms, p.m, p.n)
+
+
+def test_acceptance_11_complex_mode_sweep():
+    rng = random.Random(11_2016)
+    ops = members = 0
+    failed = []
+    for k in range(150):
+        m, n, count = COMPLEX_CLASSES[(k // 2) % len(COMPLEX_CLASSES)]
+        gens = [gaussian_scaled(rng, g)
+                for g in random_generators(rng, m, n, count, order=2, degree=2, terms=2)]
+        constructed = k % 2 == 0
+        if constructed:
+            q = OperatorVector.zero(m, n)
+            for g in gens:
+                a = random_operator(rng, m, 1, order=1, degree=1, terms=1)
+                q = q + scalar_operator_product(gaussian_scaled(rng, a), g)
+        else:
+            q = gaussian_scaled(rng, random_operator(rng, m, n, order=2, degree=2, terms=2))
+        result = weyl_closure_member(q, gens)
+        ops += 1
+        members += result.member
+        if constructed and not result.member:
+            failed.append((k, "constructed member answered no"))
+        if result.member and not verify_witness(result.witness, q, gens):
+            failed.append((k, "witness rejected"))
+        if membership_via_lemma1(q, gens) != result.member:
+            failed.append((k, "lemma1 disagrees"))
+        if (m, n, count) == (1, 1, 1) and oracle_division_member_1d(q, gens[0]) != result.member:
+            failed.append((k, "Euclidean division disagrees"))
+    ok = not failed and members >= 75 and ops - members >= 30
+    report(11, ok, f"{members} member=true of {ops} Gaussian instances, witnesses exact, "
+           f"lemma1 and division agree; failures: {failed}")

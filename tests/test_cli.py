@@ -543,3 +543,16 @@ def test_every_option_that_takes_a_value_accepts_one_that_starts_with_a_dash():
     valued = {option for p in [parser, *subcommands.choices.values()] for a in p._actions
               if a.nargs != 0 for option in a.option_strings}
     assert valued == cli._VALUE_OPTIONS
+
+
+@pytest.mark.parametrize("text, message", [
+    # the second vars: line used to win, so this completed in two variables
+    ("vars: 1\nvars: 2\nrow: D1\n", "2: duplicate key 'vars'"),
+    ("vars: two\nrow: D\n", "1: vars must be an integer, got 'two'"),
+])
+def test_a_repeated_or_non_integer_key_exits_2_with_its_line(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.sys"
+    path.write_text(text)
+    assert main(["riquier", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {path}:{message}\n"

@@ -1,6 +1,7 @@
 """Jet-constraint matrices, formal solutions and solution-space dimensions."""
 
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -25,17 +26,18 @@ from weylclosure import (
     pick_regular_point,
     solution_space_dim,
 )
-from weylclosure import jets, ranking, riquier
+from weylclosure import jets, operators, ranking, riquier
 from weylclosure.operators import (
     MAX_JET_SIZE,
     Jet,
     apply_to_jet,
     cf_slice,
+    delta_size,
     derivatives_up_to,
     left_multiply_by_d,
     multi_indices,
 )
-from conftest import random_generators, returns_within
+from conftest import random_generators, ranked_oracle, returns_within
 
 ZERO = (Fraction(0),)
 ONE = (Fraction(1),)
@@ -86,7 +88,7 @@ def symbolic_formal_solve(basis, point, init, order):
     same formal solution.
     """
     values = {}
-    for d in derivatives_up_to(basis.m, basis.n, order):
+    for d in ranked_oracle(basis.m, basis.n, order):
         rule = next((j for j, head in enumerate(basis.heads) if head.divides(d)), None)
         if rule is None:
             values[d] = init.get(d, Fraction(0))
@@ -249,15 +251,15 @@ def test_a_polynomial_coefficient_is_expanded_once_per_point(monkeypatch):
 
 
 def test_delta_is_enumerated_once_per_order_across_bases(monkeypatch):
-    monkeypatch.setattr(riquier, "_RANKINGS", {})
+    monkeypatch.setattr(operators, "_RANKINGS", {})
     asked = []
-    build = riquier.derivatives_up_to
+    build = operators._ranked_orders
 
     def recording(m, n, s, above=-1):
         asked.append((m, n, s, above))
         return build(m, n, s, above)
 
-    monkeypatch.setattr(riquier, "derivatives_up_to", recording)
+    monkeypatch.setattr(operators, "_ranked_orders", recording)
     first = basis_of("D1 [u1] - x2 [u2]", "D2 [u1] + x1*D1 [u2]", m=2, n=2)
     second = basis_of("D1 [u2] - 1 [u1]", "D2^2 [u1]", m=2, n=2)
     other = basis_of("D1 - x2", m=2)
@@ -270,7 +272,7 @@ def test_delta_is_enumerated_once_per_order_across_bases(monkeypatch):
     assert asked == [(2, 2, 3, -1), (2, 2, 5, 3), (2, 1, 3, -1)]
     # each basis classifies its own derivatives over the one shared ranking
     assert first.ranked is second.ranked and first.position is second.position
-    assert other.ranked == derivatives_up_to(2, 1, 3)
+    assert other.ranked == ranked_oracle(2, 1, 3)
     for basis in (first, second, other):
         size = len(basis.ranked_rules)
         assert basis.ranked_rules == [ranking.pick_rule(d, basis.heads)
@@ -326,6 +328,17 @@ def test_constraint_matrix_size_guard_refuses_before_building(monkeypatch):
         f"100172 entries, more than the limit of {MAX_JET_SIZE}")
 
 
+def test_constraint_matrix_refuses_an_oversized_delta_as_delta_size_does():
+    # Delta_446 in two variables alone passes the bound, so the columns are
+    # refused by delta_size before the entries are counted
+    with pytest.raises(InvalidInput) as info:
+        constraint_matrix(basis_of("D1", m=2), 446, (Fraction(0), Fraction(0)))
+    assert str(info.value) == (
+        "order 446 has 100128 derivatives in 2 variable(s) and 1 unknown(s), "
+        f"more than the limit of {MAX_JET_SIZE}")
+    assert delta_size(2, 1, 445) == 99681 and delta_size(2, 3, -1) == 0
+
+
 def test_derivatives_up_to_refuses_past_the_bound():
     # |Delta_s| = n * C(s + m, m): C(448, 2) = 100128
     with pytest.raises(InvalidInput) as info:
@@ -346,32 +359,65 @@ def test_derivatives_above_an_order_follow_the_lower_delta():
         derivatives_up_to(2, 1, 446, above=445)
 
 
+def test_multi_indices_yield_by_total_degree_then_lexicographically():
+    for m in range(1, 5):
+        for low in range(3):
+            yielded = list(multi_indices(m, 5, low))
+            assert yielded == sorted(yielded, key=lambda b: (sum(b), b))
+            assert len(yielded) == len(set(yielded)) == sum(
+                math.comb(t + m - 1, m - 1) for t in range(low, 6))
+
+
+def test_delta_is_built_in_ranking_order_without_a_sort(monkeypatch):
+    monkeypatch.setattr(operators, "_RANKINGS", {})
+    for m in range(1, 6):
+        for n in range(1, 4):
+            for s in range(-1, 7):
+                ranked = derivatives_up_to(m, n, s)
+                assert ranked == ranked_oracle(m, n, s)
+                assert len(ranked) == delta_size(m, n, s)
+
+
+def test_a_caller_owns_the_list_derivatives_up_to_returns(monkeypatch, fresh_completion):
+    monkeypatch.setattr(operators, "_RANKINGS", {})
+    basis = basis_of("D1 [u1] - x2 [u2]", "D2 [u1] + x1*D1 [u2]", m=2, n=2)
+    basis.ranked_up_to(3)
+    shared = list(basis.ranked)
+    listed = derivatives_up_to(2, 2, 3)
+    assert listed == shared and listed is not basis.ranked
+    listed.reverse()
+    listed.append(Derivative(1, (9, 9)))
+    derivatives_up_to(2, 2, 2, above=0).clear()
+    assert basis.ranked == shared == derivatives_up_to(2, 2, 3)
+    assert operators.ranked_delta(2, 2, 3)[0] is basis.ranked
+
+
 def test_ranked_up_to_builds_only_the_new_orders(monkeypatch):
-    monkeypatch.setattr(riquier, "_RANKINGS", {})
+    monkeypatch.setattr(operators, "_RANKINGS", {})
     basis = basis_of("D1 [u1] - x2 [u2]", "D2 [u1] + x1*D1 [u2]", m=2, n=2)
     asked = []
-    build = riquier.derivatives_up_to
+    build = operators._ranked_orders
 
     def recording(m, n, s, above=-1):
         asked.append((s, above))
         return build(m, n, s, above)
 
-    monkeypatch.setattr(riquier, "derivatives_up_to", recording)
+    monkeypatch.setattr(operators, "_ranked_orders", recording)
     assert basis.ranked_up_to(2) == 12
     low, low_position = basis.ranked, basis.position
     assert basis.ranked_up_to(1) == 6
     assert basis.ranked_up_to(4) == 30
     assert asked == [(2, -1), (4, 2)]
-    assert basis.ranked == derivatives_up_to(2, 2, 4)
+    assert basis.ranked == ranked_oracle(2, 2, 4)
     assert basis.position == {(d.component, d.alpha): i for i, d in enumerate(basis.ranked)}
     # an extension is published as a new list and map: the ones handed out before stay as they were
-    assert low == derivatives_up_to(2, 2, 2)
+    assert low == ranked_oracle(2, 2, 2)
     assert low_position == {(d.component, d.alpha): i for i, d in enumerate(low)}
     assert basis.ranked_rules == [ranking.pick_rule(d, basis.heads) for d in basis.ranked]
 
 
 def test_position_is_keyed_by_the_derivative_itself(monkeypatch, fresh_completion):
-    monkeypatch.setattr(riquier, "_RANKINGS", {})
+    monkeypatch.setattr(operators, "_RANKINGS", {})
     basis = basis_of("D1 [u1] - x2 [u2]", "D2 [u1] + x1*D1 [u2]", m=2, n=2)
     basis.ranked_up_to(3)
     assert len(basis.ranked) == 20
@@ -443,7 +489,7 @@ def test_formal_solve_rejects_initial_value_above_the_order():
 
 
 def test_formal_solve_checks_its_initial_values_in_one_call(monkeypatch, fresh_completion):
-    monkeypatch.setattr(riquier, "_RANKINGS", {})
+    monkeypatch.setattr(operators, "_RANKINGS", {})
     calls = []
     check_fits = jets.check_fits
 
@@ -574,7 +620,7 @@ def test_each_derivative_is_classified_once_per_basis(monkeypatch):
     formal_solve(basis, point, low, order - 1)
     formal_solve(basis, point, init, order)
     monkeypatch.undo()
-    assert classified == derivatives_up_to(2, 2, order)
+    assert classified == ranked_oracle(2, 2, order)
     assert parametric == [d for d in classified
                           if basis.classify(d) is DerivativeClass.PARAMETRIC]
 

@@ -531,3 +531,39 @@ def test_line_numbers_count_newlines_only(tmp_path, fresh_load, data, message):
         with pytest.raises(InvalidInput) as error:
             load_system(str(path))
         assert str(error.value) == f"{path}:{message}"
+
+
+# Every key but row: is given at most once; a second line would otherwise
+# silently replace the first.
+@pytest.mark.parametrize("first, second", [
+    ("field: real", "field: complex"),
+    ("vars: 1", "vars: 2"),
+    ("unknowns: 1", "unknowns: 2"),
+    ("q: D", "q: D^2"),
+    ("point: 0", "point: 1"),
+    ("s: 2", "s: 3"),
+    ("T: 2", "T: 4"),
+])
+def test_a_repeated_key_is_refused_at_its_second_line(tmp_path, fresh_load, first, second):
+    path = tmp_path / "s.sys"
+    text = "vars: 1\nrow: D\n" if not first.startswith("vars") else "row: D\n"
+    path.write_text(f"{first}\n{text}{second}\n")
+    lineno = 2 + text.count("\n")
+    key = first.split(":")[0]
+    with pytest.raises(InvalidInput) as error:
+        load_system(str(path))
+    assert str(error.value) == f"{path}:{lineno}: duplicate key {key!r}"
+    assert systemio._last is None
+
+
+@pytest.mark.parametrize("key", ["vars", "unknowns", "s", "T"])
+@pytest.mark.parametrize("value", ["two", "1.5", "", "2 3"])
+def test_an_integer_key_with_another_value_names_its_line_and_key(tmp_path, fresh_load,
+                                                                  key, value):
+    path = tmp_path / "s.sys"
+    lines = ["vars: 1", "row: D"] if key != "vars" else ["row: D"]
+    path.write_text("\n".join(lines + [f"{key}: {value}"]) + "\n")
+    with pytest.raises(InvalidInput) as error:
+        load_system(str(path))
+    assert str(error.value) == (
+        f"{path}:{len(lines) + 1}: {key} must be an integer, got {value!r}")

@@ -34,10 +34,10 @@ from weylclosure import (
 )
 from weylclosure import polynomials, riquier
 from weylclosure.cli import main
-from weylclosure.operators import derivatives_up_to
 from weylclosure.polynomials import poly_lcm
 from weylclosure.riquier import DerivationLog
-from conftest import random_generators, random_operator, random_polynomial, returns_within
+from conftest import (random_generators, random_operator, random_polynomial, ranked_oracle,
+                      returns_within)
 
 
 def op(text, m=1, n=1):
@@ -382,7 +382,7 @@ def test_parametric_up_to_is_the_classify_filter_in_either_order(texts, m, n, or
     basis = complete_to_riquier_basis([op(t, m, n) for t in texts], m, n)
     for s in orders:
         assert basis.parametric_up_to(s) == [
-            d for d in derivatives_up_to(m, n, s)
+            d for d in ranked_oracle(m, n, s)
             if basis.classify(d) is DerivativeClass.PARAMETRIC]
 
 

@@ -11,10 +11,13 @@ and key, ``<workload> <key> <ops> <sha256>``, over:
 - ``decide`` (520 ops): the member flag, the normal form, the basis, and for
   a member the witness's w and every h_j;
 - ``jets`` (180 ops): the basis, every nullspace jet and every solved jet;
-- ``cli`` (600 calls): each call's exit code and standard output.
+- ``cli`` (600 calls): each call's exit code and standard output;
+- ``complex`` (150 ops): as ``decide``, over Gaussian systems that no
+  workload has, built here (``Complex``) as the complex-mode acceptance
+  sweep of ``tests/test_acceptance.py`` builds them.
 
-Every op's own check from ``bench/workloads.py`` runs too, and a line ends in
-``(N checks failed)`` when some do.  To compare two commits, run the script
+Every op's own check from ``bench/workloads.py`` (or ``Complex.check``) runs
+too, and a line ends in ``(N checks failed)`` when some do.  To compare two commits, run the script
 in a checkout of each (``git archive <commit> | tar -x -C <dir>``; copy this
 file into a checkout that predates it) with the same keys, and compare the
 lines: equal digests mean byte-identical outputs.
@@ -25,6 +28,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import random
 import sys
 import tempfile
 
@@ -36,7 +40,66 @@ import workloads  # noqa: E402
 from weylclosure.formatting import format_derivative  # noqa: E402
 
 # ops per key: the counts the library's refactors have compared so far
-COUNTS = {"decide": 520, "jets": 180, "cli": 600}
+COUNTS = {"decide": 520, "jets": 180, "cli": 600, "complex": 150}
+
+# (m, n, number of generators) of the complex ops' systems, taken in turn
+COMPLEX_CLASSES = [(1, 1, 1), (1, 1, 2), (1, 2, 1), (2, 1, 1), (2, 2, 1)]
+GAUSSIAN_FACTORS = [wc.GaussianRational(0, 1), wc.GaussianRational(1, 1),
+                    wc.GaussianRational(2, -1)]
+
+
+def _gaussian_scaled(rng, p):
+    """p with about three in four coefficients scaled by i, 1 + i or 2 - i."""
+    terms = {}
+    for d, c in p.terms.items():
+        factor = rng.choice(GAUSSIAN_FACTORS) if rng.random() < 0.75 else 1
+        terms[d] = wc.RationalFunction(
+            wc.Polynomial({e: factor * v for e, v in c.num.terms.items()}, p.m))
+    return wc.OperatorVector(terms, p.m, p.n)
+
+
+class Complex:
+    """``weyl_closure_member(q, gens)`` on Gaussian systems of order <= 2.
+
+    Pairs of ops cycle through ``COMPLEX_CLASSES``; even ops have a
+    constructed member q, odd ops a random q, and most coefficients of the
+    generators, of q and of the multipliers are scaled by a Gaussian factor.
+    """
+
+    def __init__(self, key: str):
+        self.key = key
+
+    def make_op(self, index: int):
+        rng = random.Random(f"complex/{self.key}/{index}")
+        m, n, count = COMPLEX_CLASSES[(index // 2) % len(COMPLEX_CLASSES)]
+        gens = [_gaussian_scaled(rng, workloads.random_nonzero_operator(
+            rng, m, n, order=2, degree=2, terms=2)) for _ in range(count)]
+        constructed = index % 2 == 0
+        if constructed:
+            q = wc.OperatorVector.zero(m, n)
+            for g in gens:
+                a = workloads.random_operator(rng, m, 1, order=1, degree=1, terms=1)
+                q = q + wc.scalar_operator_product(_gaussian_scaled(rng, a), g)
+        else:
+            q = _gaussian_scaled(rng, workloads.random_operator(rng, m, n, order=2, degree=2,
+                                                                terms=2))
+        return {"q": q, "gens": gens, "constructed": constructed}
+
+    def run(self, op):
+        return wc.weyl_closure_member(op["q"], op["gens"])
+
+    def check(self, op, result):
+        q, gens = op["q"], op["gens"]
+        if op["constructed"] and not result.member:
+            return "constructed member answered no"
+        if result.member and not wc.verify_witness(result.witness, q, gens):
+            return "witness rejected by verify_witness"
+        if wc.membership_via_lemma1(q, gens) != result.member:
+            return "disagrees with lemma1"
+        if q.m == 1 and q.n == 1 and len(gens) == 1:
+            if wc.oracle_division_member_1d(q, gens[0]) != result.member:
+                return "disagrees with Euclidean division"
+        return None
 
 
 def _jet(jet) -> str:
@@ -65,7 +128,7 @@ def _cli(out) -> list:
     return [str(out["code"]), out["stdout"]]
 
 
-RECORDS = {"decide": _decide, "jets": _jets, "cli": _cli}
+RECORDS = {"decide": _decide, "jets": _jets, "cli": _cli, "complex": _decide}
 
 
 def digest(name: str, key: str, workdir: str):
@@ -74,6 +137,8 @@ def digest(name: str, key: str, workdir: str):
         workload = workloads.Decide(key)
     elif name == "jets":
         workload = workloads.Jets(key)
+    elif name == "complex":
+        workload = Complex(key)
     else:
         workload = workloads.Cli(key, os.path.join(workdir, key))
         os.makedirs(workload.workdir, exist_ok=True)
