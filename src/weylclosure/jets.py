@@ -24,9 +24,9 @@ their coefficients.  Delta_s is a prefix of Delta_(s+1), so one plan per
 point serves every order, and a solve pushes each nonzero value forward over
 a prefix of it, never visiting a row whose inputs are all zero.  Delta_T and
 its positions are ranked once per (m, n) (``operators.ranked_delta``), and the
-principal/parametric classification once per basis
-(``RiquierBasis.ranked_up_to``): the plans and the constraint matrix's
-columns read both.
+constraint matrix's columns, the plans and the solved jets read them from
+there.  The principal/parametric classification is made once per basis
+(``RiquierBasis.ranked_up_to``), and only the plans read it.
 
 The arithmetic is only what the answers need: integer factors (binomials,
 factorials) are multiplied out before one Fraction product per entry, and
@@ -57,6 +57,7 @@ from .operators import (
     check_fits,
     delta_size,
     multi_indices,
+    ranked_delta,
 )
 from .polynomials import Polynomial, RationalFunction
 from .riquier import RiquierBasis
@@ -93,9 +94,8 @@ def constraint_matrix(basis: RiquierBasis, s: int,
         raise InvalidInput(
             f"the constraint matrix of order {s} has {nrows} rows and {ncols} columns, "
             f"{nrows * ncols} entries, more than the limit of {MAX_JET_SIZE}")
-    size = basis.ranked_up_to(s)  # before reading ranked, which this may replace
-    columns = basis.ranked[:size]
-    position = basis.position
+    ranked, position = ranked_delta(basis.m, basis.n, s)
+    columns = ranked[:ncols]
     plan = _plan(basis, point)
     rows: List[List[Scalar]] = []
     labels: List[Tuple[int, MultiIndex]] = []
@@ -182,8 +182,7 @@ class SolvePlan:
             return
         start = len(self.readers)
         size = basis.ranked_up_to(order)
-        position = basis.position
-        ranked = basis.ranked
+        ranked, position = ranked_delta(basis.m, basis.n, order)
         rows = []
         for i in range(start, size):
             rule = basis.ranked_rules[i]
@@ -227,14 +226,15 @@ def formal_solve(basis: RiquierBasis, point: Sequence[Scalar],
     derivative that does not fit the system's (m, n), lies above the
     truncation order or is principal raises InvalidInput, and so does a point
     without m coordinates.  Each value is checked by one lookup of its
-    position; the checks by fit and by order run only when a lookup fails.
+    position; the checks by fit and by order run only when a lookup fails,
+    and then one of them raises.
     """
     if order < basis.s0:
         raise SBelowS0(f"truncation order {order} is below the basis degree {basis.s0}")
     size = delta_size(basis.m, basis.n, order)
-    found = list(map(basis.position.get, init, repeat(size, len(init))))
-    missed = max(found, default=0) >= size
-    if missed:
+    ranked, position = ranked_delta(basis.m, basis.n, order)
+    found = list(map(position.get, init, repeat(size, len(init))))
+    if max(found, default=0) >= size:
         check_fits(init, basis.m, basis.n, "initial value")
         for d in init:
             if d.order > order:
@@ -244,8 +244,6 @@ def formal_solve(basis: RiquierBasis, point: Sequence[Scalar],
     point = _check_point(basis, point)
     plan = _plan(basis, point)
     plan.extend(basis, order)
-    if missed:  # the ranking covers Delta_order now
-        found = list(map(basis.position.__getitem__, init))
     values: List[Scalar] = [ZERO] * size
     for i, (d, value) in zip(found, init.items()):
         if basis.ranked_rules[i] is not None:
@@ -263,7 +261,7 @@ def formal_solve(basis: RiquierBasis, point: Sequence[Scalar],
                 if i >= size:
                     break
                 values[i] = values[i] + c * v
-    return Jet(point, order, basis.m, basis.n, dict(zip(basis.ranked, values)))
+    return Jet(point, order, basis.m, basis.n, dict(zip(ranked, values)))
 
 
 # -- evaluate-first Leibniz rows --------------------------------------------

@@ -51,22 +51,21 @@ of a reduction is then over the lcm of the cofactors' reduced denominators:
 made monic, that is the witness's w.
 Rational functions appear only at the edge, in the cofactors handed out.
 
-A basis ranks Delta_T, the derivatives up to order T, for its jets.  The
-list in ranking order and the position of each derivative come from
-``operators.ranked_delta``, which enumerates them once per (m, n) in the
-process, and every basis of that (m, n) shares them, read-only; each basis
-classifies its own derivatives as principal or parametric
-(``RiquierBasis.ranked_up_to``).
+A basis classifies Delta_T, the derivatives up to order T, as principal or
+parametric for its jets (``RiquierBasis.ranked_up_to``), and keeps only that
+classification.  Delta_T in ranking order and the position of each
+derivative are ``operators.ranked_delta``'s, enumerated once per (m, n) in
+the process and read from there by the basis and the jets alike.
 
 The process completes each system once while it keeps asking about it:
 ``complete_to_riquier_basis`` remembers its last completion, and given
 generators equal by value to the last ones, in the same order and with the
 same (m, n), it returns that same basis object, with the classification, the
 solve plans and the replayed derivation log its earlier callers built.  So a
-returned basis is shared and read-only, as ``ranked`` and ``position`` are;
-its memo tables only grow.  The memory is one entry: completing another
-system replaces it, so the process holds one basis with its plans and
-replay rows.
+returned basis is shared and read-only, as ``operators.ranked_delta``'s
+ranking is; its memo tables only grow.  The memory is one entry: completing
+another system replaces it, so the process holds one basis with its plans
+and replay rows.
 """
 
 from __future__ import annotations
@@ -91,7 +90,7 @@ from .operators import (
     stepwise,
 )
 from .ranking import ReductionTrace, pick_rule, reduce_full
-from .polynomials import (Polynomial, RationalFunction, _times, gaussian, gcd_cofactors,
+from .polynomials import (Polynomial, RationalFunction, _one, _times, gaussian, gcd_cofactors,
                           integer_pair, integer_ratio, monic_polynomial)
 
 if TYPE_CHECKING:
@@ -289,7 +288,6 @@ def cleared(lifted: _Lifted, m: int) -> Tuple[Polynomial, Cofactors]:
 
 
 _ONE_OPERATORS: Dict[int, OperatorVector] = {}  # the multiplier 1 in each number of variables
-_ONE_ROWS: Dict[int, Any] = {}  # its integer numerator, the one of the lift's ring
 
 
 class DerivationLog:
@@ -315,14 +313,6 @@ class DerivationLog:
         self.nodes: List[_Node] = []
         self._replayed: Optional[Dict[int, _Lifted]] = None
 
-    def _unit(self):
-        """The one of ZZ[x], the numerator of the multiplier 1."""
-        unit = _ONE_ROWS.get(self.m)
-        if unit is None:
-            (one,) = self.one.terms.values()
-            unit = _ONE_ROWS[self.m] = integer_pair(one)[0]
-        return unit
-
     def __getstate__(self):
         # the replayed cofactors are a cache of integer rows, and sympy's ring
         # elements among them do not pickle (sympy 1.14); a copy replays
@@ -337,7 +327,7 @@ class DerivationLog:
         """The lifted cofactors of each id, replaying the ancestors not yet replayed."""
         ids = list(ids)
         if self._replayed is None:
-            one = self._unit()
+            one = _one(self.m)  # the one of ZZ[x], the numerator of the multiplier 1
             self._replayed = {j: _Lifted(one, {(j, (0,) * self.m): one})
                               for j in range(self.generators)}
         todo = set()
@@ -372,7 +362,7 @@ class DerivationLog:
         # every source is replayed already
         parts = [_product(_pairs(multiplier), self._replayed[source])
                  for multiplier, source in terms]
-        return _sum(parts) if parts else _Lifted(self._unit(), {})
+        return _sum(parts) if parts else _Lifted(_one(self.m), {})
 
 
 class RiquierBasis:
@@ -380,10 +370,10 @@ class RiquierBasis:
 
     The basis also keeps the principal/parametric classification of Delta_T
     (``ranked_up_to``): each derivative is classified once per basis, by
-    ``ranking.pick_rule``, and ``parametric_up_to``, the constraint matrix
-    and the solve plans of ``jets`` all read that one list.  The ranking it
-    classifies, ``ranked`` and ``position``, is ``operators.ranked_delta``'s,
-    shared by every basis of the same (m, n): both are read-only.
+    ``ranking.pick_rule``, and ``parametric_up_to`` and the solve plans of
+    ``jets`` read that one list.  The ranking it classifies is not the
+    basis's: it is ``operators.ranked_delta``'s, shared by every basis of the
+    same (m, n), and read from there.
 
     A basis that ``complete_to_riquier_basis`` returns is shared with every
     later caller that completes the same generators, so it is read-only too:
@@ -402,9 +392,8 @@ class RiquierBasis:
         # the log and, per element, the log id that made it
         self.derivation = derivation
         self.made_by = list(made_by)
-        # the shared ranking (``ranked_delta``) and, per position, the rule
-        # whose head divides it or None; see ``ranked_up_to``
-        self.ranked, self.position = ranked_delta(m, n, -1)
+        # per position of ``ranked_delta``'s ranking, the rule whose head
+        # divides the derivative there, or None; see ``ranked_up_to``
         self.ranked_rules: List[Optional[int]] = []
         # the basis evaluated at each point, one plan per point for every
         # order; built and extended by jets.constraint_matrix and formal_solve
@@ -449,17 +438,16 @@ class RiquierBasis:
     def ranked_up_to(self, order: int) -> int:
         """|Delta_order|, after classifying every derivative of Delta_order.
 
-        ``ranked`` and ``position`` are ``ranked_delta(m, n, order)``'s, and
-        ``ranked_rules`` holds, per position, the index of the rule whose head
-        divides the derivative there, or None when it is parametric.  Delta_s
-        is a prefix of Delta_(s+1), so each derivative is classified once.
+        ``ranked_rules`` holds, per position of ``ranked_delta(m, n, order)``,
+        the index of the rule whose head divides the derivative there, or None
+        when it is parametric.  Delta_s is a prefix of Delta_(s+1), so each
+        derivative is classified once.
         """
         size = delta_size(self.m, self.n, order)
         start = len(self.ranked_rules)
         if size > start:
-            if size > len(self.ranked):
-                self.ranked, self.position = ranked_delta(self.m, self.n, order)
-            self.ranked_rules.extend(pick_rule(d, self.heads) for d in self.ranked[start:size])
+            ranked = ranked_delta(self.m, self.n, order)[0]
+            self.ranked_rules.extend(pick_rule(d, self.heads) for d in ranked[start:size])
         return size
 
     def parametric_up_to(self, s: int) -> List[Derivative]:
@@ -470,7 +458,8 @@ class RiquierBasis:
         if s < 0:
             raise InvalidInput(f"order s must be nonnegative, got {s}")
         size = self.ranked_up_to(s)
-        return [d for d, rule in zip(self.ranked[:size], self.ranked_rules) if rule is None]
+        ranked = ranked_delta(self.m, self.n, s)[0]
+        return [d for d, rule in zip(ranked[:size], self.ranked_rules) if rule is None]
 
 
 def _monic_and_logged(trace: ReductionTrace, terms: List[Term], rule_ids: Sequence[int],

@@ -3,7 +3,9 @@
 A system file is UTF-8 text with ``field:``, ``vars:``, ``unknowns:`` and
 ``row:`` lines, plus optional ``q:``, ``point:``, ``s:`` and ``T:`` lines.
 Only ``row:`` may repeat; ``vars:``, ``unknowns:``, ``s:`` and ``T:`` take
-integers.  Blank lines and ``#`` comments are ignored.  All emitted values are exact
+integers.  Blank lines and ``#`` comments are ignored.  The text may start
+with a byte-order mark, as some editors write it; a mark anywhere else is
+part of its line.  All emitted values are exact
 strings; no floating point survives serialization.
 
 The process parses each system file once while it keeps asking about it:
@@ -99,7 +101,7 @@ def load_system(path: str, default_field: str = "real") -> SystemFile:
     read-only; otherwise the text is parsed and becomes the one kept entry.
     """
     global _last
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         text = handle.read()
     source = (text, default_field)
     if _last is not None and _last[0] == source:

@@ -79,6 +79,15 @@ def rng():
     return random.Random(20240817)
 
 
+@pytest.fixture(autouse=True)
+def forget_last_system_and_basis():
+    """Start every test with ``load_system`` and ``complete_to_riquier_basis``
+    holding no memory, so that no test reads a system or basis an earlier
+    test left behind, and the suite passes in any order."""
+    riquier._last = None
+    systemio._last = None
+
+
 @pytest.fixture
 def fresh_completion():
     """Empty ``complete_to_riquier_basis``'s memory of its last basis, now and

@@ -387,6 +387,17 @@ def test_a_file_rewritten_between_calls_is_read_again(tmp_path, capsys):
 
 # -- input errors ----------------------------------------------------------
 
+def test_a_file_that_starts_with_a_byte_order_mark_loads(tmp_path, capsys):
+    marked, plain = tmp_path / "marked.sys", tmp_path / "plain.sys"
+    marked.write_bytes(b"\xef\xbb\xbfvars: 1\nrow: D\n")
+    plain.write_bytes(b"vars: 1\nrow: D\n")
+    assert main(["riquier", str(marked)]) == 0
+    printed = capsys.readouterr().out
+    assert main(["riquier", str(plain)]) == 0
+    assert printed == capsys.readouterr().out
+    assert json.loads(printed)["basis"] == ["D"]
+
+
 def test_missing_file_is_an_input_error(capsys):
     assert main(["riquier", "/nonexistent/file.sys"]) == 2
 

@@ -281,13 +281,18 @@ def test_the_lift_on_coefficient_lists_gives_the_witness_of_sympys_elements(monk
         assert output[0] and all(type(v) is polynomials.CoefficientList for v in rows)
         on_lists.append(output)
     # the same systems with the whole core on sympy's elements: ZZ[x] in one
-    # variable is sympy's ring, and the caches of values made from it start empty
+    # variable is sympy's ring, the lift's one included, and the caches of
+    # values made from it start empty
     sparse_one = PolyRing(["t"], ZZ, grlex).one
     one = polynomials._one
-    monkeypatch.setattr(polynomials, "_one", lambda nvars, domain=ZZ: (
-        sparse_one if nvars == 1 and domain is ZZ else one(nvars, domain)))
+
+    def sparse(nvars, domain=ZZ):
+        return sparse_one if nvars == 1 and domain is ZZ else one(nvars, domain)
+
+    for module in (polynomials, riquier):
+        monkeypatch.setattr(module, "_one", sparse)
     for module, cache in ((polynomials, "_ZEROS"), (polynomials, "_ONE_POLYNOMIALS"),
-                          (riquier, "_ONE_OPERATORS"), (riquier, "_ONE_ROWS")):
+                          (riquier, "_ONE_OPERATORS")):
         monkeypatch.setattr(module, cache, {})
     on_sympy = []
     for output, rows in _membership_outputs():

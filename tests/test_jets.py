@@ -269,14 +269,15 @@ def test_delta_is_enumerated_once_per_order_across_bases(monkeypatch):
     formal_solve(first, point, {}, 5)
     second.parametric_up_to(4)
     constraint_matrix(other, 3, point)
+    other.parametric_up_to(3)
     assert asked == [(2, 2, 3, -1), (2, 2, 5, 3), (2, 1, 3, -1)]
+    assert operators.ranked_delta(2, 2, 5)[0] == ranked_oracle(2, 2, 5)
+    assert operators.ranked_delta(2, 1, 3)[0] == ranked_oracle(2, 1, 3)
     # each basis classifies its own derivatives over the one shared ranking
-    assert first.ranked is second.ranked and first.position is second.position
-    assert other.ranked == ranked_oracle(2, 1, 3)
-    for basis in (first, second, other):
-        size = len(basis.ranked_rules)
+    for basis, order in ((first, 5), (second, 4), (other, 3)):
+        ranked = operators.ranked_delta(basis.m, basis.n, order)[0]
         assert basis.ranked_rules == [ranking.pick_rule(d, basis.heads)
-                                      for d in basis.ranked[:size]]
+                                      for d in ranked[:delta_size(basis.m, basis.n, order)]]
 
 
 # -- constraint matrices ---------------------------------------------------
@@ -382,14 +383,16 @@ def test_a_caller_owns_the_list_derivatives_up_to_returns(monkeypatch, fresh_com
     monkeypatch.setattr(operators, "_RANKINGS", {})
     basis = basis_of("D1 [u1] - x2 [u2]", "D2 [u1] + x1*D1 [u2]", m=2, n=2)
     basis.ranked_up_to(3)
-    shared = list(basis.ranked)
+    ranked = operators.ranked_delta(2, 2, 3)[0]
+    shared = list(ranked)
     listed = derivatives_up_to(2, 2, 3)
-    assert listed == shared and listed is not basis.ranked
+    assert listed == shared and listed is not ranked
     listed.reverse()
     listed.append(Derivative(1, (9, 9)))
     derivatives_up_to(2, 2, 2, above=0).clear()
-    assert basis.ranked == shared == derivatives_up_to(2, 2, 3)
-    assert operators.ranked_delta(2, 2, 3)[0] is basis.ranked
+    assert ranked == shared == derivatives_up_to(2, 2, 3)
+    assert operators.ranked_delta(2, 2, 3)[0] is ranked
+    assert basis.ranked_rules == [ranking.pick_rule(d, basis.heads) for d in ranked]
 
 
 def test_ranked_up_to_builds_only_the_new_orders(monkeypatch):
@@ -404,29 +407,33 @@ def test_ranked_up_to_builds_only_the_new_orders(monkeypatch):
 
     monkeypatch.setattr(operators, "_ranked_orders", recording)
     assert basis.ranked_up_to(2) == 12
-    low, low_position = basis.ranked, basis.position
+    low, low_position = operators.ranked_delta(2, 2, 2)
     assert basis.ranked_up_to(1) == 6
     assert basis.ranked_up_to(4) == 30
     assert asked == [(2, -1), (4, 2)]
-    assert basis.ranked == ranked_oracle(2, 2, 4)
-    assert basis.position == {(d.component, d.alpha): i for i, d in enumerate(basis.ranked)}
+    ranked, position = operators.ranked_delta(2, 2, 4)
+    assert ranked == ranked_oracle(2, 2, 4)
+    assert position == {(d.component, d.alpha): i for i, d in enumerate(ranked)}
     # an extension is published as a new list and map: the ones handed out before stay as they were
     assert low == ranked_oracle(2, 2, 2)
     assert low_position == {(d.component, d.alpha): i for i, d in enumerate(low)}
-    assert basis.ranked_rules == [ranking.pick_rule(d, basis.heads) for d in basis.ranked]
+    assert basis.ranked_rules == [ranking.pick_rule(d, basis.heads) for d in ranked]
 
 
 def test_position_is_keyed_by_the_derivative_itself(monkeypatch, fresh_completion):
     monkeypatch.setattr(operators, "_RANKINGS", {})
     basis = basis_of("D1 [u1] - x2 [u2]", "D2 [u1] + x1*D1 [u2]", m=2, n=2)
     basis.ranked_up_to(3)
-    assert len(basis.ranked) == 20
-    for i, d in enumerate(basis.ranked):
-        assert basis.position[d] == i
+    ranked, position = operators.ranked_delta(2, 2, 3)
+    assert len(ranked) == 20
+    for i, d in enumerate(ranked):
+        assert position[d] == i
     # every basis of the same (m, n) reads the same list and map
     other = basis_of("D1 [u2]", m=2, n=2)
     other.ranked_up_to(2)
-    assert other.ranked is basis.ranked and other.position is basis.position
+    shared = operators.ranked_delta(2, 2, 2)
+    assert shared[0] is ranked and shared[1] is position
+    assert other.ranked_rules == [ranking.pick_rule(d, other.heads) for d in ranked[:12]]
 
 
 def test_check_jet_constraints_examples():
@@ -500,10 +507,10 @@ def test_formal_solve_checks_its_initial_values_in_one_call(monkeypatch, fresh_c
     monkeypatch.setattr(jets, "check_fits", counting)
     basis = basis_of("D1", m=2)
     init = {Derivative(1, (0, k)): Fraction(k + 1) for k in range(4)}
-    # the ranking does not reach order 3 yet, so the lookups fail and the
-    # checks run, in one call
+    # the ranking does not reach order 3 yet: formal_solve ranks Delta_3
+    # before its lookups, so they find every value and no check runs
     u = formal_solve(basis, (Fraction(0), Fraction(0)), init, 3)
-    assert calls == ["initial value"]
+    assert calls == []
     assert all(u.value(d) == value for d, value in init.items())
 
     class CountingPosition(dict):
@@ -517,14 +524,16 @@ def test_formal_solve_checks_its_initial_values_in_one_call(monkeypatch, fresh_c
             CountingPosition.lookups += 1
             return dict.__getitem__(self, key)
 
-    # now every value is checked by one lookup of its position, and no other check runs
-    basis.position = CountingPosition(basis.position)
+    # every value is checked by one lookup of its position in the shared
+    # map, and no other check runs
+    ranked, position = operators._RANKINGS[2, 1]
+    operators._RANKINGS[2, 1] = ranked, CountingPosition(position)
     assert formal_solve(basis, (Fraction(0), Fraction(0)), init, 3) == u
-    assert calls == ["initial value"] and CountingPosition.lookups == len(init)
+    assert calls == [] and CountingPosition.lookups == len(init)
     # a lookup that fails runs the checks, once, with their message
     with pytest.raises(InvalidInput, match="^initial value given for D2\\^3 above"):
         formal_solve(basis, (Fraction(0), Fraction(0)), init, 2)
-    assert calls == ["initial value"] * 2
+    assert calls == ["initial value"]
 
 
 @pytest.mark.parametrize("d", [Derivative(2, (0, 1)), Derivative(1, (1,)),
@@ -623,6 +632,19 @@ def test_each_derivative_is_classified_once_per_basis(monkeypatch):
     assert classified == ranked_oracle(2, 2, order)
     assert parametric == [d for d in classified
                           if basis.classify(d) is DerivativeClass.PARAMETRIC]
+
+
+def test_constraint_matrix_classifies_no_derivative(monkeypatch):
+    basis = basis_of("D1 [u1] - x2 [u2]", "D2 [u1] + x1*D1 [u2]", m=2, n=2)
+
+    def refuse(d, heads):
+        raise AssertionError(f"{d} was classified")
+
+    for module in (ranking, riquier, jets):
+        monkeypatch.setattr(module, "pick_rule", refuse, raising=False)
+    system = constraint_matrix(basis, basis.s0 + 2, (Fraction(1), Fraction(2)))
+    assert system.columns == ranked_oracle(2, 2, basis.s0 + 2)
+    assert basis.ranked_rules == []
 
 
 def test_formal_solve_satisfies_constraints():

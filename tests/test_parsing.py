@@ -130,6 +130,23 @@ def test_high_powers_parse_to_the_derivative_or_monomial_they_name(text, m, expe
     assert parsed == expected
 
 
+@pytest.mark.parametrize("base, k, field", [
+    ("1/x", 2, "real"),
+    ("(x + 1)/(x - 1)", 3, "real"),
+    ("1/(x + i)", 2, "complex"),
+])
+def test_a_power_of_a_rational_function_is_its_parsed_base_raised(base, k, field):
+    assert parse_rational(f"({base})^{k}", 1, field) == parse_rational(base, 1, field) ** k
+
+
+def test_a_power_of_a_rational_coefficient_in_a_row_survives_the_round_trip():
+    p = op("(1/x1)^2*D2 - x2", 2)
+    expected = OperatorVector({Derivative(1, (0, 1)): parse_rational("1/x1", 2) ** 2,
+                               Derivative(1, (0, 0)): -parse_rational("x2", 2)}, 2, 1)
+    assert p == expected
+    assert op(format_operator(p), 2) == p
+
+
 def test_powers_and_products_with_a_derivation_on_the_left_are_weyl_products():
     # (D + x)^3 = D^3 + 3x D^2 + (3x^2 + 3) D + x^3 + 3x, and D x^2 = x^2 D + 2x
     assert op("(D + x)^3") == weyl({(3,): {(0,): 1}, (2,): {(1,): 3},
@@ -515,7 +532,8 @@ def test_a_file_that_fails_to_load_raises_every_time_and_is_not_kept(tmp_path, f
 
 # The messages are those the file iterator gave: text mode turns "\r\n" and
 # "\r" into "\n", and lines end there only, not at the other separators that
-# str.splitlines breaks at.
+# str.splitlines breaks at.  A byte-order mark at the start of the file is
+# not part of its first line; anywhere else it is part of its line.
 @pytest.mark.parametrize("data, message", [
     (b"vars: 1\r\n\r\n# c\r\nrow D\r\n", "4: expected 'key: value'"),
     (b"vars: 1\r\rrow: D\rbogus: 1\r", "4: unknown key 'bogus'"),
@@ -523,7 +541,11 @@ def test_a_file_that_fails_to_load_raises_every_time_and_is_not_kept(tmp_path, f
     ("vars: 1\n# page\x0cbreak\nrow: D\nwhat: 1\n".encode(), "4: unknown key 'what'"),
     ("vars: 1\n# a\u2028b\u2029c\x85d\x1ce\x1df\x1eg\x0bh\nrow D\n".encode(),
      "3: expected 'key: value'"),
-], ids=["crlf", "cr", "no-final-newline", "form-feed", "unicode-separators"])
+    (b"\xef\xbb\xbfvars: 1\nrow: D\nbogus: 1\n", "3: unknown key 'bogus'"),
+    (b"\xef\xbb\xbfvars: 1\nrow D\n", "2: expected 'key: value'"),
+    (b"vars: 1\n\xef\xbb\xbfrow: D\n", "2: unknown key '\\ufeffrow'"),
+], ids=["crlf", "cr", "no-final-newline", "form-feed", "unicode-separators",
+        "byte-order-mark", "byte-order-mark-then-bad-line", "byte-order-mark-inside"])
 def test_line_numbers_count_newlines_only(tmp_path, fresh_load, data, message):
     path = tmp_path / "s.sys"
     path.write_bytes(data)
@@ -531,6 +553,15 @@ def test_line_numbers_count_newlines_only(tmp_path, fresh_load, data, message):
         with pytest.raises(InvalidInput) as error:
             load_system(str(path))
         assert str(error.value) == f"{path}:{message}"
+
+
+def test_a_byte_order_mark_at_the_start_is_not_part_of_the_first_key(tmp_path, fresh_load):
+    plain, marked = tmp_path / "plain.sys", tmp_path / "marked.sys"
+    plain.write_bytes(EULER.encode())
+    marked.write_bytes(b"\xef\xbb\xbf" + EULER.encode())
+    system = load_system(str(marked))
+    assert system.generators == load_system(str(plain)).generators
+    assert (system.m, system.n, system.q) == (1, 1, parse_operator("D^3", 1))
 
 
 # Every key but row: is given at most once; a second line would otherwise

@@ -17,7 +17,8 @@ and key, ``<workload> <key> <ops> <sha256>``, over:
   sweep of ``tests/test_acceptance.py`` builds them.
 
 Every op's own check from ``bench/workloads.py`` (or ``Complex.check``) runs
-too, and a line ends in ``(N checks failed)`` when some do.  To compare two commits, run the script
+too, and a line ends in ``(N checks failed)`` when some do; the script then
+exits 1, once every line is printed, and 0 otherwise.  To compare two commits, run the script
 in a checkout of each (``git archive <commit> | tar -x -C <dir>``; copy this
 file into a checkout that predates it) with the same keys, and compare the
 lines: equal digests mean byte-identical outputs.
@@ -158,13 +159,16 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("keys", nargs="+", metavar="KEY", help="a benchmark key, e.g. 4242.0")
     args = parser.parse_args(argv)
+    status = 0
     with tempfile.TemporaryDirectory() as workdir:
         for name in COUNTS:
             for key in args.keys:
                 ops, failed, hexdigest = digest(name, key, workdir)
                 note = f" ({failed} checks failed)" if failed else ""
                 print(f"{name} {key} {ops} {hexdigest}{note}", flush=True)
-    return 0
+                if failed:
+                    status = 1
+    return status
 
 
 if __name__ == "__main__":
