@@ -1,7 +1,9 @@
 """Command-line surface: riquier, member, solve, prop1 and verify-witness.
 
 Exit codes: 0 on success, 1 when a decision command answers "false",
-2 on input errors.
+2 on input errors.  Like ``load_system``, which keeps its last system, the
+``--q`` text is parsed once per kept system: ``member`` and then
+``verify-witness`` on one file and one ``--q`` share the parsed q.
 """
 
 from __future__ import annotations
@@ -53,10 +55,18 @@ def _resolve_point(args, system: SystemFile, basis):
     return pick_regular_point(basis_denominators(basis), system.m)
 
 
+# The last --q parse, (system, text, q): one entry, keyed by the identity of
+# the system that load_system keeps and by the text (see the module docstring).
+_last_q = None
+
+
 def _resolve_q(args, system: SystemFile):
     """The candidate q: --q, else the system file's 'q:' line."""
+    global _last_q
     if args.q is not None:
-        return parse_operator(args.q, system.m, system.n, system.field_mode)
+        if _last_q is None or _last_q[0] is not system or _last_q[1] != args.q:
+            _last_q = system, args.q, parse_operator(args.q, system.m, system.n, system.field_mode)
+        return _last_q[2]
     if system.q is not None:
         return system.q
     raise WeylClosureError("no candidate q given (use --q or a 'q:' line)")

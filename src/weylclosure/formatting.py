@@ -4,7 +4,9 @@ The printer is the inverse of the parser: ``parse(format(p)) == p`` holds
 structurally.  Operator terms are emitted in decreasing ranking order.  A
 coefficient that multiplies a derivative is parenthesized whenever it is not
 a single product-safe term; a polynomial coefficient of the order-0 term is
-a sum of its own and is written without parentheses.
+a sum of its own and is written without parentheses.  Each conversion is
+made once: an operator's terms are ranked once, and each coefficient's
+numerator and denominator terms are built once, and 1 and -1 are read off them.
 """
 
 from __future__ import annotations
@@ -23,27 +25,20 @@ def _scalar_is_simple(value: Scalar) -> bool:
     return True
 
 
-def _variable_name(index: int, m: int) -> str:
-    return "x" if m == 1 else f"x{index}"
-
-
-def _derivation_name(index: int, m: int) -> str:
-    return "D" if m == 1 else f"D{index}"
-
-
-def _monomial_factors(mono, m: int, name) -> List[str]:
+def _monomial_factors(mono, m: int, letter: str) -> List[str]:
+    """The factors of x^mono or D^mono, by letter: 'x' in one variable, else 'x1', 'x2', ..."""
     parts = []
     for j, e in enumerate(mono, start=1):
         if e == 0:
             continue
-        base = name(j, m)
+        base = letter if m == 1 else f"{letter}{j}"
         parts.append(base if e == 1 else f"{base}^{e}")
     return parts
 
 
 def format_derivative(d: Derivative, m: int, n: int) -> str:
     """Derivative text like 'D^2', 'D1*D2' or '1 [u2]', as the parser reads it."""
-    parts = _monomial_factors(d.alpha, m, _derivation_name)
+    parts = _monomial_factors(d.alpha, m, "D")
     body = "*".join(parts) if parts else "1"
     if n > 1:
         body += f" [u{d.component}]"
@@ -52,13 +47,17 @@ def format_derivative(d: Derivative, m: int, n: int) -> str:
 
 def format_polynomial(p: Polynomial) -> str:
     """Terms in decreasing graded-lex order, like 'x^2 - 2*x + 2'."""
-    if p.is_zero():
+    return _format_terms(p.terms, p.nvars)
+
+
+def _format_terms(terms, nvars: int) -> str:
+    """A polynomial's text from its terms, which it reads once."""
+    if not terms:
         return "0"
     pieces = []
-    terms = p.terms
     for mono in sorted(terms, key=lambda mono: (sum(mono), mono), reverse=True):
         coeff = terms[mono]
-        factors = _monomial_factors(mono, p.nvars, _variable_name)
+        factors = _monomial_factors(mono, nvars, "x")
         cstr = format_scalar(coeff)
         if not factors:
             term = cstr if _scalar_is_simple(coeff) else f"({cstr})"
@@ -84,23 +83,26 @@ def _join_signed(pieces: List[str]) -> str:
     return out
 
 
-def _poly_is_single_term(p: Polynomial) -> bool:
-    return len(p.terms) == 1 and _scalar_is_simple(next(iter(p.terms.values())))
+def _is_single_term(terms) -> bool:
+    return len(terms) == 1 and _scalar_is_simple(next(iter(terms.values())))
 
 
 def format_rational(r: RationalFunction) -> str:
-    num_poly = r.num
-    if r.is_polynomial():
-        return format_polynomial(num_poly)
-    den_poly = r.den
-    num = format_polynomial(num_poly)
-    den = format_polynomial(den_poly)
-    if not _poly_is_single_term(num_poly) or num.startswith("-"):
-        num = f"({num})"
+    return _format_quotient(r.num.terms, None if r.is_polynomial() else r.den.terms, r.nvars)
+
+
+def _format_quotient(num, den, nvars: int) -> str:
+    """The text of num/den from their terms (den None for a polynomial)."""
+    text = _format_terms(num, nvars)
+    if den is None:
+        return text
+    if not _is_single_term(num) or text.startswith("-"):
+        text = f"({text})"
+    den_text = _format_terms(den, nvars)
     # A product in the denominator would rebind as ((num/den1)*den2): parenthesize.
-    if not _poly_is_single_term(den_poly) or "*" in den:
-        den = f"({den})"
-    return f"{num}/{den}"
+    if not _is_single_term(den) or "*" in den_text:
+        den_text = f"({den_text})"
+    return f"{text}/{den_text}"
 
 
 def _scalar_is_negative(value: Scalar) -> bool:
@@ -110,56 +112,40 @@ def _scalar_is_negative(value: Scalar) -> bool:
 
 
 def _format_coefficient(coeff: RationalFunction, has_derivative: bool) -> str:
-    """Coefficient text ready to prefix a derivative monomial with '*'."""
-    if has_derivative:
-        if coeff == 1:
-            return ""
-        if coeff == -1:
-            return "-"
-    num = coeff.num
-    num_single = _poly_is_single_term(num)
-    if num_single and _scalar_is_negative(next(iter(num.terms.values()))):
-        return "-" + _format_coefficient(-coeff, has_derivative)
-    if coeff.is_polynomial():
-        text = format_polynomial(num)
-        if has_derivative and len(num.terms) > 1:  # else a summand: 'D^2 - x^2 + 1'
-            text = f"({text})"
-        return text + ("*" if has_derivative else "")
-    text = format_rational(coeff)
-    if has_derivative or not (num_single and _poly_is_single_term(coeff.den)):
-        return f"({text})" + ("*" if has_derivative else "")
-    return text
-
-
-def _format_scalar_terms(p: OperatorVector, component: int) -> str:
-    """Render the component slice of p as a scalar operator expression."""
-    terms = {d: c for d, c in p.terms.items() if d.component == component}
-    if not terms:
-        return "0"
-    pieces = []
-    for d in sorted(terms, key=Derivative.rank_key, reverse=True):
-        coeff = terms[d]
-        dparts = _monomial_factors(d.alpha, p.m, _derivation_name)
-        prefix = _format_coefficient(coeff, bool(dparts))
-        if dparts:
-            term = prefix + "*".join(dparts)
-        else:
-            term = prefix
-        pieces.append(term)
-    return _join_signed(pieces)
+    """Coefficient text ready to prefix a derivative monomial with '*'.  The
+    terms of its numerator and of its denominator are read once each."""
+    num = coeff.num.terms
+    den = None if coeff.is_polynomial() else coeff.den.terms
+    sign = ""
+    if _is_single_term(num):
+        ((mono, value),) = num.items()
+        if _scalar_is_negative(value):  # written as '-' and its negation
+            sign, value = "-", -value
+            num = {mono: value}
+        if has_derivative and den is None and value == 1 and not any(mono):
+            return sign  # the coefficient 1 or -1
+    text = _format_quotient(num, den, coeff.nvars)
+    if den is None:  # a sum by a derivative, not a summand: 'D^2 - x^2 + 1'
+        wrap = has_derivative and len(num) > 1
+    else:
+        wrap = has_derivative or not (_is_single_term(num) and _is_single_term(den))
+    return sign + (f"({text})" if wrap else text) + ("*" if has_derivative else "")
 
 
 def format_operator(p: OperatorVector) -> str:
     """Canonical text for an operator vector; component tags [u#] when n > 1."""
     if p.is_zero():
         return "0"
+    rows: dict = {}  # component -> its summands, in decreasing ranking order
+    for d in sorted(p.terms, key=Derivative.rank_key, reverse=True):
+        dparts = _monomial_factors(d.alpha, p.m, "D")
+        rows.setdefault(d.component, []).append(
+            _format_coefficient(p.terms[d], bool(dparts)) + "*".join(dparts))
     if p.n == 1:
-        return _format_scalar_terms(p, 1)
+        return _join_signed(rows[1])
     pieces = []
-    for component in range(1, p.n + 1):
-        if not any(d.component == component for d in p.terms):
-            continue
-        body = _format_scalar_terms(p, component)
+    for component in sorted(rows):
+        body = _join_signed(rows[component])
         if " + " in body or " - " in body:
             body = f"({body})"
         pieces.append(f"{body} [u{component}]")

@@ -24,23 +24,29 @@ division by a nonconstant function turns it into a ``RationalFunction``.  A
 value with a derivation in it maps each multi-index alpha to the function
 that multiplies ``D^alpha``.  A derivation raised to ``^k`` is one
 derivative, and a function raised to ``^k`` is a polynomial power.  A
-product with a function on the left multiplies coefficient by coefficient;
-only a product with a derivation on the left needs the Leibniz rule, and it
-takes it from ``operators.scalar_operator_product``.  Each coefficient
-becomes a ``RationalFunction`` once, at the end.
+product with a function on the left, or with only constants on the right
+(``D1*D2``), multiplies coefficient by coefficient; only a product with a
+derivation on the left and a function on the right needs the Leibniz rule,
+and it takes it from ``operators.scalar_operator_product``.  Each coefficient
+becomes a ``RationalFunction`` once, at the end, and only where the caller
+wants one: ``parse_derivative`` and ``parse_constant`` read a derivative
+(1*d) or a constant straight off the parsed values.  A power of a function
+past ``MAX_POWER_TERMS`` terms is refused before it is multiplied out.  The
+grammar's symbol test reads the list of symbols that the tokenizer builds.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 from typing import Optional
 
-from .errors import ParseError
+from .errors import InvalidInput, ParseError
 from .operators import Derivative, OperatorVector, scalar_operator_product
-from .polynomials import Polynomial, RationalFunction, _power
-from .scalars import GaussianRational
+from .polynomials import MAX_POWER_TERMS, Polynomial, RationalFunction, _one, _power
+from .scalars import GaussianRational, Scalar
 
 # an integer, a name, a symbol, or (group 4) any other character but whitespace
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|([-+*/^()\[\]])|(\S))")
@@ -53,16 +59,20 @@ _MAX_NESTING = 100  # parenthesis levels; each takes four frames of the recursiv
 
 
 def _tokenize(text: str):
-    """(kind, text, position) for each token, then an end token."""
-    tokens = []
+    """(kind, text, position) for each token, then an end token, and a list
+    that holds each token's text where it is a symbol and "" elsewhere."""
+    tokens, symbols = [], []
     for match in _TOKEN_RE.finditer(text):
         kind = match.lastindex
         position = match.start(kind)
         if kind == _BAD:
             raise ParseError(f"unexpected character {text[position]!r}", position)
-        tokens.append((kind, match.group(kind), position))
+        token = match.group(kind)
+        tokens.append((kind, token, position))
+        symbols.append(token if kind == _SYM else "")
     tokens.append((_END, "", len(text)))
-    return tokens
+    symbols.append("")
+    return tokens, symbols
 
 
 _VARIABLE_ALIASES = {"x": 1, "y": 2, "z": 3}
@@ -116,6 +126,14 @@ def _function_product(f, g, m: int):
     return _rational(f, m) * _rational(g, m)
 
 
+def _power_terms(exponents, k: int) -> int:
+    """An upper bound on the number of terms of f^k, for f with these exponents."""
+    box = 1  # each variable's exponent in f^k lies in [k * least, k * largest]
+    for column in zip(*exponents):
+        box *= k * (max(column) - min(column)) + 1
+    return min(box, math.comb(len(exponents) + k - 1, k))  # the multisets of k terms
+
+
 def _negated(value):
     if type(value) is dict:
         return {e: -v for e, v in value.items()}
@@ -128,7 +146,7 @@ class _Parser:
     def __init__(self, text: str, m: int, n: int, field: str):
         if field not in ("real", "complex"):
             raise ParseError(f"unknown field mode {field!r}", 0)
-        self.tokens = _tokenize(text)
+        self.tokens, self.symbols = _tokenize(text)
         self.index = 0
         self.m = m
         self.n = n
@@ -148,8 +166,8 @@ class _Parser:
 
     def at_symbol(self, symbols: str) -> Optional[str]:
         """The current token's text when it is one of ``symbols``, else None."""
-        kind, text, _ = self.tokens[self.index]
-        return text if kind == _SYM and text in symbols else None
+        symbol = self.symbols[self.index]
+        return symbol if symbol and symbol in symbols else None
 
     def expect_symbol(self, text: str):
         if self.at_symbol(text) is None:
@@ -179,10 +197,17 @@ class _Parser:
 
     def product(self, left, right):
         m = self.m
-        if type(left) is _Operator:  # the Leibniz rule
-            h, p = (OperatorVector({Derivative(1, alpha): _rational(c, m)
-                                    for alpha, c in self.operator(v).items()}, m, 1)
-                    for v in (left, right))
+        if type(left) is _Operator:
+            right = self.operator(right)
+            if all(type(c) is dict and c.keys() == {self.zero} for c in right.values()):
+                out = _Operator()  # constants commute with D: f*D^a * c*D^b = f*c*D^(a + b)
+                for a, f in left.items():
+                    for b, c in right.items():
+                        term = {tuple(map(add, a, b)): _function_product(f, c, m)}
+                        out = self.sum(out, _Operator(term))
+                return out
+            h, p = (OperatorVector({Derivative(1, alpha): _rational(c, m)  # the Leibniz rule
+                                    for alpha, c in v.items()}, m, 1) for v in (left, right))
             return _Operator({d.alpha: c for d, c in scalar_operator_product(h, p).terms.items()})
         if type(right) is _Operator:
             if not left:
@@ -191,17 +216,31 @@ class _Parser:
         return _function_product(left, right, m)
 
     def power(self, value, k: int):
-        if type(value) is dict:
-            return _power(value, k, lambda f, g: _function_product(f, g, self.m))
-        if type(value) is not _Operator:  # a RationalFunction
-            return _power(value, k, mul)
-        if len(value) == 1:
-            ((alpha, c),) = value.items()
-            if type(c) is dict and c.keys() == {self.zero}:
-                # c * D^alpha for a constant c, which commutes with D: one derivative
-                return _Operator({tuple([a * k for a in alpha]):
-                                  {self.zero: _power(c[self.zero], k, mul)}})
-        return _power(value, k, self.product)
+        if type(value) is _Operator:
+            if len(value) == 1:
+                ((alpha, c),) = value.items()
+                if type(c) is dict and c.keys() == {self.zero}:
+                    # c * D^alpha for a constant c, which commutes with D: one derivative
+                    return _Operator({tuple([a * k for a in alpha]): self.power(c, k)})
+            return _power(value, k, self.product)
+        if type(value) is dict and len(value) == 1:  # a monomial
+            ((e, c),) = value.items()
+            return {tuple([a * k for a in e]): _power(c, k, mul)}
+        # a function of several terms: refused before it is multiplied out
+        parts = (value,) if type(value) is dict else (value.num.terms, value.den.terms)
+        for exponents in parts:
+            terms = _power_terms(exponents, k)
+            if terms > MAX_POWER_TERMS:
+                raise InvalidInput(f"a power of up to {terms} terms, "
+                                   f"more than the limit of {MAX_POWER_TERMS}")
+        if type(value) is dict:  # in integers: (x + 1/2)^k = (2*x + 1)^k / 2^k
+            d = math.lcm(*[v.denominator for v in value.values() if type(v) is Fraction])
+            f = {e: v * d if type(v) is GaussianRational else (v * d).numerator
+                 for e, v in value.items()}
+            f = _power(f, k, lambda f, g: _function_product(f, g, self.m))
+            d = d ** k
+            return f if d == 1 else {e: _quotient(v, d) for e, v in f.items()}
+        return value ** k
 
     def quotient(self, left, right, position: int):
         if type(left) is _Operator or type(right) is _Operator:
@@ -329,8 +368,9 @@ class _Parser:
                              position)
         return component
 
-    def parse_row(self) -> OperatorVector:
-        rows = {}  # component -> the _Operator of its terms
+    def parse_terms(self):
+        """The row as {component: the _Operator of its terms}, up to the end of the text."""
+        rows = {}
         sign = "+"
         first = True
         while True:
@@ -355,22 +395,52 @@ class _Parser:
             sign = "+"
         if self.peek()[0] != _END:
             self.fail("unexpected trailing input")
-        return OperatorVector({Derivative(component, alpha): _rational(c, self.m)
-                               for component, row in rows.items() for alpha, c in row.items()},
-                              self.m, self.n)
+        return rows
+
+    def parse_function(self):
+        """The text as a function (no derivation), up to its end."""
+        value = self.parse_expr()
+        if self.peek()[0] != _END:
+            self.fail("unexpected trailing input")
+        if type(value) is _Operator:
+            raise ParseError("expected a function without derivations", 0)
+        return value
 
 
 def parse_operator(text: str, m: int, n: int = 1, field: str = "real") -> OperatorVector:
     """Parse an operator row; scalar expressions need no component tag when n = 1."""
-    return _Parser(text, m, n, field).parse_row()
+    rows = _Parser(text, m, n, field).parse_terms()
+    return OperatorVector({Derivative(component, alpha): _rational(c, m)
+                           for component, row in rows.items() for alpha, c in row.items()},
+                          m, n)
+
+
+def parse_derivative(text: str, m: int, n: int = 1, field: str = "real") -> Optional[Derivative]:
+    """The derivative d of a row that is 1*d, or None; read as ``parse_operator``
+    reads the row, with its ParseErrors, but building no operator."""
+    terms = [(Derivative(component, alpha), c) for component, row
+             in _Parser(text, m, n, field).parse_terms().items() for alpha, c in row.items()]
+    if len(terms) == 1:
+        ((d, c),) = terms
+        if c == (1 if isinstance(c, RationalFunction) else {(0,) * m: 1}):
+            _one(m)  # too many variables raise, as the coefficient would
+            return d
+    return None
 
 
 def parse_rational(text: str, m: int, field: str = "real") -> RationalFunction:
     """Parse a pure function (no derivations allowed)."""
-    parser = _Parser(text, m, 1, field)
-    value = parser.parse_expr()
-    if parser.peek()[0] != _END:
-        parser.fail("unexpected trailing input")
-    if type(value) is _Operator:
-        raise ParseError("expected a function without derivations", 0)
-    return _rational(value, m)
+    return _rational(_Parser(text, m, 1, field).parse_function(), m)
+
+
+def parse_constant(text: str, m: int, field: str = "real") -> Optional[Scalar]:
+    """The scalar of a constant function, as ``constant_value`` gives it, or None;
+    read as ``parse_rational`` reads it, with its errors, but building no
+    RationalFunction for a constant."""
+    value, zero = _Parser(text, m, 1, field).parse_function(), (0,) * m
+    if type(value) is dict and value.keys() <= {zero}:
+        c = value.get(zero, 0)
+        _one(m)  # too many variables raise, as the RationalFunction would
+        return (c if c.im else c.re) if isinstance(c, GaussianRational) else Fraction(c)
+    value = _rational(value, m)  # an oversized exponent raises here, as in parse_rational
+    return value.constant_value() if value.is_polynomial() and value.is_constant() else None

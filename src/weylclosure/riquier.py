@@ -377,9 +377,9 @@ class RiquierBasis:
 
     A basis that ``complete_to_riquier_basis`` returns is shared with every
     later caller that completes the same generators, so it is read-only too:
-    only its memo tables (``ranked_rules``, ``solve_plans`` and the
-    derivation log's replayed rows) grow, and they hold what any caller
-    would compute.
+    only its memo tables (``ranked_rules``, the parametric lists by order,
+    ``solve_plans`` and the derivation log's replayed rows) grow, and they
+    hold what any caller would compute.
     """
 
     def __init__(self, elements: Sequence[OperatorVector], m: int, n: int,
@@ -395,6 +395,7 @@ class RiquierBasis:
         # per position of ``ranked_delta``'s ranking, the rule whose head
         # divides the derivative there, or None; see ``ranked_up_to``
         self.ranked_rules: List[Optional[int]] = []
+        self._parametric: Dict[int, List[Derivative]] = {}  # see ``parametric_up_to``
         # the basis evaluated at each point, one plan per point for every
         # order; built and extended by jets.constraint_matrix and formal_solve
         self.solve_plans: Dict[tuple, "SolvePlan"] = {}
@@ -453,13 +454,18 @@ class RiquierBasis:
     def parametric_up_to(self, s: int) -> List[Derivative]:
         """All parametric derivatives in Delta_s, in ranking order, as a fresh list.
 
-        They are read off ``ranked_up_to``; a negative s raises InvalidInput.
+        They are read off ``ranked_up_to`` once per order and kept; each call
+        returns a copy.  A negative s raises InvalidInput.
         """
-        if s < 0:
-            raise InvalidInput(f"order s must be nonnegative, got {s}")
-        size = self.ranked_up_to(s)
-        ranked = ranked_delta(self.m, self.n, s)[0]
-        return [d for d, rule in zip(ranked[:size], self.ranked_rules) if rule is None]
+        parametric = self._parametric.get(s)
+        if parametric is None:
+            if s < 0:
+                raise InvalidInput(f"order s must be nonnegative, got {s}")
+            size = self.ranked_up_to(s)
+            ranked = ranked_delta(self.m, self.n, s)[0]
+            parametric = self._parametric[s] = [
+                d for d, rule in zip(ranked[:size], self.ranked_rules) if rule is None]
+        return list(parametric)
 
 
 def _monic_and_logged(trace: ReductionTrace, terms: List[Term], rule_ids: Sequence[int],

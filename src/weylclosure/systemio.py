@@ -15,7 +15,10 @@ the default field are those of its last call, it returns that same
 shared and read-only, as a ``RiquierBasis`` from the completion is, and the
 CLI commands on one file hand ``complete_to_riquier_basis`` the very same
 generators.  The memory is one entry: parsing another text replaces it, and
-a text that fails to parse is not kept.
+a text that fails to parse is not kept.  The values of ``point:``,
+``--point`` and ``--init`` are read once, by ``parsing.parse_constant`` and
+``parse_derivative``, into scalars and derivatives without an operator or a
+rational function, and ``jet_to_json`` sorts a jet's values once.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Dict, List, Optional, Tuple
 from .errors import InvalidInput
 from .formatting import format_derivative, format_scalar
 from .operators import Derivative, Jet, OperatorVector
-from .parsing import parse_operator, parse_rational
+from .parsing import parse_constant, parse_derivative, parse_operator
 from .scalars import Scalar
 
 
@@ -48,10 +51,10 @@ class SystemFile:
 
 def parse_scalar_value(text: str, m: int, field_mode: str) -> Scalar:
     """Parse a constant like '1/2' or '1 + i' into an exact scalar."""
-    value = parse_rational(text.strip(), m, field_mode)
-    if not value.is_polynomial() or not value.is_constant():
+    value = parse_constant(text.strip(), m, field_mode)
+    if value is None:
         raise InvalidInput(f"expected a constant, got {text!r}")
-    return value.constant_value()
+    return value
 
 
 def parse_point(text: str, m: int, field_mode: str) -> Tuple[Scalar, ...]:
@@ -74,11 +77,10 @@ def parse_initial_conditions(text: str, m: int, n: int,
         if "=" not in chunk:
             raise InvalidInput(f"initial condition {chunk!r} is missing '='")
         lhs, rhs = chunk.split("=", 1)
-        op = parse_operator(lhs.strip(), m, n, field_mode)
-        if len(op.terms) != 1:
-            raise InvalidInput(f"left side of {chunk!r} must be a single derivative")
-        (derivative, coeff), = op.terms.items()
-        if coeff != 1:
+        derivative = parse_derivative(lhs.strip(), m, n, field_mode)
+        if derivative is None:  # parsed again as an operator, to say what it is instead
+            if len(parse_operator(lhs.strip(), m, n, field_mode).terms) != 1:
+                raise InvalidInput(f"left side of {chunk!r} must be a single derivative")
             raise InvalidInput(f"left side of {chunk!r} must have coefficient 1")
         if derivative in init:
             raise InvalidInput(
@@ -160,14 +162,10 @@ def multi_index_key(alpha) -> str:
 
 
 def jet_to_json(jet: Jet) -> dict:
-    components: Dict[str, Dict[str, str]] = {}
-    for i in range(1, jet.n + 1):
-        entries = {
-            multi_index_key(d.alpha): format_scalar(v)
-            for d, v in sorted(jet.values.items(), key=lambda kv: kv[0].rank_key())
-            if d.component == i
-        }
-        components[f"u{i}"] = entries
+    """The jet as strings: its values sorted once, in ranking order within each component."""
+    components: Dict[str, Dict[str, str]] = {f"u{i}": {} for i in range(1, jet.n + 1)}
+    for d, v in sorted(jet.values.items(), key=lambda kv: kv[0].rank_key()):
+        components[f"u{d.component}"][multi_index_key(d.alpha)] = format_scalar(v)
     return {
         "point": [format_scalar(c) for c in jet.base_point],
         "order": jet.order,

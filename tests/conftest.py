@@ -10,7 +10,8 @@ from typing import List
 
 import pytest
 
-from weylclosure import Derivative, OperatorVector, Polynomial, RationalFunction, riquier, systemio
+from weylclosure import (Derivative, OperatorVector, Polynomial, RationalFunction, cli, riquier,
+                         systemio)
 from weylclosure.operators import multi_indices
 
 
@@ -81,11 +82,13 @@ def rng():
 
 @pytest.fixture(autouse=True)
 def forget_last_system_and_basis():
-    """Start every test with ``load_system`` and ``complete_to_riquier_basis``
-    holding no memory, so that no test reads a system or basis an earlier
-    test left behind, and the suite passes in any order."""
+    """Start every test with ``load_system``, ``complete_to_riquier_basis``
+    and the CLI's ``--q`` reader holding no memory, so that no test reads a
+    system, basis or candidate an earlier test left behind, and the suite
+    passes in any order."""
     riquier._last = None
     systemio._last = None
+    cli._last_q = None
 
 
 @pytest.fixture

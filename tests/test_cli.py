@@ -374,6 +374,61 @@ def test_the_commands_on_one_file_parse_it_once(euler_file, capsys, monkeypatch,
     assert parsed == ["x^2*D^2 - 2*x*D + 2"]
 
 
+# -- one parse per --q text: the last candidate is kept ---------------------------
+
+@pytest.fixture
+def q_parses(monkeypatch):
+    """The texts cli hands to parse_operator (each --q and --h), in order."""
+    seen = []
+    parse = cli.parse_operator
+
+    def spy(text, *args):
+        seen.append(text)
+        return parse(text, *args)
+
+    monkeypatch.setattr(cli, "parse_operator", spy)
+    return seen
+
+
+def test_every_test_starts_with_no_kept_candidate():
+    assert cli._last_q is None
+
+
+def test_verify_witness_after_member_reuses_the_parsed_q(euler_file, capsys, q_parses):
+    witness = ["verify-witness", euler_file, "--q", "D^3", "--w", "x^2", "--h", "D"]
+    assert main(witness) == 0
+    fresh = capsys.readouterr().out
+    assert main(["member", euler_file, "--q", "D^3"]) == 0
+    capsys.readouterr()
+    kept = cli._last_q
+    assert main(witness) == 0
+    # a hit: the same system and text give the very same q, and only --h is parsed
+    assert cli._last_q is kept and kept[0] is systemio._last[1]
+    assert q_parses == ["D^3", "D", "D"]
+    assert capsys.readouterr().out == fresh
+
+
+def test_another_q_text_is_parsed_again(euler_file, capsys, q_parses):
+    for text in ("D^3", "D^3 + 0", "D^3"):
+        assert main(["member", euler_file, "--q", text]) == 0
+    capsys.readouterr()
+    # one entry: the same operator under another text, and then the first text, parse again
+    assert q_parses == ["D^3", "D^3 + 0", "D^3"]
+    assert cli._last_q[1] == "D^3"
+
+
+def test_a_rewritten_file_parses_its_q_again(tmp_path, capsys, q_parses):
+    path = tmp_path / "s.sys"
+    path.write_text(EULER)
+    assert run(capsys, ["member", str(path), "--q", "D1"])[1]["member"] is False
+    first = cli._last_q
+    path.write_text(GRADIENT)
+    # the same text in two variables: the new system's q, a member of it
+    assert run(capsys, ["member", str(path), "--q", "D1"])[1]["member"] is True
+    assert q_parses == ["D1", "D1"] and cli._last_q[0] is not first[0]
+    assert (first[2].m, cli._last_q[2].m) == (1, 2)
+
+
 def test_a_file_rewritten_between_calls_is_read_again(tmp_path, capsys):
     path = tmp_path / "s.sys"
     path.write_text(EULER)
@@ -428,7 +483,10 @@ def test_system_file_errors_exit_2_with_their_message(tmp_path, capsys, text, me
     ("vars: 1\nrow: x^100000000*D - 1\n", "exponent (100000000,) exceeds the limit of 100000"),
     # sympy's ring in m variables costs m^2: 20,000 ran out of memory
     ("vars: 20000\nrow: D1\n", "20000 variables, more than the limit of 1000"),
-], ids=["exponent", "variables"])
+    # (x + 1)^k costs about k^2 products of big integers: k = 100000 ran past 60 s
+    ("vars: 1\nrow: (x + 1)^100000*D - 1\n",
+     "a power of up to 100001 terms, more than the limit of 1400"),
+], ids=["exponent", "variables", "power"])
 def test_oversized_systems_exit_2_within_seconds(tmp_path, capsys, text, message):
     path = tmp_path / "big.sys"
     path.write_text(text)

@@ -1,5 +1,6 @@
 """Operator grammar, positioned parse errors, and the parse/format round trip."""
 
+import math
 import time
 from fractions import Fraction
 
@@ -21,8 +22,11 @@ from weylclosure import (
     scalar_operator_product,
 )
 from weylclosure import parsing, systemio
-from weylclosure.systemio import load_system, parse_initial_conditions, parse_point
-from conftest import random_operator
+from weylclosure.formatting import format_derivative
+from weylclosure.polynomials import MAX_POWER_TERMS
+from weylclosure.systemio import (load_system, parse_initial_conditions, parse_point,
+                                  parse_scalar_value)
+from conftest import random_operator, returns_within
 
 
 def op(text, m=1, n=1, field="real"):
@@ -145,6 +149,40 @@ def test_a_power_of_a_rational_coefficient_in_a_row_survives_the_round_trip():
                                Derivative(1, (0, 0)): -parse_rational("x2", 2)}, 2, 1)
     assert p == expected
     assert op(format_operator(p), 2) == p
+
+
+@pytest.mark.parametrize("text, m, terms", [
+    ("(x + 1)^100000*D - 1", 1, 100001),
+    # the bound counts the multisets of k terms, here C(54, 2), below the (k + 1)^2 of the box
+    ("(x1 + x2 + 1)^52", 2, 1431),
+    ("((x + 1)/x)^1400", 1, 1401),
+    # the denominator (x + 1)^2 counts too: its 700th power has up to 2 * 700 + 1 terms
+    ("(x/(x + 1)^2)^700", 1, 1401),
+])
+def test_a_power_past_the_term_bound_is_refused_before_it_is_multiplied(text, m, terms):
+    with returns_within(10):
+        with pytest.raises(InvalidInput, match=rf"^a power of up to {terms} terms, "
+                                               rf"more than the limit of {MAX_POWER_TERMS}$"):
+            op(text, m)
+
+
+def test_the_largest_power_under_the_term_bound_parses():
+    assert MAX_POWER_TERMS == 1400
+    with returns_within(30):
+        p = op("(x + 1)^1399*D - 1")
+        assert op("(x1 + x2 + 1)^51", 2).coefficient(Derivative(1, (0, 0))).num.terms[(0, 51)] == 1
+    # (x + 1)^1399 has 1400 terms, the binomial coefficients
+    terms = p.coefficient(Derivative(1, (1,))).num.terms
+    assert len(terms) == 1400 and terms[(700,)] == math.comb(1399, 700)
+
+
+@pytest.mark.parametrize("base, k, field", [
+    ("x + 1/2", 5, "real"), ("x/3 - 2/5", 4, "real"), ("1/2", 3, "real"),
+    ("x/2 + i/3", 3, "complex"), ("(1 + i)/2*x - 1/3", 4, "complex"),
+])
+def test_a_power_of_a_function_with_fractions_is_the_repeated_product(base, k, field):
+    # the parser takes out a common denominator before it raises the base
+    assert op(f"({base})^{k}", field=field) == op("*".join([f"({base})"] * k), field=field)
 
 
 def test_powers_and_products_with_a_derivation_on_the_left_are_weyl_products():
@@ -389,6 +427,32 @@ def test_a_polynomial_order_0_coefficient_prints_without_parentheses():
     # a coefficient that multiplies a derivative keeps its parentheses
     assert format_operator(op("(x + 1)*D + x^2 + 1")) == "(x + 1)*D + x^2 + 1"
 
+@pytest.mark.parametrize("text, m, n, field, printed", [
+    # a coefficient 1 or -1 of a derivative is written as nothing or '-'
+    ("D1 - D2", 2, 1, "real", "D1 - D2"),
+    ("-D^2 + D - 1", 1, 1, "real", "-D^2 + D - 1"),
+    ("-D [u1] + D [u2]", 1, 2, "real", "-D [u1] + D [u2]"),
+    ("1 [u1] - 1 [u2]", 1, 2, "real", "1 [u1] - 1 [u2]"),
+    # a one-term negative numerator is written as '-' and its negation
+    ("-x*D - 2", 1, 1, "real", "-x*D - 2"),
+    ("(-2/x)*D - 2/x", 1, 1, "real", "-(2/x)*D - 2/x"),
+    ("(-3*x/(x + 1))*D - 3*x/(x + 1)", 1, 1, "real", "-(3*x/(x + 1))*D - (3*x/(x + 1))"),
+    # a denominator that is a product is parenthesized
+    ("(x1/(x1*x2))*D1 + 1/(x1^2*x2)", 2, 1, "real", "(1/x2)*D1 + 1/(x1^2*x2)"),
+    ("(3/(2*x1*x2))*D2 - 3/(2*x1*x2)", 2, 1, "real", "(3/2/(x1*x2))*D2 - 3/2/(x1*x2)"),
+    # Gaussian coefficients
+    ("(1 + i)*x*D + (2 - i)", 1, 1, "complex", "(1 + i)*x*D + (2 - i)"),
+    ("-i*D + i*x", 1, 1, "complex", "-i*D + i*x"),
+    ("((1 + i)/x)*D - i/x", 1, 1, "complex", "(((1 + i))/x)*D - i/x"),
+    ("(-2*i*x)*D^2 + (x + i)*D", 1, 1, "complex", "-2*i*x*D^2 + (x + i)*D"),
+    ("(-i/(x + i))*D", 1, 1, "complex", "-(i/(x + i))*D"),
+])
+def test_the_printer_reads_signs_and_units_off_the_terms(text, m, n, field, printed):
+    p = op(text, m, n, field)
+    assert format_operator(p) == printed
+    assert op(printed, m, n, field) == p
+
+
 def test_round_trip_randomized(rng):
     for _ in range(150):
         m = rng.randint(1, 3)
@@ -449,6 +513,134 @@ def test_point_line_with_an_empty_coordinate_is_rejected(tmp_path):
     path.write_text("vars: 2\nrow: D1\npoint: 1,,2\n")
     with pytest.raises(InvalidInput, match=r"^empty coordinate in point '1,,2'$"):
         load_system(str(path))
+
+
+# -- the lean readers of --init, --point and point: -------------------------------
+#
+# The reference is the path the readers replace: parse_operator and
+# parse_rational, which build the operator and the rational function.
+
+def reference_scalar_value(text, m, field_mode):
+    value = parse_rational(text.strip(), m, field_mode)
+    if not value.is_polynomial() or not value.is_constant():
+        raise InvalidInput(f"expected a constant, got {text!r}")
+    return value.constant_value()
+
+
+def reference_initial_conditions(text, m, n, field_mode):
+    init = {}
+    for chunk in text.split(","):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        if "=" not in chunk:
+            raise InvalidInput(f"initial condition {chunk!r} is missing '='")
+        lhs, rhs = chunk.split("=", 1)
+        p = parse_operator(lhs.strip(), m, n, field_mode)
+        if len(p.terms) != 1:
+            raise InvalidInput(f"left side of {chunk!r} must be a single derivative")
+        (derivative, coeff), = p.terms.items()
+        if coeff != 1:
+            raise InvalidInput(f"left side of {chunk!r} must have coefficient 1")
+        if derivative in init:
+            raise InvalidInput(
+                f"initial value given twice for {format_derivative(derivative, m, n)}")
+        init[derivative] = reference_scalar_value(rhs, m, field_mode)
+    return init
+
+
+def outcome(function, *args):
+    """What a call gives: its value with the type of each scalar, or its error."""
+    try:
+        value = function(*args)
+    except Exception as exc:  # the two paths must fail alike, whatever the error
+        return type(exc), str(exc)
+    if isinstance(value, dict):
+        return {d: (type(v), v) for d, v in value.items()}
+    return type(value), value
+
+
+FACTORS = ["1", "2", "-1", "1/2", "2/2", "0", "x1", "x2", "x1/x1", "(x1 - x1)", "D1", "D2",
+           "D1^2", "(D1 + D2)", "i", "-i", "(i*i)", "(1 + i)", "(1/2 - i/3)", "(x1 + 1)^2", "2^3",
+           "x1^200000", "(1/0)", "x1^0", "D1/x1", "y", "(", "2x1"]
+ROWS = st.builds(lambda factors, rest: "*".join(factors) + rest,
+                 st.lists(st.sampled_from(FACTORS), min_size=1, max_size=3),
+                 st.sampled_from(["", " [u1]", " [u2]", " [u3]", " + D1", " - D1", " + 1",
+                                  " [u1] + D2 [u2]", " +"]))
+
+
+@settings(deadline=None, max_examples=400)
+@given(st.lists(st.tuples(ROWS, ROWS), min_size=1, max_size=3), st.integers(1, 2),
+       st.sampled_from(["real", "complex"]))
+def test_the_lean_readers_agree_with_the_operator_and_rational_path(chunks, n, field):
+    text = ", ".join(f"{lhs}={rhs}" for lhs, rhs in chunks)
+    expected = outcome(reference_initial_conditions, text, 2, n, field)
+    assert outcome(parse_initial_conditions, text, 2, n, field) == expected
+    for lhs, rhs in chunks:
+        assert (outcome(parse_scalar_value, rhs, 2, field)
+                == outcome(reference_scalar_value, rhs, 2, field))
+        constant = outcome(parsing.parse_constant, rhs, 2, field)
+        rational = outcome(parse_rational, rhs, 2, field)
+        if isinstance(rational[1], RationalFunction):  # it parsed: the reader answers
+            r = rational[1]
+            value = r.constant_value() if r.is_polynomial() and r.is_constant() else None
+            assert constant == (type(value), value)
+        else:
+            assert constant == rational
+        derivative = outcome(parsing.parse_derivative, lhs, 2, n, field)
+        row = outcome(parse_operator, lhs, 2, n, field)
+        if isinstance(row[1], OperatorVector):
+            terms = list(row[1].terms.items())
+            d = terms[0][0] if len(terms) == 1 and terms[0][1] == 1 else None
+            assert derivative == (type(d), d)
+        else:  # the same error, or None for a coefficient past a limit that only
+            # building the operator meets, since such a row is not 1*d
+            assert derivative in (row, (type(None), None))
+            assert row[0] is InvalidInput or derivative == row
+
+
+@pytest.mark.parametrize("text, value", [
+    ("0", Fraction(0)), ("-3/4", Fraction(-3, 4)), ("i*i", Fraction(-1)),
+    ("(1 + i)^2", GaussianRational(0, 2)),
+    ("1/2 - i/3", GaussianRational(Fraction(1, 2), Fraction(-1, 3))),
+    ("x1/x1", Fraction(1)), ("x1 - x1 + 5", Fraction(5)),
+])
+def test_a_constant_is_the_scalar_of_its_type(text, value):
+    constant = parsing.parse_constant(text, 2, "complex")
+    assert type(constant) is type(value) and constant == value
+
+
+@pytest.mark.parametrize("text, m, n, derivative", [
+    ("D1*D2^2", 2, 1, Derivative(1, (1, 2))), ("D [u2]", 1, 2, Derivative(2, (1,))),
+    ("(x1/x1)*D1", 2, 1, Derivative(1, (1, 0))), ("(2/2)*1", 1, 1, Derivative(1, (0,))),
+    ("2*D", 1, 1, None), ("x*D", 1, 1, None), ("D + 1", 1, 1, None), ("0", 1, 1, None),
+    ("D - D", 1, 1, None),
+])
+def test_a_derivative_is_read_only_with_the_coefficient_one(text, m, n, derivative):
+    assert parsing.parse_derivative(text, m, n) == derivative
+
+
+def test_the_lean_readers_build_no_operator_and_no_rational_function(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("built")
+
+    for name in ("OperatorVector", "Polynomial", "_rational"):
+        monkeypatch.setattr(parsing, name, refuse)
+    monkeypatch.setattr(systemio, "parse_operator", refuse)
+    assert parse_initial_conditions("1 [u1]=1/2, D1*D2 [u2]=1 + i, D2 [u1]=i*i", 2, 2,
+                                    "complex") == {
+        Derivative(1, (0, 0)): Fraction(1, 2), Derivative(2, (1, 1)): GaussianRational(1, 1),
+        Derivative(1, (0, 1)): -1}
+    assert parse_point("1/2, -3", 2, "real") == (Fraction(1, 2), Fraction(-3))
+
+
+def test_the_readers_refuse_too_many_variables_as_the_old_path_did():
+    calls = [(parse_point, ", ".join(["1"] * 1001), 1001, "real"),
+             (parse_initial_conditions, "1=1", 1001, 1, "real"),
+             (parsing.parse_constant, "1", 1001), (parsing.parse_derivative, "D1", 1001)]
+    for function, *args in calls:
+        with pytest.raises(InvalidInput, match=r"^1001 variables, more than the limit of 1000$"):
+            function(*args)
 
 
 # -- one parse per system file: the last system is kept -------------------------

@@ -370,6 +370,20 @@ def test_parametric_up_to_returns_a_fresh_list():
     assert basis.parametric_up_to(3) == [Derivative(1, (0,)), Derivative(1, (1,))]
 
 
+def test_parametric_up_to_keeps_one_list_per_order_and_hands_out_copies(monkeypatch):
+    basis = complete_to_riquier_basis([op("D1 - x1", 2), op("D2^2", 2)], 2, 1)
+    first = basis.parametric_up_to(2)
+    assert first == [Derivative(1, (0, 0)), Derivative(1, (0, 1))]
+    # a changed answer changes no later answer, and the order is not read again
+    first.append(Derivative(1, (1, 0)))
+    first.reverse()
+    monkeypatch.setattr(basis, "ranked_up_to", None)
+    second = basis.parametric_up_to(2)
+    assert second == [Derivative(1, (0, 0)), Derivative(1, (0, 1))] and second is not first
+    second.clear()
+    assert basis.parametric_up_to(2) == [Derivative(1, (0, 0)), Derivative(1, (0, 1))]
+
+
 @pytest.mark.parametrize("orders", [(1, 2, 4), (4, 2, 1)])
 @pytest.mark.parametrize("texts, m, n", [
     (["x^2*D^2 - 2*x*D + 2"], 1, 1),
