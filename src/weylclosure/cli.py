@@ -1,9 +1,8 @@
 """Command-line surface: riquier, member, solve, prop1 and verify-witness.
 
 Exit codes: 0 on success, 1 when a decision command answers "false",
-2 on input errors.  Like ``load_system``, which keeps its last system, the
-``--q`` text is parsed once per kept system: ``member`` and then
-``verify-witness`` on one file and one ``--q`` share the parsed q.
+2 on input errors.  ``--q`` is parsed once per system that ``load_system``
+keeps: ``member`` and ``verify-witness`` on one file share the parsed q.
 """
 
 from __future__ import annotations
@@ -55,9 +54,7 @@ def _resolve_point(args, system: SystemFile, basis):
     return pick_regular_point(basis_denominators(basis), system.m)
 
 
-# The last --q parse, (system, text, q): one entry, keyed by the identity of
-# the system that load_system keeps and by the text (see the module docstring).
-_last_q = None
+_last_q = None  # the last --q parse, (system, text, q): see the module docstring
 
 
 def _resolve_q(args, system: SystemFile):
@@ -130,16 +127,10 @@ def _cmd_solve(args) -> int:
     system = load_system(args.system, args.field)
     basis = complete_to_riquier_basis(system.generators, system.m, system.n)
     point = _resolve_point(args, system, basis)
-    init = {}
-    if args.init:
-        init = parse_initial_conditions(args.init, system.m, system.n,
-                                        system.field_mode)
-    if args.order is not None:
-        order = args.order
-    elif system.truncation is not None:
-        order = system.truncation
-    else:
-        order = basis.s0 + 4
+    init = (parse_initial_conditions(args.init, system.m, system.n, system.field_mode)
+            if args.init else {})
+    order = args.order if args.order is not None else (
+        system.truncation if system.truncation is not None else basis.s0 + 4)
     jet = formal_solve(basis, point, init, order)
     _emit(jet_to_json(jet))
     return 0
@@ -167,9 +158,7 @@ def _cmd_verify_witness(args) -> int:
     w = parse_rational(args.w, system.m, system.field_mode)
     if not w.is_polynomial():
         raise WeylClosureError("witness w must be a polynomial")
-    cofactors = [
-        parse_operator(text, system.m, 1, system.field_mode) for text in args.h
-    ]
+    cofactors = [parse_operator(text, system.m, 1, system.field_mode) for text in args.h]
     valid = verify_witness(Witness(w, cofactors), q, system.generators)
     _emit({"valid": valid})
     return 0 if valid else 1
@@ -232,16 +221,12 @@ _OPTION_SHAPE = re.compile(r"-h$|--[a-z]")
 def _attached(argv: List[str]) -> List[str]:
     """argv with each value that starts with '-' attached to its option by '='."""
     out: List[str] = []
-    i = 0
-    while i < len(argv):
-        arg = argv[i]
-        if (arg in _VALUE_OPTIONS and i + 1 < len(argv) and argv[i + 1].startswith("-")
-                and not _OPTION_SHAPE.match(argv[i + 1])):
-            out.append(f"{arg}={argv[i + 1]}")
-            i += 2
+    for arg in argv:
+        if (out and out[-1] in _VALUE_OPTIONS and arg.startswith("-")
+                and not _OPTION_SHAPE.match(arg)):
+            out[-1] = f"{out[-1]}={arg}"
         else:
             out.append(arg)
-            i += 1
     return out
 
 

@@ -20,29 +20,19 @@ from .scalars import GaussianRational, Scalar, format_scalar
 
 def _scalar_is_simple(value: Scalar) -> bool:
     """True when the scalar renders as a single factor (usable inside a product)."""
-    if isinstance(value, GaussianRational):
-        return value.im == 0 or value.re == 0
-    return True
+    return not isinstance(value, GaussianRational) or value.im == 0 or value.re == 0
 
 
 def _monomial_factors(mono, m: int, letter: str) -> List[str]:
     """The factors of x^mono or D^mono, by letter: 'x' in one variable, else 'x1', 'x2', ..."""
-    parts = []
-    for j, e in enumerate(mono, start=1):
-        if e == 0:
-            continue
-        base = letter if m == 1 else f"{letter}{j}"
-        parts.append(base if e == 1 else f"{base}^{e}")
-    return parts
+    bases = [letter] if m == 1 else [f"{letter}{j}" for j in range(1, m + 1)]
+    return [base if e == 1 else f"{base}^{e}" for base, e in zip(bases, mono) if e]
 
 
 def format_derivative(d: Derivative, m: int, n: int) -> str:
     """Derivative text like 'D^2', 'D1*D2' or '1 [u2]', as the parser reads it."""
-    parts = _monomial_factors(d.alpha, m, "D")
-    body = "*".join(parts) if parts else "1"
-    if n > 1:
-        body += f" [u{d.component}]"
-    return body
+    body = "*".join(_monomial_factors(d.alpha, m, "D")) or "1"
+    return f"{body} [u{d.component}]" if n > 1 else body
 
 
 def format_polynomial(p: Polynomial) -> str:
@@ -59,28 +49,17 @@ def _format_terms(terms, nvars: int) -> str:
         coeff = terms[mono]
         factors = _monomial_factors(mono, nvars, "x")
         cstr = format_scalar(coeff)
-        if not factors:
-            term = cstr if _scalar_is_simple(coeff) else f"({cstr})"
-        elif coeff == 1:
-            term = "*".join(factors)
-        elif coeff == -1:
-            term = "-" + "*".join(factors)
-        elif _scalar_is_simple(coeff):
-            term = "*".join([cstr] + factors)
+        if factors and (coeff == 1 or coeff == -1):
+            term = ("-" if coeff == -1 else "") + "*".join(factors)
         else:
-            term = "*".join([f"({cstr})"] + factors)
+            term = "*".join([cstr if _scalar_is_simple(coeff) else f"({cstr})"] + factors)
         pieces.append(term)
     return _join_signed(pieces)
 
 
 def _join_signed(pieces: List[str]) -> str:
-    out = pieces[0]
-    for piece in pieces[1:]:
-        if piece.startswith("-"):
-            out += " - " + piece[1:]
-        else:
-            out += " + " + piece
-    return out
+    return pieces[0] + "".join(f" - {piece[1:]}" if piece.startswith("-") else f" + {piece}"
+                               for piece in pieces[1:])
 
 
 def _is_single_term(terms) -> bool:

@@ -24,15 +24,14 @@ division by a nonconstant function turns it into a ``RationalFunction``.  A
 value with a derivation in it maps each multi-index alpha to the function
 that multiplies ``D^alpha``.  A derivation raised to ``^k`` is one
 derivative, and a function raised to ``^k`` is a polynomial power.  A
-product with a function on the left, or with only constants on the right
-(``D1*D2``), multiplies coefficient by coefficient; only a product with a
-derivation on the left and a function on the right needs the Leibniz rule,
-and it takes it from ``operators.scalar_operator_product``.  Each coefficient
+product with a function on the left multiplies coefficient by coefficient;
+only a product with a derivation on the left needs the Leibniz rule, and it
+takes it from ``operators.scalar_operator_product``.  Each coefficient
 becomes a ``RationalFunction`` once, at the end, and only where the caller
 wants one: ``parse_derivative`` and ``parse_constant`` read a derivative
-(1*d) or a constant straight off the parsed values.  A power of a function
-past ``MAX_POWER_TERMS`` terms is refused before it is multiplied out.  The
-grammar's symbol test reads the list of symbols that the tokenizer builds.
+(1*d) or a constant off the parsed values.  A power of a function past
+``MAX_POWER_PRODUCTS`` products of terms is refused before it is multiplied
+out.  The grammar's symbol test reads a list that the tokenizer builds.
 """
 
 from __future__ import annotations
@@ -40,12 +39,12 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from operator import add, mul
+from operator import mul
 from typing import Optional
 
 from .errors import InvalidInput, ParseError
 from .operators import Derivative, OperatorVector, scalar_operator_product
-from .polynomials import MAX_POWER_TERMS, Polynomial, RationalFunction, _one, _power
+from .polynomials import MAX_POWER_PRODUCTS, Polynomial, RationalFunction, _one, _power
 from .scalars import GaussianRational, Scalar
 
 # an integer, a name, a symbol, or (group 4) any other character but whitespace
@@ -59,20 +58,16 @@ _MAX_NESTING = 100  # parenthesis levels; each takes four frames of the recursiv
 
 
 def _tokenize(text: str):
-    """(kind, text, position) for each token, then an end token, and a list
-    that holds each token's text where it is a symbol and "" elsewhere."""
-    tokens, symbols = [], []
+    """(kind, text, position) for each token, then an end token."""
+    tokens = []
     for match in _TOKEN_RE.finditer(text):
         kind = match.lastindex
         position = match.start(kind)
         if kind == _BAD:
             raise ParseError(f"unexpected character {text[position]!r}", position)
-        token = match.group(kind)
-        tokens.append((kind, token, position))
-        symbols.append(token if kind == _SYM else "")
+        tokens.append((kind, match.group(kind), position))
     tokens.append((_END, "", len(text)))
-    symbols.append("")
-    return tokens, symbols
+    return tokens
 
 
 _VARIABLE_ALIASES = {"x": 1, "y": 2, "z": 3}
@@ -126,12 +121,19 @@ def _function_product(f, g, m: int):
     return _rational(f, m) * _rational(g, m)
 
 
-def _power_terms(exponents, k: int) -> int:
-    """An upper bound on the number of terms of f^k, for f with these exponents."""
-    box = 1  # each variable's exponent in f^k lies in [k * least, k * largest]
+def _power_products(exponents, k: int) -> int:
+    """A bound on the products of two terms in each f^a * f^b (a + b <= k) that
+    ``_power`` takes for f^k, f with these exponents.  The terms of f^j are
+    bounded by the box of its exponents (each variable's in [j * least,
+    j * largest]) and by the multisets of j terms; both bounds are
+    nondecreasing and log-concave in j, so a = k // 2 gives their largest."""
+    low, high = k // 2, k - k // 2
+    box = 1
     for column in zip(*exponents):
-        box *= k * (max(column) - min(column)) + 1
-    return min(box, math.comb(len(exponents) + k - 1, k))  # the multisets of k terms
+        spread = max(column) - min(column)
+        box *= (low * spread + 1) * (high * spread + 1)
+    t = len(exponents)
+    return min(box, math.comb(t + low - 1, low) * math.comb(t + high - 1, high))
 
 
 def _negated(value):
@@ -146,7 +148,8 @@ class _Parser:
     def __init__(self, text: str, m: int, n: int, field: str):
         if field not in ("real", "complex"):
             raise ParseError(f"unknown field mode {field!r}", 0)
-        self.tokens, self.symbols = _tokenize(text)
+        self.tokens = _tokenize(text)
+        self.symbols = [token if kind == _SYM else "" for kind, token, _ in self.tokens]
         self.index = 0
         self.m = m
         self.n = n
@@ -197,17 +200,10 @@ class _Parser:
 
     def product(self, left, right):
         m = self.m
-        if type(left) is _Operator:
-            right = self.operator(right)
-            if all(type(c) is dict and c.keys() == {self.zero} for c in right.values()):
-                out = _Operator()  # constants commute with D: f*D^a * c*D^b = f*c*D^(a + b)
-                for a, f in left.items():
-                    for b, c in right.items():
-                        term = {tuple(map(add, a, b)): _function_product(f, c, m)}
-                        out = self.sum(out, _Operator(term))
-                return out
-            h, p = (OperatorVector({Derivative(1, alpha): _rational(c, m)  # the Leibniz rule
-                                    for alpha, c in v.items()}, m, 1) for v in (left, right))
+        if type(left) is _Operator:  # the Leibniz rule
+            h, p = (OperatorVector({Derivative(1, alpha): _rational(c, m)
+                                    for alpha, c in self.operator(v).items()}, m, 1)
+                    for v in (left, right))
             return _Operator({d.alpha: c for d, c in scalar_operator_product(h, p).terms.items()})
         if type(right) is _Operator:
             if not left:
@@ -216,31 +212,23 @@ class _Parser:
         return _function_product(left, right, m)
 
     def power(self, value, k: int):
-        if type(value) is _Operator:
-            if len(value) == 1:
-                ((alpha, c),) = value.items()
-                if type(c) is dict and c.keys() == {self.zero}:
-                    # c * D^alpha for a constant c, which commutes with D: one derivative
-                    return _Operator({tuple([a * k for a in alpha]): self.power(c, k)})
-            return _power(value, k, self.product)
-        if type(value) is dict and len(value) == 1:  # a monomial
-            ((e, c),) = value.items()
-            return {tuple([a * k for a in e]): _power(c, k, mul)}
-        # a function of several terms: refused before it is multiplied out
-        parts = (value,) if type(value) is dict else (value.num.terms, value.den.terms)
-        for exponents in parts:
-            terms = _power_terms(exponents, k)
-            if terms > MAX_POWER_TERMS:
-                raise InvalidInput(f"a power of up to {terms} terms, "
-                                   f"more than the limit of {MAX_POWER_TERMS}")
-        if type(value) is dict:  # in integers: (x + 1/2)^k = (2*x + 1)^k / 2^k
-            d = math.lcm(*[v.denominator for v in value.values() if type(v) is Fraction])
-            f = {e: v * d if type(v) is GaussianRational else (v * d).numerator
-                 for e, v in value.items()}
-            f = _power(f, k, lambda f, g: _function_product(f, g, self.m))
-            d = d ** k
-            return f if d == 1 else {e: _quotient(v, d) for e, v in f.items()}
-        return value ** k
+        if k > 1 and type(value) is not _Operator:  # refused before it is multiplied out
+            parts = (value,) if type(value) is dict else (value.num.terms, value.den.terms)
+            products = max(_power_products(exponents, k) for exponents in parts)
+            if products > MAX_POWER_PRODUCTS:
+                raise InvalidInput(f"a power of up to {products} products of terms, "
+                                   f"more than the limit of {MAX_POWER_PRODUCTS}")
+        if type(value) is dict:
+            return _power(value, k, lambda f, g: _function_product(f, g, self.m))
+        if type(value) is not _Operator:  # a RationalFunction
+            return value ** k
+        if len(value) == 1:
+            ((alpha, c),) = value.items()
+            if type(c) is dict and c.keys() == {self.zero}:
+                # c * D^alpha for a constant c, which commutes with D: one derivative
+                return _Operator({tuple([a * k for a in alpha]):
+                                  {self.zero: _power(c[self.zero], k, mul)}})
+        return _power(value, k, self.product)
 
     def quotient(self, left, right, position: int):
         if type(left) is _Operator or type(right) is _Operator:
@@ -356,11 +344,9 @@ class _Parser:
             return None
         self.advance()
         kind, text, position = self.peek()
-        component = None
-        if kind == _NAME and _TAG_RE.fullmatch(text):
-            component = int(text[1:])
-        if component is None:
+        if kind != _NAME or not _TAG_RE.fullmatch(text):
             self.fail("expected a component tag like u1")
+        component = int(text[1:])
         self.advance()
         self.expect_symbol("]")
         if not 1 <= component <= self.n:
@@ -371,28 +357,23 @@ class _Parser:
     def parse_terms(self):
         """The row as {component: the _Operator of its terms}, up to the end of the text."""
         rows = {}
-        sign = "+"
-        first = True
+        negate = False  # a leading sign is read by parse_factor
         while True:
-            op = self.at_symbol("+-")
-            if op is not None:
-                if not first:  # a leading sign is handled by parse_factor
-                    self.advance()
-                    sign = op
-            elif not first:
-                break
             value = self.parse_expr()
             component = self.parse_tag()
             if component is None:
                 if self.n > 1 and value:
                     self.fail("a component tag [u#] is required when n > 1")
                 component = 1
-            if sign == "-":
+            if negate:
                 value = _negated(value)
             row = rows.get(component)
             rows[component] = self.operator(value) if row is None else self.sum(row, value)
-            first = False
-            sign = "+"
+            op = self.at_symbol("+-")  # only after a tag: parse_expr reads the rest
+            if op is None:
+                break
+            self.advance()
+            negate = op == "-"
         if self.peek()[0] != _END:
             self.fail("unexpected trailing input")
         return rows
@@ -416,15 +397,14 @@ def parse_operator(text: str, m: int, n: int = 1, field: str = "real") -> Operat
 
 
 def parse_derivative(text: str, m: int, n: int = 1, field: str = "real") -> Optional[Derivative]:
-    """The derivative d of a row that is 1*d, or None; read as ``parse_operator``
-    reads the row, with its ParseErrors, but building no operator."""
+    """The derivative d of a row that is 1*d, else None: read as ``parse_operator``
+    reads the row, with its errors, but building no operator."""
     terms = [(Derivative(component, alpha), c) for component, row
              in _Parser(text, m, n, field).parse_terms().items() for alpha, c in row.items()]
-    if len(terms) == 1:
-        ((d, c),) = terms
-        if c == (1 if isinstance(c, RationalFunction) else {(0,) * m: 1}):
-            _one(m)  # too many variables raise, as the coefficient would
-            return d
+    if len(terms) == 1 and terms[0][1] == (1 if isinstance(terms[0][1], RationalFunction)
+                                           else {(0,) * m: 1}):
+        _one(m)  # too many variables raise, as the coefficient would
+        return terms[0][0]
     return None
 
 
@@ -434,13 +414,13 @@ def parse_rational(text: str, m: int, field: str = "real") -> RationalFunction:
 
 
 def parse_constant(text: str, m: int, field: str = "real") -> Optional[Scalar]:
-    """The scalar of a constant function, as ``constant_value`` gives it, or None;
+    """The scalar of a constant function, as ``constant_value`` gives it, else None:
     read as ``parse_rational`` reads it, with its errors, but building no
     RationalFunction for a constant."""
-    value, zero = _Parser(text, m, 1, field).parse_function(), (0,) * m
-    if type(value) is dict and value.keys() <= {zero}:
-        c = value.get(zero, 0)
+    value = _Parser(text, m, 1, field).parse_function()
+    if type(value) is dict and value.keys() <= {(0,) * m}:
         _one(m)  # too many variables raise, as the RationalFunction would
+        c = value.get((0,) * m, 0)
         return (c if c.im else c.re) if isinstance(c, GaussianRational) else Fraction(c)
     value = _rational(value, m)  # an oversized exponent raises here, as in parse_rational
     return value.constant_value() if value.is_polynomial() and value.is_constant() else None

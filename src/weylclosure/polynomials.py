@@ -84,14 +84,12 @@ _content = getattr(QQ.dtype, "_new", QQ.dtype)
 # address-space limit.  The test suite and the benchmark use exponents up to
 # 3,000.
 MAX_EXPONENT = 100_000
-# The most terms the parser lets a power of a function have, bounded before it
-# multiplies (k + 1 for (x + 1)^k, whose products of big integers cost about
-# k^2): at the bound ``(x + 1)^1399*D - 1`` parses in 1.0-1.1 s and the CLI
-# completes it in 2 s (2 vCPUs, Python 3.11), while ``(x + 1)^100000*D - 1``,
-# which still ran after 60 s, is refused at once.  Larger coefficients
-# cost more: ``(2*x + 3)^1399`` takes 2.9 s.  The test suite raises a sum to at
-# most the 7th power, and the benchmark raises none.
-MAX_POWER_TERMS = 1_400
+# The most products of two terms that the parser lets one product of a power
+# f^k of a function take: at the bound ``(x + 1)^1412*D - 1`` parses in 1.2 s
+# (2 vCPUs, Python 3.11), and ``(x + 1)^100000*D - 1`` ran past 60 s.  It counts
+# no digits and no variables: ``(x + 1/2)^1412`` takes 11 s, and the cube of
+# ``x1 + ... + x99`` 5.1 s.
+MAX_POWER_PRODUCTS = 500_000
 # The most variables of a ring ``_one`` builds.  sympy's ``PolyRing`` builds
 # m generators of m-tuples, so its cost is quadratic: 0.22 s and 18 MiB at the
 # bound, 0.38 s and 53 MiB at 2,000 (2 vCPUs, Python 3.11), and 20,000 ran out

@@ -457,15 +457,13 @@ class RiquierBasis:
         They are read off ``ranked_up_to`` once per order and kept; each call
         returns a copy.  A negative s raises InvalidInput.
         """
-        parametric = self._parametric.get(s)
-        if parametric is None:
+        if s not in self._parametric:
             if s < 0:
                 raise InvalidInput(f"order s must be nonnegative, got {s}")
             size = self.ranked_up_to(s)
-            ranked = ranked_delta(self.m, self.n, s)[0]
-            parametric = self._parametric[s] = [
-                d for d, rule in zip(ranked[:size], self.ranked_rules) if rule is None]
-        return list(parametric)
+            ranked = ranked_delta(self.m, self.n, s)[0][:size]
+            self._parametric[s] = [d for d, rule in zip(ranked, self.ranked_rules) if rule is None]
+        return list(self._parametric[s])
 
 
 def _monic_and_logged(trace: ReductionTrace, terms: List[Term], rule_ids: Sequence[int],

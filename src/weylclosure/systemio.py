@@ -157,15 +157,11 @@ def load_system(path: str, default_field: str = "real") -> SystemFile:
 # -- serialization helpers -------------------------------------------------
 
 
-def multi_index_key(alpha) -> str:
-    return ",".join(str(a) for a in alpha)
-
-
 def jet_to_json(jet: Jet) -> dict:
     """The jet as strings: its values sorted once, in ranking order within each component."""
     components: Dict[str, Dict[str, str]] = {f"u{i}": {} for i in range(1, jet.n + 1)}
     for d, v in sorted(jet.values.items(), key=lambda kv: kv[0].rank_key()):
-        components[f"u{d.component}"][multi_index_key(d.alpha)] = format_scalar(v)
+        components[f"u{d.component}"][",".join(map(str, d.alpha))] = format_scalar(v)
     return {
         "point": [format_scalar(c) for c in jet.base_point],
         "order": jet.order,

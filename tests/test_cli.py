@@ -485,7 +485,7 @@ def test_system_file_errors_exit_2_with_their_message(tmp_path, capsys, text, me
     ("vars: 20000\nrow: D1\n", "20000 variables, more than the limit of 1000"),
     # (x + 1)^k costs about k^2 products of big integers: k = 100000 ran past 60 s
     ("vars: 1\nrow: (x + 1)^100000*D - 1\n",
-     "a power of up to 100001 terms, more than the limit of 1400"),
+     "a power of up to 2500100001 products of terms, more than the limit of 500000"),
 ], ids=["exponent", "variables", "power"])
 def test_oversized_systems_exit_2_within_seconds(tmp_path, capsys, text, message):
     path = tmp_path / "big.sys"

@@ -23,7 +23,7 @@ from weylclosure import (
 )
 from weylclosure import parsing, systemio
 from weylclosure.formatting import format_derivative
-from weylclosure.polynomials import MAX_POWER_TERMS
+from weylclosure.polynomials import MAX_POWER_PRODUCTS
 from weylclosure.systemio import (load_system, parse_initial_conditions, parse_point,
                                   parse_scalar_value)
 from conftest import random_operator, returns_within
@@ -151,29 +151,49 @@ def test_a_power_of_a_rational_coefficient_in_a_row_survives_the_round_trip():
     assert op(format_operator(p), 2) == p
 
 
-@pytest.mark.parametrize("text, m, terms", [
-    ("(x + 1)^100000*D - 1", 1, 100001),
-    # the bound counts the multisets of k terms, here C(54, 2), below the (k + 1)^2 of the box
-    ("(x1 + x2 + 1)^52", 2, 1431),
-    ("((x + 1)/x)^1400", 1, 1401),
-    # the denominator (x + 1)^2 counts too: its 700th power has up to 2 * 700 + 1 terms
-    ("(x/(x + 1)^2)^700", 1, 1401),
+SUM_53 = " + ".join(f"x{j}" for j in range(1, 54))
+SUM_1501 = "1 + x + " + " + ".join(f"x^{e}" for e in range(2, 1501))
+
+
+# The bound is on the largest product that the repeated squaring of f^k can
+# take, f^(k // 2) times f^(k - k // 2): the product of bounds on their terms.
+@pytest.mark.parametrize("text, m, products", [
+    ("(x + 1)^100000*D - 1", 1, 50001 ** 2),
+    ("(x + 1)^1413", 1, 707 * 708),
+    # the terms of f^36 and f^37 are bounded by the multisets of 36 and 37 of
+    # f's terms, C(38, 2) = 703 and C(39, 2) = 741, below the boxes of 37^2 and 38^2
+    ("(x1 + x2 + 1)^73", 2, 703 * 741),
+    ("((x + 1)/x)^1414", 1, 708 ** 2),
+    # the denominator (x + 1)^2 counts too: its 354th power has up to 2 * 354 + 1 terms
+    ("(x/(x + 1)^2)^708", 1, 709 ** 2),
+    # a square is one product of f with itself, and a cube f times f^2
+    (f"({SUM_1501})^2", 1, 1501 ** 2),
+    ("(" + " + ".join(f"x{j}" for j in range(1, 101)) + ")^3", 100, 100 * math.comb(101, 2)),
 ])
-def test_a_power_past_the_term_bound_is_refused_before_it_is_multiplied(text, m, terms):
+def test_a_power_past_the_product_bound_is_refused_before_it_is_multiplied(text, m, products):
     with returns_within(10):
-        with pytest.raises(InvalidInput, match=rf"^a power of up to {terms} terms, "
-                                               rf"more than the limit of {MAX_POWER_TERMS}$"):
+        with pytest.raises(InvalidInput, match=rf"^a power of up to {products} products of "
+                                               rf"terms, more than the limit of {MAX_POWER_PRODUCTS}$"):
             op(text, m)
 
 
-def test_the_largest_power_under_the_term_bound_parses():
-    assert MAX_POWER_TERMS == 1400
+def test_the_largest_powers_under_the_product_bound_parse():
+    assert MAX_POWER_PRODUCTS == 500_000
     with returns_within(30):
-        p = op("(x + 1)^1399*D - 1")
-        assert op("(x1 + x2 + 1)^51", 2).coefficient(Derivative(1, (0, 0))).num.terms[(0, 51)] == 1
-    # (x + 1)^1399 has 1400 terms, the binomial coefficients
+        p = op("(x + 1)^1412*D - 1")
+        assert op("(x1 + x2 + 1)^72", 2).coefficient(Derivative(1, (0, 0))).num.terms[(0, 72)] == 1
+    # (x + 1)^1412 has 1413 terms, the binomial coefficients
     terms = p.coefficient(Derivative(1, (1,))).num.terms
-    assert len(terms) == 1400 and terms[(700,)] == math.comb(1399, 700)
+    assert len(terms) == 1413 and terms[(706,)] == math.comb(1412, 706)
+
+
+def test_a_power_of_few_products_parses_however_many_terms_it_has():
+    with returns_within(30):
+        # a first power multiplies nothing
+        assert op(f"({SUM_1501})^1") == op(SUM_1501)
+        # the square of 53 terms is 53^2 products; its 1431 terms pass no bound
+        square = op(f"({SUM_53})^2", 53).coefficient(Derivative(1, (0,) * 53)).num.terms
+    assert len(square) == math.comb(54, 2) and square[(1, 1) + (0,) * 51] == 2
 
 
 @pytest.mark.parametrize("base, k, field", [
@@ -181,7 +201,6 @@ def test_the_largest_power_under_the_term_bound_parses():
     ("x/2 + i/3", 3, "complex"), ("(1 + i)/2*x - 1/3", 4, "complex"),
 ])
 def test_a_power_of_a_function_with_fractions_is_the_repeated_product(base, k, field):
-    # the parser takes out a common denominator before it raises the base
     assert op(f"({base})^{k}", field=field) == op("*".join([f"({base})"] * k), field=field)
 
 
@@ -627,9 +646,11 @@ def test_the_lean_readers_build_no_operator_and_no_rational_function(monkeypatch
     for name in ("OperatorVector", "Polynomial", "_rational"):
         monkeypatch.setattr(parsing, name, refuse)
     monkeypatch.setattr(systemio, "parse_operator", refuse)
-    assert parse_initial_conditions("1 [u1]=1/2, D1*D2 [u2]=1 + i, D2 [u1]=i*i", 2, 2,
+    # a power of a derivation is one derivative; only a product of two (D1*D2)
+    # would take the Leibniz rule and its operators
+    assert parse_initial_conditions("1 [u1]=1/2, D1^2 [u2]=1 + i, D2 [u1]=i*i", 2, 2,
                                     "complex") == {
-        Derivative(1, (0, 0)): Fraction(1, 2), Derivative(2, (1, 1)): GaussianRational(1, 1),
+        Derivative(1, (0, 0)): Fraction(1, 2), Derivative(2, (2, 0)): GaussianRational(1, 1),
         Derivative(1, (0, 1)): -1}
     assert parse_point("1/2, -3", 2, "real") == (Fraction(1, 2), Fraction(-3))
 
