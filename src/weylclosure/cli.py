@@ -1,7 +1,8 @@
 """Command-line surface: riquier, member, solve, prop1 and verify-witness.
 
 Exit codes: 0 on success, 1 when a decision command answers "false",
-2 on input errors.  ``--q`` is parsed once per system that ``load_system``
+2 on input errors.  ``main`` loads the system file once per call and hands
+it to the subcommand.  ``--q`` is parsed once per system that ``load_system``
 keeps: ``member`` and ``verify-witness`` on one file share the parsed q.
 """
 
@@ -76,8 +77,7 @@ def _resolve_s(args, system: SystemFile, basis) -> int:
     return system.s if system.s is not None else basis.s0
 
 
-def _cmd_riquier(args) -> int:
-    system = load_system(args.system, args.field)
+def _cmd_riquier(args, system: SystemFile) -> int:
     basis = complete_to_riquier_basis(system.generators, system.m, system.n)
     s = _resolve_s(args, system, basis)
     _emit({
@@ -92,8 +92,7 @@ def _cmd_riquier(args) -> int:
     return 0
 
 
-def _cmd_member(args) -> int:
-    system = load_system(args.system, args.field)
+def _cmd_member(args, system: SystemFile) -> int:
     q = _resolve_q(args, system)
     result = weyl_closure_member(q, system.generators)
     document = {
@@ -123,8 +122,7 @@ def _cmd_member(args) -> int:
     return 0 if result.member else 1
 
 
-def _cmd_solve(args) -> int:
-    system = load_system(args.system, args.field)
+def _cmd_solve(args, system: SystemFile) -> int:
     basis = complete_to_riquier_basis(system.generators, system.m, system.n)
     point = _resolve_point(args, system, basis)
     init = (parse_initial_conditions(args.init, system.m, system.n, system.field_mode)
@@ -136,8 +134,7 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _cmd_prop1(args) -> int:
-    system = load_system(args.system, args.field)
+def _cmd_prop1(args, system: SystemFile) -> int:
     basis = complete_to_riquier_basis(system.generators, system.m, system.n)
     point = _resolve_point(args, system, basis)
     s = _resolve_s(args, system, basis)
@@ -152,8 +149,7 @@ def _cmd_prop1(args) -> int:
     return 0
 
 
-def _cmd_verify_witness(args) -> int:
-    system = load_system(args.system, args.field)
+def _cmd_verify_witness(args, system: SystemFile) -> int:
     q = _resolve_q(args, system)
     w = parse_rational(args.w, system.m, system.field_mode)
     if not w.is_polynomial():
@@ -239,7 +235,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = _parser().parse_args(_attached(sys.argv[1:] if argv is None else list(argv)))
     try:
-        return args.func(args)
+        return args.func(args, load_system(args.system, args.field))
     except (WeylClosureError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -306,8 +306,6 @@ def _coefficient_derivatives(c: RationalFunction, point: Tuple[Scalar, ...],
     All of them for a polynomial c, whose series is finite, and those with
     |mu| <= order for any other c.
     """
-    if len(point) != c.nvars:
-        raise ValueError("point dimension mismatch")
     if c.is_polynomial():  # a polynomial's denominator is 1: it is monic
         series = _shifted_series(c.num, point)
     else:

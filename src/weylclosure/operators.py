@@ -164,12 +164,10 @@ def ranked_delta(m: int, n: int, order: int) -> Tuple[List[Derivative], Dict[Der
     return ranked, position
 
 
-def derivatives_up_to(m: int, n: int, s: int, above: int = -1) -> List[Derivative]:
-    """Delta_s in ranking order, or with ``above = t`` the part that follows
-    Delta_t, as a fresh slice of ``ranked_delta``'s list: the caller owns it.
-    InvalidInput past MAX_JET_SIZE, whatever ``above`` is."""
-    size = delta_size(m, n, s)
-    return ranked_delta(m, n, s)[0][delta_size(m, n, min(above, s)):size]
+def derivatives_up_to(m: int, n: int, s: int) -> List[Derivative]:
+    """Delta_s in ranking order, as a fresh slice of ``ranked_delta``'s list:
+    the caller owns it.  InvalidInput past MAX_JET_SIZE."""
+    return ranked_delta(m, n, s)[0][:delta_size(m, n, s)]
 
 
 class OperatorVector:

@@ -39,8 +39,9 @@ They keep that form from the multipliers to ``cleared``, which hands them to
 ``integer_ratio`` and ``monic_polynomial``; the code here runs unchanged on
 either, as the two answer the same ring interface.  A product with a
 multiplier expands ``D^beta * 1/B`` by the Leibniz rule, summing the factors
-of each shift first so that each shifted numerator is multiplied once, and a
-sum goes over the lcm of the denominators.  Each result is divided by the
+of each shift first so that each shifted numerator is multiplied once.  A
+sum goes over the lcm of the denominators, and so do a multiplier's terms
+before the product: ``_sum`` is the one common-denominator loop.  Each result is divided by the
 gcd of its denominator and all its numerators, a chain of gcds that stops
 once it is constant.  Every gcd, lcm and quotient here comes from
 ``polynomials.gcd_cofactors``, the library's one gcd kernel: a quotient is
@@ -167,15 +168,9 @@ def _product(pairs: Pairs, source: _Lifted) -> _Lifted:
             key: _times(u, value) for key, value in source.numerators.items()})
     den, x = source.den, source.den.ring.gens
     one = den.ring.one
-    # the lcm L of the v so far, and each term's base u * (L / v), kept exact
-    # as L grows: with (g, L/g, v/g) = gcd_cofactors(L, v), L * (v/g) / v = L/g
-    lcm, bases = pairs[0][1][1], [pairs[0][1][0]]
-    for _, (u, v) in pairs[1:]:
-        _, lcm_g, v_g = gcd_cofactors(lcm, v)
-        if v_g != 1:  # else every base would be rebuilt unchanged
-            bases = [_times(base, v_g) for base in bases]
-            lcm = _times(lcm, v_g)
-        bases.append(_times(u, lcm_g))
+    # the lcm L of the v, and each term's base u * (L / v): the sum of the u/v
+    # with each term in a row of its own
+    over_lcm = _sum([_Lifted(v, {i: u}) for i, (_, (u, v)) in enumerate(pairs)])
     ground = den.is_ground
     top = 0 if ground else max(sum(beta) for beta, _ in pairs)
     powers = [one, den]  # B^k for k <= top + 1
@@ -199,7 +194,7 @@ def _product(pairs: Pairs, source: _Lifted) -> _Lifted:
     q_at = stepwise(one, q_step)  # Q_gamma
     # the factor of each shift delta = beta - gamma, summed over its (beta, gamma)
     factors: Dict[MultiIndex, Any] = {}
-    for (beta, _), base in zip(pairs, bases):
+    for (beta, _), base in zip(pairs, over_lcm.numerators.values()):
         # a constant B has no derivatives, so only gamma = 0 contributes
         gammas = [zero] if ground else itertools.product(*(range(b + 1) for b in beta))
         for gamma in gammas:
@@ -222,7 +217,7 @@ def _product(pairs: Pairs, source: _Lifted) -> _Lifted:
         unit = factor == one  # one test per shift, not one per numerator in _times
         for key, value in shift(delta).items():
             add_term(total, key, value if unit else _times(factor, value))
-    return _Lifted(_times(lcm, powers[top + 1]), total)
+    return _Lifted(_times(over_lcm.den, powers[top + 1]), total)
 
 
 def _sum(parts: List[_Lifted]) -> _Lifted:
@@ -344,10 +339,6 @@ class DerivationLog:
             self._replayed[i] = _cancelled(_product(scale, self._combine(node.terms)))
         return [self._replayed[i] for i in ids]
 
-    def cofactors(self, ids: Iterable[int]) -> List[Cofactors]:
-        """The generator cofactors of each id over F(x)."""
-        return [_operators(lifted.numerators, lifted.den, self.m) for lifted in self.replay(ids)]
-
     def lift_rows(self, terms: Iterable[Term]) -> _Lifted:
         """(den, numerators) with den * sum(multiplier * source) = sum over
         (g, alpha) of numerators[g, alpha] * D^alpha * generator g, on integer
@@ -403,7 +394,8 @@ class RiquierBasis:
     @property
     def generator_cofactors(self) -> List[Cofactors]:
         """Per element, exact cofactors over the generators (replayed on first use)."""
-        return self.derivation.cofactors(self.made_by)
+        return [_operators(lifted.numerators, lifted.den, self.m)
+                for lifted in self.derivation.replay(self.made_by)]
 
     def lift(self, multipliers: Mapping[int, OperatorVector]) -> Tuple[Polynomial, Cofactors]:
         """(w, h) with w * sum_k multipliers[k] * elements[k] = sum_g h[g] * generator g.

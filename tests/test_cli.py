@@ -374,6 +374,33 @@ def test_the_commands_on_one_file_parse_it_once(euler_file, capsys, monkeypatch,
     assert parsed == ["x^2*D^2 - 2*x*D + 2"]
 
 
+def test_each_call_loads_its_system_file_once(euler_file, capsys, monkeypatch):
+    loads = []
+    load = cli.load_system
+
+    def spy(path, *args):
+        loads.append(path)
+        return load(path, *args)
+
+    monkeypatch.setattr(cli, "load_system", spy)
+    calls = [["riquier", "{}"], ["prop1", "{}", "--point", "1"], ["solve", "{}", "--point", "1"],
+             ["member", "{}", "--q", "D^3", "--cross-check"],
+             ["verify-witness", "{}", "--q", "D^3", "--w", "x^2", "--h", "D"]]
+    for argv in calls:
+        loads.clear()
+        assert main([arg.format(euler_file) for arg in argv]) == 0
+        assert loads == [euler_file]
+    capsys.readouterr()
+    missing = "/nonexistent/file.sys"
+    for argv in calls:
+        loads.clear()
+        assert main([arg.format(missing) for arg in argv]) == 2
+        assert loads == [missing]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+
+
 # -- one parse per --q text: the last candidate is kept ---------------------------
 
 @pytest.fixture

@@ -352,12 +352,16 @@ def test_derivatives_up_to_refuses_past_the_bound():
 
 def test_derivatives_above_an_order_follow_the_lower_delta():
     full = derivatives_up_to(2, 2, 5)
-    assert derivatives_up_to(2, 2, 5, above=3) == full[len(derivatives_up_to(2, 2, 3)):]
-    assert derivatives_up_to(2, 2, 5, above=-1) == full
-    assert derivatives_up_to(2, 2, 5, above=5) == []
-    # the bound is on Delta_s, however few derivatives are built
-    with pytest.raises(InvalidInput, match="^order 446 has 100128 derivatives"):
-        derivatives_up_to(2, 1, 446, above=445)
+    for t in range(-1, 6):
+        lower = derivatives_up_to(2, 2, t)
+        # Delta_t is a prefix of Delta_5, and the suffix after it holds the
+        # derivatives of orders t + 1 .. 5, each order in one run
+        assert full[:len(lower)] == lower
+        above = full[len(lower):]
+        assert len(above) == delta_size(2, 2, 5) - delta_size(2, 2, t)
+        assert [d.order for d in above] == sorted(d.order for d in above)
+        assert all(t < d.order <= 5 for d in above)
+    assert full[len(derivatives_up_to(2, 2, 5)):] == []
 
 
 def test_multi_indices_yield_by_total_degree_then_lexicographically():
@@ -389,7 +393,7 @@ def test_a_caller_owns_the_list_derivatives_up_to_returns(monkeypatch, fresh_com
     assert listed == shared and listed is not ranked
     listed.reverse()
     listed.append(Derivative(1, (9, 9)))
-    derivatives_up_to(2, 2, 2, above=0).clear()
+    del derivatives_up_to(2, 2, 2)[:delta_size(2, 2, 0)]
     assert ranked == shared == derivatives_up_to(2, 2, 3)
     assert operators.ranked_delta(2, 2, 3)[0] is ranked
     assert basis.ranked_rules == [ranking.pick_rule(d, basis.heads) for d in ranked]
