@@ -4,7 +4,10 @@ The printer is the inverse of the parser: ``parse(format(p)) == p`` holds
 structurally.  Operator terms are emitted in decreasing ranking order.  A
 coefficient that multiplies a derivative is parenthesized whenever it is not
 a single product-safe term; a polynomial coefficient of the order-0 term is
-a sum of its own and is written without parentheses.  Each conversion is
+a sum of its own and is written without parentheses.  No text gets a second
+pair of parentheses around the pair that already encloses it: a one-term
+numerator whose scalar is parenthesized, and a component of a vector row that
+is one parenthesized summand, keep their one pair.  Each conversion is
 made once: an operator's terms are ranked once, and each coefficient's
 numerator and denominator terms are built once, and 1 and -1 are read off them.
 """
@@ -62,8 +65,14 @@ def _join_signed(pieces: List[str]) -> str:
                                for piece in pieces[1:])
 
 
-def _is_single_term(terms) -> bool:
-    return len(terms) == 1 and _scalar_is_simple(next(iter(terms.values())))
+def _is_enclosed(text: str) -> bool:
+    """True when one pair of parentheses encloses the whole text, as in '(x + 1)'."""
+    depth = 0
+    for ch in text[:-1]:
+        depth += (ch == "(") - (ch == ")")
+        if not depth:
+            return False
+    return text.endswith(")")
 
 
 def format_rational(r: RationalFunction) -> str:
@@ -75,11 +84,13 @@ def _format_quotient(num, den, nvars: int) -> str:
     text = _format_terms(num, nvars)
     if den is None:
         return text
-    if not _is_single_term(num) or text.startswith("-"):
+    # a one-term numerator needs no pair of its own: a scalar that is not
+    # simple has one already, from _format_terms
+    if len(num) > 1 or text.startswith("-"):
         text = f"({text})"
     den_text = _format_terms(den, nvars)
     # A product in the denominator would rebind as ((num/den1)*den2): parenthesize.
-    if not _is_single_term(den) or "*" in den_text:
+    if len(den) > 1 or "*" in den_text:
         den_text = f"({den_text})"
     return f"{text}/{den_text}"
 
@@ -96,7 +107,7 @@ def _format_coefficient(coeff: RationalFunction, has_derivative: bool) -> str:
     num = coeff.num.terms
     den = None if coeff.is_polynomial() else coeff.den.terms
     sign = ""
-    if _is_single_term(num):
+    if len(num) == 1:
         ((mono, value),) = num.items()
         if _scalar_is_negative(value):  # written as '-' and its negation
             sign, value = "-", -value
@@ -107,7 +118,7 @@ def _format_coefficient(coeff: RationalFunction, has_derivative: bool) -> str:
     if den is None:  # a sum by a derivative, not a summand: 'D^2 - x^2 + 1'
         wrap = has_derivative and len(num) > 1
     else:
-        wrap = has_derivative or not (_is_single_term(num) and _is_single_term(den))
+        wrap = has_derivative or len(num) > 1 or len(den) > 1
     return sign + (f"({text})" if wrap else text) + ("*" if has_derivative else "")
 
 
@@ -125,7 +136,7 @@ def format_operator(p: OperatorVector) -> str:
     pieces = []
     for component in sorted(rows):
         body = _join_signed(rows[component])
-        if " + " in body or " - " in body:
+        if (" + " in body or " - " in body) and not _is_enclosed(body):
             body = f"({body})"
         pieces.append(f"{body} [u{component}]")
     return _join_signed(pieces)

@@ -30,8 +30,9 @@ takes it from ``operators.scalar_operator_product``.  Each coefficient
 becomes a ``RationalFunction`` once, at the end, and only where the caller
 wants one: ``parse_derivative`` and ``parse_constant`` read a derivative
 (1*d) or a constant off the parsed values.  A power of a function past
-``MAX_POWER_PRODUCTS`` products of terms is refused before it is multiplied
-out.  The grammar's symbol test reads a list that the tokenizer builds.
+``MAX_POWER_PRODUCTS`` products of terms, or whose coefficients would grow
+past ``MAX_POWER_BITS`` bits, is refused before it is multiplied out.  The
+grammar's symbol test reads a list that the tokenizer builds.
 """
 
 from __future__ import annotations
@@ -44,7 +45,8 @@ from typing import Optional
 
 from .errors import InvalidInput, ParseError
 from .operators import Derivative, OperatorVector, scalar_operator_product
-from .polynomials import MAX_POWER_PRODUCTS, Polynomial, RationalFunction, _one, _power
+from .polynomials import (MAX_POWER_BITS, MAX_POWER_PRODUCTS, Polynomial, RationalFunction,
+                          _one, _power)
 from .scalars import GaussianRational, Scalar
 
 # an integer, a name, a symbol, or (group 4) any other character but whitespace
@@ -136,6 +138,16 @@ def _power_products(exponents, k: int) -> int:
     return min(box, math.comb(t + low - 1, low) * math.comb(t + high - 1, high))
 
 
+def _log2_height(coefficients) -> float:
+    """log2 of the largest numerator or denominator of these scalars (0 for none).
+    f^k's coefficients reach about k times it: exactly so when f is one term."""
+    height = 1
+    for c in coefficients:
+        for part in (c.re, c.im) if type(c) is GaussianRational else (c,):
+            height = max(height, abs(part.numerator), part.denominator)
+    return math.log2(height)
+
+
 def _negated(value):
     if type(value) is dict:
         return {e: -v for e, v in value.items()}
@@ -218,6 +230,10 @@ class _Parser:
             if products > MAX_POWER_PRODUCTS:
                 raise InvalidInput(f"a power of up to {products} products of terms, "
                                    f"more than the limit of {MAX_POWER_PRODUCTS}")
+            bits = k * _log2_height(c for terms in parts for c in terms.values())
+            if bits > MAX_POWER_BITS:
+                raise InvalidInput(f"a power with coefficients of about {bits:.0f} bits, "
+                                   f"more than the limit of {MAX_POWER_BITS}")
         if type(value) is dict:
             return _power(value, k, lambda f, g: _function_product(f, g, self.m))
         if type(value) is not _Operator:  # a RationalFunction

@@ -90,6 +90,11 @@ MAX_EXPONENT = 100_000
 # no digits and no variables: ``(x + 1/2)^1412`` takes 11 s, and the cube of
 # ``x1 + ... + x99`` 5.1 s.
 MAX_POWER_PRODUCTS = 500_000
+# The most bits that the parser lets the coefficients of a power f^k of a
+# function reach, k times log2 of f's largest numerator or denominator: at the
+# bound ``3^3785578`` parses in 1.0 s (2 vCPUs, Python 3.11), and
+# ``3^30000000`` took 37.6 s.
+MAX_POWER_BITS = 6_000_000
 # The most variables of a ring ``_one`` builds.  sympy's ``PolyRing`` builds
 # m generators of m-tuples, so its cost is quadratic: 0.22 s and 18 MiB at the
 # bound, 0.38 s and 53 MiB at 2,000 (2 vCPUs, Python 3.11), and 20,000 ran out

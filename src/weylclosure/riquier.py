@@ -41,15 +41,15 @@ either, as the two answer the same ring interface.  A product with a
 multiplier expands ``D^beta * 1/B`` by the Leibniz rule, summing the factors
 of each shift first so that each shifted numerator is multiplied once.  A
 sum goes over the lcm of the denominators, and so do a multiplier's terms
-before the product: ``_sum`` is the one common-denominator loop.  Each result is divided by the
-gcd of its denominator and all its numerators, a chain of gcds that stops
-once it is constant.  Every gcd, lcm and quotient here comes from
-``polynomials.gcd_cofactors``, the library's one gcd kernel: a quotient is
-one of its cofactors, never a trial division, and every product from
-``polynomials._times``, which skips a factor of 1; the few tests for a
-trivial operand left here skip whole loops, not single products.  The lift
-of a reduction is then over the lcm of the cofactors' reduced denominators:
-made monic, that is the witness's w.
+before the product: ``_sum`` is the one common-denominator loop.  Each
+result is divided by the gcd of its denominator and all its numerators, a
+chain of gcds that stops once it is constant.  Every gcd, lcm and quotient
+here comes from ``polynomials.gcd_cofactors``, the library's one gcd kernel:
+a quotient is one of its cofactors, never a trial division, and every
+product from ``polynomials._times``, which skips a factor of 1; the few
+tests for a trivial operand left here skip whole loops, not single products.
+The lift of a reduction is then over the lcm of the cofactors' reduced
+denominators: made monic, that is the witness's w.
 Rational functions appear only at the edge, in the cofactors handed out.
 
 A basis classifies Delta_T, the derivatives up to order T, as principal or

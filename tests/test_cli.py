@@ -513,7 +513,10 @@ def test_system_file_errors_exit_2_with_their_message(tmp_path, capsys, text, me
     # (x + 1)^k costs about k^2 products of big integers: k = 100000 ran past 60 s
     ("vars: 1\nrow: (x + 1)^100000*D - 1\n",
      "a power of up to 2500100001 products of terms, more than the limit of 500000"),
-], ids=["exponent", "variables", "power"])
+    # 3^30000000 has 47.5 million bits: it took 37.6 s
+    ("vars: 1\nrow: 3^30000000*D - 1\n",
+     "a power with coefficients of about 47548875 bits, more than the limit of 6000000"),
+], ids=["exponent", "variables", "power", "digits"])
 def test_oversized_systems_exit_2_within_seconds(tmp_path, capsys, text, message):
     path = tmp_path / "big.sys"
     path.write_text(text)

@@ -23,7 +23,7 @@ from weylclosure import (
 )
 from weylclosure import parsing, systemio
 from weylclosure.formatting import format_derivative
-from weylclosure.polynomials import MAX_POWER_PRODUCTS
+from weylclosure.polynomials import MAX_POWER_BITS, MAX_POWER_PRODUCTS
 from weylclosure.systemio import (load_system, parse_initial_conditions, parse_point,
                                   parse_scalar_value)
 from conftest import random_operator, returns_within
@@ -185,6 +185,36 @@ def test_the_largest_powers_under_the_product_bound_parse():
     # (x + 1)^1412 has 1413 terms, the binomial coefficients
     terms = p.coefficient(Derivative(1, (1,))).num.terms
     assert len(terms) == 1413 and terms[(706,)] == math.comb(1412, 706)
+
+
+# The digit bound is k times log2 of the base's largest numerator or
+# denominator: log2(3) = 1.58496..., so 3^3785578 has 5999999.2 bits.
+@pytest.mark.parametrize("text, m, field, bits", [
+    ("3^30000000*D - 1", 1, "real", 47548875),
+    ("3^3785579", 1, "real", 6000001),
+    ("(1/3)^3785579", 1, "real", 6000001),
+    ("(3*x)^3785579*D", 1, "real", 6000001),
+    # a sum counts its largest coefficient, 3^100000 of 158496.3 bits here
+    ("(x1 + 3^100000*x2)^38", 2, "real", 6022858),
+    ("(x/(3^100000*x + 1))^38", 1, "real", 6022858),
+    ("((1 + 3*i)*x)^3785579", 1, "complex", 6000001),
+    ("(3^100000)^100000", 1, "real", 15849625007),
+])
+def test_a_power_past_the_digit_bound_is_refused_before_it_is_multiplied(text, m, field, bits):
+    with returns_within(10):
+        with pytest.raises(InvalidInput, match=rf"^a power with coefficients of about {bits} "
+                                               rf"bits, more than the limit of {MAX_POWER_BITS}$"):
+            op(text, m, 1, field)
+
+
+def test_the_largest_constant_power_under_the_digit_bound_parses():
+    assert MAX_POWER_BITS == 6_000_000
+    with returns_within(30):
+        c = op("3^3785578").coefficient(Derivative(1, (0,))).num.terms[(0,)]
+        assert c == 3 ** 3785578
+        # a coefficient of 1 adds no digits: the exponent bound speaks first
+        with pytest.raises(InvalidInput, match=r"^exponent \(100000000,\) exceeds the limit"):
+            op("x^100000000*D - 1")
 
 
 def test_a_power_of_few_products_parses_however_many_terms_it_has():
@@ -462,9 +492,22 @@ def test_a_polynomial_order_0_coefficient_prints_without_parentheses():
     # Gaussian coefficients
     ("(1 + i)*x*D + (2 - i)", 1, 1, "complex", "(1 + i)*x*D + (2 - i)"),
     ("-i*D + i*x", 1, 1, "complex", "-i*D + i*x"),
-    ("((1 + i)/x)*D - i/x", 1, 1, "complex", "(((1 + i))/x)*D - i/x"),
+    # a one-term Gaussian numerator keeps the one pair of its scalar
+    ("((1 + i)/x)*D - i/x", 1, 1, "complex", "((1 + i)/x)*D - i/x"),
+    ("D + (1 + i)/x", 1, 1, "complex", "D + (1 + i)/x"),
+    ("D + (1 + 2*i)*x/(x + 1)", 1, 1, "complex", "D + ((1 + 2*i)*x/(x + 1))"),
     ("(-2*i*x)*D^2 + (x + i)*D", 1, 1, "complex", "-2*i*x*D^2 + (x + i)*D"),
     ("(-i/(x + i))*D", 1, 1, "complex", "-(i/(x + i))*D"),
+    # a component that is one parenthesized summand keeps its one pair
+    ("(x + 6)/x^2 [u1] + 1 [u2]", 1, 2, "real", "((x + 6)/x^2) [u1] + 1 [u2]"),
+    ("D [u1] + 1/(x - 3) [u2]", 1, 2, "real", "D [u1] + (1/(x - 3)) [u2]"),
+    ("-(x + 1)/x [u1] + D [u2]", 1, 2, "real", "((-x - 1)/x) [u1] + D [u2]"),
+    ("(-1/5 - 3/5*i) [u1]", 1, 2, "complex", "(-1/5 - 3/5*i) [u1]"),
+    ("(1 + i)/x [u1] + D [u2]", 1, 2, "complex", "((1 + i)/x) [u1] + D [u2]"),
+    # and one of two summands gets its pair, whatever the summands are
+    ("((1 + i)*D + (2 - i)) [u1] + D [u2]", 1, 2, "complex",
+     "((1 + i)*D + (2 - i)) [u1] + D [u2]"),
+    ("(1/x + D) [u1]", 1, 2, "real", "(D + 1/x) [u1]"),
 ])
 def test_the_printer_reads_signs_and_units_off_the_terms(text, m, n, field, printed):
     p = op(text, m, n, field)
