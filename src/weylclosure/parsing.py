@@ -30,9 +30,10 @@ takes it from ``operators.scalar_operator_product``.  Each coefficient
 becomes a ``RationalFunction`` once, at the end, and only where the caller
 wants one: ``parse_derivative`` and ``parse_constant`` read a derivative
 (1*d) or a constant off the parsed values.  A power of a function past
-``MAX_POWER_PRODUCTS`` products of terms, or whose coefficients would grow
-past ``MAX_POWER_BITS`` bits, is refused before it is multiplied out.  The
-grammar's symbol test reads a list that the tokenizer builds.
+``MAX_POWER_PRODUCTS`` products of terms, whose coefficients would grow
+past ``MAX_POWER_BITS`` bits, or whose degree would pass ``MAX_EXPONENT``,
+is refused before it is multiplied out.  The grammar's symbol test reads a
+list that the tokenizer builds.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ from typing import Optional
 
 from .errors import InvalidInput, ParseError
 from .operators import Derivative, OperatorVector, scalar_operator_product
-from .polynomials import (MAX_POWER_BITS, MAX_POWER_PRODUCTS, Polynomial, RationalFunction,
-                          _one, _power)
+from .polynomials import (MAX_EXPONENT, MAX_POWER_BITS, MAX_POWER_PRODUCTS, Polynomial,
+                          RationalFunction, _one, _power)
 from .scalars import GaussianRational, Scalar
 
 # an integer, a name, a symbol, or (group 4) any other character but whitespace
@@ -234,6 +235,11 @@ class _Parser:
             if bits > MAX_POWER_BITS:
                 raise InvalidInput(f"a power with coefficients of about {bits:.0f} bits, "
                                    f"more than the limit of {MAX_POWER_BITS}")
+            # f^k has k times the degree of f in each variable
+            top = max((e for terms in parts for e in terms), key=max, default=None)
+            if top is not None and k * max(top) > MAX_EXPONENT:
+                raise InvalidInput(f"exponent {tuple(k * a for a in top)} exceeds "
+                                   f"the limit of {MAX_EXPONENT}")
         if type(value) is dict:
             return _power(value, k, lambda f, g: _function_product(f, g, self.m))
         if type(value) is not _Operator:  # a RationalFunction

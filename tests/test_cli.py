@@ -330,15 +330,14 @@ def test_verify_witness_refuses_a_system_that_member_refuses(tmp_path, capsys):
 
 
 def test_repeated_calls_share_one_parser_but_no_values(euler_file, capsys, monkeypatch):
-    built = []
-    build_parser = cli.build_parser
+    # every call reads the one table of subcommands and options, which no call
+    # changes, and no value (such as the --h list) leaks into the next call
+    def table():
+        return [(level, [(name, *(getattr(option, field) for field in option.__slots__))
+                         for name, option in lookup.items()])
+                for level, lookup in cli._LOOKUP.items()]
 
-    def counting():
-        built.append(True)
-        return build_parser()
-
-    monkeypatch.setattr(cli, "build_parser", counting)
-    cli._parser.cache_clear()
+    before = table()
     seen = []
 
     def record(witness, q, generators):
@@ -352,7 +351,7 @@ def test_repeated_calls_share_one_parser_but_no_values(euler_file, capsys, monke
     assert main(base) == 0
     capsys.readouterr()
     assert seen == [["D"], ["x", "1"], []]
-    assert built == [True]
+    assert table() == before
 
 
 def test_the_commands_on_one_file_parse_it_once(euler_file, capsys, monkeypatch, fresh_load):
@@ -516,7 +515,9 @@ def test_system_file_errors_exit_2_with_their_message(tmp_path, capsys, text, me
     # 3^30000000 has 47.5 million bits: it took 37.6 s
     ("vars: 1\nrow: 3^30000000*D - 1\n",
      "a power with coefficients of about 47548875 bits, more than the limit of 6000000"),
-], ids=["exponent", "variables", "power", "digits"])
+    # (3*x)^3785578 is under the digit bound: it spent 0.95 s on its coefficient
+    ("vars: 1\nrow: (3*x)^3785578*D - 1\n", "exponent (3785578,) exceeds the limit of 100000"),
+], ids=["exponent", "variables", "power", "digits", "power-exponent"])
 def test_oversized_systems_exit_2_within_seconds(tmp_path, capsys, text, message):
     path = tmp_path / "big.sys"
     path.write_text(text)
@@ -636,12 +637,25 @@ def test_an_option_with_no_value_still_exits_2(euler_file, capsys, argv):
     assert "expected one argument" in capsys.readouterr().err
 
 
-def test_every_option_that_takes_a_value_accepts_one_that_starts_with_a_dash():
-    parser = cli.build_parser()
-    subcommands = next(a for a in parser._actions if a.choices and a.dest == "command")
-    valued = {option for p in [parser, *subcommands.choices.values()] for a in p._actions
-              if a.nargs != 0 for option in a.option_strings}
-    assert valued == cli._VALUE_OPTIONS
+def test_every_option_that_takes_a_value_accepts_one_that_starts_with_a_dash(capsys):
+    valued = set()
+    for level, lookup in cli._LOOKUP.items():
+        for option in {o for o in lookup.values() if o.kind != cli.FLAG}:
+            valued.add(option.name)
+            dash = "-1" if option.kind == cli.INT else "-1/2"
+            argv = ([option.name, dash, "riquier", "f.sys"] if level is None
+                    else [level, "f.sys", option.name, dash])
+            if level == "verify-witness" and option.name != "--w":
+                argv += ["--w", "1"]
+            if option.choices:  # taken as the value, and refused as no choice
+                with pytest.raises(SystemExit) as info:
+                    cli.parse_argv(argv)
+                assert info.value.code == 2
+                assert f"invalid choice: '{dash}'" in capsys.readouterr().err
+                continue
+            value = getattr(cli.parse_argv(argv), option.dest)
+            assert value == {cli.INT: -1, cli.REPEAT: [dash]}.get(option.kind, dash), argv
+    assert valued == {"--field", "--s", "--q", "--point", "--init", "--order", "--w", "--h"}
 
 
 @pytest.mark.parametrize("text, message", [

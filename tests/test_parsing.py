@@ -23,7 +23,7 @@ from weylclosure import (
 )
 from weylclosure import parsing, systemio
 from weylclosure.formatting import format_derivative
-from weylclosure.polynomials import MAX_POWER_BITS, MAX_POWER_PRODUCTS
+from weylclosure.polynomials import MAX_EXPONENT, MAX_POWER_BITS, MAX_POWER_PRODUCTS
 from weylclosure.systemio import (load_system, parse_initial_conditions, parse_point,
                                   parse_scalar_value)
 from conftest import random_operator, returns_within
@@ -205,6 +205,26 @@ def test_a_power_past_the_digit_bound_is_refused_before_it_is_multiplied(text, m
         with pytest.raises(InvalidInput, match=rf"^a power with coefficients of about {bits} "
                                                rf"bits, more than the limit of {MAX_POWER_BITS}$"):
             op(text, m, 1, field)
+
+
+# f^k has k times the degree of f in each variable, so a power past
+# MAX_EXPONENT is refused before it is multiplied: (3*x)^3785578, under the
+# digit bound, took 0.95 s to build its 6-million-bit coefficient first
+@pytest.mark.parametrize("text, m, exponent", [
+    ("(3*x)^3785578", 1, "(3785578,)"),
+    ("(3*x)^3785578*D - 1", 1, "(3785578,)"),
+    ("(2*x)^100001", 1, "(100001,)"),
+    ("(x1*x2^2)^50001", 2, "(50001, 100002)"),
+    ("(1/x)^100001", 1, "(100001,)"),
+    # a sum: the term of the largest degree, whose k-th power f^k has
+    ("(x^50000 + 1)^3", 1, "(150000,)"),
+])
+def test_a_power_past_the_exponent_bound_is_refused_before_it_is_multiplied(text, m, exponent):
+    start = time.perf_counter()
+    with pytest.raises(InvalidInput) as info:
+        op(text, m)
+    assert time.perf_counter() - start < 0.1
+    assert str(info.value) == f"exponent {exponent} exceeds the limit of {MAX_EXPONENT}"
 
 
 def test_the_largest_constant_power_under_the_digit_bound_parses():
