@@ -22,18 +22,18 @@ with ``int`` coefficients where they are integral and ``Fraction`` or
 ``GaussianRational`` otherwise; division by a constant scales it, and only
 division by a nonconstant function turns it into a ``RationalFunction``.  A
 value with a derivation in it maps each multi-index alpha to the function
-that multiplies ``D^alpha``.  A derivation raised to ``^k`` is one
-derivative, and a function raised to ``^k`` is a polynomial power.  A
-product with a function on the left multiplies coefficient by coefficient;
-only a product with a derivation on the left needs the Leibniz rule, and it
-takes it from ``operators.scalar_operator_product``.  Each coefficient
-becomes a ``RationalFunction`` once, at the end, and only where the caller
-wants one: ``parse_derivative`` and ``parse_constant`` read a derivative
-(1*d) or a constant off the parsed values.  A power of a function past
-``MAX_POWER_PRODUCTS`` products of terms, whose coefficients would grow
-past ``MAX_POWER_BITS`` bits, or whose degree would pass ``MAX_EXPONENT``,
-is refused before it is multiplied out.  The grammar's symbol test reads a
-list that the tokenizer builds.
+that multiplies ``D^alpha``.  A function, or a polynomial in D with constant
+coefficients, raised to ``^k`` is a commutative power (``D^k`` one
+derivative, a real one taken over the integers).  A product with a function
+on the left multiplies coefficient by coefficient; only a product with a
+derivation on the left needs the Leibniz rule, and it takes it from
+``operators.scalar_operator_product``.  Each coefficient becomes a
+``RationalFunction`` once, at the end, and only where the caller wants one:
+``parse_derivative`` and ``parse_constant`` read a derivative (1*d) or a
+constant off the parsed values.  A power is refused before it is multiplied
+out when its degree in x would pass ``MAX_EXPONENT`` or the estimated work of
+its squaring chain ``MAX_POWER_WORK``.  The grammar's symbol test reads a list
+that the tokenizer builds.
 """
 
 from __future__ import annotations
@@ -41,21 +41,23 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from functools import partial
 from operator import mul
 from typing import Optional
 
 from .errors import InvalidInput, ParseError
 from .operators import Derivative, OperatorVector, scalar_operator_product
-from .polynomials import (MAX_EXPONENT, MAX_POWER_BITS, MAX_POWER_PRODUCTS, Polynomial,
-                          RationalFunction, _one, _power)
+from .polynomials import (MAX_EXPONENT, MAX_POWER_WORK, Polynomial, RationalFunction, _one,
+                          _power, _power_work)
 from .scalars import GaussianRational, Scalar
 
 # an integer, a name, a symbol, or (group 4) any other character but whitespace
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|([-+*/^()\[\]])|(\S))")
 # token kinds: the group of _TOKEN_RE that matched, and 0 for the end of the text
 _END, _INT, _NAME, _SYM, _BAD = 0, 1, 2, 3, 4
-_VARIABLE_RE = re.compile(r"x\d+")
-_DERIVATION_RE = re.compile(r"D\d+")
+# by whether a name is a derivation's: its pattern and aliases (up to m = 3; D: m = 1)
+_NAMES = {False: (re.compile(r"x\d+"), {"x": 1, "y": 2, "z": 3}),
+          True: (re.compile(r"D\d+"), {"D": 1, "Dx": 1, "Dy": 2, "Dz": 3})}
 _TAG_RE = re.compile(r"u\d+")
 _MAX_NESTING = 100  # parenthesis levels; each takes four frames of the recursive descent
 
@@ -71,10 +73,6 @@ def _tokenize(text: str):
         tokens.append((kind, match.group(kind), position))
     tokens.append((_END, "", len(text)))
     return tokens
-
-
-_VARIABLE_ALIASES = {"x": 1, "y": 2, "z": 3}
-_DERIVATION_ALIASES = {"Dx": 1, "Dy": 2, "Dz": 3}
 
 
 # -- values ----------------------------------------------------------------
@@ -124,29 +122,24 @@ def _function_product(f, g, m: int):
     return _rational(f, m) * _rational(g, m)
 
 
-def _power_products(exponents, k: int) -> int:
-    """A bound on the products of two terms in each f^a * f^b (a + b <= k) that
-    ``_power`` takes for f^k, f with these exponents.  The terms of f^j are
-    bounded by the box of its exponents (each variable's in [j * least,
-    j * largest]) and by the multisets of j terms; both bounds are
-    nondecreasing and log-concave in j, so a = k // 2 gives their largest."""
-    low, high = k // 2, k - k // 2
-    box = 1
-    for column in zip(*exponents):
-        spread = max(column) - min(column)
-        box *= (low * spread + 1) * (high * spread + 1)
-    t = len(exponents)
-    return min(box, math.comb(t + low - 1, low) * math.comb(t + high - 1, high))
+def _function_work(k: int, m: int, exponents, scalars) -> int:
+    """``_power_work`` for f with terms of these exponents: the terms of f^j lie in
+    the box of their spreads times j, and number at most the multisets of j."""
+    spreads, t = [max(column) - min(column) for column in zip(*exponents)], len(exponents)
+    return _power_work(k, m, scalars, lambda j: min(math.prod(j * s + 1 for s in spreads),
+                                                    math.comb(t + j - 1, j)))
 
 
-def _log2_height(coefficients) -> float:
-    """log2 of the largest numerator or denominator of these scalars (0 for none).
-    f^k's coefficients reach about k times it: exactly so when f is one term."""
-    height = 1
-    for c in coefficients:
-        for part in (c.re, c.im) if type(c) is GaussianRational else (c,):
-            height = max(height, abs(part.numerator), part.denominator)
-    return math.log2(height)
+def _check(k: int, exponents, work: int):
+    """Refuse f^k, f with terms of these exponents in x, past ``MAX_EXPONENT`` (f^k
+    has k times the degree of f) or with this much work past ``MAX_POWER_WORK``."""
+    top = max(exponents, key=max, default=None)
+    if top is not None and k * max(top) > MAX_EXPONENT:
+        raise InvalidInput(f"exponent {tuple(k * a for a in top)} exceeds "
+                           f"the limit of {MAX_EXPONENT}")
+    if work > MAX_POWER_WORK:
+        raise InvalidInput(f"a power of an estimated {work} digit products or more, "
+                           f"more than the limit of {MAX_POWER_WORK}")
 
 
 def _negated(value):
@@ -225,32 +218,54 @@ class _Parser:
         return _function_product(left, right, m)
 
     def power(self, value, k: int):
-        if k > 1 and type(value) is not _Operator:  # refused before it is multiplied out
-            parts = (value,) if type(value) is dict else (value.num.terms, value.den.terms)
-            products = max(_power_products(exponents, k) for exponents in parts)
-            if products > MAX_POWER_PRODUCTS:
-                raise InvalidInput(f"a power of up to {products} products of terms, "
-                                   f"more than the limit of {MAX_POWER_PRODUCTS}")
-            bits = k * _log2_height(c for terms in parts for c in terms.values())
-            if bits > MAX_POWER_BITS:
-                raise InvalidInput(f"a power with coefficients of about {bits:.0f} bits, "
-                                   f"more than the limit of {MAX_POWER_BITS}")
-            # f^k has k times the degree of f in each variable
-            top = max((e for terms in parts for e in terms), key=max, default=None)
-            if top is not None and k * max(top) > MAX_EXPONENT:
-                raise InvalidInput(f"exponent {tuple(k * a for a in top)} exceeds "
-                                   f"the limit of {MAX_EXPONENT}")
+        """value^k, refused by ``_check`` before it is multiplied out."""
+        m = self.m
+        if k == 1:
+            return value
         if type(value) is dict:
-            return _power(value, k, lambda f, g: _function_product(f, g, self.m))
-        if type(value) is not _Operator:  # a RationalFunction
+            return self.raised(value, k, value)
+        if type(value) is not _Operator:  # a RationalFunction, raised as c^k a^k / b^k
+            parts = (value.num.terms, value.den.terms)
+            exponents = [e for terms in parts for e in terms]
+            _check(k, exponents, _function_work(k, m, exponents,
+                                                [c for terms in parts for c in terms.values()]))
             return value ** k
-        if len(value) == 1:
-            ((alpha, c),) = value.items()
-            if type(c) is dict and c.keys() == {self.zero}:
-                # c * D^alpha for a constant c, which commutes with D: one derivative
-                return _Operator({tuple([a * k for a in alpha]):
-                                  {self.zero: _power(c[self.zero], k, mul)}})
+        if all(type(c) is dict and c.keys() == {self.zero} for c in value.values()):
+            # constant coefficients commute with D: a polynomial in D, raised as one
+            f = self.raised({alpha: c[self.zero] for alpha, c in value.items()}, k, ())
+            return _Operator({alpha: {self.zero: c} for alpha, c in f.items()})
+        # The Leibniz rule lowers the orders of x and D together: the terms of f^j lie in
+        # the box of each in [0, j * largest], and of the degree of a denominator's power.
+        order = max(map(sum, value))
+        points, scalars = [], []  # each term's x-exponent + alpha + that coordinate, and scalar
+        for alpha, c in value.items():
+            for terms, growth in ((c, 0),) if type(c) is dict else ((c.num.terms, 0),
+                                                                  (c.den.terms, order)):
+                points += [e + alpha + (growth * sum(e),) for e in terms]
+                scalars += terms.values()
+        tops = [max(column) for column in zip(*points)]
+        _check(k, [p[:m] for p in points],
+               _power_work(k, m, scalars, lambda j: math.prod(j * t + 1 for t in tops),
+                           order, max(sum(p[:m]) for p in points)))
         return _power(value, k, self.product)
+
+    def raised(self, f: dict, k: int, exponents) -> dict:
+        """f^k for a term dict f, checked on the degree of these exponents: a monomial
+        (first: x^k and D^k are the common powers) as one power of its scalar, and a
+        real f as (d*f)^k / d^k over the integers, d the lcm of its denominators."""
+        one = len(f) == 1
+        _check(k, exponents, 0 if one and 1 in f.values() else
+               _function_work(k, self.m, list(f), f.values()))
+        if one:
+            ((e, c),) = f.items()
+            return {tuple([a * k for a in e]): _power(c, k, mul)}
+        times = partial(_function_product, m=self.m)
+        if any(type(c) is GaussianRational for c in f.values()):
+            return _power(f, k, times)
+        d = math.lcm(*[c.denominator for c in f.values()])
+        dk = d ** k
+        return {e: _quotient(v, dk)
+                for e, v in _power({e: int(c * d) for e, c in f.items()}, k, times).items()}
 
     def quotient(self, left, right, position: int):
         if type(left) is _Operator or type(right) is _Operator:
@@ -289,33 +304,17 @@ class _Parser:
             if self.field != "complex":
                 raise ParseError("imaginary unit requires complex field mode", position)
             return {self.zero: GaussianRational(0, 1)}
-        var_index = None
-        if _VARIABLE_RE.fullmatch(name):
-            var_index = int(name[1:])
-        elif name in _VARIABLE_ALIASES and self.m <= 3:
-            var_index = _VARIABLE_ALIASES[name]
-        if var_index is not None:
-            if not 1 <= var_index <= self.m:
-                raise ParseError(f"variable {name!r} out of range for {self.m} variable(s)",
-                                 position)
-            return {self._unit(var_index): 1}
-        d_index = None
-        if _DERIVATION_RE.fullmatch(name):
-            d_index = int(name[1:])
-        elif name == "D" and self.m == 1:
-            d_index = 1
-        elif name in _DERIVATION_ALIASES and self.m <= 3:
-            d_index = _DERIVATION_ALIASES[name]
-        if d_index is not None:
-            if not 1 <= d_index <= self.m:
-                raise ParseError(f"derivation {name!r} out of range for {self.m} variable(s)",
-                                 position)
-            return _Operator({self._unit(d_index): {self.zero: 1}})
-        raise ParseError(f"unknown identifier {name!r}", position)
-
-    def _unit(self, index: int):
-        """The exponent tuple of x_index, or the multi-index of D_index."""
-        return tuple([1 if j == index else 0 for j in range(1, self.m + 1)])
+        m, derivation = self.m, name[0] == "D"
+        pattern, aliases = _NAMES[derivation]
+        index = (int(name[1:]) if pattern.fullmatch(name) else
+                 aliases.get(name) if m <= 3 and (name != "D" or m == 1) else None)
+        if index is None:
+            raise ParseError(f"unknown identifier {name!r}", position)
+        if not 1 <= index <= m:
+            raise ParseError(f"{'derivation' if derivation else 'variable'} {name!r} "
+                             f"out of range for {m} variable(s)", position)
+        unit = tuple([1 if j == index else 0 for j in range(1, m + 1)])  # x_index's or D_index's
+        return _Operator({unit: {self.zero: 1}}) if derivation else {unit: 1}
 
     def parse_factor(self):
         negated = False

@@ -84,17 +84,18 @@ _content = getattr(QQ.dtype, "_new", QQ.dtype)
 # address-space limit.  The test suite and the benchmark use exponents up to
 # 3,000.
 MAX_EXPONENT = 100_000
-# The most products of two terms that the parser lets one product of a power
-# f^k of a function take: at the bound ``(x + 1)^1412*D - 1`` parses in 1.2 s
-# (2 vCPUs, Python 3.11), and ``(x + 1)^100000*D - 1`` ran past 60 s.  It counts
-# no digits and no variables: ``(x + 1/2)^1412`` takes 11 s, and the cube of
-# ``x1 + ... + x99`` 5.1 s.
-MAX_POWER_PRODUCTS = 500_000
-# The most bits that the parser lets the coefficients of a power f^k of a
-# function reach, k times log2 of f's largest numerator or denominator: at the
-# bound ``3^3785578`` parses in 1.0 s (2 vCPUs, Python 3.11), and
-# ``3^30000000`` took 37.6 s.
-MAX_POWER_BITS = 6_000_000
+# The most work that the parser lets a power f^k take, in products of two 30-bit
+# digits as ``_power_work`` estimates it; past it the power is refused before it
+# is multiplied out.  A product of two terms costs about 600 of them, and each
+# exponent entry it adds 80, a product of Gaussian scalars 24 times as much as of
+# real ones (measured against CPython's digit products).  The largest powers
+# accepted, and their parse times (2 vCPUs, Python 3.11): (x + 1)^1680 1.4 s,
+# (x + 1/2)^1452 1.1 s, 3^5084915 1.5 s, (D + 1)^1680 1.3 s, (x*D + 1)^76 0.1 s,
+# (x + i)^454 1.4 s, and the cube of x1 + ... + x75 1.7 s.  Refused at once:
+# (x + 1)^100000 ran past 60 s, 3^30000000 took 37.6 s, (2*D + 1)^2000 67.5 s,
+# and (x*D + x^2 + 1)^400 ran past 60 s.
+MAX_POWER_WORK = 1_500_000_000
+_TERM_WORK, _ENTRY_WORK, _GAUSSIAN_WORK = 600, 80, 24
 # The most variables of a ring ``_one`` builds.  sympy's ``PolyRing`` builds
 # m generators of m-tuples, so its cost is quadratic: 0.22 s and 18 MiB at the
 # bound, 0.38 s and 53 MiB at 2,000 (2 vCPUs, Python 3.11), and 20,000 ran out
@@ -781,6 +782,50 @@ def _power(value, k: int, times):
         if not k:
             return result
         value = times(value, value)
+
+
+def _power_work(k: int, m: int, scalars, terms, order: int = 0, degree: int = 0) -> int:
+    """An estimate of the work of ``_power``'s squaring chain for f^k, in products
+    of two 30-bit digits, for f with these scalars and ``terms(j)`` a bound on
+    the terms of f^j.  Each product f^a * f^b multiplies terms(a) * terms(b)
+    pairs of terms, at ``_TERM_WORK``, ``_ENTRY_WORK`` for each of the m
+    exponent entries it adds, and CPython's digit products for coefficients
+    of f^a and f^b (the schoolbook's n^2 up to 70 digits, Karatsuba's three
+    products of half the length above, and pieces of the shorter length when
+    lopsided), all of it ``_GAUSSIAN_WORK`` times over for Gaussian scalars.
+    f^j's coefficients have j times log2 of the larger of d and the L1 norm
+    of d*f bits, d the lcm of the denominators, and an operator's grow by up
+    to (1 + j * degree in x)^(j * order in D) more in the Leibniz products.
+    The sum stops once it passes ``MAX_POWER_WORK``."""
+    parts = [p for c in scalars for p in ((c.re, c.im) if type(c) is GaussianRational else (c,))]
+    d = math.lcm(*[p.denominator for p in parts])
+    h = math.log2(max(d, sum(abs(p.numerator) * (d // p.denominator) for p in parts)))
+    if not (h or order):  # no term, or a monomial with a unit scalar: nothing grows
+        return 0
+    weight = _GAUSSIAN_WORK if len(parts) > len(scalars) else 1  # two parts per Gaussian
+
+    def digits(j):
+        return int(j * (h + order * math.log2(1 + j * degree))) // 30 + 1
+
+    def product(a, b):
+        short, long = sorted((digits(a), digits(b)))
+        pieces, halvings = -(-long // short), 0
+        while short > 70:
+            short, halvings = (short + 1) // 2, halvings + 1
+        return terms(a) * terms(b) * weight * (_TERM_WORK + _ENTRY_WORK * m
+                                               + pieces * 3 ** halvings * short * short)
+
+    work, done, step = 0, 0, 1  # f^done is the product so far, f^step the next square
+    while work <= MAX_POWER_WORK:
+        if k & 1:
+            work += product(done, step) if done else 0
+            done += step
+        k >>= 1
+        if not k:
+            break
+        work += product(step, step)
+        step *= 2
+    return work
 
 
 def _times(a, b):

@@ -511,13 +511,27 @@ def test_system_file_errors_exit_2_with_their_message(tmp_path, capsys, text, me
     ("vars: 20000\nrow: D1\n", "20000 variables, more than the limit of 1000"),
     # (x + 1)^k costs about k^2 products of big integers: k = 100000 ran past 60 s
     ("vars: 1\nrow: (x + 1)^100000*D - 1\n",
-     "a power of up to 2500100001 products of terms, more than the limit of 500000"),
+     "a power of an estimated 3598536222 digit products or more, more than the limit of "
+     "1500000000"),
     # 3^30000000 has 47.5 million bits: it took 37.6 s
     ("vars: 1\nrow: 3^30000000*D - 1\n",
-     "a power with coefficients of about 47548875 bits, more than the limit of 6000000"),
-    # (3*x)^3785578 is under the digit bound: it spent 0.95 s on its coefficient
+     "a power of an estimated 3058288264 digit products or more, more than the limit of "
+     "1500000000"),
+    # (3*x)^3785578 is under the work bound: it spent 0.95 s on its coefficient
     ("vars: 1\nrow: (3*x)^3785578*D - 1\n", "exponent (3785578,) exceeds the limit of 100000"),
-], ids=["exponent", "variables", "power", "digits", "power-exponent"])
+    # powers of operators: (x*D + x^2 + 1)^400 ran past 60 s in Leibniz products, and
+    # (2*D + 1)^2000, a polynomial in D, took 67.5 s
+    ("vars: 1\nrow: (x*D + x^2 + 1)^400\n",
+     "a power of an estimated 3737994363 digit products or more, more than the limit of "
+     "1500000000"),
+    ("vars: 1\nrow: (x*D + 1)^100000\n",
+     "a power of an estimated 17081877409 digit products or more, more than the limit of "
+     "1500000000"),
+    ("vars: 1\nrow: (2*D + 1)^2000\n",
+     "a power of an estimated 7074207179 digit products or more, more than the limit of "
+     "1500000000"),
+], ids=["exponent", "variables", "power", "digits", "power-exponent", "operator-power",
+        "operator-exponent", "d-polynomial-power"])
 def test_oversized_systems_exit_2_within_seconds(tmp_path, capsys, text, message):
     path = tmp_path / "big.sys"
     path.write_text(text)

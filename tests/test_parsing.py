@@ -23,7 +23,7 @@ from weylclosure import (
 )
 from weylclosure import parsing, systemio
 from weylclosure.formatting import format_derivative
-from weylclosure.polynomials import MAX_EXPONENT, MAX_POWER_BITS, MAX_POWER_PRODUCTS
+from weylclosure.polynomials import MAX_EXPONENT, MAX_POWER_WORK, _power_work
 from weylclosure.systemio import (load_system, parse_initial_conditions, parse_point,
                                   parse_scalar_value)
 from conftest import random_operator, returns_within
@@ -155,61 +155,80 @@ SUM_53 = " + ".join(f"x{j}" for j in range(1, 54))
 SUM_1501 = "1 + x + " + " + ".join(f"x^{e}" for e in range(2, 1501))
 
 
-# The bound is on the largest product that the repeated squaring of f^k can
-# take, f^(k // 2) times f^(k - k // 2): the product of bounds on their terms.
-@pytest.mark.parametrize("text, m, products", [
-    ("(x + 1)^100000*D - 1", 1, 50001 ** 2),
-    ("(x + 1)^1413", 1, 707 * 708),
-    # the terms of f^36 and f^37 are bounded by the multisets of 36 and 37 of
-    # f's terms, C(38, 2) = 703 and C(39, 2) = 741, below the boxes of 37^2 and 38^2
-    ("(x1 + x2 + 1)^73", 2, 703 * 741),
-    ("((x + 1)/x)^1414", 1, 708 ** 2),
-    # the denominator (x + 1)^2 counts too: its 354th power has up to 2 * 354 + 1 terms
-    ("(x/(x + 1)^2)^708", 1, 709 ** 2),
+def refused(work):
+    return (f"a power of an estimated {work} digit products or more, "
+            f"more than the limit of {MAX_POWER_WORK}")
+
+
+def test_the_work_of_a_power_is_its_squaring_chain_in_digit_products():
+    # 3^4 squares 3 and 3^2: two products of one term by one, on one digit
+    # each, at 600 for the term product, 80 for its exponent entry and 1 for
+    # the digit product
+    assert _power_work(4, 1, [3], lambda j: 1) == 2 * (600 + 80 + 1)
+    # 3^5 multiplies 3 by 3^4 as well; a Gaussian scalar costs 24 times as much
+    assert _power_work(5, 1, [3], lambda j: 1) == 3 * 681
+    assert _power_work(4, 1, [GaussianRational(3, 1)], lambda j: 1) == 24 * 2 * 681
+    # the square of x + 1: 2 * 2 products of terms; a unit monomial grows nothing
+    assert _power_work(2, 1, [1, 1], lambda j: j + 1) == 4 * 681
+    assert _power_work(2 ** 64, 1, [1], lambda j: 1) == 0
+
+
+# One bound, ``MAX_POWER_WORK`` digit products, for every power: the work that
+# its squaring chain would take (``polynomials._power_work``), summed until it
+# passes the limit.  Each case is the smallest power of its kind that is refused:
+# the largest one under the bound is parsed below.
+@pytest.mark.parametrize("text, m, work", [
+    ("(x + 1)^100000*D - 1", 1, 3598536222),
+    ("(x + 1)^1681", 1, 1501678383),
+    ("(x1 + x2 + 1)^102", 2, 1573717374),
+    ("((x + 1)/x)^1453", 1, 1502319049),
+    # the denominator (x + 1)^2 counts too
+    ("(x/(x + 1)^2)^810", 1, 1506580250),
     # a square is one product of f with itself, and a cube f times f^2
-    (f"({SUM_1501})^2", 1, 1501 ** 2),
-    ("(" + " + ".join(f"x{j}" for j in range(1, 101)) + ")^3", 100, 100 * math.comb(101, 2)),
+    (f"({SUM_1501})^2", 1, 1534293681),
+    ("(" + " + ".join(f"x{j}" for j in range(1, 101)) + ")^3", 100, 4429515000),
 ])
-def test_a_power_past_the_product_bound_is_refused_before_it_is_multiplied(text, m, products):
+def test_a_power_past_the_product_bound_is_refused_before_it_is_multiplied(text, m, work):
     with returns_within(10):
-        with pytest.raises(InvalidInput, match=rf"^a power of up to {products} products of "
-                                               rf"terms, more than the limit of {MAX_POWER_PRODUCTS}$"):
+        with pytest.raises(InvalidInput) as info:
             op(text, m)
+    assert str(info.value) == refused(work)
 
 
 def test_the_largest_powers_under_the_product_bound_parse():
-    assert MAX_POWER_PRODUCTS == 500_000
+    assert MAX_POWER_WORK == 1_500_000_000
     with returns_within(30):
-        p = op("(x + 1)^1412*D - 1")
-        assert op("(x1 + x2 + 1)^72", 2).coefficient(Derivative(1, (0, 0))).num.terms[(0, 72)] == 1
-    # (x + 1)^1412 has 1413 terms, the binomial coefficients
+        p = op("(x + 1)^1680*D - 1")
+        q = op("(x1 + x2 + 1)^101", 2)
+    assert q.coefficient(Derivative(1, (0, 0))).num.terms[(0, 101)] == 1
+    # (x + 1)^1680 has 1681 terms, the binomial coefficients
     terms = p.coefficient(Derivative(1, (1,))).num.terms
-    assert len(terms) == 1413 and terms[(706,)] == math.comb(1412, 706)
+    assert len(terms) == 1681 and terms[(840,)] == math.comb(1680, 840)
 
 
-# The digit bound is k times log2 of the base's largest numerator or
-# denominator: log2(3) = 1.58496..., so 3^3785578 has 5999999.2 bits.
-@pytest.mark.parametrize("text, m, field, bits", [
-    ("3^30000000*D - 1", 1, "real", 47548875),
-    ("3^3785579", 1, "real", 6000001),
-    ("(1/3)^3785579", 1, "real", 6000001),
-    ("(3*x)^3785579*D", 1, "real", 6000001),
-    # a sum counts its largest coefficient, 3^100000 of 158496.3 bits here
-    ("(x1 + 3^100000*x2)^38", 2, "real", 6022858),
-    ("(x/(3^100000*x + 1))^38", 1, "real", 6022858),
-    ("((1 + 3*i)*x)^3785579", 1, "complex", 6000001),
-    ("(3^100000)^100000", 1, "real", 15849625007),
+# The coefficients of f^j have j times log2 of f's L1 norm (over the lcm of its
+# denominators) bits, and their products cost CPython's digit products.
+@pytest.mark.parametrize("text, m, field, message", [
+    ("3^30000000*D - 1", 1, "real", refused(3058288264)),
+    ("3^5084916", 1, "real", refused(1500373767)),
+    ("(1/3)^5084916", 1, "real", refused(1500373767)),
+    # x^k has degree k: the exponent bound speaks before the digits
+    ("(3*x)^3785579*D", 1, "real", "exponent (3785579,) exceeds the limit of 100000"),
+    ("(x1 + 3^100000*x2)^38", 2, "real", refused(9772081484)),
+    ("(x/(3^100000*x + 1))^38", 1, "real", refused(9772070764)),
+    ("((1 + 3*i)*x)^3785579", 1, "complex", "exponent (3785579,) exceeds the limit of 100000"),
+    ("(3^100000)^100000", 1, "real", refused(4216654484)),
 ])
-def test_a_power_past_the_digit_bound_is_refused_before_it_is_multiplied(text, m, field, bits):
+def test_a_power_past_the_digit_bound_is_refused_before_it_is_multiplied(text, m, field, message):
     with returns_within(10):
-        with pytest.raises(InvalidInput, match=rf"^a power with coefficients of about {bits} "
-                                               rf"bits, more than the limit of {MAX_POWER_BITS}$"):
+        with pytest.raises(InvalidInput) as info:
             op(text, m, 1, field)
+    assert str(info.value) == message
 
 
 # f^k has k times the degree of f in each variable, so a power past
 # MAX_EXPONENT is refused before it is multiplied: (3*x)^3785578, under the
-# digit bound, took 0.95 s to build its 6-million-bit coefficient first
+# work bound, took 0.95 s to build its 6-million-bit coefficient first
 @pytest.mark.parametrize("text, m, exponent", [
     ("(3*x)^3785578", 1, "(3785578,)"),
     ("(3*x)^3785578*D - 1", 1, "(3785578,)"),
@@ -218,6 +237,8 @@ def test_a_power_past_the_digit_bound_is_refused_before_it_is_multiplied(text, m
     ("(1/x)^100001", 1, "(100001,)"),
     # a sum: the term of the largest degree, whose k-th power f^k has
     ("(x^50000 + 1)^3", 1, "(150000,)"),
+    # an operator: the Leibniz rule lowers the degree in x, never raises it
+    ("(x^50000*D + 1)^3", 1, "(150000,)"),
 ])
 def test_a_power_past_the_exponent_bound_is_refused_before_it_is_multiplied(text, m, exponent):
     start = time.perf_counter()
@@ -228,13 +249,36 @@ def test_a_power_past_the_exponent_bound_is_refused_before_it_is_multiplied(text
 
 
 def test_the_largest_constant_power_under_the_digit_bound_parses():
-    assert MAX_POWER_BITS == 6_000_000
     with returns_within(30):
-        c = op("3^3785578").coefficient(Derivative(1, (0,))).num.terms[(0,)]
-        assert c == 3 ** 3785578
+        c = op("3^5084915").coefficient(Derivative(1, (0,))).num.terms[(0,)]
+        assert c == 3 ** 5084915
         # a coefficient of 1 adds no digits: the exponent bound speaks first
         with pytest.raises(InvalidInput, match=r"^exponent \(100000000,\) exceeds the limit"):
             op("x^100000000*D - 1")
+
+
+def test_an_exponent_of_hundreds_of_digits_is_refused_or_cheap():
+    # the work of 3^k is estimated on integers: k * log2(3) is never a float of k
+    with returns_within(10):
+        with pytest.raises(InvalidInput, match=r"^a power of an estimated \d+ digit products"):
+            op("3^" + "1" * 400)
+        # a unit raised to any power is itself, after one squaring per bit of k
+        assert op("(-1)^" + "1" * 4000) == op("-1")
+        assert op("i^" + "2" * 4000, field="complex") == op("-1")
+        assert op("(D1 + D2)^1", 2) == op("D1 + D2", 2)
+
+
+def test_a_fractional_base_costs_what_an_integer_one_does():
+    # (x + 1/2)^1412 is raised as (2*x + 1)^1412 / 2^1412 over the integers: as a
+    # power of Fractions it took 15 times as long as (x + 1)^1412
+    fastest = {}
+    with returns_within(30):
+        for base in ["x + 1", "x + 1/2"] * 2:
+            start = time.perf_counter()
+            op(f"({base})^1412")
+            elapsed = time.perf_counter() - start
+            fastest[base] = min(fastest.get(base, elapsed), elapsed)
+    assert fastest["x + 1/2"] < 2 * fastest["x + 1"]
 
 
 def test_a_power_of_few_products_parses_however_many_terms_it_has():
@@ -246,12 +290,20 @@ def test_a_power_of_few_products_parses_however_many_terms_it_has():
     assert len(square) == math.comb(54, 2) and square[(1, 1) + (0,) * 51] == 2
 
 
-@pytest.mark.parametrize("base, k, field", [
-    ("x + 1/2", 5, "real"), ("x/3 - 2/5", 4, "real"), ("1/2", 3, "real"),
-    ("x/2 + i/3", 3, "complex"), ("(1 + i)/2*x - 1/3", 4, "complex"),
-])
-def test_a_power_of_a_function_with_fractions_is_the_repeated_product(base, k, field):
-    assert op(f"({base})^{k}", field=field) == op("*".join([f"({base})"] * k), field=field)
+# a function, or a polynomial in D with constant coefficients, raised in one
+# commutative power; an operator with a function in it by Leibniz products
+REPEATED = [
+    ("x + 1/2", 5, "real", 1), ("x/3 - 2/5", 4, "real", 1), ("1/2", 3, "real", 1),
+    ("x/2 + i/3", 3, "complex", 1), ("(1 + i)/2*x - 1/3", 4, "complex", 1),
+    ("D + 1/2", 5, "real", 1), ("2*D1 - D2 + 3", 4, "real", 2), ("i*D + 1", 3, "complex", 1),
+    ("x*D + x^2/2 + 1", 4, "real", 1), ("x1*D2 - i*D1", 3, "complex", 2),
+]
+
+
+@pytest.mark.parametrize("base, k, field, m", REPEATED,
+                         ids=[f"{base}-{k}-{field}" for base, k, field, _ in REPEATED])
+def test_a_power_of_a_function_with_fractions_is_the_repeated_product(base, k, field, m):
+    assert op(f"({base})^{k}", m, field=field) == op("*".join([f"({base})"] * k), m, field=field)
 
 
 def test_powers_and_products_with_a_derivation_on_the_left_are_weyl_products():
