@@ -6,20 +6,19 @@ identity ``w * q = sum_j h_j * p_j`` with polynomial w and cofactors: the
 basis lifts the reduction trace to the generators, replaying its derivation
 log fraction-free and only for the basis elements the trace touches, and
 hands back its integer rows: a denominator and numerators keyed by
-(generator, multi-index), in ZZ[x] (ZZ_I[x] for Gaussian operands), as
-CoefficientLists in one variable over ZZ and as sympy elements otherwise.
-The identity is checked on those rows before they are cleared into w, the
-monic lcm of the cofactors' denominators, and the h_j, by multiplying it out
-with a Leibniz kernel of its own (``_identity_holds``, the one function that
-multiplies out a witness identity).  That check shares with the lift only
-the arithmetic of its rows: the products, sums, differences, derivatives and
-scalar multiples of ``polynomials.CoefficientList`` (or of sympy's
-elements), and the scaling of q and the generators to the same kind of row.
-It shares none of the lift's own steps: not its Leibniz expansion, its sums
-over lcms or its gcds.  ``verify_witness`` runs ``_identity_holds`` on a
-witness from outside, scaled to sympy's sparse rows in every ring, so the
-public check shares no arithmetic with the lift at all.  A non-member answer
-replays nothing.
+(generator, multi-index), in ZZ[x] (ZZ_I[x] for Gaussian operands), of the
+kind that ``polynomials`` chooses.  The identity is checked on those rows
+before they are cleared into w, the monic lcm of the cofactors'
+denominators, and the h_j, by multiplying it out with a Leibniz kernel of
+its own (``_identity_holds``, the one function that multiplies out a
+witness identity).  That check shares with the lift only the arithmetic of
+its rows: their products, sums, differences, derivatives and scalar
+multiples, and the scaling of q and the generators to rows of the same
+kind.  It shares none of the lift's own steps: not its Leibniz expansion,
+its sums over lcms or its gcds.  ``verify_witness`` runs ``_identity_holds``
+on a witness from outside, on the rows that ``integer_polynomials`` hands
+out with no row to match, which share the least arithmetic with the lift.
+A non-member answer replays nothing.
 The cross-checks are F(x)-linear solving on coefficient slices and, for a
 single operator in one variable, Euclidean left division.
 """
@@ -74,7 +73,7 @@ def _validate_polynomial_rows(q: OperatorVector,
             raise InvalidInput(f"generator {j} has mismatched dimensions")
 
 
-def _shifts(row: dict, x):
+def _shifts(row: dict):
     """beta -> the row D^beta * row, keyed by derivative, zeros dropped.
 
     ``D_j (c D^alpha) = d_j(c) D^alpha + c D^(alpha + e_j)``.  Each shifted row
@@ -88,7 +87,7 @@ def _shifts(row: dict, x):
             component, alpha = d
             key = (component, alpha[:j] + (alpha[j] + 1,) + alpha[j + 1:])
             found[key] = found[key] + c if key in found else c
-            dc = c.diff(x[j])
+            dc = c.diff(j)
             if dc:
                 found[d] = found[d] + dc if d in found else dc
         return {key: value for key, value in found.items() if value}
@@ -102,9 +101,8 @@ def verify_witness(witness: Witness, q: OperatorVector,
 
     w and every h_j are scaled by one integer L, to den = L w and
     numerators[j, beta] = L h_j[beta] in ZZ[x] (ZZ_I[x] if one is Gaussian),
-    for ``_identity_holds``.  Its rows are sympy's sparse elements even in one
-    variable over ZZ, so this check runs none of the ``CoefficientList``
-    arithmetic that the lift and the internal check compute with.
+    for ``_identity_holds``, as ``integer_polynomials`` hands them out with no
+    row to match: the rows that share the least arithmetic with the lift.
 
     A certificate of the wrong shape is rejected: a zero w, a w that is not a
     polynomial, a w in another number of variables, a wrong number of
@@ -122,23 +120,23 @@ def verify_witness(witness: Witness, q: OperatorVector,
     _validate_polynomial_rows(q, generators)
     entries = {(j, d.alpha): c for j, h in enumerate(witness.cofactors) for d, c in h.terms.items()}
     ((_, (den, *numerators)),) = integer_polynomials([[witness.w, *entries.values()]])
-    return _identity_holds(den, dict(zip(entries, numerators)), q, generators, lists=False)
+    return _identity_holds(den, dict(zip(entries, numerators)), q, generators)
 
 
 def _identity_holds(den, numerators, q: OperatorVector,
-                    generators: Sequence[OperatorVector], lists: bool) -> bool:
+                    generators: Sequence[OperatorVector]) -> bool:
     """Whether ``den * q = sum numerators[g, beta] * D^beta p_g``, multiplied out on integer rows.
 
     ``den`` and the numerators, keyed by (g, beta), are in one integer ring.
     Only q and the generators with a numerator are scaled, to Q = L_q q and
-    P_g = L_g p_g (rows of the lift's kind with ``lists``, sympy's without).
+    P_g = L_g p_g, rows of den's kind.
     For M the lcm of those scales, every entry of ``(M / L_q) den Q - sum
     (M / L_g) N_(g, beta) D^beta P_g`` must cancel.  Each ``D^beta P_g`` is
     built once (``_shifts``); if one side is Gaussian, both go to ZZ_I[x].
     """
     used = list(dict.fromkeys(g for g, _ in numerators))
     operands = [q] + [generators[g] for g in used]
-    scaled = integer_polynomials([list(p.terms.values()) for p in operands], lists=lists)
+    scaled = integer_polynomials([list(p.terms.values()) for p in operands], like=den)
     if any(values and values[0].ring is not den.ring for _, values in scaled):
         den, numerators = gaussian(den), {key: gaussian(v) for key, v in numerators.items()}
         scaled = [(scale, [gaussian(v) for v in values]) for scale, values in scaled]
@@ -147,7 +145,7 @@ def _identity_holds(den, numerators, q: OperatorVector,
     if top != q_scale:
         den = den.mul_ground(top // q_scale)
     residue = {key: den * c for key, c in zip(q.terms, q_row)}
-    shifted = {g: (top // scale, _shifts(dict(zip(generators[g].terms, row)), den.ring.gens))
+    shifted = {g: (top // scale, _shifts(dict(zip(generators[g].terms, row))))
                for g, (scale, row) in zip(used, rows)}
     for (g, beta), h in numerators.items():
         k, shifts_of_p = shifted[g]
@@ -174,7 +172,7 @@ def weyl_closure_member(q: OperatorVector,
     # Its identity is checked on the lift's own integer rows before they are
     # cleared into the witness.
     lifted = basis.lift_rows(trace.cofactors)
-    if not _identity_holds(lifted.den, lifted.numerators, q, generators, lists=True):
+    if not _identity_holds(lifted.den, lifted.numerators, q, generators):
         raise RuntimeError("internal error: extracted witness failed verification")
     w, cofactors = cleared(lifted, m)
     witness = Witness(w, [cofactors.get(g, OperatorVector.zero(m, 1))

@@ -49,7 +49,7 @@ from .errors import InvalidInput, ParseError
 from .operators import Derivative, OperatorVector, scalar_operator_product
 from .polynomials import (MAX_EXPONENT, MAX_POWER_WORK, Polynomial, RationalFunction, _one,
                           _power, _power_work)
-from .scalars import GaussianRational, Scalar
+from .scalars import GaussianRational, Scalar, _past_digit_limit
 
 # an integer, a name, a symbol, or (group 4) any other character but whitespace
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|([-+*/^()\[\]])|(\S))")
@@ -60,6 +60,14 @@ _NAMES = {False: (re.compile(r"x\d+"), {"x": 1, "y": 2, "z": 3}),
           True: (re.compile(r"D\d+"), {"D": 1, "Dx": 1, "Dy": 2, "Dz": 3})}
 _TAG_RE = re.compile(r"u\d+")
 _MAX_NESTING = 100  # parenthesis levels; each takes four frames of the recursive descent
+
+
+def _integer(digits: str, position: int) -> int:
+    """The value of a run of digits; past the interpreter's digit limit, a ParseError."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(_past_digit_limit("an integer"), position) from None
 
 
 def _tokenize(text: str):
@@ -283,7 +291,7 @@ class _Parser:
         kind, text, position = self.peek()
         if kind == _INT:
             self.advance()
-            value = int(text)
+            value = _integer(text, position)
             return {self.zero: value} if value else {}
         if kind == _NAME:
             self.advance()
@@ -306,7 +314,7 @@ class _Parser:
             return {self.zero: GaussianRational(0, 1)}
         m, derivation = self.m, name[0] == "D"
         pattern, aliases = _NAMES[derivation]
-        index = (int(name[1:]) if pattern.fullmatch(name) else
+        index = (_integer(name[1:], position) if pattern.fullmatch(name) else
                  aliases.get(name) if m <= 3 and (name != "D" or m == 1) else None)
         if index is None:
             raise ParseError(f"unknown identifier {name!r}", position)
@@ -331,7 +339,7 @@ class _Parser:
             if kind != _INT:
                 self.fail("expected an integer exponent")
             self.advance()
-            exponent = int(text)
+            exponent = _integer(text, position)
             if negative or exponent == 0:
                 raise ParseError("exponent must be a positive integer", position)
             value = self.power(value, exponent)
@@ -367,7 +375,7 @@ class _Parser:
         kind, text, position = self.peek()
         if kind != _NAME or not _TAG_RE.fullmatch(text):
             self.fail("expected a component tag like u1")
-        component = int(text[1:])
+        component = _integer(text[1:], position)
         self.advance()
         self.expect_symbol("]")
         if not 1 <= component <= self.n:

@@ -43,10 +43,12 @@ a second edge: ``integer_pair`` and ``integer_polynomials`` hand out a
 numerator and denominator in the integer ring, of the triple's own kind,
 ``gcd_cofactors`` takes their gcds and, as its cofactors, every quotient they
 need, and ``integer_ratio`` and ``monic_polynomial`` take integer-ring
-results back; the callers run one code on either kind and never test which
-they hold.  One conversion between the kinds remains, ``_sparse``: the
-public ``closure.verify_witness`` multiplies on sympy's sparse rows, so that
-it shares no arithmetic with the lift.
+results back; the callers run one code on either kind, name a variable by
+its index (``diff(j)``), and never test which kind they hold.  One
+conversion between the kinds remains, ``_sparse``: ``integer_polynomials``
+hands out rows of the kind of the row they are checked against, and with
+none sympy's sparse rows, on which the public ``closure.verify_witness``
+multiplies, so that it shares no arithmetic with the lift.
 """
 
 from __future__ import annotations
@@ -453,8 +455,8 @@ class CoefficientList(tuple):
             return _LIST_ZERO
         return self if k == 1 else CoefficientList([v * k if v else v for v in self])
 
-    def diff(self, x=None):
-        """The derivative; x, the one generator, may be given as for a sympy element."""
+    def diff(self, j):
+        """The derivative by variable j, 0 for the one variable, as a sympy element takes it."""
         return CoefficientList([self[e] * e for e in range(1, len(self))])
 
     def to_dense(self):
@@ -479,7 +481,6 @@ class _ListRing:
     def __init__(self):
         self.zero = CoefficientList(())
         self.one = CoefficientList((_INTEGER(1),))
-        self.gens = (CoefficientList((_NIL, _INTEGER(1))),)
 
     def ground_new(self, c):
         return CoefficientList((c,) if c else ())
@@ -1148,8 +1149,8 @@ class RationalFunction:
         if not 1 <= index <= self.nvars:
             raise IndexError(f"variable index {index} out of range 1..{self.nvars}")
         k, a, b = self._c, self._a, self._b
-        x = a.ring.gens[index - 1]
-        da = a.diff(x)
+        j = index - 1
+        da = a.diff(j)
         if b.is_ground:  # a fork that pays: see __add__'s for b == d
             if not da:
                 return RationalFunction.zero(self.nvars)
@@ -1163,7 +1164,7 @@ class RationalFunction:
         # multiplicity in g, so it does not divide b/g.  Hence gcd(t, g) is
         # the whole common factor.  When db = 0, g = b up to a unit and this
         # is gcd(da, b): d/dx((x*y + 1)/y) = y/y = 1.
-        g, b_g, db_g = gcd_cofactors(b, b.diff(x))
+        g, b_g, db_g = gcd_cofactors(b, b.diff(j))
         t = _times(da, b_g) - _times(a, db_g)
         if not t:
             return RationalFunction.zero(self.nvars)
@@ -1197,8 +1198,8 @@ class Polynomial(RationalFunction):
         """The polynomial x_index, with index in 1..nvars."""
         if not 1 <= index <= nvars:
             raise IndexError(f"variable index {index} out of range 1..{nvars}")
-        one = _one(nvars)
-        return RationalFunction._new(QQ.one, one.ring.gens[index - 1], one)
+        one, exponent = _one(nvars), (0,) * (index - 1) + (1,) + (0,) * (nvars - index)
+        return RationalFunction._new(QQ.one, one.new({exponent: ZZ.one}), one)
 
     @classmethod
     def monomial(cls, mono: Monomial, coeff, nvars: int) -> "Polynomial":
@@ -1283,25 +1284,27 @@ def integer_pair(r: RationalFunction):
     return (a if p == 1 else a.mul_ground(p)), (b if q == 1 else b.mul_ground(q))
 
 
-def integer_polynomials(groups: Sequence[Sequence[RationalFunction]], lists: bool = False):
+def integer_polynomials(groups: Sequence[Sequence[RationalFunction]], like=None):
     """Per group of polynomials rs, (L, [L * r for r in rs]) over one integer L.
 
     L is the least positive integer that makes every ``L * r`` of its group
     integral.  All the elements are in one ring: ZZ[x], or ZZ_I[x] when some
-    r of any group is Gaussian.  With ``lists`` they are of the triple's own
-    kind, as the witness lift's rows are; without it the elements of ZZ[x]
-    in one variable go out as sympy's sparse elements (``_sparse``), for
-    ``verify_witness``, so that the public check shares no arithmetic with
-    the lift.
+    r of any group is Gaussian.  They are of the kind of ``like``, a row
+    that they are to be combined with: of the triple's own kind when it is a
+    ``CoefficientList``, as the witness lift's rows are; otherwise, and with
+    no row given, the elements of ZZ[x] in one variable go out as sympy's
+    sparse elements (``_sparse``), for ``verify_witness``, so that the public
+    check shares no arithmetic with the lift.
     """
     complex_mode = any(r._a.ring.domain is ZZ_I for rs in groups for r in rs)
+    kept = type(like) is CoefficientList
     out = []
     for rs in groups:
         ratios = [_as_ratio(r._c) for r in rs]
         scale = math.lcm(*[q for _, q in ratios])
         values = []
         for r, (p, q) in zip(rs, ratios):
-            a, factor = (r._a if lists else _sparse(r._a)), p * (scale // q)
+            a, factor = (r._a if kept else _sparse(r._a)), p * (scale // q)
             values.append(a if factor == 1 else a.mul_ground(factor))
         out.append((scale, [gaussian(v) for v in values] if complex_mode else values))
     return out

@@ -33,11 +33,10 @@ cofactors as polynomial numerators over one polynomial denominator, all in
 the integer ring ZZ[x] (ZZ_I[x] in complex mode), the numerators in one
 table keyed by (g, alpha) for the D^alpha entry of generator g's cofactor;
 only ``_operators``, at the edge, groups them by g.  ``polynomials.integer_pair``
-chooses their form by the ring: in one variable over ZZ they are
-``polynomials.CoefficientList`` rows, and otherwise sympy's sparse elements.
-They keep that form from the multipliers to ``cleared``, which hands them to
-``integer_ratio`` and ``monic_polynomial``; the code here runs unchanged on
-either, as the two answer the same ring interface.  A product with a
+chooses their kind, and they keep it from the multipliers to ``cleared``,
+which hands them to ``integer_ratio`` and ``monic_polynomial``; the code
+here runs unchanged on every kind, as each answers one ring interface,
+variables named by their index.  A product with a
 multiplier expands ``D^beta * 1/B`` by the Leibniz rule, summing the factors
 of each shift first so that each shifted numerator is multiplied once.  A
 sum goes over the lcm of the denominators, and so do a multiplier's terms
@@ -121,8 +120,7 @@ class _Lifted(NamedTuple):
     """Generator cofactors over one denominator, with integer-ring entries.
 
     Generator g's cofactor is the sum of ``numerators[g, alpha] / den * D^alpha``;
-    ``den`` and every numerator are elements of one ring ZZ[x] or ZZ_I[x]:
-    CoefficientLists in one variable over ZZ, sympy elements otherwise.
+    ``den`` and every numerator are elements of one ring ZZ[x] or ZZ_I[x].
     """
 
     den: Any
@@ -166,7 +164,7 @@ def _product(pairs: Pairs, source: _Lifted) -> _Lifted:
         u, v = pairs[0][1]
         return _Lifted(_times(v, source.den), source.numerators if u == 1 else {
             key: _times(u, value) for key, value in source.numerators.items()})
-    den, x = source.den, source.den.ring.gens
+    den = source.den
     one = den.ring.one
     # the lcm L of the v, and each term's base u * (L / v): the sum of the u/v
     # with each term in a row of its own
@@ -176,16 +174,16 @@ def _product(pairs: Pairs, source: _Lifted) -> _Lifted:
     powers = [one, den]  # B^k for k <= top + 1
     while len(powers) < top + 2:
         powers.append(_times(powers[-1], den))
-    zero = (0,) * len(x)
+    zero = (0,) * len(pairs[0][0])
 
     def q_step(j, q, gamma):
-        return _times(q.diff(x[j]), den) - _times(q, den.diff(x[j])).mul_ground(sum(gamma))
+        return _times(q.diff(j), den) - _times(q, den.diff(j)).mul_ground(sum(gamma))
 
     def d_step(j, numerators, delta):
         # D_j (N D^alpha) = d_j(N) D^alpha + N D^(alpha + e_j)
         out: Dict[Row, Any] = {}
         for (g, alpha), v in numerators.items():
-            dv = v.diff(x[j])
+            dv = v.diff(j)
             if dv:
                 add_term(out, (g, alpha), dv)
             add_term(out, (g, alpha[:j] + (alpha[j] + 1,) + alpha[j + 1:]), v)
@@ -253,8 +251,8 @@ def _cancelled(lifted: _Lifted) -> _Lifted:
     common, rest = lifted.den, lifted.den.ring.one  # den = common * rest
     quotients: Dict[Row, Any] = {}  # numerator / common
     # short numerators first: the gcd with them is cheap and often constant
-    # (the length of a row is its number of terms, or its degree + 1 for a
-    # CoefficientList: either way a size)
+    # (the length of a row is its number of terms or its degree + 1, by kind:
+    # either way a size)
     for key, value in sorted(lifted.numerators.items(), key=lambda entry: len(entry[1])):
         common, shrink, quotient = gcd_cofactors(common, value)
         if common.is_ground:
@@ -485,23 +483,23 @@ def complete_to_riquier_basis(generators: Sequence[OperatorVector],
     generators equal to its own by value, in order, with the same (m, n).
     """
     global _last
-    gens = list(generators)
+    generators = list(generators)
     if m is None or n is None:
-        if not gens:
+        if not generators:
             raise ValueError("dimensions required for an empty generator list")
-        m, n = gens[0].m, gens[0].n
-    for j, g in enumerate(gens):
+        m, n = generators[0].m, generators[0].n
+    for j, g in enumerate(generators):
         if (g.m, g.n) != (m, n):
             raise InvalidInput(f"generator {j} has mismatched dimensions")
         check_fits(g.terms, m, n, f"generator {j} term")
     # a tuple compares m, n and the number of generators before any generator,
     # and an operator is immutable, so equal values complete to the same basis
-    key = (m, n, tuple(gens))
+    key = (m, n, tuple(generators))
     if _last is not None and _last[0] == key:
         return _last[1]
     _last = None  # the kept basis is released before another is made
 
-    log = DerivationLog(len(gens), m)
+    log = DerivationLog(len(generators), m)
     # every element made (each keeps its head), keyed by the log id that made
     # it, and the live ones among them
     made: Dict[int, OperatorVector] = {}
@@ -532,7 +530,7 @@ def complete_to_riquier_basis(generators: Sequence[OperatorVector],
             if len(units) == n:
                 pairs.clear()
 
-    for j, g in enumerate(gens):
+    for j, g in enumerate(generators):
         if len(units) == n:
             break
         if not g.is_zero():

@@ -8,8 +8,11 @@ points render as exact text ('-3/2', '1 + 2*i').
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import Sequence, Union
+
+from .errors import InvalidInput
 
 Scalar = Union[Fraction, "GaussianRational"]
 
@@ -104,22 +107,35 @@ class GaussianRational:
         return o / self
 
 
+def _past_digit_limit(what: str) -> str:
+    """The message for a number whose decimal digits pass the interpreter's limit."""
+    return (f"{what} has more than {sys.get_int_max_str_digits()} digits, the interpreter's "
+            f"limit on integer string conversion (PYTHONINTMAXSTRDIGITS raises it)")
+
+
 def format_scalar(value: Scalar) -> str:
-    """Plain rendering: '5', '-3/2', 'i', '2*i', '1 + 2*i'."""
-    if isinstance(value, GaussianRational):
-        if value.im == 0:
-            return str(value.re)
-        if value.re == 0:
-            if value.im == 1:
-                return "i"
-            if value.im == -1:
-                return "-i"
-            return f"{value.im}*i"
-        im = format_scalar(GaussianRational(0, value.im))
-        if im.startswith("-"):
-            return f"{value.re} - {im[1:]}"
-        return f"{value.re} + {im}"
-    return str(value)
+    """Plain rendering: '5', '-3/2', 'i', '2*i', '1 + 2*i'.
+
+    A number past the interpreter's limit on integer string conversion raises
+    InvalidInput.
+    """
+    try:
+        if isinstance(value, GaussianRational):
+            if value.im == 0:
+                return str(value.re)
+            if value.re == 0:
+                if value.im == 1:
+                    return "i"
+                if value.im == -1:
+                    return "-i"
+                return f"{value.im}*i"
+            im = format_scalar(GaussianRational(0, value.im))
+            if im.startswith("-"):
+                return f"{value.re} - {im[1:]}"
+            return f"{value.re} + {im}"
+        return str(value)
+    except ValueError:
+        raise InvalidInput(_past_digit_limit("a number to print")) from None
 
 
 def format_point(point: Sequence[Scalar]) -> str:

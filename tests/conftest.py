@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import random
 import signal
+import sys
 from fractions import Fraction
 from typing import List
 
@@ -13,6 +14,10 @@ import pytest
 from weylclosure import (Derivative, OperatorVector, Polynomial, RationalFunction, cli, riquier,
                          systemio)
 from weylclosure.operators import multi_indices
+
+# the interpreter's limit on the digits of an integer converted to or from a
+# string, 0 where there is none (before Python 3.10.7, or PYTHONINTMAXSTRDIGITS=0)
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 def random_polynomial(rng: random.Random, m: int, degree: int = 2,

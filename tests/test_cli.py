@@ -9,6 +9,7 @@ from weylclosure import cli, systemio
 from weylclosure.cli import main
 from weylclosure.formatting import format_operator
 from weylclosure.riquier import DerivationLog
+from conftest import DIGIT_LIMIT
 
 EULER = """\
 # second-order equation with polynomial solutions x and x^2
@@ -540,6 +541,19 @@ def test_oversized_systems_exit_2_within_seconds(tmp_path, capsys, text, message
     assert time.perf_counter() - start < 10
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+@pytest.mark.skipif(not 0 < DIGIT_LIMIT < 4772, reason="3^10000 prints within the digit limit")
+def test_a_coefficient_past_the_digit_limit_exits_2_with_its_message(tmp_path, capsys):
+    # the parser takes 3^10000, a power well within its work bound, but its 4,772
+    # digits cannot be printed
+    path = tmp_path / "big.sys"
+    path.write_text("vars: 1\nrow: 3^10000*D - 1\n")
+    assert main(["riquier", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        f"error: a number to print has more than {DIGIT_LIMIT} digits, the interpreter's "
+        "limit on integer string conversion (PYTHONINTMAXSTRDIGITS raises it)\n")
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -230,14 +230,27 @@ def test_a_wrong_lift_cannot_pass_the_internal_check(monkeypatch, field):
 
 
 def test_the_internal_check_takes_rows_of_either_integer_ring():
-    # den * q = h * p with den = 1 and h = 1, one side real and the other Gaussian
+    # den * q = h * p with den = 1 and h = 1, one side real and the other Gaussian:
+    # real rows against a Gaussian den, and Gaussian rows against a real den of
+    # either kind, the lift's list and verify_witness's sparse element
     real, gaussian = op("D"), parse_operator("(x + i)*D", 1, 1, "complex")
     one = integer_pair(RationalFunction.constant(1, 1))[0]
-    for row_of, p in ((lambda v: v, gaussian), (polynomials.gaussian, real)):
+    for row_of, p in ((lambda v: v, gaussian), (polynomials._sparse, gaussian),
+                      (polynomials.gaussian, real)):
         den, numerators = row_of(one), {(0, (0,)): row_of(one)}
-        assert closure._identity_holds(den, numerators, p, [p], lists=True)
-        assert not closure._identity_holds(den, numerators, p.left_scale(rat("2")), [p],
-                                           lists=True)
+        assert closure._identity_holds(den, numerators, p, [p])
+        assert not closure._identity_holds(den, numerators, p.left_scale(rat("2")), [p])
+    # in two variables: x2 * p = x2 * p for p = (x1 + i) D1, a real den and h
+    # against Gaussian rows, and the Gaussian den i against real ones
+    p = parse_operator("(x1 + i)*D1", 2, 1, "complex")
+    x2 = integer_pair(Polynomial.variable(2, 2))[0]
+    assert closure._identity_holds(x2, {(0, (0, 0)): x2}, p, [p])
+    assert not closure._identity_holds(x2, {(0, (0, 0)): x2}, scalar_operator_product(
+        op("x2", 2), p), [p])
+    i = integer_pair(RationalFunction.constant(GaussianRational(0, 1), 2))[0]
+    q = op("x1*D2 + 1", 2)
+    assert closure._identity_holds(i, {(0, (0, 0)): i}, q, [q])
+    assert not closure._identity_holds(i, {(0, (0, 0)): i}, q, [op("x1*D2", 2)])
 
 
 

@@ -17,6 +17,7 @@ from weylclosure import (
     RationalFunction,
     format_operator,
     format_rational,
+    format_scalar,
     parse_operator,
     parse_rational,
     scalar_operator_product,
@@ -26,7 +27,7 @@ from weylclosure.formatting import format_derivative
 from weylclosure.polynomials import MAX_EXPONENT, MAX_POWER_WORK, _power_work
 from weylclosure.systemio import (load_system, parse_initial_conditions, parse_point,
                                   parse_scalar_value)
-from conftest import random_operator, returns_within
+from conftest import DIGIT_LIMIT, random_operator, returns_within
 
 
 def op(text, m=1, n=1, field="real"):
@@ -472,6 +473,32 @@ def test_error_unknown_name():
         op("x2", 1)
     with pytest.raises(ParseError):
         op("foo")
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="the interpreter has no digit limit")
+@pytest.mark.parametrize("text, position", [
+    ("x^{}", 2),
+    ("{}*D - 1", 0),
+    ("x + x{}", 4),
+    ("D [u{}]", 3),
+], ids=["exponent", "coefficient", "variable-index", "component-tag"])
+def test_an_integer_past_the_digit_limit_is_a_positioned_parse_error(text, position):
+    # int() of a literal past the limit raises ValueError, which the parser
+    # reports as a ParseError at the literal
+    op(text.format("0" * (DIGIT_LIMIT - 1) + "1"))  # a literal at the limit parses
+    with pytest.raises(ParseError, match="more than .* digits.*PYTHONINTMAXSTRDIGITS") as e:
+        op(text.format("1" * (DIGIT_LIMIT + 1)))
+    assert e.value.position == position
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="the interpreter has no digit limit")
+def test_a_number_past_the_digit_limit_is_not_printed():
+    big = 10 ** DIGIT_LIMIT  # DIGIT_LIMIT + 1 digits
+    assert format_scalar(Fraction(big - 1, 2)) == f"{big - 1}/2"
+    for value in (Fraction(big), Fraction(1, big), GaussianRational(1, big),
+                  GaussianRational(big, 1)):
+        with pytest.raises(InvalidInput, match=f"more than {DIGIT_LIMIT} digits"):
+            format_scalar(value)
 
 
 @pytest.mark.parametrize("parse", [

@@ -3,6 +3,7 @@
 import functools
 import operator
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -960,17 +961,38 @@ def test_a_pair_whose_cofactors_share_a_fixed_divisor_takes_the_packed_kernel(mo
 
 
 def test_the_packed_kernel_falls_back_to_sympy(monkeypatch):
-    calls = []
-    inner = polynomials.dmp_inner_gcd
+    # the packed entry's answers, before it is made to give every pair back
+    two = _reference_ring(2, ZZ)
+    pairs = [tuple(map(_univariate_list, RETRIED)), tuple(_listed(v) for v in HIDDEN),
+             (_univariate_list("x**2 - 1"), _univariate_list("3*x**2 + 6*x + 3"))]
+    pairs += [tuple(map(two.from_expr, sympify(texts))) for texts in (
+        ["t0**2 - t1**2", "t0**2 + 2*t0*t1 + t1**2"],
+        ["6*t0**2*t1 - 6*t1", "4*t0*t1**2 + 4*t1**2 - 2*t0 - 2"],
+        ["t0*t1 + 1", "t0 - t1 + 3"])]
+    packed = [gcd_cofactors(a, b) for a, b in pairs]
+    calls, found = [], []
+    inner, image = polynomials.dmp_inner_gcd, polynomials._image_gcd
     monkeypatch.setattr(polynomials, "dmp_inner_gcd",
                         lambda *args: calls.append(args[-1]) or inner(*args))
-    monkeypatch.setattr(polynomials, "_packed_gcd", lambda a, b: None)
+    monkeypatch.setattr(polynomials, "_image_gcd",
+                        lambda *args: found.append(image(*args)) or found[-1])
+    monkeypatch.setattr(polynomials, "_PACKED_TRIES", 0)
+    for (a, b), expected in zip(pairs, packed):
+        got = gcd_cofactors(a, b)
+        # no try left: the packed entry gave the pair back, and sympy's dense gcd answered
+        assert found[-1] is None and calls[-1] is ZZ
+        if type(a) is CoefficientList:
+            assert all(map(_is_canonical, got))
+            assert tuple(map(_as_sympy, got)) == _as_sympy(a).cofactors(_as_sympy(b))
+        else:
+            assert all(type(v) is type(a) and v.ring is a.ring for v in got)
+            assert got == a.cofactors(b)
+        assert got == expected
+        g, cff, cfg = got
+        assert g * cff == a and g * cfg == b
+    assert len(calls) == len(found) == len(pairs)
     a, b = map(_univariate_list, RETRIED)
-    g, cff, cfg = gcd_cofactors(a, b)
-    assert calls == [ZZ]  # the packed kernel gave up, and sympy's dense gcd answered
-    assert all(map(_is_canonical, (g, cff, cfg)))
-    assert (g, cff, cfg) == tuple(map(_from_sympy, _sympy_gcd(*map(_univariate, RETRIED))))
-    assert g * cff == a and g * cfg == b
+    assert gcd_cofactors(a, b) == tuple(map(_from_sympy, _sympy_gcd(*map(_univariate, RETRIED))))
 
 
 def test_the_gcd_kernel_is_chosen_by_the_ring(monkeypatch):
@@ -1175,7 +1197,7 @@ def coefficient_lists(draw, high=3000):
 def test_coefficient_list_arithmetic_matches_sympys_sparse_elements(a, b, k):
     sa, sb = _as_sympy(a), _as_sympy(b)
     for got, expected in ((a * b, sa * sb), (a + b, sa + sb), (a - b, sa - sb),
-                          (b - a, sb - sa), (-a, -sa), (a.diff(), sa.diff(sa.ring.gens[0])),
+                          (b - a, sb - sa), (-a, -sa), (a.diff(0), sa.diff(0)),
                           (a.mul_ground(ZZ(k)), sa.mul_ground(ZZ(k)))):
         assert _is_canonical(got) and _as_sympy(got) == expected
     assert (a == b) == (sa == sb) and (a != b) == (sa != sb)
@@ -1337,11 +1359,11 @@ def test_coefficient_lists_are_every_integer_row_in_one_variable_over_zz():
     # more variables and Gaussian values keep sympy's elements
     for r in (RationalFunction(y + 1, y - 1), RationalFunction(x.scale(I) + 1, x)):
         assert all(isinstance(v, PolyElement) for v in polynomials.integer_pair(r))
-    # the scaling of rows hands out the triple's own kind for the lift's internal
-    # check, and sympy's sparse elements for verify_witness, which shares no
-    # arithmetic with the lift
+    # the scaling of rows hands out the kind of the row they are checked against:
+    # the triple's own for the lift's internal check, and with no row sympy's
+    # sparse elements, for verify_witness, which shares no arithmetic with the lift
     groups = [[RationalFunction(x.scale(Fraction(1, 2)) + 1)], [RationalFunction(x)]]
-    ((scale, (row,)), _) = polynomials.integer_polynomials(groups, lists=True)
+    ((scale, (row,)), _) = polynomials.integer_polynomials(groups, like=den)
     assert scale == 2 and row == _listed([2, 1]) and _is_canonical(row)
     ((scale, (row,)), (_, (other,))) = polynomials.integer_polynomials(groups)
     assert isinstance(row, PolyElement) and row.ring is other.ring and row.ring.domain is ZZ
@@ -1417,6 +1439,56 @@ def test_every_value_holds_the_element_kind_of_its_ring(pair, exponent):
         _assert_kind(value)
         again = pickle.loads(pickle.dumps(value))
         assert again == value and type(again) is type(value)
+
+
+def test_a_variable_is_differentiated_by_its_index_on_either_kind():
+    # a CoefficientList takes the index 0 as its sympy element does (see the
+    # arithmetic test above); a sympy element in two and three variables, over
+    # ZZ and ZZ_I, is differentiated by index and by generator alike
+    rng = random.Random(37)
+    for nvars in (2, 3):
+        for domain in (ZZ, ZZ_I):
+            ring = _reference_ring(nvars, domain)
+            for _ in range(5):
+                element = ring.from_dict({
+                    tuple(rng.randint(0, 3) for _ in range(nvars)):
+                        domain(rng.choice((-1, 1)) * rng.randint(1, 9)) for _ in range(5)})
+                for j, x in enumerate(ring.gens):
+                    assert element.diff(j) == element.diff(x)
+    # and a value's derivative by its variable's index, on a value of either kind
+    for nvars in (1, 2, 3):
+        for j in range(1, nvars + 1):
+            x = Polynomial.variable(j, nvars)
+            assert x.terms == {tuple(int(i == j) for i in range(1, nvars + 1)): 1}
+            _assert_kind(x)
+            assert (x * x + x).derivative(j) == x.scale(2) + 1
+            assert all(x.derivative(i).is_zero() for i in range(1, nvars + 1) if i != j)
+
+
+def test_integer_rows_take_the_kind_of_the_row_they_are_checked_against():
+    x = Polynomial.variable(1, 1)
+    groups = [[x.scale(Fraction(1, 3)) - 1, x * x], [Polynomial.constant(2, 1)]]
+    list_row, _ = polynomials.integer_pair(x + 1)
+    for like in (list_row, list_row.ring.one):
+        rows = [v for _, values in polynomials.integer_polynomials(groups, like=like)
+                for v in values]
+        assert all(map(_is_canonical, rows))
+        assert rows == [_listed([-3, 1]), _listed([0, 0, 3]), _listed([2])]
+    # with no row, or one of sympy's, they are sympy's elements, in one ring
+    two, _ = polynomials.integer_pair(X2 + Y2)
+    sparse = polynomials._sparse(list_row)
+    gaussian, _ = polynomials.integer_pair((x + 1).scale(I))
+    for like in (None, sparse, two, gaussian):
+        rows = [v for _, values in polynomials.integer_polynomials(groups, like=like)
+                for v in values]
+        assert all(isinstance(v, PolyElement) and v.ring is rows[0].ring for v in rows)
+        assert [_from_sympy(v) for v in rows] == [
+            _listed([-3, 1]), _listed([0, 0, 3]), _listed([2])]
+    # a Gaussian value takes every row of the groups to ZZ_I[x], whatever the row
+    for like in (None, list_row):
+        rows = [v for _, values in polynomials.integer_polynomials(
+            groups + [[x.scale(I)]], like=like) for v in values]
+        assert all(isinstance(v, PolyElement) and v.ring.domain is ZZ_I for v in rows)
 
 
 def test_parsed_and_cancelled_values_hold_the_element_kind_of_their_ring():
