@@ -179,7 +179,6 @@ def _cmd_verify_witness(args, system: SystemFile) -> int:
 
 # -- the argv reader -------------------------------------------------------
 #
-# -- argv -------------------------------------------------------------------
 # The table gives each subcommand its handler and its options; _read walks
 # argv against it once, and _usage and _help print from it.
 

@@ -23,17 +23,17 @@ with ``int`` coefficients where they are integral and ``Fraction`` or
 division by a nonconstant function turns it into a ``RationalFunction``.  A
 value with a derivation in it maps each multi-index alpha to the function
 that multiplies ``D^alpha``.  A function, or a polynomial in D with constant
-coefficients, raised to ``^k`` is a commutative power (``D^k`` one
-derivative, a real one taken over the integers).  A product with a function
+coefficients, raised to ``^k`` is one ``RationalFunction`` power over the
+integers (``x^k`` and ``D^k`` one monomial).  A product with a function
 on the left multiplies coefficient by coefficient; only a product with a
 derivation on the left needs the Leibniz rule, and it takes it from
 ``operators.scalar_operator_product``.  Each coefficient becomes a
 ``RationalFunction`` once, at the end, and only where the caller wants one:
 ``parse_derivative`` and ``parse_constant`` read a derivative (1*d) or a
-constant off the parsed values.  A power is refused before it is multiplied
-out when its degree in x would pass ``MAX_EXPONENT`` or the estimated work of
-its squaring chain ``MAX_POWER_WORK``.  The grammar's symbol test reads a list
-that the tokenizer builds.
+constant off the parsed values.  A power is refused before any product when its
+degree would pass ``MAX_EXPONENT``, and before the product of its squaring chain
+that would take the metered work past ``MAX_POWER_WORK``.  The grammar's symbol
+test reads a list that the tokenizer builds.
 """
 
 from __future__ import annotations
@@ -41,14 +41,12 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from functools import partial
-from operator import mul
 from typing import Optional
 
 from .errors import InvalidInput, ParseError
 from .operators import Derivative, OperatorVector, scalar_operator_product
-from .polynomials import (MAX_EXPONENT, MAX_POWER_WORK, Polynomial, RationalFunction, _one,
-                          _power, _power_work)
+from .polynomials import (MAX_EXPONENT, Polynomial, RationalFunction, _cost, _meter, _one,
+                          _power, _size, integer_pair)
 from .scalars import GaussianRational, Scalar, _past_digit_limit
 
 # an integer, a name, a symbol, or (group 4) any other character but whitespace
@@ -130,24 +128,47 @@ def _function_product(f, g, m: int):
     return _rational(f, m) * _rational(g, m)
 
 
-def _function_work(k: int, m: int, exponents, scalars) -> int:
-    """``_power_work`` for f with terms of these exponents: the terms of f^j lie in
-    the box of their spreads times j, and number at most the multisets of j."""
-    spreads, t = [max(column) - min(column) for column in zip(*exponents)], len(exponents)
-    return _power_work(k, m, scalars, lambda j: min(math.prod(j * s + 1 for s in spreads),
-                                                    math.comb(t + j - 1, j)))
+def _exponents(value):
+    """The exponent tuples of a function's terms, or of an operator's coefficients'."""
+    if type(value) is _Operator:
+        return [e for c in value.values() for e in _exponents(c)]
+    return list(value) if type(value) is dict else [*value.num.terms, *value.den.terms]
 
 
-def _check(k: int, exponents, work: int):
-    """Refuse f^k, f with terms of these exponents in x, past ``MAX_EXPONENT`` (f^k
-    has k times the degree of f) or with this much work past ``MAX_POWER_WORK``."""
+def _check(k: int, exponents):
+    """Refuse f^k, f with terms of these exponents, past ``MAX_EXPONENT``: f^k has k
+    times the degree of f."""
     top = max(exponents, key=max, default=None)
     if top is not None and k * max(top) > MAX_EXPONENT:
         raise InvalidInput(f"exponent {tuple(k * a for a in top)} exceeds "
                            f"the limit of {MAX_EXPONENT}")
-    if work > MAX_POWER_WORK:
-        raise InvalidInput(f"a power of an estimated {work} digit products or more, "
-                           f"more than the limit of {MAX_POWER_WORK}")
+
+
+def _leibniz_cost(h: OperatorVector, p: OperatorVector) -> int:
+    """The charge of the Leibniz product h * p, from the kernel ``_cost``: each term
+    c*D^alpha of h meets each coefficient c' of p in prod(alpha_i + 1) Leibniz terms,
+    rational-function operations on the terms of both, and multiplies the coefficients
+    of D^alpha p, no more than p's box of orders widened by alpha holds.  The first
+    count is the larger for coefficients of few terms, the second for many; the
+    charge is the larger of the two."""
+    def size(c):  # the terms of c's integer numerator and denominator, and their digits
+        (s, x), (t, y) = map(_size, integer_pair(c))
+        return s + t, max(x, y)
+
+    m, right = p.m, [size(c) for c in p.terms.values()]
+    spans = [max(column) - min(column) for column in zip(*[d.alpha for d in p.terms])]
+    work = 0
+    for d, c in h.terms.items():
+        (terms, digits), leibniz = size(c), math.prod(a + 1 for a in d.alpha)
+        reach = min(leibniz * len(right), math.prod(s + a + 1 for s, a in zip(spans, d.alpha)))
+        work += max(leibniz * sum(_cost((1, digits), (terms + t, u), m) for t, u in right),
+                    reach * sum(_cost((terms, digits), b, m) for b in right) // len(right))
+    return work
+
+
+def _operator(p: OperatorVector) -> _Operator:
+    """A scalar OperatorVector as a parsed value."""
+    return _Operator({d.alpha: c for d, c in p.terms.items()})
 
 
 def _negated(value):
@@ -212,13 +233,15 @@ class _Parser:
                 out[alpha] = s
         return out
 
+    def vector(self, value) -> OperatorVector:
+        """The value as a scalar OperatorVector, for the library's operator product."""
+        return OperatorVector({Derivative(1, alpha): _rational(c, self.m)
+                               for alpha, c in self.operator(value).items()}, self.m, 1)
+
     def product(self, left, right):
         m = self.m
         if type(left) is _Operator:  # the Leibniz rule
-            h, p = (OperatorVector({Derivative(1, alpha): _rational(c, m)
-                                    for alpha, c in self.operator(v).items()}, m, 1)
-                    for v in (left, right))
-            return _Operator({d.alpha: c for d, c in scalar_operator_product(h, p).terms.items()})
+            return _operator(scalar_operator_product(self.vector(left), self.vector(right)))
         if type(right) is _Operator:
             if not left:
                 return _Operator()
@@ -226,54 +249,27 @@ class _Parser:
         return _function_product(left, right, m)
 
     def power(self, value, k: int):
-        """value^k, refused by ``_check`` before it is multiplied out."""
-        m = self.m
+        """value^k, refused by ``_check`` before any product: a monomial with the
+        coefficient 1 (x^k, D^k) has its exponents times k, a function or a polynomial
+        in D with constant coefficients is one metered ``Polynomial`` power, and an
+        operator with a function in it a metered chain of Leibniz products."""
         if k == 1:
             return value
-        if type(value) is dict:
-            return self.raised(value, k, value)
-        if type(value) is not _Operator:  # a RationalFunction, raised as c^k a^k / b^k
-            parts = (value.num.terms, value.den.terms)
-            exponents = [e for terms in parts for e in terms]
-            _check(k, exponents, _function_work(k, m, exponents,
-                                                [c for terms in parts for c in terms.values()]))
-            return value ** k
-        if all(type(c) is dict and c.keys() == {self.zero} for c in value.values()):
-            # constant coefficients commute with D: a polynomial in D, raised as one
-            f = self.raised({alpha: c[self.zero] for alpha, c in value.items()}, k, ())
-            return _Operator({alpha: {self.zero: c} for alpha, c in f.items()})
-        # The Leibniz rule lowers the orders of x and D together: the terms of f^j lie in
-        # the box of each in [0, j * largest], and of the degree of a denominator's power.
-        order = max(map(sum, value))
-        points, scalars = [], []  # each term's x-exponent + alpha + that coordinate, and scalar
-        for alpha, c in value.items():
-            for terms, growth in ((c, 0),) if type(c) is dict else ((c.num.terms, 0),
-                                                                  (c.den.terms, order)):
-                points += [e + alpha + (growth * sum(e),) for e in terms]
-                scalars += terms.values()
-        tops = [max(column) for column in zip(*points)]
-        _check(k, [p[:m] for p in points],
-               _power_work(k, m, scalars, lambda j: math.prod(j * t + 1 for t in tops),
-                           order, max(sum(p[:m]) for p in points)))
-        return _power(value, k, self.product)
-
-    def raised(self, f: dict, k: int, exponents) -> dict:
-        """f^k for a term dict f, checked on the degree of these exponents: a monomial
-        (first: x^k and D^k are the common powers) as one power of its scalar, and a
-        real f as (d*f)^k / d^k over the integers, d the lcm of its denominators."""
-        one = len(f) == 1
-        _check(k, exponents, 0 if one and 1 in f.values() else
-               _function_work(k, self.m, list(f), f.values()))
-        if one:
-            ((e, c),) = f.items()
-            return {tuple([a * k for a in e]): _power(c, k, mul)}
-        times = partial(_function_product, m=self.m)
-        if any(type(c) is GaussianRational for c in f.values()):
-            return _power(f, k, times)
-        d = math.lcm(*[c.denominator for c in f.values()])
-        dk = d ** k
-        return {e: _quotient(v, dk)
-                for e, v in _power({e: int(c * d) for e, c in f.items()}, k, times).items()}
+        zero = self.zero
+        if type(value) is _Operator and all(type(c) is dict and c.keys() == {zero}
+                                            for c in value.values()):
+            # constant coefficients commute with D: a polynomial in D, raised as a function
+            f = self.power({alpha: c[zero] for alpha, c in value.items()}, k)
+            return _Operator({alpha: {zero: c}
+                              for alpha, c in (f if type(f) is dict else f.terms).items()})
+        _check(k, _exponents(value))
+        if type(value) is _Operator:
+            return _operator(_power(self.vector(value), k, scalar_operator_product,
+                                    _meter(_leibniz_cost)))
+        if type(value) is dict and len(value) == 1 and 1 in value.values():
+            ((e, c),) = value.items()
+            return {tuple([a * k for a in e]): c}
+        return _rational(value, self.m) ** k
 
     def quotient(self, left, right, position: int):
         if type(left) is _Operator or type(right) is _Operator:

@@ -86,18 +86,15 @@ _content = getattr(QQ.dtype, "_new", QQ.dtype)
 # address-space limit.  The test suite and the benchmark use exponents up to
 # 3,000.
 MAX_EXPONENT = 100_000
-# The most work that the parser lets a power f^k take, in products of two 30-bit
-# digits as ``_power_work`` estimates it; past it the power is refused before it
-# is multiplied out.  A product of two terms costs about 600 of them, and each
-# exponent entry it adds 80, a product of Gaussian scalars 24 times as much as of
-# real ones (measured against CPython's digit products).  The largest powers
-# accepted, and their parse times (2 vCPUs, Python 3.11): (x + 1)^1680 1.4 s,
-# (x + 1/2)^1452 1.1 s, 3^5084915 1.5 s, (D + 1)^1680 1.3 s, (x*D + 1)^76 0.1 s,
-# (x + i)^454 1.4 s, and the cube of x1 + ... + x75 1.7 s.  Refused at once:
-# (x + 1)^100000 ran past 60 s, 3^30000000 took 37.6 s, (2*D + 1)^2000 67.5 s,
-# and (x*D + x^2 + 1)^400 ran past 60 s.
+# The most work that a power f^k may take, in products of two 30-bit digits:
+# ``_power`` charges each product of its squaring chain at the ``_cost`` of its
+# operands and refuses the power before the product that would pass this.  The
+# largest powers accepted, and their parse times (2 vCPUs, Python 3.11):
+# (x + 1)^1777 0.6 s, (x + i)^1296 1.3 s, 3^5084913 1.6 s, (x*D + 1)^229 1.6 s,
+# (x*D + x^2 + 1)^104 0.8 s.  A refused power spends up to this much first:
+# (x + 1)^100000, 3^30000000 and (x*D + 1)^100000 end in 0.5-1.6 s.
 MAX_POWER_WORK = 1_500_000_000
-_TERM_WORK, _ENTRY_WORK, _GAUSSIAN_WORK = 600, 80, 24
+_PAIR_WORK = 300
 # The most variables of a ring ``_one`` builds.  sympy's ``PolyRing`` builds
 # m generators of m-tuples, so its cost is quadratic: 0.22 s and 18 MiB at the
 # bound, 0.38 s and 53 MiB at 2,000 (2 vCPUs, Python 3.11), and 20,000 ran out
@@ -345,7 +342,7 @@ class CoefficientList(tuple):
     ``==`` with a row or an integer, ``diff``, ``mul_ground``, ``items``,
     ``get``, ``new``, ``is_ground``, ``LC``, ``to_dense`` and ``ring``), so
     they run one code on either kind of element; ``gcd_cofactors`` runs one
-    ladder on either, and ``_power`` raises either to a power.  A product
+    ladder on either, and ``_power`` raises either, sized by ``_size``.  A product
     skips the zero coefficients of both factors, so it costs terms x terms,
     never degree x degree, and a factor of one term is a shifted scalar
     multiple.
@@ -773,60 +770,64 @@ def _one_of(ring):
     return ring.one if one is None else one
 
 
-def _power(value, k: int, times):
-    """value^k for k >= 1 by repeated squaring under the product ``times``."""
+def _power(value, k: int, times, charge):
+    """value^k for k >= 1 by repeated squaring under the product ``times``, calling
+    ``charge(a, b)`` before each product a * b of the chain."""
     result = None
     while True:
         if k & 1:
+            if result is not None:
+                charge(result, value)
             result = value if result is None else times(result, value)
         k >>= 1
         if not k:
             return result
+        charge(value, value)
         value = times(value, value)
 
 
-def _power_work(k: int, m: int, scalars, terms, order: int = 0, degree: int = 0) -> int:
-    """An estimate of the work of ``_power``'s squaring chain for f^k, in products
-    of two 30-bit digits, for f with these scalars and ``terms(j)`` a bound on
-    the terms of f^j.  Each product f^a * f^b multiplies terms(a) * terms(b)
-    pairs of terms, at ``_TERM_WORK``, ``_ENTRY_WORK`` for each of the m
-    exponent entries it adds, and CPython's digit products for coefficients
-    of f^a and f^b (the schoolbook's n^2 up to 70 digits, Karatsuba's three
-    products of half the length above, and pieces of the shorter length when
-    lopsided), all of it ``_GAUSSIAN_WORK`` times over for Gaussian scalars.
-    f^j's coefficients have j times log2 of the larger of d and the L1 norm
-    of d*f bits, d the lcm of the denominators, and an operator's grow by up
-    to (1 + j * degree in x)^(j * order in D) more in the Leibniz products.
-    The sum stops once it passes ``MAX_POWER_WORK``."""
-    parts = [p for c in scalars for p in ((c.re, c.im) if type(c) is GaussianRational else (c,))]
-    d = math.lcm(*[p.denominator for p in parts])
-    h = math.log2(max(d, sum(abs(p.numerator) * (d // p.denominator) for p in parts)))
-    if not (h or order):  # no term, or a monomial with a unit scalar: nothing grows
-        return 0
-    weight = _GAUSSIAN_WORK if len(parts) > len(scalars) else 1  # two parts per Gaussian
+def _size(value) -> Tuple[int, int]:
+    """(terms, digits) of an integer-ring element, or of a scalar as one term: the
+    30-bit digits of its largest coefficient, numerator and denominator.  A Gaussian
+    coefficient is two terms, both parts, which its arithmetic multiplies out."""
+    if type(value) is CoefficientList:
+        values = [v for v in value if v]
+    else:
+        values = value.values() if hasattr(value, "ring") else [value]
+    parts = [p for v in values for p in ((v.x, v.y) if hasattr(v, "x") else (v,))]
+    bits = max([p.numerator.bit_length() + p.denominator.bit_length() for p in parts],
+               default=0)
+    return len(parts), bits // 30 + 1
 
-    def digits(j):
-        return int(j * (h + order * math.log2(1 + j * degree))) // 30 + 1
 
-    def product(a, b):
-        short, long = sorted((digits(a), digits(b)))
-        pieces, halvings = -(-long // short), 0
-        while short > 70:
-            short, halvings = (short + 1) // 2, halvings + 1
-        return terms(a) * terms(b) * weight * (_TERM_WORK + _ENTRY_WORK * m
-                                               + pieces * 3 ** halvings * short * short)
+def _cost(a: Tuple[int, int], b: Tuple[int, int], m: int) -> int:
+    """The work of a product of operands of these ``_size``s in m variables, in
+    products of two 30-bit digits: each pair of terms costs ``_PAIR_WORK`` for each
+    exponent entry it adds (the interpreter's share, measured against the digit
+    products) and CPython's digit products for the two largest coefficients (the
+    schoolbook's n^2 up to 70 digits, Karatsuba's three products of half the length
+    above, and pieces of the shorter length when lopsided)."""
+    (s, x), (t, y) = a, b
+    short, long = sorted((x, y))
+    pieces, halvings = -(-long // short), 0
+    while short > 70:
+        short, halvings = (short + 1) // 2, halvings + 1
+    return s * t * (_PAIR_WORK * m + pieces * 3 ** halvings * short * short)
 
-    work, done, step = 0, 0, 1  # f^done is the product so far, f^step the next square
-    while work <= MAX_POWER_WORK:
-        if k & 1:
-            work += product(done, step) if done else 0
-            done += step
-        k >>= 1
-        if not k:
-            break
-        work += product(step, step)
-        step *= 2
-    return work
+
+def _meter(cost):
+    """A charge for ``_power``: it adds ``cost(a, b)`` of each product to one sum,
+    and refuses the power before the product that would take the sum past
+    ``MAX_POWER_WORK``."""
+    spent = 0
+
+    def charge(a, b):
+        nonlocal spent
+        spent += cost(a, b)
+        if spent > MAX_POWER_WORK:
+            raise InvalidInput(f"a power whose work exceeds the limit of {MAX_POWER_WORK} "
+                               f"digit products")
+    return charge
 
 
 def _times(a, b):
@@ -1139,10 +1140,12 @@ class RationalFunction:
                 raise ValueError("0**0")
             return Polynomial.constant(1, self.nvars)
         # powers of coprime primitive a and b are coprime and primitive (Gauss's
-        # lemma), so only the units are normalized again, as for 1/(x + i)
-        return RationalFunction._reduced(_power(self._c, exponent, mul),
-                                         _power(self._a, exponent, _times),
-                                         _power(self._b, exponent, _times))
+        # lemma), so only the units are normalized again, as for 1/(x + i); the
+        # three chains are metered against one sum
+        charge = _meter(lambda a, b: _cost(_size(a), _size(b), self.nvars))
+        return RationalFunction._reduced(_power(self._c, exponent, mul, charge),
+                                         _power(self._a, exponent, _times, charge),
+                                         _power(self._b, exponent, _times, charge))
 
     def derivative(self, index: int) -> "RationalFunction":
         """Partial derivative by the quotient rule, reduced by a gcd with a factor of b only."""

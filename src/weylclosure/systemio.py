@@ -23,6 +23,7 @@ rational function, and ``jet_to_json`` sorts a jet's values once.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -30,7 +31,7 @@ from .errors import InvalidInput
 from .formatting import format_derivative, format_scalar
 from .operators import Derivative, Jet, OperatorVector
 from .parsing import parse_constant, parse_derivative, parse_operator
-from .scalars import Scalar
+from .scalars import Scalar, _past_digit_limit
 
 
 @dataclass
@@ -131,9 +132,10 @@ def load_system(path: str, default_field: str = "real") -> SystemFile:
         if key in ("vars", "unknowns", "s", "T"):
             try:
                 value = int(value)
-            except ValueError:
-                raise InvalidInput(
-                    f"{path}:{lineno}: {key} must be an integer, got {value!r}") from None
+            except ValueError:  # a run of digits that int() refuses is past its digit limit
+                raise InvalidInput(f"{path}:{lineno}: " + (
+                    _past_digit_limit(key) if re.fullmatch(r"[+-]?\d+", value) else
+                    f"{key} must be an integer, got {value!r}")) from None
         elif key not in ("field", "q", "point"):
             raise InvalidInput(f"{path}:{lineno}: unknown key {key!r}")
         values[key] = value

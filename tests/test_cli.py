@@ -505,32 +505,27 @@ def test_system_file_errors_exit_2_with_their_message(tmp_path, capsys, text, me
     assert captured.err.startswith("error: ") and message in captured.err
 
 
+REFUSED = "a power whose work exceeds the limit of 1500000000 digit products"
+
+
 @pytest.mark.parametrize("text, message", [
     # a one-variable value is a dense list: x^100000000 alone would take 800 MB
     ("vars: 1\nrow: x^100000000*D - 1\n", "exponent (100000000,) exceeds the limit of 100000"),
     # sympy's ring in m variables costs m^2: 20,000 ran out of memory
     ("vars: 20000\nrow: D1\n", "20000 variables, more than the limit of 1000"),
-    # (x + 1)^k costs about k^2 products of big integers: k = 100000 ran past 60 s
-    ("vars: 1\nrow: (x + 1)^100000*D - 1\n",
-     "a power of an estimated 3598536222 digit products or more, more than the limit of "
-     "1500000000"),
+    # each power is refused by the meter on its squaring chain, before the product
+    # that would pass the limit: (x + 1)^k costs about k^2 products of big integers,
+    # and k = 100000 ran past 60 s
+    ("vars: 1\nrow: (x + 1)^100000*D - 1\n", REFUSED),
     # 3^30000000 has 47.5 million bits: it took 37.6 s
-    ("vars: 1\nrow: 3^30000000*D - 1\n",
-     "a power of an estimated 3058288264 digit products or more, more than the limit of "
-     "1500000000"),
+    ("vars: 1\nrow: 3^30000000*D - 1\n", REFUSED),
     # (3*x)^3785578 is under the work bound: it spent 0.95 s on its coefficient
     ("vars: 1\nrow: (3*x)^3785578*D - 1\n", "exponent (3785578,) exceeds the limit of 100000"),
     # powers of operators: (x*D + x^2 + 1)^400 ran past 60 s in Leibniz products, and
     # (2*D + 1)^2000, a polynomial in D, took 67.5 s
-    ("vars: 1\nrow: (x*D + x^2 + 1)^400\n",
-     "a power of an estimated 3737994363 digit products or more, more than the limit of "
-     "1500000000"),
-    ("vars: 1\nrow: (x*D + 1)^100000\n",
-     "a power of an estimated 17081877409 digit products or more, more than the limit of "
-     "1500000000"),
-    ("vars: 1\nrow: (2*D + 1)^2000\n",
-     "a power of an estimated 7074207179 digit products or more, more than the limit of "
-     "1500000000"),
+    ("vars: 1\nrow: (x*D + x^2 + 1)^400\n", REFUSED),
+    ("vars: 1\nrow: (x*D + 1)^100000\n", REFUSED),
+    ("vars: 1\nrow: (2*D + 1)^2000\n", REFUSED),
 ], ids=["exponent", "variables", "power", "digits", "power-exponent", "operator-power",
         "operator-exponent", "d-polynomial-power"])
 def test_oversized_systems_exit_2_within_seconds(tmp_path, capsys, text, message):
@@ -541,6 +536,31 @@ def test_oversized_systems_exit_2_within_seconds(tmp_path, capsys, text, message
     assert time.perf_counter() - start < 10
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+def test_an_operator_power_under_the_meter_completes(tmp_path, capsys):
+    # (x*D + 1)^100 was refused by the estimate that preceded the meter
+    path = tmp_path / "power.sys"
+    path.write_text("vars: 1\nrow: (x*D + 1)^100\n")
+    start = time.perf_counter()
+    assert main(["riquier", str(path)]) == 0
+    assert time.perf_counter() - start < 10
+    assert json.loads(capsys.readouterr().out)["s0"] == 100
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="the interpreter has no digit limit")
+@pytest.mark.parametrize("key", ["vars", "unknowns", "s", "T"])
+def test_an_integer_key_past_the_digit_limit_names_the_limit(tmp_path, capsys, key):
+    digits = "7" * (DIGIT_LIMIT + 700)
+    path = tmp_path / "big.sys"
+    path.write_text(f"vars: {digits}\nrow: D\n" if key == "vars" else
+                    f"vars: 1\n{key}: {digits}\nrow: D\n")
+    assert main(["riquier", str(path)]) == 2
+    captured = capsys.readouterr()
+    line = 1 if key == "vars" else 2
+    assert captured.out == "" and captured.err == (
+        f"error: {path}:{line}: {key} has more than {DIGIT_LIMIT} digits, the interpreter's "
+        "limit on integer string conversion (PYTHONINTMAXSTRDIGITS raises it)\n")
 
 
 @pytest.mark.skipif(not 0 < DIGIT_LIMIT < 4772, reason="3^10000 prints within the digit limit")
