@@ -296,14 +296,24 @@ def apply_single_d(j: int, p: OperatorVector) -> OperatorVector:
     return OperatorVector(terms, p.m, p.n)
 
 
-def shifts(p: OperatorVector) -> Callable[[MultiIndex], OperatorVector]:
+def shifts(p: OperatorVector, charge: Callable | None = None
+           ) -> Callable[[MultiIndex], OperatorVector]:
     """The memoized beta -> D^beta * p, for beta in N^m.
 
     Each shift is built once, by one ``apply_single_d`` from an earlier one;
     the derivations go in increasing index, D_1 first, as for D^beta read
-    left to right.  The caller checks that beta is in N^m.
+    left to right.  The caller checks that beta is in N^m.  A ``charge`` is
+    called as charge(1, c) for each coefficient c of a shift before it is
+    differentiated: a derivative costs what a product by a scalar does.
     """
-    return stepwise(p, lambda j, q, beta: apply_single_d(j + 1, q))
+    if charge is None:
+        return stepwise(p, lambda j, q, beta: apply_single_d(j + 1, q))
+
+    def step(j, q, beta):
+        for c in q.terms.values():
+            charge(1, c)
+        return apply_single_d(j + 1, q)
+    return stepwise(p, step)
 
 
 def left_multiply_by_d(beta: MultiIndex, p: OperatorVector) -> OperatorVector:
@@ -312,18 +322,26 @@ def left_multiply_by_d(beta: MultiIndex, p: OperatorVector) -> OperatorVector:
     return shifts(p)(beta)
 
 
-def scalar_operator_product(h: OperatorVector, p: OperatorVector) -> OperatorVector:
-    """Standard form of the left product h * p for a scalar operator h (n = 1)."""
+def scalar_operator_product(h: OperatorVector, p: OperatorVector,
+                            charge: Callable | None = None) -> OperatorVector:
+    """Standard form of the left product h * p for a scalar operator h (n = 1).  A
+    ``charge`` (``polynomials._meter``) is called as charge(f, c) before each product
+    of a coefficient f of h with a coefficient c of the shift of p that f scales, and
+    by ``shifts`` before each derivative."""
     if h.n != 1:
         raise InvalidInput("left factor must be a scalar operator (n = 1)")
     if h.m != p.m:
         raise InvalidInput("variable counts differ")
     check_fits(h.terms, h.m, 1, "left factor term")
     check_fits(p.terms, p.m, p.n, "right factor term")
-    shifted = shifts(p)
+    shifted = shifts(p, charge)
     result = OperatorVector.zero(p.m, p.n)
     for d, f in h.terms.items():
-        result = result + shifted(d.alpha).left_scale(f)
+        shift = shifted(d.alpha)
+        if charge is not None:
+            for c in shift.terms.values():
+                charge(f, c)
+        result = result + shift.left_scale(f)
     return result
 
 

@@ -31,22 +31,23 @@ derivation on the left needs the Leibniz rule, and it takes it from
 ``RationalFunction`` once, at the end, and only where the caller wants one:
 ``parse_derivative`` and ``parse_constant`` read a derivative (1*d) or a
 constant off the parsed values.  A power is refused before any product when its
-degree would pass ``MAX_EXPONENT``, and before the product of its squaring chain
-that would take the metered work past ``MAX_POWER_WORK``.  The grammar's symbol
-test reads a list that the tokenizer builds.
+degree would pass ``MAX_EXPONENT`` (a polynomial in D of one term has no such
+bound), and before the product that would take its metered work past
+``MAX_POWER_WORK``: each product of its squaring chain, or, for an operator with
+a function in it, each product and derivative of coefficients in its Leibniz
+products.  The grammar's symbol test reads a list that the tokenizer builds.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
+from functools import partial
 from typing import Optional
 
 from .errors import InvalidInput, ParseError
 from .operators import Derivative, OperatorVector, scalar_operator_product
-from .polynomials import (MAX_EXPONENT, Polynomial, RationalFunction, _cost, _meter, _one,
-                          _power, _size, integer_pair)
+from .polynomials import MAX_EXPONENT, Polynomial, RationalFunction, _meter, _one, _power
 from .scalars import GaussianRational, Scalar, _past_digit_limit
 
 # an integer, a name, a symbol, or (group 4) any other character but whitespace
@@ -144,28 +145,6 @@ def _check(k: int, exponents):
                            f"the limit of {MAX_EXPONENT}")
 
 
-def _leibniz_cost(h: OperatorVector, p: OperatorVector) -> int:
-    """The charge of the Leibniz product h * p, from the kernel ``_cost``: each term
-    c*D^alpha of h meets each coefficient c' of p in prod(alpha_i + 1) Leibniz terms,
-    rational-function operations on the terms of both, and multiplies the coefficients
-    of D^alpha p, no more than p's box of orders widened by alpha holds.  The first
-    count is the larger for coefficients of few terms, the second for many; the
-    charge is the larger of the two."""
-    def size(c):  # the terms of c's integer numerator and denominator, and their digits
-        (s, x), (t, y) = map(_size, integer_pair(c))
-        return s + t, max(x, y)
-
-    m, right = p.m, [size(c) for c in p.terms.values()]
-    spans = [max(column) - min(column) for column in zip(*[d.alpha for d in p.terms])]
-    work = 0
-    for d, c in h.terms.items():
-        (terms, digits), leibniz = size(c), math.prod(a + 1 for a in d.alpha)
-        reach = min(leibniz * len(right), math.prod(s + a + 1 for s, a in zip(spans, d.alpha)))
-        work += max(leibniz * sum(_cost((1, digits), (terms + t, u), m) for t, u in right),
-                    reach * sum(_cost((terms, digits), b, m) for b in right) // len(right))
-    return work
-
-
 def _operator(p: OperatorVector) -> _Operator:
     """A scalar OperatorVector as a parsed value."""
     return _Operator({d.alpha: c for d, c in p.terms.items()})
@@ -248,24 +227,25 @@ class _Parser:
             return _Operator({alpha: _function_product(left, c, m) for alpha, c in right.items()})
         return _function_product(left, right, m)
 
-    def power(self, value, k: int):
-        """value^k, refused by ``_check`` before any product: a monomial with the
-        coefficient 1 (x^k, D^k) has its exponents times k, a function or a polynomial
-        in D with constant coefficients is one metered ``Polynomial`` power, and an
-        operator with a function in it a metered chain of Leibniz products."""
+    def power(self, value, k: int, bounded: bool = True):
+        """value^k: x^k and D^k are their exponents times k, a function or a polynomial
+        in D with constant coefficients one metered ``Polynomial`` power, and any other
+        operator a chain of metered Leibniz products.  ``_check`` refuses a degree past
+        ``MAX_EXPONENT`` first, if ``bounded``: D's order in one term has no bound."""
         if k == 1:
             return value
         zero = self.zero
         if type(value) is _Operator and all(type(c) is dict and c.keys() == {zero}
                                             for c in value.values()):
             # constant coefficients commute with D: a polynomial in D, raised as a function
-            f = self.power({alpha: c[zero] for alpha, c in value.items()}, k)
+            f = self.power({alpha: c[zero] for alpha, c in value.items()}, k, len(value) > 1)
             return _Operator({alpha: {zero: c}
                               for alpha, c in (f if type(f) is dict else f.terms).items()})
-        _check(k, _exponents(value))
+        if bounded:
+            _check(k, _exponents(value))
         if type(value) is _Operator:
-            return _operator(_power(self.vector(value), k, scalar_operator_product,
-                                    _meter(_leibniz_cost)))
+            return _operator(_power(self.vector(value), k, partial(scalar_operator_product,
+                                                                   charge=_meter(self.m))))
         if type(value) is dict and len(value) == 1 and 1 in value.values():
             ((e, c),) = value.items()
             return {tuple([a * k for a in e]): c}

@@ -88,13 +88,19 @@ _content = getattr(QQ.dtype, "_new", QQ.dtype)
 MAX_EXPONENT = 100_000
 # The most work that a power f^k may take, in products of two 30-bit digits:
 # ``_power`` charges each product of its squaring chain at the ``_cost`` of its
-# operands and refuses the power before the product that would pass this.  The
-# largest powers accepted, and their parse times (2 vCPUs, Python 3.11):
-# (x + 1)^1777 0.6 s, (x + i)^1296 1.3 s, 3^5084913 1.6 s, (x*D + 1)^229 1.6 s,
-# (x*D + x^2 + 1)^104 0.8 s.  A refused power spends up to this much first:
-# (x + 1)^100000, 3^30000000 and (x*D + 1)^100000 end in 0.5-1.6 s.
+# operands, the Leibniz product each product and derivative of its coefficients,
+# and the power is refused before the product that would pass this.  Measured
+# against the digit products (2 vCPUs, Python 3.11): a pair of terms costs
+# _TERM_WORK and _ENTRY_WORK an exponent entry (the cube of x1 + ... + xm, about
+# 60*m ns a pair for m = 20 to 100), a product of rational functions and the sums
+# around it _CALL_WORK, and a pass over their sympy terms _SYMPY_PASS list entries'
+# worth.  The largest powers accepted, and their parse times: (x + 1)^1808 0.7 s,
+# 3^5080068 1.6 s, (x*D + 1)^202 1.3 s, (x1*D2 + x2*D1 + 1)^25 1.3 s, (i*D + x)^44
+# 0.9 s; README has more.  Refusals take as long: (x + 1)^100000 0.5 s, 3^30000000
+# 1.5 s, (x^900*D + 1)^80 (78 s unbounded) 1.2 s, (x^5000*D^5000 + 1)^2 1.8 s.
 MAX_POWER_WORK = 1_500_000_000
-_PAIR_WORK = 300
+_TERM_WORK, _ENTRY_WORK, _CALL_WORK = 150, 60, 30_000
+_SYMPY_PASS = {ZZ: 6, ZZ_I: 150}
 # The most variables of a ring ``_one`` builds.  sympy's ``PolyRing`` builds
 # m generators of m-tuples, so its cost is quadratic: 0.22 s and 18 MiB at the
 # bound, 0.38 s and 53 MiB at 2,000 (2 vCPUs, Python 3.11), and 20,000 ran out
@@ -770,9 +776,9 @@ def _one_of(ring):
     return ring.one if one is None else one
 
 
-def _power(value, k: int, times, charge):
-    """value^k for k >= 1 by repeated squaring under the product ``times``, calling
-    ``charge(a, b)`` before each product a * b of the chain."""
+def _power(value, k: int, times, charge=lambda a, b: None):
+    """value^k for k >= 1 by repeated squaring under ``times``, calling ``charge(a, b)``
+    before each product a * b (by default nothing: the Leibniz product meters its own)."""
     result = None
     while True:
         if k & 1:
@@ -786,44 +792,58 @@ def _power(value, k: int, times, charge):
         value = times(value, value)
 
 
-def _size(value) -> Tuple[int, int]:
-    """(terms, digits) of an integer-ring element, or of a scalar as one term: the
-    30-bit digits of its largest coefficient, numerator and denominator.  A Gaussian
-    coefficient is two terms, both parts, which its arithmetic multiplies out."""
-    if type(value) is CoefficientList:
-        values = [v for v in value if v]
-    else:
-        values = value.values() if hasattr(value, "ring") else [value]
-    parts = [p for v in values for p in ((v.x, v.y) if hasattr(v, "x") else (v,))]
-    bits = max([p.numerator.bit_length() + p.denominator.bit_length() for p in parts],
-               default=0)
-    return len(parts), bits // 30 + 1
+def _size(value) -> Tuple[int, int, int]:
+    """(terms, length, digits) of an operand: an integer-ring element's terms (a scalar
+    is one, a Gaussian coefficient two, both parts), their dense length in a
+    ``CoefficientList``, and the 30-bit digits of its largest coefficient, numerator
+    and denominator.  A ``RationalFunction`` is its numerator's and denominator's,
+    with its content's digits; a denominator other than 1 counts twice, for the gcds
+    that keep it reduced, and a sympy element's terms ``_SYMPY_PASS`` times in length."""
+    if isinstance(value, RationalFunction):
+        a, b = value._a, value._b
+        (s, u, x), (t, v, y) = _size(a), _size(b)
+        return (s + (t if b.is_ground else 2 * t),
+                (u + v) * (1 if type(a) is CoefficientList else _SYMPY_PASS[a.ring.domain]),
+                max(x, y, _size(value._c)[2]))
+    if not hasattr(value, "ring"):  # a scalar
+        parts = (value.x, value.y) if hasattr(value, "x") else (value,)
+        bits = max(p.numerator.bit_length() + p.denominator.bit_length() for p in parts)
+        return len(parts), len(parts), bits // 30 + 1
+    dense = type(value) is CoefficientList  # its integers read at C speed
+    parts = value if dense else list(value.values())
+    if parts and hasattr(parts[0], "x"):
+        parts = [p for v in parts for p in (v.x, v.y)]
+    top = max(max(parts, default=0), -min(parts, default=0))
+    return len(parts) - (parts.count(0) if dense else 0), len(parts), top.bit_length() // 30 + 1
 
 
-def _cost(a: Tuple[int, int], b: Tuple[int, int], m: int) -> int:
+def _cost(a: Tuple[int, int, int], b: Tuple[int, int, int], m: int) -> int:
     """The work of a product of operands of these ``_size``s in m variables, in
-    products of two 30-bit digits: each pair of terms costs ``_PAIR_WORK`` for each
-    exponent entry it adds (the interpreter's share, measured against the digit
-    products) and CPython's digit products for the two largest coefficients (the
-    schoolbook's n^2 up to 70 digits, Karatsuba's three products of half the length
-    above, and pieces of the shorter length when lopsided)."""
-    (s, x), (t, y) = a, b
+    products of two 30-bit digits: each pair of terms ``_TERM_WORK``, ``_ENTRY_WORK``
+    for each exponent entry and CPython's digit products for the largest coefficients
+    (the schoolbook's n^2 up to 70 digits, Karatsuba's three products of half the
+    length above, pieces of the shorter when lopsided); each entry of both lengths,
+    which sums, derivatives and contents pass over too, a pair in one variable's."""
+    (s, u, x), (t, v, y) = a, b
     short, long = sorted((x, y))
     pieces, halvings = -(-long // short), 0
     while short > 70:
         short, halvings = (short + 1) // 2, halvings + 1
-    return s * t * (_PAIR_WORK * m + pieces * 3 ** halvings * short * short)
+    pair = _TERM_WORK + _ENTRY_WORK * m + pieces * 3 ** halvings * short * short
+    return s * t * pair + (u + v) * (_TERM_WORK + _ENTRY_WORK + x + y)
 
 
-def _meter(cost):
-    """A charge for ``_power``: it adds ``cost(a, b)`` of each product to one sum,
-    and refuses the power before the product that would take the sum past
-    ``MAX_POWER_WORK``."""
-    spent = 0
+def _meter(m: int):
+    """A charge for ``_power`` or the Leibniz product: it adds the ``_cost`` of each a * b
+    in m variables to one sum, ``_CALL_WORK`` more for a ``RationalFunction`` b, and
+    refuses the power before the product that takes the sum past ``MAX_POWER_WORK``."""
+    spent, last = 0, (None, None)  # the left operand of the last product, and its size
 
     def charge(a, b):
-        nonlocal spent
-        spent += cost(a, b)
+        nonlocal spent, last
+        if a is not last[0]:  # the Leibniz product scales a shift by one coefficient
+            last = a, _size(a)
+        spent += _cost(last[1], _size(b), m) + (isinstance(b, RationalFunction) and _CALL_WORK)
         if spent > MAX_POWER_WORK:
             raise InvalidInput(f"a power whose work exceeds the limit of {MAX_POWER_WORK} "
                                f"digit products")
@@ -1142,7 +1162,7 @@ class RationalFunction:
         # powers of coprime primitive a and b are coprime and primitive (Gauss's
         # lemma), so only the units are normalized again, as for 1/(x + i); the
         # three chains are metered against one sum
-        charge = _meter(lambda a, b: _cost(_size(a), _size(b), self.nvars))
+        charge = _meter(self.nvars)
         return RationalFunction._reduced(_power(self._c, exponent, mul, charge),
                                          _power(self._a, exponent, _times, charge),
                                          _power(self._b, exponent, _times, charge))

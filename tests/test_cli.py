@@ -526,8 +526,11 @@ REFUSED = "a power whose work exceeds the limit of 1500000000 digit products"
     ("vars: 1\nrow: (x*D + x^2 + 1)^400\n", REFUSED),
     ("vars: 1\nrow: (x*D + 1)^100000\n", REFUSED),
     ("vars: 1\nrow: (2*D + 1)^2000\n", REFUSED),
+    # an operator of sparse coefficients, whose sums pass over their dense length:
+    # (x^900*D + 1)^80 ran 78 s, though no coefficient has more than 81 terms
+    ("vars: 1\nrow: (x^900*D + 1)^80\n", REFUSED),
 ], ids=["exponent", "variables", "power", "digits", "power-exponent", "operator-power",
-        "operator-exponent", "d-polynomial-power"])
+        "operator-exponent", "d-polynomial-power", "sparse-operator-power"])
 def test_oversized_systems_exit_2_within_seconds(tmp_path, capsys, text, message):
     path = tmp_path / "big.sys"
     path.write_text(text)

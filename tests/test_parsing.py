@@ -7,7 +7,7 @@ from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from sympy.polys.domains import ZZ_I
+from sympy.polys.domains import ZZ, ZZ_I
 
 from weylclosure import (
     Derivative,
@@ -26,7 +26,8 @@ from weylclosure import (
 )
 from weylclosure import parsing, polynomials, systemio
 from weylclosure.formatting import format_derivative
-from weylclosure.polynomials import (MAX_EXPONENT, MAX_POWER_WORK, CoefficientList, _cost,
+from weylclosure.polynomials import (_CALL_WORK, _ENTRY_WORK, _SYMPY_PASS, _TERM_WORK,
+                                     MAX_EXPONENT, MAX_POWER_WORK, CoefficientList, _cost,
                                      _meter, _power, _size)
 from weylclosure.systemio import (load_system, parse_initial_conditions, parse_point,
                                   parse_scalar_value)
@@ -130,6 +131,10 @@ def weyl(terms, m=1):
     ("D^2000", 1, weyl({(2000,): {(0,): 1}})),
     ("x^2000", 1, weyl({(0,): {(2000,): 1}})),
     ("D1^3*D2^5", 2, weyl({(3, 5): {(0, 0): 1}}, 2)),
+    # an order of D has no MAX_EXPONENT, which bounds the degree in x only: a power
+    # of one term in D is its order times k, with the k-th power of its scalar
+    ("D^200000", 1, weyl({(200000,): {(0,): 1}})),
+    ("(2*D2^2)^50001", 2, weyl({(0, 100002): {(0, 0): 2 ** 50001}}, 2)),
 ])
 def test_high_powers_parse_to_the_derivative_or_monomial_they_name(text, m, expected):
     start = time.perf_counter()
@@ -156,45 +161,62 @@ def test_a_power_of_a_rational_coefficient_in_a_row_survives_the_round_trip():
 
 
 SUM_53 = " + ".join(f"x{j}" for j in range(1, 54))
-SUM_2233 = "1 + x + " + " + ".join(f"x^{e}" for e in range(2, 2233))
+SUM_2666 = "1 + x + " + " + ".join(f"x^{e}" for e in range(2, 2666))
 REFUSED = f"a power whose work exceeds the limit of {MAX_POWER_WORK} digit products"
 
 
 def test_the_charge_of_a_power_is_the_kernel_on_each_product_of_its_chain():
+    assert (_TERM_WORK, _ENTRY_WORK, _CALL_WORK) == (150, 60, 30_000)
     charges = []
 
     def charge(a, b):
         charges.append(_cost(_size(a), _size(b), 1))
 
-    # 3^4 squares 3 and 9: two products of one term by one, each 300 for the pair of
-    # terms in one variable and 1 for the product of their one digit
-    assert _power(3, 4, mul, charge) == 81 and charges == [301, 301]
+    # 3^4 squares 3 and 9: two products of one term of one digit by one, each
+    # 150 + 60 + 1 for the pair of terms in one variable and their digit product,
+    # and 150 + 60 + 2 for each of the two entries of length one
+    assert _size(3) == (1, 1, 1)
+    assert _power(3, 4, mul, charge) == 81 and charges == [635, 635]
     # 3^5 multiplies 3 by 3^4 as well
     charges.clear()
-    assert _power(3, 5, mul, charge) == 243 and charges == [301] * 3
-    # (x + 1)^2 is one product of two terms by two
+    assert _power(3, 5, mul, charge) == 243 and charges == [635] * 3
+    # (x + 1)^2 is one product of two terms by two, of dense length two each
     charges.clear()
     assert _power(CoefficientList([1, 1]), 2, mul, charge) == CoefficientList([1, 2, 1])
-    assert charges == [4 * 301]
+    assert charges == [4 * 211 + 4 * 212]
     # a Gaussian scalar counts its two parts as two terms: (3 + i)^2 = 8 + 6i
     charges.clear()
-    assert _power(ZZ_I(3, 1), 2, mul, charge) == ZZ_I(8, 6) and charges == [4 * 301]
+    assert _power(ZZ_I(3, 1), 2, mul, charge) == ZZ_I(8, 6) and charges == [1692]
     # the digit products: a coefficient of 2^100 has four digits of 30 bits; two of
     # 140 digits take Karatsuba's three products of 70; 10 by 35 digits, four pieces
-    assert _size(2 ** 100) == (1, 4) and _cost((1, 4), (1, 4), 1) == 300 + 16
-    assert _cost((1, 140), (1, 140), 1) == 300 + 3 * 70 * 70
-    assert _cost((1, 10), (1, 35), 1) == 300 + 4 * 10 * 10
-    # a pair of terms costs 300 for each exponent entry it adds
-    assert _cost((2, 1), (3, 1), 4) == 6 * (4 * 300 + 1)
+    assert _size(2 ** 100) == (1, 1, 4)
+    assert _cost((1, 1, 4), (1, 1, 4), 1) == 210 + 16 + 2 * 218
+    assert _cost((1, 1, 140), (1, 1, 140), 1) == 210 + 3 * 70 * 70 + 2 * 490
+    assert _cost((1, 1, 10), (1, 1, 35), 1) == 210 + 4 * 10 * 10 + 2 * 255
+    # a pair of terms costs 60 more for each exponent entry it adds
+    assert _cost((2, 2, 1), (3, 3, 1), 4) == 6 * (150 + 4 * 60 + 1) + 5 * 212
+    # a sparse list is two terms of dense length 901, each entry of which a sum or a
+    # derivative passes over; a rational function counts its numerator, its
+    # denominator, twice unless it is 1, and its content: 3*x^2 / (x + 1) is 1 + 2 * 2
+    # terms of length 3 + 2
+    assert _size(CoefficientList([1] + [0] * 899 + [1])) == (2, 901, 1)
+    assert _size(parse_rational("3*x^2/(x + 1)", 1)) == (5, 5, 1)
+    # in a rational function, a pass over a sympy element costs 6 entries a term,
+    # and over a Gaussian one 150 a part: x1*x2 - 2^40 over 1 is 2 + 1 terms, of 2
+    # digits, and x1 + i over 1 four parts over two
+    assert _SYMPY_PASS == {ZZ: 6, ZZ_I: 150}
+    assert _size(parse_rational("x1*x2 - 2^40", 2)) == (3, 6 * 3, 2)
+    assert _size(parse_rational("x1 + i", 2, "complex")) == (6, 150 * 6, 1)
+    assert _size(parse_rational("x1 + i", 2, "complex")._a) == (4, 4, 1)
 
 
 def test_the_meter_refuses_a_power_before_the_product_that_passes_the_limit(monkeypatch):
     # 3^4 is raised as c^4 * a^4 / b^4 with c = 3 and a = b = 1: three chains of two
-    # products, 6 * 301 against one sum
-    monkeypatch.setattr(polynomials, "MAX_POWER_WORK", 6 * 301)
+    # products of one term by one, 6 * 635 against one sum
+    monkeypatch.setattr(polynomials, "MAX_POWER_WORK", 6 * 635)
     assert op("3^4") == op("81")
-    monkeypatch.setattr(polynomials, "MAX_POWER_WORK", 6 * 301 - 1)
-    with pytest.raises(InvalidInput, match="^a power whose work exceeds the limit of 1805 "):
+    monkeypatch.setattr(polynomials, "MAX_POWER_WORK", 6 * 635 - 1)
+    with pytest.raises(InvalidInput, match="^a power whose work exceeds the limit of 3809 "):
         op("3^4")
     products = []
 
@@ -202,27 +224,56 @@ def test_the_meter_refuses_a_power_before_the_product_that_passes_the_limit(monk
         products.append((a, b))
         return a * b
 
-    # at 1000 a product the second passes 1805, so it is not made
+    # at one product's worth the second passes the limit, so it is not made
+    monkeypatch.setattr(polynomials, "MAX_POWER_WORK", 635)
     with pytest.raises(InvalidInput):
-        _power(3, 4, times, _meter(lambda a, b: 1000))
+        _power(3, 4, times, _meter(1))
     assert products == [(3, 3)]
 
 
+def test_the_leibniz_product_charges_each_derivative_and_product_of_its_coefficients(
+        monkeypatch):
+    # a product of rational functions costs _CALL_WORK more than the kernel's, for
+    # its normalisation and the sums around it
+    x = parse_rational("x", 1)
+    work = _cost(_size(1), _size(x), 1) + _CALL_WORK
+    monkeypatch.setattr(polynomials, "MAX_POWER_WORK", work)
+    _meter(1)(1, x)
+    monkeypatch.setattr(polynomials, "MAX_POWER_WORK", work - 1)
+    with pytest.raises(InvalidInput):
+        _meter(1)(1, x)
+    charges = []
+    h, p = op("x*D + 1"), op("x^2*D")
+    # D*p = x^2*D^2 + 2*x*D: one derivative of p's one coefficient, then x times the
+    # two coefficients of D*p and 1 times the one of p
+    product = scalar_operator_product(h, p, lambda f, c: charges.append((f, c)))
+    assert product == op("x^3*D^2 + 2*x^2*D + x^2*D") == scalar_operator_product(h, p)
+    x2 = parse_rational("x^2", 1)
+    assert charges == [(1, x2), (x, 2 * x), (x, x2), (1, x2)]
+
+
 # One bound, ``MAX_POWER_WORK`` digit products, for every power: the meter of
-# ``polynomials._power`` charges each product of the squaring chain, at the cost
-# of its two operands, before it is made.  Each case is the smallest power of its
+# ``polynomials._power`` charges each product of the squaring chain, or of an
+# operator's Leibniz products each product and derivative of coefficients, at the
+# cost of its operands, before it is made.  Each case is the smallest power of its
 # kind that is refused: the largest one under the bound is parsed below.
 @pytest.mark.parametrize("text, m", [
     ("(x + 1)^100000*D - 1", 1),
-    ("(x + 1)^1778", 1),
-    ("(x1 + x2 + 1)^107", 2),
-    ("((x + 1)/x)^1778", 1),
+    ("(x + 1)^1809", 1),
+    ("(x1 + x2 + 1)^136", 2),
+    ("((x + 1)/x)^1809", 1),
     # the denominator (x + 1)^2 counts too
-    ("(x/(x + 1)^2)^889", 1),
+    ("(x/(x + 1)^2)^905", 1),
     # a square is one product of f with itself, and a cube f times f^2
-    (f"({SUM_2233})^2", 1),
-    ("(" + " + ".join(f"x{j}" for j in range(1, 57)) + ")^3", 56),
+    (f"({SUM_2666})^2", 1),
+    ("(" + " + ".join(f"x{j}" for j in range(1, 84)) + ")^3", 83),
     ("(" + " + ".join(f"x{j}" for j in range(1, 101)) + ")^3", 100),
+    # an operator whose coefficients are sparse: each sum and derivative of the
+    # Leibniz products passes over their dense length, 900 * j for x^(900*j)
+    ("(x^900*D + 1)^23", 1),
+    # a square whose Leibniz product takes 5000 derivatives of one shift after
+    # another: each is charged before it is taken
+    ("(x^5000*D^5000 + 1)^2", 1),
 ])
 def test_a_power_past_the_product_bound_is_refused_before_it_is_multiplied(text, m):
     with returns_within(10):
@@ -234,14 +285,20 @@ def test_a_power_past_the_product_bound_is_refused_before_it_is_multiplied(text,
 def test_the_largest_powers_under_the_product_bound_parse():
     assert MAX_POWER_WORK == 1_500_000_000
     with returns_within(30):
-        p = op("(x + 1)^1777*D - 1")
-        q = op("(x1 + x2 + 1)^106", 2)
-        r = op(f"({SUM_2233[:-9]})^2")  # the square of 1 + x + ... + x^2231
-    assert q.coefficient(Derivative(1, (0, 0))).num.terms[(0, 106)] == 1
-    # (x + 1)^1777 has 1778 terms, the binomial coefficients
+        p = op("(x + 1)^1808*D - 1")
+        q = op("(x1 + x2 + 1)^135", 2)
+        r = op(f"({SUM_2666[:-9]})^2")  # the square of 1 + x + ... + x^2664
+        cube = op("(" + " + ".join(f"x{j}" for j in range(1, 83)) + ")^3", 82)
+        sparse = op("(x^900*D + 1)^22")
+    assert sparse.coefficient(Derivative(1, (22,))) == parse_rational("x^19800", 1)
+    assert q.coefficient(Derivative(1, (0, 0))).num.terms[(0, 135)] == 1
+    # (x + 1)^1808 has 1809 terms, the binomial coefficients
     terms = p.coefficient(Derivative(1, (1,))).num.terms
-    assert len(terms) == 1778 and terms[(888,)] == math.comb(1777, 888)
-    assert r.coefficient(Derivative(1, (0,))).num.terms[(2231,)] == 2232
+    assert len(terms) == 1809 and terms[(904,)] == math.comb(1808, 904)
+    assert r.coefficient(Derivative(1, (0,))).num.terms[(2664,)] == 2665
+    # the cube of 82 terms has C(84, 3) of them, x1*x2*x3 with the coefficient 3!
+    terms = cube.coefficient(Derivative(1, (0,) * 82)).num.terms
+    assert len(terms) == math.comb(84, 3) and terms[(1, 1, 1) + (0,) * 79] == 6
 
 
 # Powers of operators are Leibniz products under the same meter: the powers below
@@ -265,6 +322,7 @@ def test_an_operator_power_is_its_halves_multiplied(base, k, leading):
 # cost CPython's digit products.
 @pytest.mark.parametrize("text, m, field, message", [
     ("3^30000000*D - 1", 1, "real", REFUSED),
+    ("3^5080069", 1, "real", REFUSED),
     ("3^5084914", 1, "real", REFUSED),
     ("3^5084916", 1, "real", REFUSED),
     ("(1/3)^5084914", 1, "real", REFUSED),
@@ -309,8 +367,8 @@ def test_a_power_past_the_exponent_bound_is_refused_before_it_is_multiplied(text
 
 def test_the_largest_constant_power_under_the_digit_bound_parses():
     with returns_within(30):
-        c = op("3^5084913").coefficient(Derivative(1, (0,))).num.terms[(0,)]
-        assert c == 3 ** 5084913
+        c = op("3^5080068").coefficient(Derivative(1, (0,))).num.terms[(0,)]
+        assert c == 3 ** 5080068
         # a coefficient of 1 adds no digits: the exponent bound speaks first
         with pytest.raises(InvalidInput, match=r"^exponent \(100000000,\) exceeds the limit"):
             op("x^100000000*D - 1")
@@ -342,12 +400,14 @@ def test_a_fractional_base_costs_what_an_integer_one_does():
             elapsed = time.perf_counter() - start
             fastest[base] = min(fastest.get(base, elapsed), elapsed)
     assert fastest["x + 1/2"] < 1.5 * fastest["2*x + 1"]
+    # and on its own: about 0.5 s (2 vCPUs), a power of Fractions 15 times as long
+    assert fastest["x + 1/2"] < 2
 
 
 def test_a_power_of_few_products_parses_however_many_terms_it_has():
     with returns_within(30):
         # a first power multiplies nothing
-        assert op(f"({SUM_2233})^1") == op(SUM_2233)
+        assert op(f"({SUM_2666})^1") == op(SUM_2666)
         # the square of 53 terms is 53^2 products; its 1431 terms pass no bound
         square = op(f"({SUM_53})^2", 53).coefficient(Derivative(1, (0,) * 53)).num.terms
     assert len(square) == math.comb(54, 2) and square[(1, 1) + (0,) * 51] == 2
