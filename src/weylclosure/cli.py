@@ -50,6 +50,7 @@ from .jets import (
 from .linalg import nullity
 from .parsing import parse_operator, parse_rational
 from .riquier import complete_to_riquier_basis
+from .scalars import ZERO
 from .systemio import (
     SystemFile,
     jet_to_json,
@@ -159,7 +160,7 @@ def _cmd_prop1(args, system: SystemFile) -> int:
     _emit({
         "rows": len(matrix.rows),
         "columns": len(matrix.columns),
-        "nullity": nullity(matrix.rows, len(matrix.columns)),
+        "nullity": nullity(matrix.rows, len(matrix.columns), ZERO),
         "parametric_count": len(basis.parametric_up_to(s)),
         "s": s,
     })

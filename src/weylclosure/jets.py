@@ -26,14 +26,23 @@ a prefix of it, never visiting a row whose inputs are all zero.  Delta_T and
 its positions are ranked once per (m, n) (``operators.ranked_delta``), and the
 constraint matrix's columns, the plans and the solved jets read them from
 there.  The principal/parametric classification is made once per basis
-(``RiquierBasis.ranked_up_to``), and only the plans read it.
+(``RiquierBasis.ranked_up_to``), and only the plans read it.  A basis keeps
+the plan it used last, found by the identity of its point before a point is
+hashed.
 
-The arithmetic is only what the answers need: integer factors (binomials,
-factorials) are multiplied out before one Fraction product per entry, and
-none when that product is 1; zero Taylor terms are never formed; absent and
-vanishing values are the one shared ``scalars.ZERO``.  Requests whose Delta_s
-or constraint matrix would exceed ``operators.MAX_JET_SIZE`` are refused with
-InvalidInput before anything is built.
+A jet pays for its nonzero values, not for the derivatives of Delta_T: each
+solved or nullspace jet is one copy of the zero jet that ``operators`` keeps
+per order (``zero_values``), with only its nonzero values written in, and the
+jet keeps that copy as its own.  The arithmetic is only what the answers
+need: integer factors (binomials, factorials) are multiplied out before one
+Fraction product per entry, and none when that product is 1; zero Taylor
+terms are never formed; a push of the value 1 multiplies nothing, and a push
+into a position still at zero adds nothing; the elimination compares entries
+with the shared zero by identity before it asks their truthiness.  Absent and
+vanishing values, those that cancel included, are the one shared
+``scalars.ZERO``.  Requests whose Delta_s or constraint matrix would exceed
+``operators.MAX_JET_SIZE`` are refused with InvalidInput before anything is
+built.
 """
 
 from __future__ import annotations
@@ -58,10 +67,11 @@ from .operators import (
     delta_size,
     multi_indices,
     ranked_delta,
+    zero_values,
 )
 from .polynomials import Polynomial, RationalFunction
 from .riquier import RiquierBasis
-from .scalars import ZERO, Scalar, format_point
+from .scalars import ZERO, GaussianRational, Scalar, format_point
 
 
 @dataclass
@@ -149,9 +159,11 @@ class SolvePlan:
     Its rows are stored transposed: ``readers[j]`` lists, in increasing i,
     the (i, c) with j < i such that the value at i has the term c * (value
     at j), the shifted rule's other terms negated, zero coefficients
-    dropped.  So a solve pushes each nonzero value forward and never visits a row whose
-    inputs are all zero.  One plan serves every order: a solve at a higher
-    order extends it, a lower order reads a prefix.
+    dropped.  So a solve pushes each nonzero value forward and never visits
+    a row whose inputs are all zero, and writes into its jet, a copy of the
+    zero jet, only the values that are nonzero.  One plan serves every
+    order: a solve at a higher order extends it, a lower order reads a
+    prefix.
     """
 
     def __init__(self, point: Tuple[Scalar, ...]) -> None:
@@ -206,10 +218,17 @@ class SolvePlan:
 
 
 def _plan(basis: RiquierBasis, point: Tuple[Scalar, ...]) -> SolvePlan:
-    """The basis's evaluation at the point, made on first use."""
-    plan = basis.solve_plans.get(point)
-    if plan is None:
-        plan = basis.solve_plans[point] = SolvePlan(point)
+    """The basis's evaluation at the point, made on first use.
+
+    The plan used last is taken when its point is this very tuple, before
+    the lookup that hashes every coordinate.
+    """
+    plan = basis.last_plan
+    if plan is None or plan.point is not point:
+        plan = basis.solve_plans.get(point)
+        if plan is None:
+            plan = basis.solve_plans[point] = SolvePlan(point)
+        basis.last_plan = plan
     return plan
 
 
@@ -221,13 +240,18 @@ def formal_solve(basis: RiquierBasis, point: Sequence[Scalar],
     the substitution rule of the basis element whose head divides them: the
     basis's solve plan at the point (``basis.solve_plans``), compiled on the
     first solve there and extended when a later solve asks for a higher
-    order, pushes each nonzero value forward to the rows that read it.
-    Unspecified parametric values default to zero.  A value given for a
-    derivative that does not fit the system's (m, n), lies above the
-    truncation order or is principal raises InvalidInput, and so does a point
-    without m coordinates.  Each value is checked by one lookup of its
-    position; the checks by fit and by order run only when a lookup fails,
-    and then one of them raises.
+    order, pushes each nonzero value forward to the rows that read it.  A
+    push stores its term itself where the target still holds ZERO, and a
+    pushed 1 stores c itself (a Gaussian 1 multiplies, as it makes a real c
+    Gaussian), so each value keeps the scalar type its products give.  The
+    jet is a copy of the order's zero jet (``operators.zero_values``) with
+    only the nonzero values written in: a value that cancels, or an initial
+    value given as zero, is ZERO.  Unspecified parametric values default to
+    zero.  A value given for a derivative that does not fit the system's
+    (m, n), lies above the truncation order or is principal raises
+    InvalidInput, and so does a point without m coordinates.  Each value is
+    checked by one lookup of its position; the checks by fit and by order
+    run only when a lookup fails, and then one of them raises.
     """
     if order < basis.s0:
         raise SBelowS0(f"truncation order {order} is below the basis degree {basis.s0}")
@@ -252,16 +276,24 @@ def formal_solve(basis: RiquierBasis, point: Sequence[Scalar],
                 f"{format_derivative(d, basis.m, basis.n)}; "
                 f"only parametric derivatives take initial values")
         values[i] = value
+    jet = zero_values(basis.m, basis.n, order).copy()
     readers = plan.readers
     # every push goes to a later position, so enumerate meets each value after
-    # all its pushes; most values are the shared ZERO, which ``is`` skips cheaply
+    # all its pushes; most values are the shared ZERO, which ``is`` skips
+    # cheaply, and only the nonzero ones are written into the jet.  A value
+    # of 1 pushes c itself (a Gaussian 1 would make a real c Gaussian, so it
+    # multiplies), and a push into a ZERO stores its term
     for j, v in enumerate(values):
         if v is not ZERO and v:
+            jet[ranked[j]] = v
+            one = v == 1 and v.__class__ is not GaussianRational
             for i, c in readers[j]:
                 if i >= size:
                     break
-                values[i] = values[i] + c * v
-    return Jet(point, order, basis.m, basis.n, dict(zip(ranked, values)))
+                term = c if one else c * v
+                held = values[i]
+                values[i] = term if held is ZERO else held + term
+    return Jet.owning(point, order, basis.m, basis.n, jet)
 
 
 # -- evaluate-first Leibniz rows --------------------------------------------
@@ -370,16 +402,27 @@ def _leibniz_row(table: Dict[Derivative, Dict[MultiIndex, Scalar]],
 def solution_space_dim(basis: RiquierBasis, s: int, point: Sequence[Scalar]) -> int:
     """Nullity of the constraint matrix: the number of free jet parameters."""
     system = constraint_matrix(basis, s, point)
-    return nullity(system.rows, len(system.columns))
+    return nullity(system.rows, len(system.columns), ZERO)
 
 
 def constraint_nullspace(system: ConstraintSystem) -> List[Jet]:
-    """A basis of jets spanning the solutions of the constraint system."""
-    vectors = nullspace_basis(system.rows, len(system.columns), ZERO, Fraction(1))
+    """A basis of jets spanning the solutions of the constraint system.
+
+    The elimination takes the shared ZERO, which the matrix's zero entries
+    are and its nullspace vectors hold wherever they vanish.  Each jet is a
+    copy of the zero jet of order s (``operators.zero_values``, keyed like
+    ``system.columns``, Delta_s in ranking order) with the vector's other
+    entries written in.
+    """
+    m, n, s = system.basis.m, system.basis.n, system.s
+    zeros = zero_values(m, n, s)
     jets = []
-    for vec in vectors:
-        jets.append(Jet(system.point, system.s, system.basis.m, system.basis.n,
-                        dict(zip(system.columns, vec))))
+    for vec in nullspace_basis(system.rows, len(system.columns), ZERO, Fraction(1)):
+        values = zeros.copy()
+        for d, v in zip(system.columns, vec):
+            if v is not ZERO:
+                values[d] = v
+        jets.append(Jet.owning(system.point, s, m, n, values))
     return jets
 
 

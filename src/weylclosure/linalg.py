@@ -5,6 +5,13 @@ for symbolic matrices over the rational function field: entries only need
 +, -, *, /, truthiness and equality.  Elimination skips zeros: it does
 arithmetic only on the nonzero entries of each pivot row, which is most of
 the saving on constraint matrices, since they are mostly zeros.
+
+A caller whose matrix holds one shared zero object passes it as ``zero``
+(the jets pass ``scalars.ZERO``, lemma1 its ``RationalFunction.zero``).
+An entry is then compared with it by identity before its truthiness is
+asked, which costs a call on a Fraction or a rational function, and an entry
+that cancels is stored back as that zero, so later passes skip it by
+identity too.  The result is the same, value for value, with or without it.
 """
 
 from __future__ import annotations
@@ -12,11 +19,13 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 
-def row_echelon(rows: List[list]) -> Tuple[List[list], List[int]]:
+def row_echelon(rows: List[list], zero=None) -> Tuple[List[list], List[int]]:
     """Reduced row echelon form (in place on a copy) and the pivot column list.
 
     Scaling the pivot row and eliminating with it touch only the pivot row's
-    nonzero entries: where it is zero, no entry of any row changes.
+    nonzero entries: where it is zero, no entry of any row changes.  With a
+    shared ``zero``, entries that are it are skipped by identity, and every
+    entry that cancels becomes it.
     """
     mat = [list(r) for r in rows]
     if not mat:
@@ -25,22 +34,26 @@ def row_echelon(rows: List[list]) -> Tuple[List[list], List[int]]:
     pivots: List[int] = []
     r = 0
     for col in range(ncols):
-        pivot_row = next((i for i in range(r, len(mat)) if mat[i][col]), None)
+        pivot_row = next((i for i in range(r, len(mat))
+                          if mat[i][col] is not zero and mat[i][col]), None)
         if pivot_row is None:
             continue
         mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
         row = mat[r]
         # left of col the pivot row is zero: earlier pivots cleared it
-        support = [j for j in range(col, ncols) if row[j]]
+        support = [j for j in range(col, ncols) if row[j] is not zero and row[j]]
         inv = row[col]
         if inv != 1:
             for j in support:
                 row[j] = row[j] / inv
+        rest = support[1:]  # support[0] is col, where every other row cancels
         for i, other in enumerate(mat):
             factor = other[col]
-            if factor and i != r:
-                for j in support:
-                    other[j] = other[j] - factor * row[j]
+            if factor is not zero and factor and i != r:
+                other[col] = zero if zero is not None else factor - factor * row[col]
+                for j in rest:
+                    value = other[j] - factor * row[j]
+                    other[j] = value if value or zero is None else zero
         pivots.append(col)
         r += 1
         if r == len(mat):
@@ -48,27 +61,31 @@ def row_echelon(rows: List[list]) -> Tuple[List[list], List[int]]:
     return mat, pivots
 
 
-def rank(rows: List[list]) -> int:
-    return len(row_echelon(rows)[1])
+def rank(rows: List[list], zero=None) -> int:
+    return len(row_echelon(rows, zero)[1])
 
 
-def nullity(rows: List[list], ncols: int) -> int:
-    return ncols - rank(rows)
+def nullity(rows: List[list], ncols: int, zero=None) -> int:
+    return ncols - rank(rows, zero)
 
 
 def nullspace_basis(rows: List[list], ncols: int, zero, one) -> List[list]:
-    """A basis of the right nullspace, one vector per free column."""
+    """A basis of the right nullspace, one vector per free column.
+
+    Each vector holds ``zero`` itself wherever it is zero.
+    """
     if not rows:
         return [[one if j == i else zero for j in range(ncols)] for i in range(ncols)]
-    mat, pivots = row_echelon(rows)
+    mat, pivots = row_echelon(rows, zero)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:
         vec = [zero] * ncols
         vec[f] = one
         for r, c in enumerate(pivots):
-            if mat[r][f]:
-                vec[c] = -mat[r][f]
+            entry = mat[r][f]
+            if entry is not zero and entry:
+                vec[c] = -entry
         basis.append(vec)
     return basis
 
@@ -81,7 +98,7 @@ def solve_linear_combination(target: Sequence, vectors: Sequence[Sequence],
     if k == 0:
         return [] if not any(target) else None
     augmented = [[vectors[j][i] for j in range(k)] + [target[i]] for i in range(t)]
-    mat, pivots = row_echelon(augmented)
+    mat, pivots = row_echelon(augmented, zero)
     if k in pivots:
         return None  # pivot in the augmented column: inconsistent
     solution = [zero] * k

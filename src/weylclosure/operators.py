@@ -11,7 +11,10 @@ witness check multiplies on integer rows with a kernel of its own, so that
 it shares no code with what it checks.)  An operator's head under the
 standard ranking is found on first use and kept with the operator, whose
 terms never change.  Delta_s, the derivatives of order at most s, is sized
-(``delta_size``) and ranked (``ranked_delta``) here only.
+(``delta_size``) and ranked (``ranked_delta``) here only, and the zero jet on
+it is made here once per order (``zero_values``): a jet is a copy of it with
+its nonzero values written in, so it pays for those values and not for the
+derivatives of Delta_s.
 """
 
 from __future__ import annotations
@@ -162,6 +165,23 @@ def ranked_delta(m: int, n: int, order: int) -> Tuple[List[Derivative], Dict[Der
         ranked = ranked + new
         _RANKINGS[m, n] = ranked, position
     return ranked, position
+
+
+# Per (m, n, s): the zero jet's values on Delta_s, shared and read-only.
+_ZERO_VALUES: Dict[Tuple[int, int, int], Dict[Derivative, Scalar]] = {}
+
+
+def zero_values(m: int, n: int, s: int) -> Dict[Derivative, Scalar]:
+    """``dict.fromkeys(Delta_s in ranking order, ZERO)``, made once per (m, n, s).
+
+    The dict is shared, so it is read-only: a caller copies it, one copy per
+    jet, and writes the jet's nonzero values into the copy, which keeps the
+    ranking order of the keys.  InvalidInput past MAX_JET_SIZE.
+    """
+    values = _ZERO_VALUES.get((m, n, s))
+    if values is None:
+        values = _ZERO_VALUES[m, n, s] = dict.fromkeys(derivatives_up_to(m, n, s), ZERO)
+    return values
 
 
 def derivatives_up_to(m: int, n: int, s: int) -> List[Derivative]:
@@ -364,7 +384,8 @@ class Jet:
     """Derivative values of an n-tuple of formal series at a point, through order T.
 
     ``values`` is taken as given: it should hold derivatives of order at most
-    T, and ``truncate`` is what drops the higher ones.
+    T, and ``truncate`` is what drops the higher ones.  The jet keeps a copy
+    of it; ``owning`` makes one that keeps the dict it is handed.
     """
 
     __slots__ = ("base_point", "order", "m", "n", "values")
@@ -377,12 +398,21 @@ class Jet:
         self.n = n
         self.values = dict(values)
 
+    @classmethod
+    def owning(cls, base_point: Tuple[Scalar, ...], order: int, m: int, n: int,
+               values: Dict[Derivative, Scalar]) -> "Jet":
+        """The jet with these values, keeping ``values`` itself: no other
+        holder may keep it, since the jet's values are the jet's own."""
+        jet = cls.__new__(cls)
+        jet.base_point, jet.order, jet.m, jet.n, jet.values = base_point, order, m, n, values
+        return jet
+
     def value(self, d: Derivative) -> Scalar:
         return self.values.get(d, ZERO)
 
     def truncate(self, order: int) -> "Jet":
-        return Jet(self.base_point, order, self.m, self.n,
-                   {d: v for d, v in self.values.items() if d.order <= order})
+        return Jet.owning(self.base_point, order, self.m, self.n,
+                          {d: v for d, v in self.values.items() if d.order <= order})
 
     def is_zero(self) -> bool:
         return not any(self.values.values())
@@ -428,4 +458,4 @@ def apply_to_jet(p: OperatorVector, u: Jet) -> Jet:
         for d, c in shifted(beta).terms.items():
             total = total + c.evaluate(u.base_point) * u.value(d)
         values[Derivative(1, beta)] = total
-    return Jet(u.base_point, out_order, u.m, 1, values)
+    return Jet.owning(u.base_point, out_order, u.m, 1, values)

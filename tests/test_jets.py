@@ -26,7 +26,7 @@ from weylclosure import (
     pick_regular_point,
     solution_space_dim,
 )
-from weylclosure import jets, operators, ranking, riquier
+from weylclosure import jets, operators, ranking, riquier, scalars
 from weylclosure.operators import (
     MAX_JET_SIZE,
     Jet,
@@ -667,6 +667,68 @@ def test_formal_solve_two_variable_gradient():
     for alpha in [(0, 0), (1, 0), (0, 1), (2, 1)]:
         if sum(alpha) <= 3:
             assert u.value(Derivative(1, alpha)) == 1
+
+
+def test_a_value_that_cancels_in_a_solve_is_the_shared_zero():
+    # u'' = u' + u with u = 1, u' = -1: the two pushes into u'' cancel
+    basis = basis_of("D^2 - D - 1")
+    init = {Derivative(1, (0,)): Fraction(1), Derivative(1, (1,)): Fraction(-1)}
+    u = formal_solve(basis, ZERO, init, 5)
+    assert u.value(Derivative(1, (2,))) is scalars.ZERO
+    assert [u.value(Derivative(1, (k,))) for k in range(6)] == [1, -1, 0, -1, -1, -2]
+    assert u.values == symbolic_formal_solve(basis, ZERO, init, 5).values
+    # an initial value given as a zero of another type is the shared one too
+    u = formal_solve(basis, ZERO, {Derivative(1, (0,)): GaussianRational(0)}, 3)
+    assert all(v is scalars.ZERO for v in u.values.values())
+
+
+def test_every_jet_owns_its_values():
+    basis, point = plan_cases()["two unknowns"]
+    s = basis.s0 + 2
+    init = {d: Fraction(k + 1) for k, d in enumerate(basis.parametric_up_to(s))}
+    solved = formal_solve(basis, point, init, s)
+    spanned = constraint_nullspace(constraint_matrix(basis, s, point))
+    assert len(spanned) > 1
+    kept = [dict(solved.values)] + [dict(jet.values) for jet in spanned]
+    plan = basis.solve_plans[point]
+    for jet in (solved, spanned[0]):
+        for d in jet.values:
+            jet.values[d] = Fraction(7)
+        jet.values[Derivative(1, (s + 1, 0))] = Fraction(7)
+    assert [dict(jet.values) for jet in spanned[1:]] == kept[2:]
+    again = formal_solve(basis, point, init, s)
+    rebuilt = constraint_nullspace(constraint_matrix(basis, s, point))
+    assert basis.solve_plans[point] is plan
+    assert [again.values] + [jet.values for jet in rebuilt] == kept
+    for jet in [again] + rebuilt:
+        assert list(jet.values) == derivatives_up_to(2, 2, s)
+        assert all(v is scalars.ZERO for v in jet.values.values() if not v)
+
+
+@pytest.mark.parametrize("case", ["gaussian", "euler", "two unknowns"])
+def test_solved_values_keep_their_scalar_types(case):
+    # the Gaussian system takes Gaussian values; the real ones a Gaussian 1,
+    # whose pushes must stay Gaussian products, never a bare real coefficient
+    basis, point = plan_cases()[case]
+    order = basis.s0 + 3
+    parametric = basis.parametric_up_to(order)
+    if case == "gaussian":
+        rng = random.Random(11)
+        inits = [{d: GaussianRational(rng.randint(-2, 2), rng.randint(-1, 1))
+                  for d in parametric},
+                 {d: GaussianRational(1) for d in parametric}]
+    else:
+        inits = [{d: GaussianRational(1)} for d in parametric]
+        inits.append(dict.fromkeys(parametric, GaussianRational(1)))
+    for init in inits:
+        u = formal_solve(basis, point, init, order)
+        expected = symbolic_formal_solve(basis, point, init, order).values
+        assert u.values == expected
+        for d, value in u.values.items():
+            if expected[d]:
+                assert type(value) is type(expected[d]), d
+            else:
+                assert value is scalars.ZERO, d
 
 
 # -- solution-space dimension ----------------------------------------------

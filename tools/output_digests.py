@@ -23,10 +23,11 @@ in a checkout of each (``git archive <commit> | tar -x -C <dir>``; copy this
 file into a checkout that predates it) with the same keys, and compare the
 lines: equal digests mean byte-identical outputs.
 
-``output_digests_4242.0.txt`` next to this script holds the four lines of key
-4242.0 under Python 3.11 and sympy 1.14 with its default ground types, and CI
-compares them there: a change that means to change a printed output writes
-the new lines into that file.
+``output_digests_4242.0.txt`` and ``output_digests_4242.1.txt`` next to this
+script hold the four lines of keys 4242.0 and 4242.1 under Python 3.11 and
+sympy 1.14 with its default ground types, and CI compares them there: a
+change that means to change a printed output writes the new lines into those
+files.
 """
 
 from __future__ import annotations
