@@ -26,13 +26,12 @@ a prefix of it, never visiting a row whose inputs are all zero.  Delta_T and
 its positions are ranked once per (m, n) (``operators.ranked_delta``), and the
 constraint matrix's columns, the plans and the solved jets read them from
 there.  The principal/parametric classification is made once per basis
-(``RiquierBasis.ranked_up_to``), and only the plans read it.  A basis keeps
-the plan it used last, found by the identity of its point before a point is
-hashed.
+(``RiquierBasis.ranked_up_to``), and only the plans read it.
 
 A jet pays for its nonzero values, not for the derivatives of Delta_T: each
-solved or nullspace jet is one copy of the zero jet that ``operators`` keeps
-per order (``zero_values``), with only its nonzero values written in, and the
+solved jet is one copy of the zero jet that ``operators`` keeps for the
+order (``zero_values``), each nullspace jet one copy of a zero jet made once
+for the whole nullspace, with only its nonzero values written in, and the
 jet keeps that copy as its own.  The arithmetic is only what the answers
 need: integer factors (binomials, factorials) are multiplied out before one
 Fraction product per entry, and none when that product is 1; zero Taylor
@@ -218,17 +217,10 @@ class SolvePlan:
 
 
 def _plan(basis: RiquierBasis, point: Tuple[Scalar, ...]) -> SolvePlan:
-    """The basis's evaluation at the point, made on first use.
-
-    The plan used last is taken when its point is this very tuple, before
-    the lookup that hashes every coordinate.
-    """
-    plan = basis.last_plan
-    if plan is None or plan.point is not point:
-        plan = basis.solve_plans.get(point)
-        if plan is None:
-            plan = basis.solve_plans[point] = SolvePlan(point)
-        basis.last_plan = plan
+    """The basis's evaluation at the point, made on first use."""
+    plan = basis.solve_plans.get(point)
+    if plan is None:
+        plan = basis.solve_plans[point] = SolvePlan(point)
     return plan
 
 
@@ -293,7 +285,7 @@ def formal_solve(basis: RiquierBasis, point: Sequence[Scalar],
                 term = c if one else c * v
                 held = values[i]
                 values[i] = term if held is ZERO else held + term
-    return Jet.owning(point, order, basis.m, basis.n, jet)
+    return Jet(point, order, basis.m, basis.n, jet)
 
 
 # -- evaluate-first Leibniz rows --------------------------------------------
@@ -410,19 +402,18 @@ def constraint_nullspace(system: ConstraintSystem) -> List[Jet]:
 
     The elimination takes the shared ZERO, which the matrix's zero entries
     are and its nullspace vectors hold wherever they vanish.  Each jet is a
-    copy of the zero jet of order s (``operators.zero_values``, keyed like
-    ``system.columns``, Delta_s in ranking order) with the vector's other
-    entries written in.
+    copy of one zero jet on ``system.columns`` (Delta_s in ranking order),
+    made once for the nullspace, with the vector's other entries written in.
     """
     m, n, s = system.basis.m, system.basis.n, system.s
-    zeros = zero_values(m, n, s)
+    zeros = dict.fromkeys(system.columns, ZERO)
     jets = []
     for vec in nullspace_basis(system.rows, len(system.columns), ZERO, Fraction(1)):
         values = zeros.copy()
         for d, v in zip(system.columns, vec):
             if v is not ZERO:
                 values[d] = v
-        jets.append(Jet.owning(system.point, s, m, n, values))
+        jets.append(Jet(system.point, s, m, n, values))
     return jets
 
 

@@ -6,12 +6,13 @@ for symbolic matrices over the rational function field: entries only need
 arithmetic only on the nonzero entries of each pivot row, which is most of
 the saving on constraint matrices, since they are mostly zeros.
 
-A caller whose matrix holds one shared zero object passes it as ``zero``
-(the jets pass ``scalars.ZERO``, lemma1 its ``RationalFunction.zero``).
-An entry is then compared with it by identity before its truthiness is
-asked, which costs a call on a Fraction or a rational function, and an entry
-that cancels is stored back as that zero, so later passes skip it by
-identity too.  The result is the same, value for value, with or without it.
+The caller passes the zero of its field as ``zero``: the jets pass
+``scalars.ZERO``, which their matrices' zero entries are, and lemma1 its
+``RationalFunction.zero``.  An entry is compared with it by identity before
+its truthiness is asked, which costs a call on a Fraction or a rational
+function, and an entry that cancels is stored back as that zero, so later
+passes skip it by identity too.  Any zero of the field gives the same values
+and pivots; one that the entries share only skips more of them.
 """
 
 from __future__ import annotations
@@ -19,13 +20,13 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 
-def row_echelon(rows: List[list], zero=None) -> Tuple[List[list], List[int]]:
+def row_echelon(rows: List[list], zero) -> Tuple[List[list], List[int]]:
     """Reduced row echelon form (in place on a copy) and the pivot column list.
 
     Scaling the pivot row and eliminating with it touch only the pivot row's
-    nonzero entries: where it is zero, no entry of any row changes.  With a
-    shared ``zero``, entries that are it are skipped by identity, and every
-    entry that cancels becomes it.
+    nonzero entries: where it is zero, no entry of any row changes.  Entries
+    that are ``zero`` are skipped by identity, and every entry that cancels,
+    the pivot column of every other row included, becomes it.
     """
     mat = [list(r) for r in rows]
     if not mat:
@@ -50,10 +51,10 @@ def row_echelon(rows: List[list], zero=None) -> Tuple[List[list], List[int]]:
         for i, other in enumerate(mat):
             factor = other[col]
             if factor is not zero and factor and i != r:
-                other[col] = zero if zero is not None else factor - factor * row[col]
+                other[col] = zero
                 for j in rest:
                     value = other[j] - factor * row[j]
-                    other[j] = value if value or zero is None else zero
+                    other[j] = value if value else zero
         pivots.append(col)
         r += 1
         if r == len(mat):
@@ -61,11 +62,11 @@ def row_echelon(rows: List[list], zero=None) -> Tuple[List[list], List[int]]:
     return mat, pivots
 
 
-def rank(rows: List[list], zero=None) -> int:
+def rank(rows: List[list], zero) -> int:
     return len(row_echelon(rows, zero)[1])
 
 
-def nullity(rows: List[list], ncols: int, zero=None) -> int:
+def nullity(rows: List[list], ncols: int, zero) -> int:
     return ncols - rank(rows, zero)
 
 

@@ -12,9 +12,9 @@ it shares no code with what it checks.)  An operator's head under the
 standard ranking is found on first use and kept with the operator, whose
 terms never change.  Delta_s, the derivatives of order at most s, is sized
 (``delta_size``) and ranked (``ranked_delta``) here only, and the zero jet on
-it is made here once per order (``zero_values``): a jet is a copy of it with
-its nonzero values written in, so it pays for those values and not for the
-derivatives of Delta_s.
+it is kept here for the last order asked (``zero_values``): a solved jet is a
+copy of it with its nonzero values written in, so it pays for those values
+and not for the derivatives of Delta_s.
 """
 
 from __future__ import annotations
@@ -167,21 +167,24 @@ def ranked_delta(m: int, n: int, order: int) -> Tuple[List[Derivative], Dict[Der
     return ranked, position
 
 
-# Per (m, n, s): the zero jet's values on Delta_s, shared and read-only.
-_ZERO_VALUES: Dict[Tuple[int, int, int], Dict[Derivative, Scalar]] = {}
+# Per (m, n): the last order s asked and the zero jet's values on Delta_s,
+# shared and read-only.  Another order replaces it, so no more is kept than
+# one dict the size of a prefix of ``_RANKINGS``'s list.
+_ZERO_VALUES: Dict[Tuple[int, int], Tuple[int, Dict[Derivative, Scalar]]] = {}
 
 
 def zero_values(m: int, n: int, s: int) -> Dict[Derivative, Scalar]:
-    """``dict.fromkeys(Delta_s in ranking order, ZERO)``, made once per (m, n, s).
+    """``dict.fromkeys(Delta_s in ranking order, ZERO)``, made again only when
+    the order differs from the last one asked for (m, n).
 
     The dict is shared, so it is read-only: a caller copies it, one copy per
     jet, and writes the jet's nonzero values into the copy, which keeps the
     ranking order of the keys.  InvalidInput past MAX_JET_SIZE.
     """
-    values = _ZERO_VALUES.get((m, n, s))
-    if values is None:
-        values = _ZERO_VALUES[m, n, s] = dict.fromkeys(derivatives_up_to(m, n, s), ZERO)
-    return values
+    held = _ZERO_VALUES.get((m, n))
+    if held is None or held[0] != s:
+        held = _ZERO_VALUES[m, n] = s, dict.fromkeys(derivatives_up_to(m, n, s), ZERO)
+    return held[1]
 
 
 def derivatives_up_to(m: int, n: int, s: int) -> List[Derivative]:
@@ -384,34 +387,26 @@ class Jet:
     """Derivative values of an n-tuple of formal series at a point, through order T.
 
     ``values`` is taken as given: it should hold derivatives of order at most
-    T, and ``truncate`` is what drops the higher ones.  The jet keeps a copy
-    of it; ``owning`` makes one that keeps the dict it is handed.
+    T, and ``truncate`` is what drops the higher ones.  The jet keeps the
+    dict it is handed, uncopied, so the caller hands over a dict that it
+    does not keep.
     """
 
     __slots__ = ("base_point", "order", "m", "n", "values")
 
     def __init__(self, base_point: Sequence[Scalar], order: int, m: int, n: int,
-                 values: Mapping[Derivative, Scalar]):
+                 values: Dict[Derivative, Scalar]):
         self.base_point = tuple(base_point)
         self.order = order
         self.m = m
         self.n = n
-        self.values = dict(values)
-
-    @classmethod
-    def owning(cls, base_point: Tuple[Scalar, ...], order: int, m: int, n: int,
-               values: Dict[Derivative, Scalar]) -> "Jet":
-        """The jet with these values, keeping ``values`` itself: no other
-        holder may keep it, since the jet's values are the jet's own."""
-        jet = cls.__new__(cls)
-        jet.base_point, jet.order, jet.m, jet.n, jet.values = base_point, order, m, n, values
-        return jet
+        self.values = values
 
     def value(self, d: Derivative) -> Scalar:
         return self.values.get(d, ZERO)
 
     def truncate(self, order: int) -> "Jet":
-        return Jet.owning(self.base_point, order, self.m, self.n,
+        return Jet(self.base_point, order, self.m, self.n,
                           {d: v for d, v in self.values.items() if d.order <= order})
 
     def is_zero(self) -> bool:
@@ -458,4 +453,4 @@ def apply_to_jet(p: OperatorVector, u: Jet) -> Jet:
         for d, c in shifted(beta).terms.items():
             total = total + c.evaluate(u.base_point) * u.value(d)
         values[Derivative(1, beta)] = total
-    return Jet.owning(u.base_point, out_order, u.m, 1, values)
+    return Jet(u.base_point, out_order, u.m, 1, values)

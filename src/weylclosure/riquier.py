@@ -367,8 +367,7 @@ class RiquierBasis:
     A basis that ``complete_to_riquier_basis`` returns is shared with every
     later caller that completes the same generators, so it is read-only too:
     only its memo tables (``ranked_rules``, the parametric lists by order,
-    ``solve_plans`` with ``last_plan``, and the derivation log's replayed
-    rows) grow, and they hold what any caller would compute.
+    ``solve_plans`` and the derivation log's replayed rows) grow, and they hold what any caller would compute.
     """
 
     def __init__(self, elements: Sequence[OperatorVector], m: int, n: int,
@@ -386,11 +385,8 @@ class RiquierBasis:
         self.ranked_rules: List[Optional[int]] = []
         self._parametric: Dict[int, List[Derivative]] = {}  # see ``parametric_up_to``
         # the basis evaluated at each point, one plan per point for every
-        # order; built and extended by jets.constraint_matrix and formal_solve,
-        # which find the plan they used last by the identity of its point
-        # before they hash a point to look one up
+        # order; built and extended by jets.constraint_matrix and formal_solve
         self.solve_plans: Dict[tuple, "SolvePlan"] = {}
-        self.last_plan: Optional["SolvePlan"] = None
 
     @property
     def generator_cofactors(self) -> List[Cofactors]:

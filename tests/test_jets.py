@@ -440,6 +440,17 @@ def test_position_is_keyed_by_the_derivative_itself(monkeypatch, fresh_completio
     assert other.ranked_rules == [ranking.pick_rule(d, other.heads) for d in ranked[:12]]
 
 
+def test_only_the_last_zero_jet_is_kept_per_m_n(monkeypatch):
+    monkeypatch.setattr(operators, "_ZERO_VALUES", {})
+    for s in (3, 1, 4, 2):
+        zeros = operators.zero_values(2, 2, s)
+        assert list(zeros) == derivatives_up_to(2, 2, s)
+        assert all(v is scalars.ZERO for v in zeros.values())
+        assert operators.zero_values(2, 2, s) is zeros
+    operators.zero_values(1, 1, 5)
+    assert {key: s for key, (s, _) in operators._ZERO_VALUES.items()} == {(2, 2): 2, (1, 1): 5}
+
+
 def test_check_jet_constraints_examples():
     system = constraint_matrix(basis_of("D^2"), 2, ZERO)
     assert check_jet_constraints(jet_1d(0, [1, 1, 0]), system)

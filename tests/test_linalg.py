@@ -51,23 +51,23 @@ def assert_same_entries(a, b, zero, *inputs):
 @settings(deadline=None, max_examples=300)
 @given(sparse_matrices(), st.randoms(use_true_random=False))
 def test_elimination_matches_sympy_rref_and_nullspace_annihilates_rows(rows, rng):
-    mat, pivots = row_echelon(rows)
     reference, reference_pivots = sympy.Matrix(rows).rref()
-    assert pivots == list(reference_pivots)
-    assert mat == [[Fraction(int(e.p), int(e.q)) for e in reference.row(i)]
-                   for i in range(reference.rows)]
-    # the shared zero changes no value and no pivot, and every entry that
-    # cancels is that one object
-    shared, shared_pivots = row_echelon(rows, ZERO)
-    assert shared_pivots == pivots
-    for got, want in zip(shared, mat):
-        assert_same_entries(got, want, ZERO, *rows)
-    ncols = len(rows[0])
-    assert nullity(rows, ncols, ZERO) == nullity(rows, ncols) == ncols - len(pivots)
-    vectors = nullspace_basis(rows, ncols, ZERO, Fraction(1))
-    # a zero that is no entry of the matrix: every identity test fails on it
+    want = [[Fraction(int(e.p), int(e.q)) for e in reference.row(i)]
+            for i in range(reference.rows)]
+    # the shared zero and a zero that is no entry of the matrix (so every
+    # identity test fails on it) give sympy's values and pivots, and every
+    # entry that cancels is the zero passed
     own_zero = Fraction(0)
     assert own_zero is not ZERO
+    for zero in (ZERO, own_zero):
+        mat, pivots = row_echelon(rows, zero)
+        assert pivots == list(reference_pivots)
+        assert len(mat) == len(want)
+        for got, expected in zip(mat, want):
+            assert_same_entries(got, expected, zero, *rows)
+    ncols = len(rows[0])
+    assert nullity(rows, ncols, ZERO) == nullity(rows, ncols, own_zero) == ncols - len(pivots)
+    vectors = nullspace_basis(rows, ncols, ZERO, Fraction(1))
     unshared = nullspace_basis(rows, ncols, own_zero, Fraction(1))
     assert len(vectors) == len(unshared) == ncols - len(pivots)
     for vec, other in zip(vectors, unshared):
@@ -122,7 +122,7 @@ def test_rational_function_elimination_with_and_without_the_shared_zero(
     assert own_zero is not zero and own_zero == zero
     columns = [list(c) for c in zip(*family)] if family else []
     augmented = [row + [t] for row, t in zip(columns, target)]
-    mat, pivots = row_echelon(augmented)
+    mat, pivots = row_echelon(augmented, own_zero)
     shared, shared_pivots = row_echelon(augmented, zero)
     assert shared_pivots == pivots
     for got, want in zip(shared, mat):
