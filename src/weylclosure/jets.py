@@ -28,20 +28,17 @@ constraint matrix's columns, the plans and the solved jets read them from
 there.  The principal/parametric classification is made once per basis
 (``RiquierBasis.ranked_up_to``), and only the plans read it.
 
-A jet pays for its nonzero values, not for the derivatives of Delta_T: each
-solved jet is one copy of the zero jet that ``operators`` keeps for the
-order (``zero_values``), each nullspace jet one copy of a zero jet made once
-for the whole nullspace, with only its nonzero values written in, and the
-jet keeps that copy as its own.  The arithmetic is only what the answers
-need: integer factors (binomials, factorials) are multiplied out before one
-Fraction product per entry, and none when that product is 1; zero Taylor
-terms are never formed; a push of the value 1 multiplies nothing, and a push
-into a position still at zero adds nothing; the elimination compares entries
-with the shared zero by identity before it asks their truthiness.  Absent and
-vanishing values, those that cancel included, are the one shared
-``scalars.ZERO``.  Requests whose Delta_s or constraint matrix would exceed
-``operators.MAX_JET_SIZE`` are refused with InvalidInput before anything is
-built.
+A jet pays for its nonzero values, not for the derivatives of Delta_T: a
+solved jet and a nullspace jet each store only their nonzero values, and
+``Jet.value`` reads an absent derivative as zero.  The arithmetic is only
+what the answers need: integer factors (binomials, factorials) are
+multiplied out before one Fraction product per entry, and none when that
+product is 1; zero Taylor terms are never formed; a push of the value 1
+multiplies nothing, and a push into a position still at zero adds nothing;
+the elimination compares entries with the shared zero by identity before it
+asks their truthiness; a value that cancels is not stored.  Requests whose
+Delta_s or constraint matrix would exceed ``operators.MAX_JET_SIZE`` are
+refused with InvalidInput before anything is built.
 """
 
 from __future__ import annotations
@@ -66,7 +63,6 @@ from .operators import (
     delta_size,
     multi_indices,
     ranked_delta,
-    zero_values,
 )
 from .polynomials import Polynomial, RationalFunction
 from .riquier import RiquierBasis
@@ -159,8 +155,8 @@ class SolvePlan:
     the (i, c) with j < i such that the value at i has the term c * (value
     at j), the shifted rule's other terms negated, zero coefficients
     dropped.  So a solve pushes each nonzero value forward and never visits
-    a row whose inputs are all zero, and writes into its jet, a copy of the
-    zero jet, only the values that are nonzero.  One plan serves every
+    a row whose inputs are all zero, and writes into its jet only the values
+    that are nonzero.  One plan serves every
     order: a solve at a higher order extends it, a lower order reads a
     prefix.
     """
@@ -236,10 +232,9 @@ def formal_solve(basis: RiquierBasis, point: Sequence[Scalar],
     push stores its term itself where the target still holds ZERO, and a
     pushed 1 stores c itself (a Gaussian 1 multiplies, as it makes a real c
     Gaussian), so each value keeps the scalar type its products give.  The
-    jet is a copy of the order's zero jet (``operators.zero_values``) with
-    only the nonzero values written in: a value that cancels, or an initial
-    value given as zero, is ZERO.  Unspecified parametric values default to
-    zero.  A value given for a derivative that does not fit the system's
+    jet stores only the nonzero values: a value that cancels, or an initial
+    value given as zero, is absent and reads as ZERO.  Unspecified parametric
+    values default to zero.  A value given for a derivative that does not fit the system's
     (m, n), lies above the truncation order or is principal raises
     InvalidInput, and so does a point without m coordinates.  Each value is
     checked by one lookup of its position; the checks by fit and by order
@@ -268,11 +263,11 @@ def formal_solve(basis: RiquierBasis, point: Sequence[Scalar],
                 f"{format_derivative(d, basis.m, basis.n)}; "
                 f"only parametric derivatives take initial values")
         values[i] = value
-    jet = zero_values(basis.m, basis.n, order).copy()
+    jet: Dict[Derivative, Scalar] = {}
     readers = plan.readers
     # every push goes to a later position, so enumerate meets each value after
     # all its pushes; most values are the shared ZERO, which ``is`` skips
-    # cheaply, and only the nonzero ones are written into the jet.  A value
+    # cheaply, and only the nonzero ones are stored in the jet.  A value
     # of 1 pushes c itself (a Gaussian 1 would make a real c Gaussian, so it
     # multiplies), and a push into a ZERO stores its term
     for j, v in enumerate(values):
@@ -401,20 +396,14 @@ def constraint_nullspace(system: ConstraintSystem) -> List[Jet]:
     """A basis of jets spanning the solutions of the constraint system.
 
     The elimination takes the shared ZERO, which the matrix's zero entries
-    are and its nullspace vectors hold wherever they vanish.  Each jet is a
-    copy of one zero jet on ``system.columns`` (Delta_s in ranking order),
-    made once for the nullspace, with the vector's other entries written in.
+    are and its nullspace vectors hold wherever they vanish.  Each jet stores
+    the vector's other entries, on ``system.columns`` (Delta_s in ranking
+    order).
     """
     m, n, s = system.basis.m, system.basis.n, system.s
-    zeros = dict.fromkeys(system.columns, ZERO)
-    jets = []
-    for vec in nullspace_basis(system.rows, len(system.columns), ZERO, Fraction(1)):
-        values = zeros.copy()
-        for d, v in zip(system.columns, vec):
-            if v is not ZERO:
-                values[d] = v
-        jets.append(Jet(system.point, s, m, n, values))
-    return jets
+    return [Jet(system.point, s, m, n,
+                {d: v for d, v in zip(system.columns, vec) if v is not ZERO})
+            for vec in nullspace_basis(system.rows, len(system.columns), ZERO, Fraction(1))]
 
 
 def pick_regular_point(avoid: Sequence[Polynomial], m: int) -> Tuple[Fraction, ...]:

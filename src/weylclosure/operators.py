@@ -11,10 +11,8 @@ witness check multiplies on integer rows with a kernel of its own, so that
 it shares no code with what it checks.)  An operator's head under the
 standard ranking is found on first use and kept with the operator, whose
 terms never change.  Delta_s, the derivatives of order at most s, is sized
-(``delta_size``) and ranked (``ranked_delta``) here only, and the zero jet on
-it is kept here for the last order asked (``zero_values``): a solved jet is a
-copy of it with its nonzero values written in, so it pays for those values
-and not for the derivatives of Delta_s.
+(``delta_size``) and ranked (``ranked_delta``) here only.  A jet stores only
+its nonzero values and reads an absent derivative as zero.
 """
 
 from __future__ import annotations
@@ -165,26 +163,6 @@ def ranked_delta(m: int, n: int, order: int) -> Tuple[List[Derivative], Dict[Der
         ranked = ranked + new
         _RANKINGS[m, n] = ranked, position
     return ranked, position
-
-
-# Per (m, n): the last order s asked and the zero jet's values on Delta_s,
-# shared and read-only.  Another order replaces it, so no more is kept than
-# one dict the size of a prefix of ``_RANKINGS``'s list.
-_ZERO_VALUES: Dict[Tuple[int, int], Tuple[int, Dict[Derivative, Scalar]]] = {}
-
-
-def zero_values(m: int, n: int, s: int) -> Dict[Derivative, Scalar]:
-    """``dict.fromkeys(Delta_s in ranking order, ZERO)``, made again only when
-    the order differs from the last one asked for (m, n).
-
-    The dict is shared, so it is read-only: a caller copies it, one copy per
-    jet, and writes the jet's nonzero values into the copy, which keeps the
-    ranking order of the keys.  InvalidInput past MAX_JET_SIZE.
-    """
-    held = _ZERO_VALUES.get((m, n))
-    if held is None or held[0] != s:
-        held = _ZERO_VALUES[m, n] = s, dict.fromkeys(derivatives_up_to(m, n, s), ZERO)
-    return held[1]
 
 
 def derivatives_up_to(m: int, n: int, s: int) -> List[Derivative]:
@@ -387,9 +365,10 @@ class Jet:
     """Derivative values of an n-tuple of formal series at a point, through order T.
 
     ``values`` is taken as given: it should hold derivatives of order at most
-    T, and ``truncate`` is what drops the higher ones.  The jet keeps the
-    dict it is handed, uncopied, so the caller hands over a dict that it
-    does not keep.
+    T, and ``truncate`` is what drops the higher ones.  A derivative absent
+    from it has the value zero, and the jets the library makes store only
+    their nonzero values.  The jet keeps the dict it is handed, uncopied, so
+    the caller hands over a dict that it does not keep.
     """
 
     __slots__ = ("base_point", "order", "m", "n", "values")
@@ -407,7 +386,7 @@ class Jet:
 
     def truncate(self, order: int) -> "Jet":
         return Jet(self.base_point, order, self.m, self.n,
-                          {d: v for d, v in self.values.items() if d.order <= order})
+                   {d: v for d, v in self.values.items() if d.order <= order})
 
     def is_zero(self) -> bool:
         return not any(self.values.values())
@@ -452,5 +431,6 @@ def apply_to_jet(p: OperatorVector, u: Jet) -> Jet:
         total: Scalar = Fraction(0)
         for d, c in shifted(beta).terms.items():
             total = total + c.evaluate(u.base_point) * u.value(d)
-        values[Derivative(1, beta)] = total
+        if total:
+            values[Derivative(1, beta)] = total
     return Jet(u.base_point, out_order, u.m, 1, values)

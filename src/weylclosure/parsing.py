@@ -25,17 +25,20 @@ value with a derivation in it maps each multi-index alpha to the function
 that multiplies ``D^alpha``.  A function, or a polynomial in D with constant
 coefficients, raised to ``^k`` is one ``RationalFunction`` power over the
 integers (``x^k`` and ``D^k`` one monomial).  A product with a function
-on the left multiplies coefficient by coefficient; only a product with a
-derivation on the left needs the Leibniz rule, and it takes it from
-``operators.scalar_operator_product``.  Each coefficient becomes a
-``RationalFunction`` once, at the end, and only where the caller wants one:
-``parse_derivative`` and ``parse_constant`` read a derivative (1*d) or a
-constant off the parsed values.  A power is refused before any product when its
-degree would pass ``MAX_EXPONENT`` (a polynomial in D of one term has no such
-bound), and before the product that would take its metered work past
-``MAX_POWER_WORK``: each product of its squaring chain, or, for an operator with
-a function in it, each product and derivative of coefficients in its Leibniz
-products.  The grammar's symbol test reads a list that the tokenizer builds.
+on the left multiplies coefficient by coefficient, and so does a product of
+two polynomials in D with constant coefficients, which commute; any other
+product with a derivation on the left needs the Leibniz rule, and it takes
+it from ``operators.scalar_operator_product``, metered as a power's
+Leibniz products are and refused past ``MAX_POWER_WORK``.  Each coefficient
+becomes a ``RationalFunction`` once, at the end, and only where the caller
+wants one: ``parse_derivative`` and ``parse_constant`` read a derivative
+(1*d) or a constant off the parsed values.  A power is refused before any
+product when its degree would pass ``MAX_EXPONENT`` (a polynomial in D of
+one term has no such bound), and before the product that would take its
+metered work past ``MAX_POWER_WORK``: each product of its squaring chain,
+or, for an operator with a function in it, each product and derivative of
+coefficients in its Leibniz products.  The grammar's symbol test reads a
+list that the tokenizer builds.
 """
 
 from __future__ import annotations
@@ -217,10 +220,24 @@ class _Parser:
         return OperatorVector({Derivative(1, alpha): _rational(c, self.m)
                                for alpha, c in self.operator(value).items()}, self.m, 1)
 
+    def constants(self, value):
+        """A polynomial in D with constant coefficients as ``{alpha: scalar}``, else None."""
+        zero = self.zero
+        if type(value) is _Operator and all(type(c) is dict and c.keys() == {zero}
+                                            for c in value.values()):
+            return {alpha: c[zero] for alpha, c in value.items()}
+        return None
+
     def product(self, left, right):
         m = self.m
-        if type(left) is _Operator:  # the Leibniz rule
-            return _operator(scalar_operator_product(self.vector(left), self.vector(right)))
+        if type(left) is _Operator:
+            f, g = self.constants(left), self.constants(right)
+            if f is not None and g is not None:  # constant coefficients commute with D
+                return _Operator({alpha: {self.zero: c}
+                                  for alpha, c in _function_product(f, g, m).items()})
+            # the Leibniz rule
+            return _operator(scalar_operator_product(self.vector(left), self.vector(right),
+                                                     _meter(m, "product")))
         if type(right) is _Operator:
             if not left:
                 return _Operator()
@@ -234,12 +251,11 @@ class _Parser:
         ``MAX_EXPONENT`` first, if ``bounded``: D's order in one term has no bound."""
         if k == 1:
             return value
-        zero = self.zero
-        if type(value) is _Operator and all(type(c) is dict and c.keys() == {zero}
-                                            for c in value.values()):
+        constants = self.constants(value)
+        if constants is not None:
             # constant coefficients commute with D: a polynomial in D, raised as a function
-            f = self.power({alpha: c[zero] for alpha, c in value.items()}, k, len(value) > 1)
-            return _Operator({alpha: {zero: c}
+            f = self.power(constants, k, len(value) > 1)
+            return _Operator({alpha: {self.zero: c}
                               for alpha, c in (f if type(f) is dict else f.terms).items()})
         if bounded:
             _check(k, _exponents(value))

@@ -833,10 +833,11 @@ def _cost(a: Tuple[int, int, int], b: Tuple[int, int, int], m: int) -> int:
     return s * t * pair + (u + v) * (_TERM_WORK + _ENTRY_WORK + x + y)
 
 
-def _meter(m: int):
+def _meter(m: int, what: str = "power"):
     """A charge for ``_power`` or the Leibniz product: it adds the ``_cost`` of each a * b
     in m variables to one sum, ``_CALL_WORK`` more for a ``RationalFunction`` b, and
-    refuses the power before the product that takes the sum past ``MAX_POWER_WORK``."""
+    refuses the power (or the product: ``what``) before the product that takes the sum
+    past ``MAX_POWER_WORK``."""
     spent, last = 0, (None, None)  # the left operand of the last product, and its size
 
     def charge(a, b):
@@ -845,7 +846,7 @@ def _meter(m: int):
             last = a, _size(a)
         spent += _cost(last[1], _size(b), m) + (isinstance(b, RationalFunction) and _CALL_WORK)
         if spent > MAX_POWER_WORK:
-            raise InvalidInput(f"a power whose work exceeds the limit of {MAX_POWER_WORK} "
+            raise InvalidInput(f"a {what} whose work exceeds the limit of {MAX_POWER_WORK} "
                                f"digit products")
     return charge
 

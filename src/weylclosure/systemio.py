@@ -18,7 +18,8 @@ generators.  The memory is one entry: parsing another text replaces it, and
 a text that fails to parse is not kept.  The values of ``point:``,
 ``--point`` and ``--init`` are read once, by ``parsing.parse_constant`` and
 ``parse_derivative``, into scalars and derivatives without an operator or a
-rational function, and ``jet_to_json`` sorts a jet's values once.
+rational function, and ``jet_to_json`` reads a jet's values over Delta_T in
+ranking order, with no sort.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .errors import InvalidInput
 from .formatting import format_derivative, format_scalar
-from .operators import Derivative, Jet, OperatorVector
+from .operators import Derivative, Jet, OperatorVector, derivatives_up_to
 from .parsing import parse_constant, parse_derivative, parse_operator
 from .scalars import Scalar, _past_digit_limit
 
@@ -160,10 +161,11 @@ def load_system(path: str, default_field: str = "real") -> SystemFile:
 
 
 def jet_to_json(jet: Jet) -> dict:
-    """The jet as strings: its values sorted once, in ranking order within each component."""
+    """The jet as strings: the value of every derivative of Delta_T, zeros
+    included, in ranking order within each component."""
     components: Dict[str, Dict[str, str]] = {f"u{i}": {} for i in range(1, jet.n + 1)}
-    for d, v in sorted(jet.values.items(), key=lambda kv: kv[0].rank_key()):
-        components[f"u{d.component}"][",".join(map(str, d.alpha))] = format_scalar(v)
+    for d in derivatives_up_to(jet.m, jet.n, jet.order):
+        components[f"u{d.component}"][",".join(map(str, d.alpha))] = format_scalar(jet.value(d))
     return {
         "point": [format_scalar(c) for c in jet.base_point],
         "order": jet.order,

@@ -506,6 +506,7 @@ def test_system_file_errors_exit_2_with_their_message(tmp_path, capsys, text, me
 
 
 REFUSED = "a power whose work exceeds the limit of 1500000000 digit products"
+PRODUCT_REFUSED = "a product whose work exceeds the limit of 1500000000 digit products"
 
 
 @pytest.mark.parametrize("text, message", [
@@ -529,8 +530,13 @@ REFUSED = "a power whose work exceeds the limit of 1500000000 digit products"
     # an operator of sparse coefficients, whose sums pass over their dense length:
     # (x^900*D + 1)^80 ran 78 s, though no coefficient has more than 81 terms
     ("vars: 1\nrow: (x^900*D + 1)^80\n", REFUSED),
+    # a Leibniz product is metered as a power's are: D^400*x^400 took 10 s, and the
+    # work grows as the cube of the order
+    ("vars: 1\nrow: D^400*x^400\n", PRODUCT_REFUSED),
+    ("vars: 1\nrow: D^2000*x^2000\n", PRODUCT_REFUSED),
 ], ids=["exponent", "variables", "power", "digits", "power-exponent", "operator-power",
-        "operator-exponent", "d-polynomial-power", "sparse-operator-power"])
+        "operator-exponent", "d-polynomial-power", "sparse-operator-power",
+        "leibniz-product", "large-leibniz-product"])
 def test_oversized_systems_exit_2_within_seconds(tmp_path, capsys, text, message):
     path = tmp_path / "big.sys"
     path.write_text(text)

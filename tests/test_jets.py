@@ -7,6 +7,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weylclosure import (
     Derivative,
@@ -102,6 +103,11 @@ def symbolic_formal_solve(basis, point, init, order):
     return Jet(point, order, basis.m, basis.n, values)
 
 
+def nonzero(jet):
+    """The jet's nonzero values: all that a jet the library makes stores."""
+    return {d: v for d, v in jet.values.items() if v}
+
+
 def assert_matches_oracle(basis, point, rng, extra=2):
     s = basis.s0 + extra
     system = constraint_matrix(basis, s, point)
@@ -112,7 +118,7 @@ def assert_matches_oracle(basis, point, rng, extra=2):
         init = {d: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
                 for d in basis.parametric_up_to(s)}
         u = formal_solve(basis, point, init, s)
-        assert u.values == symbolic_formal_solve(basis, point, init, s).values
+        assert u.values == nonzero(symbolic_formal_solve(basis, point, init, s))
 
 
 def test_oracle_random_acceptance_6_systems(rng):
@@ -168,7 +174,7 @@ def test_plan_prefix_and_extension_match_the_oracle(case, orders):
         init = {d: GaussianRational(rng.randint(-3, 3), rng.randint(-1, 1))
                 for d in basis.parametric_up_to(order)}
         u = formal_solve(basis, point, init, order)
-        assert u.values == symbolic_formal_solve(basis, point, init, order).values
+        assert u.values == nonzero(symbolic_formal_solve(basis, point, init, order))
     assert basis.solve_plans[point].order == 6
 
 
@@ -212,7 +218,7 @@ def test_matrix_and_solves_share_one_evaluation_in_any_call_order(kind):
                 init = {d: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
                         for d in basis.parametric_up_to(k)}
                 u = formal_solve(basis, point, init, k)
-                assert u.values == symbolic_formal_solve(basis, point, init, k).values
+                assert u.values == nonzero(symbolic_formal_solve(basis, point, init, k))
                 jets_by_order[k] = u
         # the two read the same rows: every solve to order >= s satisfies the matrix
         for k, u in jets_by_order.items():
@@ -438,17 +444,6 @@ def test_position_is_keyed_by_the_derivative_itself(monkeypatch, fresh_completio
     shared = operators.ranked_delta(2, 2, 2)
     assert shared[0] is ranked and shared[1] is position
     assert other.ranked_rules == [ranking.pick_rule(d, other.heads) for d in ranked[:12]]
-
-
-def test_only_the_last_zero_jet_is_kept_per_m_n(monkeypatch):
-    monkeypatch.setattr(operators, "_ZERO_VALUES", {})
-    for s in (3, 1, 4, 2):
-        zeros = operators.zero_values(2, 2, s)
-        assert list(zeros) == derivatives_up_to(2, 2, s)
-        assert all(v is scalars.ZERO for v in zeros.values())
-        assert operators.zero_values(2, 2, s) is zeros
-    operators.zero_values(1, 1, 5)
-    assert {key: s for key, (s, _) in operators._ZERO_VALUES.items()} == {(2, 2): 2, (1, 1): 5}
 
 
 def test_check_jet_constraints_examples():
@@ -685,12 +680,13 @@ def test_a_value_that_cancels_in_a_solve_is_the_shared_zero():
     basis = basis_of("D^2 - D - 1")
     init = {Derivative(1, (0,)): Fraction(1), Derivative(1, (1,)): Fraction(-1)}
     u = formal_solve(basis, ZERO, init, 5)
+    assert Derivative(1, (2,)) not in u.values
     assert u.value(Derivative(1, (2,))) is scalars.ZERO
     assert [u.value(Derivative(1, (k,))) for k in range(6)] == [1, -1, 0, -1, -1, -2]
-    assert u.values == symbolic_formal_solve(basis, ZERO, init, 5).values
-    # an initial value given as a zero of another type is the shared one too
+    assert u.values == nonzero(symbolic_formal_solve(basis, ZERO, init, 5))
+    # an initial value given as a zero of another type is not stored either
     u = formal_solve(basis, ZERO, {Derivative(1, (0,)): GaussianRational(0)}, 3)
-    assert all(v is scalars.ZERO for v in u.values.values())
+    assert u.values == {}
 
 
 def test_every_jet_owns_its_values():
@@ -712,8 +708,7 @@ def test_every_jet_owns_its_values():
     assert basis.solve_plans[point] is plan
     assert [again.values] + [jet.values for jet in rebuilt] == kept
     for jet in [again] + rebuilt:
-        assert list(jet.values) == derivatives_up_to(2, 2, s)
-        assert all(v is scalars.ZERO for v in jet.values.values() if not v)
+        assert all(jet.values.values())
 
 
 @pytest.mark.parametrize("case", ["gaussian", "euler", "two unknowns"])
@@ -733,13 +728,44 @@ def test_solved_values_keep_their_scalar_types(case):
         inits.append(dict.fromkeys(parametric, GaussianRational(1)))
     for init in inits:
         u = formal_solve(basis, point, init, order)
-        expected = symbolic_formal_solve(basis, point, init, order).values
+        expected = nonzero(symbolic_formal_solve(basis, point, init, order))
         assert u.values == expected
         for d, value in u.values.items():
-            if expected[d]:
-                assert type(value) is type(expected[d]), d
-            else:
-                assert value is scalars.ZERO, d
+            assert type(value) is type(expected[d]), d
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_library_jets_store_only_nonzero_values_and_match_the_oracle(seed):
+    rng = random.Random(seed)
+    m, n = rng.randint(1, 2), rng.randint(1, 2)
+    gens = random_generators(rng, m, n, rng.randint(1, 2), order=2, degree=1, terms=2,
+                             polynomial_coeffs=seed % 3 != 0)
+    basis = complete_to_riquier_basis(gens, m, n)
+    q = random_generators(rng, m, n, 1, order=1, degree=1, terms=2)[0]
+    point = pick_regular_point(basis_denominators(basis) + [
+        c.den for p in gens + [q] for c in p.terms.values()], m)
+    s = max(basis.s0, q.degree(), *(g.degree() for g in gens)) + rng.randint(0, 2)
+    delta = derivatives_up_to(m, n, s)
+    # sparse initial values, so that most solved values vanish
+    init = {d: Fraction(rng.randint(-3, 3)) for d in basis.parametric_up_to(s)
+            if rng.random() < 0.4}
+    solved = formal_solve(basis, point, init, s)
+    oracle = symbolic_formal_solve(basis, point, init, s)
+    spanned = constraint_nullspace(constraint_matrix(basis, s, point))
+    jets_and_oracles = [(solved, oracle)] + [
+        (jet, symbolic_formal_solve(basis, point, {d: jet.value(d)
+                                                   for d in basis.parametric_up_to(s)}, s))
+        for jet in spanned]
+    for jet, expected in jets_and_oracles:
+        assert all(jet.values.values())
+        assert [jet.value(d) for d in delta] == [expected.value(d) for d in delta]
+    for g in gens:
+        image = apply_to_jet(g, solved)
+        assert image.values == {}  # every generator annihilates a formal solution
+    image = apply_to_jet(q, solved)
+    assert all(image.values.values())
+    assert image == apply_to_jet(q, oracle)
 
 
 # -- solution-space dimension ----------------------------------------------

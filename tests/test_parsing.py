@@ -443,6 +443,31 @@ def test_powers_and_products_with_a_derivation_on_the_left_are_weyl_products():
         d_plus_x, scalar_operator_product(d_plus_x, d_plus_x))
 
 
+def test_a_leibniz_product_past_the_product_bound_is_refused():
+    # a product is metered as a power's Leibniz products are: D^400*x^400 took 10 s
+    # unmetered, with work growing as the cube of the order
+    for text in ("D^400*x^400", "D^2000*x^2000"):
+        with returns_within(10):
+            with pytest.raises(InvalidInput) as info:
+                op(text)
+        assert str(info.value) == REFUSED.replace("a power", "a product")
+    # a product under the bound is the library's Leibniz product
+    assert op("D^3*x^3") == scalar_operator_product(op("D^3"), op("x^3"))
+
+
+def test_polynomials_in_d_with_constant_coefficients_multiply_commutatively():
+    # D1^100001*D2^100001 took 100,001 Leibniz steps; (D1*D2)^100001 was refused
+    with returns_within(1):
+        assert op("D1^100001*D2^100001", 2) == weyl({(100001, 100001): {(0, 0): 1}}, 2)
+        assert op("(D1*D2)^100001", 2) == weyl({(100001, 100001): {(0, 0): 1}}, 2)
+    assert op("(2*D1 + 1)*(D2 - 1/3)", 2) == weyl(
+        {(1, 1): {(0, 0): 2}, (1, 0): {(0, 0): Fraction(-2, 3)}, (0, 1): {(0, 0): 1},
+         (0, 0): {(0, 0): Fraction(-1, 3)}}, 2)
+    assert op("(i*D + 1)*(D - i)", field="complex") == op("i*D^2 + 2*D - i", field="complex")
+    assert op("(D1 + D2)*(D1 - D2)", 2) == op("D1^2 - D2^2", 2)
+    assert op("D*(D + x)") == scalar_operator_product(op("D"), op("D + x"))
+
+
 # -- the parser against the library's own arithmetic --------------------------
 #
 # Random expression trees are rendered to text with as few parentheses as the

@@ -10,7 +10,8 @@ and key, ``<workload> <key> <ops> <sha256>``, over:
 
 - ``decide`` (520 ops): the member flag, the normal form, the basis, and for
   a member the witness's w and every h_j;
-- ``jets`` (180 ops): the basis, every nullspace jet and every solved jet;
+- ``jets`` (180 ops): the basis, every nullspace jet and every solved jet,
+  each as its values on all of Delta_order, zeros included;
 - ``cli`` (600 calls): each call's exit code and standard output;
 - ``complex`` (150 ops): as ``decide``, over Gaussian systems that no
   workload has, built here (``Complex``) as the complex-mode acceptance
@@ -45,6 +46,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
 import weylclosure as wc  # noqa: E402
 import workloads  # noqa: E402
 from weylclosure.formatting import format_derivative  # noqa: E402
+from weylclosure.operators import derivatives_up_to  # noqa: E402
 
 # ops per key: the counts the library's refactors have compared so far
 COUNTS = {"decide": 520, "jets": 180, "cli": 600, "complex": 150}
@@ -110,8 +112,9 @@ class Complex:
 
 
 def _jet(jet) -> str:
-    values = sorted(jet.values.items(), key=lambda item: (item[0].component, item[0].alpha))
-    return ", ".join(f"{format_derivative(d, jet.m, jet.n)}={v}" for d, v in values)
+    """Every derivative of Delta_order, zeros included, by (component, alpha)."""
+    delta = sorted(derivatives_up_to(jet.m, jet.n, jet.order))
+    return ", ".join(f"{format_derivative(d, jet.m, jet.n)}={jet.value(d)}" for d in delta)
 
 
 def _basis(basis) -> str:
