@@ -33,8 +33,8 @@ solved jet and a nullspace jet each store only their nonzero values, and
 ``Jet.value`` reads an absent derivative as zero.  The arithmetic is only
 what the answers need: integer factors (binomials, factorials) are
 multiplied out before one Fraction product per entry, and none when that
-product is 1; zero Taylor terms are never formed; a push of the value 1
-multiplies nothing, and a push into a position still at zero adds nothing;
+product is 1; zero Taylor terms are never formed; a push into a position
+still at zero adds nothing;
 the elimination compares entries with the shared zero by identity before it
 asks their truthiness; a value that cancels is not stored.  Requests whose
 Delta_s or constraint matrix would exceed ``operators.MAX_JET_SIZE`` are
@@ -66,7 +66,7 @@ from .operators import (
 )
 from .polynomials import Polynomial, RationalFunction
 from .riquier import RiquierBasis
-from .scalars import ZERO, GaussianRational, Scalar, format_point
+from .scalars import ZERO, Scalar, format_point
 
 
 @dataclass
@@ -229,12 +229,11 @@ def formal_solve(basis: RiquierBasis, point: Sequence[Scalar],
     basis's solve plan at the point (``basis.solve_plans``), compiled on the
     first solve there and extended when a later solve asks for a higher
     order, pushes each nonzero value forward to the rows that read it.  A
-    push stores its term itself where the target still holds ZERO, and a
-    pushed 1 stores c itself (a Gaussian 1 multiplies, as it makes a real c
-    Gaussian), so each value keeps the scalar type its products give.  The
-    jet stores only the nonzero values: a value that cancels, or an initial
-    value given as zero, is absent and reads as ZERO.  Unspecified parametric
-    values default to zero.  A value given for a derivative that does not fit the system's
+    push stores its term c * v itself where the target still holds ZERO, so
+    each value keeps the scalar type its products give.  The jet stores only
+    the nonzero values: a value that cancels, or an initial value given as
+    zero, is absent and reads as ZERO.  Unspecified parametric values
+    default to zero.  A value given for a derivative that does not fit the system's
     (m, n), lies above the truncation order or is principal raises
     InvalidInput, and so does a point without m coordinates.  Each value is
     checked by one lookup of its position; the checks by fit and by order
@@ -267,17 +266,15 @@ def formal_solve(basis: RiquierBasis, point: Sequence[Scalar],
     readers = plan.readers
     # every push goes to a later position, so enumerate meets each value after
     # all its pushes; most values are the shared ZERO, which ``is`` skips
-    # cheaply, and only the nonzero ones are stored in the jet.  A value
-    # of 1 pushes c itself (a Gaussian 1 would make a real c Gaussian, so it
-    # multiplies), and a push into a ZERO stores its term
+    # cheaply, and only the nonzero ones are stored in the jet; a push into
+    # a ZERO stores its term
     for j, v in enumerate(values):
         if v is not ZERO and v:
             jet[ranked[j]] = v
-            one = v == 1 and v.__class__ is not GaussianRational
             for i, c in readers[j]:
                 if i >= size:
                     break
-                term = c if one else c * v
+                term = c * v
                 held = values[i]
                 values[i] = term if held is ZERO else held + term
     return Jet(point, order, basis.m, basis.n, jet)

@@ -385,6 +385,10 @@ class Jet:
         return self.values.get(d, ZERO)
 
     def truncate(self, order: int) -> "Jet":
+        """The jet through ``order``; InvalidInput unless 0 <= order <= T, since a
+        jet knows no value above its own order."""
+        if not 0 <= order <= self.order:
+            raise InvalidInput(f"cannot truncate a jet of order {self.order} to order {order}")
         return Jet(self.base_point, order, self.m, self.n,
                    {d: v for d, v in self.values.items() if d.order <= order})
 

@@ -714,7 +714,8 @@ def test_every_jet_owns_its_values():
 @pytest.mark.parametrize("case", ["gaussian", "euler", "two unknowns"])
 def test_solved_values_keep_their_scalar_types(case):
     # the Gaussian system takes Gaussian values; the real ones a Gaussian 1,
-    # whose pushes must stay Gaussian products, never a bare real coefficient
+    # whose pushes must stay Gaussian products, never a bare real coefficient,
+    # and Fraction(1), whose pushes are Fractions; every push is one product
     basis, point = plan_cases()[case]
     order = basis.s0 + 3
     parametric = basis.parametric_up_to(order)
@@ -726,12 +727,17 @@ def test_solved_values_keep_their_scalar_types(case):
     else:
         inits = [{d: GaussianRational(1)} for d in parametric]
         inits.append(dict.fromkeys(parametric, GaussianRational(1)))
+        inits.append(dict.fromkeys(parametric, Fraction(1)))
     for init in inits:
         u = formal_solve(basis, point, init, order)
         expected = nonzero(symbolic_formal_solve(basis, point, init, order))
         assert u.values == expected
         for d, value in u.values.items():
             assert type(value) is type(expected[d]), d
+    if case != "gaussian":
+        # the int 1 gives the values of Fraction(1)
+        assert (formal_solve(basis, point, dict.fromkeys(parametric, 1), order)
+                == formal_solve(basis, point, inits[-1], order))
 
 
 @settings(max_examples=30, deadline=None)

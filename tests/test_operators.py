@@ -167,6 +167,15 @@ def test_truncate_drops_the_values_above_the_order():
     assert low.values == {Derivative(1, (0,)): 2, Derivative(1, (1,)): 5}
 
 
+def test_truncate_refuses_an_order_above_its_own_or_below_zero():
+    u = jet_1d(0, [2, 5, 7])
+    for order in (3, -1):
+        with pytest.raises(InvalidInput, match=f"jet of order 2 to order {order}"):
+            u.truncate(order)
+    assert u.truncate(2) == u
+    assert u.truncate(0).values == {Derivative(1, (0,)): 2}
+
+
 def test_derivative_keeps_the_equality_hash_and_repr_of_its_fields():
     d = Derivative(2, (1, 0))
     assert d == Derivative(2, (1, 0)) and d != Derivative(1, (1, 0))

@@ -90,6 +90,14 @@ def test_single_generator_just_goes_monic():
     assert basis.s0 == 2
 
 
+def test_the_basis_degree_is_fixed_once_from_the_heads():
+    basis = complete_to_riquier_basis([op("D1", 2), op("D2^3", 2)])
+    assert sorted(h.order for h in basis.heads) == [1, 3]
+    assert basis.s0 == 3 and vars(basis)["s0"] == 3
+    empty = complete_to_riquier_basis([], 1, 1)
+    assert empty.s0 == 0 and vars(empty)["s0"] == 0
+
+
 def test_empty_input_yields_empty_basis():
     basis = complete_to_riquier_basis([op("0")], 1, 1)
     assert basis.elements == [] and basis.s0 == 0
